@@ -5,7 +5,8 @@ The package is organized bottom-up:
 
     ratpoly     exact sparse polynomials in (x, y, z) over Fractions
     special     Pochhammer / gamma-ratio / terminating hypergeometric sums
-    operators   first-order differential operators, verification reports
+    operators   first-order differential operators, verification reports,
+                and the verification skeleton shared by the three families
     jacobi1d    shifted Jacobi polynomials on (0, 1), 12 ladder relations
     triangle2d  four-parameter triangle family, 24 ladder relations
     simplex3d   six-parameter tetrahedron family, 36 ladder relations,
@@ -16,7 +17,7 @@ The package is organized bottom-up:
 """
 
 from .ratpoly import MPoly, NonzeroRemainder, Point
-from .special import GammaRatioSpec, PoleHit, gamma_ratio, hyper2f1_terminating, hyper3f2_unit, pochhammer
+from .special import PoleHit, gamma_ratio, hyper2f1_terminating, hyper3f2_unit, pochhammer
 from .operators import DiffOperator, SparseRelation, VerificationReport, summarize
 from .jacobi1d import JacobiParams, shifted_jacobi, norm_ratio, verify_ladder, verify_second_order_1d
 from .triangle2d import (

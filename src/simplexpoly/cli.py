@@ -55,6 +55,15 @@ def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
 
+def _emit(text: str, path) -> None:
+    """Write `text` to the file at `path`, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="simplexpoly", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,29 +98,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+# --family -> (module, index length, parameter count, monic constructor)
+_FAMILIES = {
+    "jacobi": (jacobi1d, 1, 2, None),
+    "triangle": (triangle2d, 2, 4, "monic_triangle"),
+    "simplex": (simplex3d, 3, 6, "monic_simplex"),
+}
+
+
 def cmd_print_poly(args) -> int:
-    if args.family == "jacobi":
-        if args.monic:
-            raise ValueError("--monic applies to triangle and simplex families")
-        (n,) = _ints(args.index)
-        params = _fractions(args.params, 2)
-        poly = jacobi1d.shifted_jacobi_raw(n, *params)
-    elif args.family == "triangle":
-        n, k = _ints(args.index)
-        params = _fractions(args.params, 4)
-        if args.monic:
-            poly = triangle2d.monic_triangle((n, k), params)
-        else:
-            poly = triangle2d.triangle_poly_raw(n, k, *params)
+    module, dims, arity, monic = _FAMILIES[args.family]
+    if args.monic and monic is None:
+        raise ValueError("--monic applies to triangle and simplex families")
+    idx = _ints(args.index)
+    if len(idx) != dims:
+        raise ValueError(f"expected {dims} comma-separated index values, got {len(idx)}")
+    params = _fractions(args.params, arity)
+    if args.monic:
+        poly = getattr(module, monic)(idx, params)
     else:
-        idx = _ints(args.index)
-        if len(idx) != 3:
-            raise ValueError("simplex index needs three entries")
-        params = _fractions(args.params, 6)
-        if args.monic:
-            poly = simplex3d.monic_simplex(idx, params)
-        else:
-            poly = simplex3d.simplex_poly_raw(*idx, *params)
+        poly = module.FAMILY.member(*idx, *params)
     print(poly.to_text())
     return EX_OK
 
@@ -164,12 +170,7 @@ def cmd_gram(args) -> int:
     lines = ["index;" + ";".join(labels)]
     for label, row in zip(labels, np.asarray(gram)):
         lines.append(label + ";" + ";".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return EX_OK
 
 
@@ -200,12 +201,7 @@ def cmd_connect(args) -> int:
         ],
         "reassembles_exactly": ok,
     }
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
     return EX_OK if ok else EX_FAIL
 
 

@@ -18,17 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Tuple
 
 from .operators import (
-    NOT_APPLICABLE,
     DiffOperator,
+    Family,
+    SecondOrder,
     SparseRelation,
-    VerificationReport,
-    report_equality,
+    as_tuple,
+    verify_composition,
+    verify_sparse,
 )
-from .ratpoly import MPoly, ONE, ONE_MINUS_X, X, ZERO
+from .ratpoly import MPoly, ONE, ONE_MINUS_X, X, X_ONE_MINUS_X, ZERO
 from .special import factorial, gamma_ratio, hyper2f1_terminating, pochhammer
 
 
@@ -47,13 +49,6 @@ class JacobiParams:
 
     def as_tuple(self) -> Tuple[Fraction, Fraction]:
         return (self.a, self.b)
-
-
-def _params2(p) -> Tuple[Fraction, Fraction]:
-    if isinstance(p, JacobiParams):
-        return p.as_tuple()
-    a, b = p
-    return (Fraction(a), Fraction(b))
 
 
 @lru_cache(maxsize=None)
@@ -88,8 +83,7 @@ def _binom(top: Fraction, k: int) -> Fraction:
 
 def shifted_jacobi(n: int, p) -> MPoly:
     """Public constructor; `p` is a JacobiParams or an (a, b) pair."""
-    a, b = _params2(p)
-    return shifted_jacobi_raw(n, a, b)
+    return shifted_jacobi_raw(n, *as_tuple(p, 2))
 
 
 def norm_ratio(n: int, p) -> Fraction:
@@ -99,7 +93,7 @@ def norm_ratio(n: int, p) -> Fraction:
     cancellable (a+b+1) pair is removed so the value stays finite when
     a+b+1 = 0.
     """
-    a, b = _params2(p)
+    a, b = as_tuple(p, 2)
     if n == 0:
         return Fraction(1)
     num = pochhammer(a + 1, n) * pochhammer(b + 1, n)
@@ -154,12 +148,10 @@ LADDER_IDS = (
     "L1p", "L2p", "L3p", "L4p", "L5p", "L6p",
 )
 
-_X1X = X * ONE_MINUS_X
-
 
 def ladder_operator(op: str, n: int, p) -> DiffOperator:
     """Operator descriptor for one ladder id at degree n, parameters (a, b)."""
-    a, b = _params2(p)
+    a, b = as_tuple(p, 2)
     c = MPoly.const
     if op == "L1":
         return DiffOperator(c0=ZERO, cx=ONE)
@@ -168,17 +160,17 @@ def ladder_operator(op: str, n: int, p) -> DiffOperator:
     if op == "L3":
         return DiffOperator(c0=c(a + b + n + 1), cx=-ONE_MINUS_X)
     if op == "L4":
-        return DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b + n + 1), cx=-_X1X)
+        return DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b + n + 1), cx=-X_ONE_MINUS_X)
     if op == "L5":
-        return DiffOperator(c0=X.scale(a + n + 1) - ONE_MINUS_X.scale(b), cx=-_X1X)
+        return DiffOperator(c0=X.scale(a + n + 1) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X)
     if op == "L6":
         return DiffOperator(c0=c(b), cx=X)
     if op == "L1p":
-        return DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b), cx=-_X1X)
+        return DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X)
     if op == "L2p":
-        return DiffOperator(c0=c(a) + ONE_MINUS_X.scale(n), cx=-_X1X)
+        return DiffOperator(c0=c(a) + ONE_MINUS_X.scale(n), cx=-X_ONE_MINUS_X)
     if op == "L3p":
-        return DiffOperator(c0=c(b) + X.scale(n), cx=_X1X)
+        return DiffOperator(c0=c(b) + X.scale(n), cx=X_ONE_MINUS_X)
     if op == "L4p":
         return DiffOperator(c0=c(-n), cx=X)
     if op == "L5p":
@@ -204,97 +196,60 @@ SPARSE_1D = {
 }
 
 
-def verify_ladder(op: str, n: int, p) -> VerificationReport:
-    """Check one sparse relation as an exact polynomial identity.
-
-    A target of negative degree is the zero polynomial; the check then
-    asserts that the operator annihilates the member and the report is
-    marked not_applicable.
-    """
-    a, b = _params2(p)
-    rel = SPARSE_1D[op]
-    u = shifted_jacobi_raw(n, a, b)
-    lhs = ladder_operator(op, n, (a, b)).apply(u)
-    (n2,), (a2, b2) = rel.shifted((n,), (a, b))
-    if n2 < 0:
-        return report_equality(op, (n,), (a, b), lhs, ZERO, applicable=False)
-    rhs = shifted_jacobi_raw(n2, a2, b2).scale(rel.scale(n, a, b))
-    return report_equality(op, (n,), (a, b), lhs, rhs)
-
-
 # ---------------------------------------------------------------------------
 # Second-order compositions.
 #
 # Each entry states: apply `inner` then `outer` to the member at the
-# shifted operand (n+dn, a+da, b+db); the result is eig(n, a, b) times that
-# member.  The ".rel" entries are the raising/lowering pairings on shifted
-# operands; the ".eig" entries are the same compositions arranged as
-# eigenvalue equations for the unshifted member.
+# shifted operand (n + dn, (a, b) + dparams); the result is eig(n, a, b)
+# times that member.  The ".rel" entries are the raising/lowering pairings
+# on shifted operands; the ".eig" entries are the same compositions
+# arranged as eigenvalue equations for the unshifted member.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SecondOrder1D:
-    outer: str
-    inner: str
-    dn: int
-    da: int
-    db: int
-    eig: "callable"
-
-
 SECOND_ORDER_1D = {
-    "L1p.L1.rel": SecondOrder1D("L1p", "L1", 0, -1, -1, lambda n, a, b: n * (n + a + b - 1)),
-    "L1.L1p.rel": SecondOrder1D("L1", "L1p", 0, 0, 0, lambda n, a, b: (n + 1) * (a + b + n)),
-    "L2p.L2.rel": SecondOrder1D("L2p", "L2", 0, -1, +1, lambda n, a, b: (n + a) * (n + a + b + 1)),
-    "L2.L2p.rel": SecondOrder1D("L2", "L2p", 0, 0, +1, lambda n, a, b: (n + a) * (n + a + b + 1)),
-    "L3p.L3.rel": SecondOrder1D("L3p", "L3", 0, +1, -1, lambda n, a, b: (n + b) * (n + a + b + 1)),
-    "L3.L3p.rel": SecondOrder1D("L3", "L3p", 0, +1, 0, lambda n, a, b: (n + b) * (n + a + b + 1)),
-    "L4p.L4.rel": SecondOrder1D("L4p", "L4", -1, 0, +1, lambda n, a, b: n * (n + b + 1)),
-    "L4.L4p.rel": SecondOrder1D("L4", "L4p", 0, -1, +1, lambda n, a, b: n * (n + b + 1)),
-    "L5p.L5.rel": SecondOrder1D("L5p", "L5", -1, +1, 0, lambda n, a, b: n * (n + a + 1)),
-    "L5.L5p.rel": SecondOrder1D("L5", "L5p", 0, +1, -1, lambda n, a, b: n * (n + a + 1)),
-    "L6p.L6.rel": SecondOrder1D("L6p", "L6", 0, -1, 0, lambda n, a, b: (n + a) * (n + b)),
-    "L6.L6p.rel": SecondOrder1D("L6", "L6p", 0, 0, -1, lambda n, a, b: (n + a) * (n + b)),
-    "L1p.L1.eig": SecondOrder1D("L1p", "L1", 0, 0, 0, lambda n, a, b: n * (n + a + b + 1)),
-    "L1.L1p.eig": SecondOrder1D("L1", "L1p", 0, 0, 0, lambda n, a, b: (n + 1) * (a + b + n)),
-    "L2p.L2.eig": SecondOrder1D("L2p", "L2", 0, 0, 0, lambda n, a, b: (n + a + 1) * (n + a + b + 1)),
-    "L2.L2p.eig": SecondOrder1D("L2", "L2p", 0, 0, 0, lambda n, a, b: (n + a) * (n + a + b)),
-    "L3p.L3.eig": SecondOrder1D("L3p", "L3", 0, 0, 0, lambda n, a, b: (n + b + 1) * (n + a + b + 1)),
-    "L3.L3p.eig": SecondOrder1D("L3", "L3p", 0, 0, 0, lambda n, a, b: (n + b) * (n + a + b)),
-    "L4p.L4.eig": SecondOrder1D("L4p", "L4", 0, 0, 0, lambda n, a, b: (n + 1) * (n + b + 1)),
-    "L4.L4p.eig": SecondOrder1D("L4", "L4p", 0, 0, 0, lambda n, a, b: n * (n + b)),
-    "L5p.L5.eig": SecondOrder1D("L5p", "L5", 0, 0, 0, lambda n, a, b: (n + 1) * (n + a + 1)),
-    "L5.L5p.eig": SecondOrder1D("L5", "L5p", 0, 0, 0, lambda n, a, b: n * (n + a)),
-    "L6p.L6.eig": SecondOrder1D("L6p", "L6", 0, 0, 0, lambda n, a, b: (n + a + 1) * (n + b)),
-    "L6.L6p.eig": SecondOrder1D("L6", "L6p", 0, 0, 0, lambda n, a, b: (n + a) * (n + b + 1)),
+    "L1p.L1.rel": SecondOrder("L1p", "L1", (0,), (-1, -1), lambda n, a, b: n * (n + a + b - 1)),
+    "L1.L1p.rel": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, a, b: (n + 1) * (a + b + n)),
+    "L2p.L2.rel": SecondOrder("L2p", "L2", (0,), (-1, +1), lambda n, a, b: (n + a) * (n + a + b + 1)),
+    "L2.L2p.rel": SecondOrder("L2", "L2p", (0,), (0, +1), lambda n, a, b: (n + a) * (n + a + b + 1)),
+    "L3p.L3.rel": SecondOrder("L3p", "L3", (0,), (+1, -1), lambda n, a, b: (n + b) * (n + a + b + 1)),
+    "L3.L3p.rel": SecondOrder("L3", "L3p", (0,), (+1, 0), lambda n, a, b: (n + b) * (n + a + b + 1)),
+    "L4p.L4.rel": SecondOrder("L4p", "L4", (-1,), (0, +1), lambda n, a, b: n * (n + b + 1)),
+    "L4.L4p.rel": SecondOrder("L4", "L4p", (0,), (-1, +1), lambda n, a, b: n * (n + b + 1)),
+    "L5p.L5.rel": SecondOrder("L5p", "L5", (-1,), (+1, 0), lambda n, a, b: n * (n + a + 1)),
+    "L5.L5p.rel": SecondOrder("L5", "L5p", (0,), (+1, -1), lambda n, a, b: n * (n + a + 1)),
+    "L6p.L6.rel": SecondOrder("L6p", "L6", (0,), (-1, 0), lambda n, a, b: (n + a) * (n + b)),
+    "L6.L6p.rel": SecondOrder("L6", "L6p", (0,), (0, -1), lambda n, a, b: (n + a) * (n + b)),
+    "L1p.L1.eig": SecondOrder("L1p", "L1", (0,), (0, 0), lambda n, a, b: n * (n + a + b + 1)),
+    "L1.L1p.eig": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, a, b: (n + 1) * (a + b + n)),
+    "L2p.L2.eig": SecondOrder("L2p", "L2", (0,), (0, 0), lambda n, a, b: (n + a + 1) * (n + a + b + 1)),
+    "L2.L2p.eig": SecondOrder("L2", "L2p", (0,), (0, 0), lambda n, a, b: (n + a) * (n + a + b)),
+    "L3p.L3.eig": SecondOrder("L3p", "L3", (0,), (0, 0), lambda n, a, b: (n + b + 1) * (n + a + b + 1)),
+    "L3.L3p.eig": SecondOrder("L3", "L3p", (0,), (0, 0), lambda n, a, b: (n + b) * (n + a + b)),
+    "L4p.L4.eig": SecondOrder("L4p", "L4", (0,), (0, 0), lambda n, a, b: (n + 1) * (n + b + 1)),
+    "L4.L4p.eig": SecondOrder("L4", "L4p", (0,), (0, 0), lambda n, a, b: n * (n + b)),
+    "L5p.L5.eig": SecondOrder("L5p", "L5", (0,), (0, 0), lambda n, a, b: (n + 1) * (n + a + 1)),
+    "L5.L5p.eig": SecondOrder("L5", "L5p", (0,), (0, 0), lambda n, a, b: n * (n + a)),
+    "L6p.L6.eig": SecondOrder("L6p", "L6", (0,), (0, 0), lambda n, a, b: (n + a + 1) * (n + b)),
+    "L6.L6p.eig": SecondOrder("L6", "L6p", (0,), (0, 0), lambda n, a, b: (n + a) * (n + b + 1)),
 }
 
 
-def verify_second_order_1d(entry_id: str, n: int, p) -> VerificationReport:
-    """Check one second-order composition as an exact eigenvalue identity.
+def indices(max_degree: int):
+    """All degrees (n,) up to max_degree."""
+    return [(n,) for n in range(max_degree + 1)]
 
-    The two steps chain the sparse table: the inner operator is built at
-    the operand, the outer at the inner relation's target.  The product of
-    the two sparse scales must reproduce the tabulated eigenvalue, which is
-    asserted alongside the polynomial identity.
-    """
-    a, b = _params2(p)
-    ent = SECOND_ORDER_1D[entry_id]
-    n0, a0, b0 = n + ent.dn, a + ent.da, b + ent.db
-    eig = ent.eig(n, a, b)
-    if n0 < 0:
-        return VerificationReport(entry_id, (n,), (a, b), NOT_APPLICABLE)
-    u = shifted_jacobi_raw(n0, a0, b0)
-    inner_rel = SPARSE_1D[ent.inner]
-    v = ladder_operator(ent.inner, n0, (a0, b0)).apply(u)
-    (n1,), (a1, b1) = inner_rel.shifted((n0,), (a0, b0))
-    lhs = ladder_operator(ent.outer, n1, (a1, b1)).apply(v)
-    detail = None
-    if n1 >= 0:
-        product = inner_rel.scale(n0, a0, b0) * SPARSE_1D[ent.outer].scale(n1, a1, b1)
-        if product != eig:
-            detail = f"scale product {product} != tabulated eigenvalue {eig}"
-    return report_equality(
-        entry_id, (n,), (a, b), lhs, u.scale(eig), detail=detail,
-        applicable=not u.is_zero,
-    )
+
+FAMILY = Family(
+    index=lambda n: (n,),
+    params=lambda p: as_tuple(p, 2),
+    member=lambda n, a, b: shifted_jacobi_raw(n, a, b),
+    valid=lambda idx: idx[0] >= 0,
+    operator=lambda op, idx, params: ladder_operator(op, idx[0], params),
+    sparse=SPARSE_1D,
+    second_order=SECOND_ORDER_1D,
+    zero_operand_applicable=False,
+)
+
+# verify_ladder(op, n, p) and verify_second_order_1d(entry_id, n, p).
+verify_ladder = partial(verify_sparse, FAMILY)
+verify_second_order_1d = partial(verify_composition, FAMILY)

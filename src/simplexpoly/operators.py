@@ -6,19 +6,33 @@ partials, over a structured denominator that is a product of factors from
 {1, 1-x, 1-x-y, 1-x-y-z}.  Applying such an operator to a family member
 always produces a polynomial, so `apply` divides exactly and a nonzero
 remainder is itself a reportable failure.
+
+The three families check their ladder calculus the same way, so the checks
+live here once: a `Family` record gives each family's member constructor,
+index domain, operator lookup and tables, and `verify_sparse`,
+`verify_composition` and `residual` run over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .ratpoly import MPoly, ONE
+from .ratpoly import MPoly, ONE, ZERO
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
+
+
+def as_tuple(values, count: int, kind=Fraction) -> tuple:
+    """`count` values as a tuple of `kind`, from a parameter or index
+    record (anything with `as_tuple`) or from a plain sequence."""
+    vals = tuple(values.as_tuple() if hasattr(values, "as_tuple") else values)
+    if len(vals) != count:
+        raise ValueError(f"expected {count} values, got {len(vals)}")
+    return tuple(kind(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -44,8 +58,17 @@ class DiffOperator:
         return num.div_exact(self.denom)
 
 
+class _Shift:
+    """Index and parameter steps (dn, dparams) of one table line."""
+
+    def shifted(self, idx: Sequence[int], params: Sequence[Fraction]):
+        new_idx = tuple(i + d for i, d in zip(idx, self.dn))
+        new_params = tuple(p + d for p, d in zip(params, self.dparams))
+        return new_idx, new_params
+
+
 @dataclass(frozen=True)
-class SparseRelation:
+class SparseRelation(_Shift):
     """One line of a ladder-relation table.
 
     Applying operator `op` to the family member at (idx, params) yields
@@ -58,10 +81,46 @@ class SparseRelation:
     dparams: Tuple[int, ...]
     scale: "callable"
 
-    def shifted(self, idx: Sequence[int], params: Sequence[Fraction]):
-        new_idx = tuple(i + d for i, d in zip(idx, self.dn))
-        new_params = tuple(p + d for p, d in zip(params, self.dparams))
-        return new_idx, new_params
+
+@dataclass(frozen=True)
+class SecondOrder(_Shift):
+    """One line of a second-order composition table.
+
+    Applying `inner` then `outer` to the member at the shifted operand
+    (idx + dn, params + dparams) gives eig(idx, params) times that member.
+    """
+
+    outer: str
+    inner: str
+    dn: Tuple[int, ...]
+    dparams: Tuple[int, ...]
+    eig: "callable"
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the shared checks below need to know about one family.
+
+    `index` and `params` turn the caller's index and parameters into
+    tuples; `member(*idx, *params)` builds a member, `valid(idx)` tells
+    whether an index lies in the domain, and `operator(op, idx, params)`
+    returns a DiffOperator.  These callables name their module's functions
+    at call time, so wrappers installed on the module later (a test's
+    monkeypatch, a profiler) are seen.  `pde` maps an equation id to its
+    coefficient builder, called as builder(*idx, *params).
+    """
+
+    index: Callable
+    params: Callable
+    member: Callable
+    valid: Callable
+    operator: Callable
+    sparse: dict
+    second_order: dict
+    pde: dict = field(default_factory=dict)
+    # Whether a composition whose operand is the zero polynomial still
+    # counts as an applicable sample (the interval family says no).
+    zero_operand_applicable: bool = True
 
 
 @dataclass
@@ -88,14 +147,9 @@ class VerificationReport:
             "params": [str(p) for p in self.params],
             "status": self.status,
         }
-        if self.suite is not None:
-            out["suite"] = self.suite
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        if self.detail is not None:
-            out["detail"] = self.detail
+        for key in ("suite", "lhs", "rhs", "detail"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
     def sort_key(self):
@@ -130,6 +184,76 @@ def report_equality(
         rhs=rhs.to_text(),
         detail=detail,
     )
+
+
+def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
+    """Check one sparse relation as an exact polynomial identity.
+
+    A target outside the index domain is the zero polynomial; the check
+    then asserts that the operator annihilates the member and the report
+    is marked not_applicable.
+    """
+    idx, params = family.index(idx), family.params(p)
+    rel = family.sparse[op]
+    u = family.member(*idx, *params)
+    lhs = family.operator(op, idx, params).apply(u)
+    idx2, params2 = rel.shifted(idx, params)
+    if not family.valid(idx2):
+        return report_equality(op, idx, params, lhs, ZERO, applicable=False)
+    rhs = family.member(*idx2, *params2).scale(rel.scale(*idx, *params))
+    return report_equality(op, idx, params, lhs, rhs)
+
+
+def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationReport:
+    """Check one second-order composition as an exact eigenvalue identity.
+
+    The two steps chain the sparse table: the inner operator is built at
+    the operand, the outer at the inner relation's target.  The product of
+    the two sparse scales must reproduce the tabulated eigenvalue, which is
+    asserted alongside the polynomial identity.
+    """
+    idx, params = family.index(idx), family.params(p)
+    ent = family.second_order[entry_id]
+    idx0, params0 = ent.shifted(idx, params)
+    if not family.valid(idx0):
+        return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
+    eig = ent.eig(*idx, *params)
+    u = family.member(*idx0, *params0)
+    inner_rel = family.sparse[ent.inner]
+    v = family.operator(ent.inner, idx0, params0).apply(u)
+    idx1, params1 = inner_rel.shifted(idx0, params0)
+    lhs = family.operator(ent.outer, idx1, params1).apply(v)
+    detail = None
+    if family.valid(idx1):
+        product = inner_rel.scale(*idx0, *params0) * family.sparse[ent.outer].scale(
+            *idx1, *params1
+        )
+        if product != eig:
+            detail = f"scale product {product} != tabulated eigenvalue {eig}"
+    return report_equality(
+        entry_id, idx, params, lhs, u.scale(eig), detail=detail,
+        applicable=family.zero_operand_applicable or not u.is_zero,
+    )
+
+
+def apply_pde(coeffs: dict, u: MPoly) -> MPoly:
+    """Sum of coeff * (u differentiated along each letter of the key)."""
+    out = ZERO
+    for key, coeff in coeffs.items():
+        v = u
+        for var in key:
+            v = v.diff(var)
+        out = out + coeff * v
+    return out
+
+
+def residual(family: Family, which: str, idx, p, u: MPoly = None) -> MPoly:
+    """Cleared residual of one differential equation on `u`, by default the
+    member at (idx, p); it is the zero polynomial when u solves it."""
+    idx, params = family.index(idx), family.params(p)
+    if u is None:
+        u = family.member(*idx, *params)
+    return apply_pde(family.pde[which](*idx, *params), u)
 
 
 def summarize(reports) -> dict:

@@ -23,6 +23,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from . import simplex3d, triangle2d
+from .operators import as_tuple
 from .special import pochhammer
 from .triangle2d import triangle_poly_raw
 from .simplex3d import simplex_poly_raw
@@ -66,9 +68,10 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     for i in range(1, m):
         s = 2 * i + apb
         diag[i] = (b * b - a * a) / (s * (s + 2))
-        offdiag_sq[i] = (
-            4 * i * (i + a) * (i + b) * (i + apb) / (s * s * (s + 1) * (s - 1))
-        )
+        # (i + apb) / (s - 1) is 1 at i = 1 for every a, b; taking it as 1
+        # there avoids 0/0 when a + b = -1.
+        ratio = (i + apb) / (s - 1) if i > 1 else 1.0
+        offdiag_sq[i] = 4 * i * (i + a) * (i + b) * ratio / (s * s * (s + 1))
     jacobi_matrix = np.diag(diag) + np.diag(np.sqrt(offdiag_sq[1:]), -1)
     try:
         eigvals, eigvecs = np.linalg.eigh(jacobi_matrix)
@@ -97,7 +100,7 @@ class TriangleRule:
 
 
 def triangle_rule(params, m: int) -> TriangleRule:
-    a, b, c, d = (float(v) for v in _unpack(params, 4))
+    a, b, c, d = (float(v) for v in as_tuple(params, 4))
     ru = gauss_jacobi_01(m, b + c + d + 1, a)
     rv = gauss_jacobi_01(m, c, b)
     u = ru.nodes[:, None]
@@ -123,7 +126,7 @@ class SimplexRule:
 
 
 def tetra_rule(params, m: int) -> SimplexRule:
-    alpha, beta, gamma, delta, a, b = (float(v) for v in _unpack(params, 6))
+    alpha, beta, gamma, delta, a, b = (float(v) for v in as_tuple(params, 6))
     ru = gauss_jacobi_01(m, beta + gamma + delta + a + b + 2, alpha)
     rv = gauss_jacobi_01(m, gamma + delta + b + 1, beta)
     rt = gauss_jacobi_01(m, delta, gamma)
@@ -142,13 +145,6 @@ def tetra_rule(params, m: int) -> SimplexRule:
     return SimplexRule(x=x, y=y, z=z, weights=w.ravel())
 
 
-def _unpack(params, nvals) -> Tuple:
-    vals = tuple(params.as_tuple() if hasattr(params, "as_tuple") else params)
-    if len(vals) != nvals:
-        raise ValueError(f"expected {nvals} parameters, got {len(vals)}")
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # Monomial-moment oracles.  Relative moments (against the weight mass) are
 # exact rationals for arbitrary rational exponents; absolute values go
@@ -163,9 +159,7 @@ def _beta_ratio(p: Fraction, q: Fraction, i: int, j: int) -> Fraction:
 def tetra_moment_ratio(i: int, j: int, k: int, params) -> Fraction:
     """Exact integral of x^i y^j z^k against the weight, divided by the
     weight mass."""
-    alpha, beta, gamma, delta, a, b = (
-        Fraction(v) for v in _unpack(params, 6)
-    )
+    alpha, beta, gamma, delta, a, b = as_tuple(params, 6)
     big = beta + gamma + delta + a + b + 3
     return (
         _beta_ratio(alpha + 1, big, i, j + k)
@@ -175,7 +169,7 @@ def tetra_moment_ratio(i: int, j: int, k: int, params) -> Fraction:
 
 
 def triangle_moment_ratio(i: int, j: int, params) -> Fraction:
-    a, b, c, d = (Fraction(v) for v in _unpack(params, 4))
+    a, b, c, d = as_tuple(params, 4)
     return _beta_ratio(a + 1, b + c + d + 2, i, j) * _beta_ratio(b + 1, c + 1, j, 0)
 
 
@@ -185,7 +179,7 @@ def _log_beta(p: float, q: float) -> float:
 
 def tetra_mass(params) -> float:
     """Float integral of the weight over the tetrahedron."""
-    alpha, beta, gamma, delta, a, b = (float(v) for v in _unpack(params, 6))
+    alpha, beta, gamma, delta, a, b = (float(v) for v in as_tuple(params, 6))
     return math.exp(
         _log_beta(alpha + 1, beta + gamma + delta + a + b + 3)
         + _log_beta(beta + 1, gamma + delta + b + 2)
@@ -194,7 +188,7 @@ def tetra_mass(params) -> float:
 
 
 def triangle_mass(params) -> float:
-    a, b, c, d = (float(v) for v in _unpack(params, 4))
+    a, b, c, d = (float(v) for v in as_tuple(params, 4))
     return math.exp(_log_beta(a + 1, b + c + d + 2) + _log_beta(b + 1, c + 1))
 
 
@@ -208,16 +202,14 @@ def tetra_moment(i: int, j: int, k: int, params) -> float:
 
 def simplex_indices(max_degree: int) -> List[Tuple[int, int, int]]:
     """All (n1, n2, n3) with n1+n2+n3 <= max_degree, in sorted order."""
-    out = []
-    for n in range(max_degree + 1):
-        for n1 in range(n + 1):
-            for n2 in range(n - n1 + 1):
-                out.append((n1, n2, n - n1 - n2))
-    return sorted(out)
+    return sorted(simplex3d.indices(max_degree))
 
 
-def triangle_indices(max_degree: int) -> List[Tuple[int, int]]:
-    return [(n, k) for n in range(max_degree + 1) for k in range(n + 1)]
+def _gram(members, coords, weights) -> np.ndarray:
+    """Weighted Gram matrix of the members' values at the rule's nodes."""
+    basis = np.stack([m.eval_float(*coords) for m in members])
+    weighted = basis * weights[None, :]
+    return weighted @ basis.T
 
 
 def gram_matrix(max_degree: int, params, rule: SimplexRule = None, points: int = None):
@@ -226,36 +218,20 @@ def gram_matrix(max_degree: int, params, rule: SimplexRule = None, points: int =
     Returns (indices, matrix).  The default rule order integrates products
     of two members exactly.
     """
-    vals = _unpack(params, 6)
+    vals = as_tuple(params, 6)
     if rule is None:
         rule = tetra_rule(vals, points or (max_degree + 1))
     idxs = simplex_indices(max_degree)
-    basis = np.stack(
-        [
-            simplex_poly_raw(*idx, *(Fraction(v) for v in vals)).eval_float(
-                rule.x, rule.y, rule.z
-            )
-            for idx in idxs
-        ]
-    )
-    weighted = basis * rule.weights[None, :]
-    return idxs, weighted @ basis.T
+    members = (simplex_poly_raw(*idx, *vals) for idx in idxs)
+    return idxs, _gram(members, (rule.x, rule.y, rule.z), rule.weights)
 
 
 def gram_matrix_triangle(max_degree: int, params, points: int = None):
-    vals = _unpack(params, 4)
+    vals = as_tuple(params, 4)
     rule = triangle_rule(vals, points or (max_degree + 1))
-    idxs = triangle_indices(max_degree)
-    basis = np.stack(
-        [
-            triangle_poly_raw(*idx, *(Fraction(v) for v in vals)).eval_float(
-                rule.x, rule.y
-            )
-            for idx in idxs
-        ]
-    )
-    weighted = basis * rule.weights[None, :]
-    return idxs, weighted @ basis.T
+    idxs = triangle2d.indices(max_degree)
+    members = (triangle_poly_raw(*idx, *vals) for idx in idxs)
+    return idxs, _gram(members, (rule.x, rule.y), rule.weights)
 
 
 def expected_gram_diagonal(indices, params) -> np.ndarray:

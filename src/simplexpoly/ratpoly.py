@@ -313,26 +313,6 @@ Z = MPoly.variable("z")
 ONE_MINUS_X = ONE - X
 ONE_MINUS_XY = ONE - X - Y
 ONE_MINUS_XYZ = ONE - X - Y - Z
-
-
-# Functional aliases for the core operations (both spellings are used in
-# the test-suite; the methods above are the implementation).
-
-def add(p: MPoly, q: MPoly) -> MPoly:
-    return p + q
-
-
-def mul(p: MPoly, q: MPoly) -> MPoly:
-    return p * q
-
-
-def diff(p: MPoly, var: str) -> MPoly:
-    return p.diff(var)
-
-
-def div_exact(p: MPoly, d: MPoly) -> MPoly:
-    return p.div_exact(d)
-
-
-def eval_exact(p: MPoly, at: Point) -> Fraction:
-    return p.evaluate(at)
+X_ONE_MINUS_X = X * ONE_MINUS_X
+Y_ONE_MINUS_XY = Y * ONE_MINUS_XY
+XY = X * Y

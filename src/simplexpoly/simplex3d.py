@@ -23,15 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Tuple
 
 from .operators import (
     NOT_APPLICABLE,
     DiffOperator,
+    Family,
+    SecondOrder,
     SparseRelation,
     VerificationReport,
+    as_tuple,
     report_equality,
+    residual,
+    verify_composition,
+    verify_sparse,
 )
 from .ratpoly import (
     MPoly,
@@ -40,7 +46,10 @@ from .ratpoly import (
     ONE_MINUS_XY,
     ONE_MINUS_XYZ,
     X,
+    X_ONE_MINUS_X,
+    XY,
     Y,
+    Y_ONE_MINUS_XY,
     Z,
     ZERO,
 )
@@ -90,25 +99,9 @@ class Index3:
         return (self.n1, self.n2, self.n3)
 
 
-def _params6(p) -> Tuple[Fraction, ...]:
-    if isinstance(p, SimplexParams):
-        return p.as_tuple()
-    return tuple(Fraction(v) for v in p)
-
-
-def _index3(idx) -> Tuple[int, int, int]:
-    if isinstance(idx, Index3):
-        return idx.as_tuple()
-    n1, n2, n3 = idx
-    return (int(n1), int(n2), int(n3))
-
-
-def _esum(params) -> Fraction:
-    return sum(params, Fraction(0))
-
-
-def _valid3(idx) -> bool:
-    return min(idx) >= 0
+def _e(al, be, ga, de, a, b) -> Fraction:
+    """e = alpha+beta+gamma+delta+a+b."""
+    return al + be + ga + de + a + b
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +125,13 @@ def simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta, a, b) -> MPoly:
 
 
 def simplex_poly(idx, p) -> MPoly:
-    return simplex_poly_raw(*_index3(idx), *_params6(p))
+    return simplex_poly_raw(*as_tuple(idx, 3, int), *as_tuple(p, 6))
 
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
     """(exact ratio against the (0,0,0) member, absolute float norm)."""
-    n1, n2, n3 = _index3(idx)
-    alpha, beta, gamma, delta, a, b = _params6(p)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    alpha, beta, gamma, delta, a, b = as_tuple(p, 6)
     a1 = beta + gamma + delta + a + b + 2 * n2 + 2 * n3 + 2
     a2 = gamma + delta + 2 * n3 + b + 1
     ratio = (
@@ -172,7 +165,7 @@ def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
 
 
 def classical_simplex_poly(idx, fourparams) -> MPoly:
-    n1, n2, n3 = _index3(idx)
+    n1, n2, n3 = as_tuple(idx, 3, int)
     alpha, beta, gamma, delta = (Fraction(v) for v in fourparams)
     return classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta)
 
@@ -191,9 +184,6 @@ O_IDS = ("O10", "O20", "O30", "O40", "O50", "O60",
 OPERATOR_IDS_3D = N0_IDS + N_IDS + O_IDS
 
 _W = ONE_MINUS_XYZ
-_Y1XY = Y * ONE_MINUS_XY
-_X1X = X * ONE_MINUS_X
-_XY = X * Y
 _XZ = X * Z
 _YZ = Y * Z
 _ZW = Z * _W
@@ -201,8 +191,8 @@ _ZW = Z * _W
 
 def n_operator(op: str, idx, p) -> DiffOperator:
     """Operator descriptor for one of the N ladder ids."""
-    n1, n2, n3 = _index3(idx)
-    alpha, beta, gamma, delta, a, b = _params6(p)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    alpha, beta, gamma, delta, a, b = as_tuple(p, 6)
     n = n1 + n2 + n3
     e = alpha + beta + gamma + delta + a + b
     cst = MPoly.const
@@ -211,17 +201,17 @@ def n_operator(op: str, idx, p) -> DiffOperator:
     if op == "N01p":
         return DiffOperator(
             c0=Y.scale(gamma + delta + n3 + b + 1) - ONE_MINUS_XY.scale(beta),
-            cy=-_Y1XY, cz=_YZ,
+            cy=-Y_ONE_MINUS_XY, cz=_YZ,
         )
     if op == "N02":
         return DiffOperator(
             c0=ONE_MINUS_XY.scale(n2 + 2 * n3 + beta + gamma + delta + b + 2) + Y.scale(n3),
-            cy=_Y1XY, cz=-_YZ, denom=ONE_MINUS_XY,
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY,
         )
     if op == "N02p":
         return DiffOperator(
             c0=ONE_MINUS_X.scale(n2 + 2 * n3 + gamma + delta + b + 1) - Y.scale(n2 + n3),
-            cy=-_Y1XY, cz=_YZ, denom=ONE_MINUS_X,
+            cy=-Y_ONE_MINUS_XY, cz=_YZ, denom=ONE_MINUS_X,
         )
     if op == "N03":
         return DiffOperator(
@@ -230,22 +220,22 @@ def n_operator(op: str, idx, p) -> DiffOperator:
     if op == "N03p":
         return DiffOperator(
             c0=ONE_MINUS_X.scale(beta) + Y.scale(n2 + n3),
-            cy=_Y1XY, cz=-_YZ, denom=ONE_MINUS_X,
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X,
         )
     if op == "N04":
         return DiffOperator(
             c0=Y.scale(n3 + gamma + delta + b + 1) - ONE_MINUS_XY.scale(beta + n2 + 1),
-            cy=-_Y1XY, cz=_YZ,
+            cy=-Y_ONE_MINUS_XY, cz=_YZ,
         )
     if op == "N04p":
         return DiffOperator(
             c0=ONE_MINUS_XY.scale(-n2) + Y.scale(n3),
-            cy=_Y1XY, cz=-_YZ, denom=ONE_MINUS_X * ONE_MINUS_XY,
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X * ONE_MINUS_XY,
         )
     if op == "N05":
         return DiffOperator(
             c0=Y.scale(n2 + n3 + gamma + delta + b + 2) - ONE_MINUS_XY.scale(beta),
-            cy=-_Y1XY, cz=_YZ,
+            cy=-Y_ONE_MINUS_XY, cz=_YZ,
         )
     if op == "N05p":
         return DiffOperator(
@@ -254,7 +244,7 @@ def n_operator(op: str, idx, p) -> DiffOperator:
     if op == "N06":
         return DiffOperator(
             c0=ONE_MINUS_XY.scale(beta) + Y.scale(n3),
-            cy=_Y1XY, cz=-_YZ, denom=ONE_MINUS_XY,
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY,
         )
     if op == "N06p":
         return DiffOperator(
@@ -266,41 +256,41 @@ def n_operator(op: str, idx, p) -> DiffOperator:
         )
     if op == "N10p":
         return DiffOperator(
-            c0=X.scale(n2 + n3 + e + 2) - cst(alpha), cx=-_X1X, cy=_XY, cz=_XZ,
+            c0=X.scale(n2 + n3 + e + 2) - cst(alpha), cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
         )
     if op == "N20":
         return DiffOperator(
             c0=ONE_MINUS_X.scale(n + n2 + n3 + e + 3) + X.scale(n2 + n3),
-            cx=_X1X, cy=-_XY, cz=-_XZ, denom=ONE_MINUS_X,
+            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X,
         )
     if op == "N20p":
         return DiffOperator(
             c0=cst(n + n2 + n3 + e - alpha + 2) - X.scale(n),
-            cx=-_X1X, cy=_XY, cz=_XZ,
+            cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
         )
     if op == "N30":
         return DiffOperator(c0=cst(n + e + 3), cx=-ONE_MINUS_X, cy=Y, cz=Z)
     if op == "N30p":
-        return DiffOperator(c0=cst(alpha) + X.scale(n), cx=_X1X, cy=-_XY, cz=-_XZ)
+        return DiffOperator(c0=cst(alpha) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ)
     if op == "N40":
         return DiffOperator(
-            c0=X.scale(n + e + 3) - cst(alpha + n1 + 1), cx=-_X1X, cy=_XY, cz=_XZ,
+            c0=X.scale(n + e + 3) - cst(alpha + n1 + 1), cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
         )
     if op == "N40p":
         return DiffOperator(
             c0=ONE_MINUS_X.scale(-n) + cst(n2 + n3),
-            cx=_X1X, cy=-_XY, cz=-_XZ, denom=ONE_MINUS_X,
+            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X,
         )
     if op == "N50":
         return DiffOperator(
-            c0=X.scale(n + e + 3) - cst(alpha), cx=-_X1X, cy=_XY, cz=_XZ,
+            c0=X.scale(n + e + 3) - cst(alpha), cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
         )
     if op == "N50p":
         return DiffOperator(c0=cst(n), cx=ONE_MINUS_X, cy=-Y, cz=-Z)
     if op == "N60":
         return DiffOperator(
             c0=ONE_MINUS_X.scale(alpha) + X.scale(n2 + n3),
-            cx=_X1X, cy=-_XY, cz=-_XZ, denom=ONE_MINUS_X,
+            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X,
         )
     if op == "N60p":
         return DiffOperator(
@@ -311,8 +301,8 @@ def n_operator(op: str, idx, p) -> DiffOperator:
 
 def o_operator(op: str, idx, p) -> DiffOperator:
     """Operator descriptor for one of the O ladder ids (z direction)."""
-    n1, n2, n3 = _index3(idx)
-    alpha, beta, gamma, delta, a, b = _params6(p)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    alpha, beta, gamma, delta, a, b = as_tuple(p, 6)
     cst = MPoly.const
     if op == "O10":
         return DiffOperator(c0=ZERO, cz=ONE)
@@ -349,253 +339,192 @@ def operator_3d(op: str, idx, p) -> DiffOperator:
     return (o_operator if op.startswith("O") else n_operator)(op, idx, p)
 
 
-def _r3(op, dn, dparams, scale):
-    return SparseRelation(op, dn, dparams, scale)
-
-
-# Scale callables take (n1, n2, n3, alpha, beta, gamma, delta, a, b); the
-# helper names keep the table lines close to the source layout.
-def _e(al, be, ga, de, a, b):
-    return al + be + ga + de + a + b
-
-
+# Scale callables take (n1, n2, n3, alpha, beta, gamma, delta, a, b).
 THEOREM1 = {
-    "N01": _r3("N01", (0, -1, 0), (0, +1, 0, 0, 0, +1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
-    "N01p": _r3("N01p", (0, +1, 0), (0, -1, 0, 0, 0, -1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
-    "N02": _r3("N02", (0, 0, 0), (0, 0, 0, 0, -1, +1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
-    "N02p": _r3("N02p", (0, 0, 0), (0, 0, 0, 0, +1, -1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
-    "N03": _r3("N03", (0, 0, 0), (0, +1, 0, 0, -1, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
-    "N03p": _r3("N03p", (0, 0, 0), (0, -1, 0, 0, +1, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
-    "N04": _r3("N04", (0, +1, 0), (0, 0, 0, 0, -1, -1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
-    "N04p": _r3("N04p", (0, -1, 0), (0, 0, 0, 0, +1, +1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
-    "N05": _r3("N05", (0, +1, 0), (0, -1, 0, 0, -1, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
-    "N05p": _r3("N05p", (0, -1, 0), (0, +1, 0, 0, +1, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
-    "N06": _r3("N06", (0, 0, 0), (0, -1, 0, 0, 0, +1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
-    "N06p": _r3("N06p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
-    "N10": _r3("N10", (-1, 0, 0), (+1, 0, 0, 0, +1, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b:
-               (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
-    "N10p": _r3("N10p", (+1, 0, 0), (-1, 0, 0, 0, -1, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
-    "N20": _r3("N20", (0, 0, 0), (0, 0, 0, 0, +1, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b:
-               (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
-    "N20p": _r3("N20p", (0, 0, 0), (0, 0, 0, 0, -1, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b:
-                (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
-    "N30": _r3("N30", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b:
-               (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
-    "N30p": _r3("N30p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
-    "N40": _r3("N40", (+1, 0, 0), (0, 0, 0, 0, -1, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
-    "N40p": _r3("N40p", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
-    "N50": _r3("N50", (+1, 0, 0), (-1, 0, 0, 0, 0, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
-    "N50p": _r3("N50p", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b:
-                (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
-    "N60": _r3("N60", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
-    "N60p": _r3("N60p", (0, 0, 0), (+1, 0, 0, 0, -1, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b:
-                (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
-    "O10": _r3("O10", (0, 0, -1), (0, 0, +1, +1, 0, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
-    "O10p": _r3("O10p", (0, 0, +1), (0, 0, -1, -1, 0, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
-    "O20": _r3("O20", (0, 0, 0), (0, 0, 0, +1, 0, -1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
-    "O20p": _r3("O20p", (0, 0, 0), (0, 0, 0, -1, 0, +1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
-    "O30": _r3("O30", (0, 0, 0), (0, 0, +1, 0, 0, -1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
-    "O30p": _r3("O30p", (0, 0, 0), (0, 0, -1, 0, 0, +1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
-    "O40": _r3("O40", (0, 0, +1), (0, 0, 0, -1, 0, -1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
-    "O40p": _r3("O40p", (0, 0, -1), (0, 0, 0, +1, 0, +1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
-    "O50": _r3("O50", (0, 0, +1), (0, 0, -1, 0, 0, -1),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
-    "O50p": _r3("O50p", (0, 0, -1), (0, 0, +1, 0, 0, +1),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
-    "O60": _r3("O60", (0, 0, 0), (0, 0, -1, +1, 0, 0),
-               lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
-    "O60p": _r3("O60p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
-                lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+    "N01": SparseRelation("N01", (0, -1, 0), (0, +1, 0, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
+    "N01p": SparseRelation("N01p", (0, +1, 0), (0, -1, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+    "N02": SparseRelation("N02", (0, 0, 0), (0, 0, 0, 0, -1, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
+    "N02p": SparseRelation("N02p", (0, 0, 0), (0, 0, 0, 0, +1, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+    "N03": SparseRelation("N03", (0, 0, 0), (0, +1, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
+    "N03p": SparseRelation("N03p", (0, 0, 0), (0, -1, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+    "N04": SparseRelation("N04", (0, +1, 0), (0, 0, 0, 0, -1, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+    "N04p": SparseRelation("N04p", (0, -1, 0), (0, 0, 0, 0, +1, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+    "N05": SparseRelation("N05", (0, +1, 0), (0, -1, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+    "N05p": SparseRelation("N05p", (0, -1, 0), (0, +1, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+    "N06": SparseRelation("N06", (0, 0, 0), (0, -1, 0, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+    "N06p": SparseRelation("N06p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+    "N10": SparseRelation("N10", (-1, 0, 0), (+1, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
+    "N10p": SparseRelation("N10p", (+1, 0, 0), (-1, 0, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+    "N20": SparseRelation("N20", (0, 0, 0), (0, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
+    "N20p": SparseRelation("N20p", (0, 0, 0), (0, 0, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+    "N30": SparseRelation("N30", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
+    "N30p": SparseRelation("N30p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+    "N40": SparseRelation("N40", (+1, 0, 0), (0, 0, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+    "N40p": SparseRelation("N40p", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+    "N50": SparseRelation("N50", (+1, 0, 0), (-1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+    "N50p": SparseRelation("N50p", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+    "N60": SparseRelation("N60", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+    "N60p": SparseRelation("N60p", (0, 0, 0), (+1, 0, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+    "O10": SparseRelation("O10", (0, 0, -1), (0, 0, +1, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
+    "O10p": SparseRelation("O10p", (0, 0, +1), (0, 0, -1, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+    "O20": SparseRelation("O20", (0, 0, 0), (0, 0, 0, +1, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
+    "O20p": SparseRelation("O20p", (0, 0, 0), (0, 0, 0, -1, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+    "O30": SparseRelation("O30", (0, 0, 0), (0, 0, +1, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
+    "O30p": SparseRelation("O30p", (0, 0, 0), (0, 0, -1, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+    "O40": SparseRelation("O40", (0, 0, +1), (0, 0, 0, -1, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+    "O40p": SparseRelation("O40p", (0, 0, -1), (0, 0, 0, +1, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+    "O50": SparseRelation("O50", (0, 0, +1), (0, 0, -1, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+    "O50p": SparseRelation("O50p", (0, 0, -1), (0, 0, +1, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+    "O60": SparseRelation("O60", (0, 0, 0), (0, 0, -1, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+    "O60p": SparseRelation("O60p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
 }
-
-
-def verify_theorem1(op: str, idx, p) -> VerificationReport:
-    """One sparse recurrence line as an exact polynomial identity."""
-    idx = _index3(idx)
-    params = _params6(p)
-    rel = THEOREM1[op]
-    u = simplex_poly_raw(*idx, *params)
-    lhs = operator_3d(op, idx, params).apply(u)
-    idx2, params2 = rel.shifted(idx, params)
-    if not _valid3(idx2):
-        return report_equality(op, idx, params, lhs, ZERO, applicable=False)
-    rhs = simplex_poly_raw(*idx2, *params2).scale(rel.scale(*idx, *params))
-    return report_equality(op, idx, params, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class SecondOrder3D:
-    outer: str
-    inner: str
-    didx: Tuple[int, int, int]
-    dparams: Tuple[int, int, int, int, int, int]
-    eig: "callable"
-
-
-def _so3(outer, inner, didx, dparams, eig):
-    return SecondOrder3D(outer, inner, didx, dparams, eig)
 
 
 SECOND_ORDER_3D = {
     # y-direction pairs
-    "N01p.N01": _so3("N01p", "N01", (0, 0, 0), (0, -1, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     n2 * (n2 + 2 * n3 + be + ga + de + b)),
-    "N01.N01p": _so3("N01", "N01p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + 1) * (n2 + 2 * n3 + be + ga + de + b + 1)),
-    "N02p.N02": _so3("N02p", "N02", (0, 0, 0), (0, +1, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + 2 * n3 + be + ga + de + b + 2) * (n2 + 2 * n3 + ga + de + b + 1)),
-    "N02.N02p": _so3("N02", "N02p", (0, 0, 0), (0, +1, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + 2 * n3 + be + ga + de + b + 2) * (n2 + 2 * n3 + ga + de + b + 1)),
-    "N03p.N03": _so3("N03p", "N03", (0, 0, 0), (0, -1, 0, 0, 0, +1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + be) * (n2 + 2 * n3 + be + ga + de + b + 2)),
-    "N03.N03p": _so3("N03", "N03p", (0, 0, 0), (0, 0, 0, 0, 0, +1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + be) * (n2 + 2 * n3 + be + ga + de + b + 2)),
-    "N04p.N04": _so3("N04p", "N04", (0, -1, 0), (0, +1, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n2 * (n2 + be + 1)),
-    "N04.N04p": _so3("N04", "N04p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n2 * (n2 + be + 1)),
-    "N05p.N05": _so3("N05p", "N05", (0, -1, 0), (0, 0, 0, 0, 0, +1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     n2 * (n2 + 2 * n3 + ga + de + b + 2)),
-    "N05.N05p": _so3("N05", "N05p", (0, 0, 0), (0, -1, 0, 0, 0, +1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     n2 * (n2 + 2 * n3 + ga + de + b + 2)),
-    "N06p.N06": _so3("N06p", "N06", (0, 0, 0), (0, 0, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + be) * (n2 + 2 * n3 + ga + de + b + 1)),
-    "N06.N06p": _so3("N06", "N06p", (0, 0, 0), (0, -1, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n2 + be) * (n2 + 2 * n3 + ga + de + b + 1)),
+    "N01p.N01": SecondOrder("N01p", "N01", (0, 0, 0), (0, -1, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        n2 * (n2 + 2 * n3 + be + ga + de + b)),
+    "N01.N01p": SecondOrder("N01", "N01p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + 1) * (n2 + 2 * n3 + be + ga + de + b + 1)),
+    "N02p.N02": SecondOrder("N02p", "N02", (0, 0, 0), (0, +1, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + 2 * n3 + be + ga + de + b + 2) * (n2 + 2 * n3 + ga + de + b + 1)),
+    "N02.N02p": SecondOrder("N02", "N02p", (0, 0, 0), (0, +1, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + 2 * n3 + be + ga + de + b + 2) * (n2 + 2 * n3 + ga + de + b + 1)),
+    "N03p.N03": SecondOrder("N03p", "N03", (0, 0, 0), (0, -1, 0, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + be) * (n2 + 2 * n3 + be + ga + de + b + 2)),
+    "N03.N03p": SecondOrder("N03", "N03p", (0, 0, 0), (0, 0, 0, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + be) * (n2 + 2 * n3 + be + ga + de + b + 2)),
+    "N04p.N04": SecondOrder("N04p", "N04", (0, -1, 0), (0, +1, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 * (n2 + be + 1)),
+    "N04.N04p": SecondOrder("N04", "N04p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 * (n2 + be + 1)),
+    "N05p.N05": SecondOrder("N05p", "N05", (0, -1, 0), (0, 0, 0, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        n2 * (n2 + 2 * n3 + ga + de + b + 2)),
+    "N05.N05p": SecondOrder("N05", "N05p", (0, 0, 0), (0, -1, 0, 0, 0, +1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        n2 * (n2 + 2 * n3 + ga + de + b + 2)),
+    "N06p.N06": SecondOrder("N06p", "N06", (0, 0, 0), (0, 0, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + be) * (n2 + 2 * n3 + ga + de + b + 1)),
+    "N06.N06p": SecondOrder("N06", "N06p", (0, 0, 0), (0, -1, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n2 + be) * (n2 + 2 * n3 + ga + de + b + 1)),
     # x-direction pairs
-    "N10p.N10": _so3("N10p", "N10", (0, 0, 0), (-1, 0, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 1)),
-    "N10.N10p": _so3("N10", "N10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n1 + 1) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 2)),
-    "N20p.N20": _so3("N20p", "N20", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
-                     * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
-    "N20.N20p": _so3("N20", "N20p", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
-                     * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
-    "N30p.N30": _so3("N30p", "N30", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)),
-    "N30.N30p": _so3("N30", "N30p", (0, 0, 0), (0, 0, 0, 0, +1, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)),
-    "N40p.N40": _so3("N40p", "N40", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n1 * (n1 + al + 1)),
-    "N40.N40p": _so3("N40", "N40p", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n1 * (n1 + al + 1)),
-    "N50p.N50": _so3("N50p", "N50", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 3)),
-    "N50.N50p": _so3("N50", "N50p", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 3)),
-    "N60p.N60": _so3("N60p", "N60", (0, 0, 0), (0, 0, 0, 0, 0, -1),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
-    "N60.N60p": _so3("N60", "N60p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+    "N10p.N10": SecondOrder("N10p", "N10", (0, 0, 0), (-1, 0, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 1)),
+    "N10.N10p": SecondOrder("N10", "N10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + 1) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 2)),
+    "N20p.N20": SecondOrder("N20p", "N20", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
+        * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+    "N20.N20p": SecondOrder("N20", "N20p", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
+        * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+    "N30p.N30": SecondOrder("N30p", "N30", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)),
+    "N30.N30p": SecondOrder("N30", "N30p", (0, 0, 0), (0, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)),
+    "N40p.N40": SecondOrder("N40p", "N40", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 * (n1 + al + 1)),
+    "N40.N40p": SecondOrder("N40", "N40p", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n1 * (n1 + al + 1)),
+    "N50p.N50": SecondOrder("N50p", "N50", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 3)),
+    "N50.N50p": SecondOrder("N50", "N50p", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 3)),
+    "N60p.N60": SecondOrder("N60p", "N60", (0, 0, 0), (0, 0, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+    "N60.N60p": SecondOrder("N60", "N60p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
     # z-direction pairs
-    "O10p.O10": _so3("O10p", "O10", (0, 0, 0), (0, 0, -1, -1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + de - 1)),
-    "O10.O10p": _so3("O10", "O10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + 1) * (n3 + ga + de)),
-    "O20p.O20": _so3("O20p", "O20", (0, 0, 0), (0, 0, +1, -1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n3 + de) * (n3 + ga + de + 1)),
-    "O20.O20p": _so3("O20", "O20p", (0, 0, 0), (0, 0, +1, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n3 + de) * (n3 + ga + de + 1)),
-    "O30p.O30": _so3("O30p", "O30", (0, 0, 0), (0, 0, -1, +1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n3 + ga) * (n3 + ga + de + 1)),
-    "O30.O30p": _so3("O30", "O30p", (0, 0, 0), (0, 0, 0, +1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b:
-                     (n3 + ga) * (n3 + ga + de + 1)),
-    "O40p.O40": _so3("O40p", "O40", (0, 0, -1), (0, 0, +1, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + 1)),
-    "O40.O40p": _so3("O40", "O40p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + 1)),
-    "O50p.O50": _so3("O50p", "O50", (0, 0, -1), (0, 0, 0, +1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + de + 1)),
-    "O50.O50p": _so3("O50", "O50p", (0, 0, 0), (0, 0, -1, +1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + de + 1)),
-    "O60p.O60": _so3("O60p", "O60", (0, 0, 0), (0, 0, 0, -1, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + ga) * (n3 + de)),
-    "O60.O60p": _so3("O60", "O60p", (0, 0, 0), (0, 0, -1, 0, 0, 0),
-                     lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + ga) * (n3 + de)),
+    "O10p.O10": SecondOrder("O10p", "O10", (0, 0, 0), (0, 0, -1, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + de - 1)),
+    "O10.O10p": SecondOrder("O10", "O10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + 1) * (n3 + ga + de)),
+    "O20p.O20": SecondOrder("O20p", "O20", (0, 0, 0), (0, 0, +1, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n3 + de) * (n3 + ga + de + 1)),
+    "O20.O20p": SecondOrder("O20", "O20p", (0, 0, 0), (0, 0, +1, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n3 + de) * (n3 + ga + de + 1)),
+    "O30p.O30": SecondOrder("O30p", "O30", (0, 0, 0), (0, 0, -1, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n3 + ga) * (n3 + ga + de + 1)),
+    "O30.O30p": SecondOrder("O30", "O30p", (0, 0, 0), (0, 0, 0, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n3 + ga) * (n3 + ga + de + 1)),
+    "O40p.O40": SecondOrder("O40p", "O40", (0, 0, -1), (0, 0, +1, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + 1)),
+    "O40.O40p": SecondOrder("O40", "O40p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + 1)),
+    "O50p.O50": SecondOrder("O50p", "O50", (0, 0, -1), (0, 0, 0, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + de + 1)),
+    "O50.O50p": SecondOrder("O50", "O50p", (0, 0, 0), (0, 0, -1, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + de + 1)),
+    "O60p.O60": SecondOrder("O60p", "O60", (0, 0, 0), (0, 0, 0, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + ga) * (n3 + de)),
+    "O60.O60p": SecondOrder("O60", "O60p", (0, 0, 0), (0, 0, -1, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + ga) * (n3 + de)),
 }
-
-
-def verify_second_order_3d(entry_id: str, idx, p) -> VerificationReport:
-    """Chain two sparse relations and check the eigenvalue identity."""
-    idx = _index3(idx)
-    params = _params6(p)
-    ent = SECOND_ORDER_3D[entry_id]
-    idx0 = tuple(i + d for i, d in zip(idx, ent.didx))
-    params0 = tuple(v + d for v, d in zip(params, ent.dparams))
-    if not _valid3(idx0):
-        return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
-    eig = ent.eig(*idx, *params)
-    u = simplex_poly_raw(*idx0, *params0)
-    inner_rel = THEOREM1[ent.inner]
-    v = operator_3d(ent.inner, idx0, params0).apply(u)
-    idx1, params1 = inner_rel.shifted(idx0, params0)
-    lhs = operator_3d(ent.outer, idx1, params1).apply(v)
-    detail = None
-    if _valid3(idx1):
-        product = inner_rel.scale(*idx0, *params0) * THEOREM1[ent.outer].scale(
-            *idx1, *params1
-        )
-        if product != eig:
-            detail = f"scale product {product} != tabulated eigenvalue {eig}"
-    return report_equality(entry_id, idx, params, lhs, u.scale(eig), detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -689,29 +618,11 @@ def classical_t1_coeffs(n1, n2, n3, al, be, ga, de):
     }
 
 
-def apply_pde(coeffs: dict, u: MPoly) -> MPoly:
-    out = ZERO
-    for key, coeff in coeffs.items():
-        v = u
-        for var in key:
-            v = v.diff(var)
-        out = out + coeff * v
-    return out
-
-
-def pde_residual_3d(which: str, idx, p, u: MPoly = None) -> MPoly:
-    idx = _index3(idx)
-    params = _params6(p)
-    if u is None:
-        u = simplex_poly_raw(*idx, *params)
-    return apply_pde(PDE_3D[which](*idx, *params), u)
-
-
 def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     """a = b = 0 members equal the independent classical construction, and
     the first equation collapses coefficient-by-coefficient to its
     classical form."""
-    idx = _index3(idx)
+    idx = as_tuple(idx, 3, int)
     al, be, ga, de = (Fraction(v) for v in fourparams)
     params = (al, be, ga, de, Fraction(0), Fraction(0))
     lhs = simplex_poly_raw(*idx, *params)
@@ -740,9 +651,9 @@ def monic_simplex(idx, p) -> MPoly:
     n1! / (e+n+n2+n3+3)_(n1) * y^n2 z^n3 * P(n1) is monic by construction;
     normalization by the x^n1 y^n2 z^n3 coefficient is kept as a guard.
     """
-    n1, n2, n3 = _index3(idx)
-    params = _params6(p)
-    e = _esum(params)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    params = as_tuple(p, 6)
+    e = _e(*params)
     n = n1 + n2 + n3
     al, be, ga, de, a, b = params
     prefactor = factorial(n1) * gamma_ratio(e + 2 * n + 3, -n1)
@@ -795,11 +706,11 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     untouched.  Each coefficient is a product of three integer-offset gamma
     ratios, a Pochhammer in (alpha - xi), and the telescoping linear factor.
     """
-    n1, n2, n3 = _index3(idx)
-    params = _params6(p)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    params = as_tuple(p, 6)
     al = params[0]
     xi = Fraction(xi)
-    e = _esum(params)
+    e = _e(*params)
     n = n1 + n2 + n3
     terms = []
     for m in range(n1 + 1):
@@ -846,8 +757,8 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     The triple sum runs over componentwise-lower indices, and targets carry
     the compensating (1-x)^(n2-k2) (1-x-y)^(n3-k3) monomial factors.
     """
-    n1, n2, n3 = _index3(idx)
-    params = _params6(p)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    params = as_tuple(p, 6)
     al, be, ga, de, a, b = params
     phi, theta, eta, xi = (Fraction(v) for v in target)
     terms = []
@@ -889,10 +800,10 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
     PoleHit if a structural denominator e+2n+2..e+2n+4 vanishes (possible
     for parameter sums <= -2 even inside the orthogonality regime).
     """
-    n1, n2, n3 = _index3(idx)
-    params = _params6(p)
+    n1, n2, n3 = as_tuple(idx, 3, int)
+    params = as_tuple(p, 6)
     al = params[0]
-    e = _esum(params)
+    e = _e(*params)
     n = n1 + n2 + n3
     for v in (e + 2 * n + 2, e + 2 * n + 3, e + 2 * n + 4):
         if v == 0:
@@ -908,8 +819,8 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def verify_three_term(idx, p) -> VerificationReport:
-    idx = _index3(idx)
-    params = _params6(p)
+    idx = as_tuple(idx, 3, int)
+    params = as_tuple(p, 6)
     n1, n2, n3 = idx
     try:
         ca, cb, cc = three_term_x(idx, params)
@@ -943,7 +854,7 @@ DERIVATIVE_IDS = ("dx-dy", "dz-dy", "dz", "dz.dx-dy")
 def verify_corollary_derivatives(which: str, idx, fourparams) -> VerificationReport:
     """Derivative combinations lower one or two indices and raise the
     matching parameters by one."""
-    idx = _index3(idx)
+    idx = as_tuple(idx, 3, int)
     n1, n2, n3 = idx
     q = tuple(Fraction(v) for v in fourparams)
     al, be, ga, de = q
@@ -998,7 +909,7 @@ def verify_corollary_weighted(which: str, idx, fourparams) -> VerificationReport
     rational operator; multiplying both sides by the minimal monomial in
     {x, y, z, w} clears every fractional term exactly.
     """
-    idx = _index3(idx)
+    idx = as_tuple(idx, 3, int)
     n1, n2, n3 = idx
     q = tuple(Fraction(v) for v in fourparams)
     al, be, ga, de = q
@@ -1041,7 +952,7 @@ def verify_corollary_weighted(which: str, idx, fourparams) -> VerificationReport
 
 def verify_corollary_multiplication(which: str, idx, fourparams) -> VerificationReport:
     """x*P, y*P, z*P and w*P as combinations with one lowered parameter."""
-    idx = _index3(idx)
+    idx = as_tuple(idx, 3, int)
     n1, n2, n3 = idx
     q = tuple(Fraction(v) for v in fourparams)
     al, be, ga, de = q
@@ -1107,3 +1018,32 @@ def verify_corollary_multiplication(which: str, idx, fourparams) -> Verification
 
 WEIGHTED_IDS = DERIVATIVE_IDS
 MULTIPLICATION_IDS = ("x", "y", "z", "w")
+
+
+def indices(max_degree: int):
+    """All (n1, n2, n3) with n1+n2+n3 <= max_degree, by total degree, then
+    n1, then n2."""
+    return [
+        (n1, n2, n - n1 - n2)
+        for n in range(max_degree + 1)
+        for n1 in range(n + 1)
+        for n2 in range(n - n1 + 1)
+    ]
+
+
+FAMILY = Family(
+    index=lambda idx: as_tuple(idx, 3, int),
+    params=lambda p: as_tuple(p, 6),
+    member=lambda *idx_params: simplex_poly_raw(*idx_params),
+    valid=lambda idx: min(idx) >= 0,
+    operator=lambda op, idx, params: operator_3d(op, idx, params),
+    sparse=THEOREM1,
+    second_order=SECOND_ORDER_3D,
+    pde=PDE_3D,
+)
+
+# verify_theorem1(op, idx, p), verify_second_order_3d(entry_id, idx, p) and
+# pde_residual_3d(which, idx, p, u=None).
+verify_theorem1 = partial(verify_sparse, FAMILY)
+verify_second_order_3d = partial(verify_composition, FAMILY)
+pde_residual_3d = partial(residual, FAMILY)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 from .ratpoly import MPoly
 
@@ -22,13 +22,6 @@ Scalar = Union[int, Fraction]
 
 class PoleHit(ArithmeticError):
     """A zero factor appeared in a denominator position."""
-
-
-class GammaRatioSpec(NamedTuple):
-    """Gamma(base + offset) / Gamma(base) with an integer offset."""
-
-    base: Fraction
-    offset: int
 
 
 def pochhammer(lam: Scalar, n: int) -> Fraction:
@@ -42,15 +35,13 @@ def pochhammer(lam: Scalar, n: int) -> Fraction:
     return out
 
 
-def gamma_ratio(base: Scalar, offset: int = None) -> Fraction:
+def gamma_ratio(base: Scalar, offset: int) -> Fraction:
     """Exact Gamma(base+offset)/Gamma(base).
 
     For offset >= 0 this is (base)_offset; for offset < 0 it is
     1/(base+offset)_(-offset).  Raises PoleHit when a factor in the
     denominator position vanishes.
     """
-    if offset is None:  # allow gamma_ratio(GammaRatioSpec(...))
-        base, offset = base
     base = Fraction(base)
     if offset >= 0:
         return pochhammer(base, offset)
@@ -105,8 +96,3 @@ def hyper3f2_unit(n: int, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar) -> Fra
         if term == 0:
             break
     return total
-
-
-# Aliases matching the capitalized conventional names.
-hyper2F1_terminating = hyper2f1_terminating
-hyper3F2_unit = hyper3f2_unit

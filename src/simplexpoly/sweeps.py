@@ -3,8 +3,9 @@
 A sweep expands a suite section of the JSON config into a flat list of
 picklable tasks (relation id, index, parameters), runs them serially or
 across a process pool, and merges the reports deterministically by sorted
-key.  Parallel execution chunks tasks by parameter tuple so each worker
-keeps warm construction caches.
+key.  Parallel execution sorts the tasks by parameter tuple and cuts the
+list into equal chunks, about four per worker; chunk edges ignore tuple
+boundaries, so two workers may build the same members.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import jacobi1d, simplex3d, triangle2d
-from .operators import VerificationReport, report_equality, summarize
-from .ratpoly import ZERO
+from .operators import FAIL, VerificationReport, report_equality, summarize
+from .ratpoly import ZERO, NonzeroRemainder
+from .special import PoleHit
 
 SUITES = (
     "ladder1d",
@@ -70,17 +72,8 @@ class SweepSection:
         )
 
 
-def indices_2d(max_degree: int) -> List[Tuple[int, int]]:
-    return [(n, k) for n in range(max_degree + 1) for k in range(n + 1)]
-
-
-def indices_3d(max_degree: int) -> List[Tuple[int, int, int]]:
-    out = []
-    for n in range(max_degree + 1):
-        for n1 in range(n + 1):
-            for n2 in range(n - n1 + 1):
-                out.append((n1, n2, n - n1 - n2))
-    return out
+indices_2d = triangle2d.indices
+indices_3d = simplex3d.indices
 
 
 # ---------------------------------------------------------------------------
@@ -92,50 +85,24 @@ def _residual_report(relation, index, params, residual) -> VerificationReport:
     return report_equality(relation, index, params, residual, ZERO)
 
 
-def _run_monic_triangle(idx, params) -> VerificationReport:
-    poly = triangle2d.monic_triangle(idx, params)
-    n, k = idx
-    if poly.coeff(n - k, k, 0) != 1:
+def _run_monic(relation, idx, params, poly, lead, residual) -> VerificationReport:
+    """The monic solution has unit coefficient at `lead` and solves its
+    equation, `residual(poly)` being the cleared residual."""
+    if poly.coeff(*lead) != 1:
         return VerificationReport(
-            "monic.triangle", idx, params, "fail",
-            lhs=poly.to_text(), rhs="unit leading coefficient",
+            relation, idx, params, FAIL, lhs=poly.to_text(), rhs="unit leading coefficient",
         )
-    return _residual_report(
-        "monic.triangle", idx, params, triangle2d.pde_residual("B1", idx, params, poly)
-    )
+    return _residual_report(relation, idx, params, residual(poly))
 
 
-def _run_monic_simplex(idx, params) -> VerificationReport:
-    poly = simplex3d.monic_simplex(idx, params)
-    if poly.coeff(*idx) != 1:
-        return VerificationReport(
-            "monic.simplex", idx, params, "fail",
-            lhs=poly.to_text(), rhs="unit leading coefficient",
-        )
-    return _residual_report(
-        "monic.simplex", idx, params, simplex3d.pde_residual_3d("T4", idx, params, poly)
-    )
-
-
-def _run_connect_alpha(idx, params, xi) -> VerificationReport:
-    expansion = simplex3d.connect_alpha(idx, params, xi)
+def _run_connection(relation, expansion, idx, params, extra, detail) -> VerificationReport:
     lhs = expansion.reassemble()
     rhs = simplex3d.simplex_poly_raw(*idx, *params)
-    return report_equality(
-        "connect.alpha", idx, params + (xi,), lhs, rhs, detail=f"xi={xi}"
-    )
+    return report_equality(relation, idx, params + extra, lhs, rhs, detail=detail)
 
 
-def _run_connect_general(idx, params, target) -> VerificationReport:
-    expansion = simplex3d.connect_general(idx, params, target)
-    lhs = expansion.reassemble()
-    rhs = simplex3d.simplex_poly_raw(*idx, *params)
-    return report_equality(
-        "connect.general", idx, params + tuple(target), lhs, rhs,
-        detail="target=" + ",".join(str(v) for v in target),
-    )
-
-
+# Each executor names its verifier on the module at call time, so wrappers
+# installed later (a test's monkeypatch, a profiler) are used.
 _EXECUTORS = {
     "ladder1d": lambda rel, idx, params, extra: jacobi1d.verify_ladder(rel, idx[0], params),
     "so1d": lambda rel, idx, params, extra: jacobi1d.verify_second_order_1d(rel, idx[0], params),
@@ -145,28 +112,59 @@ _EXECUTORS = {
     "pde2d": lambda rel, idx, params, extra: _residual_report(
         f"pde.{rel}", idx, params, triangle2d.pde_residual(rel, idx, params)
     ),
-    "monic2d": lambda rel, idx, params, extra: _run_monic_triangle(idx, params),
+    "monic2d": lambda rel, idx, params, extra: _run_monic(
+        "monic.triangle", idx, params, triangle2d.monic_triangle(idx, params),
+        (idx[0] - idx[1], idx[1], 0), lambda u: triangle2d.pde_residual("B1", idx, params, u),
+    ),
     "theorem1": lambda rel, idx, params, extra: simplex3d.verify_theorem1(rel, idx, params),
     "so3d": lambda rel, idx, params, extra: simplex3d.verify_second_order_3d(rel, idx, params),
     "ab0": lambda rel, idx, params, extra: simplex3d.verify_reduction_ab0(idx, params),
     "pde3d": lambda rel, idx, params, extra: _residual_report(
         f"pde.{rel}", idx, params, simplex3d.pde_residual_3d(rel, idx, params)
     ),
-    "monic3d": lambda rel, idx, params, extra: _run_monic_simplex(idx, params),
+    "monic3d": lambda rel, idx, params, extra: _run_monic(
+        "monic.simplex", idx, params, simplex3d.monic_simplex(idx, params),
+        idx, lambda u: simplex3d.pde_residual_3d("T4", idx, params, u),
+    ),
     "three_term": lambda rel, idx, params, extra: simplex3d.verify_three_term(idx, params),
-    "conn_alpha": lambda rel, idx, params, extra: _run_connect_alpha(idx, params, extra),
-    "conn_general": lambda rel, idx, params, extra: _run_connect_general(idx, params, extra),
+    "conn_alpha": lambda rel, idx, params, xi: _run_connection(
+        "connect.alpha", simplex3d.connect_alpha(idx, params, xi), idx, params,
+        (xi,), f"xi={xi}",
+    ),
+    "conn_general": lambda rel, idx, params, target: _run_connection(
+        "connect.general", simplex3d.connect_general(idx, params, target), idx, params,
+        tuple(target), "target=" + ",".join(str(v) for v in target),
+    ),
     "cor_deriv": lambda rel, idx, params, extra: simplex3d.verify_corollary_derivatives(rel, idx, params),
     "cor_weight": lambda rel, idx, params, extra: simplex3d.verify_corollary_weighted(rel, idx, params),
     "cor_mult": lambda rel, idx, params, extra: simplex3d.verify_corollary_multiplication(rel, idx, params),
+}
+
+# Relation id of each kind's reports where it is not the task's relation
+# itself; a task that raises is reported under it.
+_RELATION_IDS = {
+    "d0": "reduction.d0", "ab0": "reduction.ab0", "three_term": "three-term.x",
+    "pde2d": "pde.{}", "pde3d": "pde.{}", "monic2d": "monic.triangle", "monic3d": "monic.simplex",
+    "conn_alpha": "connect.alpha", "conn_general": "connect.general",
+    "cor_deriv": "corollary.deriv.{}", "cor_weight": "corollary.weighted.{}",
+    "cor_mult": "corollary.mult.{}",
 }
 
 Task = Tuple[str, Optional[str], tuple, tuple, object]
 
 
 def run_task(task: Task) -> VerificationReport:
+    """Run one task.  An exact division with a remainder, a pole or a zero
+    denominator fails the sample instead of raising; the remainder or the
+    pole is in the report's detail."""
     kind, rel, idx, params, extra = task
-    return _EXECUTORS[kind](rel, idx, params, extra)
+    try:
+        return _EXECUTORS[kind](rel, idx, params, extra)
+    except (NonzeroRemainder, PoleHit, ZeroDivisionError) as exc:
+        relation = _RELATION_IDS.get(kind, "{}").format(rel)
+        return VerificationReport(
+            relation, idx, params, FAIL, detail=f"{type(exc).__name__}: {exc}"
+        )
 
 
 def _run_chunk(tasks: List[Task]) -> List[VerificationReport]:
@@ -176,7 +174,8 @@ def _run_chunk(tasks: List[Task]) -> List[VerificationReport]:
 def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
     """Execute tasks, optionally across processes, and sort the reports."""
     if jobs > 1 and len(tasks) > 1:
-        # Group by parameter tuple for cache locality inside each worker.
+        # Sorting by parameter tuple puts tasks that share members next to
+        # each other; the chunks are cut by count, not at tuple boundaries.
         tasks = sorted(tasks, key=lambda t: (str(t[3]), t[0], str(t[1]), t[2]))
         chunks = max(1, min(len(tasks), jobs * 4))
         size = (len(tasks) + chunks - 1) // chunks
@@ -212,140 +211,95 @@ def _section(cfg: dict, *path):
     return cur
 
 
-def tasks_ladder1d(section) -> List[Task]:
-    sec = SweepSection.parse(section, 2)
-    ops = _filter(jacobi1d.LADDER_IDS, sec.relations)
+def _grid(rows, indices, cells) -> List[Task]:
+    """The task grid: one task per parameter row, index and cell, nested in
+    that order.  A cell is (kind, relation, extra); `cells` is a list of
+    them, or a function of the row that returns one."""
     return [
-        ("ladder1d", op, (n,), params, None)
-        for params in sec.params
-        for n in range(sec.degree + 1)
-        for op in ops
+        (kind, rel, idx, params, extra)
+        for params in rows
+        for idx in indices
+        for kind, rel, extra in (cells(params) if callable(cells) else cells)
     ]
+
+
+def _cells(kind, relations=(None,)):
+    return [(kind, rel, None) for rel in relations]
+
+
+def _relation_grid(section, arity, indices, kind, relations) -> List[Task]:
+    """One kind over a section's grid, for the relation ids it selects."""
+    sec = SweepSection.parse(section, arity)
+    return _grid(sec.params, indices(sec.degree), _cells(kind, _filter(relations, sec.relations)))
+
+
+def tasks_ladder1d(section) -> List[Task]:
+    return _relation_grid(section, 2, jacobi1d.indices, "ladder1d", jacobi1d.LADDER_IDS)
 
 
 def tasks_m2d(section) -> List[Task]:
     sec = SweepSection.parse(section, 4)
-    ops = _filter(triangle2d.M_IDS, sec.relations)
-    tasks: List[Task] = [
-        ("m2d", op, idx, params, None)
-        for params in sec.params
-        for idx in indices_2d(sec.degree)
-        for op in ops
-    ]
-    tasks += [
-        ("d0", None, idx, params[:3], None)
-        for params in sec.params
-        for idx in indices_2d(sec.degree)
-    ]
-    return tasks
+    reductions = _grid([p[:3] for p in sec.params], indices_2d(sec.degree), _cells("d0"))
+    return _relation_grid(section, 4, indices_2d, "m2d", triangle2d.M_IDS) + reductions
 
 
 def tasks_theorem1(section) -> List[Task]:
     sec = SweepSection.parse(section, 6)
-    ops = _filter(simplex3d.OPERATOR_IDS_3D, sec.relations)
-    tasks: List[Task] = [
-        ("theorem1", op, idx, params, None)
-        for params in sec.params
-        for idx in indices_3d(sec.degree)
-        for op in ops
-    ]
-    tasks += [
-        ("ab0", None, idx, params[:4], None)
-        for params in sec.params
-        for idx in indices_3d(sec.degree)
-    ]
-    return tasks
+    reductions = _grid([p[:4] for p in sec.params], indices_3d(sec.degree), _cells("ab0"))
+    ops = simplex3d.OPERATOR_IDS_3D
+    return _relation_grid(section, 6, indices_3d, "theorem1", ops) + reductions
 
 
 def tasks_second_order(section) -> List[Task]:
-    tasks: List[Task] = []
-    one = SweepSection.parse(_section(section, "oned"), 2)
-    keys1 = _filter(tuple(jacobi1d.SECOND_ORDER_1D), one.relations)
-    tasks += [
-        ("so1d", key, (n,), params, None)
-        for params in one.params
-        for n in range(one.degree + 1)
-        for key in keys1
-    ]
-    two = SweepSection.parse(_section(section, "twod"), 4)
-    keys2 = _filter(tuple(triangle2d.SECOND_ORDER_2D), two.relations)
-    tasks += [
-        ("so2d", key, idx, params, None)
-        for params in two.params
-        for idx in indices_2d(two.degree)
-        for key in keys2
-    ]
-    three = SweepSection.parse(_section(section, "threed"), 6)
-    keys3 = _filter(tuple(simplex3d.SECOND_ORDER_3D), three.relations)
-    tasks += [
-        ("so3d", key, idx, params, None)
-        for params in three.params
-        for idx in indices_3d(three.degree)
-        for key in keys3
-    ]
-    return tasks
+    return (
+        _relation_grid(_section(section, "oned"), 2, jacobi1d.indices, "so1d",
+                       jacobi1d.SECOND_ORDER_1D)
+        + _relation_grid(_section(section, "twod"), 4, indices_2d, "so2d",
+                         triangle2d.SECOND_ORDER_2D)
+        + _relation_grid(_section(section, "threed"), 6, indices_3d, "so3d",
+                         simplex3d.SECOND_ORDER_3D)
+    )
 
 
 def tasks_pde(section) -> List[Task]:
-    tasks: List[Task] = []
     two = SweepSection.parse(_section(section, "twod"), 4)
-    for params in two.params:
-        for idx in indices_2d(two.degree):
-            for which in ("L1", "L2", "B1"):
-                tasks.append(("pde2d", which, idx, params, None))
     three = SweepSection.parse(_section(section, "threed"), 6)
-    for params in three.params:
-        for idx in indices_3d(three.degree):
-            for which in ("T1", "T2", "T3", "T4"):
-                tasks.append(("pde3d", which, idx, params, None))
     monic_degree = int(section.get("monic_degree", 5))
-    for params in two.params:
-        for idx in indices_2d(monic_degree):
-            tasks.append(("monic2d", None, idx, params, None))
-    for params in three.params:
-        for idx in indices_3d(monic_degree):
-            tasks.append(("monic3d", None, idx, params, None))
-    return tasks
+    return (
+        _grid(two.params, indices_2d(two.degree), _cells("pde2d", triangle2d.PDE_2D))
+        + _grid(three.params, indices_3d(three.degree), _cells("pde3d", simplex3d.PDE_3D))
+        + _grid(two.params, indices_2d(monic_degree), _cells("monic2d"))
+        + _grid(three.params, indices_3d(monic_degree), _cells("monic3d"))
+    )
 
 
 def tasks_corollaries(section) -> List[Task]:
     sec = SweepSection.parse(section, 4)
-    tasks: List[Task] = []
-    for params in sec.params:
-        for idx in indices_3d(sec.degree):
-            for which in simplex3d.DERIVATIVE_IDS:
-                tasks.append(("cor_deriv", which, idx, params, None))
-            for which in simplex3d.WEIGHTED_IDS:
-                tasks.append(("cor_weight", which, idx, params, None))
-            for which in simplex3d.MULTIPLICATION_IDS:
-                tasks.append(("cor_mult", which, idx, params, None))
-    return tasks
+    cells = (
+        _cells("cor_deriv", simplex3d.DERIVATIVE_IDS)
+        + _cells("cor_weight", simplex3d.WEIGHTED_IDS)
+        + _cells("cor_mult", simplex3d.MULTIPLICATION_IDS)
+    )
+    return _grid(sec.params, indices_3d(sec.degree), cells)
 
 
 def tasks_connections(section) -> List[Task]:
-    tasks: List[Task] = []
     alpha = SweepSection.parse(_section(section, "alpha"), 6)
     xis = [parse_fraction(v) for v in _section(section, "alpha")["xi"]]
-    for params in alpha.params:
-        for idx in indices_3d(alpha.degree):
-            for xi in xis + [params[0]]:
-                tasks.append(("conn_alpha", None, idx, params, xi))
     general = SweepSection.parse(_section(section, "general"), 6)
     targets = parse_grid(_section(section, "general")["targets"], 4)
-    for params in general.params:
-        for idx in indices_3d(general.degree):
-            for target in targets + [params[:4]]:
-                tasks.append(("conn_general", None, idx, params, target))
-    return tasks
+    return _grid(
+        alpha.params, indices_3d(alpha.degree),
+        lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
+    ) + _grid(
+        general.params, indices_3d(general.degree),
+        lambda p: [("conn_general", None, t) for t in targets + [p[:4]]],
+    )
 
 
 def tasks_three_term(section) -> List[Task]:
     sec = SweepSection.parse(section, 6)
-    return [
-        ("three_term", None, idx, params, None)
-        for params in sec.params
-        for idx in indices_3d(sec.degree)
-    ]
+    return _grid(sec.params, indices_3d(sec.degree), _cells("three_term"))
 
 
 _TASK_BUILDERS = {
@@ -386,16 +340,10 @@ def default_config_path() -> str:
     return path
 
 
-def report_payload(reports, summary) -> dict:
-    return {
-        "summary": summary,
-        "reports": [r.to_json() for r in reports],
-    }
-
-
 def write_report(path: str, reports, summary) -> None:
+    payload = {"summary": summary, "reports": [r.to_json() for r in reports]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_payload(reports, summary), fh, indent=1, sort_keys=True)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -17,17 +17,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Tuple
+from functools import lru_cache, partial
 
 from .operators import (
-    NOT_APPLICABLE,
     DiffOperator,
+    Family,
+    SecondOrder,
     SparseRelation,
     VerificationReport,
+    as_tuple,
     report_equality,
+    residual,
+    verify_composition,
+    verify_sparse,
 )
-from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, X, Y, ZERO
+from .ratpoly import (
+    MPoly,
+    ONE,
+    ONE_MINUS_X,
+    ONE_MINUS_XY,
+    X,
+    X_ONE_MINUS_X,
+    XY,
+    Y,
+    Y_ONE_MINUS_XY,
+    ZERO,
+)
 from .special import factorial, gamma_ratio
 from .jacobi1d import h_ratio, shifted_jacobi_raw
 
@@ -62,19 +77,6 @@ class TriIndex:
         return (self.n, self.k)
 
 
-def _params4(p) -> Tuple[Fraction, ...]:
-    if isinstance(p, TriangleParams):
-        return p.as_tuple()
-    return tuple(Fraction(v) for v in p)
-
-
-def _index2(idx) -> Tuple[int, int]:
-    if isinstance(idx, TriIndex):
-        return idx.as_tuple()
-    n, k = idx
-    return (int(n), int(k))
-
-
 def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
     """Expand cof^power * q(num/cof) for a degree <= power polynomial q in x.
 
@@ -101,8 +103,8 @@ def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
 
 
 def triangle_poly(idx, p) -> MPoly:
-    n, k = _index2(idx)
-    return triangle_poly_raw(n, k, *_params4(p))
+    n, k = as_tuple(idx, 2, int)
+    return triangle_poly_raw(n, k, *as_tuple(p, 4))
 
 
 def triangle_norm_ratio(idx, p) -> Fraction:
@@ -112,8 +114,8 @@ def triangle_norm_ratio(idx, p) -> Fraction:
     ratio is h_{n-k}^{(2k+b+c+d+1, a)} h_k^{(c, b)} over the degree-(0,0)
     product, every gamma pair having an integer offset.
     """
-    n, k = _index2(idx)
-    a, b, c, d = _params4(p)
+    n, k = as_tuple(idx, 2, int)
+    a, b, c, d = as_tuple(p, 4)
     rx = h_ratio(n - k, 2 * k + b + c + d + 1, a, b + c + d + 1)
     ry = h_ratio(k, c, b, c)
     return rx * ry
@@ -156,7 +158,7 @@ def classical_jacobi_shifted(m: int, big_a: Fraction, big_b: Fraction) -> MPoly:
 
 def verify_d0_reduction(idx, abc) -> VerificationReport:
     """d = 0 member equals the classical construction, exactly."""
-    n, k = _index2(idx)
+    n, k = as_tuple(idx, 2, int)
     a, b, c = (Fraction(v) for v in abc)
     lhs = triangle_poly_raw(n, k, a, b, c, Fraction(0))
     rhs = classical_triangle_poly_raw(n, k, a, b, c)
@@ -175,14 +177,10 @@ M_IDS = (
     "M10p", "M20p", "M30p", "M40p", "M50p", "M60p",
 )
 
-_Y1XY = Y * ONE_MINUS_XY
-_X1X = X * ONE_MINUS_X
-_XY = X * Y
-
 
 def m_operator(op: str, idx, p) -> DiffOperator:
-    n, k = _index2(idx)
-    a, b, c, d = _params4(p)
+    n, k = as_tuple(idx, 2, int)
+    a, b, c, d = as_tuple(p, 4)
     cst = MPoly.const
     if op == "M01":
         return DiffOperator(c0=ZERO, cy=ONE)
@@ -191,20 +189,20 @@ def m_operator(op: str, idx, p) -> DiffOperator:
     if op == "M03":
         return DiffOperator(c0=cst(k + b + c + 1), cy=-ONE_MINUS_XY)
     if op == "M04":
-        return DiffOperator(c0=Y.scale(c) - ONE_MINUS_XY.scale(b + k + 1), cy=-_Y1XY)
+        return DiffOperator(c0=Y.scale(c) - ONE_MINUS_XY.scale(b + k + 1), cy=-Y_ONE_MINUS_XY)
     if op == "M05":
-        return DiffOperator(c0=Y.scale(c + k + 1) - ONE_MINUS_XY.scale(b), cy=-_Y1XY)
+        return DiffOperator(c0=Y.scale(c + k + 1) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY)
     if op == "M06":
         return DiffOperator(c0=cst(b), cy=Y)
     if op == "M01p":
-        return DiffOperator(c0=Y.scale(c) - ONE_MINUS_XY.scale(b), cy=-_Y1XY)
+        return DiffOperator(c0=Y.scale(c) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY)
     if op == "M02p":
         return DiffOperator(
-            c0=ONE_MINUS_X.scale(c + k) - Y.scale(k), cy=-_Y1XY, denom=ONE_MINUS_X
+            c0=ONE_MINUS_X.scale(c + k) - Y.scale(k), cy=-Y_ONE_MINUS_XY, denom=ONE_MINUS_X
         )
     if op == "M03p":
         return DiffOperator(
-            c0=ONE_MINUS_X.scale(b) + Y.scale(k), cy=_Y1XY, denom=ONE_MINUS_X
+            c0=ONE_MINUS_X.scale(b) + Y.scale(k), cy=Y_ONE_MINUS_XY, denom=ONE_MINUS_X
         )
     if op == "M04p":
         return DiffOperator(c0=cst(-k), cy=Y, denom=ONE_MINUS_X)
@@ -216,160 +214,100 @@ def m_operator(op: str, idx, p) -> DiffOperator:
         return DiffOperator(c0=cst(k), cx=ONE_MINUS_X, cy=-Y, denom=ONE_MINUS_X)
     if op == "M10p":
         return DiffOperator(
-            c0=X.scale(k + a + b + c + d + 1) - cst(a), cx=-_X1X, cy=_XY
+            c0=X.scale(k + a + b + c + d + 1) - cst(a), cx=-X_ONE_MINUS_X, cy=XY
         )
     if op == "M20":
         return DiffOperator(
             c0=ONE_MINUS_X.scale(n + k + a + b + c + d + 2) + X.scale(k),
-            cx=_X1X,
-            cy=-_XY,
+            cx=X_ONE_MINUS_X,
+            cy=-XY,
             denom=ONE_MINUS_X,
         )
     if op == "M20p":
         return DiffOperator(
-            c0=cst(n + k + b + c + d + 1) - X.scale(n), cx=-_X1X, cy=_XY
+            c0=cst(n + k + b + c + d + 1) - X.scale(n), cx=-X_ONE_MINUS_X, cy=XY
         )
     if op == "M30":
         return DiffOperator(c0=cst(n + a + b + c + d + 2), cx=-ONE_MINUS_X, cy=Y)
     if op == "M30p":
-        return DiffOperator(c0=cst(a) + X.scale(n), cx=_X1X, cy=-_XY)
+        return DiffOperator(c0=cst(a) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY)
     if op == "M40":
         return DiffOperator(
-            c0=X.scale(n + a + b + c + d + 2) - cst(a + n - k + 1), cx=-_X1X, cy=_XY
+            c0=X.scale(n + a + b + c + d + 2) - cst(a + n - k + 1), cx=-X_ONE_MINUS_X, cy=XY
         )
     if op == "M40p":
         return DiffOperator(
-            c0=cst(k) - ONE_MINUS_X.scale(n), cx=_X1X, cy=-_XY, denom=ONE_MINUS_X
+            c0=cst(k) - ONE_MINUS_X.scale(n), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X
         )
     if op == "M50":
         return DiffOperator(
-            c0=X.scale(n + a + b + c + d + 2) - cst(a), cx=-_X1X, cy=_XY
+            c0=X.scale(n + a + b + c + d + 2) - cst(a), cx=-X_ONE_MINUS_X, cy=XY
         )
     if op == "M50p":
         return DiffOperator(c0=cst(n), cx=ONE_MINUS_X, cy=-Y)
     if op == "M60":
         return DiffOperator(
-            c0=ONE_MINUS_X.scale(a) + X.scale(k), cx=_X1X, cy=-_XY, denom=ONE_MINUS_X
+            c0=ONE_MINUS_X.scale(a) + X.scale(k), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X
         )
     if op == "M60p":
         return DiffOperator(c0=cst(k + b + c + d + 1), cx=-ONE_MINUS_X, cy=Y)
     raise KeyError(f"unknown M operator {op!r}")
 
 
-def _rel(op, dn, dk, da, db, dc, dd, scale):
-    return SparseRelation(op, (dn, dk), (da, db, dc, dd), scale)
-
-
 SPARSE_2D = {
-    "M01": _rel("M01", -1, -1, 0, +1, +1, 0, lambda n, k, a, b, c, d: k + b + c + 1),
-    "M01p": _rel("M01p", +1, +1, 0, -1, -1, 0, lambda n, k, a, b, c, d: k + 1),
-    "M02": _rel("M02", 0, 0, 0, 0, +1, -1, lambda n, k, a, b, c, d: k + b + c + 1),
-    "M02p": _rel("M02p", 0, 0, 0, 0, -1, +1, lambda n, k, a, b, c, d: k + c),
-    "M03": _rel("M03", 0, 0, 0, +1, 0, -1, lambda n, k, a, b, c, d: k + b + c + 1),
-    "M03p": _rel("M03p", 0, 0, 0, -1, 0, +1, lambda n, k, a, b, c, d: k + b),
-    "M04": _rel("M04", +1, +1, 0, 0, -1, -1, lambda n, k, a, b, c, d: k + 1),
-    "M04p": _rel("M04p", -1, -1, 0, 0, +1, +1, lambda n, k, a, b, c, d: k + b),
-    "M05": _rel("M05", +1, +1, 0, -1, 0, -1, lambda n, k, a, b, c, d: k + 1),
-    "M05p": _rel("M05p", -1, -1, 0, +1, 0, +1, lambda n, k, a, b, c, d: k + c),
-    "M06": _rel("M06", 0, 0, 0, -1, +1, 0, lambda n, k, a, b, c, d: k + b),
-    "M06p": _rel("M06p", 0, 0, 0, +1, -1, 0, lambda n, k, a, b, c, d: k + c),
-    "M10": _rel("M10", -1, 0, +1, 0, 0, +1, lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
-    "M10p": _rel("M10p", +1, 0, -1, 0, 0, -1, lambda n, k, a, b, c, d: n - k + 1),
-    "M20": _rel("M20", 0, 0, 0, 0, 0, +1, lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
-    "M20p": _rel("M20p", 0, 0, 0, 0, 0, -1, lambda n, k, a, b, c, d: n + k + b + c + d + 1),
-    "M30": _rel("M30", 0, 0, +1, 0, 0, 0, lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
-    "M30p": _rel("M30p", 0, 0, -1, 0, 0, 0, lambda n, k, a, b, c, d: n - k + a),
-    "M40": _rel("M40", +1, 0, 0, 0, 0, -1, lambda n, k, a, b, c, d: n - k + 1),
-    "M40p": _rel("M40p", -1, 0, 0, 0, 0, +1, lambda n, k, a, b, c, d: n - k + a),
-    "M50": _rel("M50", +1, 0, -1, 0, 0, 0, lambda n, k, a, b, c, d: n - k + 1),
-    "M50p": _rel("M50p", -1, 0, +1, 0, 0, 0, lambda n, k, a, b, c, d: n + k + b + c + d + 1),
-    "M60": _rel("M60", 0, 0, -1, 0, 0, +1, lambda n, k, a, b, c, d: n - k + a),
-    "M60p": _rel("M60p", 0, 0, +1, 0, 0, -1, lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+    "M01": SparseRelation("M01", (-1, -1), (0, +1, +1, 0), lambda n, k, a, b, c, d: k + b + c + 1),
+    "M01p": SparseRelation("M01p", (+1, +1), (0, -1, -1, 0), lambda n, k, a, b, c, d: k + 1),
+    "M02": SparseRelation("M02", (0, 0), (0, 0, +1, -1), lambda n, k, a, b, c, d: k + b + c + 1),
+    "M02p": SparseRelation("M02p", (0, 0), (0, 0, -1, +1), lambda n, k, a, b, c, d: k + c),
+    "M03": SparseRelation("M03", (0, 0), (0, +1, 0, -1), lambda n, k, a, b, c, d: k + b + c + 1),
+    "M03p": SparseRelation("M03p", (0, 0), (0, -1, 0, +1), lambda n, k, a, b, c, d: k + b),
+    "M04": SparseRelation("M04", (+1, +1), (0, 0, -1, -1), lambda n, k, a, b, c, d: k + 1),
+    "M04p": SparseRelation("M04p", (-1, -1), (0, 0, +1, +1), lambda n, k, a, b, c, d: k + b),
+    "M05": SparseRelation("M05", (+1, +1), (0, -1, 0, -1), lambda n, k, a, b, c, d: k + 1),
+    "M05p": SparseRelation("M05p", (-1, -1), (0, +1, 0, +1), lambda n, k, a, b, c, d: k + c),
+    "M06": SparseRelation("M06", (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: k + b),
+    "M06p": SparseRelation("M06p", (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: k + c),
+    "M10": SparseRelation("M10", (-1, 0), (+1, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+    "M10p": SparseRelation("M10p", (+1, 0), (-1, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
+    "M20": SparseRelation("M20", (0, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+    "M20p": SparseRelation("M20p", (0, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+    "M30": SparseRelation("M30", (0, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+    "M30p": SparseRelation("M30p", (0, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + a),
+    "M40": SparseRelation("M40", (+1, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
+    "M40p": SparseRelation("M40p", (-1, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
+    "M50": SparseRelation("M50", (+1, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + 1),
+    "M50p": SparseRelation("M50p", (-1, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+    "M60": SparseRelation("M60", (0, 0), (-1, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
+    "M60p": SparseRelation("M60p", (0, 0), (+1, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
 }
-
-
-def _valid2(n, k):
-    return 0 <= k <= n
-
-
-def verify_m_relation(op: str, idx, p) -> VerificationReport:
-    n, k = _index2(idx)
-    params = _params4(p)
-    rel = SPARSE_2D[op]
-    u = triangle_poly_raw(n, k, *params)
-    lhs = m_operator(op, (n, k), params).apply(u)
-    (n2, k2), params2 = rel.shifted((n, k), params)
-    if not _valid2(n2, k2):
-        return report_equality(op, (n, k), params, lhs, ZERO, applicable=False)
-    rhs = triangle_poly_raw(n2, k2, *params2).scale(rel.scale(n, k, *params))
-    return report_equality(op, (n, k), params, lhs, rhs)
-
-
-@dataclass(frozen=True)
-class SecondOrder2D:
-    outer: str
-    inner: str
-    dn: int
-    dk: int
-    dparams: Tuple[int, int, int, int]
-    eig: "callable"
-
-
-def _so(outer, inner, dn, dk, dparams, eig):
-    return SecondOrder2D(outer, inner, dn, dk, dparams, eig)
 
 
 SECOND_ORDER_2D = {
-    "M01p.M01": _so("M01p", "M01", 0, 0, (0, -1, -1, 0), lambda n, k, a, b, c, d: k * (k + b + c - 1)),
-    "M01.M01p": _so("M01", "M01p", 0, 0, (0, 0, 0, 0), lambda n, k, a, b, c, d: (k + 1) * (k + b + c)),
-    "M02p.M02": _so("M02p", "M02", 0, 0, (0, +1, -1, 0), lambda n, k, a, b, c, d: (k + c) * (k + b + c + 1)),
-    "M02.M02p": _so("M02", "M02p", 0, 0, (0, +1, 0, 0), lambda n, k, a, b, c, d: (k + c) * (k + b + c + 1)),
-    "M03p.M03": _so("M03p", "M03", 0, 0, (0, -1, +1, 0), lambda n, k, a, b, c, d: (k + b) * (k + b + c + 1)),
-    "M03.M03p": _so("M03", "M03p", 0, 0, (0, 0, +1, 0), lambda n, k, a, b, c, d: (k + b) * (k + b + c + 1)),
-    "M04p.M04": _so("M04p", "M04", 0, -1, (0, +1, 0, 0), lambda n, k, a, b, c, d: k * (k + b + 1)),
-    "M04.M04p": _so("M04", "M04p", 0, 0, (0, +1, -1, 0), lambda n, k, a, b, c, d: k * (k + b + 1)),
-    "M05p.M05": _so("M05p", "M05", 0, -1, (0, 0, +1, 0), lambda n, k, a, b, c, d: k * (k + c + 1)),
-    "M05.M05p": _so("M05", "M05p", 0, 0, (0, -1, +1, 0), lambda n, k, a, b, c, d: k * (k + c + 1)),
-    "M06p.M06": _so("M06p", "M06", 0, 0, (0, 0, -1, 0), lambda n, k, a, b, c, d: (k + b) * (k + c)),
-    "M06.M06p": _so("M06", "M06p", 0, 0, (0, -1, 0, 0), lambda n, k, a, b, c, d: (k + b) * (k + c)),
-    "M10p.M10": _so("M10p", "M10", 0, 0, (-1, 0, 0, -1), lambda n, k, a, b, c, d: (n - k) * (n + k + a + b + c + d)),
-    "M10.M10p": _so("M10", "M10p", 0, 0, (0, 0, 0, 0), lambda n, k, a, b, c, d: (n - k + 1) * (n + k + a + b + c + d + 1)),
-    "M20p.M20": _so("M20p", "M20", 0, 0, (+1, 0, 0, -1), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n + k + b + c + d + 1)),
-    "M20.M20p": _so("M20", "M20p", 0, 0, (+1, -1, 0, +1), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n + k + b + c + d + 1)),
-    "M30p.M30": _so("M30p", "M30", 0, 0, (-1, +1, 0, 0), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n - k + a)),
-    "M30.M30p": _so("M30", "M30p", 0, 0, (0, +1, 0, 0), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n - k + a)),
-    "M40p.M40": _so("M40p", "M40", -1, 0, (+1, 0, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n - k + a + 1)),
-    "M40.M40p": _so("M40", "M40p", 0, 0, (+1, -1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n - k + a + 1)),
-    "M50p.M50": _so("M50p", "M50", -1, 0, (0, +1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n + k + b + c + d + 2)),
-    "M50.M50p": _so("M50", "M50p", 0, 0, (-1, +1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n + k + b + c + d + 2)),
-    "M60p.M60": _so("M60p", "M60", 0, 0, (0, 0, 0, -1), lambda n, k, a, b, c, d: (n - k + a) * (n + k + b + c + d + 1)),
-    "M60.M60p": _so("M60", "M60p", 0, 0, (-1, 0, 0, 0), lambda n, k, a, b, c, d: (n - k + a) * (n + k + b + c + d + 1)),
+    "M01p.M01": SecondOrder("M01p", "M01", (0, 0), (0, -1, -1, 0), lambda n, k, a, b, c, d: k * (k + b + c - 1)),
+    "M01.M01p": SecondOrder("M01", "M01p", (0, 0), (0, 0, 0, 0), lambda n, k, a, b, c, d: (k + 1) * (k + b + c)),
+    "M02p.M02": SecondOrder("M02p", "M02", (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: (k + c) * (k + b + c + 1)),
+    "M02.M02p": SecondOrder("M02", "M02p", (0, 0), (0, +1, 0, 0), lambda n, k, a, b, c, d: (k + c) * (k + b + c + 1)),
+    "M03p.M03": SecondOrder("M03p", "M03", (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: (k + b) * (k + b + c + 1)),
+    "M03.M03p": SecondOrder("M03", "M03p", (0, 0), (0, 0, +1, 0), lambda n, k, a, b, c, d: (k + b) * (k + b + c + 1)),
+    "M04p.M04": SecondOrder("M04p", "M04", (0, -1), (0, +1, 0, 0), lambda n, k, a, b, c, d: k * (k + b + 1)),
+    "M04.M04p": SecondOrder("M04", "M04p", (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: k * (k + b + 1)),
+    "M05p.M05": SecondOrder("M05p", "M05", (0, -1), (0, 0, +1, 0), lambda n, k, a, b, c, d: k * (k + c + 1)),
+    "M05.M05p": SecondOrder("M05", "M05p", (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: k * (k + c + 1)),
+    "M06p.M06": SecondOrder("M06p", "M06", (0, 0), (0, 0, -1, 0), lambda n, k, a, b, c, d: (k + b) * (k + c)),
+    "M06.M06p": SecondOrder("M06", "M06p", (0, 0), (0, -1, 0, 0), lambda n, k, a, b, c, d: (k + b) * (k + c)),
+    "M10p.M10": SecondOrder("M10p", "M10", (0, 0), (-1, 0, 0, -1), lambda n, k, a, b, c, d: (n - k) * (n + k + a + b + c + d)),
+    "M10.M10p": SecondOrder("M10", "M10p", (0, 0), (0, 0, 0, 0), lambda n, k, a, b, c, d: (n - k + 1) * (n + k + a + b + c + d + 1)),
+    "M20p.M20": SecondOrder("M20p", "M20", (0, 0), (+1, 0, 0, -1), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n + k + b + c + d + 1)),
+    "M20.M20p": SecondOrder("M20", "M20p", (0, 0), (+1, -1, 0, +1), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n + k + b + c + d + 1)),
+    "M30p.M30": SecondOrder("M30p", "M30", (0, 0), (-1, +1, 0, 0), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n - k + a)),
+    "M30.M30p": SecondOrder("M30", "M30p", (0, 0), (0, +1, 0, 0), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n - k + a)),
+    "M40p.M40": SecondOrder("M40p", "M40", (-1, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n - k + a + 1)),
+    "M40.M40p": SecondOrder("M40", "M40p", (0, 0), (+1, -1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n - k + a + 1)),
+    "M50p.M50": SecondOrder("M50p", "M50", (-1, 0), (0, +1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n + k + b + c + d + 2)),
+    "M50.M50p": SecondOrder("M50", "M50p", (0, 0), (-1, +1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n + k + b + c + d + 2)),
+    "M60p.M60": SecondOrder("M60p", "M60", (0, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: (n - k + a) * (n + k + b + c + d + 1)),
+    "M60.M60p": SecondOrder("M60", "M60p", (0, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: (n - k + a) * (n + k + b + c + d + 1)),
 }
-
-
-def verify_second_order_m(entry_id: str, idx, p) -> VerificationReport:
-    """Chain two sparse M relations and check the eigenvalue identity."""
-    n, k = _index2(idx)
-    params = _params4(p)
-    ent = SECOND_ORDER_2D[entry_id]
-    n0, k0 = n + ent.dn, k + ent.dk
-    params0 = tuple(v + dv for v, dv in zip(params, ent.dparams))
-    if not _valid2(n0, k0):
-        return VerificationReport(entry_id, (n, k), params, NOT_APPLICABLE)
-    eig = ent.eig(n, k, *params)
-    u = triangle_poly_raw(n0, k0, *params0)
-    inner_rel = SPARSE_2D[ent.inner]
-    v = m_operator(ent.inner, (n0, k0), params0).apply(u)
-    (n1, k1), params1 = inner_rel.shifted((n0, k0), params0)
-    lhs = m_operator(ent.outer, (n1, k1), params1).apply(v)
-    detail = None
-    if _valid2(n1, k1):
-        product = inner_rel.scale(n0, k0, *params0) * SPARSE_2D[ent.outer].scale(
-            n1, k1, *params1
-        )
-        if product != eig:
-            detail = f"scale product {product} != tabulated eigenvalue {eig}"
-    return report_equality(entry_id, (n, k), params, lhs, u.scale(eig), detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +316,6 @@ def verify_second_order_m(entry_id: str, idx, p) -> VerificationReport:
 # cleared by the stated denominator power, so the residual on a family
 # member is an exact zero polynomial.
 # ---------------------------------------------------------------------------
-
-_DERIVS_2D = ("xx", "xy", "yy", "x", "y", "")
-
 
 def _pde_coeffs_y_direction(n, k, a, b, c, d):
     # y(1-x-y) u_yy + ((b+1)(1-x) - (b+c+2) y) u_y + k(k+b+c+1) u, cleared by 1.
@@ -426,25 +361,6 @@ PDE_2D = {
 }
 
 
-def apply_pde(coeffs: dict, u: MPoly) -> MPoly:
-    out = ZERO
-    for key, coeff in coeffs.items():
-        v = u
-        for var in key:
-            v = v.diff(var)
-        out = out + coeff * v
-    return out
-
-
-def pde_residual(which: str, idx, p, u: MPoly = None) -> MPoly:
-    """Cleared residual of one differential equation on a family member."""
-    n, k = _index2(idx)
-    params = _params4(p)
-    if u is None:
-        u = triangle_poly_raw(n, k, *params)
-    return apply_pde(PDE_2D[which](n, k, *params), u)
-
-
 def monic_triangle(idx, p) -> MPoly:
     """Monic polynomial solution of the x-direction equation at (n, k).
 
@@ -453,8 +369,8 @@ def monic_triangle(idx, p) -> MPoly:
     x^(n-k) y^k coefficient regardless, so the monic contract survives any
     erratum in the prefactor.
     """
-    n, k = _index2(idx)
-    a, b, c, d = _params4(p)
+    n, k = as_tuple(idx, 2, int)
+    a, b, c, d = as_tuple(p, 4)
     e4 = a + b + c + d
     prefactor = factorial(n - k) * gamma_ratio(e4 + 2 * n + 2, -(n - k))
     poly = (Y**k * shifted_jacobi_raw(n - k, b + c + d + 2 * k + 1, a)).scale(prefactor)
@@ -462,3 +378,26 @@ def monic_triangle(idx, p) -> MPoly:
     if lead == 0:
         raise ArithmeticError("vanishing leading coefficient")
     return poly.scale(1 / lead)
+
+
+def indices(max_degree: int):
+    """All (n, k) with 0 <= k <= n <= max_degree, by total degree n."""
+    return [(n, k) for n in range(max_degree + 1) for k in range(n + 1)]
+
+
+FAMILY = Family(
+    index=lambda idx: as_tuple(idx, 2, int),
+    params=lambda p: as_tuple(p, 4),
+    member=lambda n, k, a, b, c, d: triangle_poly_raw(n, k, a, b, c, d),
+    valid=lambda idx: 0 <= idx[1] <= idx[0],
+    operator=lambda op, idx, params: m_operator(op, idx, params),
+    sparse=SPARSE_2D,
+    second_order=SECOND_ORDER_2D,
+    pde=PDE_2D,
+)
+
+# verify_m_relation(op, idx, p), verify_second_order_m(entry_id, idx, p) and
+# pde_residual(which, idx, p, u=None).
+verify_m_relation = partial(verify_sparse, FAMILY)
+verify_second_order_m = partial(verify_composition, FAMILY)
+pde_residual = partial(residual, FAMILY)

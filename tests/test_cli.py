@@ -1,9 +1,11 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from simplexpoly import simplex3d
 from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, main
 
 
@@ -69,6 +71,34 @@ def test_verify_deterministic_reports(config_path, tmp_path):
     main(["verify", "--suite", "three-term", "--config", config_path, "--out", str(out1)])
     main(["verify", "--suite", "three-term", "--config", config_path, "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_verify_flags_operator_typo_as_erratum(tmp_path, monkeypatch, capsys):
+    # N10 with c0 = n2+n3+1 instead of n2+n3: the exact division by (1-x)
+    # then leaves a remainder on every sample, which must fail the sample
+    # rather than end the run.
+    real = simplex3d.n_operator
+
+    def typo(op, idx, p):
+        descriptor = real(op, idx, p)
+        return replace(descriptor, c0=descriptor.c0 + 1) if op == "N10" else descriptor
+
+    monkeypatch.setattr(simplex3d, "n_operator", typo)
+    config = tmp_path / "theorem1.json"
+    config.write_text(json.dumps({"suites": {"theorem1": {
+        "degree": 2,
+        "params": [["1/3", "-1/2", "1", "0", "1/2", "2"]],
+        "relations": ["N10", "N20"],
+    }}}))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", "theorem1", "--config", str(config),
+                 "--jobs", "1", "--out", str(out)])
+    assert code == EX_ERRATUM
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["erratum_candidates"] == ["N10"]
+    n10 = [r for r in payload["reports"] if r["relation"] == "N10"]
+    assert n10 and all(r["status"] == "fail" for r in n10)
+    assert all(r["detail"].startswith("NonzeroRemainder: ") for r in n10)
 
 
 def test_verify_default_config_is_shipped(capsys):

@@ -126,7 +126,16 @@ def test_gram_degree_one():
     assert abs(gram[zero_pos, pos]) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("params", [ZEROS6, PARAMS6, (F(1), F(1), F(1), F(1), F(1), F(1))])
+@pytest.mark.parametrize(
+    "params",
+    [
+        ZEROS6,
+        PARAMS6,
+        (F(1), F(1), F(1), F(1), F(1), F(1)),
+        # delta + gamma = -1: a Jacobi rule whose two exponents sum to -1.
+        (F(0), F(0), F(-1, 2), F(-1, 2), F(0), F(0)),
+    ],
+)
 def test_gram_diagonal_and_offdiagonal(params):
     idxs, gram = gram_matrix(4, params)
     assert gram_offdiag_max(idxs, gram) <= 1e-10

@@ -1,0 +1,108 @@
+"""Mutation checks on the verification skeleton shared by the families.
+
+One wrong entry in any family's tables (a sparse scale, an index shift, a
+composition eigenvalue, a differential-equation coefficient) must make
+its relation fail on every applicable sample of a small slice, so that
+`summarize` flags it as an erratum candidate.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
+from simplexpoly.operators import summarize
+from simplexpoly.ratpoly import ONE
+
+F = Fraction
+
+# family -> (module, sweep kinds for sparse / composition / equation tasks,
+# indices, parameter rows, relation ids mutated in each table)
+SLICES = {
+    "interval": (
+        jacobi1d, ("ladder1d", "so1d", None), jacobi1d.indices(3),
+        [(F(0), F(0)), (F(1, 3), F(-1, 2))],
+        ("L2", "L2p.L2.rel", None),
+    ),
+    "triangle": (
+        triangle2d, ("m2d", "so2d", "pde2d"), triangle2d.indices(2),
+        [(F(-1, 2), F(0), F(1, 3), F(1)), (F(1), F(1, 3), F(0), F(-1, 2))],
+        ("M20", "M20p.M20", "L2"),
+    ),
+    "tetrahedron": (
+        simplex3d, ("theorem1", "so3d", "pde3d"), simplex3d.indices(2),
+        [(F(1, 3), F(-1, 2), F(1), F(0), F(1, 2), F(2))],
+        ("N20", "N20p.N20", "T1"),
+    ),
+}
+
+
+def _summary(family, table, rel):
+    _, kinds, idxs, rows, _ = SLICES[family]
+    tasks = [(kinds[table], rel, idx, params, None) for params in rows for idx in idxs]
+    return summarize(sweeps.run_tasks(tasks))
+
+
+def _mutate_scale(fam, monkeypatch, rel):
+    old = fam.sparse[rel]
+    monkeypatch.setitem(fam.sparse, rel, replace(old, scale=lambda *a: old.scale(*a) + 1))
+
+
+def _mutate_shift(fam, monkeypatch, rel):
+    old = fam.sparse[rel]
+    monkeypatch.setitem(fam.sparse, rel, replace(old, dn=(old.dn[0] + 1,) + old.dn[1:]))
+
+
+def _mutate_eig(fam, monkeypatch, rel):
+    old = fam.second_order[rel]
+    monkeypatch.setitem(fam.second_order, rel, replace(old, eig=lambda *a: old.eig(*a) + 1))
+
+
+def _mutate_pde(fam, monkeypatch, rel):
+    old = fam.pde[rel]
+
+    def builder(*args):
+        coeffs = dict(old(*args))
+        coeffs[""] = coeffs[""] + ONE
+        return coeffs
+
+    monkeypatch.setitem(fam.pde, rel, builder)
+
+
+# mutation -> (table it touches: 0 sparse, 1 composition, 2 equation)
+MUTATIONS = {
+    "scale": (_mutate_scale, 0),
+    "shift": (_mutate_shift, 0),
+    "eig": (_mutate_eig, 1),
+    "pde": (_mutate_pde, 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SLICES))
+def test_unmutated_slice_is_clean(family):
+    for table, rel in enumerate(SLICES[family][4]):
+        if rel is None:
+            continue
+        summary = _summary(family, table, rel)
+        assert summary["totals"]["fail"] == 0
+        assert summary["totals"]["pass"] > 0
+
+
+# The interval family has no differential-equation table.
+MUTANTS = [
+    (family, mutation)
+    for family in sorted(SLICES)
+    for mutation, (_, table) in sorted(MUTATIONS.items())
+    if SLICES[family][4][table] is not None
+]
+
+
+@pytest.mark.parametrize("family, mutation", MUTANTS)
+def test_mutant_is_erratum_candidate(family, mutation, monkeypatch):
+    module, _, _, _, relations = SLICES[family]
+    mutate, table = MUTATIONS[mutation]
+    rel = relations[table]
+    mutate(module.FAMILY, monkeypatch, rel)
+    relation = f"pde.{rel}" if table == 2 else rel
+    assert relation in _summary(family, table, rel)["erratum_candidates"]

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from simplexpoly.ratpoly import MPoly, ONE, X
 from simplexpoly.special import (
-    GammaRatioSpec,
     PoleHit,
     gamma_ratio,
     hyper2f1_terminating,
@@ -41,8 +40,8 @@ def test_gamma_ratio_examples():
     assert gamma_ratio(F(1, 2), -1) == -2
 
 
-def test_gamma_ratio_accepts_spec_tuple():
-    assert gamma_ratio(GammaRatioSpec(F(3), 2)) == 12
+def test_gamma_ratio_fraction_base():
+    assert gamma_ratio(F(3), 2) == 12
 
 
 def test_gamma_ratio_pole():
