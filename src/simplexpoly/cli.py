@@ -106,6 +106,13 @@ _FAMILIES = {
 }
 
 
+def _check_index(idx, family: str) -> None:
+    """Refuse an index outside the family's index domain."""
+    if not _FAMILIES[family][0].FAMILY.valid(idx):
+        text = ",".join(str(i) for i in idx)
+        raise ValueError(f"index {text} is outside the {family} index domain")
+
+
 def cmd_print_poly(args) -> int:
     module, dims, arity, monic = _FAMILIES[args.family]
     if args.monic and monic is None:
@@ -113,6 +120,7 @@ def cmd_print_poly(args) -> int:
     idx = _ints(args.index)
     if len(idx) != dims:
         raise ValueError(f"expected {dims} comma-separated index values, got {len(idx)}")
+    _check_index(idx, args.family)
     params = _fractions(args.params, arity)
     if args.monic:
         poly = getattr(module, monic)(idx, params)
@@ -176,6 +184,7 @@ def cmd_gram(args) -> int:
 
 def cmd_connect(args) -> int:
     idx = _ints(args.index)
+    _check_index(idx, "simplex")
     params = _fractions(args.params, 6)
     if args.mode == "alpha":
         if args.xi is None:

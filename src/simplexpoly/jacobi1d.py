@@ -140,59 +140,52 @@ def h_absolute(n: int, a: float, b: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The twelve first-order operators.
+# The twelve first-order ladder relations.  Each line holds the operator, the
+# steps of (n; a, b) and the scale; the operator and the scale are both
+# built from (n, a, b).
 # ---------------------------------------------------------------------------
 
-LADDER_IDS = (
-    "L1", "L2", "L3", "L4", "L5", "L6",
-    "L1p", "L2p", "L3p", "L4p", "L5p", "L6p",
-)
-
-
-def ladder_operator(op: str, n: int, p) -> DiffOperator:
-    """Operator descriptor for one ladder id at degree n, parameters (a, b)."""
-    a, b = as_tuple(p, 2)
-    c = MPoly.const
-    if op == "L1":
-        return DiffOperator(c0=ZERO, cx=ONE)
-    if op == "L2":
-        return DiffOperator(c0=c(a + b + n + 1), cx=X)
-    if op == "L3":
-        return DiffOperator(c0=c(a + b + n + 1), cx=-ONE_MINUS_X)
-    if op == "L4":
-        return DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b + n + 1), cx=-X_ONE_MINUS_X)
-    if op == "L5":
-        return DiffOperator(c0=X.scale(a + n + 1) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X)
-    if op == "L6":
-        return DiffOperator(c0=c(b), cx=X)
-    if op == "L1p":
-        return DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X)
-    if op == "L2p":
-        return DiffOperator(c0=c(a) + ONE_MINUS_X.scale(n), cx=-X_ONE_MINUS_X)
-    if op == "L3p":
-        return DiffOperator(c0=c(b) + X.scale(n), cx=X_ONE_MINUS_X)
-    if op == "L4p":
-        return DiffOperator(c0=c(-n), cx=X)
-    if op == "L5p":
-        return DiffOperator(c0=c(n), cx=ONE_MINUS_X)
-    if op == "L6p":
-        return DiffOperator(c0=c(a), cx=-ONE_MINUS_X)
-    raise KeyError(f"unknown ladder operator {op!r}")
-
+_cst = MPoly.const
 
 SPARSE_1D = {
-    "L1": SparseRelation("L1", (-1,), (+1, +1), lambda n, a, b: n + a + b + 1),
-    "L2": SparseRelation("L2", (0,), (+1, 0), lambda n, a, b: n + a + b + 1),
-    "L3": SparseRelation("L3", (0,), (0, +1), lambda n, a, b: n + a + b + 1),
-    "L4": SparseRelation("L4", (+1,), (-1, 0), lambda n, a, b: n + 1),
-    "L5": SparseRelation("L5", (+1,), (0, -1), lambda n, a, b: n + 1),
-    "L6": SparseRelation("L6", (0,), (+1, -1), lambda n, a, b: n + b),
-    "L1p": SparseRelation("L1p", (+1,), (-1, -1), lambda n, a, b: n + 1),
-    "L2p": SparseRelation("L2p", (0,), (-1, 0), lambda n, a, b: n + a),
-    "L3p": SparseRelation("L3p", (0,), (0, -1), lambda n, a, b: n + b),
-    "L4p": SparseRelation("L4p", (-1,), (+1, 0), lambda n, a, b: n + b),
-    "L5p": SparseRelation("L5p", (-1,), (0, +1), lambda n, a, b: n + a),
-    "L6p": SparseRelation("L6p", (0,), (-1, +1), lambda n, a, b: n + a),
+    "L1": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=ZERO, cx=ONE),
+        (-1,), (+1, +1), lambda n, a, b: n + a + b + 1),
+    "L2": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(a + b + n + 1), cx=X),
+        (0,), (+1, 0), lambda n, a, b: n + a + b + 1),
+    "L3": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(a + b + n + 1), cx=-ONE_MINUS_X),
+        (0,), (0, +1), lambda n, a, b: n + a + b + 1),
+    "L4": SparseRelation(
+        lambda n, a, b: DiffOperator(
+            c0=X.scale(a) - ONE_MINUS_X.scale(b + n + 1), cx=-X_ONE_MINUS_X),
+        (+1,), (-1, 0), lambda n, a, b: n + 1),
+    "L5": SparseRelation(
+        lambda n, a, b: DiffOperator(
+            c0=X.scale(a + n + 1) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X),
+        (+1,), (0, -1), lambda n, a, b: n + 1),
+    "L6": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(b), cx=X),
+        (0,), (+1, -1), lambda n, a, b: n + b),
+    "L1p": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X),
+        (+1,), (-1, -1), lambda n, a, b: n + 1),
+    "L2p": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(a) + ONE_MINUS_X.scale(n), cx=-X_ONE_MINUS_X),
+        (0,), (-1, 0), lambda n, a, b: n + a),
+    "L3p": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(b) + X.scale(n), cx=X_ONE_MINUS_X),
+        (0,), (0, -1), lambda n, a, b: n + b),
+    "L4p": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(-n), cx=X),
+        (-1,), (+1, 0), lambda n, a, b: n + b),
+    "L5p": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(n), cx=ONE_MINUS_X),
+        (-1,), (0, +1), lambda n, a, b: n + a),
+    "L6p": SparseRelation(
+        lambda n, a, b: DiffOperator(c0=_cst(a), cx=-ONE_MINUS_X),
+        (0,), (-1, +1), lambda n, a, b: n + a),
 }
 
 
@@ -244,7 +237,6 @@ FAMILY = Family(
     params=lambda p: as_tuple(p, 2),
     member=lambda n, a, b: shifted_jacobi_raw(n, a, b),
     valid=lambda idx: idx[0] >= 0,
-    operator=lambda op, idx, params: ladder_operator(op, idx[0], params),
     sparse=SPARSE_1D,
     second_order=SECOND_ORDER_1D,
     zero_operand_applicable=False,

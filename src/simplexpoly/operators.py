@@ -9,8 +9,8 @@ remainder is itself a reportable failure.
 
 The three families check their ladder calculus the same way, so the checks
 live here once: a `Family` record gives each family's member constructor,
-index domain, operator lookup and tables, and `verify_sparse`,
-`verify_composition` and `residual` run over it.
+index domain and tables, and `verify_sparse`, `verify_composition` and
+`residual` run over it.
 """
 
 from __future__ import annotations
@@ -71,12 +71,14 @@ class _Shift:
 class SparseRelation(_Shift):
     """One line of a ladder-relation table.
 
-    Applying operator `op` to the family member at (idx, params) yields
-    scale(idx, params) times the member at (idx + dn, params + dparams);
-    shifts that leave the index domain target the zero polynomial.
+    Applying operator(*idx, *params), a DiffOperator, to the family member
+    at (idx, params) yields scale(*idx, *params) times the member at
+    (idx + dn, params + dparams); shifts that leave the index domain target
+    the zero polynomial.  The operator and the scale are transcribed from
+    the paper separately, so a typo in either fails the relation.
     """
 
-    op: str
+    operator: Callable
     dn: Tuple[int, ...]
     dparams: Tuple[int, ...]
     scale: "callable"
@@ -102,19 +104,18 @@ class Family:
     """What the shared checks below need to know about one family.
 
     `index` and `params` turn the caller's index and parameters into
-    tuples; `member(*idx, *params)` builds a member, `valid(idx)` tells
-    whether an index lies in the domain, and `operator(op, idx, params)`
-    returns a DiffOperator.  These callables name their module's functions
-    at call time, so wrappers installed on the module later (a test's
-    monkeypatch, a profiler) are seen.  `pde` maps an equation id to its
-    coefficient builder, called as builder(*idx, *params).
+    tuples; `member(*idx, *params)` builds a member and `valid(idx)` tells
+    whether an index lies in the domain.  `member` names its module's
+    constructor at call time, so wrappers installed on the module later (a
+    test's monkeypatch, a profiler) are seen.  `sparse` maps a ladder id
+    to its SparseRelation and `pde` an equation id to its coefficient
+    builder, called as builder(*idx, *params).
     """
 
     index: Callable
     params: Callable
     member: Callable
     valid: Callable
-    operator: Callable
     sparse: dict
     second_order: dict
     pde: dict = field(default_factory=dict)
@@ -196,7 +197,7 @@ def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
     idx, params = family.index(idx), family.params(p)
     rel = family.sparse[op]
     u = family.member(*idx, *params)
-    lhs = family.operator(op, idx, params).apply(u)
+    lhs = rel.operator(*idx, *params).apply(u)
     idx2, params2 = rel.shifted(idx, params)
     if not family.valid(idx2):
         return report_equality(op, idx, params, lhs, ZERO, applicable=False)
@@ -219,15 +220,13 @@ def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationRep
         return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
     eig = ent.eig(*idx, *params)
     u = family.member(*idx0, *params0)
-    inner_rel = family.sparse[ent.inner]
-    v = family.operator(ent.inner, idx0, params0).apply(u)
-    idx1, params1 = inner_rel.shifted(idx0, params0)
-    lhs = family.operator(ent.outer, idx1, params1).apply(v)
+    inner, outer = family.sparse[ent.inner], family.sparse[ent.outer]
+    v = inner.operator(*idx0, *params0).apply(u)
+    idx1, params1 = inner.shifted(idx0, params0)
+    lhs = outer.operator(*idx1, *params1).apply(v)
     detail = None
     if family.valid(idx1):
-        product = inner_rel.scale(*idx0, *params0) * family.sparse[ent.outer].scale(
-            *idx1, *params1
-        )
+        product = inner.scale(*idx0, *params0) * outer.scale(*idx1, *params1)
         if product != eig:
             detail = f"scale product {product} != tabulated eigenvalue {eig}"
     return report_equality(

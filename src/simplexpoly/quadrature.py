@@ -220,7 +220,7 @@ def gram_matrix(max_degree: int, params, rule: SimplexRule = None, points: int =
     """
     vals = as_tuple(params, 6)
     if rule is None:
-        rule = tetra_rule(vals, points or (max_degree + 1))
+        rule = tetra_rule(vals, max_degree + 1 if points is None else points)
     idxs = simplex_indices(max_degree)
     members = (simplex_poly_raw(*idx, *vals) for idx in idxs)
     return idxs, _gram(members, (rule.x, rule.y, rule.z), rule.weights)
@@ -228,7 +228,7 @@ def gram_matrix(max_degree: int, params, rule: SimplexRule = None, points: int =
 
 def gram_matrix_triangle(max_degree: int, params, points: int = None):
     vals = as_tuple(params, 4)
-    rule = triangle_rule(vals, points or (max_degree + 1))
+    rule = triangle_rule(vals, max_degree + 1 if points is None else points)
     idxs = triangle2d.indices(max_degree)
     members = (triangle_poly_raw(*idx, *vals) for idx in idxs)
     return idxs, _gram(members, (rule.x, rule.y), rule.weights)

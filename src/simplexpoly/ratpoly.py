@@ -104,9 +104,6 @@ class MPoly:
         axis = _VAR_AXIS[var]
         return max((e[axis] for e in self._terms), default=-1)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=-1)
-
     def coeff(self, i: int, j: int, k: int) -> Fraction:
         return self._terms.get((i, j, k), Fraction(0))
 

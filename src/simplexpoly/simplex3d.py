@@ -171,254 +171,199 @@ def classical_simplex_poly(idx, fourparams) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# The thirty-six ladder operators: twelve along y, twelve along x, twelve
-# along z.  Coefficients are numerators over the common denominator.
+# The thirty-six ladder relations of Theorem 1: twelve along y, twelve along
+# x, twelve along z.  Each line holds the operator, the steps of
+# (n1, n2, n3; alpha, beta, gamma, delta, a, b) and the scale; the operator
+# and the scale are both built from (n1, n2, n3, al, be, ga, de, a, b).
+# Coefficients are numerators over the common denominator.
 # ---------------------------------------------------------------------------
 
-N0_IDS = ("N01", "N02", "N03", "N04", "N05", "N06",
-          "N01p", "N02p", "N03p", "N04p", "N05p", "N06p")
-N_IDS = ("N10", "N20", "N30", "N40", "N50", "N60",
-         "N10p", "N20p", "N30p", "N40p", "N50p", "N60p")
-O_IDS = ("O10", "O20", "O30", "O40", "O50", "O60",
-         "O10p", "O20p", "O30p", "O40p", "O50p", "O60p")
-OPERATOR_IDS_3D = N0_IDS + N_IDS + O_IDS
-
+_cst = MPoly.const
 _W = ONE_MINUS_XYZ
 _XZ = X * Z
 _YZ = Y * Z
 _ZW = Z * _W
 
-
-def n_operator(op: str, idx, p) -> DiffOperator:
-    """Operator descriptor for one of the N ladder ids."""
-    n1, n2, n3 = as_tuple(idx, 3, int)
-    alpha, beta, gamma, delta, a, b = as_tuple(p, 6)
-    n = n1 + n2 + n3
-    e = alpha + beta + gamma + delta + a + b
-    cst = MPoly.const
-    if op == "N01":
-        return DiffOperator(c0=cst(n3), cy=ONE_MINUS_XY, cz=-Z, denom=ONE_MINUS_XY)
-    if op == "N01p":
-        return DiffOperator(
-            c0=Y.scale(gamma + delta + n3 + b + 1) - ONE_MINUS_XY.scale(beta),
-            cy=-Y_ONE_MINUS_XY, cz=_YZ,
-        )
-    if op == "N02":
-        return DiffOperator(
-            c0=ONE_MINUS_XY.scale(n2 + 2 * n3 + beta + gamma + delta + b + 2) + Y.scale(n3),
-            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY,
-        )
-    if op == "N02p":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(n2 + 2 * n3 + gamma + delta + b + 1) - Y.scale(n2 + n3),
-            cy=-Y_ONE_MINUS_XY, cz=_YZ, denom=ONE_MINUS_X,
-        )
-    if op == "N03":
-        return DiffOperator(
-            c0=cst(n2 + n3 + beta + gamma + delta + b + 2), cy=-ONE_MINUS_XY, cz=Z,
-        )
-    if op == "N03p":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(beta) + Y.scale(n2 + n3),
-            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X,
-        )
-    if op == "N04":
-        return DiffOperator(
-            c0=Y.scale(n3 + gamma + delta + b + 1) - ONE_MINUS_XY.scale(beta + n2 + 1),
-            cy=-Y_ONE_MINUS_XY, cz=_YZ,
-        )
-    if op == "N04p":
-        return DiffOperator(
-            c0=ONE_MINUS_XY.scale(-n2) + Y.scale(n3),
-            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X * ONE_MINUS_XY,
-        )
-    if op == "N05":
-        return DiffOperator(
-            c0=Y.scale(n2 + n3 + gamma + delta + b + 2) - ONE_MINUS_XY.scale(beta),
-            cy=-Y_ONE_MINUS_XY, cz=_YZ,
-        )
-    if op == "N05p":
-        return DiffOperator(
-            c0=cst(n2 + n3), cy=ONE_MINUS_XY, cz=-Z, denom=ONE_MINUS_X,
-        )
-    if op == "N06":
-        return DiffOperator(
-            c0=ONE_MINUS_XY.scale(beta) + Y.scale(n3),
-            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY,
-        )
-    if op == "N06p":
-        return DiffOperator(
-            c0=cst(gamma + delta + n3 + b + 1), cy=-ONE_MINUS_XY, cz=Z,
-        )
-    if op == "N10":
-        return DiffOperator(
-            c0=cst(n2 + n3), cx=ONE_MINUS_X, cy=-Y, cz=-Z, denom=ONE_MINUS_X,
-        )
-    if op == "N10p":
-        return DiffOperator(
-            c0=X.scale(n2 + n3 + e + 2) - cst(alpha), cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
-        )
-    if op == "N20":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(n + n2 + n3 + e + 3) + X.scale(n2 + n3),
-            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X,
-        )
-    if op == "N20p":
-        return DiffOperator(
-            c0=cst(n + n2 + n3 + e - alpha + 2) - X.scale(n),
-            cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
-        )
-    if op == "N30":
-        return DiffOperator(c0=cst(n + e + 3), cx=-ONE_MINUS_X, cy=Y, cz=Z)
-    if op == "N30p":
-        return DiffOperator(c0=cst(alpha) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ)
-    if op == "N40":
-        return DiffOperator(
-            c0=X.scale(n + e + 3) - cst(alpha + n1 + 1), cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
-        )
-    if op == "N40p":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(-n) + cst(n2 + n3),
-            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X,
-        )
-    if op == "N50":
-        return DiffOperator(
-            c0=X.scale(n + e + 3) - cst(alpha), cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ,
-        )
-    if op == "N50p":
-        return DiffOperator(c0=cst(n), cx=ONE_MINUS_X, cy=-Y, cz=-Z)
-    if op == "N60":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(alpha) + X.scale(n2 + n3),
-            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X,
-        )
-    if op == "N60p":
-        return DiffOperator(
-            c0=cst(n2 + n3 + e - alpha + 2), cx=-ONE_MINUS_X, cy=Y, cz=Z,
-        )
-    raise KeyError(f"unknown N operator {op!r}")
-
-
-def o_operator(op: str, idx, p) -> DiffOperator:
-    """Operator descriptor for one of the O ladder ids (z direction)."""
-    n1, n2, n3 = as_tuple(idx, 3, int)
-    alpha, beta, gamma, delta, a, b = as_tuple(p, 6)
-    cst = MPoly.const
-    if op == "O10":
-        return DiffOperator(c0=ZERO, cz=ONE)
-    if op == "O10p":
-        return DiffOperator(c0=Z.scale(delta) - _W.scale(gamma), cz=-_ZW)
-    if op == "O20":
-        return DiffOperator(c0=cst(delta + gamma + n3 + 1), cz=Z)
-    if op == "O20p":
-        return DiffOperator(
-            c0=ONE_MINUS_XY.scale(delta) + _W.scale(n3), cz=-_ZW, denom=ONE_MINUS_XY,
-        )
-    if op == "O30":
-        return DiffOperator(c0=cst(delta + gamma + n3 + 1), cz=-_W)
-    if op == "O30p":
-        return DiffOperator(
-            c0=ONE_MINUS_XY.scale(gamma) + Z.scale(n3), cz=_ZW, denom=ONE_MINUS_XY,
-        )
-    if op == "O40":
-        return DiffOperator(c0=Z.scale(delta) - _W.scale(gamma + n3 + 1), cz=-_ZW)
-    if op == "O40p":
-        return DiffOperator(c0=cst(-n3), cz=Z, denom=ONE_MINUS_XY)
-    if op == "O50":
-        return DiffOperator(c0=Z.scale(delta + n3 + 1) - _W.scale(gamma), cz=-_ZW)
-    if op == "O50p":
-        return DiffOperator(c0=cst(n3), cz=_W, denom=ONE_MINUS_XY)
-    if op == "O60":
-        return DiffOperator(c0=cst(gamma), cz=Z)
-    if op == "O60p":
-        return DiffOperator(c0=cst(delta), cz=-_W)
-    raise KeyError(f"unknown O operator {op!r}")
-
-
-def operator_3d(op: str, idx, p) -> DiffOperator:
-    return (o_operator if op.startswith("O") else n_operator)(op, idx, p)
-
-
-# Scale callables take (n1, n2, n3, alpha, beta, gamma, delta, a, b).
 THEOREM1 = {
-    "N01": SparseRelation("N01", (0, -1, 0), (0, +1, 0, 0, 0, +1),
+    "N01": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n3), cy=ONE_MINUS_XY, cz=-Z, denom=ONE_MINUS_XY),
+        (0, -1, 0), (0, +1, 0, 0, 0, +1),
         lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
-    "N01p": SparseRelation("N01p", (0, +1, 0), (0, -1, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
-    "N02": SparseRelation("N02", (0, 0, 0), (0, 0, 0, 0, -1, +1),
+    "N02": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_XY.scale(n2 + 2 * n3 + be + ga + de + b + 2) + Y.scale(n3),
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY),
+        (0, 0, 0), (0, 0, 0, 0, -1, +1),
         lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
-    "N02p": SparseRelation("N02p", (0, 0, 0), (0, 0, 0, 0, +1, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
-    "N03": SparseRelation("N03", (0, 0, 0), (0, +1, 0, 0, -1, 0),
+    "N03": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n2 + n3 + be + ga + de + b + 2), cy=-ONE_MINUS_XY, cz=Z),
+        (0, 0, 0), (0, +1, 0, 0, -1, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
-    "N03p": SparseRelation("N03p", (0, 0, 0), (0, -1, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
-    "N04": SparseRelation("N04", (0, +1, 0), (0, 0, 0, 0, -1, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
-    "N04p": SparseRelation("N04p", (0, -1, 0), (0, 0, 0, 0, +1, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
-    "N05": SparseRelation("N05", (0, +1, 0), (0, -1, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
-    "N05p": SparseRelation("N05p", (0, -1, 0), (0, +1, 0, 0, +1, 0),
+    "N04": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=Y.scale(n3 + ga + de + b + 1) - ONE_MINUS_XY.scale(be + n2 + 1),
+            cy=-Y_ONE_MINUS_XY, cz=_YZ),
+        (0, +1, 0), (0, 0, 0, 0, -1, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+    "N05": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=Y.scale(n2 + n3 + ga + de + b + 2) - ONE_MINUS_XY.scale(be),
+            cy=-Y_ONE_MINUS_XY, cz=_YZ),
+        (0, +1, 0), (0, -1, 0, 0, -1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+    "N06": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_XY.scale(be) + Y.scale(n3),
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY),
+        (0, 0, 0), (0, -1, 0, 0, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+    "N01p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=Y.scale(ga + de + n3 + b + 1) - ONE_MINUS_XY.scale(be),
+            cy=-Y_ONE_MINUS_XY, cz=_YZ),
+        (0, +1, 0), (0, -1, 0, 0, 0, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+    "N02p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_X.scale(n2 + 2 * n3 + ga + de + b + 1) - Y.scale(n2 + n3),
+            cy=-Y_ONE_MINUS_XY, cz=_YZ, denom=ONE_MINUS_X),
+        (0, 0, 0), (0, 0, 0, 0, +1, -1),
         lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
-    "N06": SparseRelation("N06", (0, 0, 0), (0, -1, 0, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
-    "N06p": SparseRelation("N06p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
+    "N03p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_X.scale(be) + Y.scale(n2 + n3),
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X),
+        (0, 0, 0), (0, -1, 0, 0, +1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+    "N04p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_XY.scale(-n2) + Y.scale(n3),
+            cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X * ONE_MINUS_XY),
+        (0, -1, 0), (0, 0, 0, 0, +1, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+    "N05p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n2 + n3), cy=ONE_MINUS_XY, cz=-Z, denom=ONE_MINUS_X),
+        (0, -1, 0), (0, +1, 0, 0, +1, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
-    "N10": SparseRelation("N10", (-1, 0, 0), (+1, 0, 0, 0, +1, 0),
+    "N06p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(ga + de + n3 + b + 1), cy=-ONE_MINUS_XY, cz=Z),
+        (0, 0, 0), (0, +1, 0, 0, 0, -1),
+        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+    "N10": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n2 + n3), cx=ONE_MINUS_X, cy=-Y, cz=-Z, denom=ONE_MINUS_X),
+        (-1, 0, 0), (+1, 0, 0, 0, +1, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b:
         (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
-    "N10p": SparseRelation("N10p", (+1, 0, 0), (-1, 0, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
-    "N20": SparseRelation("N20", (0, 0, 0), (0, 0, 0, 0, +1, 0),
+    "N20": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_X.scale((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
+            + X.scale(n2 + n3),
+            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X),
+        (0, 0, 0), (0, 0, 0, 0, +1, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b:
         (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
-    "N20p": SparseRelation("N20p", (0, 0, 0), (0, 0, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
-    "N30": SparseRelation("N30", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
+    "N30": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst((n1 + n2 + n3) + _e(al, be, ga, de, a, b) + 3),
+            cx=-ONE_MINUS_X, cy=Y, cz=Z),
+        (0, 0, 0), (+1, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b:
         (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
-    "N30p": SparseRelation("N30p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
-    "N40": SparseRelation("N40", (+1, 0, 0), (0, 0, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
-    "N40p": SparseRelation("N40p", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
-    "N50": SparseRelation("N50", (+1, 0, 0), (-1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
-    "N50p": SparseRelation("N50p", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
+    "N40": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=X.scale((n1 + n2 + n3) + _e(al, be, ga, de, a, b) + 3) - _cst(al + n1 + 1),
+            cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
+        (+1, 0, 0), (0, 0, 0, 0, -1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+    "N50": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=X.scale((n1 + n2 + n3) + _e(al, be, ga, de, a, b) + 3) - _cst(al),
+            cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
+        (+1, 0, 0), (-1, 0, 0, 0, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+    "N60": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_X.scale(al) + X.scale(n2 + n3),
+            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X),
+        (0, 0, 0), (-1, 0, 0, 0, +1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+    "N10p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=X.scale(n2 + n3 + _e(al, be, ga, de, a, b) + 2) - _cst(al),
+            cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
+        (+1, 0, 0), (-1, 0, 0, 0, -1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+    "N20p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)
+            - X.scale(n1 + n2 + n3),
+            cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
+        (0, 0, 0), (0, 0, 0, 0, -1, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b:
         (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
-    "N60": SparseRelation("N60", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
-    "N60p": SparseRelation("N60p", (0, 0, 0), (+1, 0, 0, 0, -1, 0),
+    "N30p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(al) + X.scale(n1 + n2 + n3), cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ),
+        (0, 0, 0), (-1, 0, 0, 0, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+    "N40p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_X.scale(-(n1 + n2 + n3)) + _cst(n2 + n3),
+            cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X),
+        (-1, 0, 0), (0, 0, 0, 0, +1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+    "N50p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n1 + n2 + n3), cx=ONE_MINUS_X, cy=-Y, cz=-Z),
+        (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b:
         (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
-    "O10": SparseRelation("O10", (0, 0, -1), (0, 0, +1, +1, 0, 0),
+    "N60p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+            cx=-ONE_MINUS_X, cy=Y, cz=Z),
+        (0, 0, 0), (+1, 0, 0, 0, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de, a, b:
+        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+    "O10": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=ZERO, cz=ONE),
+        (0, 0, -1), (0, 0, +1, +1, 0, 0),
         lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
-    "O10p": SparseRelation("O10p", (0, 0, +1), (0, 0, -1, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
-    "O20": SparseRelation("O20", (0, 0, 0), (0, 0, 0, +1, 0, -1),
+    "O20": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(de + ga + n3 + 1), cz=Z),
+        (0, 0, 0), (0, 0, 0, +1, 0, -1),
         lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
-    "O20p": SparseRelation("O20p", (0, 0, 0), (0, 0, 0, -1, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
-    "O30": SparseRelation("O30", (0, 0, 0), (0, 0, +1, 0, 0, -1),
+    "O30": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(de + ga + n3 + 1), cz=-_W),
+        (0, 0, 0), (0, 0, +1, 0, 0, -1),
         lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
-    "O30p": SparseRelation("O30p", (0, 0, 0), (0, 0, -1, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
-    "O40": SparseRelation("O40", (0, 0, +1), (0, 0, 0, -1, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
-    "O40p": SparseRelation("O40p", (0, 0, -1), (0, 0, 0, +1, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
-    "O50": SparseRelation("O50", (0, 0, +1), (0, 0, -1, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
-    "O50p": SparseRelation("O50p", (0, 0, -1), (0, 0, +1, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
-    "O60": SparseRelation("O60", (0, 0, 0), (0, 0, -1, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
-    "O60p": SparseRelation("O60p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+    "O40": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=Z.scale(de) - _W.scale(ga + n3 + 1), cz=-_ZW),
+        (0, 0, +1), (0, 0, 0, -1, 0, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+    "O50": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=Z.scale(de + n3 + 1) - _W.scale(ga), cz=-_ZW),
+        (0, 0, +1), (0, 0, -1, 0, 0, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+    "O60": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(ga), cz=Z),
+        (0, 0, 0), (0, 0, -1, +1, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+    "O10p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=Z.scale(de) - _W.scale(ga), cz=-_ZW),
+        (0, 0, +1), (0, 0, -1, -1, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+    "O20p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_XY.scale(de) + _W.scale(n3), cz=-_ZW, denom=ONE_MINUS_XY),
+        (0, 0, 0), (0, 0, 0, -1, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+    "O30p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=ONE_MINUS_XY.scale(ga) + Z.scale(n3), cz=_ZW, denom=ONE_MINUS_XY),
+        (0, 0, 0), (0, 0, -1, 0, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+    "O40p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(-n3), cz=Z, denom=ONE_MINUS_XY),
+        (0, 0, -1), (0, 0, 0, +1, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+    "O50p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+            c0=_cst(n3), cz=_W, denom=ONE_MINUS_XY),
+        (0, 0, -1), (0, 0, +1, 0, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+    "O60p": SparseRelation(
+        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(de), cz=-_W),
+        (0, 0, 0), (0, 0, +1, -1, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
 }
 
 
@@ -1016,7 +961,6 @@ def verify_corollary_multiplication(which: str, idx, fourparams) -> Verification
     return report_equality(f"corollary.mult.{which}", idx, q, lhs, rhs)
 
 
-WEIGHTED_IDS = DERIVATIVE_IDS
 MULTIPLICATION_IDS = ("x", "y", "z", "w")
 
 
@@ -1036,7 +980,6 @@ FAMILY = Family(
     params=lambda p: as_tuple(p, 6),
     member=lambda *idx_params: simplex_poly_raw(*idx_params),
     valid=lambda idx: min(idx) >= 0,
-    operator=lambda op, idx, params: operator_3d(op, idx, params),
     sparse=THEOREM1,
     second_order=SECOND_ORDER_3D,
     pde=PDE_3D,

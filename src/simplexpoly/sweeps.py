@@ -72,10 +72,6 @@ class SweepSection:
         )
 
 
-indices_2d = triangle2d.indices
-indices_3d = simplex3d.indices
-
-
 # ---------------------------------------------------------------------------
 # Task executors.  Every task is (kind, relation-or-None, index, params,
 # extra) with hashable exact contents, so the list pickles cleanly.
@@ -234,29 +230,29 @@ def _relation_grid(section, arity, indices, kind, relations) -> List[Task]:
 
 
 def tasks_ladder1d(section) -> List[Task]:
-    return _relation_grid(section, 2, jacobi1d.indices, "ladder1d", jacobi1d.LADDER_IDS)
+    return _relation_grid(section, 2, jacobi1d.indices, "ladder1d", jacobi1d.SPARSE_1D)
 
 
 def tasks_m2d(section) -> List[Task]:
     sec = SweepSection.parse(section, 4)
-    reductions = _grid([p[:3] for p in sec.params], indices_2d(sec.degree), _cells("d0"))
-    return _relation_grid(section, 4, indices_2d, "m2d", triangle2d.M_IDS) + reductions
+    reductions = _grid([p[:3] for p in sec.params], triangle2d.indices(sec.degree), _cells("d0"))
+    return _relation_grid(section, 4, triangle2d.indices, "m2d", triangle2d.SPARSE_2D) + reductions
 
 
 def tasks_theorem1(section) -> List[Task]:
     sec = SweepSection.parse(section, 6)
-    reductions = _grid([p[:4] for p in sec.params], indices_3d(sec.degree), _cells("ab0"))
-    ops = simplex3d.OPERATOR_IDS_3D
-    return _relation_grid(section, 6, indices_3d, "theorem1", ops) + reductions
+    reductions = _grid([p[:4] for p in sec.params], simplex3d.indices(sec.degree), _cells("ab0"))
+    ops = simplex3d.THEOREM1
+    return _relation_grid(section, 6, simplex3d.indices, "theorem1", ops) + reductions
 
 
 def tasks_second_order(section) -> List[Task]:
     return (
         _relation_grid(_section(section, "oned"), 2, jacobi1d.indices, "so1d",
                        jacobi1d.SECOND_ORDER_1D)
-        + _relation_grid(_section(section, "twod"), 4, indices_2d, "so2d",
+        + _relation_grid(_section(section, "twod"), 4, triangle2d.indices, "so2d",
                          triangle2d.SECOND_ORDER_2D)
-        + _relation_grid(_section(section, "threed"), 6, indices_3d, "so3d",
+        + _relation_grid(_section(section, "threed"), 6, simplex3d.indices, "so3d",
                          simplex3d.SECOND_ORDER_3D)
     )
 
@@ -266,10 +262,10 @@ def tasks_pde(section) -> List[Task]:
     three = SweepSection.parse(_section(section, "threed"), 6)
     monic_degree = int(section.get("monic_degree", 5))
     return (
-        _grid(two.params, indices_2d(two.degree), _cells("pde2d", triangle2d.PDE_2D))
-        + _grid(three.params, indices_3d(three.degree), _cells("pde3d", simplex3d.PDE_3D))
-        + _grid(two.params, indices_2d(monic_degree), _cells("monic2d"))
-        + _grid(three.params, indices_3d(monic_degree), _cells("monic3d"))
+        _grid(two.params, triangle2d.indices(two.degree), _cells("pde2d", triangle2d.PDE_2D))
+        + _grid(three.params, simplex3d.indices(three.degree), _cells("pde3d", simplex3d.PDE_3D))
+        + _grid(two.params, triangle2d.indices(monic_degree), _cells("monic2d"))
+        + _grid(three.params, simplex3d.indices(monic_degree), _cells("monic3d"))
     )
 
 
@@ -277,10 +273,10 @@ def tasks_corollaries(section) -> List[Task]:
     sec = SweepSection.parse(section, 4)
     cells = (
         _cells("cor_deriv", simplex3d.DERIVATIVE_IDS)
-        + _cells("cor_weight", simplex3d.WEIGHTED_IDS)
+        + _cells("cor_weight", simplex3d.DERIVATIVE_IDS)
         + _cells("cor_mult", simplex3d.MULTIPLICATION_IDS)
     )
-    return _grid(sec.params, indices_3d(sec.degree), cells)
+    return _grid(sec.params, simplex3d.indices(sec.degree), cells)
 
 
 def tasks_connections(section) -> List[Task]:
@@ -289,17 +285,17 @@ def tasks_connections(section) -> List[Task]:
     general = SweepSection.parse(_section(section, "general"), 6)
     targets = parse_grid(_section(section, "general")["targets"], 4)
     return _grid(
-        alpha.params, indices_3d(alpha.degree),
+        alpha.params, simplex3d.indices(alpha.degree),
         lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
     ) + _grid(
-        general.params, indices_3d(general.degree),
+        general.params, simplex3d.indices(general.degree),
         lambda p: [("conn_general", None, t) for t in targets + [p[:4]]],
     )
 
 
 def tasks_three_term(section) -> List[Task]:
     sec = SweepSection.parse(section, 6)
-    return _grid(sec.params, indices_3d(sec.degree), _cells("three_term"))
+    return _grid(sec.params, simplex3d.indices(sec.degree), _cells("three_term"))
 
 
 _TASK_BUILDERS = {

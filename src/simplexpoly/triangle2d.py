@@ -166,119 +166,103 @@ def verify_d0_reduction(idx, abc) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# The twenty-four M operators.  Rational-function coefficients are stored
-# as polynomial numerators over the single common denominator `denom`.
+# The twenty-four M ladder relations.  Each line holds the operator, the
+# steps of (n, k; a, b, c, d) and the scale; the operator and the scale are
+# both built from (n, k, a, b, c, d).  Rational-function coefficients are
+# stored as polynomial numerators over the single common denominator
+# `denom`.
 # ---------------------------------------------------------------------------
 
-M_IDS = (
-    "M01", "M02", "M03", "M04", "M05", "M06",
-    "M01p", "M02p", "M03p", "M04p", "M05p", "M06p",
-    "M10", "M20", "M30", "M40", "M50", "M60",
-    "M10p", "M20p", "M30p", "M40p", "M50p", "M60p",
-)
-
-
-def m_operator(op: str, idx, p) -> DiffOperator:
-    n, k = as_tuple(idx, 2, int)
-    a, b, c, d = as_tuple(p, 4)
-    cst = MPoly.const
-    if op == "M01":
-        return DiffOperator(c0=ZERO, cy=ONE)
-    if op == "M02":
-        return DiffOperator(c0=cst(k + b + c + 1), cy=Y)
-    if op == "M03":
-        return DiffOperator(c0=cst(k + b + c + 1), cy=-ONE_MINUS_XY)
-    if op == "M04":
-        return DiffOperator(c0=Y.scale(c) - ONE_MINUS_XY.scale(b + k + 1), cy=-Y_ONE_MINUS_XY)
-    if op == "M05":
-        return DiffOperator(c0=Y.scale(c + k + 1) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY)
-    if op == "M06":
-        return DiffOperator(c0=cst(b), cy=Y)
-    if op == "M01p":
-        return DiffOperator(c0=Y.scale(c) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY)
-    if op == "M02p":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(c + k) - Y.scale(k), cy=-Y_ONE_MINUS_XY, denom=ONE_MINUS_X
-        )
-    if op == "M03p":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(b) + Y.scale(k), cy=Y_ONE_MINUS_XY, denom=ONE_MINUS_X
-        )
-    if op == "M04p":
-        return DiffOperator(c0=cst(-k), cy=Y, denom=ONE_MINUS_X)
-    if op == "M05p":
-        return DiffOperator(c0=cst(k), cy=ONE_MINUS_XY, denom=ONE_MINUS_X)
-    if op == "M06p":
-        return DiffOperator(c0=cst(c), cy=-ONE_MINUS_XY)
-    if op == "M10":
-        return DiffOperator(c0=cst(k), cx=ONE_MINUS_X, cy=-Y, denom=ONE_MINUS_X)
-    if op == "M10p":
-        return DiffOperator(
-            c0=X.scale(k + a + b + c + d + 1) - cst(a), cx=-X_ONE_MINUS_X, cy=XY
-        )
-    if op == "M20":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(n + k + a + b + c + d + 2) + X.scale(k),
-            cx=X_ONE_MINUS_X,
-            cy=-XY,
-            denom=ONE_MINUS_X,
-        )
-    if op == "M20p":
-        return DiffOperator(
-            c0=cst(n + k + b + c + d + 1) - X.scale(n), cx=-X_ONE_MINUS_X, cy=XY
-        )
-    if op == "M30":
-        return DiffOperator(c0=cst(n + a + b + c + d + 2), cx=-ONE_MINUS_X, cy=Y)
-    if op == "M30p":
-        return DiffOperator(c0=cst(a) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY)
-    if op == "M40":
-        return DiffOperator(
-            c0=X.scale(n + a + b + c + d + 2) - cst(a + n - k + 1), cx=-X_ONE_MINUS_X, cy=XY
-        )
-    if op == "M40p":
-        return DiffOperator(
-            c0=cst(k) - ONE_MINUS_X.scale(n), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X
-        )
-    if op == "M50":
-        return DiffOperator(
-            c0=X.scale(n + a + b + c + d + 2) - cst(a), cx=-X_ONE_MINUS_X, cy=XY
-        )
-    if op == "M50p":
-        return DiffOperator(c0=cst(n), cx=ONE_MINUS_X, cy=-Y)
-    if op == "M60":
-        return DiffOperator(
-            c0=ONE_MINUS_X.scale(a) + X.scale(k), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X
-        )
-    if op == "M60p":
-        return DiffOperator(c0=cst(k + b + c + d + 1), cx=-ONE_MINUS_X, cy=Y)
-    raise KeyError(f"unknown M operator {op!r}")
-
+_cst = MPoly.const
 
 SPARSE_2D = {
-    "M01": SparseRelation("M01", (-1, -1), (0, +1, +1, 0), lambda n, k, a, b, c, d: k + b + c + 1),
-    "M01p": SparseRelation("M01p", (+1, +1), (0, -1, -1, 0), lambda n, k, a, b, c, d: k + 1),
-    "M02": SparseRelation("M02", (0, 0), (0, 0, +1, -1), lambda n, k, a, b, c, d: k + b + c + 1),
-    "M02p": SparseRelation("M02p", (0, 0), (0, 0, -1, +1), lambda n, k, a, b, c, d: k + c),
-    "M03": SparseRelation("M03", (0, 0), (0, +1, 0, -1), lambda n, k, a, b, c, d: k + b + c + 1),
-    "M03p": SparseRelation("M03p", (0, 0), (0, -1, 0, +1), lambda n, k, a, b, c, d: k + b),
-    "M04": SparseRelation("M04", (+1, +1), (0, 0, -1, -1), lambda n, k, a, b, c, d: k + 1),
-    "M04p": SparseRelation("M04p", (-1, -1), (0, 0, +1, +1), lambda n, k, a, b, c, d: k + b),
-    "M05": SparseRelation("M05", (+1, +1), (0, -1, 0, -1), lambda n, k, a, b, c, d: k + 1),
-    "M05p": SparseRelation("M05p", (-1, -1), (0, +1, 0, +1), lambda n, k, a, b, c, d: k + c),
-    "M06": SparseRelation("M06", (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: k + b),
-    "M06p": SparseRelation("M06p", (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: k + c),
-    "M10": SparseRelation("M10", (-1, 0), (+1, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
-    "M10p": SparseRelation("M10p", (+1, 0), (-1, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
-    "M20": SparseRelation("M20", (0, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
-    "M20p": SparseRelation("M20p", (0, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
-    "M30": SparseRelation("M30", (0, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
-    "M30p": SparseRelation("M30p", (0, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + a),
-    "M40": SparseRelation("M40", (+1, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
-    "M40p": SparseRelation("M40p", (-1, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
-    "M50": SparseRelation("M50", (+1, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + 1),
-    "M50p": SparseRelation("M50p", (-1, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
-    "M60": SparseRelation("M60", (0, 0), (-1, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
-    "M60p": SparseRelation("M60p", (0, 0), (+1, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+    "M01": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=ZERO, cy=ONE),
+        (-1, -1), (0, +1, +1, 0), lambda n, k, a, b, c, d: k + b + c + 1),
+    "M02": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k + b + c + 1), cy=Y),
+        (0, 0), (0, 0, +1, -1), lambda n, k, a, b, c, d: k + b + c + 1),
+    "M03": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k + b + c + 1), cy=-ONE_MINUS_XY),
+        (0, 0), (0, +1, 0, -1), lambda n, k, a, b, c, d: k + b + c + 1),
+    "M04": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=Y.scale(c) - ONE_MINUS_XY.scale(b + k + 1), cy=-Y_ONE_MINUS_XY),
+        (+1, +1), (0, 0, -1, -1), lambda n, k, a, b, c, d: k + 1),
+    "M05": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=Y.scale(c + k + 1) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY),
+        (+1, +1), (0, -1, 0, -1), lambda n, k, a, b, c, d: k + 1),
+    "M06": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(b), cy=Y),
+        (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: k + b),
+    "M01p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=Y.scale(c) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY),
+        (+1, +1), (0, -1, -1, 0), lambda n, k, a, b, c, d: k + 1),
+    "M02p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=ONE_MINUS_X.scale(c + k) - Y.scale(k), cy=-Y_ONE_MINUS_XY, denom=ONE_MINUS_X),
+        (0, 0), (0, 0, -1, +1), lambda n, k, a, b, c, d: k + c),
+    "M03p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=ONE_MINUS_X.scale(b) + Y.scale(k), cy=Y_ONE_MINUS_XY, denom=ONE_MINUS_X),
+        (0, 0), (0, -1, 0, +1), lambda n, k, a, b, c, d: k + b),
+    "M04p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(-k), cy=Y, denom=ONE_MINUS_X),
+        (-1, -1), (0, 0, +1, +1), lambda n, k, a, b, c, d: k + b),
+    "M05p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k), cy=ONE_MINUS_XY, denom=ONE_MINUS_X),
+        (-1, -1), (0, +1, 0, +1), lambda n, k, a, b, c, d: k + c),
+    "M06p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(c), cy=-ONE_MINUS_XY),
+        (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: k + c),
+    "M10": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=_cst(k), cx=ONE_MINUS_X, cy=-Y, denom=ONE_MINUS_X),
+        (-1, 0), (+1, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+    "M20": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=ONE_MINUS_X.scale(n + k + a + b + c + d + 2) + X.scale(k),
+            cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
+        (0, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+    "M30": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=_cst(n + a + b + c + d + 2), cx=-ONE_MINUS_X, cy=Y),
+        (0, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+    "M40": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=X.scale(n + a + b + c + d + 2) - _cst(a + n - k + 1), cx=-X_ONE_MINUS_X, cy=XY),
+        (+1, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
+    "M50": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=X.scale(n + a + b + c + d + 2) - _cst(a), cx=-X_ONE_MINUS_X, cy=XY),
+        (+1, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + 1),
+    "M60": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=ONE_MINUS_X.scale(a) + X.scale(k), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
+        (0, 0), (-1, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
+    "M10p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=X.scale(k + a + b + c + d + 1) - _cst(a), cx=-X_ONE_MINUS_X, cy=XY),
+        (+1, 0), (-1, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
+    "M20p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=_cst(n + k + b + c + d + 1) - X.scale(n), cx=-X_ONE_MINUS_X, cy=XY),
+        (0, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+    "M30p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(a) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY),
+        (0, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + a),
+    "M40p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(
+            c0=_cst(k) - ONE_MINUS_X.scale(n), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
+        (-1, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
+    "M50p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(n), cx=ONE_MINUS_X, cy=-Y),
+        (-1, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+    "M60p": SparseRelation(
+        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k + b + c + d + 1), cx=-ONE_MINUS_X, cy=Y),
+        (0, 0), (+1, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
 }
 
 
@@ -390,7 +374,6 @@ FAMILY = Family(
     params=lambda p: as_tuple(p, 4),
     member=lambda n, k, a, b, c, d: triangle_poly_raw(n, k, a, b, c, d),
     valid=lambda idx: 0 <= idx[1] <= idx[0],
-    operator=lambda op, idx, params: m_operator(op, idx, params),
     sparse=SPARSE_2D,
     second_order=SECOND_ORDER_2D,
     pde=PDE_2D,

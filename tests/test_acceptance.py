@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simplexpoly import quadrature, sweeps
+from simplexpoly import quadrature, simplex3d, sweeps, triangle2d
 from simplexpoly.operators import summarize
 
 F = Fraction
@@ -78,14 +78,14 @@ def test_criterion_2_bivariate_suite(config):
     tasks += [
         ("so2d", key, idx, params, None)
         for params in grid2
-        for idx in sweeps.indices_2d(int(two["degree"]))
+        for idx in triangle2d.indices(int(two["degree"]))
         for key in sweeps.triangle2d.SECOND_ORDER_2D
     ]
     pde2 = config["suites"]["pde"]["twod"]
     tasks += [
         ("pde2d", which, idx, params, None)
         for params in sweeps.parse_grid(pde2["params"], 4)
-        for idx in sweeps.indices_2d(int(pde2["degree"]))
+        for idx in triangle2d.indices(int(pde2["degree"]))
         for which in ("L1", "L2", "B1")
     ]
     reports, summary, elapsed = _run(tasks)
@@ -108,14 +108,14 @@ def test_criterion_3_trivariate_suite(config):
     tasks += [
         ("so3d", key, idx, params, None)
         for params in grid3
-        for idx in sweeps.indices_3d(int(three["degree"]))
+        for idx in simplex3d.indices(int(three["degree"]))
         for key in sweeps.simplex3d.SECOND_ORDER_3D
     ]
     pde3 = config["suites"]["pde"]["threed"]
     tasks += [
         ("pde3d", which, idx, params, None)
         for params in sweeps.parse_grid(pde3["params"], 6)
-        for idx in sweeps.indices_3d(int(pde3["degree"]))
+        for idx in simplex3d.indices(int(pde3["degree"]))
         for which in ("T1", "T2", "T3", "T4")
     ]
     reports, summary, elapsed = _run(tasks)
@@ -210,12 +210,12 @@ def test_criterion_7_monic_solutions(config):
     tasks = [
         ("monic2d", None, idx, params, None)
         for params in sweeps.parse_grid(pde["twod"]["params"], 4)
-        for idx in sweeps.indices_2d(monic_degree)
+        for idx in triangle2d.indices(monic_degree)
     ]
     tasks += [
         ("monic3d", None, idx, params, None)
         for params in sweeps.parse_grid(pde["threed"]["params"], 6)
-        for idx in sweeps.indices_3d(monic_degree)
+        for idx in simplex3d.indices(monic_degree)
     ]
     reports, summary, elapsed = _run(tasks)
     _announce("7 (monic solutions)", summary, elapsed, 20)

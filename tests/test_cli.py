@@ -77,13 +77,13 @@ def test_verify_flags_operator_typo_as_erratum(tmp_path, monkeypatch, capsys):
     # N10 with c0 = n2+n3+1 instead of n2+n3: the exact division by (1-x)
     # then leaves a remainder on every sample, which must fail the sample
     # rather than end the run.
-    real = simplex3d.n_operator
+    rel = simplex3d.THEOREM1["N10"]
 
-    def typo(op, idx, p):
-        descriptor = real(op, idx, p)
-        return replace(descriptor, c0=descriptor.c0 + 1) if op == "N10" else descriptor
+    def typo(*args):
+        descriptor = rel.operator(*args)
+        return replace(descriptor, c0=descriptor.c0 + 1)
 
-    monkeypatch.setattr(simplex3d, "n_operator", typo)
+    monkeypatch.setitem(simplex3d.THEOREM1, "N10", replace(rel, operator=typo))
     config = tmp_path / "theorem1.json"
     config.write_text(json.dumps({"suites": {"theorem1": {
         "degree": 2,
@@ -114,10 +114,15 @@ def test_usage_error_exit_code():
     assert err.value.code == EX_USAGE
 
 
-def test_bad_params_exit_usage(capsys):
-    code = main(
-        ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params", "0,0"]
-    )
+@pytest.mark.parametrize("argv", [
+    ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params", "0,0"],
+    ["print-poly", "--family", "simplex", "--index=-1,0,0", "--params", "0,0,0,0,0,0"],
+    ["print-poly", "--family", "triangle", "--index", "1,2", "--params", "0,0,0,0"],
+    ["connect", "--mode", "alpha", "--index=-1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],
+    ["gram", "--N", "2", "--points", "0", "--params", "0,0,0,0,0,0"],
+], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points"])
+def test_bad_params_exit_usage(argv, capsys):
+    code = main(argv)
     assert code == EX_USAGE
 
 

@@ -8,9 +8,8 @@ import hypothesis.strategies as st
 
 from simplexpoly.jacobi1d import (
     JacobiParams,
-    LADDER_IDS,
     SECOND_ORDER_1D,
-    ladder_operator,
+    SPARSE_1D,
     norm_ratio,
     shifted_jacobi,
     shifted_jacobi_raw,
@@ -90,11 +89,11 @@ def test_orthogonality_by_weighted_moments():
 
 def test_operator_descriptors():
     a, b = F(1, 3), F(5, 2)
-    op = ladder_operator("L1", 4, (a, b))
+    op = SPARSE_1D["L1"].operator(4, a, b)
     assert (op.c0, op.cx) == (ZERO, ONE)
-    op = ladder_operator("L6", 4, (a, b))
+    op = SPARSE_1D["L6"].operator(4, a, b)
     assert (op.c0, op.cx) == (MPoly.const(b), X)
-    op = ladder_operator("L5p", 4, (a, b))
+    op = SPARSE_1D["L5p"].operator(4, a, b)
     assert (op.c0, op.cx) == (MPoly.const(4), ONE_MINUS_X)
 
 
@@ -118,7 +117,7 @@ def test_second_order_spot_examples():
 
 
 def test_table_sizes():
-    assert len(LADDER_IDS) == 12
+    assert len(SPARSE_1D) == 12
     assert len(SECOND_ORDER_1D) == 24
 
 
@@ -127,7 +126,7 @@ params_strategy = st.sampled_from(GRID)
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(LADDER_IDS),
+    st.sampled_from(list(SPARSE_1D)),
     st.integers(0, 8),
     params_strategy,
     params_strategy,

@@ -17,15 +17,12 @@ from simplexpoly.ratpoly import (
 from simplexpoly.simplex3d import (
     DERIVATIVE_IDS,
     MULTIPLICATION_IDS,
-    OPERATOR_IDS_3D,
     SECOND_ORDER_3D,
     THEOREM1,
     Index3,
     SimplexParams,
     classical_simplex_poly,
     monic_simplex,
-    n_operator,
-    o_operator,
     pde_residual_3d,
     simplex_norm,
     simplex_poly,
@@ -119,13 +116,13 @@ def test_orthogonality_of_distinct_members():
 def test_operator_descriptors():
     idx = (2, 1, 3)
     al, be, ga, de, a, b = PARAMS_GRID[1]
-    op = o_operator("O10", idx, PARAMS_GRID[1])
+    op = THEOREM1["O10"].operator(*idx, *PARAMS_GRID[1])
     assert op.cz == ONE and op.c0.is_zero
-    op = n_operator("N06", idx, PARAMS_GRID[1])
+    op = THEOREM1["N06"].operator(*idx, *PARAMS_GRID[1])
     assert op.denom == ONE_MINUS_XY
     assert op.c0 == ONE_MINUS_XY.scale(be) + Y.scale(3)
     assert op.cy == Y * ONE_MINUS_XY and op.cz == -(Y * Z)
-    op = o_operator("O60p", idx, PARAMS_GRID[1])
+    op = THEOREM1["O60p"].operator(*idx, *PARAMS_GRID[1])
     assert op.c0 == MPoly.const(de) and op.cz == -ONE_MINUS_XYZ
 
 
@@ -142,7 +139,6 @@ def test_second_order_spot_examples():
 
 
 def test_table_sizes():
-    assert len(OPERATOR_IDS_3D) == 36
     assert len(THEOREM1) == 36
     assert len(SECOND_ORDER_3D) == 36
 
@@ -150,7 +146,7 @@ def test_table_sizes():
 @pytest.mark.parametrize("params", PARAMS_GRID)
 def test_all_relations_small_sweep(params):
     for idx in indices(3):
-        for op in OPERATOR_IDS_3D:
+        for op in THEOREM1:
             assert verify_theorem1(op, idx, params).ok, (op, idx)
         for key in SECOND_ORDER_3D:
             assert verify_second_order_3d(key, idx, params).ok, (key, idx)

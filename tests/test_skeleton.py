@@ -1,9 +1,10 @@
 """Mutation checks on the verification skeleton shared by the families.
 
-One wrong entry in any family's tables (a sparse scale, an index shift, a
-composition eigenvalue, a differential-equation coefficient) must make
-its relation fail on every applicable sample of a small slice, so that
-`summarize` flags it as an erratum candidate.
+One wrong entry in any family's tables (a sparse operator coefficient, a
+sparse scale, an index shift, a composition eigenvalue, a
+differential-equation coefficient) must make its relation fail on every
+applicable sample of a small slice, so that `summarize` flags it as an
+erratum candidate.
 """
 
 from dataclasses import replace
@@ -44,6 +45,16 @@ def _summary(family, table, rel):
     return summarize(sweeps.run_tasks(tasks))
 
 
+def _mutate_operator(fam, monkeypatch, rel):
+    old = fam.sparse[rel]
+
+    def operator(*args):
+        descriptor = old.operator(*args)
+        return replace(descriptor, c0=descriptor.c0 + ONE)
+
+    monkeypatch.setitem(fam.sparse, rel, replace(old, operator=operator))
+
+
 def _mutate_scale(fam, monkeypatch, rel):
     old = fam.sparse[rel]
     monkeypatch.setitem(fam.sparse, rel, replace(old, scale=lambda *a: old.scale(*a) + 1))
@@ -72,6 +83,7 @@ def _mutate_pde(fam, monkeypatch, rel):
 
 # mutation -> (table it touches: 0 sparse, 1 composition, 2 equation)
 MUTATIONS = {
+    "operator": (_mutate_operator, 0),
     "scale": (_mutate_scale, 0),
     "shift": (_mutate_shift, 0),
     "eig": (_mutate_eig, 1),

@@ -6,12 +6,11 @@ import pytest
 
 from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, Y
 from simplexpoly.triangle2d import (
-    M_IDS,
     SECOND_ORDER_2D,
+    SPARSE_2D,
     TriangleParams,
     TriIndex,
     classical_triangle_poly_raw,
-    m_operator,
     monic_triangle,
     pde_residual,
     triangle_norm_ratio,
@@ -92,11 +91,11 @@ def test_orthogonality_of_distinct_members():
 
 def test_operator_descriptors():
     a, b, c, d = F(1, 3), F(1), F(-1, 2), F(2)
-    op = m_operator("M01", (3, 2), (a, b, c, d))
+    op = SPARSE_2D["M01"].operator(3, 2, a, b, c, d)
     assert op.cy == ONE and op.c0.is_zero
-    op = m_operator("M06", (3, 2), (a, b, c, d))
+    op = SPARSE_2D["M06"].operator(3, 2, a, b, c, d)
     assert op.c0 == MPoly.const(b) and op.cy == Y
-    op = m_operator("M40p", (3, 2), (a, b, c, d))
+    op = SPARSE_2D["M40p"].operator(3, 2, a, b, c, d)
     assert op.denom == ONE_MINUS_X
     assert op.c0 == MPoly.const(2) - ONE_MINUS_X.scale(3)
     assert op.cx == X * ONE_MINUS_X and op.cy == -(X * Y)
@@ -115,14 +114,14 @@ def test_second_order_spot_examples():
 
 
 def test_table_sizes():
-    assert len(M_IDS) == 24
+    assert len(SPARSE_2D) == 24
     assert len(SECOND_ORDER_2D) == 24
 
 
 @pytest.mark.parametrize("params", PARAMS_GRID)
 def test_all_relations_small_sweep(params):
     for idx in indices(4):
-        for op in M_IDS:
+        for op in SPARSE_2D:
             assert verify_m_relation(op, idx, params).ok, (op, idx)
         for key in SECOND_ORDER_2D:
             assert verify_second_order_m(key, idx, params).ok, (key, idx)
