@@ -30,6 +30,7 @@ def main() -> int:
 
     exit_code = 0
     grand = {"pass": 0, "fail": 0, "not_applicable": 0}
+    wall = time.perf_counter()
     for suite in sweeps.SUITES:
         start = time.perf_counter()
         reports = sweeps.run_suite(suite, config, jobs=args.jobs)
@@ -53,7 +54,8 @@ def main() -> int:
         )
     print(
         f"{'total':<14} {grand['pass']:>6} pass "
-        f"{grand['fail']:>4} fail {grand['not_applicable']:>5} n/a"
+        f"{grand['fail']:>4} fail {grand['not_applicable']:>5} n/a "
+        f"{time.perf_counter() - wall:7.1f}s"
     )
     return exit_code
 

@@ -98,12 +98,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-# --family -> (module, index length, parameter count, monic constructor)
+# --family -> (module, index length, parameter count, parameter record,
+# monic constructor); the record checks the parameter domain.
 _FAMILIES = {
-    "jacobi": (jacobi1d, 1, 2, None),
-    "triangle": (triangle2d, 2, 4, "monic_triangle"),
-    "simplex": (simplex3d, 3, 6, "monic_simplex"),
+    "jacobi": (jacobi1d, 1, 2, jacobi1d.JacobiParams, None),
+    "triangle": (triangle2d, 2, 4, triangle2d.TriangleParams, "monic_triangle"),
+    "simplex": (simplex3d, 3, 6, simplex3d.SimplexParams, "monic_simplex"),
 }
+
+#: Largest normalized off-diagonal Gram entry the float path may leave.
+GRAM_BOUND = 1e-10
 
 
 def _check_index(idx, family: str) -> None:
@@ -114,14 +118,14 @@ def _check_index(idx, family: str) -> None:
 
 
 def cmd_print_poly(args) -> int:
-    module, dims, arity, monic = _FAMILIES[args.family]
+    module, dims, arity, params_record, monic = _FAMILIES[args.family]
     if args.monic and monic is None:
         raise ValueError("--monic applies to triangle and simplex families")
     idx = _ints(args.index)
     if len(idx) != dims:
         raise ValueError(f"expected {dims} comma-separated index values, got {len(idx)}")
     _check_index(idx, args.family)
-    params = _fractions(args.params, arity)
+    params = params_record(*_fractions(args.params, arity)).as_tuple()
     if args.monic:
         poly = getattr(module, monic)(idx, params)
     else:
@@ -179,6 +183,11 @@ def cmd_gram(args) -> int:
     for label, row in zip(labels, np.asarray(gram)):
         lines.append(label + ";" + ";".join(_fmt(v) for v in row))
     _emit("\n".join(lines) + "\n", args.out)
+    worst = quadrature.gram_offdiag_max(idxs, gram)
+    if worst > GRAM_BOUND:
+        print(f"simplexpoly: gram: worst normalized off-diagonal entry {worst:.3e} "
+              f"exceeds the bound {GRAM_BOUND:.0e}", file=sys.stderr)
+        return EX_FAIL
     return EX_OK
 
 

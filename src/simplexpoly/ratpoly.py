@@ -1,25 +1,35 @@
 """Exact sparse polynomial arithmetic in (x, y, z) over the rationals.
 
-A polynomial is represented as a dictionary mapping exponent triples
-(i, j, k) to nonzero Fraction coefficients:
+A polynomial is stored as integer numerators over one common positive
+denominator: a dictionary `_num` mapping exponent triples (i, j, k) to
+nonzero ints, and an int `_den`:
 
-    x^2*y + 3/4   ->   {(2, 1, 0): Fraction(1), (0, 0, 0): Fraction(3, 4)}
+    x^2*y + 3/4   ->   _num = {(2, 1, 0): 4, (0, 0, 0): 3},  _den = 4
 
-The zero polynomial is the empty map.  Zero coefficients are never stored,
-so two polynomials are equal iff their term maps are equal; every identity
-check in this package is a direct structural comparison of canonical forms.
-Coefficients are always Fractions, never floats: float evaluation exists
-only for quadrature (see `MPoly.eval_float`).
+The form is canonical: no zero numerator is stored, `_den > 0`, and
+gcd(_den, *numerators) == 1; the zero polynomial is the empty map over 1.
+So two polynomials are equal iff their denominators and term maps are
+equal, and every identity check in this package is a direct structural
+comparison of canonical forms.  The kernels below run on ints and restore
+the canonical form with one gcd per result, in the manner of the
+integer-coefficient kernels of Monagan & Pearce, "Sparse polynomial
+multiplication and division in Maple 14" (2010).
+
+The interface speaks Fractions: `terms`, `coeff`, `constant` and
+`evaluate` return them, the constructor and `scale` take them, and
+coefficients are never floats; float evaluation exists only for
+quadrature (see `MPoly.eval_float`).
 
 Instances are immutable by convention: every operation returns a fresh
-MPoly and nothing mutates `_terms` after construction.  This makes the
-values safe to cache and to share across processes.
+MPoly and nothing mutates `_num` or `_den` after construction.  This makes
+the values safe to cache and to share across processes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from math import gcd, lcm
+from typing import Dict, Iterator, Tuple, Union
 
 Exponent = Tuple[int, int, int]
 Scalar = Union[int, Fraction]
@@ -49,70 +59,86 @@ def _as_fraction(v: Scalar) -> Fraction:
     return Fraction(v)
 
 
+def _ratio(v: Scalar) -> Tuple[int, int]:
+    """(numerator, denominator) of a scalar, the denominator positive."""
+    if type(v) is int:
+        return v, 1
+    v = _as_fraction(v)
+    return v.numerator, v.denominator
+
+
 class MPoly:
     """Sparse polynomial in (x, y, z) with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, terms: Dict[Exponent, Fraction] = None, *, _clean: bool = True):
-        if terms is None:
-            self._terms: Dict[Exponent, Fraction] = {}
-        elif _clean:
-            self._terms = {e: c for e, c in terms.items() if c != 0}
-        else:
-            self._terms = terms
+    def __init__(self, terms: Dict[Exponent, Scalar] = None):
+        """The polynomial sum(c * x^i y^j z^k) of a map {(i, j, k): c}."""
+        self._num: Dict[Exponent, int] = {}
+        self._den = 1
+        if not terms:
+            return
+        ratios = {e: _ratio(c) for e, c in terms.items()}
+        # Over the lcm of the denominators the numerators are already
+        # coprime to it: the factor p^k of the lcm comes from a term whose
+        # denominator holds all of p^k, and that term's numerator lacks p.
+        # A zero coefficient has denominator 1, so the zero map gets 1.
+        den = lcm(*(d for _, d in ratios.values()))
+        self._num = {e: n * (den // d) for e, (n, d) in ratios.items() if n}
+        self._den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "MPoly":
-        return MPoly({}, _clean=False)
+        return _poly({}, 1)
 
     @staticmethod
     def const(c: Scalar) -> "MPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return MPoly.zero()
-        return MPoly({(0, 0, 0): c}, _clean=False)
+        n, d = _ratio(c)
+        if n == 0:
+            return _poly({}, 1)
+        return _poly({(0, 0, 0): n}, d)
 
     @staticmethod
     def monomial(exps: Exponent, coeff: Scalar = 1) -> "MPoly":
-        c = _as_fraction(coeff)
-        if c == 0:
-            return MPoly.zero()
+        n, d = _ratio(coeff)
+        if n == 0:
+            return _poly({}, 1)
         if min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
-        return MPoly({tuple(exps): c}, _clean=False)
+        return _poly({tuple(exps): n}, d)
 
     @staticmethod
     def variable(name: str) -> "MPoly":
         exps = [0, 0, 0]
         exps[_VAR_AXIS[name]] = 1
-        return MPoly({tuple(exps): Fraction(1)}, _clean=False)
+        return _poly({tuple(exps): 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
-    def terms(self) -> Iterable[Tuple[Exponent, Fraction]]:
-        return self._terms.items()
+    def terms(self) -> "_Terms":
+        """The (exponent, Fraction) pairs, as a sized iterable."""
+        return _Terms(self)
 
     def degree(self, var: str) -> int:
         """Max exponent of `var`; -1 for the zero polynomial."""
         axis = _VAR_AXIS[var]
-        return max((e[axis] for e in self._terms), default=-1)
+        return max((e[axis] for e in self._num), default=-1)
 
     def coeff(self, i: int, j: int, k: int) -> Fraction:
-        return self._terms.get((i, j, k), Fraction(0))
+        return Fraction(self._num.get((i, j, k), 0), self._den)
 
     def constant(self) -> Fraction:
         """The coefficient as a scalar; raises if not a constant polynomial."""
         if self.is_zero:
             return Fraction(0)
-        if len(self._terms) == 1 and (0, 0, 0) in self._terms:
-            return self._terms[(0, 0, 0)]
+        if len(self._num) == 1 and (0, 0, 0) in self._num:
+            return Fraction(self._num[(0, 0, 0)], self._den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     # -- arithmetic --------------------------------------------------------
@@ -124,23 +150,34 @@ class MPoly:
             return other
         if other.is_zero:
             return self
-        out = dict(self._terms)
-        for e, c in other._terms.items():
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        if d1 == d2:
+            out = dict(self._num)
+            s2 = 1
+        else:
+            s1, s2 = d2 // g, d1 // g
+            out = {e: c * s1 for e, c in self._num.items()}
+        for e, c in other._num.items():
+            c *= s2
             s = out.get(e)
             if s is None:
                 out[e] = c
             else:
-                s = s + c
-                if s == 0:
-                    del out[e]
-                else:
+                s += c
+                if s:
                     out[e] = s
-        return MPoly(out, _clean=False)
+                else:
+                    del out[e]
+        # Over the lcm, a prime that divides every numerator must divide g:
+        # one outside g would divide the content of one operand and its
+        # denominator, which the canonical form rules out.
+        return _canon(out, d2 * s2, g)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly({e: -c for e, c in self._terms.items()}, _clean=False)
+        return _poly({e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if not isinstance(other, MPoly):
@@ -154,25 +191,28 @@ class MPoly:
         if not isinstance(other, MPoly):
             return self.scale(other)
         if self.is_zero or other.is_zero:
-            return MPoly.zero()
-        a, b = self._terms, other._terms
+            return _poly({}, 1)
+        a, b = self._num, other._num
         if len(a) > len(b):
             a, b = b, a
-        out: Dict[Exponent, Fraction] = {}
+        bt = list(b.items())
+        out: Dict[Exponent, int] = {}
+        get = out.get
         for (i1, j1, k1), c1 in a.items():
-            for (i2, j2, k2), c2 in b.items():
+            for (i2, j2, k2), c2 in bt:
                 e = (i1 + i2, j1 + j2, k1 + k2)
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return MPoly(out)
+                out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return _canon(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "MPoly":
-        c = _as_fraction(c)
-        if c == 0:
-            return MPoly.zero()
-        return MPoly({e: c * v for e, v in self._terms.items()}, _clean=False)
+        n, d = _ratio(c)
+        if n == 0:
+            return _poly({}, 1)
+        return _canon({e: v * n for e, v in self._num.items()}, self._den * d)
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -189,15 +229,15 @@ class MPoly:
     def diff(self, var: str) -> "MPoly":
         """Formal partial derivative with respect to `var`."""
         axis = _VAR_AXIS[var]
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
+        out: Dict[Exponent, int] = {}
+        for e, c in self._num.items():
             m = e[axis]
             if m == 0:
                 continue
             ne = list(e)
             ne[axis] = m - 1
             out[tuple(ne)] = c * m
-        return MPoly(out, _clean=False)
+        return _canon(out, self._den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -205,15 +245,16 @@ class MPoly:
         """Exact value at a rational point (x, y, z)."""
         px, py, pz = (_as_fraction(v) for v in point)
         total = Fraction(0)
-        for (i, j, k), c in self._terms.items():
+        for (i, j, k), c in self._num.items():
             total += c * px**i * py**j * pz**k
-        return total
+        return total / self._den
 
     def eval_float(self, x, y=0.0, z=0.0):
         """Float evaluation; accepts scalars or numpy arrays."""
+        den = self._den
         total = 0.0 * x
-        for (i, j, k), c in self._terms.items():
-            total = total + float(c) * x**i * y**j * z**k
+        for (i, j, k), c in self._num.items():
+            total = total + float(Fraction(c, den)) * x**i * y**j * z**k
         return total
 
     # -- exact division ----------------------------------------------------
@@ -225,52 +266,62 @@ class MPoly:
         of x with constant coefficient.  Every admissible divisor here
         (1-x, 1-x-y, 1-x-y-z and their products) has this shape, so a
         single synthetic long division in x decides divisibility.
-        """
-        dterms = d._terms
-        if not dterms:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if len(dterms) == 1 and (0, 0, 0) in dterms:
-            return self.scale(1 / dterms[(0, 0, 0)])
-        dxdeg = max(e[0] for e in dterms)
-        lead = [(e, c) for e, c in dterms.items() if e[0] == dxdeg]
-        if dxdeg == 0 or len(lead) != 1 or lead[0][0] != (dxdeg, 0, 0):
-            raise ValueError(f"unsupported divisor shape: {d}")
-        lead_coeff = lead[0][1]
 
-        quot: Dict[Exponent, Fraction] = {}
-        rem = dict(self._terms)
-        while rem:
-            m = max(e[0] for e in rem)
-            if m < dxdeg:
-                break
+        The division runs on integers: d's rational content comes out
+        first (2-2x divides as 1-x), and a leading coefficient that is
+        still not +-1 (as in 1-2x) is met by pseudo-division, which
+        multiplies the dividend by a power of it up front.
+        """
+        dnum = d._num
+        if not dnum:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if len(dnum) == 1 and (0, 0, 0) in dnum:
+            return self.scale(Fraction(d._den, dnum[(0, 0, 0)]))
+        dxdeg = max(e[0] for e in dnum)
+        lead = [e for e in dnum if e[0] == dxdeg]
+        if dxdeg == 0 or len(lead) != 1 or lead[0] != (dxdeg, 0, 0):
+            raise ValueError(f"unsupported divisor shape: {d}")
+
+        # d = (content / d._den) * prim, with prim an integer polynomial.
+        content = gcd(*dnum.values())
+        prim = [(e, c // content) for e, c in dnum.items()]
+        lc = dnum[lead[0]] // content
+        # f * self._num divides by prim in integers: f is lc to the number
+        # of x-degrees the loop below eliminates, at most.
+        mx = max((e[0] for e in self._num), default=-1)
+        f = 1 if lc in (1, -1) else lc ** max(0, mx - dxdeg + 1)
+        rem = {e: c * f for e, c in self._num.items()}
+
+        quot: Dict[Exponent, int] = {}
+        for m in range(mx, dxdeg - 1, -1):
             top = [(e, c) for e, c in rem.items() if e[0] == m]
             for (i, j, k), c in top:
                 qe = (i - dxdeg, j, k)
-                qc = c / lead_coeff
-                s = quot.get(qe)
-                quot[qe] = qc if s is None else s + qc
-                for (di, dj, dk), dc in dterms.items():
+                qc = c // lc
+                quot[qe] = qc
+                for (di, dj, dk), dc in prim:
                     e = (qe[0] + di, qe[1] + dj, qe[2] + dk)
-                    s = rem.get(e, Fraction(0)) - qc * dc
-                    if s == 0:
-                        rem.pop(e, None)
-                    else:
+                    s = rem.get(e, 0) - qc * dc
+                    if s:
                         rem[e] = s
+                    else:
+                        rem.pop(e, None)
+        # self = quot * prim / (f * self._den) + rem / (f * self._den)
         if rem:
-            raise NonzeroRemainder(MPoly(rem, _clean=False))
-        return MPoly(quot)
+            raise NonzeroRemainder(_canon(rem, f * self._den))
+        return _canon({e: c * d._den for e, c in quot.items()}, f * self._den * content)
 
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == MPoly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._num.items())))
 
     def to_text(self) -> str:
         """Canonical textual form: sorted `coeff * x^i y^j z^k` terms.
@@ -280,14 +331,14 @@ class MPoly:
         """
         if self.is_zero:
             return "0"
-        keys = sorted(self._terms, key=lambda e: (sum(e), e), reverse=True)
+        keys = sorted(self._num, key=lambda e: (sum(e), e), reverse=True)
         parts = []
         for e, first in zip(keys, [True] + [False] * len(keys)):
-            c = self._terms[e]
+            c = self._num[e]
             mono = " ".join(
                 f"{v}^{p}" for v, p in zip(_VARS, e) if p > 0
             )
-            mag = abs(c)
+            mag = Fraction(abs(c), self._den)
             body = f"{mag} * {mono}" if mono else f"{mag}"
             if first:
                 parts.append(body if c > 0 else f"-{body}")
@@ -299,6 +350,49 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.to_text()})"
+
+
+class _Terms:
+    """A view of an MPoly's terms: its length costs nothing, and the
+    Fraction coefficients are made only as the pairs are iterated."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: MPoly):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self) -> Iterator[Tuple[Exponent, Fraction]]:
+        den = self._poly._den
+        return ((e, Fraction(n, den)) for e, n in self._poly._num.items())
+
+
+def _poly(num: Dict[Exponent, int], den: int) -> MPoly:
+    """An MPoly over num/den, which must already be canonical."""
+    p = object.__new__(MPoly)
+    p._num = num
+    p._den = den
+    return p
+
+
+def _canon(num: Dict[Exponent, int], den: int, g: int = None) -> MPoly:
+    """The canonical MPoly num/den, for a nonzero den and no zero in num.
+
+    `g` is a divisor of den known to hold every factor that den may share
+    with all the numerators (den itself when nothing better is known).
+    """
+    if not num:
+        return _poly({}, 1)
+    if den < 0:
+        num = {e: -c for e, c in num.items()}
+        den = -den
+    g = gcd(den if g is None else g, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    return _poly(num, den)
 
 
 # Shared building blocks used throughout the operator catalogs.

@@ -137,3 +137,82 @@ def tetra_weighted_mean(p: MPoly, params) -> Fraction:
         ) * (rising(ga + 1, k) / rising(ga + de + 2, k))
         total += coef * mu
     return total
+
+
+# ---------------------------------------------------------------------------
+# Reference polynomial arithmetic on plain {(i, j, k): Fraction} maps, with
+# no zero coefficient stored.  It keeps every coefficient a Fraction, so it
+# checks the integer-numerator kernels of `MPoly` without sharing any code.
+# ---------------------------------------------------------------------------
+
+def nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return nonzero(out)
+
+
+def ref_scale(p: dict, c) -> dict:
+    return nonzero({e: Fraction(c) * v for e, v in p.items()})
+
+
+def ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for (i1, j1, k1), c1 in p.items():
+        for (i2, j2, k2), c2 in q.items():
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return nonzero(out)
+
+
+def ref_diff(p: dict, axis: int) -> dict:
+    out = {}
+    for e, c in p.items():
+        if e[axis]:
+            ne = list(e)
+            ne[axis] -= 1
+            out[tuple(ne)] = c * e[axis]
+    return out
+
+
+def ref_divmod(p: dict, d: dict):
+    """(quotient, remainder) of p by d in x over Q[y, z], for a divisor
+    whose highest x-power is a unique pure-x term; ValueError otherwise."""
+    if set(d) == {(0, 0, 0)}:
+        return ref_scale(p, 1 / d[(0, 0, 0)]), {}
+    top = max(e[0] for e in d)
+    leads = [e for e in d if e[0] == top]
+    if top == 0 or leads != [(top, 0, 0)]:
+        raise ValueError("unsupported divisor shape")
+    quot, rem = {}, dict(p)
+    while rem and max(e[0] for e in rem) >= top:
+        m = max(e[0] for e in rem)
+        step = {(e[0] - top, e[1], e[2]): c / d[(top, 0, 0)]
+                for e, c in rem.items() if e[0] == m}
+        quot = ref_add(quot, step)
+        rem = ref_add(rem, ref_scale(ref_mul(step, d), -1))
+    return quot, rem
+
+
+def ref_evaluate(p: dict, point) -> Fraction:
+    x, y, z = (Fraction(v) for v in point)
+    return sum((c * x**i * y**j * z**k for (i, j, k), c in p.items()), Fraction(0))
+
+
+def ref_to_text(p: dict) -> str:
+    """`coeff * x^i y^j z^k` terms by descending (total degree, exponents),
+    each after its sign; the first sign is written only when negative."""
+    if not p:
+        return "0"
+    out = []
+    for e in sorted(p, key=lambda e: (sum(e), e), reverse=True):
+        c = p[e]
+        mono = " ".join(f"{v}^{n}" for v, n in zip("xyz", e) if n)
+        body = f"{abs(c)} * {mono}" if mono else str(abs(c))
+        sign = "-" if c < 0 else "+"
+        out.append((f"{sign} " if out else ("-" if c < 0 else "")) + body)
+    return " ".join(out)

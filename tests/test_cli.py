@@ -120,7 +120,14 @@ def test_usage_error_exit_code():
     ["print-poly", "--family", "triangle", "--index", "1,2", "--params", "0,0,0,0"],
     ["connect", "--mode", "alpha", "--index=-1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],
     ["gram", "--N", "2", "--points", "0", "--params", "0,0,0,0,0,0"],
-], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points"])
+    ["print-poly", "--family", "jacobi", "--index", "2", "--params=-1,0"],
+    ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=-2,0,0,0,0,0"],
+    ["print-poly", "--family", "triangle", "--index", "1,0", "--params=0,0,-1,0", "--monic"],
+    ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=0,0,0,-3/2,0,0",
+     "--monic"],
+], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
+        "jacobi-param-at-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
+        "monic-simplex-param-below-pole"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE
@@ -156,6 +163,18 @@ def test_gram_csv_output(capsys, tmp_path):
     assert code == EX_OK
     rows = path.read_text().splitlines()
     assert len(rows) == 5  # header + four members
+
+
+def test_gram_reports_missed_bound(capsys, tmp_path):
+    # The worst normalized off-diagonal entry at N = 12 is 3.74e-9.
+    path = tmp_path / "g12.csv"
+    code = main(["gram", "--N", "12", "--params", "0,0,0,0,0,0", "--out", str(path)])
+    assert code == EX_FAIL
+    assert len(path.read_text().splitlines()) == 456  # header + 455 members
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "3.739e-09" in err[0] and "1e-10" in err[0]
+    assert main(["gram", "--N", "4", "--params", "0,0,0,0,0,0", "--out", str(path)]) == EX_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_connect_alpha_json(capsys):

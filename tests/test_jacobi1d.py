@@ -144,3 +144,15 @@ def test_ladder_relations_hold(op, n, a, b):
 )
 def test_second_order_identities_hold(entry, n, a, b):
     assert verify_second_order_1d(entry, n, (a, b)).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([F(-1), F(-2)]),
+    st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(lambda b: b > -1),
+    st.integers(0, 5),
+)
+def test_ladder_relations_hold_next_to_the_pole(a, b, n):
+    # a = -1 and a = -2 take the binomial-sum branch of shifted_jacobi_raw.
+    failed = [op for op in SPARSE_1D if verify_ladder(op, n, (a, b)).status == "fail"]
+    assert failed == []

@@ -1,6 +1,8 @@
-"""Exact polynomial arithmetic: examples, ring axioms, division."""
+"""Exact polynomial arithmetic: examples, ring axioms, division, and
+agreement of every kernel with a plain Fraction-dict reference."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,17 @@ from simplexpoly.ratpoly import (
     Y,
     Z,
     ZERO,
+)
+
+from oracles import (
+    nonzero,
+    ref_add,
+    ref_diff,
+    ref_divmod,
+    ref_evaluate,
+    ref_mul,
+    ref_scale,
+    ref_to_text,
 )
 
 F = Fraction
@@ -150,3 +163,151 @@ def test_identity_testing_on_grid(p, q):
         for z in pts
     )
     assert agree == (p == q)
+
+
+# -- agreement with the Fraction-dict reference ------------------------------
+
+term_maps = st.dictionaries(exponents, coeffs, max_size=6)
+scalars = coeffs | st.integers(-60, 60) | st.fractions(max_denominator=40)
+points = st.tuples(*[st.fractions(min_value=-2, max_value=2, max_denominator=5)] * 3)
+
+
+def canonical(p):
+    """p itself, after checking the canonical form: positive denominator,
+    no zero numerator, coprime content, and the zero polynomial over 1."""
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c for c in p._num.values())
+    assert gcd(p._den, *p._num.values()) == 1
+    assert p._num or p._den == 1
+    return p
+
+
+def ref(p):
+    return dict(p.terms())
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_maps)
+def test_inspection_agrees(t):
+    p = canonical(MPoly(t))
+    t = nonzero(t)
+    assert ref(p) == t and len(p.terms()) == len(t)
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert p.to_text() == ref_to_text(t)
+    for e in list(t) + [(4, 4, 4)]:
+        assert p.coeff(*e) == t.get(e, 0) and type(p.coeff(*e)) is Fraction
+    if set(t) <= {(0, 0, 0)}:
+        assert p.constant() == t.get((0, 0, 0), 0)
+    else:
+        with pytest.raises(ValueError):
+            p.constant()
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_maps, term_maps)
+def test_add_sub_mul_agree(t1, t2):
+    p, q = MPoly(t1), MPoly(t2)
+    t1, t2 = nonzero(t1), nonzero(t2)
+    assert ref(canonical(p + q)) == ref_add(t1, t2)
+    assert ref(canonical(p - q)) == ref_add(t1, ref_scale(t2, -1))
+    assert ref(canonical(p * q)) == ref_mul(t1, t2)
+    assert ref(canonical(-p)) == ref_scale(t1, -1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_maps, scalars)
+def test_scalar_ops_agree(t, c):
+    p = MPoly(t)
+    t = nonzero(t)
+    assert ref(canonical(p.scale(c))) == ref_scale(t, c)
+    assert ref(canonical(p * c)) == ref_scale(t, c)
+    assert ref(canonical(p + c)) == ref_add(t, nonzero({(0, 0, 0): Fraction(c)}))
+    assert ref(canonical(c - p)) == ref_add(nonzero({(0, 0, 0): Fraction(c)}), ref_scale(t, -1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(term_maps, st.sampled_from(["x", "y", "z"]))
+def test_diff_agrees(t, var):
+    assert ref(canonical(MPoly(t).diff(var))) == ref_diff(nonzero(t), "xyz".index(var))
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_maps, points)
+def test_evaluate_agrees(t, point):
+    value = MPoly(t).evaluate(point)
+    assert type(value) is Fraction and value == ref_evaluate(nonzero(t), point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(term_maps, term_maps)
+def test_equal_polynomials_hash_alike(t1, t2):
+    p, q = MPoly(t1), MPoly(t2)
+    assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+    assert (p == q) == (nonzero(t1) == nonzero(t2))
+
+
+def test_rational_constant_times_integer_is_one():
+    half = MPoly.const(F(1, 2))
+    assert half * 2 == ONE and hash(half * 2) == hash(ONE)
+    assert half + half == ONE and hash(half + half) == hash(ONE)
+    assert (X.scale(F(2, 3)) - X.scale(F(2, 3))) == ZERO and hash(X - X) == hash(ZERO)
+
+
+def _assert_division_agrees(t, d):
+    """MPoly(t).div_exact(d) gives the reference quotient, or raises
+    NonzeroRemainder carrying the reference remainder and its text."""
+    quot, rem = ref_divmod(t, d)
+    p, divisor = MPoly(t), MPoly(d)
+    if rem:
+        with pytest.raises(NonzeroRemainder) as err:
+            p.div_exact(divisor)
+        assert ref(canonical(err.value.remainder)) == rem
+        assert str(err.value) == f"nonzero remainder: {ref_to_text(rem)}"
+    else:
+        assert ref(canonical(p.div_exact(divisor))) == quot
+
+
+@st.composite
+def admissible_divisors(draw):
+    """A unique pure-x leading term c * x^k with any nonzero rational c,
+    over terms of lower x-degree."""
+    k = draw(st.integers(1, 2))
+    lead = draw(coeffs.filter(bool) | st.sampled_from([F(2), F(-2), F(1, 3), F(-3, 2)]))
+    lower = draw(st.dictionaries(
+        st.tuples(st.integers(0, k - 1), st.integers(0, 2), st.integers(0, 2)),
+        coeffs, max_size=3))
+    return {**nonzero(lower), (k, 0, 0): lead}
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_maps, term_maps, admissible_divisors(), st.booleans())
+def test_div_exact_agrees(t, q, d, exact):
+    _assert_division_agrees(ref_mul(nonzero(q), d) if exact else nonzero(t), d)
+
+
+CONTENT_DIVISORS = {
+    "2-2x": ONE_MINUS_X.scale(2),
+    "(1-x)/3": ONE_MINUS_X.scale(F(1, 3)),
+    "1-2x": ONE - X.scale(2),
+    "-3(1-x-y)": ONE_MINUS_XY.scale(-3),
+    "(2-2x)(1-x-y-z)/5": ONE_MINUS_X.scale(F(2, 5)) * ONE_MINUS_XYZ,
+    "x/2-y/3": X.scale(F(1, 2)) - Y.scale(F(1, 3)),
+    "3x^2-1": X * X.scale(3) - 1,
+}
+
+
+@pytest.mark.parametrize("name", CONTENT_DIVISORS)
+@settings(max_examples=40, deadline=None)
+@given(term_maps, term_maps, st.booleans())
+def test_div_exact_content_divisors(name, t, q, exact):
+    d = ref(CONTENT_DIVISORS[name])
+    _assert_division_agrees(ref_mul(nonzero(q), d) if exact else nonzero(t), d)
+
+
+def test_div_exact_refusals():
+    for bad in (Y, X * Y + 1, X + X * Y):
+        with pytest.raises(ValueError):
+            X.div_exact(bad)
+    with pytest.raises(ZeroDivisionError):
+        X.div_exact(ZERO)
+    assert (X + 1).div_exact(MPoly.const(F(2, 3))) == (X + 1).scale(F(3, 2))
