@@ -25,6 +25,7 @@ import numpy as np
 
 from . import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from .operators import summarize
+from .special import PoleHit
 
 EX_OK = 0
 EX_FAIL = 1
@@ -194,15 +195,19 @@ def cmd_gram(args) -> int:
 def cmd_connect(args) -> int:
     idx = _ints(args.index)
     _check_index(idx, "simplex")
-    params = _fractions(args.params, 6)
+    params = simplex3d.SimplexParams(*_fractions(args.params, 6)).as_tuple()
     if args.mode == "alpha":
         if args.xi is None:
             raise ValueError("--xi is required for mode=alpha")
-        expansion = simplex3d.connect_alpha(idx, params, sweeps.parse_fraction(args.xi))
+        connect, target = simplex3d.connect_alpha, sweeps.parse_fraction(args.xi)
     else:
         if args.target is None:
             raise ValueError("--target is required for mode=general")
-        expansion = simplex3d.connect_general(idx, params, _fractions(args.target, 4))
+        connect, target = simplex3d.connect_general, _fractions(args.target, 4)
+    try:
+        expansion = connect(idx, params, target)
+    except PoleHit as exc:
+        raise ValueError(f"the connection coefficients have a pole: {exc}") from exc
     ok = expansion.verify()
     payload = {
         "source_index": list(expansion.source_index),

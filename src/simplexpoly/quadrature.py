@@ -12,6 +12,16 @@ weight factorizes exactly through the collapsed substitution
 whose Jacobian (1-u)^2 (1-v) is absorbed into the one-dimensional Jacobi
 exponents, so a tensor rule is exact for weighted polynomial integrands up
 to the tensor order.
+
+Gram matrices never expand a member into monomials.  Each member is a
+product of shifted Jacobi factors in the collapsed coordinates, for the
+tetrahedron
+
+    p_{n1}(u) (1-u)^{n2+n3} . p_{n2}(v) (1-v)^{n3} . p_{n3}(t)
+
+(Koornwinder 1975, Dubiner 1991), so the factors are evaluated at the
+rule's nodes by the orthonormal three-term recurrence and the weighted
+sum over the tensor rule splits into one small Gram matrix per axis.
 """
 
 from __future__ import annotations
@@ -24,10 +34,9 @@ from typing import List, Tuple
 import numpy as np
 
 from . import simplex3d, triangle2d
+from .jacobi1d import h_absolute
 from .operators import as_tuple
 from .special import pochhammer
-from .triangle2d import triangle_poly_raw
-from .simplex3d import simplex_poly_raw
 
 
 class ConvergenceFailure(RuntimeError):
@@ -49,11 +58,36 @@ class QuadRule1D:
         return 2 * len(self.nodes) - 1
 
 
+def jacobi_recurrence(m: int, a: float, b: float):
+    """Orthonormal recurrence coefficients (diag, off) of the weight
+    (1-x)^a x^b on (0, 1), in the variable t = 2x - 1:
+
+        t q_n = off[n+1] q_{n+1} + diag[n] q_n + off[n] q_{n-1},
+
+    for n < m; diag has m entries, off has m + 1 and off[0] = 0.  These are
+    the classical Jacobi coefficients mapped from (-1, 1).
+    """
+    diag = np.zeros(m)
+    off_sq = np.zeros(m + 1)
+    apb = a + b
+    if m:
+        diag[0] = (b - a) / (apb + 2)
+    for i in range(1, m + 1):
+        s = 2 * i + apb
+        if i < m:
+            diag[i] = (b * b - a * a) / (s * (s + 2))
+        # (i + apb) / (s - 1) is 1 at i = 1 for every a, b; taking it as 1
+        # there avoids 0/0 when a + b = -1.
+        ratio = (i + apb) / (s - 1) if i > 1 else 1.0
+        off_sq[i] = 4 * i * (i + a) * (i + b) * ratio / (s * s * (s + 1))
+    return diag, np.sqrt(off_sq)
+
+
 def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     """m-point Gauss rule for the weight (1-x)^a x^b on (0, 1).
 
-    Recurrence coefficients are the classical Jacobi ones mapped from
-    (-1, 1); the weight scale is the total mass B(b+1, a+1).
+    Golub-Welsch on `jacobi_recurrence`; the weight scale is the total mass
+    B(b+1, a+1).
     """
     if m < 1:
         raise ValueError("rule needs at least one point")
@@ -61,18 +95,8 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     b = float(b)
     if a <= -1 or b <= -1:
         raise ValueError("weight exponents must exceed -1")
-    diag = np.zeros(m)
-    offdiag_sq = np.zeros(m)
-    apb = a + b
-    diag[0] = (b - a) / (apb + 2)
-    for i in range(1, m):
-        s = 2 * i + apb
-        diag[i] = (b * b - a * a) / (s * (s + 2))
-        # (i + apb) / (s - 1) is 1 at i = 1 for every a, b; taking it as 1
-        # there avoids 0/0 when a + b = -1.
-        ratio = (i + apb) / (s - 1) if i > 1 else 1.0
-        offdiag_sq[i] = 4 * i * (i + a) * (i + b) * ratio / (s * s * (s + 1))
-    jacobi_matrix = np.diag(diag) + np.diag(np.sqrt(offdiag_sq[1:]), -1)
+    diag, off = jacobi_recurrence(m, a, b)
+    jacobi_matrix = np.diag(diag) + np.diag(off[1:m], -1)
     try:
         eigvals, eigvecs = np.linalg.eigh(jacobi_matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -80,8 +104,7 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     order = np.argsort(eigvals)
     t = eigvals[order]
     first_row = eigvecs[0, order]
-    mass = math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(apb + 2))
-    weights = mass * first_row**2
+    weights = h_absolute(0, a, b) * first_row**2
     nodes = (t + 1.0) / 2.0
     return QuadRule1D(nodes=nodes, weights=weights, a=a, b=b)
 
@@ -99,10 +122,14 @@ class TriangleRule:
         return float(np.sum(self.weights * f(self.x, self.y)))
 
 
-def triangle_rule(params, m: int) -> TriangleRule:
+def _triangle_axes(params):
+    """Jacobi exponent pairs of the collapsed weight, u then v."""
     a, b, c, d = (float(v) for v in as_tuple(params, 4))
-    ru = gauss_jacobi_01(m, b + c + d + 1, a)
-    rv = gauss_jacobi_01(m, c, b)
+    return ((b + c + d + 1, a), (c, b))
+
+
+def triangle_rule(params, m: int) -> TriangleRule:
+    ru, rv = (gauss_jacobi_01(m, *axis) for axis in _triangle_axes(params))
     u = ru.nodes[:, None]
     v = rv.nodes[None, :]
     w = ru.weights[:, None] * rv.weights[None, :]
@@ -125,11 +152,15 @@ class SimplexRule:
         return float(np.sum(self.weights * f(self.x, self.y, self.z)))
 
 
-def tetra_rule(params, m: int) -> SimplexRule:
+def _tetra_axes(params):
+    """Jacobi exponent pairs of the collapsed weight, u, v then t."""
     alpha, beta, gamma, delta, a, b = (float(v) for v in as_tuple(params, 6))
-    ru = gauss_jacobi_01(m, beta + gamma + delta + a + b + 2, alpha)
-    rv = gauss_jacobi_01(m, gamma + delta + b + 1, beta)
-    rt = gauss_jacobi_01(m, delta, gamma)
+    return ((beta + gamma + delta + a + b + 2, alpha), (gamma + delta + b + 1, beta),
+            (delta, gamma))
+
+
+def tetra_rule(params, m: int) -> SimplexRule:
+    ru, rv, rt = (gauss_jacobi_01(m, *axis) for axis in _tetra_axes(params))
     u = ru.nodes[:, None, None]
     v = rv.nodes[None, :, None]
     t = rt.nodes[None, None, :]
@@ -205,33 +236,105 @@ def simplex_indices(max_degree: int) -> List[Tuple[int, int, int]]:
     return sorted(simplex3d.indices(max_degree))
 
 
-def _gram(members, coords, weights) -> np.ndarray:
-    """Weighted Gram matrix of the members' values at the rule's nodes."""
-    basis = np.stack([m.eval_float(*coords) for m in members])
-    weighted = basis * weights[None, :]
-    return weighted @ basis.T
+def jacobi_orthonormal(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """Values at x of q_0..q_n, the Jacobi polynomials on (0, 1) of
+    `jacobi1d` scaled to unit norm against (1-x)^a x^b; shape (n+1, len(x)).
+
+    q_k = P(k; a, b) / sqrt(h_absolute(k, a, b)): both have a positive
+    leading coefficient for a, b > -1.
+    """
+    diag, off = jacobi_recurrence(n, a, b)
+    t = 2.0 * x - 1.0
+    q = np.empty((n + 1, len(x)))
+    q[0] = 1.0 / math.sqrt(h_absolute(0, a, b))
+    if n > 0:
+        q[1] = (t - diag[0]) * q[0] / off[1]
+    for k in range(1, n):
+        q[k + 1] = ((t - diag[k]) * q[k] - off[k] * q[k - 1]) / off[k + 1]
+    return q
 
 
-def gram_matrix(max_degree: int, params, rule: SimplexRule = None, points: int = None):
+def _collapsed_factors(degrees, axes, points, max_degree: int):
+    """Per-axis factor values of members in collapsed coordinates.
+
+    A member with per-axis degrees (d_0, d_1, ...) is the product over
+    axes j of P(d_j; A_j + 2 s_j, B_j)(x_j) (1 - x_j)^{s_j}, where (A_j,
+    B_j) = axes[j] and s_j = d_{j+1} + d_{j+2} + ...  Returns one array
+    (len(degrees), len(points[j])) per axis holding the factors with unit
+    norm, and the members' squared norms (the products of the h_n).
+    """
+    factors = [np.empty((len(degrees), len(x))) for x in points]
+    norms = np.ones(len(degrees))
+    for j, ((big_a, big_b), x) in enumerate(zip(axes, points)):
+        ladder = {}
+        for i, d in enumerate(degrees):
+            s = sum(d[j + 1:])
+            if s not in ladder:
+                top = max_degree - s
+                ladder[s] = (
+                    jacobi_orthonormal(top, big_a + 2 * s, big_b, x) * (1.0 - x) ** s,
+                    [h_absolute(n, big_a + 2 * s, big_b) for n in range(top + 1)],
+                )
+            values, h = ladder[s]
+            factors[j][i] = values[d[j]]
+            norms[i] *= h[d[j]]
+    return factors, norms
+
+
+def _collapsed_gram(degrees, axes, max_degree: int, points) -> np.ndarray:
+    """Gram matrix of the members on the tensor Gauss rule.
+
+    Member values and tensor weights are products over the axes, so the
+    weighted sum over the rule's nodes is the entrywise product of one
+    Gram matrix per axis.  With unit-norm factors each of these has a unit
+    diagonal, so no entry grows with the degree or the parameters; the
+    members' norms are multiplied back in at the end.
+    """
+    m = max_degree + 1 if points is None else points
+    rules = [gauss_jacobi_01(m, *axis) for axis in axes]
+    factors, norms = _collapsed_factors(degrees, axes, [r.nodes for r in rules], max_degree)
+    gram = np.ones((len(degrees), len(degrees)))
+    for f, rule in zip(factors, rules):
+        gram *= (f * rule.weights) @ f.T
+    scale = np.sqrt(norms)
+    return gram * np.outer(scale, scale)
+
+
+def gram_matrix(max_degree: int, params, points: int = None):
     """Weighted Gram matrix of all members with total degree <= max_degree.
 
     Returns (indices, matrix).  The default rule order integrates products
     of two members exactly.
     """
-    vals = as_tuple(params, 6)
-    if rule is None:
-        rule = tetra_rule(vals, max_degree + 1 if points is None else points)
     idxs = simplex_indices(max_degree)
-    members = (simplex_poly_raw(*idx, *vals) for idx in idxs)
-    return idxs, _gram(members, (rule.x, rule.y, rule.z), rule.weights)
+    return idxs, _collapsed_gram(idxs, _tetra_axes(params), max_degree, points)
 
 
 def gram_matrix_triangle(max_degree: int, params, points: int = None):
-    vals = as_tuple(params, 4)
-    rule = triangle_rule(vals, max_degree + 1 if points is None else points)
     idxs = triangle2d.indices(max_degree)
-    members = (triangle_poly_raw(*idx, *vals) for idx in idxs)
-    return idxs, _gram(members, (rule.x, rule.y), rule.weights)
+    degrees = [(n - k, k) for n, k in idxs]
+    return idxs, _collapsed_gram(degrees, _triangle_axes(params), max_degree, points)
+
+
+def tetra_values(max_degree: int, params, x, y, z):
+    """(indices, values): every member of total degree <= max_degree at the
+    interior points (x, y, z), evaluated factor by factor in collapsed
+    coordinates; values has shape (len(indices), len(x))."""
+    idxs = simplex_indices(max_degree)
+    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+    points = (x, y / (1 - x), z / (1 - x - y))
+    factors, norms = _collapsed_factors(idxs, _tetra_axes(params), points, max_degree)
+    return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
+
+
+def triangle_values(max_degree: int, params, x, y):
+    """(indices, values) as `tetra_values`, for the triangle family."""
+    idxs = triangle2d.indices(max_degree)
+    x, y = (np.asarray(c, dtype=float) for c in (x, y))
+    degrees = [(n - k, k) for n, k in idxs]
+    factors, norms = _collapsed_factors(degrees, _triangle_axes(params), (x, y / (1 - x)),
+                                        max_degree)
+    return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
 
 
 def expected_gram_diagonal(indices, params) -> np.ndarray:
@@ -242,8 +345,14 @@ def expected_gram_diagonal(indices, params) -> np.ndarray:
 
 
 def gram_offdiag_max(indices, gram: np.ndarray) -> float:
-    """Largest off-diagonal entry normalized by sqrt(diag_i diag_j)."""
+    """Largest off-diagonal entry normalized by sqrt(diag_i diag_j).
+
+    A zero diagonal entry (a rule too short to see a member, whose nodes
+    are then that member's roots) leaves 0/0; it reads as inf, so the
+    matrix fails every bound.
+    """
     d = np.sqrt(np.abs(np.diag(gram)))
-    scaled = np.abs(gram) / np.outer(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.abs(gram) / np.outer(d, d)
     np.fill_diagonal(scaled, 0.0)
-    return float(scaled.max()) if len(indices) > 1 else 0.0
+    return float(np.nan_to_num(scaled, nan=np.inf).max()) if len(indices) > 1 else 0.0

@@ -17,8 +17,9 @@ multiplication and division in Maple 14" (2010).
 
 The interface speaks Fractions: `terms`, `coeff`, `constant` and
 `evaluate` return them, the constructor and `scale` take them, and
-coefficients are never floats; float evaluation exists only for
-quadrature (see `MPoly.eval_float`).
+coefficients are never floats.  `MPoly.eval_float` sums the monomials in
+floating point; the Gram matrices in `quadrature` do not use it, since that
+sum cancels as the degree grows, and evaluate members factor by factor.
 
 Instances are immutable by convention: every operation returns a fresh
 MPoly and nothing mutates `_num` or `_den` after construction.  This makes

@@ -69,9 +69,10 @@ class SimplexParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "delta", "a", "b"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if min(self.as_tuple()) <= -1:
-            raise ValueError("parameters must exceed -1")
+            value = Fraction(getattr(self, name))
+            if value <= -1:
+                raise ValueError(f"parameter {name} = {value} must exceed -1")
+            object.__setattr__(self, name, value)
 
     @property
     def e(self) -> Fraction:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from simplexpoly.ratpoly import MPoly, ONE, X
 
 
@@ -59,6 +61,19 @@ def hyper3f2_series(n: int, a2, a3, b1, b2) -> Fraction:
             rising(Fraction(-n), m) * rising(Fraction(a2), m) * rising(Fraction(a3), m)
         ) / denom
     return total
+
+
+# ---------------------------------------------------------------------------
+# Gram matrix from exactly built members.
+# ---------------------------------------------------------------------------
+
+def exact_member_gram(members, coords, weights) -> np.ndarray:
+    """Weighted Gram matrix of exact members on a quadrature rule's nodes,
+    each member expanded into monomials and summed by `MPoly.eval_float`.
+    The monomial sum cancels as the degree grows, so this oracle holds its
+    digits only at low degree (about 3e-13 at degree 6)."""
+    basis = np.stack([m.eval_float(*coords) for m in members])
+    return (basis * weights[None, :]) @ basis.T
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,11 @@ def test_usage_error_exit_code():
     ["print-poly", "--family", "triangle", "--index", "1,0", "--params=0,0,-1,0", "--monic"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=0,0,0,-3/2,0,0",
      "--monic"],
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=0,0,0,0,0,0", "--xi=-3"],
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=-2,0,0,0,0,0", "--xi", "1"],
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
         "jacobi-param-at-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
-        "monic-simplex-param-below-pole"])
+        "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE
@@ -166,14 +168,17 @@ def test_gram_csv_output(capsys, tmp_path):
 
 
 def test_gram_reports_missed_bound(capsys, tmp_path):
-    # The worst normalized off-diagonal entry at N = 12 is 3.74e-9.
-    path = tmp_path / "g12.csv"
-    code = main(["gram", "--N", "12", "--params", "0,0,0,0,0,0", "--out", str(path)])
+    # Two points per axis cannot integrate products of degree-4 members.
+    path = tmp_path / "g4.csv"
+    code = main(["gram", "--N", "4", "--points", "2", "--params", "0,0,0,0,0,0",
+                 "--out", str(path)])
     assert code == EX_FAIL
-    assert len(path.read_text().splitlines()) == 456  # header + 455 members
+    assert len(path.read_text().splitlines()) == 36  # header + 35 members
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "3.739e-09" in err[0] and "1e-10" in err[0]
-    assert main(["gram", "--N", "4", "--params", "0,0,0,0,0,0", "--out", str(path)]) == EX_OK
+    assert len(err) == 1 and "exceeds the bound 1e-10" in err[0]
+    code = main(["gram", "--N", "12", "--params", "0,0,0,0,0,0", "--out", str(path)])
+    assert code == EX_OK
+    assert len(path.read_text().splitlines()) == 456  # header + 455 members
     assert capsys.readouterr().err == ""
 
 
@@ -186,6 +191,19 @@ def test_connect_alpha_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reassembles_exactly"] is True
     assert [t["coeff"] for t in payload["terms"]] == ["8/9", "1/3"]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--params=0,0,0,0,0,0", "--xi=-3"], "pole at base=2, offset=-2"),
+    (["--params=-2,0,0,0,0,0", "--xi", "1"], "parameter alpha = -2 must exceed -1"),
+])
+def test_connect_refusal_names_its_cause(argv, cause, capsys):
+    code = main(["connect", "--mode", "alpha", "--index", "1,0,0", *argv])
+    assert code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and cause in err[0]
 
 
 def test_connect_general_identity(capsys):

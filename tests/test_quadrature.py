@@ -1,6 +1,7 @@
 """Quadrature rules, moment oracles, Gram matrices."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +19,16 @@ from simplexpoly.quadrature import (
     tetra_moment,
     tetra_moment_ratio,
     tetra_rule,
+    tetra_values,
     triangle_moment_ratio,
     triangle_rule,
+    triangle_values,
 )
+from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
 from simplexpoly.quadrature import triangle_mass
 
-from oracles import integrate_tetra
+from oracles import exact_member_gram, integrate_tetra
 from simplexpoly.ratpoly import MPoly
 
 F = Fraction
@@ -174,3 +178,71 @@ def test_triangle_moment_ratio_matches_rule():
         assert approx == pytest.approx(
             float(triangle_moment_ratio(i, j, params)) * mass, rel=1e-12
         )
+
+
+# The collapsed evaluator against the exact members.  Each family's rows
+# include the mixed integer/non-integer row of test_golden_text.py.
+TETRA_ROWS = [ZEROS6, PARAMS6, (F(2), F(1, 2), F(-1, 4), F(5, 2), F(0), F(1))]
+TRIANGLE_ROWS = [
+    (F(1, 2), F(0), F(2), F(-1, 3)),
+    (F(1, 3), F(0), F(-1, 2), F(1)),
+    (F(0), F(0), F(0), F(0)),
+]
+
+
+def _interior_points(dim, count=6, seed=11):
+    """Exact rational points inside the triangle (dim 2) or tetrahedron
+    (dim 3), drawn in collapsed coordinates."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        rest, point = F(1), []
+        for _ in range(dim):
+            point.append(F(rng.randint(1, 99), 100) * rest)
+            rest -= point[-1]
+        points.append(tuple(point) + (F(0),) * (3 - dim))
+    return points
+
+
+def _assert_values_match(idxs, values, member, points):
+    for idx, row in zip(idxs, values):
+        exact = np.array([float(member(idx).evaluate(p)) for p in points])
+        assert np.abs(row - exact).max() <= 1e-12 * np.abs(exact).max(), idx
+
+
+@pytest.mark.parametrize("params", TETRA_ROWS)
+def test_tetra_values_match_exact_members(params):
+    points = _interior_points(3)
+    coords = [[float(p[axis]) for p in points] for axis in range(3)]
+    idxs, values = tetra_values(6, params, *coords)
+    assert idxs == simplex_indices(6)
+    _assert_values_match(idxs, values, lambda idx: simplex_poly_raw(*idx, *params), points)
+
+
+@pytest.mark.parametrize("params", TRIANGLE_ROWS)
+def test_triangle_values_match_exact_members(params):
+    points = _interior_points(2)
+    coords = [[float(p[axis]) for p in points] for axis in range(2)]
+    idxs, values = triangle_values(6, params, *coords)
+    _assert_values_match(idxs, values, lambda idx: triangle_poly_raw(*idx, *params), points)
+
+
+def _assert_gram_close(gram, oracle):
+    d = np.sqrt(np.abs(np.diag(oracle)))
+    assert (np.abs(gram - oracle) / np.outer(d, d)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("params", TETRA_ROWS)
+def test_gram_matches_exact_member_gram(params):
+    idxs, gram = gram_matrix(6, params)
+    rule = tetra_rule(params, 7)
+    members = [simplex_poly_raw(*idx, *params) for idx in idxs]
+    _assert_gram_close(gram, exact_member_gram(members, (rule.x, rule.y, rule.z), rule.weights))
+
+
+@pytest.mark.parametrize("params", TRIANGLE_ROWS)
+def test_triangle_gram_matches_exact_member_gram(params):
+    idxs, gram = gram_matrix_triangle(6, params)
+    rule = triangle_rule(params, 7)
+    members = [triangle_poly_raw(*idx, *params) for idx in idxs]
+    _assert_gram_close(gram, exact_member_gram(members, (rule.x, rule.y), rule.weights))
