@@ -170,16 +170,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    if args.family == "simplex":
-        params = _fractions(args.params, 6)
-        idxs, gram = quadrature.gram_matrix(args.max_degree, params, points=args.points)
-        labels = [f"{i},{j},{k}" for i, j, k in idxs]
-    else:
-        params = _fractions(args.params, 4)
-        idxs, gram = quadrature.gram_matrix_triangle(
-            args.max_degree, params, points=args.points
-        )
-        labels = [f"{n},{k}" for n, k in idxs]
+    module, _, arity, params_record, _ = _FAMILIES[args.family]
+    params = params_record(*_fractions(args.params, arity)).as_tuple()
+    idxs, gram = quadrature.collapsed_gram(module, args.max_degree, params, points=args.points)
+    labels = [",".join(str(i) for i in idx) for idx in idxs]
     lines = ["index;" + ";".join(labels)]
     for label, row in zip(labels, np.asarray(gram)):
         lines.append(label + ";" + ";".join(_fmt(v) for v in row))
@@ -208,6 +202,10 @@ def cmd_connect(args) -> int:
         expansion = connect(idx, params, target)
     except PoleHit as exc:
         raise ValueError(f"the connection coefficients have a pole: {exc}") from exc
+    try:
+        simplex3d.SimplexParams(*expansion.target_params)
+    except ValueError as exc:
+        raise ValueError(f"target {exc}") from exc
     ok = expansion.verify()
     payload = {
         "source_index": list(expansion.source_index),

@@ -2,9 +2,11 @@
 
 P(n; a, b) here denotes the degree-n Jacobi polynomial mapped to (0, 1),
 orthogonal against the weight (1-x)^a * x^b for a, b > -1.  The module
-provides exact construction, the norm ratio h_n/h_0, the twelve
-first-order ladder operators with their sparse recurrence table, and the
-twenty-four second-order composition identities.
+provides exact construction, the norm ratio h_n/h_0, the products of
+Jacobi factors in collapsed coordinates that make the triangle and
+tetrahedron members and their norms, the twelve first-order ladder
+operators with their sparse recurrence table, and the twenty-four
+second-order composition identities.
 
 Ladder relations step the parameters by +-1, so verification sweeps reach
 members whose parameters sit outside the orthogonality regime (down to
@@ -18,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import mul
 from typing import Tuple
 
 from .operators import (
@@ -30,7 +33,7 @@ from .operators import (
     verify_composition,
     verify_sparse,
 )
-from .ratpoly import MPoly, ONE, ONE_MINUS_X, X, X_ONE_MINUS_X, ZERO
+from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, X, X_ONE_MINUS_X, Y, Z, ZERO
 from .special import factorial, gamma_ratio, hyper2f1_terminating, pochhammer
 
 
@@ -87,25 +90,18 @@ def shifted_jacobi(n: int, p) -> MPoly:
 
 
 def norm_ratio(n: int, p) -> Fraction:
-    """h_n / h_0 for the weight (1-x)^a x^b.
-
-    Equal to (a+1)_n (b+1)_n (a+b+1) / (n! (a+b+2n+1) (a+b+1)_n); the
-    cancellable (a+b+1) pair is removed so the value stays finite when
-    a+b+1 = 0.
-    """
+    """h_n / h_0 for the weight (1-x)^a x^b."""
     a, b = as_tuple(p, 2)
-    if n == 0:
-        return Fraction(1)
-    num = pochhammer(a + 1, n) * pochhammer(b + 1, n)
-    den = factorial(n) * (a + b + 2 * n + 1) * pochhammer(a + b + 2, n - 1)
-    return num / den
+    return h_ratio(n, a, b, a)
 
 
 def h_ratio(n: int, big_a: Fraction, big_b: Fraction, base_a: Fraction) -> Fraction:
     """h_n^{(A,B)} / h_0^{(A0,B)} where A - A0 is a nonnegative integer.
 
-    This is the building block of the triangle/tetrahedron norm ratios,
-    whose leading parameters grow with the inner degrees.
+    Equal to (A0+1)_{A-A0+n} (B+1)_n / (n! (A+B+2n+1) (A0+B+2)_{A-A0+n-1}),
+    which stays finite when A0+B+1 = 0.  This is the building block of the
+    collapsed norm ratios, whose leading parameters grow with the later
+    axes' degrees.
     """
     delta = big_a - base_a + n
     if delta.denominator != 1 or delta < 0:
@@ -137,6 +133,72 @@ def h_absolute(n: int, a: float, b: float) -> float:
         - math.lgamma(a + b + n + 2)
     )
     return math.exp(log_h) * (a + b + n + 1) / (a + b + 2 * n + 1)
+
+
+# ---------------------------------------------------------------------------
+# Products of Jacobi factors in collapsed coordinates (Koornwinder 1975).  A
+# family declares its axes once, as base pairs (A_j, B_j); the member with
+# per-axis degrees (d_0, d_1, ...) is the product over the axes of
+# P(d_j; A_j + 2 s_j, B_j) in collapsed coordinate j, lifted by its
+# cofactor to the power d_j, where s_j is the sum of the later degrees.
+# ---------------------------------------------------------------------------
+
+# Variable and cofactor of each collapsed coordinate: x, y/(1-x), z/(1-x-y).
+_COLLAPSED = ((X, ONE), (Y, ONE_MINUS_X), (Z, ONE_MINUS_XY))
+
+
+def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
+    """Expand cof^power * q(num/cof) for a degree <= power polynomial q in x.
+
+    Writing q = sum_j q_j x^j, the result is sum_j q_j num^j cof^(power-j),
+    which is how the inner Jacobi factors of the triangle and tetrahedron
+    families become honest polynomials.
+    """
+    out = ZERO
+    for j in range(q.degree("x") + 1):
+        qj = q.coeff(j, 0, 0)
+        if qj == 0:
+            continue
+        out = out + (num**j * cof ** (power - j)).scale(qj)
+    return out
+
+
+def collapsed_exponents(axes, degrees):
+    """Jacobi exponents (A_j + 2 s_j, B_j) of each axis's factor."""
+    out, later = [], 0
+    for (big_a, big_b), d in zip(reversed(axes), reversed(degrees)):
+        out.append((big_a + 2 * later, big_b))
+        later += d
+    return out[::-1]
+
+
+@lru_cache(maxsize=None)
+def _lifted_factor(axis: int, d: int, big_a: Fraction, big_b: Fraction) -> MPoly:
+    q = shifted_jacobi_raw(d, big_a, big_b)
+    return q if axis == 0 else lift_univariate(q, *_COLLAPSED[axis], d)
+
+
+def collapsed_member(axes, degrees) -> MPoly:
+    """The member with the given per-axis degrees, exactly; zero when a
+    degree is negative."""
+    if min(degrees) < 0:
+        return ZERO
+    pairs = collapsed_exponents(axes, degrees)
+    return reduce(mul, (_lifted_factor(j, d, *pair)
+                        for j, (d, pair) in enumerate(zip(degrees, pairs))))
+
+
+def collapsed_norm_ratio(axes, degrees) -> Fraction:
+    """Exact squared-norm ratio of the member against the degree-0 member:
+    one h_ratio per axis, every gamma pair at an integer offset."""
+    return math.prod(h_ratio(d, big_a, big_b, base_a) for d, (big_a, big_b), (base_a, _)
+                     in zip(degrees, collapsed_exponents(axes, degrees), axes))
+
+
+def collapsed_norm(axes, degrees) -> float:
+    """Float squared norm of the member: one h_absolute per axis."""
+    return math.prod(h_absolute(d, float(big_a), float(big_b))
+                     for d, (big_a, big_b) in zip(degrees, collapsed_exponents(axes, degrees)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import List, Tuple
 
 import numpy as np
 
 from . import simplex3d, triangle2d
-from .jacobi1d import h_absolute
+from .jacobi1d import collapsed_exponents, collapsed_norm, h_absolute
 from .operators import as_tuple
 from .special import pochhammer
 
@@ -110,70 +111,42 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
 
 
 @dataclass(frozen=True)
-class TriangleRule:
-    """Collapsed tensor rule on {x, y > 0, x + y < 1} for the weight
-    x^a y^b (1-x-y)^c (1-x)^d."""
-
-    x: np.ndarray
-    y: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.x, self.y)))
-
-
-def _triangle_axes(params):
-    """Jacobi exponent pairs of the collapsed weight, u then v."""
-    a, b, c, d = (float(v) for v in as_tuple(params, 4))
-    return ((b + c + d + 1, a), (c, b))
-
-
-def triangle_rule(params, m: int) -> TriangleRule:
-    ru, rv = (gauss_jacobi_01(m, *axis) for axis in _triangle_axes(params))
-    u = ru.nodes[:, None]
-    v = rv.nodes[None, :]
-    w = ru.weights[:, None] * rv.weights[None, :]
-    x = np.broadcast_to(u, w.shape).ravel()
-    y = (v * (1 - u)).ravel()
-    return TriangleRule(x=x, y=y, weights=w.ravel())
-
-
-@dataclass(frozen=True)
 class SimplexRule:
-    """Collapsed tensor rule on the open unit tetrahedron for the weight
-    x^alpha y^beta z^gamma (1-x-y-z)^delta (1-x)^a (1-x-y)^b."""
+    """Collapsed tensor rule on the open unit triangle (coordinates x, y) or
+    tetrahedron (x, y, z) for a family's weight."""
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    coords: Tuple[np.ndarray, ...]
     weights: np.ndarray
 
+    x = property(lambda self: self.coords[0])
+    y = property(lambda self: self.coords[1])
+    z = property(lambda self: self.coords[2])
+
     def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.x, self.y, self.z)))
+        return float(np.sum(self.weights * f(*self.coords)))
 
 
-def _tetra_axes(params):
-    """Jacobi exponent pairs of the collapsed weight, u, v then t."""
-    alpha, beta, gamma, delta, a, b = (float(v) for v in as_tuple(params, 6))
-    return ((beta + gamma + delta + a + b + 2, alpha), (gamma + delta + b + 1, beta),
-            (delta, gamma))
+def _axes(family, params):
+    """The family's collapsed base pairs at the given parameters, as floats."""
+    return family.axes(*(float(v) for v in family.FAMILY.params(params)))
 
 
-def tetra_rule(params, m: int) -> SimplexRule:
-    ru, rv, rt = (gauss_jacobi_01(m, *axis) for axis in _tetra_axes(params))
-    u = ru.nodes[:, None, None]
-    v = rv.nodes[None, :, None]
-    t = rt.nodes[None, None, :]
-    w = (
-        ru.weights[:, None, None]
-        * rv.weights[None, :, None]
-        * rt.weights[None, None, :]
-    )
-    shape = w.shape
-    x = np.broadcast_to(u, shape).ravel()
-    y = np.broadcast_to(v * (1 - u), shape).ravel()
-    z = (t * (1 - u) * (1 - v)).ravel()
-    return SimplexRule(x=x, y=y, z=z, weights=w.ravel())
+def collapsed_rule(family, params, m: int) -> SimplexRule:
+    """Tensor product of m-point Gauss rules, one per collapsed axis, mapped
+    to x = u, y = v (1 - u), z = t (1 - u) (1 - v)."""
+    rules = [gauss_jacobi_01(m, *axis) for axis in _axes(family, params)]
+    grid = np.meshgrid(*(r.nodes for r in rules), indexing="ij")
+    coords = []
+    for j, u in enumerate(grid):
+        for earlier in grid[:j]:
+            u = u * (1 - earlier)
+        coords.append(u.ravel())
+    weights = reduce(np.multiply.outer, (r.weights for r in rules))
+    return SimplexRule(coords=tuple(coords), weights=weights.ravel())
+
+
+tetra_rule = partial(collapsed_rule, simplex3d)
+triangle_rule = partial(collapsed_rule, triangle2d)
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +230,23 @@ def jacobi_orthonormal(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
 def _collapsed_factors(degrees, axes, points, max_degree: int):
     """Per-axis factor values of members in collapsed coordinates.
 
-    A member with per-axis degrees (d_0, d_1, ...) is the product over
-    axes j of P(d_j; A_j + 2 s_j, B_j)(x_j) (1 - x_j)^{s_j}, where (A_j,
-    B_j) = axes[j] and s_j = d_{j+1} + d_{j+2} + ...  Returns one array
-    (len(degrees), len(points[j])) per axis holding the factors with unit
-    norm, and the members' squared norms (the products of the h_n).
+    Returns one array (len(degrees), len(points[j])) per axis holding each
+    member's factor P(d_j; A_j + 2 s_j, B_j)(x_j) (1 - x_j)^{s_j} with unit
+    norm, and the members' squared norms (the products of the h_n).  One
+    recurrence per axis and per s_j serves every member that shares it.
     """
     factors = [np.empty((len(degrees), len(x))) for x in points]
     norms = np.ones(len(degrees))
-    for j, ((big_a, big_b), x) in enumerate(zip(axes, points)):
+    for j, x in enumerate(points):
         ladder = {}
         for i, d in enumerate(degrees):
             s = sum(d[j + 1:])
             if s not in ladder:
+                big_a, big_b = collapsed_exponents(axes, d)[j]
                 top = max_degree - s
                 ladder[s] = (
-                    jacobi_orthonormal(top, big_a + 2 * s, big_b, x) * (1.0 - x) ** s,
-                    [h_absolute(n, big_a + 2 * s, big_b) for n in range(top + 1)],
+                    jacobi_orthonormal(top, big_a, big_b, x) * (1.0 - x) ** s,
+                    [h_absolute(n, big_a, big_b) for n in range(top + 1)],
                 )
             values, h = ladder[s]
             factors[j][i] = values[d[j]]
@@ -281,15 +254,25 @@ def _collapsed_factors(degrees, axes, points, max_degree: int):
     return factors, norms
 
 
-def _collapsed_gram(degrees, axes, max_degree: int, points) -> np.ndarray:
-    """Gram matrix of the members on the tensor Gauss rule.
+def _members(family, max_degree: int):
+    """Sorted indices of the members of total degree <= max_degree, and
+    their per-axis degrees."""
+    idxs = sorted(family.indices(max_degree))
+    return idxs, [family.degrees(*idx) for idx in idxs]
 
-    Member values and tensor weights are products over the axes, so the
-    weighted sum over the rule's nodes is the entrywise product of one
-    Gram matrix per axis.  With unit-norm factors each of these has a unit
-    diagonal, so no entry grows with the degree or the parameters; the
-    members' norms are multiplied back in at the end.
+
+def collapsed_gram(family, max_degree: int, params, points: int = None):
+    """Weighted Gram matrix of all members with total degree <= max_degree.
+
+    Returns (indices, matrix).  Member values and tensor weights are
+    products over the axes, so the weighted sum over the rule's nodes is the
+    entrywise product of one Gram matrix per axis.  With unit-norm factors
+    each of these has a unit diagonal, so no entry grows with the degree or
+    the parameters; the members' norms are multiplied back in at the end.
+    The default rule order integrates products of two members exactly.
     """
+    idxs, degrees = _members(family, max_degree)
+    axes = _axes(family, params)
     m = max_degree + 1 if points is None else points
     rules = [gauss_jacobi_01(m, *axis) for axis in axes]
     factors, norms = _collapsed_factors(degrees, axes, [r.nodes for r in rules], max_degree)
@@ -297,51 +280,36 @@ def _collapsed_gram(degrees, axes, max_degree: int, points) -> np.ndarray:
     for f, rule in zip(factors, rules):
         gram *= (f * rule.weights) @ f.T
     scale = np.sqrt(norms)
-    return gram * np.outer(scale, scale)
+    return idxs, gram * np.outer(scale, scale)
 
 
-def gram_matrix(max_degree: int, params, points: int = None):
-    """Weighted Gram matrix of all members with total degree <= max_degree.
-
-    Returns (indices, matrix).  The default rule order integrates products
-    of two members exactly.
-    """
-    idxs = simplex_indices(max_degree)
-    return idxs, _collapsed_gram(idxs, _tetra_axes(params), max_degree, points)
-
-
-def gram_matrix_triangle(max_degree: int, params, points: int = None):
-    idxs = triangle2d.indices(max_degree)
-    degrees = [(n - k, k) for n, k in idxs]
-    return idxs, _collapsed_gram(degrees, _triangle_axes(params), max_degree, points)
-
-
-def tetra_values(max_degree: int, params, x, y, z):
+def collapsed_values(family, max_degree: int, params, *coords):
     """(indices, values): every member of total degree <= max_degree at the
-    interior points (x, y, z), evaluated factor by factor in collapsed
-    coordinates; values has shape (len(indices), len(x))."""
-    idxs = simplex_indices(max_degree)
-    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
-    points = (x, y / (1 - x), z / (1 - x - y))
-    factors, norms = _collapsed_factors(idxs, _tetra_axes(params), points, max_degree)
+    interior points with Cartesian coordinates `coords`, evaluated factor by
+    factor in collapsed coordinates; values has one row per member and one
+    column per point.
+    """
+    idxs, degrees = _members(family, max_degree)
+    points, rest = [], 1.0
+    for c in coords:
+        c = np.asarray(c, dtype=float)
+        points.append(c / rest)
+        rest = rest - c
+    factors, norms = _collapsed_factors(degrees, _axes(family, params), points, max_degree)
     return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
 
 
-def triangle_values(max_degree: int, params, x, y):
-    """(indices, values) as `tetra_values`, for the triangle family."""
-    idxs = triangle2d.indices(max_degree)
-    x, y = (np.asarray(c, dtype=float) for c in (x, y))
-    degrees = [(n - k, k) for n, k in idxs]
-    factors, norms = _collapsed_factors(degrees, _triangle_axes(params), (x, y / (1 - x)),
-                                        max_degree)
-    return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
+gram_matrix = partial(collapsed_gram, simplex3d)
+gram_matrix_triangle = partial(collapsed_gram, triangle2d)
+tetra_values = partial(collapsed_values, simplex3d)
+triangle_values = partial(collapsed_values, triangle2d)
 
 
 def expected_gram_diagonal(indices, params) -> np.ndarray:
-    """Float norms from the interval-norm product formula."""
-    from .simplex3d import simplex_norm
-
-    return np.array([simplex_norm(idx, params)[1] for idx in indices])
+    """Float norms of the tetrahedron members from the interval-norm
+    product formula."""
+    axes = simplex3d.axes(*as_tuple(params, 6))
+    return np.array([collapsed_norm(axes, idx) for idx in indices])
 
 
 def gram_offdiag_max(indices, gram: np.ndarray) -> float:

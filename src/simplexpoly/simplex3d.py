@@ -54,8 +54,15 @@ from .ratpoly import (
     ZERO,
 )
 from .special import PoleHit, factorial, gamma_ratio, hyper3f2_unit, pochhammer
-from .jacobi1d import h_absolute, h_ratio, shifted_jacobi_raw
-from .triangle2d import classical_jacobi_shifted, lift_univariate
+from .jacobi1d import (
+    collapsed_exponents,
+    collapsed_member,
+    collapsed_norm,
+    collapsed_norm_ratio,
+    lift_univariate,
+    shifted_jacobi_raw,
+)
+from .triangle2d import classical_jacobi_shifted
 
 
 @dataclass(frozen=True)
@@ -105,24 +112,21 @@ def _e(al, be, ga, de, a, b) -> Fraction:
     return al + be + ga + de + a + b
 
 
-@lru_cache(maxsize=None)
-def _y_factor(n2: int, big_a: Fraction, beta: Fraction) -> MPoly:
-    return lift_univariate(shifted_jacobi_raw(n2, big_a, beta), Y, ONE_MINUS_X, n2)
+def axes(alpha, beta, gamma, delta, a, b):
+    """Collapsed base pairs (A_j, B_j) of the weight, x, y/(1-x) then
+    z/(1-x-y)."""
+    return ((beta + gamma + delta + a + b + 2, alpha), (gamma + delta + b + 1, beta),
+            (delta, gamma))
 
 
-@lru_cache(maxsize=None)
-def _z_factor(n3: int, delta: Fraction, gamma: Fraction) -> MPoly:
-    return lift_univariate(shifted_jacobi_raw(n3, delta, gamma), Z, ONE_MINUS_XY, n3)
+def degrees(n1, n2, n3):
+    """Per-axis degrees of the member (n1, n2, n3): its index."""
+    return (n1, n2, n3)
 
 
 @lru_cache(maxsize=None)
 def simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta, a, b) -> MPoly:
-    if min(n1, n2, n3) < 0:
-        return ZERO
-    fx = shifted_jacobi_raw(n1, beta + gamma + delta + a + b + 2 * n2 + 2 * n3 + 2, alpha)
-    fy = _y_factor(n2, gamma + delta + 2 * n3 + b + 1, beta)
-    fz = _z_factor(n3, delta, gamma)
-    return fx * fy * fz
+    return collapsed_member(axes(alpha, beta, gamma, delta, a, b), (n1, n2, n3))
 
 
 def simplex_poly(idx, p) -> MPoly:
@@ -131,21 +135,9 @@ def simplex_poly(idx, p) -> MPoly:
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
     """(exact ratio against the (0,0,0) member, absolute float norm)."""
-    n1, n2, n3 = as_tuple(idx, 3, int)
-    alpha, beta, gamma, delta, a, b = as_tuple(p, 6)
-    a1 = beta + gamma + delta + a + b + 2 * n2 + 2 * n3 + 2
-    a2 = gamma + delta + 2 * n3 + b + 1
-    ratio = (
-        h_ratio(n1, a1, alpha, beta + gamma + delta + a + b + 2)
-        * h_ratio(n2, a2, beta, gamma + delta + b + 1)
-        * h_ratio(n3, delta, gamma, delta)
-    )
-    absolute = (
-        h_absolute(n1, float(a1), float(alpha))
-        * h_absolute(n2, float(a2), float(beta))
-        * h_absolute(n3, float(delta), float(gamma))
-    )
-    return ratio, absolute
+    ax = axes(*as_tuple(p, 6))
+    idx = as_tuple(idx, 3, int)
+    return collapsed_norm_ratio(ax, idx), collapsed_norm(ax, idx)
 
 
 @lru_cache(maxsize=None)
@@ -597,13 +589,10 @@ def monic_simplex(idx, p) -> MPoly:
     n1! / (e+n+n2+n3+3)_(n1) * y^n2 z^n3 * P(n1) is monic by construction;
     normalization by the x^n1 y^n2 z^n3 coefficient is kept as a guard.
     """
-    n1, n2, n3 = as_tuple(idx, 3, int)
+    idx = n1, n2, n3 = as_tuple(idx, 3, int)
     params = as_tuple(p, 6)
-    e = _e(*params)
-    n = n1 + n2 + n3
-    al, be, ga, de, a, b = params
-    prefactor = factorial(n1) * gamma_ratio(e + 2 * n + 3, -n1)
-    fx = shifted_jacobi_raw(n1, be + ga + de + a + b + 2 * n2 + 2 * n3 + 2, al)
+    prefactor = factorial(n1) * gamma_ratio(_e(*params) + 2 * sum(idx) + 3, -n1)
+    fx = shifted_jacobi_raw(n1, *collapsed_exponents(axes(*params), idx)[0])
     poly = (Y**n2 * Z**n3 * fx).scale(prefactor)
     lead = poly.coeff(n1, n2, n3)
     if lead == 0:
@@ -705,33 +694,27 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     """
     n1, n2, n3 = as_tuple(idx, 3, int)
     params = as_tuple(p, 6)
-    al, be, ga, de, a, b = params
     phi, theta, eta, xi = (Fraction(v) for v in target)
+    target_params = (phi, theta, eta, xi) + params[4:]
+    source = collapsed_exponents(axes(*params), (n1, n2, n3))
+    target_axes = axes(*target_params)
     terms = []
     for k3 in range(n3 + 1):
-        c3 = _conn1d_coeff(n3, k3, de, ga, xi, eta)
+        c3 = _conn1d_coeff(n3, k3, *source[2], *target_axes[2])
         if c3 == 0:
             continue
         for k2 in range(n2 + 1):
-            c2 = _conn1d_coeff(
-                n2, k2,
-                ga + de + 2 * n3 + b + 1, be,
-                xi + eta + 2 * k3 + b + 1, theta,
-            )
+            # No exponent depends on the first axis's own degree.
+            target = collapsed_exponents(target_axes, (0, k2, k3))
+            c2 = _conn1d_coeff(n2, k2, *source[1], *target[1])
             if c2 == 0:
                 continue
             for k1 in range(n1 + 1):
-                c1 = _conn1d_coeff(
-                    n1, k1,
-                    be + ga + de + a + b + 2 * n2 + 2 * n3 + 2, al,
-                    theta + eta + xi + a + b + 2 * k2 + 2 * k3 + 2, phi,
-                )
-                coeff = c1 * c2 * c3
+                coeff = _conn1d_coeff(n1, k1, *source[0], *target[0]) * c2 * c3
                 if coeff != 0:
                     terms.append(
                         ConnectionTerm((k1, k2, k3), coeff, n2 - k2, n3 - k3)
                     )
-    target_params = (phi, theta, eta, xi, a, b)
     return ConnectionExpansion((n1, n2, n3), params, target_params, tuple(terms))
 
 

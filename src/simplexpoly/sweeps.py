@@ -97,53 +97,47 @@ def _run_connection(relation, expansion, idx, params, extra, detail) -> Verifica
     return report_equality(relation, idx, params + extra, lhs, rhs, detail=detail)
 
 
-# Each executor names its verifier on the module at call time, so wrappers
-# installed later (a test's monkeypatch, a profiler) are used.
-_EXECUTORS = {
-    "ladder1d": lambda rel, idx, params, extra: jacobi1d.verify_ladder(rel, idx[0], params),
-    "so1d": lambda rel, idx, params, extra: jacobi1d.verify_second_order_1d(rel, idx[0], params),
-    "m2d": lambda rel, idx, params, extra: triangle2d.verify_m_relation(rel, idx, params),
-    "so2d": lambda rel, idx, params, extra: triangle2d.verify_second_order_m(rel, idx, params),
-    "d0": lambda rel, idx, params, extra: triangle2d.verify_d0_reduction(idx, params),
-    "pde2d": lambda rel, idx, params, extra: _residual_report(
-        f"pde.{rel}", idx, params, triangle2d.pde_residual(rel, idx, params)
-    ),
-    "monic2d": lambda rel, idx, params, extra: _run_monic(
-        "monic.triangle", idx, params, triangle2d.monic_triangle(idx, params),
-        (idx[0] - idx[1], idx[1], 0), lambda u: triangle2d.pde_residual("B1", idx, params, u),
-    ),
-    "theorem1": lambda rel, idx, params, extra: simplex3d.verify_theorem1(rel, idx, params),
-    "so3d": lambda rel, idx, params, extra: simplex3d.verify_second_order_3d(rel, idx, params),
-    "ab0": lambda rel, idx, params, extra: simplex3d.verify_reduction_ab0(idx, params),
-    "pde3d": lambda rel, idx, params, extra: _residual_report(
-        f"pde.{rel}", idx, params, simplex3d.pde_residual_3d(rel, idx, params)
-    ),
-    "monic3d": lambda rel, idx, params, extra: _run_monic(
-        "monic.simplex", idx, params, simplex3d.monic_simplex(idx, params),
-        idx, lambda u: simplex3d.pde_residual_3d("T4", idx, params, u),
-    ),
-    "three_term": lambda rel, idx, params, extra: simplex3d.verify_three_term(idx, params),
-    "conn_alpha": lambda rel, idx, params, xi: _run_connection(
-        "connect.alpha", simplex3d.connect_alpha(idx, params, xi), idx, params,
-        (xi,), f"xi={xi}",
-    ),
-    "conn_general": lambda rel, idx, params, target: _run_connection(
-        "connect.general", simplex3d.connect_general(idx, params, target), idx, params,
-        tuple(target), "target=" + ",".join(str(v) for v in target),
-    ),
-    "cor_deriv": lambda rel, idx, params, extra: simplex3d.verify_corollary_derivatives(rel, idx, params),
-    "cor_weight": lambda rel, idx, params, extra: simplex3d.verify_corollary_weighted(rel, idx, params),
-    "cor_mult": lambda rel, idx, params, extra: simplex3d.verify_corollary_multiplication(rel, idx, params),
-}
+def _check(module, name, index=lambda idx: idx):
+    """Executor that runs module.name(relation, index(idx), params)."""
+    return lambda rid, rel, idx, params, extra: getattr(module, name)(rel, index(idx), params)
 
-# Relation id of each kind's reports where it is not the task's relation
-# itself; a task that raises is reported under it.
-_RELATION_IDS = {
-    "d0": "reduction.d0", "ab0": "reduction.ab0", "three_term": "three-term.x",
-    "pde2d": "pde.{}", "pde3d": "pde.{}", "monic2d": "monic.triangle", "monic3d": "monic.simplex",
-    "conn_alpha": "connect.alpha", "conn_general": "connect.general",
-    "cor_deriv": "corollary.deriv.{}", "cor_weight": "corollary.weighted.{}",
-    "cor_mult": "corollary.mult.{}",
+
+# One line per task kind: the relation id of its reports, where "{}" stands
+# for the task's relation, and its executor, called with that id and the
+# task's fields.  A task that raises is reported under the id.  Each
+# executor names its verifier on the module at call time, so wrappers
+# installed later (a test's monkeypatch, a profiler) are used.
+_KINDS = {
+    "ladder1d": ("{}", _check(jacobi1d, "verify_ladder", lambda idx: idx[0])),
+    "so1d": ("{}", _check(jacobi1d, "verify_second_order_1d", lambda idx: idx[0])),
+    "m2d": ("{}", _check(triangle2d, "verify_m_relation")),
+    "so2d": ("{}", _check(triangle2d, "verify_second_order_m")),
+    "d0": ("reduction.d0", lambda rid, rel, idx, params, extra:
+           triangle2d.verify_d0_reduction(idx, params)),
+    "pde2d": ("pde.{}", lambda rid, rel, idx, params, extra: _residual_report(
+        rid, idx, params, triangle2d.pde_residual(rel, idx, params))),
+    "monic2d": ("monic.triangle", lambda rid, rel, idx, params, extra: _run_monic(
+        rid, idx, params, triangle2d.monic_triangle(idx, params),
+        (idx[0] - idx[1], idx[1], 0), lambda u: triangle2d.pde_residual("B1", idx, params, u))),
+    "theorem1": ("{}", _check(simplex3d, "verify_theorem1")),
+    "so3d": ("{}", _check(simplex3d, "verify_second_order_3d")),
+    "ab0": ("reduction.ab0", lambda rid, rel, idx, params, extra:
+            simplex3d.verify_reduction_ab0(idx, params)),
+    "pde3d": ("pde.{}", lambda rid, rel, idx, params, extra: _residual_report(
+        rid, idx, params, simplex3d.pde_residual_3d(rel, idx, params))),
+    "monic3d": ("monic.simplex", lambda rid, rel, idx, params, extra: _run_monic(
+        rid, idx, params, simplex3d.monic_simplex(idx, params),
+        idx, lambda u: simplex3d.pde_residual_3d("T4", idx, params, u))),
+    "three_term": ("three-term.x", lambda rid, rel, idx, params, extra:
+                   simplex3d.verify_three_term(idx, params)),
+    "conn_alpha": ("connect.alpha", lambda rid, rel, idx, params, xi: _run_connection(
+        rid, simplex3d.connect_alpha(idx, params, xi), idx, params, (xi,), f"xi={xi}")),
+    "conn_general": ("connect.general", lambda rid, rel, idx, params, target: _run_connection(
+        rid, simplex3d.connect_general(idx, params, target), idx, params, tuple(target),
+        "target=" + ",".join(str(v) for v in target))),
+    "cor_deriv": ("corollary.deriv.{}", _check(simplex3d, "verify_corollary_derivatives")),
+    "cor_weight": ("corollary.weighted.{}", _check(simplex3d, "verify_corollary_weighted")),
+    "cor_mult": ("corollary.mult.{}", _check(simplex3d, "verify_corollary_multiplication")),
 }
 
 Task = Tuple[str, Optional[str], tuple, tuple, object]
@@ -154,10 +148,11 @@ def run_task(task: Task) -> VerificationReport:
     denominator fails the sample instead of raising; the remainder or the
     pole is in the report's detail."""
     kind, rel, idx, params, extra = task
+    relation, execute = _KINDS[kind]
+    relation = relation.format(rel)
     try:
-        return _EXECUTORS[kind](rel, idx, params, extra)
+        return execute(relation, rel, idx, params, extra)
     except (NonzeroRemainder, PoleHit, ZeroDivisionError) as exc:
-        relation = _RELATION_IDS.get(kind, "{}").format(rel)
         return VerificationReport(
             relation, idx, params, FAIL, detail=f"{type(exc).__name__}: {exc}"
         )

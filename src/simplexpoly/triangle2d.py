@@ -44,7 +44,13 @@ from .ratpoly import (
     ZERO,
 )
 from .special import factorial, gamma_ratio
-from .jacobi1d import h_ratio, shifted_jacobi_raw
+from .jacobi1d import (
+    collapsed_exponents,
+    collapsed_member,
+    collapsed_norm_ratio,
+    lift_univariate,
+    shifted_jacobi_raw,
+)
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,10 @@ class TriangleParams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if min(self.a, self.b, self.c, self.d) <= -1:
-            raise ValueError("parameters must exceed -1")
+            value = Fraction(getattr(self, name))
+            if value <= -1:
+                raise ValueError(f"parameter {name} = {value} must exceed -1")
+            object.__setattr__(self, name, value)
 
     def as_tuple(self):
         return (self.a, self.b, self.c, self.d)
@@ -77,29 +84,19 @@ class TriIndex:
         return (self.n, self.k)
 
 
-def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
-    """Expand cof^power * q(num/cof) for a degree <= power polynomial q in x.
+def axes(a, b, c, d):
+    """Collapsed base pairs (A_j, B_j) of the weight, x then y/(1-x)."""
+    return ((b + c + d + 1, a), (c, b))
 
-    Writing q = sum_j q_j x^j, the result is sum_j q_j num^j cof^(power-j),
-    which is how the inner Jacobi factors of the triangle and tetrahedron
-    families become honest polynomials.
-    """
-    out = ZERO
-    for j in range(q.degree("x") + 1):
-        qj = q.coeff(j, 0, 0)
-        if qj == 0:
-            continue
-        out = out + (num**j * cof ** (power - j)).scale(qj)
-    return out
+
+def degrees(n, k):
+    """Per-axis degrees of the member (n, k)."""
+    return (n - k, k)
 
 
 @lru_cache(maxsize=None)
 def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
-    if n < 0 or k < 0 or k > n:
-        return ZERO
-    fx = shifted_jacobi_raw(n - k, 2 * k + b + c + d + 1, a)
-    fy = lift_univariate(shifted_jacobi_raw(k, c, b), Y, ONE_MINUS_X, k)
-    return fx * fy
+    return collapsed_member(axes(a, b, c, d), degrees(n, k))
 
 
 def triangle_poly(idx, p) -> MPoly:
@@ -108,17 +105,8 @@ def triangle_poly(idx, p) -> MPoly:
 
 
 def triangle_norm_ratio(idx, p) -> Fraction:
-    """Squared-norm ratio against the (0, 0) member, exactly.
-
-    The weighted square integral factorizes into two interval norms, so the
-    ratio is h_{n-k}^{(2k+b+c+d+1, a)} h_k^{(c, b)} over the degree-(0,0)
-    product, every gamma pair having an integer offset.
-    """
-    n, k = as_tuple(idx, 2, int)
-    a, b, c, d = as_tuple(p, 4)
-    rx = h_ratio(n - k, 2 * k + b + c + d + 1, a, b + c + d + 1)
-    ry = h_ratio(k, c, b, c)
-    return rx * ry
+    """Squared-norm ratio against the (0, 0) member, exactly."""
+    return collapsed_norm_ratio(axes(*as_tuple(p, 4)), degrees(*as_tuple(idx, 2, int)))
 
 
 @lru_cache(maxsize=None)
@@ -354,10 +342,10 @@ def monic_triangle(idx, p) -> MPoly:
     erratum in the prefactor.
     """
     n, k = as_tuple(idx, 2, int)
-    a, b, c, d = as_tuple(p, 4)
-    e4 = a + b + c + d
-    prefactor = factorial(n - k) * gamma_ratio(e4 + 2 * n + 2, -(n - k))
-    poly = (Y**k * shifted_jacobi_raw(n - k, b + c + d + 2 * k + 1, a)).scale(prefactor)
+    params = as_tuple(p, 4)
+    prefactor = factorial(n - k) * gamma_ratio(sum(params) + 2 * n + 2, -(n - k))
+    fx = shifted_jacobi_raw(n - k, *collapsed_exponents(axes(*params), degrees(n, k))[0])
+    poly = (Y**k * fx).scale(prefactor)
     lead = poly.coeff(n - k, k, 0)
     if lead == 0:
         raise ArithmeticError("vanishing leading coefficient")

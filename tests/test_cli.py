@@ -127,9 +127,16 @@ def test_usage_error_exit_code():
      "--monic"],
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=0,0,0,0,0,0", "--xi=-3"],
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=-2,0,0,0,0,0", "--xi", "1"],
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0", "--xi=-3/2"],
+    ["connect", "--mode", "general", "--index", "1,1,0", "--params", "0,0,0,0,0,0",
+     "--target=-3,0,0,0"],
+    ["gram", "--N", "4", "--params", "0,0,0,0,-3/2,0"],
+    ["gram", "--family", "triangle", "--N", "4", "--params", "0,1,1,-3/2"],
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
         "jacobi-param-at-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
-        "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole"])
+        "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
+        "connect-xi-below-pole", "connect-general-target-below-pole",
+        "gram-simplex-param-below-pole", "gram-triangle-param-below-pole"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE
@@ -196,6 +203,7 @@ def test_connect_alpha_json(capsys):
 @pytest.mark.parametrize("argv, cause", [
     (["--params=0,0,0,0,0,0", "--xi=-3"], "pole at base=2, offset=-2"),
     (["--params=-2,0,0,0,0,0", "--xi", "1"], "parameter alpha = -2 must exceed -1"),
+    (["--params=0,0,0,0,0,0", "--xi=-3/2"], "target parameter alpha = -3/2 must exceed -1"),
 ])
 def test_connect_refusal_names_its_cause(argv, cause, capsys):
     code = main(["connect", "--mode", "alpha", "--index", "1,0,0", *argv])
