@@ -170,6 +170,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    if args.max_degree < 0:
+        raise ValueError(f"--N must be at least 0, got {args.max_degree}")
     module, _, arity, params_record, _ = _FAMILIES[args.family]
     params = params_record(*_fractions(args.params, arity)).as_tuple()
     idxs, gram = quadrature.collapsed_gram(module, args.max_degree, params, points=args.points)

@@ -32,7 +32,7 @@ def as_tuple(values, count: int, kind=Fraction) -> tuple:
     vals = tuple(values.as_tuple() if hasattr(values, "as_tuple") else values)
     if len(vals) != count:
         raise ValueError(f"expected {count} values, got {len(vals)}")
-    return tuple(kind(v) for v in vals)
+    return tuple(v if type(v) is kind else kind(v) for v in vals)
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,7 @@ class DiffOperator:
     denom: MPoly = ONE
 
     def apply(self, u: MPoly) -> MPoly:
-        num = self.c0 * u
-        if not self.cx.is_zero:
-            num = num + self.cx * u.diff("x")
-        if not self.cy.is_zero:
-            num = num + self.cy * u.diff("y")
-        if not self.cz.is_zero:
-            num = num + self.cz * u.diff("z")
+        num = u.apply_derivatives({"": self.c0, "x": self.cx, "y": self.cy, "z": self.cz})
         if self.denom == ONE:
             return num
         return num.div_exact(self.denom)
@@ -63,7 +57,7 @@ class _Shift:
 
     def shifted(self, idx: Sequence[int], params: Sequence[Fraction]):
         new_idx = tuple(i + d for i, d in zip(idx, self.dn))
-        new_params = tuple(p + d for p, d in zip(params, self.dparams))
+        new_params = tuple(p + d if d else p for p, d in zip(params, self.dparams))
         return new_idx, new_params
 
 
@@ -136,6 +130,7 @@ class VerificationReport:
     rhs: Optional[str] = None
     detail: Optional[str] = None
     suite: Optional[str] = None
+    difference: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -148,7 +143,7 @@ class VerificationReport:
             "params": [str(p) for p in self.params],
             "status": self.status,
         }
-        for key in ("suite", "lhs", "rhs", "detail"):
+        for key in ("suite", "lhs", "rhs", "detail", "difference"):
             if getattr(self, key) is not None:
                 out[key] = getattr(self, key)
         return out
@@ -172,7 +167,8 @@ def report_equality(
     applicable: bool = True,
     detail: str = None,
 ) -> VerificationReport:
-    """Compare two exact polynomials and wrap the outcome in a report."""
+    """Compare two exact polynomials and wrap the outcome in a report; a
+    failing report also carries the text of lhs - rhs."""
     if lhs == rhs:
         status = PASS if applicable else NOT_APPLICABLE
         return VerificationReport(relation, tuple(index), tuple(params), status, detail=detail)
@@ -184,6 +180,7 @@ def report_equality(
         lhs=lhs.to_text(),
         rhs=rhs.to_text(),
         detail=detail,
+        difference=(lhs - rhs).to_text(),
     )
 
 
@@ -235,24 +232,13 @@ def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationRep
     )
 
 
-def apply_pde(coeffs: dict, u: MPoly) -> MPoly:
-    """Sum of coeff * (u differentiated along each letter of the key)."""
-    out = ZERO
-    for key, coeff in coeffs.items():
-        v = u
-        for var in key:
-            v = v.diff(var)
-        out = out + coeff * v
-    return out
-
-
 def residual(family: Family, which: str, idx, p, u: MPoly = None) -> MPoly:
     """Cleared residual of one differential equation on `u`, by default the
     member at (idx, p); it is the zero polynomial when u solves it."""
     idx, params = family.index(idx), family.params(p)
     if u is None:
         u = family.member(*idx, *params)
-    return apply_pde(family.pde[which](*idx, *params), u)
+    return u.apply_derivatives(family.pde[which](*idx, *params))
 
 
 def summarize(reports) -> dict:

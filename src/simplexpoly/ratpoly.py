@@ -15,6 +15,14 @@ the canonical form with one gcd per result, in the manner of the
 integer-coefficient kernels of Monagan & Pearce, "Sparse polynomial
 multiplication and division in Maple 14" (2010).
 
+One kernel serves every differential operator in the package:
+`MPoly.apply_derivatives({key: coeff})` returns the sum of coeff times the
+derivative of the polynomial along the letters of key ("" for itself,
+"x", "xy", ...).  The ladder operators (`operators.DiffOperator.apply`)
+and the differential-equation residuals (`operators.residual`) both call
+it, and it accumulates all the products into one integer map with one
+gcd at the end.
+
 The interface speaks Fractions: `terms`, `coeff`, `constant` and
 `evaluate` return them, the constructor and `scale` take them, and
 coefficients are never floats.  `MPoly.eval_float` sums the monomials in
@@ -39,6 +47,12 @@ Point = Tuple[Fraction, Fraction, Fraction]
 
 _VARS = ("x", "y", "z")
 _VAR_AXIS = {"x": 0, "y": 1, "z": 2}
+# One formal derivative per variable, on (exponent, integer numerator) pairs.
+_DIFF = {
+    "x": lambda terms: [((i - 1, j, k), c * i) for (i, j, k), c in terms if i],
+    "y": lambda terms: [((i, j - 1, k), c * j) for (i, j, k), c in terms if j],
+    "z": lambda terms: [((i, j, k - 1), c * k) for (i, j, k), c in terms if k],
+}
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -229,16 +243,41 @@ class MPoly:
 
     def diff(self, var: str) -> "MPoly":
         """Formal partial derivative with respect to `var`."""
-        axis = _VAR_AXIS[var]
+        return _canon(dict(_DIFF[var](self._num.items())), self._den)
+
+    def apply_derivatives(self, coeffs: Dict[str, "MPoly"]) -> "MPoly":
+        """sum(coeffs[key] * self differentiated along each letter of key).
+
+        A key is a string of variable letters: "" for self, "x", "yy",
+        "xz" and so on.  The coefficients come to one common denominator,
+        every product accumulates into a single integer map, and the sum
+        is made canonical once, rather than per derivative, product and
+        partial sum.
+        """
+        items = [(key, c) for key, c in coeffs.items() if c._num]
+        if not items or not self._num:
+            return _poly({}, 1)
+        den = lcm(*(c._den for _, c in items))
         out: Dict[Exponent, int] = {}
-        for e, c in self._num.items():
-            m = e[axis]
-            if m == 0:
-                continue
-            ne = list(e)
-            ne[axis] = m - 1
-            out[tuple(ne)] = c * m
-        return _canon(out, self._den)
+        get = out.get
+        for key, c in items:
+            du = self._num.items()
+            for var in key:
+                du = _DIFF[var](du)
+            s = den // c._den
+            for (i1, j1, k1), c1 in c._num.items():
+                c1 *= s
+                if i1 or j1 or k1:
+                    for (i2, j2, k2), c2 in du:
+                        e = (i1 + i2, j1 + j2, k1 + k2)
+                        out[e] = get(e, 0) + c1 * c2
+                else:
+                    # A constant term shifts no exponent: skip the sums.
+                    for e, c2 in du:
+                        out[e] = get(e, 0) + c1 * c2
+        if 0 in out.values():
+            out = {e: v for e, v in out.items() if v}
+        return _canon(out, den * self._den)
 
     # -- evaluation --------------------------------------------------------
 

@@ -48,6 +48,7 @@ def test_report_equality_pass_and_fail():
     bad = report_equality("r", (1,), (F(0),), X, Y)
     assert bad.status == "fail" and not bad.ok
     assert bad.lhs == "1 * x^1" and bad.rhs == "1 * y^1"
+    assert bad.difference == "1 * x^1 - 1 * y^1" and ok.difference is None
 
 
 def test_report_json_shape():
@@ -63,6 +64,7 @@ def test_report_json_shape():
         "lhs": "1 * x^1",
         "rhs": "1 * y^1",
         "detail": "why",
+        "difference": "1 * x^1 - 1 * y^1",
     }
 
 

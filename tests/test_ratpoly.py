@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from simplexpoly import jacobi1d, simplex3d, triangle2d
+from simplexpoly.operators import DiffOperator
 from simplexpoly.ratpoly import (
     MPoly,
     NonzeroRemainder,
@@ -311,3 +313,90 @@ def test_div_exact_refusals():
     with pytest.raises(ZeroDivisionError):
         X.div_exact(ZERO)
     assert (X + 1).div_exact(MPoly.const(F(2, 3))) == (X + 1).scale(F(3, 2))
+
+
+# -- the fused differential-operator kernel -----------------------------------
+
+# Keys of order 0 to 2; "yx" and "zy" name the same derivatives as "xy" and
+# "yz", so a coefficient under one can cancel its negation under the other.
+DERIVATIVE_KEYS = ["", "x", "y", "z", "xx", "yy", "zz", "xy", "yx", "xz", "zy", "yz"]
+
+
+def ref_apply_derivatives(t, coeffs):
+    out = {}
+    for key, c in coeffs.items():
+        d = t
+        for var in key:
+            d = ref_diff(d, "xyz".index(var))
+        out = ref_add(out, ref_mul(c, d))
+    return out
+
+
+@st.composite
+def derivative_maps(draw):
+    """{key: term map}, with zero coefficients, and sometimes a pair of
+    keys whose coefficients cancel each other."""
+    coeffs = draw(st.dictionaries(st.sampled_from(DERIVATIVE_KEYS), term_maps, max_size=5))
+    if draw(st.booleans()):
+        c = draw(term_maps)
+        first, second = draw(st.sampled_from([("xy", "yx"), ("zy", "yz")]))
+        coeffs[first] = c
+        coeffs[second] = {e: -v for e, v in c.items()}
+    return coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_maps, derivative_maps())
+def test_apply_derivatives_agrees(t, coeffs):
+    got = MPoly(t).apply_derivatives({key: MPoly(c) for key, c in coeffs.items()})
+    want = ref_apply_derivatives(nonzero(t), {key: nonzero(c) for key, c in coeffs.items()})
+    assert ref(canonical(got)) == want
+
+
+def test_apply_derivatives_cancels_to_canonical_zero():
+    u = X * X * Y.scale(F(3, 2)) + Y * Z
+    c = X.scale(F(1, 3)) - Z.scale(F(2, 7))
+    assert canonical(u.apply_derivatives({"xy": c, "yx": -c})) == ZERO
+    assert canonical(u.apply_derivatives({"": ZERO, "zz": c})) == ZERO
+    # x v_x = 2v for v of x-degree 2 throughout, so -v/3 + x v_x/6 = 0:
+    # the terms cancel across keys of different denominators.
+    v = X * X * (Y.scale(F(3, 2)) + Z)
+    got = v.apply_derivatives({"": MPoly.const(F(-1, 3)), "x": X.scale(F(1, 6))})
+    assert canonical(got) == ZERO and got._den == 1
+
+
+def _apply_by_parts(op, u):
+    """DiffOperator.apply written out as separate products and sums."""
+    num = op.c0 * u + op.cx * u.diff("x") + op.cy * u.diff("y") + op.cz * u.diff("z")
+    return num.div_exact(op.denom)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NonzeroRemainder as err:
+        return ("remainder", err.remainder)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), polys(), polys(), polys(), polys(),
+       st.sampled_from([ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ]), st.booleans())
+def test_diff_operator_apply_agrees_with_parts(u, c0, cx, cy, cz, denom, exact):
+    if exact:
+        # A multiple of the denominator, so that the division is exact.
+        u = u * denom
+        c0, cx, cy, cz = (c * denom for c in (c0, cx, cy, cz))
+    op = DiffOperator(c0=c0, cx=cx, cy=cy, cz=cz, denom=denom)
+    assert _outcome(op.apply, u) == _outcome(_apply_by_parts, op, u)
+
+
+@pytest.mark.parametrize("module, idx, params", [
+    (jacobi1d, (3,), (F(1, 3), F(-1, 2))),
+    (triangle2d, (2, 1), (F(-1, 2), F(0), F(1, 3), F(1))),
+    (simplex3d, (1, 1, 1), (F(1, 3), F(-1, 2), F(1), F(0), F(1, 2), F(2))),
+])
+def test_table_operators_apply_as_by_parts(module, idx, params):
+    u = module.FAMILY.member(*idx, *params)
+    for rel in module.FAMILY.sparse.values():
+        op = rel.operator(*idx, *params)
+        assert op.apply(u) == _apply_by_parts(op, u)

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from simplexpoly import sweeps
 from simplexpoly.ratpoly import (
     MPoly,
     ONE,
@@ -36,6 +39,7 @@ from simplexpoly.simplex3d import (
     verify_theorem1,
     verify_three_term,
 )
+from simplexpoly.special import PoleHit
 
 from oracles import integrate_tetra, tetra_weighted_mean
 
@@ -223,6 +227,30 @@ def test_three_term_coefficient_values():
 def test_three_term_holds(params):
     for idx in indices(4):
         assert verify_three_term(idx, params).status == "pass"
+
+
+@st.composite
+def three_term_pole_rows(draw):
+    """(index, parameters) with e + 2n in {-2, -3, -4}: five parameters
+    drawn freely, the sixth solved for."""
+    idx = draw(st.tuples(*[st.integers(0, 3)] * 3))
+    params = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                           min_size=5, max_size=5))
+    target = draw(st.sampled_from([-2, -3, -4]))
+    params.insert(draw(st.integers(0, 5)), target - 2 * sum(idx) - sum(params))
+    return idx, tuple(F(v) for v in params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_term_pole_rows())
+def test_three_term_pole_is_not_applicable(row):
+    idx, params = row
+    with pytest.raises(PoleHit):
+        three_term_x(idx, params)
+    report = sweeps.run_task(("three_term", None, idx, params, None))
+    assert report.relation == "three-term.x"
+    assert report.status == "not_applicable"
+    assert f"e+2n in {{-2,-3,-4}} at e={sum(params)}, n={sum(idx)}" in report.detail
 
 
 def test_three_term_evaluation_spot_check():

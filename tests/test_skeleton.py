@@ -118,3 +118,18 @@ def test_mutant_is_erratum_candidate(family, mutation, monkeypatch):
     mutate(module.FAMILY, monkeypatch, rel)
     relation = f"pde.{rel}" if table == 2 else rel
     assert relation in _summary(family, table, rel)["erratum_candidates"]
+
+
+@pytest.mark.parametrize("family", sorted(SLICES))
+def test_failing_report_carries_its_difference(family, monkeypatch):
+    module, kinds, idxs, rows, relations = SLICES[family]
+    rel = relations[0]
+    _mutate_scale(module.FAMILY, monkeypatch, rel)
+    reports = sweeps.run_tasks([(kinds[0], rel, idx, params, None)
+                                for params in rows for idx in idxs])
+    failed = [r.to_json() for r in reports if r.status == "fail"]
+    assert failed
+    for r in failed:
+        assert r["difference"] not in ("", "0")
+    passed = [r.to_json() for r in reports if r.status != "fail"]
+    assert all("difference" not in r for r in passed)
