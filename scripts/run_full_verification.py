@@ -6,7 +6,8 @@ Usage:
                                             [--jobs N]
 
 Exit status mirrors the CLI: 0 all green, 1 failures, 2 erratum
-candidates.
+candidates, 65 a config error such as a suite section that yields no
+checks.
 """
 
 import argparse
@@ -33,7 +34,11 @@ def main() -> int:
     wall = time.perf_counter()
     for suite in sweeps.SUITES:
         start = time.perf_counter()
-        reports = sweeps.run_suite(suite, config, jobs=args.jobs)
+        try:
+            reports = sweeps.run_suite(suite, config, jobs=args.jobs)
+        except (KeyError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 65
         elapsed = time.perf_counter() - start
         summary = summarize(reports)
         sweeps.write_report(os.path.join(args.out, f"{suite}.json"), reports, summary)

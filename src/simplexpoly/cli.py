@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -52,6 +51,17 @@ def _ints(text: str):
     return tuple(int(v) for v in text.split(","))
 
 
+def _jobs(text: str) -> int:
+    """A worker count from --jobs: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
@@ -79,8 +89,8 @@ def build_parser() -> _Parser:
     pv.add_argument("--suite", choices=sweeps.SUITES, required=True)
     pv.add_argument("--config", default=None, help="sweep config JSON (default: shipped)")
     pv.add_argument("--out", default=None, help="write the JSON report here")
-    pv.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: config value, env SIMPLEXPOLY_JOBS)")
+    pv.add_argument("--jobs", type=_jobs, default=None,
+                    help="worker processes, at least 1 (default: the config's \"jobs\", else 1)")
 
     pg = sub.add_parser("gram", help="emit a Gram matrix as CSV")
     pg.add_argument("--family", choices=("triangle", "simplex"), default="simplex")
@@ -141,7 +151,9 @@ def cmd_verify(args) -> int:
         config = sweeps.load_config(path)
         jobs = args.jobs
         if jobs is None:
-            jobs = int(os.environ.get("SIMPLEXPOLY_JOBS", config.get("jobs", 1)))
+            jobs = int(config.get("jobs", 1))
+            if jobs < 1:
+                raise ValueError(f"jobs must be at least 1, got {jobs}")
         reports = sweeps.run_suite(args.suite, config, jobs=jobs)
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Tuple
+from typing import Callable, Tuple
 
 from .operators import (
     NOT_APPLICABLE,
@@ -470,25 +470,47 @@ SECOND_ORDER_3D = {
 # stated denominators) and the classical a = b = 0 comparison form.
 # ---------------------------------------------------------------------------
 
+# The clearing factor of T1 and the parameter-free coefficients of each
+# equation, built once.
+_D12 = ONE_MINUS_X * ONE_MINUS_XY
+_T1_FIXED = {
+    "xx": X * ONE_MINUS_X * _D12,
+    "yy": Y * (ONE - Y) * _D12,
+    "zz": Z * (ONE - Z) * _D12,
+    "xz": (X * Z).scale(-2) * _D12,
+    "yz": (Y * Z).scale(-2) * _D12,
+    "xy": (X * Y).scale(-2) * _D12,
+}
+_T2_FIXED = {
+    "yy": Y * ONE_MINUS_XY * ONE_MINUS_XY,
+    "yz": (Y * Z).scale(-2) * ONE_MINUS_XY,
+    "zz": Y * Z * Z,
+}
+_T4_FIXED = {
+    "xx": X * ONE_MINUS_X * ONE_MINUS_X,
+    "yy": X * Y * Y,
+    "zz": X * Z * Z,
+    "xy": (X * Y).scale(-2) * ONE_MINUS_X,
+    "xz": (X * Z).scale(-2) * ONE_MINUS_X,
+    "yz": (X * Y * Z).scale(2),
+}
+_XZ_1XY = X * Z * ONE_MINUS_XY
+_Z_1XY = Z * ONE_MINUS_XY
+
+
 def _t1_coeffs(n1, n2, n3, al, be, ga, de, a, b):
     # Cleared by (1-x)(1-x-y).
     n = n1 + n2 + n3
     e = _e(al, be, ga, de, a, b)
     s4 = al + be + ga + de + 4
-    d12 = ONE_MINUS_X * ONE_MINUS_XY
     return {
-        "xx": X * ONE_MINUS_X * d12,
-        "yy": Y * (ONE - Y) * d12,
-        "zz": Z * (ONE - Z) * d12,
-        "xz": (X * Z).scale(-2) * d12,
-        "yz": (Y * Z).scale(-2) * d12,
-        "xy": (X * Y).scale(-2) * d12,
-        "x": (MPoly.const(al + 1) - X.scale(e + 4)) * d12,
+        **_T1_FIXED,
+        "x": (MPoly.const(al + 1) - X.scale(e + 4)) * _D12,
         "y": ((MPoly.const(be + 1) - Y.scale(s4)) * ONE_MINUS_X
-              + (X * Y).scale(a + b) - Y.scale(b)) * ONE_MINUS_XY,
-        "z": ((MPoly.const(ga + 1) - Z.scale(s4)) * d12
-              + (X * Z).scale(a + b) * ONE_MINUS_XY + (Y * Z).scale(b)),
-        "": (d12.scale(n * (n + e + 3))
+              + XY.scale(a + b) - Y.scale(b)) * ONE_MINUS_XY,
+        "z": ((MPoly.const(ga + 1) - Z.scale(s4)) * _D12
+              + _XZ_1XY.scale(a + b) + _YZ.scale(b)),
+        "": (_D12.scale(n * (n + e + 3))
              - ONE_MINUS_XY.scale(a * (n2 + n3))
              - ONE_MINUS_X.scale(n3 * b)),
     }
@@ -498,18 +520,16 @@ def _t2_coeffs(n1, n2, n3, al, be, ga, de, a, b):
     # Cleared by (1-x-y).
     lam = (be + 1) * n3 + n2 * (n2 + 2 * n3 + be + ga + de + b + 2)
     return {
-        "yy": Y * ONE_MINUS_XY * ONE_MINUS_XY,
-        "yz": (Y * Z).scale(-2) * ONE_MINUS_XY,
-        "zz": Y * Z * Z,
+        **_T2_FIXED,
         "y": (ONE_MINUS_XY.scale(be + 1) - Y.scale(ga + de + b + 2)) * ONE_MINUS_XY,
-        "z": (Y * Z).scale(ga + de + b + 2) - Z.scale(be + 1) * ONE_MINUS_XY,
+        "z": _YZ.scale(ga + de + b + 2) - _Z_1XY.scale(be + 1),
         "": ONE_MINUS_XY.scale(lam) - Y.scale(n3 * (ga + de + b + n3 + 1)),
     }
 
 
 def _t3_coeffs(n1, n2, n3, al, be, ga, de, a, b):
     return {
-        "zz": Z * ONE_MINUS_XYZ,
+        "zz": _ZW,
         "z": ONE_MINUS_XYZ.scale(ga + 1) - Z.scale(de + 1),
         "": MPoly.const(n3 * (n3 + ga + de + 1)),
     }
@@ -521,12 +541,7 @@ def _t4_coeffs(n1, n2, n3, al, be, ga, de, a, b):
     e = _e(al, be, ga, de, a, b)
     drift = MPoly.const(al + 1) - X.scale(e + 4)
     return {
-        "xx": X * ONE_MINUS_X * ONE_MINUS_X,
-        "yy": X * Y * Y,
-        "zz": X * Z * Z,
-        "xy": (X * Y).scale(-2) * ONE_MINUS_X,
-        "xz": (X * Z).scale(-2) * ONE_MINUS_X,
-        "yz": (X * Y * Z).scale(2),
+        **_T4_FIXED,
         "x": drift * ONE_MINUS_X,
         "y": -Y * drift,
         "z": -Z * drift,
@@ -572,12 +587,11 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     # times the same clearing factor (1-x)(1-x-y).
     cleared = _t1_coeffs(*idx, *params)
     classical = classical_t1_coeffs(*idx, al, be, ga, de)
-    d12 = ONE_MINUS_X * ONE_MINUS_XY
     for key, coeff in cleared.items():
-        if coeff != classical[key] * d12:
+        if coeff != classical[key] * _D12:
             return VerificationReport(
                 "reduction.ab0", idx, (al, be, ga, de), "fail",
-                lhs=coeff.to_text(), rhs=(classical[key] * d12).to_text(),
+                lhs=coeff.to_text(), rhs=(classical[key] * _D12).to_text(),
                 detail=f"first-equation coefficient mismatch on u_{key or '0'}",
             )
     return rep
@@ -765,187 +779,178 @@ def verify_three_term(idx, p) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# Identities for the classical (a = b = 0) subfamily: derivatives,
-# weighted derivatives, and multiplication by x, y, z, w.
+# Identities for the classical (a = b = 0) subfamily: derivatives, weighted
+# derivatives, and multiplication by x, y, z, w, one Corollary per line.
 # ---------------------------------------------------------------------------
 
-def _cp(idx, fourparams) -> MPoly:
-    n1, n2, n3 = idx
-    if min(idx) < 0:
-        return ZERO
-    al, be, ga, de = fourparams
-    return simplex_poly_raw(n1, n2, n3, al, be, ga, de, Fraction(0), Fraction(0))
+@dataclass(frozen=True)
+class Corollary:
+    """One identity at the member u = P(idx; q, 0, 0), q = (al, be, ga, de).
 
-
-DERIVATIVE_IDS = ("dx-dy", "dz-dy", "dz", "dz.dx-dy")
-
-
-def verify_corollary_derivatives(which: str, idx, fourparams) -> VerificationReport:
-    """Derivative combinations lower one or two indices and raise the
-    matching parameters by one."""
-    idx = as_tuple(idx, 3, int)
-    n1, n2, n3 = idx
-    q = tuple(Fraction(v) for v in fourparams)
-    al, be, ga, de = q
-    n = n1 + n2 + n3
-    u = _cp(idx, q)
-    s = al + be + ga + de
-    if which == "dx-dy":
-        lhs = (u.diff("x") - u.diff("y")).scale(2 * n2 + 2 * n3 + be + ga + de + 2)
-        up = (al + 1, be + 1, ga, de)
-        rhs = _cp((n1 - 1, n2, n3), up).scale(
-            (n2 + 2 * n3 + be + ga + de + 2) * (n + n2 + n3 + s + 3)
-        ) - _cp((n1, n2 - 1, n3), up).scale(
-            (n1 + 2 * n2 + 2 * n3 + be + ga + de + 2) * (n2 + 2 * n3 + ga + de + 1)
-        )
-    elif which == "dz-dy":
-        lhs = (u.diff("z") - u.diff("y")).scale(2 * n3 + ga + de + 1)
-        up = (al, be + 1, ga + 1, de)
-        rhs = _cp((n1, n2, n3 - 1), up).scale(
-            (n3 + de) * (n2 + 2 * n3 + ga + de + 1)
-        ) - _cp((n1, n2 - 1, n3), up).scale(
-            (n2 + 2 * n3 + be + ga + de + 2) * (n3 + ga + de + 1)
-        )
-    elif which == "dz":
-        lhs = u.diff("z")
-        rhs = _cp((n1, n2, n3 - 1), (al, be, ga + 1, de + 1)).scale(
-            n3 + ga + de + 1
-        )
-    elif which == "dz.dx-dy":
-        lhs = (u.diff("x") - u.diff("y")).diff("z").scale(
-            2 * n2 + 2 * n3 + be + ga + de + 2
-        )
-        up = (al + 1, be + 1, ga + 1, de + 1)
-        rhs = _cp((n1 - 1, n2, n3 - 1), up).scale(
-            (n2 + 2 * n3 + be + ga + de + 2)
-            * (n + n2 + n3 + s + 3)
-            * (n3 + ga + de + 1)
-        ) - _cp((n1, n2 - 1, n3 - 1), up).scale(
-            (n1 + 2 * n2 + 2 * n3 + be + ga + de + 2)
-            * (n2 + 2 * n3 + ga + de + 1)
-            * (n3 + ga + de + 1)
-        )
-    else:
-        raise KeyError(f"unknown derivative identity {which!r}")
-    return report_equality(f"corollary.deriv.{which}", idx, q, lhs, rhs)
-
-
-def verify_corollary_weighted(which: str, idx, fourparams) -> VerificationReport:
-    """Derivatives of the fully weighted member, verified in weight-cleared
-    polynomial form.
-
-    Pulling x^alpha y^beta z^gamma w^delta through the derivative leaves a
-    rational operator; multiplying both sides by the minimal monomial in
-    {x, y, z, w} clears every fractional term exactly.
+    lhs(u, *idx, *q) equals the sum of coeff times the member at
+    (idx + dn, q + dparams) over the (dn, coeff) pairs of terms(*idx, *q);
+    a member outside the index domain is zero.  The two sides are
+    transcribed from the paper separately, so a typo in either fails it.
     """
-    idx = as_tuple(idx, 3, int)
-    n1, n2, n3 = idx
-    q = tuple(Fraction(v) for v in fourparams)
-    al, be, ga, de = q
-    u = _cp(idx, q)
-    w = ONE_MINUS_XYZ
-    s23 = 2 * n2 + 2 * n3 + be + ga + de + 2
+
+    lhs: Callable
+    dparams: Tuple[int, int, int, int]
+    terms: Callable
+
+
+def _dx_dy(u: MPoly) -> MPoly:
+    return u.diff("x") - u.diff("y")
+
+
+DERIVATIVES = {
+    "dx-dy": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de: _dx_dy(u).scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        (+1, +1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((-1, 0, 0), (n2 + 2 * n3 + be + ga + de + 2)
+             * ((n1 + n2 + n3) + n2 + n3 + (al + be + ga + de) + 3)),
+            ((0, -1, 0), -(n1 + 2 * n2 + 2 * n3 + be + ga + de + 2)
+             * (n2 + 2 * n3 + ga + de + 1)))),
+    "dz-dy": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de:
+        (u.diff("z") - u.diff("y")).scale(2 * n3 + ga + de + 1),
+        (0, +1, +1, 0),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((0, 0, -1), (n3 + de) * (n2 + 2 * n3 + ga + de + 1)),
+            ((0, -1, 0), -(n2 + 2 * n3 + be + ga + de + 2) * (n3 + ga + de + 1)))),
+    "dz": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de: u.diff("z"), (0, 0, +1, +1),
+        lambda n1, n2, n3, al, be, ga, de: (((0, 0, -1), n3 + ga + de + 1),)),
+    "dz.dx-dy": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de:
+        _dx_dy(u).diff("z").scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        (+1, +1, +1, +1),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((-1, 0, -1), (n2 + 2 * n3 + be + ga + de + 2)
+             * ((n1 + n2 + n3) + n2 + n3 + (al + be + ga + de) + 3) * (n3 + ga + de + 1)),
+            ((0, -1, -1), -(n1 + 2 * n2 + 2 * n3 + be + ga + de + 2)
+             * (n2 + 2 * n3 + ga + de + 1) * (n3 + ga + de + 1)))),
+}
+
+
+# Derivatives of the fully weighted member in weight-cleared form: pulling
+# x^al y^be z^ga w^de through the derivative leaves a rational operator, and
+# multiplying by the minimal monomial in {x, y, z, w} clears it exactly.
+
+def _xy_weighted(u: MPoly, al, be) -> MPoly:
     # x*y*(d/dx - d/dy)(x^al y^be w^de u) / (x^(al-1) y^(be-1) w^de)
-    v_xy = (X * Y) * (u.diff("x") - u.diff("y")) + (Y.scale(al) - X.scale(be)) * u
+    return XY * _dx_dy(u) + (Y.scale(al) - X.scale(be)) * u
+
+
+def _zw_weighted(u: MPoly, ga, de) -> MPoly:
     # z*w*d/dz(z^ga w^de u) / (z^(ga-1) w^(de-1))
-    def zw_dz(g, d, f):
-        return (Z * w) * f.diff("z") + (w.scale(g) - Z.scale(d)) * f
-
-    if which == "dx-dy":
-        lhs = v_xy.scale(s23)
-        down = (al - 1, be - 1, ga, de)
-        rhs = _cp((n1, n2 + 1, n3), down).scale((n1 + al) * (n2 + 1)) - _cp(
-            (n1 + 1, n2, n3), down
-        ).scale((n1 + 1) * (n2 + be))
-    elif which == "dz-dy":
-        v_yz = (Y * Z) * (u.diff("z") - u.diff("y")) + (Y.scale(ga) - Z.scale(be)) * u
-        lhs = v_yz.scale(2 * n3 + ga + de + 1)
-        down = (al, be - 1, ga - 1, de)
-        rhs = -_cp((n1, n2, n3 + 1), down).scale((n2 + be) * (n3 + 1)) + _cp(
-            (n1, n2 + 1, n3), down
-        ).scale((n2 + 1) * (n3 + ga))
-    elif which == "dz":
-        lhs = zw_dz(ga, de, u)
-        rhs = -_cp((n1, n2, n3 + 1), (al, be, ga - 1, de - 1)).scale(n3 + 1)
-    elif which == "dz.dx-dy":
-        lhs = zw_dz(ga, de, v_xy).scale(s23)
-        down = (al - 1, be - 1, ga - 1, de - 1)
-        rhs = -(
-            _cp((n1, n2 + 1, n3 + 1), down).scale((n1 + al) * (n2 + 1) * (n3 + 1))
-            - _cp((n1 + 1, n2, n3 + 1), down).scale((n1 + 1) * (n2 + be) * (n3 + 1))
-        )
-    else:
-        raise KeyError(f"unknown weighted identity {which!r}")
-    return report_equality(f"corollary.weighted.{which}", idx, q, lhs, rhs)
+    return _ZW * u.diff("z") + (_W.scale(ga) - Z.scale(de)) * u
 
 
-def verify_corollary_multiplication(which: str, idx, fourparams) -> VerificationReport:
-    """x*P, y*P, z*P and w*P as combinations with one lowered parameter."""
-    idx = as_tuple(idx, 3, int)
-    n1, n2, n3 = idx
-    q = tuple(Fraction(v) for v in fourparams)
-    al, be, ga, de = q
+WEIGHTED = {
+    "dx-dy": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de:
+        _xy_weighted(u, al, be).scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        (-1, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((0, +1, 0), (n1 + al) * (n2 + 1)), ((+1, 0, 0), -(n1 + 1) * (n2 + be)))),
+    "dz-dy": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de: (
+            _YZ * (u.diff("z") - u.diff("y")) + (Y.scale(ga) - Z.scale(be)) * u
+        ).scale(2 * n3 + ga + de + 1),
+        (0, -1, -1, 0),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((0, 0, +1), -(n2 + be) * (n3 + 1)), ((0, +1, 0), (n2 + 1) * (n3 + ga)))),
+    "dz": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de: _zw_weighted(u, ga, de), (0, 0, -1, -1),
+        lambda n1, n2, n3, al, be, ga, de: (((0, 0, +1), -(n3 + 1)),)),
+    "dz.dx-dy": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de:
+        _zw_weighted(_xy_weighted(u, al, be), ga, de).scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        (-1, -1, -1, -1),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((0, +1, +1), -(n1 + al) * (n2 + 1) * (n3 + 1)),
+            ((+1, 0, +1), (n1 + 1) * (n2 + be) * (n3 + 1)))),
+}
+
+
+def _f123(n1, n2, n3, al, be, ga, de):
+    """f1*f2*f3, the left-hand scale of the z and w multiplications."""
+    return ((2 * (n1 + n2 + n3) + (al + be + ga + de) + 3)
+            * (2 * n2 + 2 * n3 + be + ga + de + 2) * (ga + de + 2 * n3 + 1))
+
+
+def _gh(n1, n2, n3, al, be, ga, de):
+    """The shorthands g1, g2, h1, h2 of the z and w multiplications."""
     n = n1 + n2 + n3
-    u = _cp(idx, q)
-    s = al + be + ga + de
-    f1 = 2 * n + s + 3
-    f2 = 2 * n2 + 2 * n3 + be + ga + de + 2
-    f3 = ga + de + 2 * n3 + 1
-    if which == "x":
-        lhs = (X * u).scale(f1)
-        down = (al - 1, be, ga, de)
-        rhs = _cp((n1, n2, n3), down).scale(n1 + al) + _cp(
-            (n1 + 1, n2, n3), down
-        ).scale(n1 + 1)
-    elif which == "y":
-        lhs = (Y * u).scale(f1 * f2)
-        down = (al, be - 1, ga, de)
-        rhs = (
-            _cp((n1, n2, n3), down).scale((n + n2 + n3 + be + ga + de + 2) * (n2 + be))
-            + _cp((n1, n2 + 1, n3), down).scale((n + n2 + n3 + s + 3) * (n2 + 1))
-            - _cp((n1 + 1, n2, n3), down).scale((n1 + 1) * (n2 + be))
-            - _cp((n1 - 1, n2 + 1, n3), down).scale((n1 + al) * (n2 + 1))
-        )
-    elif which == "z":
-        lhs = (Z * u).scale(f1 * f2 * f3)
-        down = (al, be, ga - 1, de)
-        g1 = n + n2 + n3 + be + ga + de + 2
-        g2 = n + n2 + n3 + s + 3
-        h1 = n2 + 2 * n3 + ga + de + 1
-        h2 = n2 + 2 * n3 + be + ga + de + 2
-        rhs = (
-            _cp((n1, n2, n3), down).scale(g1 * h1 * (n3 + ga))
-            - _cp((n1 + 1, n2, n3), down).scale((n1 + 1) * h1 * (n3 + ga))
-            - _cp((n1, n2 + 1, n3), down).scale(g2 * (n2 + 1) * (n3 + ga))
-            + _cp((n1 - 1, n2 + 1, n3), down).scale((n1 + al) * (n2 + 1) * (n3 + ga))
-            + _cp((n1, n2, n3 + 1), down).scale(g2 * h2 * (n3 + 1))
-            - _cp((n1 - 1, n2, n3 + 1), down).scale((n1 + al) * h2 * (n3 + 1))
-            - _cp((n1, n2 - 1, n3 + 1), down).scale(g1 * (n2 + be) * (n3 + 1))
-            + _cp((n1 + 1, n2 - 1, n3 + 1), down).scale((n1 + 1) * (n2 + be) * (n3 + 1))
-        )
-    elif which == "w":
-        lhs = (ONE_MINUS_XYZ * u).scale(f1 * f2 * f3)
-        down = (al, be, ga, de - 1)
-        g1 = n + n2 + n3 + be + ga + de + 2
-        g2 = n + n2 + n3 + s + 3
-        h1 = n2 + 2 * n3 + ga + de + 1
-        h2 = n2 + 2 * n3 + be + ga + de + 2
-        rhs = (
-            -_cp((n1, n2, n3 + 1), down).scale(g2 * h2 * (n3 + 1))
-            + _cp((n1 - 1, n2, n3 + 1), down).scale((n1 + al) * h2 * (n3 + 1))
-            + _cp((n1, n2 - 1, n3 + 1), down).scale(g1 * (n2 + be) * (n3 + 1))
-            - _cp((n1 + 1, n2 - 1, n3 + 1), down).scale((n1 + 1) * (n2 + be) * (n3 + 1))
-            + _cp((n1, n2, n3), down).scale(g1 * h1 * (n3 + de))
-            - _cp((n1 + 1, n2, n3), down).scale((n1 + 1) * h1 * (n3 + de))
-            - _cp((n1, n2 + 1, n3), down).scale(g2 * (n2 + 1) * (n3 + de))
-            + _cp((n1 - 1, n2 + 1, n3), down).scale((n1 + al) * (n2 + 1) * (n3 + de))
-        )
-    else:
-        raise KeyError(f"unknown multiplication identity {which!r}")
-    return report_equality(f"corollary.mult.{which}", idx, q, lhs, rhs)
+    return (n + n2 + n3 + be + ga + de + 2, n + n2 + n3 + (al + be + ga + de) + 3,
+            n2 + 2 * n3 + ga + de + 1, n2 + 2 * n3 + be + ga + de + 2)
 
 
-MULTIPLICATION_IDS = ("x", "y", "z", "w")
+def _mult_z_terms(n1, n2, n3, al, be, ga, de):
+    g1, g2, h1, h2 = _gh(n1, n2, n3, al, be, ga, de)
+    return (
+        ((0, 0, 0), g1 * h1 * (n3 + ga)), ((+1, 0, 0), -(n1 + 1) * h1 * (n3 + ga)),
+        ((0, +1, 0), -g2 * (n2 + 1) * (n3 + ga)),
+        ((-1, +1, 0), (n1 + al) * (n2 + 1) * (n3 + ga)),
+        ((0, 0, +1), g2 * h2 * (n3 + 1)), ((-1, 0, +1), -(n1 + al) * h2 * (n3 + 1)),
+        ((0, -1, +1), -g1 * (n2 + be) * (n3 + 1)),
+        ((+1, -1, +1), (n1 + 1) * (n2 + be) * (n3 + 1)))
+
+
+def _mult_w_terms(n1, n2, n3, al, be, ga, de):
+    g1, g2, h1, h2 = _gh(n1, n2, n3, al, be, ga, de)
+    return (
+        ((0, 0, +1), -g2 * h2 * (n3 + 1)), ((-1, 0, +1), (n1 + al) * h2 * (n3 + 1)),
+        ((0, -1, +1), g1 * (n2 + be) * (n3 + 1)),
+        ((+1, -1, +1), -(n1 + 1) * (n2 + be) * (n3 + 1)),
+        ((0, 0, 0), g1 * h1 * (n3 + de)), ((+1, 0, 0), -(n1 + 1) * h1 * (n3 + de)),
+        ((0, +1, 0), -g2 * (n2 + 1) * (n3 + de)),
+        ((-1, +1, 0), (n1 + al) * (n2 + 1) * (n3 + de)))
+
+
+MULTIPLICATIONS = {
+    "x": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de:
+        (X * u).scale(2 * (n1 + n2 + n3) + (al + be + ga + de) + 3),
+        (-1, 0, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de: (((0, 0, 0), n1 + al), ((+1, 0, 0), n1 + 1))),
+    "y": Corollary(
+        lambda u, n1, n2, n3, al, be, ga, de: (Y * u).scale(
+            (2 * (n1 + n2 + n3) + (al + be + ga + de) + 3) * (2 * n2 + 2 * n3 + be + ga + de + 2)),
+        (0, -1, 0, 0),
+        lambda n1, n2, n3, al, be, ga, de: (
+            ((0, 0, 0), ((n1 + n2 + n3) + n2 + n3 + be + ga + de + 2) * (n2 + be)),
+            ((0, +1, 0), ((n1 + n2 + n3) + n2 + n3 + (al + be + ga + de) + 3) * (n2 + 1)),
+            ((+1, 0, 0), -(n1 + 1) * (n2 + be)), ((-1, +1, 0), -(n1 + al) * (n2 + 1)))),
+    "z": Corollary(lambda u, *args: (Z * u).scale(_f123(*args)), (0, 0, -1, 0), _mult_z_terms),
+    "w": Corollary(lambda u, *args: (_W * u).scale(_f123(*args)), (0, 0, 0, -1), _mult_w_terms),
+}
+
+_NIL = Fraction(0)
+
+
+def verify_corollary(kind: str, table: dict, which: str, idx, fourparams) -> VerificationReport:
+    """Check one corollary line at the a = b = 0 member (idx, fourparams),
+    reported as corollary.<kind>.<which>."""
+    idx = as_tuple(idx, 3, int)
+    q = as_tuple(fourparams, 4)
+    line = table[which]
+    lhs = line.lhs(simplex_poly_raw(*idx, *q, _NIL, _NIL), *idx, *q)
+    q2 = tuple(p + d if d else p for p, d in zip(q, line.dparams))
+    rhs = ZERO
+    for dn, coeff in line.terms(*idx, *q):
+        idx2 = tuple(i + d for i, d in zip(idx, dn))
+        if min(idx2) >= 0:
+            rhs = rhs + simplex_poly_raw(*idx2, *q2, _NIL, _NIL).scale(coeff)
+    return report_equality(f"corollary.{kind}.{which}", idx, q, lhs, rhs)
+
+
+# verify_corollary_derivatives(which, idx, fourparams), and likewise the
+# weighted derivatives and the multiplications.
+verify_corollary_derivatives = partial(verify_corollary, "deriv", DERIVATIVES)
+verify_corollary_weighted = partial(verify_corollary, "weighted", WEIGHTED)
+verify_corollary_multiplication = partial(verify_corollary, "mult", MULTIPLICATIONS)
 
 
 def indices(max_degree: int):

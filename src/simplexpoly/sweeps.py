@@ -267,9 +267,9 @@ def tasks_pde(section) -> List[Task]:
 def tasks_corollaries(section) -> List[Task]:
     sec = SweepSection.parse(section, 4)
     cells = (
-        _cells("cor_deriv", simplex3d.DERIVATIVE_IDS)
-        + _cells("cor_weight", simplex3d.DERIVATIVE_IDS)
-        + _cells("cor_mult", simplex3d.MULTIPLICATION_IDS)
+        _cells("cor_deriv", simplex3d.DERIVATIVES)
+        + _cells("cor_weight", simplex3d.WEIGHTED)
+        + _cells("cor_mult", simplex3d.MULTIPLICATIONS)
     )
     return _grid(sec.params, simplex3d.indices(sec.degree), cells)
 
@@ -311,6 +311,8 @@ def run_suite(name: str, config: dict, jobs: int = 1) -> List[VerificationReport
         raise KeyError(f"unknown suite {name!r}; expected one of {SUITES}")
     section = _section(config, "suites", name)
     tasks = _TASK_BUILDERS[name](section)
+    if not tasks:
+        raise ValueError(f"config section suites.{name} yields no tasks")
     reports = run_tasks(tasks, jobs=jobs)
     for r in reports:
         r.suite = name

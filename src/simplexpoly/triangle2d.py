@@ -292,10 +292,23 @@ SECOND_ORDER_2D = {
 def _pde_coeffs_y_direction(n, k, a, b, c, d):
     # y(1-x-y) u_yy + ((b+1)(1-x) - (b+c+2) y) u_y + k(k+b+c+1) u, cleared by 1.
     return {
-        "yy": Y * ONE_MINUS_XY,
+        "yy": Y_ONE_MINUS_XY,
         "y": ONE_MINUS_X.scale(b + 1) - Y.scale(b + c + 2),
         "": MPoly.const(k * (k + b + c + 1)),
     }
+
+
+# The parameter-free coefficients of the two equations below, built once.
+_FULL_FIXED = {
+    "xx": X * ONE_MINUS_X * ONE_MINUS_X,
+    "xy": (X * Y).scale(-2) * ONE_MINUS_X,
+    "yy": Y * (ONE - Y) * ONE_MINUS_X,
+}
+_X_DIRECTION_FIXED = {
+    "xx": X * ONE_MINUS_X * ONE_MINUS_X,
+    "xy": (X * Y).scale(-2) * ONE_MINUS_X,
+    "yy": X * Y * Y,
+}
 
 
 def _pde_coeffs_full(n, k, a, b, c, d):
@@ -303,9 +316,7 @@ def _pde_coeffs_full(n, k, a, b, c, d):
     s = a + b + c + d + 3
     lam = n * (n + a + b + c + d + 2)
     return {
-        "xx": X * ONE_MINUS_X * ONE_MINUS_X,
-        "xy": (X * Y).scale(-2) * ONE_MINUS_X,
-        "yy": Y * (ONE - Y) * ONE_MINUS_X,
+        **_FULL_FIXED,
         "x": (MPoly.const(a + 1) - X.scale(s)) * ONE_MINUS_X,
         "y": (MPoly.const(b + 1) - Y.scale(s)) * ONE_MINUS_X + Y.scale(d),
         "": ONE_MINUS_X.scale(lam) - MPoly.const(k * d),
@@ -316,12 +327,11 @@ def _pde_coeffs_x_direction(n, k, a, b, c, d):
     # The difference of the two equations above; 1/(1-x) cleared by (1-x).
     s = a + b + c + d + 3
     lam = n * (n + a + b + c + d + 2)
+    drift = MPoly.const(a + 1) - X.scale(s)
     return {
-        "xx": X * ONE_MINUS_X * ONE_MINUS_X,
-        "xy": (X * Y).scale(-2) * ONE_MINUS_X,
-        "yy": X * Y * Y,
-        "x": (MPoly.const(a + 1) - X.scale(s)) * ONE_MINUS_X,
-        "y": -Y * (MPoly.const(a + 1) - X.scale(s)),
+        **_X_DIRECTION_FIXED,
+        "x": drift * ONE_MINUS_X,
+        "y": -Y * drift,
         "": ONE_MINUS_X.scale(lam) - MPoly.const(k * (k + b + c + d + 1)),
     }
 

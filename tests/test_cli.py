@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from simplexpoly import simplex3d
+from simplexpoly import simplex3d, sweeps
 from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, main
 
 
@@ -166,6 +166,37 @@ def test_config_missing_suite_section(tmp_path, capsys):
     path.write_text(json.dumps({"suites": {}}))
     code = main(["verify", "--suite", "ladder1d", "--config", str(path)])
     assert code == EX_CONFIG
+
+
+@pytest.mark.parametrize("key, value", [("degree", -1), ("params", [])])
+def test_config_suite_section_without_tasks(key, value, tmp_path, capsys):
+    config = sweeps.load_config(sweeps.default_config_path())
+    config["suites"]["three-term"][key] = value
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(config))
+    code = main(["verify", "--suite", "three-term", "--config", str(path)])
+    assert code == EX_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "suites.three-term" in err[0]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "abc"])
+def test_jobs_not_a_positive_integer_is_a_usage_error(jobs, config_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "three-term", "--config", config_path, f"--jobs={jobs}"])
+    assert err.value.code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jobs" in captured.err
+
+
+def test_config_jobs_below_one_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, jobs=0)))
+    code = main(["verify", "--suite", "three-term", "--config", str(path)])
+    assert code == EX_CONFIG
+    assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 def test_gram_csv_output(capsys, tmp_path):

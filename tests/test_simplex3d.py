@@ -18,10 +18,11 @@ from simplexpoly.ratpoly import (
     Z,
 )
 from simplexpoly.simplex3d import (
-    DERIVATIVE_IDS,
-    MULTIPLICATION_IDS,
+    DERIVATIVES,
+    MULTIPLICATIONS,
     SECOND_ORDER_3D,
     THEOREM1,
+    WEIGHTED,
     Index3,
     SimplexParams,
     classical_simplex_poly,
@@ -156,6 +157,23 @@ def test_all_relations_small_sweep(params):
             assert verify_second_order_3d(key, idx, params).ok, (key, idx)
 
 
+# Parameters at or below the pole, which ladder steps reach from inside the
+# domain, mixed with values inside it.
+AT_OR_BELOW_POLE = st.sampled_from([F(-2), F(-3, 2), F(-1)])
+IN_DOMAIN = st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(lambda v: v > -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(AT_OR_BELOW_POLE, IN_DOMAIN), min_size=6, max_size=6)
+    .filter(lambda p: min(p) <= -1),
+    st.sampled_from(indices(3)),
+)
+def test_ladder_relations_hold_next_to_the_pole(params, idx):
+    failed = [op for op in THEOREM1 if verify_theorem1(op, idx, params).status == "fail"]
+    assert failed == []
+
+
 @pytest.mark.parametrize("params", PARAMS_GRID)
 def test_pde_residuals_vanish(params):
     for idx in indices(3):
@@ -281,10 +299,11 @@ QUADS = [p[:4] for p in PARAMS_GRID]
 @pytest.mark.parametrize("quad", QUADS)
 def test_corollary_identities(quad):
     for idx in indices(3):
-        for which in DERIVATIVE_IDS:
+        for which in DERIVATIVES:
             assert verify_corollary_derivatives(which, idx, quad).ok, (which, idx)
+        for which in WEIGHTED:
             assert verify_corollary_weighted(which, idx, quad).ok, (which, idx)
-        for which in MULTIPLICATION_IDS:
+        for which in MULTIPLICATIONS:
             assert verify_corollary_multiplication(which, idx, quad).ok, (which, idx)
 
 
@@ -299,5 +318,5 @@ def test_corollary_spot_examples():
     assert verify_corollary_weighted("dz", (0, 0, 0), quad).status == "pass"
     assert verify_corollary_weighted("dx-dy", (0, 0, 0), quad).status == "pass"
     # multiplication identities at the origin member
-    for which in MULTIPLICATION_IDS:
+    for which in MULTIPLICATIONS:
         assert verify_corollary_multiplication(which, (0, 0, 0), quad).status == "pass"

@@ -2,7 +2,8 @@
 
 One wrong entry in any family's tables (a sparse operator coefficient, a
 sparse scale, an index shift, a composition eigenvalue, a
-differential-equation coefficient) must make its relation fail on every
+differential-equation coefficient, a corollary term coefficient, parameter
+step or left-hand scale) must make its relation fail on every
 applicable sample of a small slice, so that `summarize` flags it as an
 erratum candidate.
 """
@@ -133,3 +134,54 @@ def test_failing_report_carries_its_difference(family, monkeypatch):
         assert r["difference"] not in ("", "0")
     passed = [r.to_json() for r in reports if r.status != "fail"]
     assert all("difference" not in r for r in passed)
+
+
+# The corollary tables of the a = b = 0 subfamily: sweep kind -> (its
+# table, the line mutated in it, that line's report relation).  Every index
+# of the slice has all three entries at least 1, where no derivative
+# identity is trivially 0 = 0.
+COROLLARY_TABLES = {
+    "cor_deriv": (simplex3d.DERIVATIVES, "dx-dy", "corollary.deriv.dx-dy"),
+    "cor_weight": (simplex3d.WEIGHTED, "dz", "corollary.weighted.dz"),
+    "cor_mult": (simplex3d.MULTIPLICATIONS, "y", "corollary.mult.y"),
+}
+COROLLARY_SLICE = (
+    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)],
+    [(F(1, 3), F(-1, 2), F(1), F(0)), (F(-1, 2), F(0), F(1, 3), F(1))],
+)
+
+
+def _corollary_summary(kind):
+    rel = COROLLARY_TABLES[kind][1]
+    idxs, rows = COROLLARY_SLICE
+    return summarize(sweeps.run_tasks([(kind, rel, idx, q, None) for q in rows for idx in idxs]))
+
+
+def _first_coefficient_plus_one(line):
+    def terms(*args):
+        (dn, coeff), *rest = line.terms(*args)
+        return ((dn, coeff + 1), *rest)
+
+    return replace(line, terms=terms)
+
+
+COROLLARY_MUTATIONS = {
+    "coefficient": _first_coefficient_plus_one,
+    "step": lambda line: replace(line, dparams=(line.dparams[0] + 1,) + line.dparams[1:]),
+    "lhs": lambda line: replace(line, lhs=lambda u, *args: line.lhs(u, *args).scale(2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COROLLARY_TABLES))
+def test_unmutated_corollary_slice_is_clean(kind):
+    summary = _corollary_summary(kind)
+    assert summary["totals"]["fail"] == 0
+    assert summary["totals"]["pass"] == len(COROLLARY_SLICE[0]) * len(COROLLARY_SLICE[1])
+
+
+@pytest.mark.parametrize("kind", sorted(COROLLARY_TABLES))
+@pytest.mark.parametrize("mutation", sorted(COROLLARY_MUTATIONS))
+def test_corollary_mutant_is_erratum_candidate(kind, mutation, monkeypatch):
+    table, rel, relation = COROLLARY_TABLES[kind]
+    monkeypatch.setitem(table, rel, COROLLARY_MUTATIONS[mutation](table[rel]))
+    assert relation in _corollary_summary(kind)["erratum_candidates"]

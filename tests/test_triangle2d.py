@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, Y
 from simplexpoly.triangle2d import (
@@ -125,6 +127,23 @@ def test_all_relations_small_sweep(params):
             assert verify_m_relation(op, idx, params).ok, (op, idx)
         for key in SECOND_ORDER_2D:
             assert verify_second_order_m(key, idx, params).ok, (key, idx)
+
+
+# Parameters at or below the pole, which ladder steps reach from inside the
+# domain, mixed with values inside it.
+AT_OR_BELOW_POLE = st.sampled_from([F(-2), F(-3, 2), F(-1)])
+IN_DOMAIN = st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(lambda v: v > -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(AT_OR_BELOW_POLE, IN_DOMAIN), min_size=4, max_size=4)
+    .filter(lambda p: min(p) <= -1),
+    st.sampled_from(indices(4)),
+)
+def test_ladder_relations_hold_next_to_the_pole(params, idx):
+    failed = [op for op in SPARSE_2D if verify_m_relation(op, idx, params).status == "fail"]
+    assert failed == []
 
 
 @pytest.mark.parametrize("params", PARAMS_GRID)
