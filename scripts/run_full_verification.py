@@ -5,31 +5,37 @@ Usage:
     python scripts/run_full_verification.py [--config CONFIG] [--out DIR]
                                             [--jobs N]
 
-Exit status mirrors the CLI: 0 all green, 1 failures, 2 erratum
-candidates, 65 a config error such as a suite section that yields no
-checks.
+Exit status mirrors `simplexpoly verify`: 0 all green, 1 failures, 2
+erratum candidates, 64 a usage error such as a --jobs below 1, 65 a config
+error such as a missing or malformed config file or a suite section that
+yields no checks.
 """
 
-import argparse
+import json
 import os
 import sys
 import time
 
 from simplexpoly import sweeps
+from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, _jobs, _Parser
 from simplexpoly.operators import summarize
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = _Parser(description=__doc__)
     parser.add_argument("--config", default=None)
     parser.add_argument("--out", default="reports")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    args = parser.parse_args()
+    parser.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
+    args = parser.parse_args(argv)
 
-    config = sweeps.load_config(args.config or sweeps.default_config_path())
+    try:
+        config = sweeps.load_config(args.config or sweeps.default_config_path())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EX_CONFIG
     os.makedirs(args.out, exist_ok=True)
 
-    exit_code = 0
+    exit_code = EX_OK
     grand = {"pass": 0, "fail": 0, "not_applicable": 0}
     wall = time.perf_counter()
     for suite in sweeps.SUITES:
@@ -38,7 +44,7 @@ def main() -> int:
             reports = sweeps.run_suite(suite, config, jobs=args.jobs)
         except (KeyError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
-            return 65
+            return EX_CONFIG
         elapsed = time.perf_counter() - start
         summary = summarize(reports)
         sweeps.write_report(os.path.join(args.out, f"{suite}.json"), reports, summary)
@@ -48,10 +54,10 @@ def main() -> int:
         flag = ""
         if summary["erratum_candidates"]:
             flag = "  ERRATUM: " + ", ".join(summary["erratum_candidates"])
-            exit_code = 2
+            exit_code = EX_ERRATUM
         elif totals["fail"]:
             flag = "  FAILURES"
-            exit_code = max(exit_code, 1)
+            exit_code = max(exit_code, EX_FAIL)
         print(
             f"{suite:<14} {totals['pass']:>6} pass "
             f"{totals['fail']:>4} fail {totals['not_applicable']:>5} n/a "

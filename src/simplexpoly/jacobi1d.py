@@ -8,11 +8,10 @@ tetrahedron members and their norms, the twelve first-order ladder
 operators with their sparse recurrence table, and the twenty-four
 second-order composition identities.
 
-Ladder relations step the parameters by +-1, so verification sweeps reach
-members whose parameters sit outside the orthogonality regime (down to
-a = -2).  Construction therefore falls back to a pole-free binomial sum
-whenever the hypergeometric closed form hits a removable singularity at
-a+1 in {0, -1, -2, ...}.
+One formula builds every member and collapsed factor: P(n; a, b) =
+sum_m c_m (1-x)^m, c_m = (-1)^m C(n, m) (n+a+b+1)_m (a+1+m)_(n-m) / n!, a
+product of linear factors in a and b, for every rational pair, down to the
+-2 that the ladder relations reach outside the orthogonality regime.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from .operators import (
     verify_composition,
     verify_sparse,
 )
-from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, X, X_ONE_MINUS_X, Y, Z, ZERO
-from .special import factorial, gamma_ratio, hyper2f1_terminating, pochhammer
+from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, X_ONE_MINUS_X, Y, Z, ZERO
+from .special import factorial, gamma_ratio, pochhammer
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,27 @@ class JacobiParams:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a <= -1 or self.b <= -1:
-            raise ValueError(f"parameters must exceed -1, got ({self.a}, {self.b})")
+        for name in ("a", "b"):
+            value = Fraction(getattr(self, name))
+            if value <= -1:
+                raise ValueError(f"parameter {name} = {value} must exceed -1")
+            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> Tuple[Fraction, Fraction]:
         return (self.a, self.b)
+
+
+def _coefficients(n: int, a: Fraction, b: Fraction):
+    """[c_0, ..., c_n]: (a+1+m)_(n-m) is built from the top down and
+    (n+a+b+1)_m from the bottom up, so no parameter expression divides."""
+    tails = [Fraction(1)]
+    for m in range(n, 0, -1):
+        tails.append(tails[-1] * (a + m))
+    out, rising, top = [], Fraction(1), n + a + b + 1
+    for m, tail in enumerate(reversed(tails)):
+        out.append(Fraction((-1) ** m * math.comb(n, m), math.factorial(n)) * rising * tail)
+        rising *= top + m
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -59,29 +72,7 @@ def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
     """Degree-n member for arbitrary rational parameters (exact MPoly in x)."""
     if n < 0:
         return ZERO
-    if (a + 1).denominator == 1 and a + 1 <= 0:
-        # Removable singularity of the hypergeometric form; use the
-        # equivalent binomial sum, which is pole-free for all parameters.
-        out = ZERO
-        for s in range(n + 1):
-            coeff = (
-                _binom(n + a, n - s)
-                * _binom(n + b, s)
-                * (-1) ** s
-            )
-            if coeff != 0:
-                out = out + (ONE_MINUS_X**s * X ** (n - s)).scale(coeff)
-        return out
-    lead = pochhammer(a + 1, n) / factorial(n)
-    series = hyper2f1_terminating(n, n + a + b + 1, a + 1, ONE_MINUS_X)
-    return series.scale(lead)
-
-
-def _binom(top: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= (top - i) / (k - i)
-    return out
+    return _lifted_factor(0, n, a, b)
 
 
 def shifted_jacobi(n: int, p) -> MPoly:
@@ -143,8 +134,9 @@ def h_absolute(n: int, a: float, b: float) -> float:
 # cofactor to the power d_j, where s_j is the sum of the later degrees.
 # ---------------------------------------------------------------------------
 
-# Variable and cofactor of each collapsed coordinate: x, y/(1-x), z/(1-x-y).
-_COLLAPSED = ((X, ONE), (Y, ONE_MINUS_X), (Z, ONE_MINUS_XY))
+# W_j = 1, 1-x, 1-x-y, 1-x-y-z: collapsed coordinate j is 1 - W_{j+1}/W_j
+# (x, y/(1-x), z/(1-x-y)), and its cofactor is W_j.
+_W = (ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ)
 
 
 def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
@@ -174,8 +166,14 @@ def collapsed_exponents(axes, degrees):
 
 @lru_cache(maxsize=None)
 def _lifted_factor(axis: int, d: int, big_a: Fraction, big_b: Fraction) -> MPoly:
-    q = shifted_jacobi_raw(d, big_a, big_b)
-    return q if axis == 0 else lift_univariate(q, *_COLLAPSED[axis], d)
+    """W_axis^d P(d; A, B) in collapsed coordinate `axis`, which is
+    sum_m c_m W_{axis+1}^m W_axis^(d-m), summed by Horner's rule in W_{axis+1}."""
+    inner, outer = _W[axis + 1], _W[axis]
+    out, cofactor = ZERO, ONE
+    for c in reversed(_coefficients(d, big_a, big_b)):
+        out = out * inner + cofactor.scale(c)
+        cofactor = cofactor * outer
+    return out
 
 
 def collapsed_member(axes, degrees) -> MPoly:
@@ -186,6 +184,13 @@ def collapsed_member(axes, degrees) -> MPoly:
     pairs = collapsed_exponents(axes, degrees)
     return reduce(mul, (_lifted_factor(j, d, *pair)
                         for j, (d, pair) in enumerate(zip(degrees, pairs))))
+
+
+def collapsed_monic(axes, degrees, prefactor) -> MPoly:
+    """prefactor * P(d_0; A_0 + 2 s_0, B_0)(x) * y^d_1 (* z^d_2), not
+    renormalised: a wrong prefactor shows as a leading coefficient other than 1."""
+    first = _lifted_factor(0, degrees[0], *collapsed_exponents(axes, degrees)[0])
+    return reduce(mul, (v**d for v, d in zip((Y, Z), degrees[1:])), first.scale(prefactor))
 
 
 def collapsed_norm_ratio(axes, degrees) -> Fraction:

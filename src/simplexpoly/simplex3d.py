@@ -57,10 +57,10 @@ from .special import PoleHit, factorial, gamma_ratio, hyper3f2_unit, pochhammer
 from .jacobi1d import (
     collapsed_exponents,
     collapsed_member,
+    collapsed_monic,
     collapsed_norm,
     collapsed_norm_ratio,
     lift_univariate,
-    shifted_jacobi_raw,
 )
 from .triangle2d import classical_jacobi_shifted
 
@@ -597,21 +597,17 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     return rep
 
 
-def monic_simplex(idx, p) -> MPoly:
-    """Monic solution of the fourth equation at the given index.
+def monic_prefactor(n1, n2, n3, *params) -> Fraction:
+    """n1! / (e+n+n2+n3+3)_(n1), n = n1+n2+n3; PoleHit where the lead of P(n1) is 0."""
+    return factorial(n1) * gamma_ratio(_e(*params) + 2 * (n1 + n2 + n3) + 3, -n1)
 
-    n1! / (e+n+n2+n3+3)_(n1) * y^n2 z^n3 * P(n1) is monic by construction;
-    normalization by the x^n1 y^n2 z^n3 coefficient is kept as a guard.
-    """
-    idx = n1, n2, n3 = as_tuple(idx, 3, int)
+
+def monic_simplex(idx, p) -> MPoly:
+    """Monic solution of the fourth equation at the given index:
+    monic_prefactor * y^n2 z^n3 * P(n1)."""
+    idx = as_tuple(idx, 3, int)
     params = as_tuple(p, 6)
-    prefactor = factorial(n1) * gamma_ratio(_e(*params) + 2 * sum(idx) + 3, -n1)
-    fx = shifted_jacobi_raw(n1, *collapsed_exponents(axes(*params), idx)[0])
-    poly = (Y**n2 * Z**n3 * fx).scale(prefactor)
-    lead = poly.coeff(n1, n2, n3)
-    if lead == 0:
-        raise ArithmeticError("vanishing leading coefficient")
-    return poly.scale(1 / lead)
+    return collapsed_monic(axes(*params), idx, monic_prefactor(*idx, *params))
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,14 @@ def _cells(kind, relations=(None,)):
     return [(kind, rel, None) for rel in relations]
 
 
+def _nonempty(tasks, *path) -> List[Task]:
+    """`tasks`, refused when the config grid at suites.<path> yields none:
+    a grid that checks nothing would pass vacuously."""
+    if not tasks:
+        raise ValueError(f"config section suites.{'.'.join(path)} yields no tasks")
+    return tasks
+
+
 def _relation_grid(section, arity, indices, kind, relations) -> List[Task]:
     """One kind over a section's grid, for the relation ids it selects."""
     sec = SweepSection.parse(section, arity)
@@ -242,14 +250,17 @@ def tasks_theorem1(section) -> List[Task]:
 
 
 def tasks_second_order(section) -> List[Task]:
-    return (
-        _relation_grid(_section(section, "oned"), 2, jacobi1d.indices, "so1d",
-                       jacobi1d.SECOND_ORDER_1D)
-        + _relation_grid(_section(section, "twod"), 4, triangle2d.indices, "so2d",
-                         triangle2d.SECOND_ORDER_2D)
-        + _relation_grid(_section(section, "threed"), 6, simplex3d.indices, "so3d",
-                         simplex3d.SECOND_ORDER_3D)
-    )
+    return [
+        task
+        for key, arity, module, kind, relations in (
+            ("oned", 2, jacobi1d, "so1d", jacobi1d.SECOND_ORDER_1D),
+            ("twod", 4, triangle2d, "so2d", triangle2d.SECOND_ORDER_2D),
+            ("threed", 6, simplex3d, "so3d", simplex3d.SECOND_ORDER_3D),
+        )
+        for task in _nonempty(
+            _relation_grid(_section(section, key), arity, module.indices, kind, relations),
+            "second-order", key)
+    ]
 
 
 def tasks_pde(section) -> List[Task]:
@@ -257,10 +268,13 @@ def tasks_pde(section) -> List[Task]:
     three = SweepSection.parse(_section(section, "threed"), 6)
     monic_degree = int(section.get("monic_degree", 5))
     return (
-        _grid(two.params, triangle2d.indices(two.degree), _cells("pde2d", triangle2d.PDE_2D))
-        + _grid(three.params, simplex3d.indices(three.degree), _cells("pde3d", simplex3d.PDE_3D))
-        + _grid(two.params, triangle2d.indices(monic_degree), _cells("monic2d"))
-        + _grid(three.params, simplex3d.indices(monic_degree), _cells("monic3d"))
+        _nonempty(_grid(two.params, triangle2d.indices(two.degree),
+                        _cells("pde2d", triangle2d.PDE_2D)), "pde", "twod")
+        + _nonempty(_grid(three.params, simplex3d.indices(three.degree),
+                          _cells("pde3d", simplex3d.PDE_3D)), "pde", "threed")
+        + _nonempty(_grid(two.params, triangle2d.indices(monic_degree), _cells("monic2d"))
+                    + _grid(three.params, simplex3d.indices(monic_degree), _cells("monic3d")),
+                    "pde", "monic_degree")
     )
 
 
@@ -279,13 +293,13 @@ def tasks_connections(section) -> List[Task]:
     xis = [parse_fraction(v) for v in _section(section, "alpha")["xi"]]
     general = SweepSection.parse(_section(section, "general"), 6)
     targets = parse_grid(_section(section, "general")["targets"], 4)
-    return _grid(
+    return _nonempty(_grid(
         alpha.params, simplex3d.indices(alpha.degree),
         lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
-    ) + _grid(
+    ), "connections", "alpha") + _nonempty(_grid(
         general.params, simplex3d.indices(general.degree),
         lambda p: [("conn_general", None, t) for t in targets + [p[:4]]],
-    )
+    ), "connections", "general")
 
 
 def tasks_three_term(section) -> List[Task]:
@@ -310,9 +324,7 @@ def run_suite(name: str, config: dict, jobs: int = 1) -> List[VerificationReport
     if name not in _TASK_BUILDERS:
         raise KeyError(f"unknown suite {name!r}; expected one of {SUITES}")
     section = _section(config, "suites", name)
-    tasks = _TASK_BUILDERS[name](section)
-    if not tasks:
-        raise ValueError(f"config section suites.{name} yields no tasks")
+    tasks = _nonempty(_TASK_BUILDERS[name](section), name)
     reports = run_tasks(tasks, jobs=jobs)
     for r in reports:
         r.suite = name

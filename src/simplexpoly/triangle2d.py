@@ -45,11 +45,10 @@ from .ratpoly import (
 )
 from .special import factorial, gamma_ratio
 from .jacobi1d import (
-    collapsed_exponents,
     collapsed_member,
+    collapsed_monic,
     collapsed_norm_ratio,
     lift_univariate,
-    shifted_jacobi_raw,
 )
 
 
@@ -343,23 +342,17 @@ PDE_2D = {
 }
 
 
-def monic_triangle(idx, p) -> MPoly:
-    """Monic polynomial solution of the x-direction equation at (n, k).
+def monic_prefactor(n, k, a, b, c, d) -> Fraction:
+    """(n-k)! / (a+b+c+d+n+k+2)_(n-k); PoleHit where the lead of P(n-k) is 0."""
+    return factorial(n - k) * gamma_ratio(a + b + c + d + 2 * n + 2, -(n - k))
 
-    The closed form (n-k)! / (a+b+c+d+n+k+2)_(n-k) * y^k * P(n-k) already
-    has unit leading coefficient; the result is normalized by its
-    x^(n-k) y^k coefficient regardless, so the monic contract survives any
-    erratum in the prefactor.
-    """
+
+def monic_triangle(idx, p) -> MPoly:
+    """Monic polynomial solution of the x-direction equation at (n, k):
+    monic_prefactor * y^k * P(n-k)."""
     n, k = as_tuple(idx, 2, int)
     params = as_tuple(p, 4)
-    prefactor = factorial(n - k) * gamma_ratio(sum(params) + 2 * n + 2, -(n - k))
-    fx = shifted_jacobi_raw(n - k, *collapsed_exponents(axes(*params), degrees(n, k))[0])
-    poly = (Y**k * fx).scale(prefactor)
-    lead = poly.coeff(n - k, k, 0)
-    if lead == 0:
-        raise ArithmeticError("vanishing leading coefficient")
-    return poly.scale(1 / lead)
+    return collapsed_monic(axes(*params), degrees(n, k), monic_prefactor(n, k, *params))
 
 
 def indices(max_degree: int):

@@ -44,6 +44,26 @@ def jacobi_shifted_by_recurrence(n: int, a, b) -> MPoly:
     return cur
 
 
+def binomial(top, k: int) -> Fraction:
+    """Generalised binomial coefficient C(top, k) for a rational top."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= (Fraction(top) - i) / (k - i)
+    return out
+
+
+def jacobi_shifted_by_binomial_sum(n: int, a, b) -> MPoly:
+    """Degree-n shifted Jacobi polynomial from the binomial sum
+    sum_s C(n+a, n-s) C(n+b, s) (-1)^s (1-x)^s x^(n-s), which has no pole
+    at any rational (a, b)."""
+    one_minus_x = ONE - X
+    out = MPoly.zero()
+    for s in range(n + 1):
+        coeff = binomial(n + Fraction(a), n - s) * binomial(n + Fraction(b), s) * (-1) ** s
+        out = out + (one_minus_x**s * X ** (n - s)).scale(coeff)
+    return out
+
+
 def hyper2f1_series(n: int, b, c, x_val: Fraction) -> Fraction:
     """Terminating 2F1(-n, b; c; x) from the explicit factorial series."""
     total = Fraction(0)

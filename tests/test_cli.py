@@ -121,6 +121,7 @@ def test_usage_error_exit_code():
     ["connect", "--mode", "alpha", "--index=-1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],
     ["gram", "--N", "2", "--points", "0", "--params", "0,0,0,0,0,0"],
     ["print-poly", "--family", "jacobi", "--index", "2", "--params=-1,0"],
+    ["print-poly", "--family", "jacobi", "--index", "1", "--params=-2,0"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=-2,0,0,0,0,0"],
     ["print-poly", "--family", "triangle", "--index", "1,0", "--params=0,0,-1,0", "--monic"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=0,0,0,-3/2,0,0",
@@ -134,13 +135,26 @@ def test_usage_error_exit_code():
     ["gram", "--family", "triangle", "--N", "4", "--params", "0,1,1,-3/2"],
     ["gram", "--N=-1", "--params", "0,0,0,0,0,0"],
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
-        "jacobi-param-at-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
+        "jacobi-param-at-pole", "jacobi-param-below-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
         "connect-xi-below-pole", "connect-general-target-below-pole",
         "gram-simplex-param-below-pole", "gram-triangle-param-below-pole", "gram-negative-N"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE
+
+
+@pytest.mark.parametrize("family, params, cause", [
+    ("jacobi", "-2,0", "parameter a = -2 must exceed -1"),
+    ("jacobi", "0,-1", "parameter b = -1 must exceed -1"),
+    ("triangle", "0,0,-1,0", "parameter c = -1 must exceed -1"),
+])
+def test_param_refusal_names_the_parameter(family, params, cause, capsys):
+    index = {"jacobi": "1", "triangle": "1,0"}[family]
+    code = main(["print-poly", "--family", family, "--index", index, f"--params={params}"])
+    assert code == EX_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and cause in err[0]
 
 
 def test_gram_refusal_names_degree(capsys):
@@ -180,6 +194,35 @@ def test_config_suite_section_without_tasks(key, value, tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "suites.three-term" in err[0]
+
+
+@pytest.mark.parametrize("suite, path, key, value", [
+    ("second-order", ("oned",), "params", []),
+    ("second-order", ("twod",), "degree", -1),
+    ("second-order", ("threed",), "params", []),
+    ("pde", ("twod",), "params", []),
+    ("pde", ("threed",), "degree", -1),
+    ("pde", (), "monic_degree", -1),
+    ("connections", ("alpha",), "params", []),
+    ("connections", ("general",), "degree", -1),
+])
+def test_config_subgrid_without_tasks(suite, path, key, value, tmp_path, capsys):
+    # The other sub-grids of the section still yield tasks; the empty one
+    # would check nothing of its own.
+    config = sweeps.load_config(sweeps.default_config_path())
+    section = config["suites"][suite]
+    for part in path:
+        section = section[part]
+    section[key] = value
+    config_path = tmp_path / "empty.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["verify", "--suite", suite, "--config", str(config_path)])
+    assert code == EX_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    name = ".".join(("suites", suite) + (path or (key,)))
+    assert len(err) == 1 and f"{name} " in err[0]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "abc"])

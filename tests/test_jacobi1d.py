@@ -18,7 +18,11 @@ from simplexpoly.jacobi1d import (
 )
 from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, ZERO
 
-from oracles import interval_weighted_mean, jacobi_shifted_by_recurrence
+from oracles import (
+    interval_weighted_mean,
+    jacobi_shifted_by_binomial_sum,
+    jacobi_shifted_by_recurrence,
+)
 
 F = Fraction
 
@@ -48,6 +52,19 @@ def test_matches_recurrence_oracle():
         for b in GRID:
             for n in range(9):
                 assert shifted_jacobi_raw(n, a, b) == jacobi_shifted_by_recurrence(
+                    n, a, b
+                ), (n, a, b)
+
+
+def test_matches_binomial_sum_oracle_at_and_below_the_poles():
+    # The binomial sum has no pole at any parameter, and the grid holds the
+    # integers -3, -2 and -1 where the 2F1 form's denominators vanish.
+    grid = [F(-3), F(-5, 2), F(-2), F(-3, 2), F(-1), F(-2, 3), F(-1, 2), F(0), F(1, 3),
+            F(1), F(7, 3)]
+    for a in grid:
+        for b in grid:
+            for n in range(9):
+                assert shifted_jacobi_raw(n, a, b) == jacobi_shifted_by_binomial_sum(
                     n, a, b
                 ), (n, a, b)
 
@@ -146,13 +163,19 @@ def test_second_order_identities_hold(entry, n, a, b):
     assert verify_second_order_1d(entry, n, (a, b)).ok
 
 
+POLES = st.sampled_from([F(-1), F(-2)])
+REGULAR = st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(lambda v: v > -1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([F(-1), F(-2)]),
-    st.fractions(min_value=-1, max_value=3, max_denominator=6).filter(lambda b: b > -1),
+    st.one_of(st.tuples(POLES, st.one_of(POLES, REGULAR)), st.tuples(REGULAR, POLES)),
     st.integers(0, 5),
 )
-def test_ladder_relations_hold_next_to_the_pole(a, b, n):
-    # a = -1 and a = -2 take the binomial-sum branch of shifted_jacobi_raw.
+def test_ladder_relations_hold_next_to_the_pole(ab, n):
+    # At a or b in {-1, -2} the ladders step onto members outside the weight
+    # domain, and for a onto the poles of the 2F1 form; the constructor's
+    # coefficients have no pole in either parameter.
+    a, b = ab
     failed = [op for op in SPARSE_1D if verify_ladder(op, n, (a, b)).status == "fail"]
     assert failed == []

@@ -1,0 +1,73 @@
+"""scripts/run_full_verification.py: reports and exit codes."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from simplexpoly import sweeps
+from simplexpoly.cli import EX_CONFIG, EX_OK, EX_USAGE
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
+_spec = importlib.util.spec_from_file_location("run_full_verification", SCRIPT)
+run_full_verification = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_full_verification)
+
+
+def _cut(section):
+    """The section with every grid cut to degree 0 and its first row."""
+    if "params" in section:
+        section["degree"] = 0
+        section["params"] = section["params"][:1]
+    if "monic_degree" in section:
+        section["monic_degree"] = 0
+    for value in section.values():
+        if isinstance(value, dict):
+            _cut(value)
+
+
+@pytest.fixture
+def tiny_config(tmp_path):
+    config = sweeps.load_config(sweeps.default_config_path())
+    for section in config["suites"].values():
+        _cut(section)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_tiny_config_writes_one_report_per_suite(tiny_config, tmp_path, capsys):
+    out = tmp_path / "reports"
+    code = run_full_verification.main(["--config", tiny_config, "--out", str(out),
+                                       "--jobs", "1"])
+    assert code == EX_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"{s}.json" for s in sweeps.SUITES)
+    for suite in sweeps.SUITES:
+        summary = json.loads((out / f"{suite}.json").read_text())["summary"]
+        assert summary["totals"]["fail"] == 0 and summary["totals"]["pass"] > 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("total")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "abc"])
+def test_jobs_not_a_positive_integer_is_a_usage_error(jobs, tiny_config, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_full_verification.main(["--config", tiny_config, "--out", str(tmp_path),
+                                    f"--jobs={jobs}"])
+    assert err.value.code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jobs" in captured.err
+
+
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "malformed"])
+def test_unreadable_config_is_a_config_error(text, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    code = run_full_verification.main(["--config", str(path), "--out", str(tmp_path / "r"),
+                                       "--jobs", "1"])
+    assert code == EX_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")

@@ -3,17 +3,19 @@
 One wrong entry in any family's tables (a sparse operator coefficient, a
 sparse scale, an index shift, a composition eigenvalue, a
 differential-equation coefficient, a corollary term coefficient, parameter
-step or left-hand scale) must make its relation fail on every
-applicable sample of a small slice, so that `summarize` flags it as an
-erratum candidate.
+step or left-hand scale, a monic prefactor) must make its relation fail on
+every applicable sample of a small slice, so that `summarize` flags it as
+an erratum candidate.
 """
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
+from simplexpoly.cli import EX_ERRATUM, EX_OK, main
 from simplexpoly.operators import summarize
 from simplexpoly.ratpoly import ONE
 
@@ -185,3 +187,46 @@ def test_corollary_mutant_is_erratum_candidate(kind, mutation, monkeypatch):
     table, rel, relation = COROLLARY_TABLES[kind]
     monkeypatch.setitem(table, rel, COROLLARY_MUTATIONS[mutation](table[rel]))
     assert relation in _corollary_summary(kind)["erratum_candidates"]
+
+
+# The monic solutions keep the prefactor transcribed from the paper, so a
+# wrong prefactor must show as a leading coefficient other than 1.  The pde
+# slice builds monic solutions up to degree 2, so it holds indices whose
+# first-axis degree is 1 and 2, where the prefactor has Pochhammer factors.
+MONIC_SLICE = {
+    "triangle": (triangle2d, [["1/3", "-1/2", "1", "0"]]),
+    "simplex": (simplex3d, [["1/3", "-1/2", "1", "0", "1/2", "2"]]),
+}
+
+
+def _monic_slice_verify(tmp_path):
+    config = tmp_path / "pde.json"
+    config.write_text(json.dumps({"suites": {"pde": {
+        "twod": {"degree": 0, "params": MONIC_SLICE["triangle"][1]},
+        "threed": {"degree": 0, "params": MONIC_SLICE["simplex"][1]},
+        "monic_degree": 2,
+    }}}))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", "pde", "--config", str(config), "--jobs", "1",
+                 "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_unmutated_monic_slice_is_clean(tmp_path, capsys):
+    code, payload = _monic_slice_verify(tmp_path)
+    assert code == EX_OK
+    assert payload["summary"]["per_relation"]["monic.simplex"]["pass"] == 10
+    assert payload["summary"]["per_relation"]["monic.triangle"]["pass"] == 6
+
+
+@pytest.mark.parametrize("family", sorted(MONIC_SLICE))
+def test_doubled_monic_prefactor_is_erratum_candidate(family, tmp_path, monkeypatch, capsys):
+    module = MONIC_SLICE[family][0]
+    prefactor = module.monic_prefactor
+    monkeypatch.setattr(module, "monic_prefactor", lambda *args: 2 * prefactor(*args))
+    code, payload = _monic_slice_verify(tmp_path)
+    assert code == EX_ERRATUM
+    assert payload["summary"]["erratum_candidates"] == [f"monic.{family}"]
+    failed = [r["index"] for r in payload["reports"] if r["status"] == "fail"]
+    first_axis = [idx[0] - idx[1] if family == "triangle" else idx[0] for idx in failed]
+    assert max(first_axis) == 2

@@ -185,17 +185,3 @@ def test_monic_satisfies_equation_with_unit_lead(params):
         m = monic_triangle(idx, params)
         assert m.coeff(n - k, k, 0) == 1
         assert pde_residual("B1", idx, params, m).is_zero
-
-
-def test_monic_prefactor_is_already_unit():
-    """The closed-form prefactor itself produces a unit leading
-    coefficient, so the normalization guard is a no-op."""
-    from simplexpoly.jacobi1d import shifted_jacobi_raw
-    from simplexpoly.special import factorial, gamma_ratio
-
-    for params in PARAMS_GRID:
-        a, b, c, d = params
-        for n, k in indices(4):
-            pre = factorial(n - k) * gamma_ratio(a + b + c + d + 2 * n + 2, -(n - k))
-            raw = (Y**k * shifted_jacobi_raw(n - k, b + c + d + 2 * k + 1, a)).scale(pre)
-            assert raw.coeff(n - k, k, 0) == 1
