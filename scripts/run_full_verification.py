@@ -33,18 +33,21 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
+    # Every suite's section is checked before any suite runs, so a bad
+    # late section costs no work and leaves no report behind.
+    try:
+        plan = [(suite, sweeps.suite_tasks(suite, config)) for suite in sweeps.SUITES]
+    except (KeyError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EX_CONFIG
     os.makedirs(args.out, exist_ok=True)
 
     exit_code = EX_OK
     grand = {"pass": 0, "fail": 0, "not_applicable": 0}
     wall = time.perf_counter()
-    for suite in sweeps.SUITES:
+    for suite, tasks in plan:
         start = time.perf_counter()
-        try:
-            reports = sweeps.run_suite(suite, config, jobs=args.jobs)
-        except (KeyError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EX_CONFIG
+        reports = sweeps.run_suite_tasks(suite, tasks, jobs=args.jobs)
         elapsed = time.perf_counter() - start
         summary = summarize(reports)
         sweeps.write_report(os.path.join(args.out, f"{suite}.json"), reports, summary)

@@ -251,7 +251,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an index whose member needs an exponent past the
+        # limit of `ratpoly`'s packed keys.
         print(f"simplexpoly: error: {exc}", file=sys.stderr)
         return EX_USAGE
     except FileNotFoundError as exc:

@@ -11,7 +11,10 @@ second-order composition identities.
 One formula builds every member and collapsed factor: P(n; a, b) =
 sum_m c_m (1-x)^m, c_m = (-1)^m C(n, m) (n+a+b+1)_m (a+1+m)_(n-m) / n!, a
 product of linear factors in a and b, for every rational pair, down to the
--2 that the ladder relations reach outside the orthogonality regime.
+-2 that the ladder relations reach outside the orthogonality regime.  With
+a = A/L and b = B/L over their common denominator L, each linear factor
+times L is an integer, so the factors are built on the integer numerators
+L^n n! c_m and divided by L^n n! once, at the end.
 """
 
 from __future__ import annotations
@@ -54,17 +57,26 @@ class JacobiParams:
         return (self.a, self.b)
 
 
-def _coefficients(n: int, a: Fraction, b: Fraction):
-    """[c_0, ..., c_n]: (a+1+m)_(n-m) is built from the top down and
-    (n+a+b+1)_m from the bottom up, so no parameter expression divides."""
-    tails = [Fraction(1)]
+def _coefficients(n: int, big_a: int, big_b: int, den: int):
+    """The integer numerators [N_0, ..., N_n] of c_m = N_m / (n! den^n) at
+    a = big_a/den, b = big_b/den: (a+1+m)_(n-m) is built from the top
+    down and (n+a+b+1)_m from the bottom up, each factor times den."""
+    tails = [1]
     for m in range(n, 0, -1):
-        tails.append(tails[-1] * (a + m))
-    out, rising, top = [], Fraction(1), n + a + b + 1
+        tails.append(tails[-1] * (den * m + big_a))
+    out, rising, top = [], 1, den * (n + 1) + big_a + big_b
     for m, tail in enumerate(reversed(tails)):
-        out.append(Fraction((-1) ** m * math.comb(n, m), math.factorial(n)) * rising * tail)
-        rising *= top + m
+        out.append((-1) ** m * math.comb(n, m) * rising * tail)
+        rising *= top + den * m
     return out
+
+
+def _integer_pair(big_a, big_b, later: int = 0):
+    """(A, B, L) with (A/L, B/L) = (big_a + 2 later, big_b) and L the least
+    common denominator, the form under which `_lifted_factor` caches."""
+    da, db = big_a.denominator, big_b.denominator
+    den = da * db // math.gcd(da, db)
+    return (big_a.numerator * (den // da) + 2 * later * den, big_b.numerator * (den // db), den)
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +84,7 @@ def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
     """Degree-n member for arbitrary rational parameters (exact MPoly in x)."""
     if n < 0:
         return ZERO
-    return _lifted_factor(0, n, a, b)
+    return _lifted_factor(0, n, *_integer_pair(a, b))
 
 
 def shifted_jacobi(n: int, p) -> MPoly:
@@ -164,16 +176,27 @@ def collapsed_exponents(axes, degrees):
     return out[::-1]
 
 
+def _integer_pairs(axes, degrees):
+    """`_integer_pair` of each axis's Jacobi exponents: the integer form of
+    `collapsed_exponents`, with no Fraction arithmetic."""
+    out, later = [], 0
+    for (big_a, big_b), d in zip(reversed(axes), reversed(degrees)):
+        out.append(_integer_pair(big_a, big_b, later))
+        later += d
+    return out[::-1]
+
+
 @lru_cache(maxsize=None)
-def _lifted_factor(axis: int, d: int, big_a: Fraction, big_b: Fraction) -> MPoly:
-    """W_axis^d P(d; A, B) in collapsed coordinate `axis`, which is
-    sum_m c_m W_{axis+1}^m W_axis^(d-m), summed by Horner's rule in W_{axis+1}."""
+def _lifted_factor(axis: int, d: int, big_a: int, big_b: int, den: int) -> MPoly:
+    """W_axis^d P(d; big_a/den, big_b/den) in collapsed coordinate `axis`,
+    which is sum_m c_m W_{axis+1}^m W_axis^(d-m): Horner's rule in
+    W_{axis+1} on the integer numerators, then one division by d! den^d."""
     inner, outer = _W[axis + 1], _W[axis]
     out, cofactor = ZERO, ONE
-    for c in reversed(_coefficients(d, big_a, big_b)):
+    for c in reversed(_coefficients(d, big_a, big_b, den)):
         out = out * inner + cofactor.scale(c)
         cofactor = cofactor * outer
-    return out
+    return out.scale(Fraction(1, math.factorial(d) * den**d))
 
 
 def collapsed_member(axes, degrees) -> MPoly:
@@ -181,15 +204,14 @@ def collapsed_member(axes, degrees) -> MPoly:
     degree is negative."""
     if min(degrees) < 0:
         return ZERO
-    pairs = collapsed_exponents(axes, degrees)
-    return reduce(mul, (_lifted_factor(j, d, *pair)
-                        for j, (d, pair) in enumerate(zip(degrees, pairs))))
+    return reduce(mul, (_lifted_factor(j, d, *triple) for j, (d, triple)
+                        in enumerate(zip(degrees, _integer_pairs(axes, degrees)))))
 
 
 def collapsed_monic(axes, degrees, prefactor) -> MPoly:
     """prefactor * P(d_0; A_0 + 2 s_0, B_0)(x) * y^d_1 (* z^d_2), not
     renormalised: a wrong prefactor shows as a leading coefficient other than 1."""
-    first = _lifted_factor(0, degrees[0], *collapsed_exponents(axes, degrees)[0])
+    first = _lifted_factor(0, degrees[0], *_integer_pairs(axes, degrees)[0])
     return reduce(mul, (v**d for v, d in zip((Y, Z), degrees[1:])), first.scale(prefactor))
 
 

@@ -1,10 +1,14 @@
 """Exact sparse polynomial arithmetic in (x, y, z) over the rationals.
 
 A polynomial is stored as integer numerators over one common positive
-denominator: a dictionary `_num` mapping exponent triples (i, j, k) to
-nonzero ints, and an int `_den`:
+denominator: a dictionary `_num` mapping packed exponent keys to nonzero
+ints, and an int `_den`.  The key of x^i y^j z^k is the int
+i + j * 2^10 + k * 2^20: each variable has a 10-bit field, x lowest, and
+the top bit of each field is a guard bit that no stored key sets.  So
+every exponent lies in 0..511, and a key is an int below 2^30, which
+CPython adds, compares and hashes as a single digit.
 
-    x^2*y + 3/4   ->   _num = {(2, 1, 0): 4, (0, 0, 0): 3},  _den = 4
+    x^2*y + 3/4   ->   _num = {2 + 1 * 2^10: 4, 0: 3},  _den = 4
 
 The form is canonical: no zero numerator is stored, `_den > 0`, and
 gcd(_den, *numerators) == 1; the zero polynomial is the empty map over 1.
@@ -13,7 +17,13 @@ equal, and every identity check in this package is a direct structural
 comparison of canonical forms.  The kernels below run on ints and restore
 the canonical form with one gcd per result, in the manner of the
 integer-coefficient kernels of Monagan & Pearce, "Sparse polynomial
-multiplication and division in Maple 14" (2010).
+multiplication and division in Maple 14" (2010).  Multiplying monomials
+adds their keys, and dividing subtracts them, as with the packed exponent
+vectors of Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors" (CASC 2007).  Two fields below the
+guard bit add without a carry into the next field, so a product whose
+exponent reaches 512 sets a guard bit and raises OverflowError instead of
+turning into a monomial in another variable.
 
 One kernel serves every differential operator in the package:
 `MPoly.apply_derivatives({key: coeff})` returns the sum of coeff times the
@@ -23,11 +33,13 @@ and the differential-equation residuals (`operators.residual`) both call
 it, and it accumulates all the products into one integer map with one
 gcd at the end.
 
-The interface speaks Fractions: `terms`, `coeff`, `constant` and
-`evaluate` return them, the constructor and `scale` take them, and
-coefficients are never floats.  `MPoly.eval_float` sums the monomials in
-floating point; the Gram matrices in `quadrature` do not use it, since that
-sum cancels as the degree grows, and evaluate members factor by factor.
+The interface speaks exponent triples (i, j, k) and Fractions: `terms`,
+`coeff`, `constant` and `evaluate` return Fractions, the constructor and
+`scale` take ints or Fractions, and a float coefficient is refused with
+TypeError, as is a negative exponent or one above 511 with ValueError.
+`MPoly.eval_float` sums the monomials in floating point; the Gram matrices
+in `quadrature` do not use it, since that sum cancels as the degree grows,
+and evaluate members factor by factor.
 
 Instances are immutable by convention: every operation returns a fresh
 MPoly and nothing mutates `_num` or `_den` after construction.  This makes
@@ -37,8 +49,10 @@ the values safe to cache and to share across processes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Dict, Iterator, Tuple, Union
+from operator import index, or_
+from typing import Dict, Iterable, Iterator, Tuple, Union
 
 Exponent = Tuple[int, int, int]
 Scalar = Union[int, Fraction]
@@ -46,13 +60,23 @@ Scalar = Union[int, Fraction]
 Point = Tuple[Fraction, Fraction, Fraction]
 
 _VARS = ("x", "y", "z")
-_VAR_AXIS = {"x": 0, "y": 1, "z": 2}
-# One formal derivative per variable, on (exponent, integer numerator) pairs.
-_DIFF = {
-    "x": lambda terms: [((i - 1, j, k), c * i) for (i, j, k), c in terms if i],
-    "y": lambda terms: [((i, j - 1, k), c * j) for (i, j, k), c in terms if j],
-    "z": lambda terms: [((i, j, k - 1), c * k) for (i, j, k), c in terms if k],
-}
+# Bits per exponent field, the guard bit included; every exponent is
+# below EXPONENT_LIMIT.
+_BITS = 10
+EXPONENT_LIMIT = 1 << (_BITS - 1)
+_FIELD = (1 << _BITS) - 1
+_GUARDS = EXPONENT_LIMIT | EXPONENT_LIMIT << _BITS | EXPONENT_LIMIT << 2 * _BITS
+_SHIFT = {"x": 0, "y": _BITS, "z": 2 * _BITS}
+
+
+def _derivative(shift: int):
+    """The formal derivative along the field at `shift`, on (key, integer
+    numerator) pairs."""
+    unit, field = 1 << shift, _FIELD
+    return lambda terms: [(e - unit, c * p) for e, c in terms if (p := e >> shift & field)]
+
+
+_DIFF = {var: _derivative(shift) for var, shift in _SHIFT.items()}
 
 
 class NonzeroRemainder(ArithmeticError):
@@ -68,9 +92,41 @@ class NonzeroRemainder(ArithmeticError):
         super().__init__(f"nonzero remainder: {remainder}")
 
 
+def _fits(i: int, j: int, k: int) -> bool:
+    return 0 <= min(i, j, k) and max(i, j, k) < EXPONENT_LIMIT
+
+
+def _pack(exps: Exponent) -> int:
+    i, j, k = map(index, exps)
+    if not _fits(i, j, k):
+        raise ValueError(f"exponent outside 0..{EXPONENT_LIMIT - 1} in {tuple(exps)}")
+    return i | j << _BITS | k << 2 * _BITS
+
+
+def _unpack(key: int) -> Exponent:
+    return key & _FIELD, key >> _BITS & _FIELD, key >> 2 * _BITS
+
+
+def _span(keys: Iterable[int]) -> int:
+    """The bitwise OR of keys: each field is at least its largest exponent."""
+    return reduce(or_, keys, 0)
+
+
+def _check_sums(bound: int, sums: Dict[int, int]) -> None:
+    """Raise OverflowError if a key of `sums` reaches a guard bit.  Each
+    key of `sums` adds a key of one operand to a key of the other, and
+    `bound` adds the operands' spans, so each field of `bound` is at least
+    that field of every key.  Below the guard bits two fields add without
+    a carry, so the keys are read only when `bound` reaches a guard bit."""
+    if bound & _GUARDS and _span(sums) & _GUARDS:
+        raise OverflowError(f"an exponent of the product reaches {EXPONENT_LIMIT}")
+
+
 def _as_fraction(v: Scalar) -> Fraction:
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, float):
+        raise TypeError(f"refusing float coefficient {v!r}; pass an int or a Fraction")
     return Fraction(v)
 
 
@@ -89,11 +145,11 @@ class MPoly:
 
     def __init__(self, terms: Dict[Exponent, Scalar] = None):
         """The polynomial sum(c * x^i y^j z^k) of a map {(i, j, k): c}."""
-        self._num: Dict[Exponent, int] = {}
+        self._num: Dict[int, int] = {}
         self._den = 1
         if not terms:
             return
-        ratios = {e: _ratio(c) for e, c in terms.items()}
+        ratios = {_pack(e): _ratio(c) for e, c in terms.items()}
         # Over the lcm of the denominators the numerators are already
         # coprime to it: the factor p^k of the lcm comes from a term whose
         # denominator holds all of p^k, and that term's numerator lacks p.
@@ -113,22 +169,19 @@ class MPoly:
         n, d = _ratio(c)
         if n == 0:
             return _poly({}, 1)
-        return _poly({(0, 0, 0): n}, d)
+        return _poly({0: n}, d)
 
     @staticmethod
     def monomial(exps: Exponent, coeff: Scalar = 1) -> "MPoly":
         n, d = _ratio(coeff)
+        key = _pack(exps)
         if n == 0:
             return _poly({}, 1)
-        if min(exps) < 0:
-            raise ValueError(f"negative exponent in {exps}")
-        return _poly({tuple(exps): n}, d)
+        return _poly({key: n}, d)
 
     @staticmethod
     def variable(name: str) -> "MPoly":
-        exps = [0, 0, 0]
-        exps[_VAR_AXIS[name]] = 1
-        return _poly({tuple(exps): 1}, 1)
+        return _poly({1 << _SHIFT[name]: 1}, 1)
 
     # -- inspection --------------------------------------------------------
 
@@ -137,23 +190,25 @@ class MPoly:
         return not self._num
 
     def terms(self) -> "_Terms":
-        """The (exponent, Fraction) pairs, as a sized iterable."""
+        """The ((i, j, k), Fraction) pairs, as a sized iterable."""
         return _Terms(self)
 
     def degree(self, var: str) -> int:
         """Max exponent of `var`; -1 for the zero polynomial."""
-        axis = _VAR_AXIS[var]
-        return max((e[axis] for e in self._num), default=-1)
+        shift = _SHIFT[var]
+        return max((e >> shift & _FIELD for e in self._num), default=-1)
 
     def coeff(self, i: int, j: int, k: int) -> Fraction:
-        return Fraction(self._num.get((i, j, k), 0), self._den)
+        if not _fits(i, j, k):
+            return Fraction(0)
+        return Fraction(self._num.get(i | j << _BITS | k << 2 * _BITS, 0), self._den)
 
     def constant(self) -> Fraction:
         """The coefficient as a scalar; raises if not a constant polynomial."""
         if self.is_zero:
             return Fraction(0)
-        if len(self._num) == 1 and (0, 0, 0) in self._num:
-            return Fraction(self._num[(0, 0, 0)], self._den)
+        if len(self._num) == 1 and 0 in self._num:
+            return Fraction(self._num[0], self._den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     # -- arithmetic --------------------------------------------------------
@@ -161,9 +216,9 @@ class MPoly:
     def __add__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if not isinstance(other, MPoly):
             other = MPoly.const(other)
-        if self.is_zero:
+        if not self._num:
             return other
-        if other.is_zero:
+        if not other._num:
             return self
         d1, d2 = self._den, other._den
         g = gcd(d1, d2)
@@ -205,20 +260,21 @@ class MPoly:
     def __mul__(self, other: Union["MPoly", Scalar]) -> "MPoly":
         if not isinstance(other, MPoly):
             return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return _poly({}, 1)
         a, b = self._num, other._num
+        if not a or not b:
+            return _poly({}, 1)
         if len(a) > len(b):
             a, b = b, a
         bt = list(b.items())
-        out: Dict[Exponent, int] = {}
+        out: Dict[int, int] = {}
         get = out.get
-        for (i1, j1, k1), c1 in a.items():
-            for (i2, j2, k2), c2 in bt:
-                e = (i1 + i2, j1 + j2, k1 + k2)
+        for e1, c1 in a.items():
+            for e2, c2 in bt:
+                e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
+        _check_sums(_span(a) + _span(b), out)
         return _canon(out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -258,18 +314,20 @@ class MPoly:
         if not items or not self._num:
             return _poly({}, 1)
         den = lcm(*(c._den for _, c in items))
-        out: Dict[Exponent, int] = {}
+        bits = 0
+        out: Dict[int, int] = {}
         get = out.get
         for key, c in items:
             du = self._num.items()
             for var in key:
                 du = _DIFF[var](du)
             s = den // c._den
-            for (i1, j1, k1), c1 in c._num.items():
+            bits |= _span(c._num)
+            for e1, c1 in c._num.items():
                 c1 *= s
-                if i1 or j1 or k1:
-                    for (i2, j2, k2), c2 in du:
-                        e = (i1 + i2, j1 + j2, k1 + k2)
+                if e1:
+                    for e2, c2 in du:
+                        e = e1 + e2
                         out[e] = get(e, 0) + c1 * c2
                 else:
                     # A constant term shifts no exponent: skip the sums.
@@ -277,6 +335,8 @@ class MPoly:
                         out[e] = get(e, 0) + c1 * c2
         if 0 in out.values():
             out = {e: v for e, v in out.items() if v}
+        # Every derivative's keys lie field by field below self's.
+        _check_sums(_span(self._num) + bits, out)
         return _canon(out, den * self._den)
 
     # -- evaluation --------------------------------------------------------
@@ -285,7 +345,8 @@ class MPoly:
         """Exact value at a rational point (x, y, z)."""
         px, py, pz = (_as_fraction(v) for v in point)
         total = Fraction(0)
-        for (i, j, k), c in self._num.items():
+        for e, c in self._num.items():
+            i, j, k = _unpack(e)
             total += c * px**i * py**j * pz**k
         return total / self._den
 
@@ -293,7 +354,8 @@ class MPoly:
         """Float evaluation; accepts scalars or numpy arrays."""
         den = self._den
         total = 0.0 * x
-        for (i, j, k), c in self._num.items():
+        for e, c in self._num.items():
+            i, j, k = _unpack(e)
             total = total + float(Fraction(c, den)) * x**i * y**j * z**k
         return total
 
@@ -315,39 +377,46 @@ class MPoly:
         dnum = d._num
         if not dnum:
             raise ZeroDivisionError("division by the zero polynomial")
-        if len(dnum) == 1 and (0, 0, 0) in dnum:
-            return self.scale(Fraction(d._den, dnum[(0, 0, 0)]))
-        dxdeg = max(e[0] for e in dnum)
-        lead = [e for e in dnum if e[0] == dxdeg]
-        if dxdeg == 0 or len(lead) != 1 or lead[0] != (dxdeg, 0, 0):
+        if len(dnum) == 1 and 0 in dnum:
+            return self.scale(Fraction(d._den, dnum[0]))
+        dxdeg = max(e & _FIELD for e in dnum)
+        lead = [e for e in dnum if e & _FIELD == dxdeg]
+        # The key of the pure power x^dxdeg is dxdeg itself.
+        if dxdeg == 0 or lead != [dxdeg]:
             raise ValueError(f"unsupported divisor shape: {d}")
 
         # d = (content / d._den) * prim, with prim an integer polynomial.
         content = gcd(*dnum.values())
         prim = [(e, c // content) for e, c in dnum.items()]
-        lc = dnum[lead[0]] // content
+        lc = dnum[dxdeg] // content
         # f * self._num divides by prim in integers: f is lc to the number
         # of x-degrees the loop below eliminates, at most.
-        mx = max((e[0] for e in self._num), default=-1)
+        mx = max((e & _FIELD for e in self._num), default=-1)
         f = 1 if lc in (1, -1) else lc ** max(0, mx - dxdeg + 1)
         rem = {e: c * f for e, c in self._num.items()}
 
-        quot: Dict[Exponent, int] = {}
+        quot: Dict[int, int] = {}
         for m in range(mx, dxdeg - 1, -1):
-            top = [(e, c) for e, c in rem.items() if e[0] == m]
-            for (i, j, k), c in top:
-                qe = (i - dxdeg, j, k)
+            top = [(e, c) for e, c in rem.items() if e & _FIELD == m]
+            for e, c in top:
+                # Each quotient key is a leading key less x^dxdeg; one that
+                # reached a guard bit would carry in the sums below.
+                if e & _GUARDS:
+                    raise OverflowError(f"an exponent of the quotient reaches {EXPONENT_LIMIT}")
+                qe = e - dxdeg
                 qc = c // lc
                 quot[qe] = qc
-                for (di, dj, dk), dc in prim:
-                    e = (qe[0] + di, qe[1] + dj, qe[2] + dk)
-                    s = rem.get(e, 0) - qc * dc
+                for dk, dc in prim:
+                    e2 = qe + dk
+                    s = rem.get(e2, 0) - qc * dc
                     if s:
-                        rem[e] = s
+                        rem[e2] = s
                     else:
-                        rem.pop(e, None)
+                        rem.pop(e2, None)
         # self = quot * prim / (f * self._den) + rem / (f * self._den)
         if rem:
+            if _span(rem) & _GUARDS:
+                raise OverflowError(f"an exponent of the remainder reaches {EXPONENT_LIMIT}")
             raise NonzeroRemainder(_canon(rem, f * self._den))
         return _canon({e: c * d._den for e, c in quot.items()}, f * self._den * content)
 
@@ -371,10 +440,10 @@ class MPoly:
         """
         if self.is_zero:
             return "0"
-        keys = sorted(self._num, key=lambda e: (sum(e), e), reverse=True)
+        terms = sorted(((_unpack(e), c) for e, c in self._num.items()),
+                       key=lambda t: (sum(t[0]), t[0]), reverse=True)
         parts = []
-        for e, first in zip(keys, [True] + [False] * len(keys)):
-            c = self._num[e]
+        for first, (e, c) in zip([True] + [False] * len(terms), terms):
             mono = " ".join(
                 f"{v}^{p}" for v, p in zip(_VARS, e) if p > 0
             )
@@ -394,7 +463,8 @@ class MPoly:
 
 class _Terms:
     """A view of an MPoly's terms: its length costs nothing, and the
-    Fraction coefficients are made only as the pairs are iterated."""
+    exponent triples and Fraction coefficients are made only as the pairs
+    are iterated."""
 
     __slots__ = ("_poly",)
 
@@ -406,10 +476,10 @@ class _Terms:
 
     def __iter__(self) -> Iterator[Tuple[Exponent, Fraction]]:
         den = self._poly._den
-        return ((e, Fraction(n, den)) for e, n in self._poly._num.items())
+        return ((_unpack(e), Fraction(n, den)) for e, n in self._poly._num.items())
 
 
-def _poly(num: Dict[Exponent, int], den: int) -> MPoly:
+def _poly(num: Dict[int, int], den: int) -> MPoly:
     """An MPoly over num/den, which must already be canonical."""
     p = object.__new__(MPoly)
     p._num = num
@@ -417,7 +487,7 @@ def _poly(num: Dict[Exponent, int], den: int) -> MPoly:
     return p
 
 
-def _canon(num: Dict[Exponent, int], den: int, g: int = None) -> MPoly:
+def _canon(num: Dict[int, int], den: int, g: int = None) -> MPoly:
     """The canonical MPoly num/den, for a nonzero den and no zero in num.
 
     `g` is a divisor of den known to hold every factor that den may share

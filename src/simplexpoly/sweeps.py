@@ -319,16 +319,26 @@ _TASK_BUILDERS = {
 }
 
 
-def run_suite(name: str, config: dict, jobs: int = 1) -> List[VerificationReport]:
-    """Run one named suite from a parsed config; returns sorted reports."""
+def suite_tasks(name: str, config: dict) -> List[Task]:
+    """The tasks of one named suite from a parsed config.  A bad section
+    raises KeyError or ValueError here, before any task runs."""
     if name not in _TASK_BUILDERS:
         raise KeyError(f"unknown suite {name!r}; expected one of {SUITES}")
     section = _section(config, "suites", name)
-    tasks = _nonempty(_TASK_BUILDERS[name](section), name)
+    return _nonempty(_TASK_BUILDERS[name](section), name)
+
+
+def run_suite_tasks(name: str, tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
+    """Run the tasks of the named suite; returns its sorted reports."""
     reports = run_tasks(tasks, jobs=jobs)
     for r in reports:
         r.suite = name
     return reports
+
+
+def run_suite(name: str, config: dict, jobs: int = 1) -> List[VerificationReport]:
+    """Run one named suite from a parsed config; returns sorted reports."""
+    return run_suite_tasks(name, suite_tasks(name, config), jobs=jobs)
 
 
 def load_config(path: str) -> dict:
@@ -358,7 +368,9 @@ __all__ = [
     "default_config_path",
     "parse_fraction",
     "run_suite",
+    "run_suite_tasks",
     "run_tasks",
+    "suite_tasks",
     "summarize",
     "write_report",
 ]

@@ -134,11 +134,13 @@ def test_usage_error_exit_code():
     ["gram", "--N", "4", "--params", "0,0,0,0,-3/2,0"],
     ["gram", "--family", "triangle", "--N", "4", "--params", "0,1,1,-3/2"],
     ["gram", "--N=-1", "--params", "0,0,0,0,0,0"],
+    ["print-poly", "--family", "jacobi", "--index", "520", "--params", "0,0"],
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
         "jacobi-param-at-pole", "jacobi-param-below-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
         "connect-xi-below-pole", "connect-general-target-below-pole",
-        "gram-simplex-param-below-pole", "gram-triangle-param-below-pole", "gram-negative-N"])
+        "gram-simplex-param-below-pole", "gram-triangle-param-below-pole", "gram-negative-N",
+        "jacobi-index-past-exponent-limit"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from math import factorial, lcm
+
+from simplexpoly import triangle2d
 from simplexpoly.jacobi1d import (
     JacobiParams,
     SECOND_ORDER_1D,
     SPARSE_1D,
+    _coefficients,
+    _integer_pair,
+    _lifted_factor,
+    collapsed_member,
     norm_ratio,
     shifted_jacobi,
     shifted_jacobi_raw,
@@ -67,6 +74,37 @@ def test_matches_binomial_sum_oracle_at_and_below_the_poles():
                 assert shifted_jacobi_raw(n, a, b) == jacobi_shifted_by_binomial_sum(
                     n, a, b
                 ), (n, a, b)
+
+
+# Parameters with denominators 1, 2, 3, 4 and 6, from -2 to 2.
+small_rationals = st.sampled_from([1, 2, 3, 4, 6]).flatmap(
+    lambda q: st.integers(-2 * q, 2 * q).map(lambda k: F(k, q)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), small_rationals, small_rationals)
+def test_integer_coefficients_match_binomial_sum_oracle(n, a, b):
+    big_a, big_b, den = _integer_pair(a, b)
+    assert (F(big_a, den), F(big_b, den)) == (a, b)
+    assert den == lcm(a.denominator, b.denominator)
+    numerators = _coefficients(n, big_a, big_b, den)
+    assert len(numerators) == n + 1 and all(type(c) is int for c in numerators)
+    scale = F(1, factorial(n) * den**n)
+    built = sum((ONE_MINUS_X**m).scale(c * scale) for m, c in enumerate(numerators))
+    assert built == jacobi_shifted_by_binomial_sum(n, a, b), (n, a, b)
+
+
+def test_one_factor_from_rows_with_different_denominators_is_one_cache_entry():
+    # Both rows give the x-axis factor P(1; 3, 1/7), though their common
+    # denominators are 77 and 91: it is cached once, under (21, 1, 7).
+    first, second = (F(1, 7), F(0), F(2, 11), F(-2, 11)), (F(1, 7), F(0), F(3, 13), F(-3, 13))
+    degrees = triangle2d.degrees(2, 1)
+    collapsed_member(triangle2d.axes(*first), degrees)
+    before = _lifted_factor.cache_info()
+    collapsed_member(triangle2d.axes(*second), degrees)
+    after = _lifted_factor.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    assert _integer_pair(*triangle2d.axes(*second)[0], 1) == (21, 1, 7)
 
 
 def test_continuation_at_negative_integer_parameter():

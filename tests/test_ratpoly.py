@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 from simplexpoly import jacobi1d, simplex3d, triangle2d
 from simplexpoly.operators import DiffOperator
 from simplexpoly.ratpoly import (
+    EXPONENT_LIMIT as LIMIT,
     MPoly,
     NonzeroRemainder,
     ONE,
@@ -400,3 +401,124 @@ def test_table_operators_apply_as_by_parts(module, idx, params):
     for rel in module.FAMILY.sparse.values():
         op = rel.operator(*idx, *params)
         assert op.apply(u) == _apply_by_parts(op, u)
+
+
+# -- packed exponent keys at the edge of their fields --------------------------
+
+# Exponents are stored in fixed-width fields below a guard bit, so exponents
+# up to LIMIT - 1 must behave like small ones.  A `shifted` exponent plus a
+# `low` one stays below LIMIT, and so does a `high_yz` exponent of y or z
+# after the at most three division steps in x, each adding at most 2.
+low = st.integers(0, 3)
+edge = low | st.integers(LIMIT - 4, LIMIT - 1)
+shifted = low | st.integers(LIMIT - 7, LIMIT - 4)
+high_yz = low | st.integers(LIMIT - 10, LIMIT - 8)
+
+
+def edge_maps(xs, ys=None):
+    ys = xs if ys is None else ys
+    return st.dictionaries(st.tuples(xs, ys, ys), coeffs, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_maps(edge), edge_maps(edge), scalars, st.sampled_from(["x", "y", "z"]))
+def test_near_limit_linear_kernels_agree(t1, t2, c, var):
+    p, q = MPoly(t1), MPoly(t2)
+    t1, t2 = nonzero(t1), nonzero(t2)
+    assert ref(canonical(p)) == t1 and p.to_text() == ref_to_text(t1)
+    assert ref(canonical(p + q)) == ref_add(t1, t2)
+    assert ref(canonical(p - q)) == ref_add(t1, ref_scale(t2, -1))
+    assert ref(canonical(p.scale(c))) == ref_scale(t1, c)
+    assert ref(canonical(p.diff(var))) == ref_diff(t1, "xyz".index(var))
+    assert p.degree(var) == max((e["xyz".index(var)] for e in t1), default=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_maps(shifted), edge_maps(low))
+def test_near_limit_mul_agrees(t1, t2):
+    p, q = MPoly(t1), MPoly(t2)
+    want = ref_mul(nonzero(t1), nonzero(t2))
+    assert ref(canonical(p * q)) == want and ref(canonical(q * p)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_maps(shifted),
+       st.dictionaries(st.sampled_from(DERIVATIVE_KEYS), edge_maps(low), max_size=5))
+def test_near_limit_apply_derivatives_agrees(t, coeffs):
+    got = MPoly(t).apply_derivatives({key: MPoly(c) for key, c in coeffs.items()})
+    want = ref_apply_derivatives(nonzero(t), {key: nonzero(c) for key, c in coeffs.items()})
+    assert ref(canonical(got)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_maps(low, high_yz), edge_maps(low, high_yz), admissible_divisors(), st.booleans())
+def test_near_limit_div_exact_agrees(t, q, d, exact):
+    _assert_division_agrees(ref_mul(nonzero(q), d) if exact else nonzero(t), d)
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_exponent_crossing_the_limit_overflows(axis):
+    """A result that would need exponent LIMIT raises instead of carrying
+    into the next variable's field; one exponent less is fine."""
+    def mono(e):
+        exps = [0, 0, 0]
+        exps[axis] = e
+        return MPoly.monomial(tuple(exps))
+
+    var, top = (X, Y, Z)[axis], mono(LIMIT - 1)
+    assert mono(LIMIT - 2) * var == top and top.degree("xyz"[axis]) == LIMIT - 1
+    for overflow in (
+        lambda: top * var,
+        lambda: var * top,
+        lambda: (top + ONE) * (var - ONE),
+        lambda: mono(LIMIT // 2) ** 2,
+        lambda: top.apply_derivatives({"": var}),
+        lambda: top.apply_derivatives({"xyz"[axis]: var * var, "": ONE}),
+    ):
+        with pytest.raises(OverflowError):
+            overflow()
+
+
+def test_division_reaching_the_limit_overflows():
+    # x^2 y^(LIMIT-1) / (1-x-y): the quotient needs y^LIMIT.
+    with pytest.raises(OverflowError):
+        MPoly.monomial((2, LIMIT - 1, 0)).div_exact(ONE_MINUS_XY)
+    # x y^(LIMIT-1) / (1-x-y): only the remainder needs y^LIMIT.
+    with pytest.raises(OverflowError):
+        MPoly.monomial((1, LIMIT - 1, 0)).div_exact(ONE_MINUS_XY)
+    # Each step in x adds y^(LIMIT-12), so the steps after the first would
+    # carry out of the y field if the division went on.
+    divisor = ONE_MINUS_X - MPoly.monomial((0, LIMIT - 12, 0))
+    with pytest.raises(OverflowError):
+        MPoly.monomial((3, LIMIT - 1, 0)).div_exact(divisor)
+    # One exponent less: x y^k = -y^k (1-x-y) + y^k - y^(k+1).
+    k = LIMIT - 2
+    with pytest.raises(NonzeroRemainder) as err:
+        MPoly.monomial((1, k, 0)).div_exact(ONE_MINUS_XY)
+    assert err.value.remainder == MPoly({(0, k, 0): 1, (0, k + 1, 0): -1})
+
+
+@pytest.mark.parametrize("exps", [(-1, 0, 0), (0, -2, 1), (0, 0, -1), (LIMIT, 0, 0),
+                                  (0, LIMIT, 0), (1, 1, LIMIT + 5)])
+def test_exponent_outside_the_field_is_refused(exps):
+    with pytest.raises(ValueError):
+        MPoly({exps: 1})
+    with pytest.raises(ValueError):
+        MPoly({(0, 0, 0): 1, exps: 0})
+    with pytest.raises(ValueError):
+        MPoly.monomial(exps)
+    assert X.coeff(*exps) == 0
+
+
+def test_float_coefficient_is_refused():
+    for make in (
+        lambda: MPoly({(1, 0, 0): 0.1}),
+        lambda: MPoly.const(0.5),
+        lambda: MPoly.monomial((1, 0, 0), 0.5),
+        lambda: X.scale(0.5),
+        lambda: X * 0.5,
+        lambda: X + 0.5,
+        lambda: X.evaluate((0.5, F(0), F(0))),
+    ):
+        with pytest.raises(TypeError):
+            make()

@@ -71,3 +71,21 @@ def test_unreadable_config_is_a_config_error(text, tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_bad_late_section_is_refused_before_any_suite_runs(tiny_config, tmp_path, capsys):
+    config = json.loads(Path(tiny_config).read_text())
+    config["suites"]["connections"]["alpha"]["params"] = []
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "reports"
+    out.mkdir()
+    code = run_full_verification.main(["--config", str(path), "--out", str(out),
+                                       "--jobs", "1"])
+    assert code == EX_CONFIG
+    assert list(out.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "connections.alpha" in err[0]
