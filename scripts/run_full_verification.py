@@ -34,8 +34,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
     # Every suite's section is checked before any suite runs, so a bad
-    # late section costs no work and leaves no report behind.
+    # late section costs no work and leaves no report behind.  The config's
+    # "jobs" is checked as `simplexpoly verify` checks it, though --jobs
+    # sets the worker count here.
     try:
+        sweeps.config_int(config.get("jobs", 1), "jobs", low=1)
         plan = [(suite, sweeps.suite_tasks(suite, config)) for suite in sweeps.SUITES]
     except (KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

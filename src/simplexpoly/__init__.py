@@ -20,10 +20,8 @@ The package is organized bottom-up:
 from .ratpoly import MPoly, NonzeroRemainder, Point
 from .special import PoleHit, gamma_ratio, hyper2f1_terminating, hyper3f2_unit, pochhammer
 from .operators import DiffOperator, SparseRelation, VerificationReport, summarize
-from .jacobi1d import JacobiParams, shifted_jacobi, norm_ratio, verify_ladder, verify_second_order_1d
+from .jacobi1d import shifted_jacobi, norm_ratio, verify_ladder, verify_second_order_1d
 from .triangle2d import (
-    TriangleParams,
-    TriIndex,
     triangle_poly,
     triangle_norm_ratio,
     monic_triangle,
@@ -32,8 +30,6 @@ from .triangle2d import (
     pde_residual,
 )
 from .simplex3d import (
-    SimplexParams,
-    Index3,
     ConnectionExpansion,
     simplex_poly,
     simplex_norm,

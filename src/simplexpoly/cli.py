@@ -109,12 +109,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-# --family -> (module, index length, parameter count, parameter record,
-# monic constructor); the record checks the parameter domain.
+# --family -> (module, index length, monic constructor).
 _FAMILIES = {
-    "jacobi": (jacobi1d, 1, 2, jacobi1d.JacobiParams, None),
-    "triangle": (triangle2d, 2, 4, triangle2d.TriangleParams, "monic_triangle"),
-    "simplex": (simplex3d, 3, 6, simplex3d.SimplexParams, "monic_simplex"),
+    "jacobi": (jacobi1d, 1, None),
+    "triangle": (triangle2d, 2, "monic_triangle"),
+    "simplex": (simplex3d, 3, "monic_simplex"),
 }
 
 #: Largest normalized off-diagonal Gram entry the float path may leave.
@@ -128,15 +127,21 @@ def _check_index(idx, family: str) -> None:
         raise ValueError(f"index {text} is outside the {family} index domain")
 
 
+def _params(text: str, family):
+    """The --params of an `operators.Family`, refused outside its
+    weight's domain."""
+    return family.check(_fractions(text, len(family.names)))
+
+
 def cmd_print_poly(args) -> int:
-    module, dims, arity, params_record, monic = _FAMILIES[args.family]
+    module, dims, monic = _FAMILIES[args.family]
     if args.monic and monic is None:
         raise ValueError("--monic applies to triangle and simplex families")
     idx = _ints(args.index)
     if len(idx) != dims:
         raise ValueError(f"expected {dims} comma-separated index values, got {len(idx)}")
     _check_index(idx, args.family)
-    params = params_record(*_fractions(args.params, arity)).as_tuple()
+    params = _params(args.params, module.FAMILY)
     if args.monic:
         poly = getattr(module, monic)(idx, params)
     else:
@@ -147,17 +152,16 @@ def cmd_print_poly(args) -> int:
 
 def cmd_verify(args) -> int:
     path = args.config or sweeps.default_config_path()
+    # Only reading the config and building its tasks can raise a config
+    # error; a task that fails while it runs is a failing report.
     try:
         config = sweeps.load_config(path)
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(config.get("jobs", 1))
-            if jobs < 1:
-                raise ValueError(f"jobs must be at least 1, got {jobs}")
-        reports = sweeps.run_suite(args.suite, config, jobs=jobs)
+        jobs = sweeps.config_int(config.get("jobs", 1), "jobs", low=1)
+        tasks = sweeps.suite_tasks(args.suite, config)
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
+    reports = sweeps.run_suite_tasks(args.suite, tasks, jobs=args.jobs or jobs)
     summary = summarize(reports)
     if args.out:
         sweeps.write_report(args.out, reports, summary)
@@ -184,8 +188,8 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     if args.max_degree < 0:
         raise ValueError(f"--N must be at least 0, got {args.max_degree}")
-    module, _, arity, params_record, _ = _FAMILIES[args.family]
-    params = params_record(*_fractions(args.params, arity)).as_tuple()
+    module = _FAMILIES[args.family][0]
+    params = _params(args.params, module.FAMILY)
     idxs, gram = quadrature.collapsed_gram(module, args.max_degree, params, points=args.points)
     labels = [",".join(str(i) for i in idx) for idx in idxs]
     lines = ["index;" + ";".join(labels)]
@@ -203,7 +207,7 @@ def cmd_gram(args) -> int:
 def cmd_connect(args) -> int:
     idx = _ints(args.index)
     _check_index(idx, "simplex")
-    params = simplex3d.SimplexParams(*_fractions(args.params, 6)).as_tuple()
+    params = _params(args.params, simplex3d.FAMILY)
     if args.mode == "alpha":
         if args.xi is None:
             raise ValueError("--xi is required for mode=alpha")
@@ -217,7 +221,7 @@ def cmd_connect(args) -> int:
     except PoleHit as exc:
         raise ValueError(f"the connection coefficients have a pole: {exc}") from exc
     try:
-        simplex3d.SimplexParams(*expansion.target_params)
+        simplex3d.FAMILY.check(expansion.target_params)
     except ValueError as exc:
         raise ValueError(f"target {exc}") from exc
     ok = expansion.verify()

@@ -20,11 +20,9 @@ L^n n! c_m and divided by L^n n! once, at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from operator import mul
-from typing import Tuple
+from operator import index, mul
 
 from .operators import (
     DiffOperator,
@@ -37,24 +35,6 @@ from .operators import (
 )
 from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, X_ONE_MINUS_X, Y, Z, ZERO
 from .special import factorial, gamma_ratio, pochhammer
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Parameter pair (a, b) of the weight (1-x)^a x^b; both must be > -1."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            value = Fraction(getattr(self, name))
-            if value <= -1:
-                raise ValueError(f"parameter {name} = {value} must exceed -1")
-            object.__setattr__(self, name, value)
-
-    def as_tuple(self) -> Tuple[Fraction, Fraction]:
-        return (self.a, self.b)
 
 
 def _coefficients(n: int, big_a: int, big_b: int, den: int):
@@ -88,8 +68,8 @@ def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
 
 
 def shifted_jacobi(n: int, p) -> MPoly:
-    """Public constructor; `p` is a JacobiParams or an (a, b) pair."""
-    return shifted_jacobi_raw(n, *as_tuple(p, 2))
+    """Public constructor; `p` is the (a, b) pair."""
+    return shifted_jacobi_raw(index(n), *as_tuple(p, 2))
 
 
 def norm_ratio(n: int, p) -> Fraction:
@@ -322,8 +302,8 @@ def indices(max_degree: int):
 
 
 FAMILY = Family(
-    index=lambda n: (n,),
-    params=lambda p: as_tuple(p, 2),
+    names=("a", "b"),
+    index=lambda n: (index(n),),
     member=lambda n, a, b: shifted_jacobi_raw(n, a, b),
     valid=lambda idx: idx[0] >= 0,
     sparse=SPARSE_1D,

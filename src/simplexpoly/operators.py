@@ -19,20 +19,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from .ratpoly import MPoly, ONE, ZERO
+from .ratpoly import MPoly, ONE, ZERO, _as_fraction
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 
 
-def as_tuple(values, count: int, kind=Fraction) -> tuple:
-    """`count` values as a tuple of `kind`, from a parameter or index
-    record (anything with `as_tuple`) or from a plain sequence."""
-    vals = tuple(values.as_tuple() if hasattr(values, "as_tuple") else values)
+def as_tuple(values, count: int, convert=_as_fraction) -> tuple:
+    """The one conversion into the exact path: a sequence of `count`
+    values as a tuple.  Parameters go through `_as_fraction`, which
+    refuses a float with TypeError; index entries are converted with
+    `operator.index`, which refuses 1.5 instead of truncating it."""
+    vals = tuple(values)
     if len(vals) != count:
         raise ValueError(f"expected {count} values, got {len(vals)}")
-    return tuple(v if type(v) is kind else kind(v) for v in vals)
+    return tuple(map(convert, vals))
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,11 @@ class SecondOrder(_Shift):
 class Family:
     """What the shared checks below need to know about one family.
 
-    `index` and `params` turn the caller's index and parameters into
-    tuples; `member(*idx, *params)` builds a member and `valid(idx)` tells
+    `names` are the weight's parameter names, in argument order.  `index`
+    turns the caller's index into a tuple of ints and `params` the
+    caller's parameters into a tuple of Fractions; `check` does the same
+    and also refuses a parameter outside the weight's domain (> -1).
+    `member(*idx, *params)` builds a member and `valid(idx)` tells
     whether an index lies in the domain.  `member` names its module's
     constructor at call time, so wrappers installed on the module later (a
     test's monkeypatch, a profiler) are seen.  `sparse` maps a ladder id
@@ -106,8 +111,8 @@ class Family:
     builder, called as builder(*idx, *params).
     """
 
+    names: Tuple[str, ...]
     index: Callable
-    params: Callable
     member: Callable
     valid: Callable
     sparse: dict
@@ -116,6 +121,18 @@ class Family:
     # Whether a composition whose operand is the zero polynomial still
     # counts as an applicable sample (the interval family says no).
     zero_operand_applicable: bool = True
+
+    def params(self, p) -> Tuple[Fraction, ...]:
+        return as_tuple(p, len(self.names))
+
+    def check(self, p) -> Tuple[Fraction, ...]:
+        """The parameters as Fractions, refused (ValueError) unless every
+        one exceeds -1."""
+        params = self.params(p)
+        for name, value in zip(self.names, params):
+            if value <= -1:
+                raise ValueError(f"parameter {name} = {value} must exceed -1")
+        return params
 
 
 @dataclass

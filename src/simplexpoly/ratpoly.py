@@ -126,7 +126,7 @@ def _as_fraction(v: Scalar) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, float):
-        raise TypeError(f"refusing float coefficient {v!r}; pass an int or a Fraction")
+        raise TypeError(f"refusing float {v!r}; pass an int or a Fraction")
     return Fraction(v)
 
 

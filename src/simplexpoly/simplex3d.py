@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import index
 from typing import Callable, Tuple
 
 from .operators import (
@@ -52,6 +53,7 @@ from .ratpoly import (
     Y_ONE_MINUS_XY,
     Z,
     ZERO,
+    _as_fraction,
 )
 from .special import PoleHit, factorial, gamma_ratio, hyper3f2_unit, pochhammer
 from .jacobi1d import (
@@ -63,48 +65,6 @@ from .jacobi1d import (
     lift_univariate,
 )
 from .triangle2d import classical_jacobi_shifted
-
-
-@dataclass(frozen=True)
-class SimplexParams:
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta: Fraction
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta", "a", "b"):
-            value = Fraction(getattr(self, name))
-            if value <= -1:
-                raise ValueError(f"parameter {name} = {value} must exceed -1")
-            object.__setattr__(self, name, value)
-
-    @property
-    def e(self) -> Fraction:
-        return self.alpha + self.beta + self.gamma + self.delta + self.a + self.b
-
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.gamma, self.delta, self.a, self.b)
-
-
-@dataclass(frozen=True)
-class Index3:
-    n1: int
-    n2: int
-    n3: int
-
-    def __post_init__(self):
-        if min(self.as_tuple()) < 0:
-            raise ValueError("index entries must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.n1 + self.n2 + self.n3
-
-    def as_tuple(self):
-        return (self.n1, self.n2, self.n3)
 
 
 def _e(al, be, ga, de, a, b) -> Fraction:
@@ -130,17 +90,16 @@ def simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta, a, b) -> MPoly:
 
 
 def simplex_poly(idx, p) -> MPoly:
-    return simplex_poly_raw(*as_tuple(idx, 3, int), *as_tuple(p, 6))
+    return simplex_poly_raw(*as_tuple(idx, 3, index), *as_tuple(p, 6))
 
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
     """(exact ratio against the (0,0,0) member, absolute float norm)."""
     ax = axes(*as_tuple(p, 6))
-    idx = as_tuple(idx, 3, int)
+    idx = as_tuple(idx, 3, index)
     return collapsed_norm_ratio(ax, idx), collapsed_norm(ax, idx)
 
 
-@lru_cache(maxsize=None)
 def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
     """Independent construction of the four-parameter (a = b = 0) family.
 
@@ -158,8 +117,8 @@ def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
 
 
 def classical_simplex_poly(idx, fourparams) -> MPoly:
-    n1, n2, n3 = as_tuple(idx, 3, int)
-    alpha, beta, gamma, delta = (Fraction(v) for v in fourparams)
+    n1, n2, n3 = as_tuple(idx, 3, index)
+    alpha, beta, gamma, delta = as_tuple(fourparams, 4)
     return classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta)
 
 
@@ -575,8 +534,8 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     """a = b = 0 members equal the independent classical construction, and
     the first equation collapses coefficient-by-coefficient to its
     classical form."""
-    idx = as_tuple(idx, 3, int)
-    al, be, ga, de = (Fraction(v) for v in fourparams)
+    idx = as_tuple(idx, 3, index)
+    al, be, ga, de = as_tuple(fourparams, 4)
     params = (al, be, ga, de, Fraction(0), Fraction(0))
     lhs = simplex_poly_raw(*idx, *params)
     rhs = classical_simplex_poly_raw(*idx, al, be, ga, de)
@@ -605,7 +564,7 @@ def monic_prefactor(n1, n2, n3, *params) -> Fraction:
 def monic_simplex(idx, p) -> MPoly:
     """Monic solution of the fourth equation at the given index:
     monic_prefactor * y^n2 z^n3 * P(n1)."""
-    idx = as_tuple(idx, 3, int)
+    idx = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
     return collapsed_monic(axes(*params), idx, monic_prefactor(*idx, *params))
 
@@ -651,10 +610,10 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     untouched.  Each coefficient is a product of three integer-offset gamma
     ratios, a Pochhammer in (alpha - xi), and the telescoping linear factor.
     """
-    n1, n2, n3 = as_tuple(idx, 3, int)
+    n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
     al = params[0]
-    xi = Fraction(xi)
+    xi = _as_fraction(xi)
     e = _e(*params)
     n = n1 + n2 + n3
     terms = []
@@ -702,9 +661,9 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     The triple sum runs over componentwise-lower indices, and targets carry
     the compensating (1-x)^(n2-k2) (1-x-y)^(n3-k3) monomial factors.
     """
-    n1, n2, n3 = as_tuple(idx, 3, int)
+    n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
-    phi, theta, eta, xi = (Fraction(v) for v in target)
+    phi, theta, eta, xi = as_tuple(target, 4)
     target_params = (phi, theta, eta, xi) + params[4:]
     source = collapsed_exponents(axes(*params), (n1, n2, n3))
     target_axes = axes(*target_params)
@@ -739,7 +698,7 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
     PoleHit if a structural denominator e+2n+2..e+2n+4 vanishes (possible
     for parameter sums <= -2 even inside the orthogonality regime).
     """
-    n1, n2, n3 = as_tuple(idx, 3, int)
+    n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
     al = params[0]
     e = _e(*params)
@@ -758,7 +717,7 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def verify_three_term(idx, p) -> VerificationReport:
-    idx = as_tuple(idx, 3, int)
+    idx = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
     n1, n2, n3 = idx
     try:
@@ -929,7 +888,7 @@ _NIL = Fraction(0)
 def verify_corollary(kind: str, table: dict, which: str, idx, fourparams) -> VerificationReport:
     """Check one corollary line at the a = b = 0 member (idx, fourparams),
     reported as corollary.<kind>.<which>."""
-    idx = as_tuple(idx, 3, int)
+    idx = as_tuple(idx, 3, index)
     q = as_tuple(fourparams, 4)
     line = table[which]
     lhs = line.lhs(simplex_poly_raw(*idx, *q, _NIL, _NIL), *idx, *q)
@@ -961,8 +920,8 @@ def indices(max_degree: int):
 
 
 FAMILY = Family(
-    index=lambda idx: as_tuple(idx, 3, int),
-    params=lambda p: as_tuple(p, 6),
+    names=("alpha", "beta", "gamma", "delta", "a", "b"),
+    index=lambda idx: as_tuple(idx, 3, index),
     member=lambda *idx_params: simplex_poly_raw(*idx_params),
     valid=lambda idx: min(idx) >= 0,
     sparse=THEOREM1,

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .ratpoly import MPoly
+from .ratpoly import MPoly, _as_fraction
 
 Scalar = Union[int, Fraction]
 
@@ -28,7 +28,7 @@ def pochhammer(lam: Scalar, n: int) -> Fraction:
     """Rising factorial lam*(lam+1)*...*(lam+n-1), with (lam)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer order must be >= 0")
-    lam = Fraction(lam)
+    lam = _as_fraction(lam)
     out = Fraction(1)
     for i in range(n):
         out *= lam + i
@@ -42,7 +42,7 @@ def gamma_ratio(base: Scalar, offset: int) -> Fraction:
     1/(base+offset)_(-offset).  Raises PoleHit when a factor in the
     denominator position vanishes.
     """
-    base = Fraction(base)
+    base = _as_fraction(base)
     if offset >= 0:
         return pochhammer(base, offset)
     denom = pochhammer(base + offset, -offset)
@@ -63,8 +63,8 @@ def hyper2f1_terminating(n: int, b: Scalar, c: Scalar, x: MPoly) -> MPoly:
     """
     if n < 0:
         raise ValueError("series order must be >= 0")
-    b = Fraction(b)
-    c = Fraction(c)
+    b = _as_fraction(b)
+    c = _as_fraction(c)
     if not isinstance(x, MPoly):
         x = MPoly.const(x)
     total = MPoly.const(1)
@@ -85,7 +85,7 @@ def hyper3f2_unit(n: int, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar) -> Fra
     """3F2(-n, a2, a3; b1, b2; 1), terminating after n+1 terms."""
     if n < 0:
         raise ValueError("series order must be >= 0")
-    a2, a3, b1, b2 = (Fraction(v) for v in (a2, a3, b1, b2))
+    a2, a3, b1, b2 = map(_as_fraction, (a2, a3, b1, b2))
     total = Fraction(1)
     term = Fraction(1)
     for m in range(n):

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import jacobi1d, simplex3d, triangle2d
 from .operators import FAIL, VerificationReport, report_equality, summarize
-from .ratpoly import ZERO, NonzeroRemainder
+from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder
 from .special import PoleHit
 
 SUITES = (
@@ -44,6 +44,31 @@ def parse_fraction(text) -> Fraction:
     return Fraction(str(text))
 
 
+# The largest degree a config may ask for.  Every exponent of a packed
+# `ratpoly` key lies below EXPONENT_LIMIT (512), and a check at degree D
+# builds exponents past D: the ladder operators of the triangle and the
+# tetrahedron multiply a member by a coefficient of degree 2 before their
+# exact division, which reaches D + 2; the interval ladder, the
+# compositions, the three-term recurrence, the general connection and the
+# weighted-derivative and multiplication corollaries reach D + 1 (measured
+# over every task kind of the shipped suites; the interval family at 511
+# overflows).  A headroom of 8 covers these with room for a table line of
+# higher degree, so no accepted degree ends a sweep in an OverflowError.
+MAX_DEGREE = EXPONENT_LIMIT - 8
+
+
+def config_int(value, key: str, low: int = None, high: int = None) -> int:
+    """The config value of `key`, refused (ValueError) unless it is a JSON
+    integer within [low, high]: 5.5, "5" and true are not read as 5 or 1."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{key} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{key} must be at most {high}, got {value}")
+    return value
+
+
 def parse_grid(rows: Sequence[Sequence], arity: int) -> List[Tuple[Fraction, ...]]:
     grid = []
     for row in rows:
@@ -66,7 +91,7 @@ class SweepSection:
     @staticmethod
     def parse(section: dict, arity: int) -> "SweepSection":
         return SweepSection(
-            degree=int(section["degree"]),
+            degree=config_int(section["degree"], "degree", high=MAX_DEGREE),
             params=tuple(parse_grid(section["params"], arity)),
             relations=section.get("relations", "all"),
         )
@@ -144,15 +169,16 @@ Task = Tuple[str, Optional[str], tuple, tuple, object]
 
 
 def run_task(task: Task) -> VerificationReport:
-    """Run one task.  An exact division with a remainder, a pole or a zero
-    denominator fails the sample instead of raising; the remainder or the
-    pole is in the report's detail."""
+    """Run one task.  An exact division with a remainder or by a divisor
+    it cannot divide by (ValueError, as a mistyped table denominator
+    gives), a pole or a zero denominator fails the sample instead of
+    raising; the cause is in the report's detail."""
     kind, rel, idx, params, extra = task
     relation, execute = _KINDS[kind]
     relation = relation.format(rel)
     try:
         return execute(relation, rel, idx, params, extra)
-    except (NonzeroRemainder, PoleHit, ZeroDivisionError) as exc:
+    except (NonzeroRemainder, PoleHit, ValueError, ZeroDivisionError) as exc:
         return VerificationReport(
             relation, idx, params, FAIL, detail=f"{type(exc).__name__}: {exc}"
         )
@@ -266,7 +292,8 @@ def tasks_second_order(section) -> List[Task]:
 def tasks_pde(section) -> List[Task]:
     two = SweepSection.parse(_section(section, "twod"), 4)
     three = SweepSection.parse(_section(section, "threed"), 6)
-    monic_degree = int(section.get("monic_degree", 5))
+    monic_degree = config_int(section.get("monic_degree", 5), "monic_degree",
+                              high=MAX_DEGREE)
     return (
         _nonempty(_grid(two.params, triangle2d.indices(two.degree),
                         _cells("pde2d", triangle2d.PDE_2D)), "pde", "twod")
@@ -364,6 +391,7 @@ def write_report(path: str, reports, summary) -> None:
 
 __all__ = [
     "SUITES",
+    "config_int",
     "load_config",
     "default_config_path",
     "parse_fraction",

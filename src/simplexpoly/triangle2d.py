@@ -15,9 +15,9 @@ a reduction cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import index
 
 from .operators import (
     DiffOperator,
@@ -52,37 +52,6 @@ from .jacobi1d import (
 )
 
 
-@dataclass(frozen=True)
-class TriangleParams:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            value = Fraction(getattr(self, name))
-            if value <= -1:
-                raise ValueError(f"parameter {name} = {value} must exceed -1")
-            object.__setattr__(self, name, value)
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class TriIndex:
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"index must satisfy 0 <= k <= n, got {self}")
-
-    def as_tuple(self):
-        return (self.n, self.k)
-
-
 def axes(a, b, c, d):
     """Collapsed base pairs (A_j, B_j) of the weight, x then y/(1-x)."""
     return ((b + c + d + 1, a), (c, b))
@@ -99,16 +68,15 @@ def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
 
 
 def triangle_poly(idx, p) -> MPoly:
-    n, k = as_tuple(idx, 2, int)
+    n, k = as_tuple(idx, 2, index)
     return triangle_poly_raw(n, k, *as_tuple(p, 4))
 
 
 def triangle_norm_ratio(idx, p) -> Fraction:
     """Squared-norm ratio against the (0, 0) member, exactly."""
-    return collapsed_norm_ratio(axes(*as_tuple(p, 4)), degrees(*as_tuple(idx, 2, int)))
+    return collapsed_norm_ratio(axes(*as_tuple(p, 4)), degrees(*as_tuple(idx, 2, index)))
 
 
-@lru_cache(maxsize=None)
 def classical_triangle_poly_raw(n, k, a, b, c) -> MPoly:
     """Independent d = 0 construction via the classical recurrence.
 
@@ -145,8 +113,8 @@ def classical_jacobi_shifted(m: int, big_a: Fraction, big_b: Fraction) -> MPoly:
 
 def verify_d0_reduction(idx, abc) -> VerificationReport:
     """d = 0 member equals the classical construction, exactly."""
-    n, k = as_tuple(idx, 2, int)
-    a, b, c = (Fraction(v) for v in abc)
+    n, k = as_tuple(idx, 2, index)
+    a, b, c = as_tuple(abc, 3)
     lhs = triangle_poly_raw(n, k, a, b, c, Fraction(0))
     rhs = classical_triangle_poly_raw(n, k, a, b, c)
     return report_equality("reduction.d0", (n, k), (a, b, c), lhs, rhs)
@@ -350,7 +318,7 @@ def monic_prefactor(n, k, a, b, c, d) -> Fraction:
 def monic_triangle(idx, p) -> MPoly:
     """Monic polynomial solution of the x-direction equation at (n, k):
     monic_prefactor * y^k * P(n-k)."""
-    n, k = as_tuple(idx, 2, int)
+    n, k = as_tuple(idx, 2, index)
     params = as_tuple(p, 4)
     return collapsed_monic(axes(*params), degrees(n, k), monic_prefactor(n, k, *params))
 
@@ -361,8 +329,8 @@ def indices(max_degree: int):
 
 
 FAMILY = Family(
-    index=lambda idx: as_tuple(idx, 2, int),
-    params=lambda p: as_tuple(p, 4),
+    names=("a", "b", "c", "d"),
+    index=lambda idx: as_tuple(idx, 2, index),
     member=lambda n, k, a, b, c, d: triangle_poly_raw(n, k, a, b, c, d),
     valid=lambda idx: 0 <= idx[1] <= idx[0],
     sparse=SPARSE_2D,

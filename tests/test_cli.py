@@ -244,6 +244,45 @@ def test_config_jobs_below_one_is_a_config_error(tmp_path, capsys):
     assert "jobs must be at least 1" in capsys.readouterr().err
 
 
+# A count in the config is a JSON integer: 5.5, "3" and true are refused,
+# not read as 5, 3 or 1, and a degree stays within the cap under the
+# packed-key exponent limit.
+@pytest.mark.parametrize("suite, path, value", [
+    ("ladder1d", ("suites", "ladder1d", "degree"), 5.5),
+    ("ladder1d", ("suites", "ladder1d", "degree"), True),
+    ("ladder1d", ("suites", "ladder1d", "degree"), "3"),
+    ("ladder1d", ("suites", "ladder1d", "degree"), sweeps.MAX_DEGREE + 1),
+    ("second-order", ("suites", "second-order", "threed", "degree"), 2.0),
+    ("pde", ("suites", "pde", "monic_degree"), 2.5),
+    ("pde", ("suites", "pde", "monic_degree"), sweeps.MAX_DEGREE + 1),
+    ("three-term", ("jobs",), 2.0),
+    ("three-term", ("jobs",), True),
+], ids=["degree-float", "degree-bool", "degree-string", "degree-past-cap",
+        "subgrid-degree-float", "monic-degree-float", "monic-degree-past-cap",
+        "jobs-float", "jobs-bool"])
+def test_config_count_not_an_admissible_integer(suite, path, value, tmp_path, capsys):
+    config = sweeps.load_config(sweeps.default_config_path())
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    config_path = tmp_path / "counts.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["verify", "--suite", suite, "--config", str(config_path)])
+    assert code == EX_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path[-1]} must be")
+
+
+@pytest.mark.parametrize("kind, relation", [("ladder1d", "L4"), ("so1d", "L1.L1p.rel")])
+def test_interval_checks_at_the_degree_cap_fit_the_exponent_limit(kind, relation):
+    # Both reach degree + 1, and overflow at degree 511.
+    report = sweeps.run_task((kind, relation, (sweeps.MAX_DEGREE,), (0, 0), None))
+    assert report.status == "pass"
+
+
 def test_gram_csv_output(capsys, tmp_path):
     code = main(["gram", "--N", "0", "--params", "0,0,0,0,0,0"])
     assert code == EX_OK

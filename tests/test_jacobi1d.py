@@ -10,7 +10,7 @@ from math import factorial, lcm
 
 from simplexpoly import triangle2d
 from simplexpoly.jacobi1d import (
-    JacobiParams,
+    FAMILY,
     SECOND_ORDER_1D,
     SPARSE_1D,
     _coefficients,
@@ -38,11 +38,11 @@ GRID = [F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1), F(5, 2)]
 
 def test_params_validated():
     with pytest.raises(ValueError):
-        JacobiParams(F(-3, 2), F(0))
+        FAMILY.check((F(-3, 2), F(0)))
 
 
 def test_degree_zero_is_one():
-    assert shifted_jacobi(0, JacobiParams(F(1, 2), F(2))) == ONE
+    assert shifted_jacobi(0, (F(1, 2), F(2))) == ONE
 
 
 @pytest.mark.parametrize("a,b", [(F(0), F(0)), (F(1, 3), F(-1, 2)), (F(5, 2), F(1))])

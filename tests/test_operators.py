@@ -4,6 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from simplexpoly import (
+    connect_alpha,
+    connect_general,
+    gamma_ratio,
+    pochhammer,
+    shifted_jacobi,
+    simplex_poly,
+    triangle_poly,
+    verify_reduction_ab0,
+    verify_theorem1,
+)
 from simplexpoly.operators import (
     DiffOperator,
     VerificationReport,
@@ -20,6 +31,7 @@ from simplexpoly.ratpoly import (
     Y,
     ZERO,
 )
+from simplexpoly.triangle2d import verify_d0_reduction
 
 F = Fraction
 
@@ -88,3 +100,34 @@ def test_summarize_counts_and_erratum_detection():
     # a partially failing one points at an implementation bug instead
     assert summary["erratum_candidates"] == ["typo"]
     assert summary["per_relation"]["flaky"]["fail"] == 1
+
+
+# Every public exact entry point refuses a float parameter with TypeError,
+# and each member constructor a float index entry, instead of reading 0.1
+# as a nearby dyadic rational or 1.5 as 1.
+_Z4, _Z6 = (0,) * 4, (0,) * 6
+FLOAT_INPUTS = {
+    "simplex_poly-param": lambda: simplex_poly((1, 0, 0), (0.1, 0, 0, 0, 0, 0)),
+    "simplex_poly-index": lambda: simplex_poly((1.5, 0, 0), _Z6),
+    "triangle_poly-param": lambda: triangle_poly((1, 0), (0.1, 0, 0, 0)),
+    "triangle_poly-index": lambda: triangle_poly((1.5, 0), _Z4),
+    "shifted_jacobi-param": lambda: shifted_jacobi(1, (0.1, 0)),
+    # Below the domain, where the member is zero before any arithmetic
+    # could trip over the float.
+    "shifted_jacobi-index": lambda: shifted_jacobi(-1.0, (0, 0)),
+    "verify_theorem1": lambda: verify_theorem1("N01", (1, 1, 0), (0.1, 0, 0, 0, 0, 0)),
+    "verify_reduction_ab0": lambda: verify_reduction_ab0((1, 0, 0), (0.1, 0, 0, 0)),
+    "verify_d0_reduction": lambda: verify_d0_reduction((1, 0), (0.1, 0, 0)),
+    "connect_alpha-param": lambda: connect_alpha((1, 0, 0), (0.1, 0, 0, 0, 0, 0), 1),
+    "connect_alpha-xi": lambda: connect_alpha((1, 0, 0), _Z6, 0.5),
+    "connect_general-param": lambda: connect_general((1, 0, 0), (0.1, 0, 0, 0, 0, 0), _Z4),
+    "connect_general-target": lambda: connect_general((1, 0, 0), _Z6, (0.5, 0, 0, 0)),
+    "pochhammer": lambda: pochhammer(0.5, 2),
+    "gamma_ratio": lambda: gamma_ratio(0.5, -2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_INPUTS))
+def test_float_input_is_refused(case):
+    with pytest.raises(TypeError):
+        FLOAT_INPUTS[case]()

@@ -89,3 +89,27 @@ def test_bad_late_section_is_refused_before_any_suite_runs(tiny_config, tmp_path
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert "connections.alpha" in err[0]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("suites", "three-term", "degree"), 5.5),
+    (("suites", "pde", "monic_degree"), True),
+    (("suites", "ladder1d", "degree"), sweeps.MAX_DEGREE + 1),
+    (("jobs",), 1.5),
+], ids=["degree-float", "monic-degree-bool", "degree-past-cap", "jobs-float"])
+def test_config_count_not_an_admissible_integer(path, value, tiny_config, tmp_path, capsys):
+    config = json.loads(Path(tiny_config).read_text())
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    config_path = tmp_path / "counts.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "reports"
+    out.mkdir()
+    code = run_full_verification.main(["--config", str(config_path), "--out", str(out),
+                                       "--jobs", "1"])
+    assert code == EX_CONFIG
+    assert list(out.iterdir()) == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path[-1]} must be")

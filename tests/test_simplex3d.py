@@ -23,8 +23,8 @@ from simplexpoly.simplex3d import (
     SECOND_ORDER_3D,
     THEOREM1,
     WEIGHTED,
-    Index3,
-    SimplexParams,
+    FAMILY,
+    _e,
     classical_simplex_poly,
     monic_simplex,
     pde_residual_3d,
@@ -67,15 +67,14 @@ def indices(max_n):
 
 def test_validation():
     with pytest.raises(ValueError):
-        SimplexParams(F(-2), F(0), F(0), F(0), F(0), F(0))
-    with pytest.raises(ValueError):
-        Index3(1, -1, 0)
-    assert SimplexParams(*PARAMS_GRID[1]).e == sum(PARAMS_GRID[1])
-    assert Index3(1, 2, 3).n == 6
+        FAMILY.check((F(-2), F(0), F(0), F(0), F(0), F(0)))
+    assert not FAMILY.valid((1, -1, 0))
+    assert _e(*PARAMS_GRID[1]) == sum(PARAMS_GRID[1])
+    assert FAMILY.valid((1, 2, 3))
 
 
 def test_degree_zero_and_one_members():
-    assert simplex_poly(Index3(0, 0, 0), SimplexParams(*ZEROS)) == ONE
+    assert simplex_poly((0, 0, 0), ZEROS) == ONE
     assert simplex_poly((1, 0, 0), ZEROS) == X.scale(4) - 1
     al, be, ga, de, a, b = PARAMS_GRID[1]
     assert simplex_poly((0, 0, 1), PARAMS_GRID[1]) == Z.scale(

@@ -17,7 +17,7 @@ import pytest
 from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import EX_ERRATUM, EX_OK, main
 from simplexpoly.operators import summarize
-from simplexpoly.ratpoly import ONE
+from simplexpoly.ratpoly import ONE, Y
 
 F = Fraction
 
@@ -230,3 +230,24 @@ def test_doubled_monic_prefactor_is_erratum_candidate(family, tmp_path, monkeypa
     failed = [r["index"] for r in payload["reports"] if r["status"] == "fail"]
     first_axis = [idx[0] - idx[1] if family == "triangle" else idx[0] for idx in failed]
     assert max(first_axis) == 2
+
+
+def test_unsupported_divisor_is_a_failing_sample(tmp_path, monkeypatch, capsys):
+    # A table typo that gives N01 the denominator y, which the exact
+    # division does not support, fails every N01 sample; the sweep still
+    # ends in a report and flags N01.
+    old = simplex3d.THEOREM1["N01"]
+    monkeypatch.setitem(simplex3d.THEOREM1, "N01", replace(
+        old, operator=lambda *args: replace(old.operator(*args), denom=Y)))
+    config = tmp_path / "theorem1.json"
+    config.write_text(json.dumps({"suites": {"theorem1": {
+        "degree": 2, "params": [["1/3", "-1/2", "1", "0", "1/2", "2"]]}}}))
+    out = tmp_path / "report.json"
+    code = main(["verify", "--suite", "theorem1", "--config", str(config), "--jobs", "1",
+                 "--out", str(out)])
+    assert code == EX_ERRATUM
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["erratum_candidates"] == ["N01"]
+    n01 = [r for r in payload["reports"] if r["relation"] == "N01"]
+    assert n01 and all(r["status"] == "fail" for r in n01)
+    assert all(r["detail"].startswith("ValueError: unsupported divisor shape") for r in n01)

@@ -8,10 +8,9 @@ import hypothesis.strategies as st
 
 from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, Y
 from simplexpoly.triangle2d import (
+    FAMILY,
     SECOND_ORDER_2D,
     SPARSE_2D,
-    TriangleParams,
-    TriIndex,
     classical_triangle_poly_raw,
     monic_triangle,
     pde_residual,
@@ -40,14 +39,13 @@ def indices(max_n):
 
 
 def test_index_validation():
+    assert not FAMILY.valid((1, 2))
     with pytest.raises(ValueError):
-        TriIndex(1, 2)
-    with pytest.raises(ValueError):
-        TriangleParams(F(-2), F(0), F(0), F(0))
+        FAMILY.check((F(-2), F(0), F(0), F(0)))
 
 
 def test_degree_zero():
-    assert triangle_poly(TriIndex(0, 0), TriangleParams(F(1, 3), F(0), F(1), F(2))) == ONE
+    assert triangle_poly((0, 0), (F(1, 3), F(0), F(1), F(2))) == ONE
 
 
 @pytest.mark.parametrize("params", PARAMS_GRID)
