@@ -5,19 +5,20 @@ Usage:
     python scripts/run_full_verification.py [--config CONFIG] [--out DIR]
                                             [--jobs N]
 
-Exit status mirrors `simplexpoly verify`: 0 all green, 1 failures, 2
-erratum candidates, 64 a usage error such as a --jobs below 1, 65 a config
-error such as a missing or malformed config file or a suite section that
-yields no checks.
+Exit status mirrors `simplexpoly verify`, the worst over the suites: 0
+all green, 1 failures, 2 erratum candidates, 64 a usage error such as a
+--jobs below 1 or an --out directory that cannot be made, 65 a config
+error such as a config file that cannot be read or is not a JSON object, a
+section or row of the wrong shape, or a suite section that yields no
+checks.
 """
 
-import json
 import os
 import sys
 import time
 
 from simplexpoly import sweeps
-from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, _jobs, _Parser
+from simplexpoly.cli import EX_CONFIG, EX_OK, EX_USAGE, _jobs, _Parser, exit_status
 from simplexpoly.operators import summarize
 
 
@@ -28,22 +29,20 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     args = parser.parse_args(argv)
 
-    try:
-        config = sweeps.load_config(args.config or sweeps.default_config_path())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EX_CONFIG
     # Every suite's section is checked before any suite runs, so a bad
     # late section costs no work and leaves no report behind.  The config's
     # "jobs" is checked as `simplexpoly verify` checks it, though --jobs
     # sets the worker count here.
     try:
-        sweeps.config_int(config.get("jobs", 1), "jobs", low=1)
-        plan = [(suite, sweeps.suite_tasks(suite, config)) for suite in sweeps.SUITES]
-    except (KeyError, ValueError) as exc:
+        _, plan = sweeps.plan(args.config, sweeps.SUITES)
+    except sweeps.CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return EX_USAGE
 
     exit_code = EX_OK
     grand = {"pass": 0, "fail": 0, "not_applicable": 0}
@@ -60,10 +59,9 @@ def main(argv=None) -> int:
         flag = ""
         if summary["erratum_candidates"]:
             flag = "  ERRATUM: " + ", ".join(summary["erratum_candidates"])
-            exit_code = EX_ERRATUM
         elif totals["fail"]:
             flag = "  FAILURES"
-            exit_code = max(exit_code, EX_FAIL)
+        exit_code = max(exit_code, exit_status(summary))
         print(
             f"{suite:<14} {totals['pass']:>6} pass "
             f"{totals['fail']:>4} fail {totals['not_applicable']:>5} n/a "

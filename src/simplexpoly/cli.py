@@ -8,10 +8,12 @@ Subcommands:
     connect      print a connection expansion as JSON
 
 Exit codes: 0 all checks pass; 1 failures or crash; 2 erratum candidates
-(a relation failing on every applicable sample); 64 usage error; 65
-malformed config.  Rational inputs are given as 'num/den' strings so exact
-checks never see floats.  Output is deterministic: sorted keys, floats
-printed with 12 significant digits.
+(a relation failing on every applicable sample); 64 usage error, an --out
+that cannot be written included; 65 a config that cannot be read, is not
+a JSON object, has a section or row of the wrong shape, or has a float or
+true where a number belongs.  Rational inputs are given as 'num/den'
+strings so exact checks never see floats.  Output is deterministic:
+sorted keys, floats printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import sys
 import numpy as np
 
 from . import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
-from .operators import summarize
+from .operators import as_tuple, summarize
+from .ratpoly import _as_fraction
 from .special import PoleHit
 
 EX_OK = 0
@@ -38,17 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
-
-
-def _fractions(text: str, count: int = None):
-    vals = tuple(sweeps.parse_fraction(v) for v in text.split(","))
-    if count is not None and len(vals) != count:
-        raise ValueError(f"expected {count} comma-separated values, got {len(vals)}")
-    return vals
-
-
-def _ints(text: str):
-    return tuple(int(v) for v in text.split(","))
 
 
 def _jobs(text: str) -> int:
@@ -120,28 +112,29 @@ _FAMILIES = {
 GRAM_BOUND = 1e-10
 
 
-def _check_index(idx, family: str) -> None:
-    """Refuse an index outside the family's index domain."""
-    if not _FAMILIES[family][0].FAMILY.valid(idx):
-        text = ",".join(str(i) for i in idx)
-        raise ValueError(f"index {text} is outside the {family} index domain")
+def _index(text: str, family: str):
+    """The --index of `family` as ints, refused outside its index domain."""
+    module, dims, _ = _FAMILIES[family]
+    idx = as_tuple(text.split(","), dims, int)
+    if not module.FAMILY.valid(idx):
+        raise ValueError(f"index {','.join(map(str, idx))} is outside the {family} index domain")
+    return idx
 
 
-def _params(text: str, family):
-    """The --params of an `operators.Family`, refused outside its
-    weight's domain."""
-    return family.check(_fractions(text, len(family.names)))
+def exit_status(summary) -> int:
+    """The exit status of a verified suite: EX_ERRATUM when a relation is
+    an erratum candidate, else EX_FAIL when a check failed, else EX_OK."""
+    if summary["erratum_candidates"]:
+        return EX_ERRATUM
+    return EX_FAIL if summary["totals"]["fail"] else EX_OK
 
 
 def cmd_print_poly(args) -> int:
-    module, dims, monic = _FAMILIES[args.family]
+    module, _, monic = _FAMILIES[args.family]
     if args.monic and monic is None:
         raise ValueError("--monic applies to triangle and simplex families")
-    idx = _ints(args.index)
-    if len(idx) != dims:
-        raise ValueError(f"expected {dims} comma-separated index values, got {len(idx)}")
-    _check_index(idx, args.family)
-    params = _params(args.params, module.FAMILY)
+    idx = _index(args.index, args.family)
+    params = module.FAMILY.check(args.params.split(","))
     if args.monic:
         poly = getattr(module, monic)(idx, params)
     else:
@@ -151,17 +144,14 @@ def cmd_print_poly(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    path = args.config or sweeps.default_config_path()
     # Only reading the config and building its tasks can raise a config
     # error; a task that fails while it runs is a failing report.
     try:
-        config = sweeps.load_config(path)
-        jobs = sweeps.config_int(config.get("jobs", 1), "jobs", low=1)
-        tasks = sweeps.suite_tasks(args.suite, config)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        jobs, [(suite, tasks)] = sweeps.plan(args.config, [args.suite])
+    except sweeps.CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    reports = sweeps.run_suite_tasks(args.suite, tasks, jobs=args.jobs or jobs)
+    reports = sweeps.run_suite_tasks(suite, tasks, jobs=args.jobs or jobs)
     summary = summarize(reports)
     if args.out:
         sweeps.write_report(args.out, reports, summary)
@@ -181,15 +171,14 @@ def cmd_verify(args) -> int:
     )
     if summary["erratum_candidates"]:
         print("erratum candidates:", ", ".join(summary["erratum_candidates"]))
-        return EX_ERRATUM
-    return EX_OK if totals["fail"] == 0 else EX_FAIL
+    return exit_status(summary)
 
 
 def cmd_gram(args) -> int:
     if args.max_degree < 0:
         raise ValueError(f"--N must be at least 0, got {args.max_degree}")
     module = _FAMILIES[args.family][0]
-    params = _params(args.params, module.FAMILY)
+    params = module.FAMILY.check(args.params.split(","))
     idxs, gram = quadrature.collapsed_gram(module, args.max_degree, params, points=args.points)
     labels = [",".join(str(i) for i in idx) for idx in idxs]
     lines = ["index;" + ";".join(labels)]
@@ -205,17 +194,16 @@ def cmd_gram(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    idx = _ints(args.index)
-    _check_index(idx, "simplex")
-    params = _params(args.params, simplex3d.FAMILY)
+    idx = _index(args.index, "simplex")
+    params = simplex3d.FAMILY.check(args.params.split(","))
     if args.mode == "alpha":
         if args.xi is None:
             raise ValueError("--xi is required for mode=alpha")
-        connect, target = simplex3d.connect_alpha, sweeps.parse_fraction(args.xi)
+        connect, target = simplex3d.connect_alpha, _as_fraction(args.xi)
     else:
         if args.target is None:
             raise ValueError("--target is required for mode=general")
-        connect, target = simplex3d.connect_general, _fractions(args.target, 4)
+        connect, target = simplex3d.connect_general, as_tuple(args.target.split(","), 4)
     try:
         expansion = connect(idx, params, target)
     except PoleHit as exc:
@@ -255,14 +243,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         # OverflowError: an index whose member needs an exponent past the
-        # limit of `ratpoly`'s packed keys.
+        # limit of `ratpoly`'s packed keys.  OSError: an --out that cannot
+        # be written.
         print(f"simplexpoly: error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except FileNotFoundError as exc:
-        print(f"simplexpoly: error: {exc}", file=sys.stderr)
-        return EX_CONFIG
 
 
 if __name__ == "__main__":

@@ -59,9 +59,9 @@ def _integer_pair(big_a, big_b, later: int = 0):
     return (big_a.numerator * (den // da) + 2 * later * den, big_b.numerator * (den // db), den)
 
 
-@lru_cache(maxsize=None)
 def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
-    """Degree-n member for arbitrary rational parameters (exact MPoly in x)."""
+    """Degree-n member for arbitrary rational parameters (exact MPoly in x),
+    cached by `_lifted_factor` under its integer form."""
     if n < 0:
         return ZERO
     return _lifted_factor(0, n, *_integer_pair(a, b))

@@ -123,10 +123,13 @@ def _check_sums(bound: int, sums: Dict[int, int]) -> None:
 
 
 def _as_fraction(v: Scalar) -> Fraction:
+    """`v` as a Fraction.  A float or a bool is refused (TypeError), so
+    0.1 is not read as a nearby dyadic rational nor true as 1; a string
+    such as '1/3' is parsed."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, float):
-        raise TypeError(f"refusing float {v!r}; pass an int or a Fraction")
+    if isinstance(v, (float, bool)):
+        raise TypeError(f"refusing {type(v).__name__} {v!r}; pass an int or a Fraction")
     return Fraction(v)
 
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import jacobi1d, simplex3d, triangle2d
-from .operators import FAIL, VerificationReport, report_equality, summarize
-from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder
+from .operators import FAIL, VerificationReport, as_tuple, report_equality, summarize
+from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder, _as_fraction
 from .special import PoleHit
 
 SUITES = (
@@ -32,16 +32,6 @@ SUITES = (
     "connections",
     "three-term",
 )
-
-
-def parse_fraction(text) -> Fraction:
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        raise ValueError(f"refusing float parameter {text!r}; pass 'num/den' strings")
-    return Fraction(str(text))
 
 
 # The largest degree a config may ask for.  Every exponent of a packed
@@ -70,13 +60,7 @@ def config_int(value, key: str, low: int = None, high: int = None) -> int:
 
 
 def parse_grid(rows: Sequence[Sequence], arity: int) -> List[Tuple[Fraction, ...]]:
-    grid = []
-    for row in rows:
-        vals = tuple(parse_fraction(v) for v in row)
-        if len(vals) != arity:
-            raise ValueError(f"grid row {row!r} does not have {arity} entries")
-        grid.append(vals)
-    return grid
+    return [as_tuple(row, arity) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -317,7 +301,7 @@ def tasks_corollaries(section) -> List[Task]:
 
 def tasks_connections(section) -> List[Task]:
     alpha = SweepSection.parse(_section(section, "alpha"), 6)
-    xis = [parse_fraction(v) for v in _section(section, "alpha")["xi"]]
+    xis = [_as_fraction(v) for v in _section(section, "alpha")["xi"]]
     general = SweepSection.parse(_section(section, "general"), 6)
     targets = parse_grid(_section(section, "general")["targets"], 4)
     return _nonempty(_grid(
@@ -375,11 +359,27 @@ def load_config(path: str) -> dict:
 
 def default_config_path() -> str:
     """The shipped default sweep configuration (mirrors the test suite)."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(here, "data", "default_sweep.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError("default_sweep.json not found")
-    return path
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "default_sweep.json")
+
+
+#: What reading a config and building its tasks may raise: OSError for a
+#: file that cannot be read (a directory included), KeyError for a missing
+#: section, TypeError for a section or row of the wrong shape or a float or
+#: true where a number belongs, and ValueError for JSON that does not parse
+#: or a value that is refused.
+CONFIG_ERRORS = (OSError, KeyError, TypeError, ValueError)
+
+
+def plan(path: Optional[str], suites: Sequence[str]) -> Tuple[int, List[Tuple[str, List[Task]]]]:
+    """The config's worker count and [(suite, tasks)] for the named suites
+    of the config at `path`, the shipped one when None.  Every suite's
+    tasks are built before any task runs, so a bad section anywhere raises
+    one of CONFIG_ERRORS here and costs no work."""
+    config = load_config(path or default_config_path())
+    if not isinstance(config, dict):
+        raise TypeError(f"the config must be a JSON object, got {type(config).__name__}")
+    jobs = config_int(config.get("jobs", 1), "jobs", low=1)
+    return jobs, [(suite, suite_tasks(suite, config)) for suite in suites]
 
 
 def write_report(path: str, reports, summary) -> None:
@@ -390,11 +390,12 @@ def write_report(path: str, reports, summary) -> None:
 
 
 __all__ = [
+    "CONFIG_ERRORS",
     "SUITES",
     "config_int",
     "load_config",
     "default_config_path",
-    "parse_fraction",
+    "plan",
     "run_suite",
     "run_suite_tasks",
     "run_tasks",

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from bad_configs import BAD_CONFIGS, bad_config_path
 from simplexpoly import simplex3d, sweeps
 from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, main
 
@@ -274,6 +275,36 @@ def test_config_count_not_an_admissible_integer(suite, path, value, tmp_path, ca
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {path[-1]} must be")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_a_config_error(case, tmp_path, capsys):
+    config = sweeps.load_config(sweeps.default_config_path())
+    path = bad_config_path(case, config, tmp_path)
+    code = main(["verify", "--suite", BAD_CONFIGS[case][0], "--config", path])
+    assert code == EX_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "--N", "1", "--params", "0,0,0,0,0,0"],
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],
+    ["verify", "--suite", "three-term"],
+], ids=["gram", "connect", "verify"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_a_usage_error(argv, where, config_path, tmp_path, capsys):
+    if argv[0] == "verify":
+        argv = argv + ["--config", config_path]
+    out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    code = main(argv + ["--out", str(out)])
+    assert code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("simplexpoly: error: ")
 
 
 @pytest.mark.parametrize("kind, relation", [("ladder1d", "L4"), ("so1d", "L1.L1p.rel")])

@@ -102,9 +102,9 @@ def test_summarize_counts_and_erratum_detection():
     assert summary["per_relation"]["flaky"]["fail"] == 1
 
 
-# Every public exact entry point refuses a float parameter with TypeError,
-# and each member constructor a float index entry, instead of reading 0.1
-# as a nearby dyadic rational or 1.5 as 1.
+# Every public exact entry point refuses a float or bool parameter with
+# TypeError, and each member constructor a float index entry, instead of
+# reading 0.1 as a nearby dyadic rational, true as 1 or 1.5 as 1.
 _Z4, _Z6 = (0,) * 4, (0,) * 6
 FLOAT_INPUTS = {
     "simplex_poly-param": lambda: simplex_poly((1, 0, 0), (0.1, 0, 0, 0, 0, 0)),
@@ -124,6 +124,12 @@ FLOAT_INPUTS = {
     "connect_general-target": lambda: connect_general((1, 0, 0), _Z6, (0.5, 0, 0, 0)),
     "pochhammer": lambda: pochhammer(0.5, 2),
     "gamma_ratio": lambda: gamma_ratio(0.5, -2),
+    "simplex_poly-param-bool": lambda: simplex_poly((1, 0, 0), (True, 0, 0, 0, 0, 0)),
+    "triangle_poly-param-bool": lambda: triangle_poly((1, 0), (0, True, 0, 0)),
+    "shifted_jacobi-param-bool": lambda: shifted_jacobi(1, (True, 0)),
+    "connect_alpha-xi-bool": lambda: connect_alpha((1, 0, 0), _Z6, True),
+    "connect_general-target-bool": lambda: connect_general((1, 0, 0), _Z6, (True, 0, 0, 0)),
+    "pochhammer-bool": lambda: pochhammer(True, 2),
 }
 
 

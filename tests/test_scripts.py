@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bad_configs import BAD_CONFIGS, bad_config_path
 from simplexpoly import sweeps
 from simplexpoly.cli import EX_CONFIG, EX_OK, EX_USAGE
 
@@ -113,3 +114,32 @@ def test_config_count_not_an_admissible_integer(path, value, tiny_config, tmp_pa
     assert list(out.iterdir()) == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {path[-1]} must be")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_a_config_error(case, tiny_config, tmp_path, capsys):
+    config = json.loads(Path(tiny_config).read_text())
+    path = bad_config_path(case, config, tmp_path)
+    out = tmp_path / "reports"
+    code = run_full_verification.main(["--config", path, "--out", str(out), "--jobs", "1"])
+    assert code == EX_CONFIG
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("where", ["file", "below-a-file"])
+def test_unwritable_out_is_a_usage_error(where, tiny_config, tmp_path, capsys):
+    # Refused before any suite runs.
+    existing = tmp_path / "taken"
+    existing.write_text("")
+    out = existing if where == "file" else existing / "reports"
+    code = run_full_verification.main(["--config", tiny_config, "--out", str(out),
+                                       "--jobs", "1"])
+    assert code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "error: " in err[0]
