@@ -138,7 +138,7 @@ def cmd_print_poly(args) -> int:
     if args.monic:
         poly = getattr(module, monic)(idx, params)
     else:
-        poly = module.FAMILY.member(*idx, *params)
+        poly = module.FAMILY.member(idx, params)
     print(poly.to_text())
     return EX_OK
 
@@ -151,6 +151,11 @@ def cmd_verify(args) -> int:
     except sweeps.CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
+    if args.out:
+        # An --out that cannot be written is refused (OSError, exit 64)
+        # before any task runs; append mode keeps an existing report until
+        # the new one replaces it.
+        open(args.out, "a", encoding="utf-8").close()
     reports = sweeps.run_suite_tasks(suite, tasks, jobs=args.jobs or jobs)
     summary = summarize(reports)
     if args.out:

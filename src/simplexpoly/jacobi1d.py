@@ -60,16 +60,14 @@ def _integer_pair(big_a, big_b, later: int = 0):
 
 
 def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
-    """Degree-n member for arbitrary rational parameters (exact MPoly in x),
-    cached by `_lifted_factor` under its integer form."""
-    if n < 0:
-        return ZERO
-    return _lifted_factor(0, n, *_integer_pair(a, b))
+    """Degree-n member for arbitrary rational parameters (exact MPoly in
+    x), zero for n < 0; the positional entry into the member cache."""
+    return FAMILY.member((n,), as_tuple((a, b), 2))
 
 
 def shifted_jacobi(n: int, p) -> MPoly:
     """Public constructor; `p` is the (a, b) pair."""
-    return shifted_jacobi_raw(index(n), *as_tuple(p, 2))
+    return FAMILY.member((index(n),), as_tuple(p, 2))
 
 
 def norm_ratio(n: int, p) -> Fraction:
@@ -304,7 +302,8 @@ def indices(max_degree: int):
 FAMILY = Family(
     names=("a", "b"),
     index=lambda n: (index(n),),
-    member=lambda n, a, b: shifted_jacobi_raw(n, a, b),
+    # The row (a, b) is the one axis's base pair.
+    build=lambda idx, row: collapsed_member((row,), idx),
     valid=lambda idx: idx[0] >= 0,
     sparse=SPARSE_1D,
     second_order=SECOND_ORDER_1D,

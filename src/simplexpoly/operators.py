@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
 from .ratpoly import MPoly, ONE, ZERO, _as_fraction
@@ -26,14 +28,68 @@ FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 
 
+class Row(tuple):
+    """One parameter row: a tuple of Fractions that only `as_tuple` builds,
+    carrying what the checks at this row would otherwise recompute per
+    task.  Every cache lives on the instance and is filled on first use:
+    the hash (the plain tuple's, so a Row and an equal tuple are the same
+    dict key), `shift`, `text` and `derive`.  A pickle carries the values
+    only."""
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        return Row, (tuple(self),)
+
+    @cached_property
+    def text(self) -> Tuple[str, ...]:
+        """The str of each entry, as reports print them."""
+        return tuple(map(str, self))
+
+    @cached_property
+    def _shifts(self) -> dict:
+        return {}
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def shift(self, dparams: Tuple[int, ...]) -> "Row":
+        """The row plus the integer steps `dparams`, the same Row on every call."""
+        shifts = self._shifts
+        out = shifts.get(dparams)
+        if out is None:
+            out = shifts[dparams] = Row(p + d if d else p for p, d in zip(self, dparams))
+        return out
+
+    def derive(self, fn: Callable):
+        """fn(*row), computed once per row and function."""
+        derived = self._derived
+        try:
+            return derived[fn]
+        except KeyError:
+            out = derived[fn] = fn(*self)
+            return out
+
+
 def as_tuple(values, count: int, convert=_as_fraction) -> tuple:
     """The one conversion into the exact path: a sequence of `count`
     values as a tuple.  Parameters go through `_as_fraction`, which
-    refuses a float with TypeError; index entries are converted with
+    refuses a float with TypeError, into a Row; a Row of `count` entries
+    is returned as it is.  Index entries are converted with
     `operator.index`, which refuses 1.5 instead of truncating it."""
+    if type(values) is Row and len(values) == count and convert is _as_fraction:
+        return values
     vals = tuple(values)
     if len(vals) != count:
         raise ValueError(f"expected {count} values, got {len(vals)}")
+    if convert is _as_fraction:
+        return Row(map(convert, vals))
     return tuple(map(convert, vals))
 
 
@@ -57,10 +113,8 @@ class DiffOperator:
 class _Shift:
     """Index and parameter steps (dn, dparams) of one table line."""
 
-    def shifted(self, idx: Sequence[int], params: Sequence[Fraction]):
-        new_idx = tuple(i + d for i, d in zip(idx, self.dn))
-        new_params = tuple(p + d if d else p for p, d in zip(params, self.dparams))
-        return new_idx, new_params
+    def shifted(self, idx: Sequence[int], params: Row):
+        return tuple(map(add, idx, self.dn)), params.shift(self.dparams)
 
 
 @dataclass(frozen=True)
@@ -101,19 +155,18 @@ class Family:
 
     `names` are the weight's parameter names, in argument order.  `index`
     turns the caller's index into a tuple of ints and `params` the
-    caller's parameters into a tuple of Fractions; `check` does the same
-    and also refuses a parameter outside the weight's domain (> -1).
-    `member(*idx, *params)` builds a member and `valid(idx)` tells
-    whether an index lies in the domain.  `member` names its module's
-    constructor at call time, so wrappers installed on the module later (a
-    test's monkeypatch, a profiler) are seen.  `sparse` maps a ladder id
-    to its SparseRelation and `pde` an equation id to its coefficient
-    builder, called as builder(*idx, *params).
+    caller's parameters into a Row; `check` does the same and also
+    refuses a parameter outside the weight's domain (> -1).
+    `build(idx, row)` constructs a member, and `member(idx, row)` looks it
+    up in the family's one member cache, building it on a miss.
+    `valid(idx)` tells whether an index lies in the domain.  `sparse` maps
+    a ladder id to its SparseRelation and `pde` an equation id to its
+    coefficient builder, called as builder(*idx, *params).
     """
 
     names: Tuple[str, ...]
     index: Callable
-    member: Callable
+    build: Callable
     valid: Callable
     sparse: dict
     second_order: dict
@@ -121,18 +174,30 @@ class Family:
     # Whether a composition whose operand is the zero polynomial still
     # counts as an applicable sample (the interval family says no).
     zero_operand_applicable: bool = True
+    members: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def params(self, p) -> Tuple[Fraction, ...]:
+    def params(self, p) -> Row:
         return as_tuple(p, len(self.names))
 
-    def check(self, p) -> Tuple[Fraction, ...]:
-        """The parameters as Fractions, refused (ValueError) unless every
-        one exceeds -1."""
+    def check(self, p) -> Row:
+        """The parameters as a Row, refused (ValueError) unless every one
+        exceeds -1."""
         params = self.params(p)
         for name, value in zip(self.names, params):
             if value <= -1:
                 raise ValueError(f"parameter {name} = {value} must exceed -1")
         return params
+
+    def member(self, idx: Tuple[int, ...], row) -> MPoly:
+        """The member at the index tuple `idx` and the parameters `row`
+        (converted by `params` unless it is a Row), built once."""
+        if type(row) is not Row:
+            row = self.params(row)
+        key = idx, row
+        poly = self.members.get(key)
+        if poly is None:
+            poly = self.members[key] = self.build(idx, row)
+        return poly
 
 
 @dataclass
@@ -141,13 +206,17 @@ class VerificationReport:
 
     relation: str
     index: Tuple[int, ...]
-    params: Tuple[Fraction, ...]
+    params: Row
     status: str
     lhs: Optional[str] = None
     rhs: Optional[str] = None
     detail: Optional[str] = None
     suite: Optional[str] = None
     difference: Optional[str] = None
+
+    def __post_init__(self):
+        if type(self.params) is not Row:
+            self.params = as_tuple(self.params, len(self.params))
 
     @property
     def ok(self) -> bool:
@@ -157,7 +226,7 @@ class VerificationReport:
         out = {
             "relation": self.relation,
             "index": list(self.index),
-            "params": [str(p) for p in self.params],
+            "params": list(self.params.text),
             "status": self.status,
         }
         for key in ("suite", "lhs", "rhs", "detail", "difference"):
@@ -170,14 +239,14 @@ class VerificationReport:
             self.suite or "",
             self.relation,
             self.index,
-            tuple(str(p) for p in self.params),
+            self.params.text,
         )
 
 
 def report_equality(
     relation: str,
     index: Tuple[int, ...],
-    params: Tuple[Fraction, ...],
+    params: Sequence[Fraction],
     lhs: MPoly,
     rhs: MPoly,
     *,
@@ -188,11 +257,11 @@ def report_equality(
     failing report also carries the text of lhs - rhs."""
     if lhs == rhs:
         status = PASS if applicable else NOT_APPLICABLE
-        return VerificationReport(relation, tuple(index), tuple(params), status, detail=detail)
+        return VerificationReport(relation, tuple(index), params, status, detail=detail)
     return VerificationReport(
         relation,
         tuple(index),
-        tuple(params),
+        params,
         FAIL,
         lhs=lhs.to_text(),
         rhs=rhs.to_text(),
@@ -210,12 +279,12 @@ def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
     """
     idx, params = family.index(idx), family.params(p)
     rel = family.sparse[op]
-    u = family.member(*idx, *params)
+    u = family.member(idx, params)
     lhs = rel.operator(*idx, *params).apply(u)
     idx2, params2 = rel.shifted(idx, params)
     if not family.valid(idx2):
         return report_equality(op, idx, params, lhs, ZERO, applicable=False)
-    rhs = family.member(*idx2, *params2).scale(rel.scale(*idx, *params))
+    rhs = family.member(idx2, params2).scale(rel.scale(*idx, *params))
     return report_equality(op, idx, params, lhs, rhs)
 
 
@@ -233,7 +302,7 @@ def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationRep
     if not family.valid(idx0):
         return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
     eig = ent.eig(*idx, *params)
-    u = family.member(*idx0, *params0)
+    u = family.member(idx0, params0)
     inner, outer = family.sparse[ent.inner], family.sparse[ent.outer]
     v = inner.operator(*idx0, *params0).apply(u)
     idx1, params1 = inner.shifted(idx0, params0)
@@ -254,7 +323,7 @@ def residual(family: Family, which: str, idx, p, u: MPoly = None) -> MPoly:
     member at (idx, p); it is the zero polynomial when u solves it."""
     idx, params = family.index(idx), family.params(p)
     if u is None:
-        u = family.member(*idx, *params)
+        u = family.member(idx, params)
     return u.apply_derivatives(family.pde[which](*idx, *params))
 
 

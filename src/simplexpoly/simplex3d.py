@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from operator import index
 from typing import Callable, Tuple
 
@@ -84,13 +84,18 @@ def degrees(n1, n2, n3):
     return (n1, n2, n3)
 
 
-@lru_cache(maxsize=None)
+def _ab0(al, be, ga, de):
+    """The six parameters (al, be, ga, de, 0, 0) of the a = b = 0 subfamily."""
+    return as_tuple((al, be, ga, de, 0, 0), 6)
+
+
 def simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta, a, b) -> MPoly:
-    return collapsed_member(axes(alpha, beta, gamma, delta, a, b), (n1, n2, n3))
+    """The member (n1, n2, n3); the positional entry into the member cache."""
+    return FAMILY.member((n1, n2, n3), as_tuple((alpha, beta, gamma, delta, a, b), 6))
 
 
 def simplex_poly(idx, p) -> MPoly:
-    return simplex_poly_raw(*as_tuple(idx, 3, index), *as_tuple(p, 6))
+    return FAMILY.member(as_tuple(idx, 3, index), as_tuple(p, 6))
 
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
@@ -535,21 +540,21 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     the first equation collapses coefficient-by-coefficient to its
     classical form."""
     idx = as_tuple(idx, 3, index)
-    al, be, ga, de = as_tuple(fourparams, 4)
-    params = (al, be, ga, de, Fraction(0), Fraction(0))
-    lhs = simplex_poly_raw(*idx, *params)
-    rhs = classical_simplex_poly_raw(*idx, al, be, ga, de)
-    rep = report_equality("reduction.ab0", idx, (al, be, ga, de), lhs, rhs)
+    q = as_tuple(fourparams, 4)
+    params = q.derive(_ab0)
+    lhs = FAMILY.member(idx, params)
+    rhs = classical_simplex_poly_raw(*idx, *q)
+    rep = report_equality("reduction.ab0", idx, q, lhs, rhs)
     if rep.status != "pass":
         return rep
     # Coefficient comparison: T1 at a = b = 0 against the classical display
     # times the same clearing factor (1-x)(1-x-y).
     cleared = _t1_coeffs(*idx, *params)
-    classical = classical_t1_coeffs(*idx, al, be, ga, de)
+    classical = classical_t1_coeffs(*idx, *q)
     for key, coeff in cleared.items():
         if coeff != classical[key] * _D12:
             return VerificationReport(
-                "reduction.ab0", idx, (al, be, ga, de), "fail",
+                "reduction.ab0", idx, q, "fail",
                 lhs=coeff.to_text(), rhs=(classical[key] * _D12).to_text(),
                 detail=f"first-equation coefficient mismatch on u_{key or '0'}",
             )
@@ -566,7 +571,7 @@ def monic_simplex(idx, p) -> MPoly:
     monic_prefactor * y^n2 z^n3 * P(n1)."""
     idx = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
-    return collapsed_monic(axes(*params), idx, monic_prefactor(*idx, *params))
+    return collapsed_monic(params.derive(axes), idx, monic_prefactor(*idx, *params))
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +597,13 @@ class ConnectionExpansion:
     def reassemble(self) -> MPoly:
         total = ZERO
         for t in self.terms:
-            member = simplex_poly_raw(*t.index, *self.target_params)
+            member = FAMILY.member(t.index, self.target_params)
             factor = ONE_MINUS_X**t.pow_1x * ONE_MINUS_XY**t.pow_1xy
             total = total + (member * factor).scale(t.coeff)
         return total
 
     def verify(self) -> bool:
-        return self.reassemble() == simplex_poly_raw(
-            *self.source_index, *self.source_params
-        )
+        return self.reassemble() == FAMILY.member(self.source_index, self.source_params)
 
 
 def connect_alpha(idx, p, xi) -> ConnectionExpansion:
@@ -632,7 +635,7 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
         )
         if coeff != 0:
             terms.append(ConnectionTerm((n1 - m, n2, n3), coeff))
-    target_params = (xi,) + params[1:]
+    target_params = as_tuple((xi,) + params[1:], 6)
     return ConnectionExpansion((n1, n2, n3), params, target_params, tuple(terms))
 
 
@@ -664,9 +667,9 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
     phi, theta, eta, xi = as_tuple(target, 4)
-    target_params = (phi, theta, eta, xi) + params[4:]
-    source = collapsed_exponents(axes(*params), (n1, n2, n3))
-    target_axes = axes(*target_params)
+    target_params = as_tuple((phi, theta, eta, xi) + params[4:], 6)
+    source = collapsed_exponents(params.derive(axes), (n1, n2, n3))
+    target_axes = target_params.derive(axes)
     terms = []
     for k3 in range(n3 + 1):
         c3 = _conn1d_coeff(n3, k3, *source[2], *target_axes[2])
@@ -724,11 +727,11 @@ def verify_three_term(idx, p) -> VerificationReport:
         ca, cb, cc = three_term_x(idx, params)
     except PoleHit as exc:
         return VerificationReport("three-term.x", idx, params, NOT_APPLICABLE, detail=str(exc))
-    u = simplex_poly_raw(*idx, *params)
+    u = FAMILY.member(idx, params)
     rhs = (
-        simplex_poly_raw(n1 + 1, n2, n3, *params).scale(ca)
+        FAMILY.member((n1 + 1, n2, n3), params).scale(ca)
         + u.scale(cb)
-        + simplex_poly_raw(n1 - 1, n2, n3, *params).scale(cc)
+        + FAMILY.member((n1 - 1, n2, n3), params).scale(cc)
     )
     return report_equality("three-term.x", idx, params, X * u, rhs)
 
@@ -882,22 +885,19 @@ MULTIPLICATIONS = {
     "w": Corollary(lambda u, *args: (_W * u).scale(_f123(*args)), (0, 0, 0, -1), _mult_w_terms),
 }
 
-_NIL = Fraction(0)
-
-
 def verify_corollary(kind: str, table: dict, which: str, idx, fourparams) -> VerificationReport:
     """Check one corollary line at the a = b = 0 member (idx, fourparams),
     reported as corollary.<kind>.<which>."""
     idx = as_tuple(idx, 3, index)
     q = as_tuple(fourparams, 4)
     line = table[which]
-    lhs = line.lhs(simplex_poly_raw(*idx, *q, _NIL, _NIL), *idx, *q)
-    q2 = tuple(p + d if d else p for p, d in zip(q, line.dparams))
+    lhs = line.lhs(FAMILY.member(idx, q.derive(_ab0)), *idx, *q)
+    params2 = q.shift(line.dparams).derive(_ab0)
     rhs = ZERO
     for dn, coeff in line.terms(*idx, *q):
         idx2 = tuple(i + d for i, d in zip(idx, dn))
         if min(idx2) >= 0:
-            rhs = rhs + simplex_poly_raw(*idx2, *q2, _NIL, _NIL).scale(coeff)
+            rhs = rhs + FAMILY.member(idx2, params2).scale(coeff)
     return report_equality(f"corollary.{kind}.{which}", idx, q, lhs, rhs)
 
 
@@ -922,7 +922,7 @@ def indices(max_degree: int):
 FAMILY = Family(
     names=("alpha", "beta", "gamma", "delta", "a", "b"),
     index=lambda idx: as_tuple(idx, 3, index),
-    member=lambda *idx_params: simplex_poly_raw(*idx_params),
+    build=lambda idx, row: collapsed_member(row.derive(axes), idx),
     valid=lambda idx: min(idx) >= 0,
     sparse=THEOREM1,
     second_order=SECOND_ORDER_3D,

@@ -1,11 +1,11 @@
 """Verification sweeps: task generation, execution, and report merging.
 
 A sweep expands a suite section of the JSON config into a flat list of
-picklable tasks (relation id, index, parameters), runs them serially or
+picklable tasks (relation id, index, parameter row), runs them serially or
 across a process pool, and merges the reports deterministically by sorted
-key.  Parallel execution sorts the tasks by parameter tuple and cuts the
-list into equal chunks, about four per worker; chunk edges ignore tuple
-boundaries, so two workers may build the same members.
+key.  Parallel execution sorts the tasks by parameter row, then index, and
+cuts the list into about four chunks per worker, each edge between two
+(row, index) groups, so the tasks that build one member share a chunk.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 from . import jacobi1d, simplex3d, triangle2d
-from .operators import FAIL, VerificationReport, as_tuple, report_equality, summarize
-from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder, _as_fraction
+from .operators import FAIL, Row, VerificationReport, as_tuple, report_equality, summarize
+from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder
 from .special import PoleHit
 
 SUITES = (
@@ -47,6 +48,10 @@ SUITES = (
 MAX_DEGREE = EXPONENT_LIMIT - 8
 
 
+class ConfigError(ValueError):
+    """A config section, list or value of the wrong shape or type."""
+
+
 def config_int(value, key: str, low: int = None, high: int = None) -> int:
     """The config value of `key`, refused (ValueError) unless it is a JSON
     integer within [low, high]: 5.5, "5" and true are not read as 5 or 1."""
@@ -59,8 +64,23 @@ def config_int(value, key: str, low: int = None, high: int = None) -> int:
     return value
 
 
-def parse_grid(rows: Sequence[Sequence], arity: int) -> List[Tuple[Fraction, ...]]:
-    return [as_tuple(row, arity) for row in rows]
+def config_row(values, key: str, count: int = None) -> Row:
+    """The config list `values` of `key` as a Row, of `count` entries when
+    given; ConfigError unless it is a JSON list of integers and 'num/den'
+    strings (a float or true is refused)."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    try:
+        return as_tuple(values, len(values) if count is None else count)
+    except TypeError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def parse_grid(rows, arity: int, key: str = "params") -> List[Row]:
+    """The config rows of `key`, each a Row of `arity` parameters."""
+    if not isinstance(rows, list):
+        raise ConfigError(f"{key} must be a list of rows, got {rows!r}")
+    return [config_row(row, key, arity) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -69,7 +89,7 @@ class SweepSection:
     and an optional relation-id selection."""
 
     degree: int
-    params: Tuple[Tuple[Fraction, ...], ...]
+    params: Tuple[Row, ...]
     relations: object = "all"
 
     @staticmethod
@@ -102,7 +122,7 @@ def _run_monic(relation, idx, params, poly, lead, residual) -> VerificationRepor
 
 def _run_connection(relation, expansion, idx, params, extra, detail) -> VerificationReport:
     lhs = expansion.reassemble()
-    rhs = simplex3d.simplex_poly_raw(*idx, *params)
+    rhs = simplex3d.FAMILY.member(idx, params)
     return report_equality(relation, idx, params + extra, lhs, rhs, detail=detail)
 
 
@@ -143,7 +163,7 @@ _KINDS = {
         rid, simplex3d.connect_alpha(idx, params, xi), idx, params, (xi,), f"xi={xi}")),
     "conn_general": ("connect.general", lambda rid, rel, idx, params, target: _run_connection(
         rid, simplex3d.connect_general(idx, params, target), idx, params, tuple(target),
-        "target=" + ",".join(str(v) for v in target))),
+        "target=" + ",".join(target.text))),
     "cor_deriv": ("corollary.deriv.{}", _check(simplex3d, "verify_corollary_derivatives")),
     "cor_weight": ("corollary.weighted.{}", _check(simplex3d, "verify_corollary_weighted")),
     "cor_mult": ("corollary.mult.{}", _check(simplex3d, "verify_corollary_multiplication")),
@@ -172,15 +192,25 @@ def _run_chunk(tasks: List[Task]) -> List[VerificationReport]:
     return [run_task(t) for t in tasks]
 
 
+def _chunks(tasks: List[Task], count: int) -> List[List[Task]]:
+    """The tasks sorted by (row, index, kind, relation) and cut into about
+    `count` chunks of similar size, never inside a (row, index) group, so
+    the member at a row and index is built by one worker."""
+    tasks = sorted(tasks, key=lambda t: (t[3].text, t[2], t[0], t[1] or ""))
+    size = -(-len(tasks) // count)
+    chunks, chunk = [], []
+    for _, group in groupby(tasks, key=lambda t: (t[3].text, t[2])):
+        if len(chunk) >= size:
+            chunks.append(chunk)
+            chunk = []
+        chunk.extend(group)
+    return chunks + [chunk]
+
+
 def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
     """Execute tasks, optionally across processes, and sort the reports."""
     if jobs > 1 and len(tasks) > 1:
-        # Sorting by parameter tuple puts tasks that share members next to
-        # each other; the chunks are cut by count, not at tuple boundaries.
-        tasks = sorted(tasks, key=lambda t: (str(t[3]), t[0], str(t[1]), t[2]))
-        chunks = max(1, min(len(tasks), jobs * 4))
-        size = (len(tasks) + chunks - 1) // chunks
-        split = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+        split = _chunks(tasks, jobs * 4)
         reports: List[VerificationReport] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_run_chunk, split):
@@ -193,6 +223,8 @@ def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
 def _filter(relations, selection):
     if not selection or selection == "all":
         return list(relations)
+    if not isinstance(selection, list) or not all(isinstance(r, str) for r in selection):
+        raise ConfigError(f'relations must be "all" or a list of ids, got {selection!r}')
     unknown = set(selection) - set(relations)
     if unknown:
         raise ValueError(f"unknown relation ids: {sorted(unknown)}")
@@ -205,22 +237,27 @@ def _filter(relations, selection):
 
 def _section(cfg: dict, *path):
     cur = cfg
-    for key in path:
+    for depth, key in enumerate(path):
         if key not in cur:
             raise KeyError(f"config is missing section {'.'.join(path)!r}")
         cur = cur[key]
+        if not isinstance(cur, dict):
+            where = ".".join(path[: depth + 1])
+            raise ConfigError(f"config section {where} must be a JSON object, "
+                              f"got {type(cur).__name__}")
     return cur
 
 
 def _grid(rows, indices, cells) -> List[Task]:
     """The task grid: one task per parameter row, index and cell, nested in
     that order.  A cell is (kind, relation, extra); `cells` is a list of
-    them, or a function of the row that returns one."""
+    them, or a function of the row that returns one, called once per row."""
     return [
         (kind, rel, idx, params, extra)
         for params in rows
+        for row_cells in [cells(params) if callable(cells) else cells]
         for idx in indices
-        for kind, rel, extra in (cells(params) if callable(cells) else cells)
+        for kind, rel, extra in row_cells
     ]
 
 
@@ -248,13 +285,15 @@ def tasks_ladder1d(section) -> List[Task]:
 
 def tasks_m2d(section) -> List[Task]:
     sec = SweepSection.parse(section, 4)
-    reductions = _grid([p[:3] for p in sec.params], triangle2d.indices(sec.degree), _cells("d0"))
+    abc = [as_tuple(p[:3], 3) for p in sec.params]
+    reductions = _grid(abc, triangle2d.indices(sec.degree), _cells("d0"))
     return _relation_grid(section, 4, triangle2d.indices, "m2d", triangle2d.SPARSE_2D) + reductions
 
 
 def tasks_theorem1(section) -> List[Task]:
     sec = SweepSection.parse(section, 6)
-    reductions = _grid([p[:4] for p in sec.params], simplex3d.indices(sec.degree), _cells("ab0"))
+    q = [as_tuple(p[:4], 4) for p in sec.params]
+    reductions = _grid(q, simplex3d.indices(sec.degree), _cells("ab0"))
     ops = simplex3d.THEOREM1
     return _relation_grid(section, 6, simplex3d.indices, "theorem1", ops) + reductions
 
@@ -301,15 +340,15 @@ def tasks_corollaries(section) -> List[Task]:
 
 def tasks_connections(section) -> List[Task]:
     alpha = SweepSection.parse(_section(section, "alpha"), 6)
-    xis = [_as_fraction(v) for v in _section(section, "alpha")["xi"]]
+    xis = list(config_row(_section(section, "alpha")["xi"], "xi"))
     general = SweepSection.parse(_section(section, "general"), 6)
-    targets = parse_grid(_section(section, "general")["targets"], 4)
+    targets = parse_grid(_section(section, "general")["targets"], 4, "targets")
     return _nonempty(_grid(
         alpha.params, simplex3d.indices(alpha.degree),
         lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
     ), "connections", "alpha") + _nonempty(_grid(
         general.params, simplex3d.indices(general.degree),
-        lambda p: [("conn_general", None, t) for t in targets + [p[:4]]],
+        lambda p: [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]],
     ), "connections", "general")
 
 
@@ -364,10 +403,10 @@ def default_config_path() -> str:
 
 #: What reading a config and building its tasks may raise: OSError for a
 #: file that cannot be read (a directory included), KeyError for a missing
-#: section, TypeError for a section or row of the wrong shape or a float or
-#: true where a number belongs, and ValueError for JSON that does not parse
-#: or a value that is refused.
-CONFIG_ERRORS = (OSError, KeyError, TypeError, ValueError)
+#: section, and ValueError for JSON that does not parse or a value that is
+#: refused, ConfigError included: a section, list or row of the wrong shape
+#: or a float or true where a number belongs.
+CONFIG_ERRORS = (OSError, KeyError, ValueError)
 
 
 def plan(path: Optional[str], suites: Sequence[str]) -> Tuple[int, List[Tuple[str, List[Task]]]]:
@@ -377,20 +416,72 @@ def plan(path: Optional[str], suites: Sequence[str]) -> Tuple[int, List[Tuple[st
     one of CONFIG_ERRORS here and costs no work."""
     config = load_config(path or default_config_path())
     if not isinstance(config, dict):
-        raise TypeError(f"the config must be a JSON object, got {type(config).__name__}")
+        raise ConfigError(f"the config must be a JSON object, got {type(config).__name__}")
     jobs = config_int(config.get("jobs", 1), "jobs", low=1)
     return jobs, [(suite, suite_tasks(suite, config)) for suite in suites]
 
 
+def _json(value, pad: str) -> str:
+    """`value` as json.dump(value, indent=1, sort_keys=True) lays it out
+    from a line that starts with `pad`: strings, ints, lists and dicts
+    with string keys, the types of a summary."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + " "
+    if type(value) is list:
+        items = [_json(v, inner) for v in value]
+        brackets = "[]"
+    elif type(value) is dict:
+        items = [encode_basestring_ascii(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} {value!r} to a report")
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _quoted(text: Optional[str]) -> Optional[str]:
+    return None if text is None else encode_basestring_ascii(text)
+
+
+def _report_json(r: VerificationReport) -> str:
+    """`r.to_json()` as `_json` lays it out in the report list, built from
+    the report's fields directly: the keys in sorted order, and a key
+    whose field is None left out."""
+    index = ",\n    ".join(map(str, r.index))
+    params = ",\n    ".join(map(encode_basestring_ascii, r.params.text))
+    fields = [
+        ("detail", _quoted(r.detail)),
+        ("difference", _quoted(r.difference)),
+        ("index", "[\n    " + index + "\n   ]" if index else "[]"),
+        ("lhs", _quoted(r.lhs)),
+        ("params", "[\n    " + params + "\n   ]" if params else "[]"),
+        ("relation", _quoted(r.relation)),
+        ("rhs", _quoted(r.rhs)),
+        ("status", _quoted(r.status)),
+        ("suite", _quoted(r.suite)),
+    ]
+    return "  {\n   " + ",\n   ".join(
+        f'"{key}": {text}' for key, text in fields if text is not None) + "\n  }"
+
+
 def write_report(path: str, reports, summary) -> None:
-    payload = {"summary": summary, "reports": [r.to_json() for r in reports]}
+    """The reports and their summary, byte for byte what
+    json.dump({"reports": [r.to_json() ...], "summary": summary}, fh,
+    indent=1, sort_keys=True) writes, and a newline."""
+    listed = ",\n".join(map(_report_json, reports))
+    text = ('{\n "reports": ' + ("[\n" + listed + "\n ]" if listed else "[]")
+            + ',\n "summary": ' + _json(summary, " ") + "\n}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 __all__ = [
     "CONFIG_ERRORS",
+    "ConfigError",
     "SUITES",
     "config_int",
     "load_config",

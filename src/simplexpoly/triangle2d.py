@@ -16,7 +16,7 @@ a reduction cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from operator import index
 
 from .operators import (
@@ -62,14 +62,13 @@ def degrees(n, k):
     return (n - k, k)
 
 
-@lru_cache(maxsize=None)
 def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
-    return collapsed_member(axes(a, b, c, d), degrees(n, k))
+    """The member (n, k); the positional entry into the member cache."""
+    return FAMILY.member((n, k), as_tuple((a, b, c, d), 4))
 
 
 def triangle_poly(idx, p) -> MPoly:
-    n, k = as_tuple(idx, 2, index)
-    return triangle_poly_raw(n, k, *as_tuple(p, 4))
+    return FAMILY.member(as_tuple(idx, 2, index), as_tuple(p, 4))
 
 
 def triangle_norm_ratio(idx, p) -> Fraction:
@@ -111,13 +110,18 @@ def classical_jacobi_shifted(m: int, big_a: Fraction, big_b: Fraction) -> MPoly:
     return cur
 
 
+def _d0(a, b, c):
+    """The four parameters (a, b, c, 0) of the d = 0 subfamily."""
+    return as_tuple((a, b, c, 0), 4)
+
+
 def verify_d0_reduction(idx, abc) -> VerificationReport:
     """d = 0 member equals the classical construction, exactly."""
-    n, k = as_tuple(idx, 2, index)
-    a, b, c = as_tuple(abc, 3)
-    lhs = triangle_poly_raw(n, k, a, b, c, Fraction(0))
-    rhs = classical_triangle_poly_raw(n, k, a, b, c)
-    return report_equality("reduction.d0", (n, k), (a, b, c), lhs, rhs)
+    idx = as_tuple(idx, 2, index)
+    abc = as_tuple(abc, 3)
+    lhs = FAMILY.member(idx, abc.derive(_d0))
+    rhs = classical_triangle_poly_raw(*idx, *abc)
+    return report_equality("reduction.d0", idx, abc, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +324,7 @@ def monic_triangle(idx, p) -> MPoly:
     monic_prefactor * y^k * P(n-k)."""
     n, k = as_tuple(idx, 2, index)
     params = as_tuple(p, 4)
-    return collapsed_monic(axes(*params), degrees(n, k), monic_prefactor(n, k, *params))
+    return collapsed_monic(params.derive(axes), degrees(n, k), monic_prefactor(n, k, *params))
 
 
 def indices(max_degree: int):
@@ -331,7 +335,7 @@ def indices(max_degree: int):
 FAMILY = Family(
     names=("a", "b", "c", "d"),
     index=lambda idx: as_tuple(idx, 2, index),
-    member=lambda n, k, a, b, c, d: triangle_poly_raw(n, k, a, b, c, d),
+    build=lambda idx, row: collapsed_member(row.derive(axes), degrees(*idx)),
     valid=lambda idx: 0 <= idx[1] <= idx[0],
     sparse=SPARSE_2D,
     second_order=SECOND_ORDER_2D,

@@ -289,6 +289,29 @@ def test_bad_config_is_a_config_error(case, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
+def test_task_builder_type_error_is_not_a_config_error(config_path, monkeypatch):
+    # A TypeError inside a task builder is a fault of the program, not of
+    # the config: it surfaces as a traceback, not as exit 65.
+    def broken(section):
+        raise TypeError("a fault in the task builder")
+
+    monkeypatch.setitem(sweeps._TASK_BUILDERS, "three-term", broken)
+    with pytest.raises(TypeError, match="a fault in the task builder"):
+        main(["verify", "--suite", "three-term", "--config", config_path])
+
+
+def test_unwritable_out_is_refused_before_any_task_runs(config_path, tmp_path, monkeypatch,
+                                                        capsys):
+    def run_suite_tasks(*args, **kwargs):
+        raise AssertionError("a task ran before --out was checked")
+
+    monkeypatch.setattr(sweeps, "run_suite_tasks", run_suite_tasks)
+    out = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--suite", "three-term", "--config", config_path, "--out", str(out)])
+    assert code == EX_USAGE
+    assert capsys.readouterr().err.startswith("simplexpoly: error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["gram", "--N", "1", "--params", "0,0,0,0,0,0"],
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],

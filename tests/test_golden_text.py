@@ -59,7 +59,7 @@ def golden_lines():
     lines = []
     for family, module, params in ROWS:
         for idx in module.indices(3):
-            member = module.FAMILY.member(*idx, *params)
+            member = module.FAMILY.member(idx, params)
             lines.append(f"{family} {_label(idx)} | {_label(params)} | {member.to_text()}")
     for report in _typo_reports():
         lines.append(f"N10 {_label(report.index)} | {_label(report.params)} | {report.detail}")

@@ -1,5 +1,6 @@
 """Operator application, verification reports, erratum aggregation."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from simplexpoly import (
 )
 from simplexpoly.operators import (
     DiffOperator,
+    Row,
     VerificationReport,
+    as_tuple,
     report_equality,
     summarize,
 )
@@ -137,3 +140,57 @@ FLOAT_INPUTS = {
 def test_float_input_is_refused(case):
     with pytest.raises(TypeError):
         FLOAT_INPUTS[case]()
+
+
+# -- parameter rows -------------------------------------------------------------
+
+def test_row_hashes_as_its_tuple_and_is_the_same_dict_key():
+    values = (F(1, 3), F(-1, 2), F(0))
+    row = as_tuple(values, 3)
+    assert type(row) is Row and row == values
+    assert hash(row) == hash(values) and hash(row) == hash(values)
+    table = {values: "tuple"}
+    assert table[row] == "tuple"
+    table[row] = "row"
+    assert table == {values: "row"}
+
+
+def test_row_pickle_keeps_the_values_and_drops_the_caches():
+    row = as_tuple(("1/3", 2), 2)
+    hash(row), row.text, row.shift((1, 0)), row.derive(lambda a, b: a + b)
+    back = pickle.loads(pickle.dumps(row))
+    assert type(back) is Row and back == row and vars(back) == {}
+
+
+def test_row_shift_is_the_same_row_again():
+    row = as_tuple((F(1, 3), 0), 2)
+    shifted = row.shift((1, -1))
+    assert type(shifted) is Row and shifted == (F(4, 3), F(-1))
+    assert row.shift((1, -1)) is shifted
+    assert row.shift((0, 0)) == row
+
+
+def test_row_derive_calls_its_function_once():
+    calls = []
+
+    def total(a, b):
+        calls.append((a, b))
+        return a + b
+
+    row = as_tuple((F(1, 3), 1), 2)
+    assert row.derive(total) == F(4, 3) and row.derive(total) == F(4, 3)
+    assert calls == [(F(1, 3), F(1))]
+    assert row.text == ("1/3", "1")
+
+
+def test_row_passes_through_the_conversion():
+    row = as_tuple((1, 2), 2)
+    assert as_tuple(row, 2) is row
+    with pytest.raises(ValueError):
+        as_tuple(row, 3)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_row_refuses_a_float_or_a_bool(bad):
+    with pytest.raises(TypeError):
+        as_tuple((bad, 0), 2)

@@ -397,7 +397,7 @@ def test_diff_operator_apply_agrees_with_parts(u, c0, cx, cy, cz, denom, exact):
     (simplex3d, (1, 1, 1), (F(1, 3), F(-1, 2), F(1), F(0), F(1, 2), F(2))),
 ])
 def test_table_operators_apply_as_by_parts(module, idx, params):
-    u = module.FAMILY.member(*idx, *params)
+    u = module.FAMILY.member(idx, params)
     for rel in module.FAMILY.sparse.values():
         op = rel.operator(*idx, *params)
         assert op.apply(u) == _apply_by_parts(op, u)

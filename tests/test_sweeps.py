@@ -1,0 +1,118 @@
+"""The sweep harness: report bytes, pool chunks and the shipped reports."""
+
+import hashlib
+import json
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simplexpoly import sweeps
+from simplexpoly.cli import EX_OK, main
+from simplexpoly.operators import (
+    FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, summarize,
+)
+
+CHECKSUMS = Path(__file__).resolve().parent / "data" / "default_sweep_reports.sha256"
+
+# Text that json escapes: quotes, backslashes, newlines and other control
+# characters, and non-ASCII letters, symbols and astral-plane characters.
+TEXT = st.text(st.one_of(st.sampled_from('"\\\n\r\t\x00\x7f/é€ 😀'), st.characters()),
+               max_size=12)
+REPORTS = st.builds(
+    VerificationReport,
+    relation=TEXT,
+    index=st.lists(st.integers(-3, 600), min_size=1, max_size=3).map(tuple),
+    params=st.lists(st.fractions(), min_size=1, max_size=10).map(tuple),
+    status=st.sampled_from([PASS, FAIL, NOT_APPLICABLE]),
+    lhs=st.none() | TEXT,
+    rhs=st.none() | TEXT,
+    detail=st.none() | TEXT,
+    suite=st.none() | TEXT,
+    difference=st.none() | TEXT,
+)
+
+
+def _json_dump_bytes(path, reports, summary) -> bytes:
+    """What the writer must reproduce: json.dump's layout and a newline."""
+    payload = {"summary": summary, "reports": [r.to_json() for r in reports]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reports")
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports=st.lists(REPORTS, max_size=6))
+def test_write_report_matches_json_dump(reports, out_dir):
+    summary = summarize(reports)
+    sweeps.write_report(out_dir / "written.json", reports, summary)
+    expected = _json_dump_bytes(out_dir / "reference.json", reports, summary)
+    assert (out_dir / "written.json").read_bytes() == expected
+
+
+def test_write_report_of_no_reports(out_dir):
+    summary = summarize([])
+    sweeps.write_report(out_dir / "empty.json", [], summary)
+    expected = _json_dump_bytes(out_dir / "empty-reference.json", [], summary)
+    assert (out_dir / "empty.json").read_bytes() == expected
+
+
+def _m2d_tasks():
+    section = {"degree": 2, "params": [["0", "1/2", "0", "1"], ["1/3", "0", "-1/2", "0"]]}
+    return sweeps.tasks_m2d(section)
+
+
+def test_every_task_carries_a_row():
+    tasks = _m2d_tasks() + sweeps.tasks_connections({
+        "alpha": {"degree": 1, "params": [["0", "0", "0", "0", "0", "0"]], "xi": ["1"]},
+        "general": {"degree": 1, "params": [["0", "0", "0", "0", "0", "0"]],
+                    "targets": [["1", "0", "0", "0"]]},
+    })
+    assert {type(t[3]) for t in tasks} == {Row}
+    assert {type(t[4]) for t in tasks if t[0] == "conn_general"} == {Row}
+
+
+@pytest.mark.parametrize("count", [1, 3, 8, 1000])
+def test_chunks_keep_a_rows_tasks_at_one_index_together(count):
+    tasks = _m2d_tasks()
+    chunks = sweeps._chunks(tasks, count)
+    assert 1 <= len(chunks) <= count
+    assert Counter(t for chunk in chunks for t in chunk) == Counter(tasks)
+    where = {}
+    for number, chunk in enumerate(chunks):
+        for task in chunk:
+            assert where.setdefault((task[3], task[2]), number) == number
+
+
+def test_pool_reports_equal_serial_reports():
+    tasks = _m2d_tasks()
+    serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
+    assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+
+
+def _shipped_checksums():
+    pairs = (line.split() for line in CHECKSUMS.read_text().splitlines())
+    return {name: digest for digest, name in pairs}
+
+
+@pytest.mark.parametrize("suite", ["ladder1d", "three-term"])
+def test_shipped_report_matches_its_checksum(suite, tmp_path, capsys):
+    out = tmp_path / f"{suite}.json"
+    assert main(["verify", "--suite", suite, "--jobs", "1", "--out", str(out)]) == EX_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _shipped_checksums()[f"reports/{suite}.json"]
+
+
+def test_report_prints_its_row_text():
+    report = VerificationReport("r", (1,), (Fraction(1, 3), Fraction(-2)), PASS)
+    assert report.to_json()["params"] == ["1/3", "-2"]
+    assert report.sort_key()[3] == ("1/3", "-2")
