@@ -3,7 +3,8 @@
 
 For each draw, builds the degree-N Gram matrix on the tetrahedron and
 reports the worst normalized off-diagonal entry and the worst relative
-deviation of the diagonal from the interval-norm product formula.
+deviation of the diagonal from the interval-norm product formula.  Exits 1
+when either exceeds the bound of `simplexpoly gram` (`cli.GRAM_BOUND`).
 
 Usage:
     python scripts/orthogonality_scan.py [--N 4] [--draws 20] [--seed 7]
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from simplexpoly import quadrature
+from simplexpoly import cli, quadrature
 
 
 def random_params(rng) -> tuple:
@@ -45,7 +46,7 @@ def main() -> int:
         label = ",".join(str(v) for v in params)
         print(f"params=({label:<30}) offdiag={off:.3e} diag_rel={diag:.3e}")
     print(f"worst offdiag {worst_off:.3e}   worst diag_rel {worst_diag:.3e}")
-    return 0 if worst_off <= 1e-10 and worst_diag <= 1e-10 else 1
+    return 0 if max(worst_off, worst_diag) <= cli.GRAM_BOUND else 1
 
 
 if __name__ == "__main__":

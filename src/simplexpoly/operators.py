@@ -230,8 +230,9 @@ class VerificationReport:
             "status": self.status,
         }
         for key in ("suite", "lhs", "rhs", "detail", "difference"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = value
         return out
 
     def sort_key(self):

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -204,11 +204,6 @@ def tetra_moment(i: int, j: int, k: int, params) -> float:
 # Gram matrices.
 # ---------------------------------------------------------------------------
 
-def simplex_indices(max_degree: int) -> List[Tuple[int, int, int]]:
-    """All (n1, n2, n3) with n1+n2+n3 <= max_degree, in sorted order."""
-    return sorted(simplex3d.indices(max_degree))
-
-
 def jacobi_orthonormal(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Values at x of q_0..q_n, the Jacobi polynomials on (0, 1) of
     `jacobi1d` scaled to unit norm against (1-x)^a x^b; shape (n+1, len(x)).
@@ -301,8 +296,6 @@ def collapsed_values(family, max_degree: int, params, *coords):
 
 gram_matrix = partial(collapsed_gram, simplex3d)
 gram_matrix_triangle = partial(collapsed_gram, triangle2d)
-tetra_values = partial(collapsed_values, simplex3d)
-triangle_values = partial(collapsed_values, triangle2d)
 
 
 def expected_gram_diagonal(indices, params) -> np.ndarray:

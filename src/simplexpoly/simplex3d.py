@@ -121,12 +121,6 @@ def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
     return fx * fy * fz
 
 
-def classical_simplex_poly(idx, fourparams) -> MPoly:
-    n1, n2, n3 = as_tuple(idx, 3, index)
-    alpha, beta, gamma, delta = as_tuple(fourparams, 4)
-    return classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta)
-
-
 # ---------------------------------------------------------------------------
 # The thirty-six ladder relations of Theorem 1: twelve along y, twelve along
 # x, twelve along z.  Each line holds the operator, the steps of

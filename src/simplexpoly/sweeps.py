@@ -23,18 +23,6 @@ from .operators import FAIL, Row, VerificationReport, as_tuple, report_equality,
 from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder
 from .special import PoleHit
 
-SUITES = (
-    "ladder1d",
-    "m2d",
-    "theorem1",
-    "second-order",
-    "pde",
-    "corollaries",
-    "connections",
-    "three-term",
-)
-
-
 # The largest degree a config may ask for.  Every exponent of a packed
 # `ratpoly` key lies below EXPONENT_LIMIT (512), and a check at degree D
 # builds exponents past D: the ladder operators of the triangle and the
@@ -83,21 +71,38 @@ def parse_grid(rows, arity: int, key: str = "params") -> List[Row]:
     return [config_row(row, key, arity) for row in rows]
 
 
+def _filter(relations, selection):
+    if not selection or selection == "all":
+        return list(relations)
+    if not isinstance(selection, list) or not all(isinstance(r, str) for r in selection):
+        raise ConfigError(f'relations must be "all" or a list of ids, got {selection!r}')
+    unknown = set(selection) - set(relations)
+    if unknown:
+        raise ValueError(f"unknown relation ids: {sorted(unknown)}")
+    return [r for r in relations if r in selection]
+
+
 @dataclass(frozen=True)
 class SweepSection:
     """Parsed form of one suite section: degree bound, parameter grid,
-    and an optional relation-id selection."""
+    and the relation ids it checks."""
 
     degree: int
     params: Tuple[Row, ...]
-    relations: object = "all"
+    relations: List[str]
 
     @staticmethod
-    def parse(section: dict, arity: int) -> "SweepSection":
+    def parse(section: dict, arity: int, path: str, relations=()) -> "SweepSection":
+        """The section at suites.<path>.  `relations` holds the ids it may
+        select with a relations key; a section without ids checks its whole
+        grid and refuses the key rather than ignore it."""
+        if "relations" in section and not relations:
+            raise ConfigError(f"config section suites.{path} checks every relation; "
+                              "it takes no relations key")
         return SweepSection(
             degree=config_int(section["degree"], "degree", high=MAX_DEGREE),
             params=tuple(parse_grid(section["params"], arity)),
-            relations=section.get("relations", "all"),
+            relations=_filter(relations, section.get("relations", "all")),
         )
 
 
@@ -133,7 +138,8 @@ def _check(module, name, index=lambda idx: idx):
 
 # One line per task kind: the relation id of its reports, where "{}" stands
 # for the task's relation, and its executor, called with that id and the
-# task's fields.  A task that raises is reported under the id.  Each
+# task's fields.  A task that raises is reported under the id, which is
+# the one its verifier writes (tests/test_sweeps.py checks each kind).  Each
 # executor names its verifier on the module at call time, so wrappers
 # installed later (a test's monkeypatch, a profiler) are used.
 _KINDS = {
@@ -220,17 +226,6 @@ def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
     return sorted(reports, key=lambda r: r.sort_key())
 
 
-def _filter(relations, selection):
-    if not selection or selection == "all":
-        return list(relations)
-    if not isinstance(selection, list) or not all(isinstance(r, str) for r in selection):
-        raise ConfigError(f'relations must be "all" or a list of ids, got {selection!r}')
-    unknown = set(selection) - set(relations)
-    if unknown:
-        raise ValueError(f"unknown relation ids: {sorted(unknown)}")
-    return [r for r in relations if r in selection]
-
-
 # ---------------------------------------------------------------------------
 # Suite task builders.
 # ---------------------------------------------------------------------------
@@ -265,71 +260,69 @@ def _cells(kind, relations=(None,)):
     return [(kind, rel, None) for rel in relations]
 
 
-def _nonempty(tasks, *path) -> List[Task]:
+def _nonempty(tasks, path: str) -> List[Task]:
     """`tasks`, refused when the config grid at suites.<path> yields none:
     a grid that checks nothing would pass vacuously."""
     if not tasks:
-        raise ValueError(f"config section suites.{'.'.join(path)} yields no tasks")
+        raise ValueError(f"config section suites.{path} yields no tasks")
     return tasks
 
 
-def _relation_grid(section, arity, indices, kind, relations) -> List[Task]:
-    """One kind over a section's grid, for the relation ids it selects."""
-    sec = SweepSection.parse(section, arity)
-    return _grid(sec.params, indices(sec.degree), _cells(kind, _filter(relations, sec.relations)))
+def _relation_grid(sec: SweepSection, module, kind) -> List[Task]:
+    """One kind over a parsed section's grid, for the relation ids it checks."""
+    return _grid(sec.params, module.indices(sec.degree), _cells(kind, sec.relations))
 
 
 def tasks_ladder1d(section) -> List[Task]:
-    return _relation_grid(section, 2, jacobi1d.indices, "ladder1d", jacobi1d.SPARSE_1D)
+    sec = SweepSection.parse(section, 2, "ladder1d", jacobi1d.SPARSE_1D)
+    return _relation_grid(sec, jacobi1d, "ladder1d")
 
 
 def tasks_m2d(section) -> List[Task]:
-    sec = SweepSection.parse(section, 4)
+    sec = SweepSection.parse(section, 4, "m2d", triangle2d.SPARSE_2D)
     abc = [as_tuple(p[:3], 3) for p in sec.params]
     reductions = _grid(abc, triangle2d.indices(sec.degree), _cells("d0"))
-    return _relation_grid(section, 4, triangle2d.indices, "m2d", triangle2d.SPARSE_2D) + reductions
+    return _relation_grid(sec, triangle2d, "m2d") + reductions
 
 
 def tasks_theorem1(section) -> List[Task]:
-    sec = SweepSection.parse(section, 6)
+    sec = SweepSection.parse(section, 6, "theorem1", simplex3d.THEOREM1)
     q = [as_tuple(p[:4], 4) for p in sec.params]
     reductions = _grid(q, simplex3d.indices(sec.degree), _cells("ab0"))
-    ops = simplex3d.THEOREM1
-    return _relation_grid(section, 6, simplex3d.indices, "theorem1", ops) + reductions
+    return _relation_grid(sec, simplex3d, "theorem1") + reductions
 
 
 def tasks_second_order(section) -> List[Task]:
-    return [
-        task
-        for key, arity, module, kind, relations in (
-            ("oned", 2, jacobi1d, "so1d", jacobi1d.SECOND_ORDER_1D),
-            ("twod", 4, triangle2d, "so2d", triangle2d.SECOND_ORDER_2D),
-            ("threed", 6, simplex3d, "so3d", simplex3d.SECOND_ORDER_3D),
-        )
-        for task in _nonempty(
-            _relation_grid(_section(section, key), arity, module.indices, kind, relations),
-            "second-order", key)
-    ]
+    tasks = []
+    for key, arity, module, kind, relations in (
+        ("oned", 2, jacobi1d, "so1d", jacobi1d.SECOND_ORDER_1D),
+        ("twod", 4, triangle2d, "so2d", triangle2d.SECOND_ORDER_2D),
+        ("threed", 6, simplex3d, "so3d", simplex3d.SECOND_ORDER_3D),
+    ):
+        path = "second-order." + key
+        sec = SweepSection.parse(_section(section, key), arity, path, relations)
+        tasks += _nonempty(_relation_grid(sec, module, kind), path)
+    return tasks
 
 
 def tasks_pde(section) -> List[Task]:
-    two = SweepSection.parse(_section(section, "twod"), 4)
-    three = SweepSection.parse(_section(section, "threed"), 6)
+    two = SweepSection.parse(_section(section, "twod"), 4, "pde.twod")
+    three = SweepSection.parse(_section(section, "threed"), 6, "pde.threed")
     monic_degree = config_int(section.get("monic_degree", 5), "monic_degree",
                               high=MAX_DEGREE)
     return (
         _nonempty(_grid(two.params, triangle2d.indices(two.degree),
-                        _cells("pde2d", triangle2d.PDE_2D)), "pde", "twod")
+                        _cells("pde2d", triangle2d.PDE_2D)), "pde.twod")
         + _nonempty(_grid(three.params, simplex3d.indices(three.degree),
-                          _cells("pde3d", simplex3d.PDE_3D)), "pde", "threed")
+                          _cells("pde3d", simplex3d.PDE_3D)), "pde.threed")
         + _nonempty(_grid(two.params, triangle2d.indices(monic_degree), _cells("monic2d"))
                     + _grid(three.params, simplex3d.indices(monic_degree), _cells("monic3d")),
-                    "pde", "monic_degree")
+                    "pde.monic_degree")
     )
 
 
 def tasks_corollaries(section) -> List[Task]:
-    sec = SweepSection.parse(section, 4)
+    sec = SweepSection.parse(section, 4, "corollaries")
     cells = (
         _cells("cor_deriv", simplex3d.DERIVATIVES)
         + _cells("cor_weight", simplex3d.WEIGHTED)
@@ -339,21 +332,22 @@ def tasks_corollaries(section) -> List[Task]:
 
 
 def tasks_connections(section) -> List[Task]:
-    alpha = SweepSection.parse(_section(section, "alpha"), 6)
-    xis = list(config_row(_section(section, "alpha")["xi"], "xi"))
-    general = SweepSection.parse(_section(section, "general"), 6)
-    targets = parse_grid(_section(section, "general")["targets"], 4, "targets")
+    alpha_section, general_section = _section(section, "alpha"), _section(section, "general")
+    alpha = SweepSection.parse(alpha_section, 6, "connections.alpha")
+    xis = list(config_row(alpha_section["xi"], "xi"))
+    general = SweepSection.parse(general_section, 6, "connections.general")
+    targets = parse_grid(general_section["targets"], 4, "targets")
     return _nonempty(_grid(
         alpha.params, simplex3d.indices(alpha.degree),
         lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
-    ), "connections", "alpha") + _nonempty(_grid(
+    ), "connections.alpha") + _nonempty(_grid(
         general.params, simplex3d.indices(general.degree),
         lambda p: [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]],
-    ), "connections", "general")
+    ), "connections.general")
 
 
 def tasks_three_term(section) -> List[Task]:
-    sec = SweepSection.parse(section, 6)
+    sec = SweepSection.parse(section, 6, "three-term")
     return _grid(sec.params, simplex3d.indices(sec.degree), _cells("three_term"))
 
 
@@ -367,6 +361,9 @@ _TASK_BUILDERS = {
     "connections": tasks_connections,
     "three-term": tasks_three_term,
 }
+
+#: The suite names, in the order the full verification runs them.
+SUITES = tuple(_TASK_BUILDERS)
 
 
 def suite_tasks(name: str, config: dict) -> List[Task]:
@@ -421,60 +418,35 @@ def plan(path: Optional[str], suites: Sequence[str]) -> Tuple[int, List[Tuple[st
     return jobs, [(suite, suite_tasks(suite, config)) for suite in suites]
 
 
-def _json(value, pad: str) -> str:
-    """`value` as json.dump(value, indent=1, sort_keys=True) lays it out
-    from a line that starts with `pad`: strings, ints, lists and dicts
-    with string keys, the types of a summary."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    inner = pad + " "
-    if type(value) is list:
-        items = [_json(v, inner) for v in value]
-        brackets = "[]"
-    elif type(value) is dict:
-        items = [encode_basestring_ascii(k) + ": " + _json(value[k], inner) for k in sorted(value)]
-        brackets = "{}"
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} {value!r} to a report")
-    if not items:
-        return brackets
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
-
-
-def _quoted(text: Optional[str]) -> Optional[str]:
-    return None if text is None else encode_basestring_ascii(text)
-
-
 def _report_json(r: VerificationReport) -> str:
-    """`r.to_json()` as `_json` lays it out in the report list, built from
-    the report's fields directly: the keys in sorted order, and a key
-    whose field is None left out."""
-    index = ",\n    ".join(map(str, r.index))
-    params = ",\n    ".join(map(encode_basestring_ascii, r.params.text))
-    fields = [
-        ("detail", _quoted(r.detail)),
-        ("difference", _quoted(r.difference)),
-        ("index", "[\n    " + index + "\n   ]" if index else "[]"),
-        ("lhs", _quoted(r.lhs)),
-        ("params", "[\n    " + params + "\n   ]" if params else "[]"),
-        ("relation", _quoted(r.relation)),
-        ("rhs", _quoted(r.rhs)),
-        ("status", _quoted(r.status)),
-        ("suite", _quoted(r.suite)),
-    ]
-    return "  {\n   " + ",\n   ".join(
-        f'"{key}": {text}' for key, text in fields if text is not None) + "\n  }"
+    """`r.to_json()` as json.dump(indent=1, sort_keys=True) lays it out in
+    the report list: its items in key order, each a string or a list of
+    ints or of strings, a list one entry per line."""
+    payload = r.to_json()
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if type(value) is str:
+            fields.append(f'"{key}": {encode_basestring_ascii(value)}')
+        elif value:
+            entries = map(encode_basestring_ascii if type(value[0]) is str else str, value)
+            fields.append(f'"{key}": [\n    ' + ",\n    ".join(entries) + "\n   ]")
+        else:
+            fields.append(f'"{key}": []')
+    return "  {\n   " + ",\n   ".join(fields) + "\n  }"
 
 
 def write_report(path: str, reports, summary) -> None:
     """The reports and their summary, byte for byte what
     json.dump({"reports": [r.to_json() ...], "summary": summary}, fh,
-    indent=1, sort_keys=True) writes, and a newline."""
+    indent=1, sort_keys=True) writes, and a newline.  The summary, a few
+    dozen relations at most, is written by `json` itself, one level deeper.
+    The reports are laid out from their `to_json()` directly, in about half
+    the time json's pure-Python encoder (the one `indent` selects) takes."""
     listed = ",\n".join(map(_report_json, reports))
+    summary = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
     text = ('{\n "reports": ' + ("[\n" + listed + "\n ]" if listed else "[]")
-            + ',\n "summary": ' + _json(summary, " ") + "\n}\n")
+            + ',\n "summary": ' + summary + "\n}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

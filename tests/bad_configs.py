@@ -33,6 +33,15 @@ BAD_CONFIGS = {
     "directory": ("three-term", None),
     "params-entry-true": ("ladder1d", _set(("suites", "ladder1d", "params", 0, 0), True)),
     "xi-true": ("connections", _set(("suites", "connections", "alpha", "xi", 0), True)),
+    # Sections that check every relation of their grid refuse a selection
+    # rather than ignore it.
+    "relations-in-pde": ("pde", _set(("suites", "pde", "twod", "relations"), ["T1"])),
+    "relations-in-corollaries": ("corollaries", _set(("suites", "corollaries", "relations"),
+                                                     ["corollary.deriv.x"])),
+    "relations-in-connections": ("connections", _set(
+        ("suites", "connections", "general", "relations"), "all")),
+    "relations-in-three-term": ("three-term", _set(("suites", "three-term", "relations"),
+                                                   ["three-term.x"])),
 }
 
 

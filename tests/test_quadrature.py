@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 import scipy.special
 
+from simplexpoly import simplex3d, triangle2d
 from simplexpoly.quadrature import (
+    collapsed_values,
     gauss_jacobi_01,
     gram_matrix,
     gram_matrix_triangle,
     gram_offdiag_max,
     expected_gram_diagonal,
-    simplex_indices,
     tetra_mass,
     tetra_moment,
     tetra_moment_ratio,
     tetra_rule,
-    tetra_values,
     triangle_moment_ratio,
     triangle_rule,
-    triangle_values,
 )
 from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
@@ -149,7 +148,7 @@ def test_gram_diagonal_and_offdiagonal(params):
 
 
 def test_simplex_indices_ordering():
-    idxs = simplex_indices(2)
+    idxs, _ = gram_matrix(2, ZEROS6)
     assert len(idxs) == 10
     assert idxs == sorted(idxs)
 
@@ -214,8 +213,8 @@ def _assert_values_match(idxs, values, member, points):
 def test_tetra_values_match_exact_members(params):
     points = _interior_points(3)
     coords = [[float(p[axis]) for p in points] for axis in range(3)]
-    idxs, values = tetra_values(6, params, *coords)
-    assert idxs == simplex_indices(6)
+    idxs, values = collapsed_values(simplex3d, 6, params, *coords)
+    assert idxs == sorted(simplex3d.indices(6))
     _assert_values_match(idxs, values, lambda idx: simplex_poly_raw(*idx, *params), points)
 
 
@@ -223,7 +222,7 @@ def test_tetra_values_match_exact_members(params):
 def test_triangle_values_match_exact_members(params):
     points = _interior_points(2)
     coords = [[float(p[axis]) for p in points] for axis in range(2)]
-    idxs, values = triangle_values(6, params, *coords)
+    idxs, values = collapsed_values(triangle2d, 6, params, *coords)
     _assert_values_match(idxs, values, lambda idx: triangle_poly_raw(*idx, *params), points)
 
 

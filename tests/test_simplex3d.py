@@ -25,7 +25,7 @@ from simplexpoly.simplex3d import (
     WEIGHTED,
     FAMILY,
     _e,
-    classical_simplex_poly,
+    classical_simplex_poly_raw,
     monic_simplex,
     pde_residual_3d,
     simplex_norm,
@@ -191,7 +191,7 @@ def test_pde_nonmember_leaves_residual():
 
 
 def test_reduction_examples():
-    assert simplex_poly((1, 0, 0), ZEROS) == classical_simplex_poly((1, 0, 0), (0, 0, 0, 0))
+    assert simplex_poly((1, 0, 0), ZEROS) == classical_simplex_poly_raw(1, 0, 0, 0, 0, 0, 0)
     for params in PARAMS_GRID:
         for idx in indices(3):
             assert verify_reduction_ab0(idx, params[:4]).status == "pass"

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexpoly import sweeps
+from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import EX_OK, main
 from simplexpoly.operators import (
     FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, summarize,
@@ -116,3 +117,86 @@ def test_report_prints_its_row_text():
     report = VerificationReport("r", (1,), (Fraction(1, 3), Fraction(-2)), PASS)
     assert report.to_json()["params"] == ["1/3", "-2"]
     assert report.sort_key()[3] == ("1/3", "-2")
+
+
+def _shipped_section(config, path):
+    section = config["suites"]
+    for key in path:
+        section = section[key]
+    return section
+
+
+@pytest.mark.parametrize("path", [
+    ("pde", "twod"), ("pde", "threed"), ("corollaries",), ("connections", "alpha"),
+    ("connections", "general"), ("three-term",),
+])
+def test_a_section_without_relation_ids_refuses_a_selection(path):
+    config = sweeps.load_config(sweeps.default_config_path())
+    _shipped_section(config, path)["relations"] = ["T1"]
+    where = re.escape("suites." + ".".join(path) + " ")
+    with pytest.raises(sweeps.ConfigError, match=where):
+        sweeps.suite_tasks(path[0], config)
+
+
+@pytest.mark.parametrize("path, kind, relation", [
+    (("ladder1d",), "ladder1d", "L1"), (("second-order", "oned"), "so1d", "L1p.L1.rel"),
+])
+def test_a_selecting_section_keeps_its_selection(path, kind, relation):
+    config = sweeps.load_config(sweeps.default_config_path())
+    _shipped_section(config, path)["relations"] = [relation]
+    tasks = sweeps.suite_tasks(path[0], config)
+    assert {rel for k, rel, *_ in tasks if k == kind} == {relation}
+
+
+# The function each task kind calls to check its task, by module and name.
+VERIFIERS = {
+    "ladder1d": (jacobi1d, "verify_ladder"),
+    "so1d": (jacobi1d, "verify_second_order_1d"),
+    "m2d": (triangle2d, "verify_m_relation"),
+    "so2d": (triangle2d, "verify_second_order_m"),
+    "d0": (triangle2d, "verify_d0_reduction"),
+    "pde2d": (triangle2d, "pde_residual"),
+    "monic2d": (triangle2d, "monic_triangle"),
+    "theorem1": (simplex3d, "verify_theorem1"),
+    "so3d": (simplex3d, "verify_second_order_3d"),
+    "ab0": (simplex3d, "verify_reduction_ab0"),
+    "pde3d": (simplex3d, "pde_residual_3d"),
+    "monic3d": (simplex3d, "monic_simplex"),
+    "three_term": (simplex3d, "verify_three_term"),
+    "conn_alpha": (simplex3d, "connect_alpha"),
+    "conn_general": (simplex3d, "connect_general"),
+    "cor_deriv": (simplex3d, "verify_corollary_derivatives"),
+    "cor_weight": (simplex3d, "verify_corollary_weighted"),
+    "cor_mult": (simplex3d, "verify_corollary_multiplication"),
+}
+
+
+@pytest.fixture(scope="module")
+def one_task_per_kind():
+    """The first task of each kind on the shipped config whose index is not
+    all zeros."""
+    config = sweeps.load_config(sweeps.default_config_path())
+    tasks = {}
+    for suite in sweeps.SUITES:
+        for task in sweeps.suite_tasks(suite, config):
+            if any(task[2]):
+                tasks.setdefault(task[0], task)
+    return tasks
+
+
+@pytest.mark.parametrize("kind", sorted(sweeps._KINDS))
+def test_a_task_that_raises_keeps_its_relation_id(kind, one_task_per_kind, monkeypatch):
+    # A task that finishes is labelled by its verifier, one that raises by
+    # sweeps._KINDS; two spellings of one id would split the relation in
+    # the summary and flag the half that raised as an erratum candidate.
+    task = one_task_per_kind[kind]
+    finished = sweeps.run_task(task)
+    assert finished.ok
+
+    def broken(*args, **kwargs):
+        raise ValueError("verifier broken on purpose")
+
+    monkeypatch.setattr(*VERIFIERS[kind], broken)
+    raised = sweeps.run_task(task)
+    assert (raised.status, raised.detail) == (FAIL, "ValueError: verifier broken on purpose")
+    assert raised.relation == finished.relation
