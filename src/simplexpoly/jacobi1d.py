@@ -20,6 +20,7 @@ L^n n! c_m and divided by L^n n! once, at the end.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from operator import index, mul
@@ -209,50 +210,50 @@ def collapsed_norm(axes, degrees) -> float:
 # ---------------------------------------------------------------------------
 # The twelve first-order ladder relations.  Each line holds the operator, the
 # steps of (n; a, b) and the scale; the operator and the scale are both
-# built from (n, a, b).
+# built from the degree n and the row's view p.
 # ---------------------------------------------------------------------------
 
 _cst = MPoly.const
 
 SPARSE_1D = {
     "L1": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=ZERO, cx=ONE),
-        (-1,), (+1, +1), lambda n, a, b: n + a + b + 1),
+        lambda n, p: DiffOperator(c0=ZERO, cx=ONE),
+        (-1,), (+1, +1), lambda n, p: n + p.a + p.b + 1),
     "L2": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(a + b + n + 1), cx=X),
-        (0,), (+1, 0), lambda n, a, b: n + a + b + 1),
+        lambda n, p: DiffOperator(c0=_cst(p.a + p.b + n + 1), cx=X),
+        (0,), (+1, 0), lambda n, p: n + p.a + p.b + 1),
     "L3": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(a + b + n + 1), cx=-ONE_MINUS_X),
-        (0,), (0, +1), lambda n, a, b: n + a + b + 1),
+        lambda n, p: DiffOperator(c0=_cst(p.a + p.b + n + 1), cx=-ONE_MINUS_X),
+        (0,), (0, +1), lambda n, p: n + p.a + p.b + 1),
     "L4": SparseRelation(
-        lambda n, a, b: DiffOperator(
-            c0=X.scale(a) - ONE_MINUS_X.scale(b + n + 1), cx=-X_ONE_MINUS_X),
-        (+1,), (-1, 0), lambda n, a, b: n + 1),
+        lambda n, p: DiffOperator(
+            c0=X.scale(p.a) - ONE_MINUS_X.scale(p.b + n + 1), cx=-X_ONE_MINUS_X),
+        (+1,), (-1, 0), lambda n, p: n + 1),
     "L5": SparseRelation(
-        lambda n, a, b: DiffOperator(
-            c0=X.scale(a + n + 1) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X),
-        (+1,), (0, -1), lambda n, a, b: n + 1),
+        lambda n, p: DiffOperator(
+            c0=X.scale(p.a + n + 1) - ONE_MINUS_X.scale(p.b), cx=-X_ONE_MINUS_X),
+        (+1,), (0, -1), lambda n, p: n + 1),
     "L6": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(b), cx=X),
-        (0,), (+1, -1), lambda n, a, b: n + b),
+        lambda n, p: DiffOperator(c0=_cst(p.b), cx=X),
+        (0,), (+1, -1), lambda n, p: n + p.b),
     "L1p": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=X.scale(a) - ONE_MINUS_X.scale(b), cx=-X_ONE_MINUS_X),
-        (+1,), (-1, -1), lambda n, a, b: n + 1),
+        lambda n, p: DiffOperator(c0=X.scale(p.a) - ONE_MINUS_X.scale(p.b), cx=-X_ONE_MINUS_X),
+        (+1,), (-1, -1), lambda n, p: n + 1),
     "L2p": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(a) + ONE_MINUS_X.scale(n), cx=-X_ONE_MINUS_X),
-        (0,), (-1, 0), lambda n, a, b: n + a),
+        lambda n, p: DiffOperator(c0=_cst(p.a) + ONE_MINUS_X.scale(n), cx=-X_ONE_MINUS_X),
+        (0,), (-1, 0), lambda n, p: n + p.a),
     "L3p": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(b) + X.scale(n), cx=X_ONE_MINUS_X),
-        (0,), (0, -1), lambda n, a, b: n + b),
+        lambda n, p: DiffOperator(c0=_cst(p.b) + X.scale(n), cx=X_ONE_MINUS_X),
+        (0,), (0, -1), lambda n, p: n + p.b),
     "L4p": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(-n), cx=X),
-        (-1,), (+1, 0), lambda n, a, b: n + b),
+        lambda n, p: DiffOperator(c0=_cst(-n), cx=X),
+        (-1,), (+1, 0), lambda n, p: n + p.b),
     "L5p": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(n), cx=ONE_MINUS_X),
-        (-1,), (0, +1), lambda n, a, b: n + a),
+        lambda n, p: DiffOperator(c0=_cst(n), cx=ONE_MINUS_X),
+        (-1,), (0, +1), lambda n, p: n + p.a),
     "L6p": SparseRelation(
-        lambda n, a, b: DiffOperator(c0=_cst(a), cx=-ONE_MINUS_X),
-        (0,), (-1, +1), lambda n, a, b: n + a),
+        lambda n, p: DiffOperator(c0=_cst(p.a), cx=-ONE_MINUS_X),
+        (0,), (-1, +1), lambda n, p: n + p.a),
 }
 
 
@@ -260,37 +261,37 @@ SPARSE_1D = {
 # Second-order compositions.
 #
 # Each entry states: apply `inner` then `outer` to the member at the
-# shifted operand (n + dn, (a, b) + dparams); the result is eig(n, a, b)
+# shifted operand (n + dn, (a, b) + dparams); the result is eig(n, p)
 # times that member.  The ".rel" entries are the raising/lowering pairings
 # on shifted operands; the ".eig" entries are the same compositions
 # arranged as eigenvalue equations for the unshifted member.
 # ---------------------------------------------------------------------------
 
 SECOND_ORDER_1D = {
-    "L1p.L1.rel": SecondOrder("L1p", "L1", (0,), (-1, -1), lambda n, a, b: n * (n + a + b - 1)),
-    "L1.L1p.rel": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, a, b: (n + 1) * (a + b + n)),
-    "L2p.L2.rel": SecondOrder("L2p", "L2", (0,), (-1, +1), lambda n, a, b: (n + a) * (n + a + b + 1)),
-    "L2.L2p.rel": SecondOrder("L2", "L2p", (0,), (0, +1), lambda n, a, b: (n + a) * (n + a + b + 1)),
-    "L3p.L3.rel": SecondOrder("L3p", "L3", (0,), (+1, -1), lambda n, a, b: (n + b) * (n + a + b + 1)),
-    "L3.L3p.rel": SecondOrder("L3", "L3p", (0,), (+1, 0), lambda n, a, b: (n + b) * (n + a + b + 1)),
-    "L4p.L4.rel": SecondOrder("L4p", "L4", (-1,), (0, +1), lambda n, a, b: n * (n + b + 1)),
-    "L4.L4p.rel": SecondOrder("L4", "L4p", (0,), (-1, +1), lambda n, a, b: n * (n + b + 1)),
-    "L5p.L5.rel": SecondOrder("L5p", "L5", (-1,), (+1, 0), lambda n, a, b: n * (n + a + 1)),
-    "L5.L5p.rel": SecondOrder("L5", "L5p", (0,), (+1, -1), lambda n, a, b: n * (n + a + 1)),
-    "L6p.L6.rel": SecondOrder("L6p", "L6", (0,), (-1, 0), lambda n, a, b: (n + a) * (n + b)),
-    "L6.L6p.rel": SecondOrder("L6", "L6p", (0,), (0, -1), lambda n, a, b: (n + a) * (n + b)),
-    "L1p.L1.eig": SecondOrder("L1p", "L1", (0,), (0, 0), lambda n, a, b: n * (n + a + b + 1)),
-    "L1.L1p.eig": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, a, b: (n + 1) * (a + b + n)),
-    "L2p.L2.eig": SecondOrder("L2p", "L2", (0,), (0, 0), lambda n, a, b: (n + a + 1) * (n + a + b + 1)),
-    "L2.L2p.eig": SecondOrder("L2", "L2p", (0,), (0, 0), lambda n, a, b: (n + a) * (n + a + b)),
-    "L3p.L3.eig": SecondOrder("L3p", "L3", (0,), (0, 0), lambda n, a, b: (n + b + 1) * (n + a + b + 1)),
-    "L3.L3p.eig": SecondOrder("L3", "L3p", (0,), (0, 0), lambda n, a, b: (n + b) * (n + a + b)),
-    "L4p.L4.eig": SecondOrder("L4p", "L4", (0,), (0, 0), lambda n, a, b: (n + 1) * (n + b + 1)),
-    "L4.L4p.eig": SecondOrder("L4", "L4p", (0,), (0, 0), lambda n, a, b: n * (n + b)),
-    "L5p.L5.eig": SecondOrder("L5p", "L5", (0,), (0, 0), lambda n, a, b: (n + 1) * (n + a + 1)),
-    "L5.L5p.eig": SecondOrder("L5", "L5p", (0,), (0, 0), lambda n, a, b: n * (n + a)),
-    "L6p.L6.eig": SecondOrder("L6p", "L6", (0,), (0, 0), lambda n, a, b: (n + a + 1) * (n + b)),
-    "L6.L6p.eig": SecondOrder("L6", "L6p", (0,), (0, 0), lambda n, a, b: (n + a) * (n + b + 1)),
+    "L1p.L1.rel": SecondOrder("L1p", "L1", (0,), (-1, -1), lambda n, p: n * (n + p.a + p.b - 1)),
+    "L1.L1p.rel": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, p: (n + 1) * (p.a + p.b + n)),
+    "L2p.L2.rel": SecondOrder("L2p", "L2", (0,), (-1, +1), lambda n, p: (n + p.a) * (n + p.a + p.b + 1)),
+    "L2.L2p.rel": SecondOrder("L2", "L2p", (0,), (0, +1), lambda n, p: (n + p.a) * (n + p.a + p.b + 1)),
+    "L3p.L3.rel": SecondOrder("L3p", "L3", (0,), (+1, -1), lambda n, p: (n + p.b) * (n + p.a + p.b + 1)),
+    "L3.L3p.rel": SecondOrder("L3", "L3p", (0,), (+1, 0), lambda n, p: (n + p.b) * (n + p.a + p.b + 1)),
+    "L4p.L4.rel": SecondOrder("L4p", "L4", (-1,), (0, +1), lambda n, p: n * (n + p.b + 1)),
+    "L4.L4p.rel": SecondOrder("L4", "L4p", (0,), (-1, +1), lambda n, p: n * (n + p.b + 1)),
+    "L5p.L5.rel": SecondOrder("L5p", "L5", (-1,), (+1, 0), lambda n, p: n * (n + p.a + 1)),
+    "L5.L5p.rel": SecondOrder("L5", "L5p", (0,), (+1, -1), lambda n, p: n * (n + p.a + 1)),
+    "L6p.L6.rel": SecondOrder("L6p", "L6", (0,), (-1, 0), lambda n, p: (n + p.a) * (n + p.b)),
+    "L6.L6p.rel": SecondOrder("L6", "L6p", (0,), (0, -1), lambda n, p: (n + p.a) * (n + p.b)),
+    "L1p.L1.eig": SecondOrder("L1p", "L1", (0,), (0, 0), lambda n, p: n * (n + p.a + p.b + 1)),
+    "L1.L1p.eig": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, p: (n + 1) * (p.a + p.b + n)),
+    "L2p.L2.eig": SecondOrder("L2p", "L2", (0,), (0, 0), lambda n, p: (n + p.a + 1) * (n + p.a + p.b + 1)),
+    "L2.L2p.eig": SecondOrder("L2", "L2p", (0,), (0, 0), lambda n, p: (n + p.a) * (n + p.a + p.b)),
+    "L3p.L3.eig": SecondOrder("L3p", "L3", (0,), (0, 0), lambda n, p: (n + p.b + 1) * (n + p.a + p.b + 1)),
+    "L3.L3p.eig": SecondOrder("L3", "L3p", (0,), (0, 0), lambda n, p: (n + p.b) * (n + p.a + p.b)),
+    "L4p.L4.eig": SecondOrder("L4p", "L4", (0,), (0, 0), lambda n, p: (n + 1) * (n + p.b + 1)),
+    "L4.L4p.eig": SecondOrder("L4", "L4p", (0,), (0, 0), lambda n, p: n * (n + p.b)),
+    "L5p.L5.eig": SecondOrder("L5p", "L5", (0,), (0, 0), lambda n, p: (n + 1) * (n + p.a + 1)),
+    "L5.L5p.eig": SecondOrder("L5", "L5p", (0,), (0, 0), lambda n, p: n * (n + p.a)),
+    "L6p.L6.eig": SecondOrder("L6p", "L6", (0,), (0, 0), lambda n, p: (n + p.a + 1) * (n + p.b)),
+    "L6.L6p.eig": SecondOrder("L6", "L6p", (0,), (0, 0), lambda n, p: (n + p.a) * (n + p.b + 1)),
 }
 
 
@@ -301,6 +302,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("a", "b"),
+    view=namedtuple("Params", "a b"),
     index=lambda n: (index(n),),
     # The row (a, b) is the one axis's base pair.
     build=lambda idx, row: collapsed_member((row,), idx),

@@ -121,11 +121,11 @@ class _Shift:
 class SparseRelation(_Shift):
     """One line of a ladder-relation table.
 
-    Applying operator(*idx, *params), a DiffOperator, to the family member
-    at (idx, params) yields scale(*idx, *params) times the member at
-    (idx + dn, params + dparams); shifts that leave the index domain target
-    the zero polynomial.  The operator and the scale are transcribed from
-    the paper separately, so a typo in either fails the relation.
+    Applying operator(*idx, p), a DiffOperator, to the member at (idx,
+    params), p being the family's view of params, yields scale(*idx, p) times
+    the member at (idx + dn, params + dparams); shifts that leave the index
+    domain target the zero polynomial.  The operator and the scale are
+    transcribed from the paper separately, so a typo in either fails it.
     """
 
     operator: Callable
@@ -139,7 +139,7 @@ class SecondOrder(_Shift):
     """One line of a second-order composition table.
 
     Applying `inner` then `outer` to the member at the shifted operand
-    (idx + dn, params + dparams) gives eig(idx, params) times that member.
+    (idx + dn, params + dparams) gives eig(*idx, p) times that member.
     """
 
     outer: str
@@ -153,18 +153,21 @@ class SecondOrder(_Shift):
 class Family:
     """What the shared checks below need to know about one family.
 
-    `names` are the weight's parameter names, in argument order.  `index`
-    turns the caller's index into a tuple of ints and `params` the
-    caller's parameters into a Row; `check` does the same and also
-    refuses a parameter outside the weight's domain (> -1).
+    `names` are the weight's parameter names, in row order.  Every table
+    line takes the index entries, then p = row.derive(view), the row's
+    named view, built once per Row.  `index` turns the caller's index into
+    a tuple of ints and `params` the caller's parameters into a Row;
+    `check` does the same and also refuses a parameter outside the
+    weight's domain (> -1).
     `build(idx, row)` constructs a member, and `member(idx, row)` looks it
     up in the family's one member cache, building it on a miss.
     `valid(idx)` tells whether an index lies in the domain.  `sparse` maps
     a ladder id to its SparseRelation and `pde` an equation id to its
-    coefficient builder, called as builder(*idx, *params).
+    coefficient builder, called as builder(*idx, p).
     """
 
     names: Tuple[str, ...]
+    view: Callable
     index: Callable
     build: Callable
     valid: Callable
@@ -280,12 +283,13 @@ def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
     """
     idx, params = family.index(idx), family.params(p)
     rel = family.sparse[op]
+    p = params.derive(family.view)
     u = family.member(idx, params)
-    lhs = rel.operator(*idx, *params).apply(u)
+    lhs = rel.operator(*idx, p).apply(u)
     idx2, params2 = rel.shifted(idx, params)
     if not family.valid(idx2):
         return report_equality(op, idx, params, lhs, ZERO, applicable=False)
-    rhs = family.member(idx2, params2).scale(rel.scale(*idx, *params))
+    rhs = family.member(idx2, params2).scale(rel.scale(*idx, p))
     return report_equality(op, idx, params, lhs, rhs)
 
 
@@ -302,15 +306,17 @@ def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationRep
     idx0, params0 = ent.shifted(idx, params)
     if not family.valid(idx0):
         return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
-    eig = ent.eig(*idx, *params)
+    eig = ent.eig(*idx, params.derive(family.view))
     u = family.member(idx0, params0)
     inner, outer = family.sparse[ent.inner], family.sparse[ent.outer]
-    v = inner.operator(*idx0, *params0).apply(u)
+    p0 = params0.derive(family.view)
+    v = inner.operator(*idx0, p0).apply(u)
     idx1, params1 = inner.shifted(idx0, params0)
-    lhs = outer.operator(*idx1, *params1).apply(v)
+    p1 = params1.derive(family.view)
+    lhs = outer.operator(*idx1, p1).apply(v)
     detail = None
     if family.valid(idx1):
-        product = inner.scale(*idx0, *params0) * outer.scale(*idx1, *params1)
+        product = inner.scale(*idx0, p0) * outer.scale(*idx1, p1)
         if product != eig:
             detail = f"scale product {product} != tabulated eigenvalue {eig}"
     return report_equality(
@@ -325,7 +331,7 @@ def residual(family: Family, which: str, idx, p, u: MPoly = None) -> MPoly:
     idx, params = family.index(idx), family.params(p)
     if u is None:
         u = family.member(idx, params)
-    return u.apply_derivatives(family.pde[which](*idx, *params))
+    return u.apply_derivatives(family.pde[which](*idx, params.derive(family.view)))
 
 
 def summarize(reports) -> dict:

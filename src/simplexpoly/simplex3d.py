@@ -16,14 +16,15 @@ for the classical (a = b = 0) subfamily.
 
 Throughout, e abbreviates alpha+beta+gamma+delta+a+b and n = n1+n2+n3;
 both are recomputed from the shifted values on every parameter step, never
-incremented independently.
+incremented independently (`Params.e` sums e once per row).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from operator import index
 from typing import Callable, Tuple
 
@@ -67,9 +68,13 @@ from .jacobi1d import (
 from .triangle2d import classical_jacobi_shifted
 
 
-def _e(al, be, ga, de, a, b) -> Fraction:
-    """e = alpha+beta+gamma+delta+a+b."""
-    return al + be + ga + de + a + b
+class Params(namedtuple("Params", "al be ga de a b")):
+    """The named view of a parameter row that every table line reads."""
+
+    @cached_property
+    def e(self) -> Fraction:
+        """e = alpha+beta+gamma+delta+a+b, summed on first use."""
+        return self.al + self.be + self.ga + self.de + self.a + self.b
 
 
 def axes(alpha, beta, gamma, delta, a, b):
@@ -125,8 +130,8 @@ def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
 # The thirty-six ladder relations of Theorem 1: twelve along y, twelve along
 # x, twelve along z.  Each line holds the operator, the steps of
 # (n1, n2, n3; alpha, beta, gamma, delta, a, b) and the scale; the operator
-# and the scale are both built from (n1, n2, n3, al, be, ga, de, a, b).
-# Coefficients are numerators over the common denominator.
+# and the scale are both built from the index n1, n2, n3 and the row's view
+# p.  Coefficients are numerators over the common denominator.
 # ---------------------------------------------------------------------------
 
 _cst = MPoly.const
@@ -137,289 +142,255 @@ _ZW = Z * _W
 
 THEOREM1 = {
     "N01": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+        lambda n1, n2, n3, p: DiffOperator(
             c0=_cst(n3), cy=ONE_MINUS_XY, cz=-Z, denom=ONE_MINUS_XY),
         (0, -1, 0), (0, +1, 0, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
+        lambda n1, n2, n3, p: n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2),
     "N02": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_XY.scale(n2 + 2 * n3 + be + ga + de + b + 2) + Y.scale(n3),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_XY.scale(n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2) + Y.scale(n3),
             cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY),
         (0, 0, 0), (0, 0, 0, 0, -1, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
+        lambda n1, n2, n3, p: n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2),
     "N03": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(n2 + n3 + be + ga + de + b + 2), cy=-ONE_MINUS_XY, cz=Z),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=_cst(n2 + n3 + p.be + p.ga + p.de + p.b + 2), cy=-ONE_MINUS_XY, cz=Z),
         (0, 0, 0), (0, +1, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + be + ga + de + b + 2),
+        lambda n1, n2, n3, p: n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2),
     "N04": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=Y.scale(n3 + ga + de + b + 1) - ONE_MINUS_XY.scale(be + n2 + 1),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=Y.scale(n3 + p.ga + p.de + p.b + 1) - ONE_MINUS_XY.scale(p.be + n2 + 1),
             cy=-Y_ONE_MINUS_XY, cz=_YZ),
-        (0, +1, 0), (0, 0, 0, 0, -1, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+        (0, +1, 0), (0, 0, 0, 0, -1, -1), lambda n1, n2, n3, p: n2 + 1),
     "N05": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=Y.scale(n2 + n3 + ga + de + b + 2) - ONE_MINUS_XY.scale(be),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=Y.scale(n2 + n3 + p.ga + p.de + p.b + 2) - ONE_MINUS_XY.scale(p.be),
             cy=-Y_ONE_MINUS_XY, cz=_YZ),
-        (0, +1, 0), (0, -1, 0, 0, -1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+        (0, +1, 0), (0, -1, 0, 0, -1, 0), lambda n1, n2, n3, p: n2 + 1),
     "N06": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_XY.scale(be) + Y.scale(n3),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_XY.scale(p.be) + Y.scale(n3),
             cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_XY),
-        (0, 0, 0), (0, -1, 0, 0, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+        (0, 0, 0), (0, -1, 0, 0, 0, +1), lambda n1, n2, n3, p: n2 + p.be),
     "N01p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=Y.scale(ga + de + n3 + b + 1) - ONE_MINUS_XY.scale(be),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=Y.scale(p.ga + p.de + n3 + p.b + 1) - ONE_MINUS_XY.scale(p.be),
             cy=-Y_ONE_MINUS_XY, cz=_YZ),
-        (0, +1, 0), (0, -1, 0, 0, 0, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 1),
+        (0, +1, 0), (0, -1, 0, 0, 0, -1), lambda n1, n2, n3, p: n2 + 1),
     "N02p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_X.scale(n2 + 2 * n3 + ga + de + b + 1) - Y.scale(n2 + n3),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(n2 + 2 * n3 + p.ga + p.de + p.b + 1) - Y.scale(n2 + n3),
             cy=-Y_ONE_MINUS_XY, cz=_YZ, denom=ONE_MINUS_X),
         (0, 0, 0), (0, 0, 0, 0, +1, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+        lambda n1, n2, n3, p: n2 + 2 * n3 + p.ga + p.de + p.b + 1),
     "N03p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_X.scale(be) + Y.scale(n2 + n3),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(p.be) + Y.scale(n2 + n3),
             cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X),
-        (0, 0, 0), (0, -1, 0, 0, +1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+        (0, 0, 0), (0, -1, 0, 0, +1, 0), lambda n1, n2, n3, p: n2 + p.be),
     "N04p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+        lambda n1, n2, n3, p: DiffOperator(
             c0=ONE_MINUS_XY.scale(-n2) + Y.scale(n3),
             cy=Y_ONE_MINUS_XY, cz=-_YZ, denom=ONE_MINUS_X * ONE_MINUS_XY),
-        (0, -1, 0), (0, 0, 0, 0, +1, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n2 + be),
+        (0, -1, 0), (0, 0, 0, 0, +1, +1), lambda n1, n2, n3, p: n2 + p.be),
     "N05p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+        lambda n1, n2, n3, p: DiffOperator(
             c0=_cst(n2 + n3), cy=ONE_MINUS_XY, cz=-Z, denom=ONE_MINUS_X),
         (0, -1, 0), (0, +1, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+        lambda n1, n2, n3, p: n2 + 2 * n3 + p.ga + p.de + p.b + 1),
     "N06p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(ga + de + n3 + b + 1), cy=-ONE_MINUS_XY, cz=Z),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=_cst(p.ga + p.de + n3 + p.b + 1), cy=-ONE_MINUS_XY, cz=Z),
         (0, 0, 0), (0, +1, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 + 2 * n3 + ga + de + b + 1),
+        lambda n1, n2, n3, p: n2 + 2 * n3 + p.ga + p.de + p.b + 1),
     "N10": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+        lambda n1, n2, n3, p: DiffOperator(
             c0=_cst(n2 + n3), cx=ONE_MINUS_X, cy=-Y, cz=-Z, denom=ONE_MINUS_X),
         (-1, 0, 0), (+1, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
+        lambda n1, n2, n3, p: (n1 + n2 + n3) + n2 + n3 + p.e + 3),
     "N20": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_X.scale((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_X.scale((n1 + n2 + n3) + n2 + n3 + p.e + 3)
             + X.scale(n2 + n3),
             cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X),
         (0, 0, 0), (0, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
+        lambda n1, n2, n3, p: (n1 + n2 + n3) + n2 + n3 + p.e + 3),
     "N30": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst((n1 + n2 + n3) + _e(al, be, ga, de, a, b) + 3),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=_cst((n1 + n2 + n3) + p.e + 3),
             cx=-ONE_MINUS_X, cy=Y, cz=Z),
         (0, 0, 0), (+1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3),
+        lambda n1, n2, n3, p: (n1 + n2 + n3) + n2 + n3 + p.e + 3),
     "N40": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=X.scale((n1 + n2 + n3) + _e(al, be, ga, de, a, b) + 3) - _cst(al + n1 + 1),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=X.scale((n1 + n2 + n3) + p.e + 3) - _cst(p.al + n1 + 1),
             cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
-        (+1, 0, 0), (0, 0, 0, 0, -1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+        (+1, 0, 0), (0, 0, 0, 0, -1, 0), lambda n1, n2, n3, p: n1 + 1),
     "N50": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=X.scale((n1 + n2 + n3) + _e(al, be, ga, de, a, b) + 3) - _cst(al),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=X.scale((n1 + n2 + n3) + p.e + 3) - _cst(p.al),
             cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
-        (+1, 0, 0), (-1, 0, 0, 0, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+        (+1, 0, 0), (-1, 0, 0, 0, 0, 0), lambda n1, n2, n3, p: n1 + 1),
     "N60": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_X.scale(al) + X.scale(n2 + n3),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(p.al) + X.scale(n2 + n3),
             cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X),
-        (0, 0, 0), (-1, 0, 0, 0, +1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+        (0, 0, 0), (-1, 0, 0, 0, +1, 0), lambda n1, n2, n3, p: n1 + p.al),
     "N10p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=X.scale(n2 + n3 + _e(al, be, ga, de, a, b) + 2) - _cst(al),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=X.scale(n2 + n3 + p.e + 2) - _cst(p.al),
             cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
-        (+1, 0, 0), (-1, 0, 0, 0, -1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + 1),
+        (+1, 0, 0), (-1, 0, 0, 0, -1, 0), lambda n1, n2, n3, p: n1 + 1),
     "N20p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=_cst((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)
             - X.scale(n1 + n2 + n3),
             cx=-X_ONE_MINUS_X, cy=XY, cz=_XZ),
         (0, 0, 0), (0, 0, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+        lambda n1, n2, n3, p: (n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2),
     "N30p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(al) + X.scale(n1 + n2 + n3), cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ),
-        (0, 0, 0), (-1, 0, 0, 0, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=_cst(p.al) + X.scale(n1 + n2 + n3), cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ),
+        (0, 0, 0), (-1, 0, 0, 0, 0, 0), lambda n1, n2, n3, p: n1 + p.al),
     "N40p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
+        lambda n1, n2, n3, p: DiffOperator(
             c0=ONE_MINUS_X.scale(-(n1 + n2 + n3)) + _cst(n2 + n3),
             cx=X_ONE_MINUS_X, cy=-XY, cz=-_XZ, denom=ONE_MINUS_X),
-        (-1, 0, 0), (0, 0, 0, 0, +1, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n1 + al),
+        (-1, 0, 0), (0, 0, 0, 0, +1, 0), lambda n1, n2, n3, p: n1 + p.al),
     "N50p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(n1 + n2 + n3), cx=ONE_MINUS_X, cy=-Y, cz=-Z),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(n1 + n2 + n3), cx=ONE_MINUS_X, cy=-Y, cz=-Z),
         (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+        lambda n1, n2, n3, p: (n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2),
     "N60p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=_cst(n2 + n3 + p.e - p.al + 2),
             cx=-ONE_MINUS_X, cy=Y, cz=Z),
         (0, 0, 0), (+1, 0, 0, 0, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2),
+        lambda n1, n2, n3, p: (n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2),
     "O10": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=ZERO, cz=ONE),
+        lambda n1, n2, n3, p: DiffOperator(c0=ZERO, cz=ONE),
         (0, 0, -1), (0, 0, +1, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
+        lambda n1, n2, n3, p: n3 + p.de + p.ga + 1),
     "O20": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(de + ga + n3 + 1), cz=Z),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(p.de + p.ga + n3 + 1), cz=Z),
         (0, 0, 0), (0, 0, 0, +1, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
+        lambda n1, n2, n3, p: n3 + p.de + p.ga + 1),
     "O30": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(de + ga + n3 + 1), cz=-_W),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(p.de + p.ga + n3 + 1), cz=-_W),
         (0, 0, 0), (0, 0, +1, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de + ga + 1),
+        lambda n1, n2, n3, p: n3 + p.de + p.ga + 1),
     "O40": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=Z.scale(de) - _W.scale(ga + n3 + 1), cz=-_ZW),
-        (0, 0, +1), (0, 0, 0, -1, 0, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+        lambda n1, n2, n3, p: DiffOperator(c0=Z.scale(p.de) - _W.scale(p.ga + n3 + 1), cz=-_ZW),
+        (0, 0, +1), (0, 0, 0, -1, 0, -1), lambda n1, n2, n3, p: n3 + 1),
     "O50": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=Z.scale(de + n3 + 1) - _W.scale(ga), cz=-_ZW),
-        (0, 0, +1), (0, 0, -1, 0, 0, -1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+        lambda n1, n2, n3, p: DiffOperator(c0=Z.scale(p.de + n3 + 1) - _W.scale(p.ga), cz=-_ZW),
+        (0, 0, +1), (0, 0, -1, 0, 0, -1), lambda n1, n2, n3, p: n3 + 1),
     "O60": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(ga), cz=Z),
-        (0, 0, 0), (0, 0, -1, +1, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(p.ga), cz=Z),
+        (0, 0, 0), (0, 0, -1, +1, 0, 0), lambda n1, n2, n3, p: n3 + p.ga),
     "O10p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=Z.scale(de) - _W.scale(ga), cz=-_ZW),
-        (0, 0, +1), (0, 0, -1, -1, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + 1),
+        lambda n1, n2, n3, p: DiffOperator(c0=Z.scale(p.de) - _W.scale(p.ga), cz=-_ZW),
+        (0, 0, +1), (0, 0, -1, -1, 0, 0), lambda n1, n2, n3, p: n3 + 1),
     "O20p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_XY.scale(de) + _W.scale(n3), cz=-_ZW, denom=ONE_MINUS_XY),
-        (0, 0, 0), (0, 0, 0, -1, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_XY.scale(p.de) + _W.scale(n3), cz=-_ZW, denom=ONE_MINUS_XY),
+        (0, 0, 0), (0, 0, 0, -1, 0, +1), lambda n1, n2, n3, p: n3 + p.de),
     "O30p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=ONE_MINUS_XY.scale(ga) + Z.scale(n3), cz=_ZW, denom=ONE_MINUS_XY),
-        (0, 0, 0), (0, 0, -1, 0, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+        lambda n1, n2, n3, p: DiffOperator(
+            c0=ONE_MINUS_XY.scale(p.ga) + Z.scale(n3), cz=_ZW, denom=ONE_MINUS_XY),
+        (0, 0, 0), (0, 0, -1, 0, 0, +1), lambda n1, n2, n3, p: n3 + p.ga),
     "O40p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(-n3), cz=Z, denom=ONE_MINUS_XY),
-        (0, 0, -1), (0, 0, 0, +1, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + ga),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(-n3), cz=Z, denom=ONE_MINUS_XY),
+        (0, 0, -1), (0, 0, 0, +1, 0, +1), lambda n1, n2, n3, p: n3 + p.ga),
     "O50p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(
-            c0=_cst(n3), cz=_W, denom=ONE_MINUS_XY),
-        (0, 0, -1), (0, 0, +1, 0, 0, +1), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(n3), cz=_W, denom=ONE_MINUS_XY),
+        (0, 0, -1), (0, 0, +1, 0, 0, +1), lambda n1, n2, n3, p: n3 + p.de),
     "O60p": SparseRelation(
-        lambda n1, n2, n3, al, be, ga, de, a, b: DiffOperator(c0=_cst(de), cz=-_W),
-        (0, 0, 0), (0, 0, +1, -1, 0, 0), lambda n1, n2, n3, al, be, ga, de, a, b: n3 + de),
+        lambda n1, n2, n3, p: DiffOperator(c0=_cst(p.de), cz=-_W),
+        (0, 0, 0), (0, 0, +1, -1, 0, 0), lambda n1, n2, n3, p: n3 + p.de),
 }
 
 
 SECOND_ORDER_3D = {
     # y-direction pairs
     "N01p.N01": SecondOrder("N01p", "N01", (0, 0, 0), (0, -1, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        n2 * (n2 + 2 * n3 + be + ga + de + b)),
+        lambda n1, n2, n3, p: n2 * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b)),
     "N01.N01p": SecondOrder("N01", "N01p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + 1) * (n2 + 2 * n3 + be + ga + de + b + 1)),
+        lambda n1, n2, n3, p: (n2 + 1) * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 1)),
     "N02p.N02": SecondOrder("N02p", "N02", (0, 0, 0), (0, +1, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + 2 * n3 + be + ga + de + b + 2) * (n2 + 2 * n3 + ga + de + b + 1)),
+        lambda n1, n2, n3, p:
+        (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
     "N02.N02p": SecondOrder("N02", "N02p", (0, 0, 0), (0, +1, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + 2 * n3 + be + ga + de + b + 2) * (n2 + 2 * n3 + ga + de + b + 1)),
+        lambda n1, n2, n3, p:
+        (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
     "N03p.N03": SecondOrder("N03p", "N03", (0, 0, 0), (0, -1, 0, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + be) * (n2 + 2 * n3 + be + ga + de + b + 2)),
+        lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2)),
     "N03.N03p": SecondOrder("N03", "N03p", (0, 0, 0), (0, 0, 0, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + be) * (n2 + 2 * n3 + be + ga + de + b + 2)),
+        lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2)),
     "N04p.N04": SecondOrder("N04p", "N04", (0, -1, 0), (0, +1, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 * (n2 + be + 1)),
+        lambda n1, n2, n3, p: n2 * (n2 + p.be + 1)),
     "N04.N04p": SecondOrder("N04", "N04p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n2 * (n2 + be + 1)),
+        lambda n1, n2, n3, p: n2 * (n2 + p.be + 1)),
     "N05p.N05": SecondOrder("N05p", "N05", (0, -1, 0), (0, 0, 0, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        n2 * (n2 + 2 * n3 + ga + de + b + 2)),
+        lambda n1, n2, n3, p: n2 * (n2 + 2 * n3 + p.ga + p.de + p.b + 2)),
     "N05.N05p": SecondOrder("N05", "N05p", (0, 0, 0), (0, -1, 0, 0, 0, +1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        n2 * (n2 + 2 * n3 + ga + de + b + 2)),
+        lambda n1, n2, n3, p: n2 * (n2 + 2 * n3 + p.ga + p.de + p.b + 2)),
     "N06p.N06": SecondOrder("N06p", "N06", (0, 0, 0), (0, 0, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + be) * (n2 + 2 * n3 + ga + de + b + 1)),
+        lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
     "N06.N06p": SecondOrder("N06", "N06p", (0, 0, 0), (0, -1, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n2 + be) * (n2 + 2 * n3 + ga + de + b + 1)),
+        lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
     # x-direction pairs
     "N10p.N10": SecondOrder("N10p", "N10", (0, 0, 0), (-1, 0, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 1)),
+        lambda n1, n2, n3, p: n1 * ((n1 + n2 + n3) + n2 + n3 + p.e + 1)),
     "N10.N10p": SecondOrder("N10", "N10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + 1) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 2)),
+        lambda n1, n2, n3, p: (n1 + 1) * ((n1 + n2 + n3) + n2 + n3 + p.e + 2)),
     "N20p.N20": SecondOrder("N20p", "N20", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
-        * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+        lambda n1, n2, n3, p: ((n1 + n2 + n3) + n2 + n3 + p.e + 3)
+        * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
     "N20.N20p": SecondOrder("N20", "N20p", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)
-        * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+        lambda n1, n2, n3, p: ((n1 + n2 + n3) + n2 + n3 + p.e + 3)
+        * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
     "N30p.N30": SecondOrder("N30p", "N30", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)),
+        lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e + 3)),
     "N30.N30p": SecondOrder("N30", "N30p", (0, 0, 0), (0, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) + 3)),
+        lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e + 3)),
     "N40p.N40": SecondOrder("N40p", "N40", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 * (n1 + al + 1)),
+        lambda n1, n2, n3, p: n1 * (n1 + p.al + 1)),
     "N40.N40p": SecondOrder("N40", "N40p", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n1 * (n1 + al + 1)),
+        lambda n1, n2, n3, p: n1 * (n1 + p.al + 1)),
     "N50p.N50": SecondOrder("N50p", "N50", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 3)),
+        lambda n1, n2, n3, p: n1 * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 3)),
     "N50.N50p": SecondOrder("N50", "N50p", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        n1 * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 3)),
+        lambda n1, n2, n3, p: n1 * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 3)),
     "N60p.N60": SecondOrder("N60p", "N60", (0, 0, 0), (0, 0, 0, 0, 0, -1),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+        lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
     "N60.N60p": SecondOrder("N60", "N60p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n1 + al) * ((n1 + n2 + n3) + n2 + n3 + _e(al, be, ga, de, a, b) - al + 2)),
+        lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
     # z-direction pairs
     "O10p.O10": SecondOrder("O10p", "O10", (0, 0, 0), (0, 0, -1, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + de - 1)),
+        lambda n1, n2, n3, p: n3 * (n3 + p.ga + p.de - 1)),
     "O10.O10p": SecondOrder("O10", "O10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + 1) * (n3 + ga + de)),
+        lambda n1, n2, n3, p: (n3 + 1) * (n3 + p.ga + p.de)),
     "O20p.O20": SecondOrder("O20p", "O20", (0, 0, 0), (0, 0, +1, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n3 + de) * (n3 + ga + de + 1)),
+        lambda n1, n2, n3, p: (n3 + p.de) * (n3 + p.ga + p.de + 1)),
     "O20.O20p": SecondOrder("O20", "O20p", (0, 0, 0), (0, 0, +1, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n3 + de) * (n3 + ga + de + 1)),
+        lambda n1, n2, n3, p: (n3 + p.de) * (n3 + p.ga + p.de + 1)),
     "O30p.O30": SecondOrder("O30p", "O30", (0, 0, 0), (0, 0, -1, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n3 + ga) * (n3 + ga + de + 1)),
+        lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.ga + p.de + 1)),
     "O30.O30p": SecondOrder("O30", "O30p", (0, 0, 0), (0, 0, 0, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b:
-        (n3 + ga) * (n3 + ga + de + 1)),
+        lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.ga + p.de + 1)),
     "O40p.O40": SecondOrder("O40p", "O40", (0, 0, -1), (0, 0, +1, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + 1)),
+        lambda n1, n2, n3, p: n3 * (n3 + p.ga + 1)),
     "O40.O40p": SecondOrder("O40", "O40p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + ga + 1)),
+        lambda n1, n2, n3, p: n3 * (n3 + p.ga + 1)),
     "O50p.O50": SecondOrder("O50p", "O50", (0, 0, -1), (0, 0, 0, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + de + 1)),
+        lambda n1, n2, n3, p: n3 * (n3 + p.de + 1)),
     "O50.O50p": SecondOrder("O50", "O50p", (0, 0, 0), (0, 0, -1, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: n3 * (n3 + de + 1)),
+        lambda n1, n2, n3, p: n3 * (n3 + p.de + 1)),
     "O60p.O60": SecondOrder("O60p", "O60", (0, 0, 0), (0, 0, 0, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + ga) * (n3 + de)),
+        lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.de)),
     "O60.O60p": SecondOrder("O60", "O60p", (0, 0, 0), (0, 0, -1, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de, a, b: (n3 + ga) * (n3 + de)),
+        lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.de)),
 }
 
 
@@ -456,65 +427,63 @@ _XZ_1XY = X * Z * ONE_MINUS_XY
 _Z_1XY = Z * ONE_MINUS_XY
 
 
-def _t1_coeffs(n1, n2, n3, al, be, ga, de, a, b):
+def _t1_coeffs(n1, n2, n3, p):
     # Cleared by (1-x)(1-x-y).
     n = n1 + n2 + n3
-    e = _e(al, be, ga, de, a, b)
-    s4 = al + be + ga + de + 4
+    s4 = p.al + p.be + p.ga + p.de + 4
     return {
         **_T1_FIXED,
-        "x": (MPoly.const(al + 1) - X.scale(e + 4)) * _D12,
-        "y": ((MPoly.const(be + 1) - Y.scale(s4)) * ONE_MINUS_X
-              + XY.scale(a + b) - Y.scale(b)) * ONE_MINUS_XY,
-        "z": ((MPoly.const(ga + 1) - Z.scale(s4)) * _D12
-              + _XZ_1XY.scale(a + b) + _YZ.scale(b)),
-        "": (_D12.scale(n * (n + e + 3))
-             - ONE_MINUS_XY.scale(a * (n2 + n3))
-             - ONE_MINUS_X.scale(n3 * b)),
+        "x": (MPoly.const(p.al + 1) - X.scale(p.e + 4)) * _D12,
+        "y": ((MPoly.const(p.be + 1) - Y.scale(s4)) * ONE_MINUS_X
+              + XY.scale(p.a + p.b) - Y.scale(p.b)) * ONE_MINUS_XY,
+        "z": ((MPoly.const(p.ga + 1) - Z.scale(s4)) * _D12
+              + _XZ_1XY.scale(p.a + p.b) + _YZ.scale(p.b)),
+        "": (_D12.scale(n * (n + p.e + 3))
+             - ONE_MINUS_XY.scale(p.a * (n2 + n3))
+             - ONE_MINUS_X.scale(n3 * p.b)),
     }
 
 
-def _t2_coeffs(n1, n2, n3, al, be, ga, de, a, b):
+def _t2_coeffs(n1, n2, n3, p):
     # Cleared by (1-x-y).
-    lam = (be + 1) * n3 + n2 * (n2 + 2 * n3 + be + ga + de + b + 2)
+    lam = (p.be + 1) * n3 + n2 * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2)
     return {
         **_T2_FIXED,
-        "y": (ONE_MINUS_XY.scale(be + 1) - Y.scale(ga + de + b + 2)) * ONE_MINUS_XY,
-        "z": _YZ.scale(ga + de + b + 2) - _Z_1XY.scale(be + 1),
-        "": ONE_MINUS_XY.scale(lam) - Y.scale(n3 * (ga + de + b + n3 + 1)),
+        "y": (ONE_MINUS_XY.scale(p.be + 1) - Y.scale(p.ga + p.de + p.b + 2)) * ONE_MINUS_XY,
+        "z": _YZ.scale(p.ga + p.de + p.b + 2) - _Z_1XY.scale(p.be + 1),
+        "": ONE_MINUS_XY.scale(lam) - Y.scale(n3 * (p.ga + p.de + p.b + n3 + 1)),
     }
 
 
-def _t3_coeffs(n1, n2, n3, al, be, ga, de, a, b):
+def _t3_coeffs(n1, n2, n3, p):
     return {
         "zz": _ZW,
-        "z": ONE_MINUS_XYZ.scale(ga + 1) - Z.scale(de + 1),
-        "": MPoly.const(n3 * (n3 + ga + de + 1)),
+        "z": ONE_MINUS_XYZ.scale(p.ga + 1) - Z.scale(p.de + 1),
+        "": MPoly.const(n3 * (n3 + p.ga + p.de + 1)),
     }
 
 
-def _t4_coeffs(n1, n2, n3, al, be, ga, de, a, b):
+def _t4_coeffs(n1, n2, n3, p):
     # Cleared by (1-x).
     n = n1 + n2 + n3
-    e = _e(al, be, ga, de, a, b)
-    drift = MPoly.const(al + 1) - X.scale(e + 4)
+    drift = MPoly.const(p.al + 1) - X.scale(p.e + 4)
     return {
         **_T4_FIXED,
         "x": drift * ONE_MINUS_X,
         "y": -Y * drift,
         "z": -Z * drift,
-        "": (ONE_MINUS_X.scale(n * (n + e + 3))
-             - MPoly.const((n2 + n3) * (n2 + n3 + be + ga + de + a + b + 2))),
+        "": (ONE_MINUS_X.scale(n * (n + p.e + 3))
+             - MPoly.const((n2 + n3) * (n2 + n3 + p.be + p.ga + p.de + p.a + p.b + 2))),
     }
 
 
 PDE_3D = {"T1": _t1_coeffs, "T2": _t2_coeffs, "T3": _t3_coeffs, "T4": _t4_coeffs}
 
 
-def classical_t1_coeffs(n1, n2, n3, al, be, ga, de):
+def classical_t1_coeffs(n1, n2, n3, p):
     """The a = b = 0 form of the first equation, cleared by nothing."""
     n = n1 + n2 + n3
-    s = al + be + ga + de
+    s = p.al + p.be + p.ga + p.de
     return {
         "xx": X * ONE_MINUS_X,
         "yy": Y * (ONE - Y),
@@ -522,9 +491,9 @@ def classical_t1_coeffs(n1, n2, n3, al, be, ga, de):
         "xz": (X * Z).scale(-2),
         "yz": (Y * Z).scale(-2),
         "xy": (X * Y).scale(-2),
-        "x": MPoly.const(al + 1) - X.scale(s + 4),
-        "y": MPoly.const(be + 1) - Y.scale(s + 4),
-        "z": MPoly.const(ga + 1) - Z.scale(s + 4),
+        "x": MPoly.const(p.al + 1) - X.scale(s + 4),
+        "y": MPoly.const(p.be + 1) - Y.scale(s + 4),
+        "z": MPoly.const(p.ga + 1) - Z.scale(s + 4),
         "": MPoly.const(n * (n + s + 3)),
     }
 
@@ -543,8 +512,9 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
         return rep
     # Coefficient comparison: T1 at a = b = 0 against the classical display
     # times the same clearing factor (1-x)(1-x-y).
-    cleared = _t1_coeffs(*idx, *params)
-    classical = classical_t1_coeffs(*idx, *q)
+    p = params.derive(FAMILY.view)
+    cleared = _t1_coeffs(*idx, p)
+    classical = classical_t1_coeffs(*idx, p)
     for key, coeff in cleared.items():
         if coeff != classical[key] * _D12:
             return VerificationReport(
@@ -555,9 +525,9 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     return rep
 
 
-def monic_prefactor(n1, n2, n3, *params) -> Fraction:
+def monic_prefactor(n1, n2, n3, p) -> Fraction:
     """n1! / (e+n+n2+n3+3)_(n1), n = n1+n2+n3; PoleHit where the lead of P(n1) is 0."""
-    return factorial(n1) * gamma_ratio(_e(*params) + 2 * (n1 + n2 + n3) + 3, -n1)
+    return factorial(n1) * gamma_ratio(p.e + 2 * (n1 + n2 + n3) + 3, -n1)
 
 
 def monic_simplex(idx, p) -> MPoly:
@@ -565,7 +535,8 @@ def monic_simplex(idx, p) -> MPoly:
     monic_prefactor * y^n2 z^n3 * P(n1)."""
     idx = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
-    return collapsed_monic(params.derive(axes), idx, monic_prefactor(*idx, *params))
+    return collapsed_monic(params.derive(axes), idx,
+                           monic_prefactor(*idx, params.derive(FAMILY.view)))
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +580,8 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     """
     n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
-    al = params[0]
+    al, e = params[0], params.derive(FAMILY.view).e
     xi = _as_fraction(xi)
-    e = _e(*params)
     n = n1 + n2 + n3
     terms = []
     for m in range(n1 + 1):
@@ -697,8 +667,7 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
     """
     n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
-    al = params[0]
-    e = _e(*params)
+    al, e = params[0], params.derive(FAMILY.view).e
     n = n1 + n2 + n3
     for v in (e + 2 * n + 2, e + 2 * n + 3, e + 2 * n + 4):
         if v == 0:
@@ -739,10 +708,11 @@ def verify_three_term(idx, p) -> VerificationReport:
 class Corollary:
     """One identity at the member u = P(idx; q, 0, 0), q = (al, be, ga, de).
 
-    lhs(u, *idx, *q) equals the sum of coeff times the member at
-    (idx + dn, q + dparams) over the (dn, coeff) pairs of terms(*idx, *q);
-    a member outside the index domain is zero.  The two sides are
-    transcribed from the paper separately, so a typo in either fails it.
+    lhs(u, *idx, p) equals the sum of coeff times the member at
+    (idx + dn, q + dparams) over the (dn, coeff) pairs of terms(*idx, p),
+    where p is the view of the row (q, 0, 0); a member outside the index
+    domain is zero.  The two sides are transcribed from the paper
+    separately, so a typo in either fails it.
     """
 
     lhs: Callable
@@ -756,32 +726,32 @@ def _dx_dy(u: MPoly) -> MPoly:
 
 DERIVATIVES = {
     "dx-dy": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de: _dx_dy(u).scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        lambda u, n1, n2, n3, p: _dx_dy(u).scale(2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
         (+1, +1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((-1, 0, 0), (n2 + 2 * n3 + be + ga + de + 2)
-             * ((n1 + n2 + n3) + n2 + n3 + (al + be + ga + de) + 3)),
-            ((0, -1, 0), -(n1 + 2 * n2 + 2 * n3 + be + ga + de + 2)
-             * (n2 + 2 * n3 + ga + de + 1)))),
+        lambda n1, n2, n3, p: (
+            ((-1, 0, 0), (n2 + 2 * n3 + p.be + p.ga + p.de + 2)
+             * ((n1 + n2 + n3) + n2 + n3 + (p.al + p.be + p.ga + p.de) + 3)),
+            ((0, -1, 0), -(n1 + 2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2)
+             * (n2 + 2 * n3 + p.ga + p.de + 1)))),
     "dz-dy": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de:
-        (u.diff("z") - u.diff("y")).scale(2 * n3 + ga + de + 1),
+        lambda u, n1, n2, n3, p: (u.diff("z") - u.diff("y")).scale(2 * n3 + p.ga + p.de + 1),
         (0, +1, +1, 0),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((0, 0, -1), (n3 + de) * (n2 + 2 * n3 + ga + de + 1)),
-            ((0, -1, 0), -(n2 + 2 * n3 + be + ga + de + 2) * (n3 + ga + de + 1)))),
+        lambda n1, n2, n3, p: (
+            ((0, 0, -1), (n3 + p.de) * (n2 + 2 * n3 + p.ga + p.de + 1)),
+            ((0, -1, 0), -(n2 + 2 * n3 + p.be + p.ga + p.de + 2) * (n3 + p.ga + p.de + 1)))),
     "dz": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de: u.diff("z"), (0, 0, +1, +1),
-        lambda n1, n2, n3, al, be, ga, de: (((0, 0, -1), n3 + ga + de + 1),)),
+        lambda u, n1, n2, n3, p: u.diff("z"), (0, 0, +1, +1),
+        lambda n1, n2, n3, p: (((0, 0, -1), n3 + p.ga + p.de + 1),)),
     "dz.dx-dy": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de:
-        _dx_dy(u).diff("z").scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        lambda u, n1, n2, n3, p:
+        _dx_dy(u).diff("z").scale(2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
         (+1, +1, +1, +1),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((-1, 0, -1), (n2 + 2 * n3 + be + ga + de + 2)
-             * ((n1 + n2 + n3) + n2 + n3 + (al + be + ga + de) + 3) * (n3 + ga + de + 1)),
-            ((0, -1, -1), -(n1 + 2 * n2 + 2 * n3 + be + ga + de + 2)
-             * (n2 + 2 * n3 + ga + de + 1) * (n3 + ga + de + 1)))),
+        lambda n1, n2, n3, p: (
+            ((-1, 0, -1), (n2 + 2 * n3 + p.be + p.ga + p.de + 2)
+             * ((n1 + n2 + n3) + n2 + n3 + (p.al + p.be + p.ga + p.de) + 3)
+             * (n3 + p.ga + p.de + 1)),
+            ((0, -1, -1), -(n1 + 2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2)
+             * (n2 + 2 * n3 + p.ga + p.de + 1) * (n3 + p.ga + p.de + 1)))),
 }
 
 
@@ -789,94 +759,97 @@ DERIVATIVES = {
 # x^al y^be z^ga w^de through the derivative leaves a rational operator, and
 # multiplying by the minimal monomial in {x, y, z, w} clears it exactly.
 
-def _xy_weighted(u: MPoly, al, be) -> MPoly:
+def _xy_weighted(u: MPoly, p) -> MPoly:
     # x*y*(d/dx - d/dy)(x^al y^be w^de u) / (x^(al-1) y^(be-1) w^de)
-    return XY * _dx_dy(u) + (Y.scale(al) - X.scale(be)) * u
+    return XY * _dx_dy(u) + (Y.scale(p.al) - X.scale(p.be)) * u
 
 
-def _zw_weighted(u: MPoly, ga, de) -> MPoly:
+def _zw_weighted(u: MPoly, p) -> MPoly:
     # z*w*d/dz(z^ga w^de u) / (z^(ga-1) w^(de-1))
-    return _ZW * u.diff("z") + (_W.scale(ga) - Z.scale(de)) * u
+    return _ZW * u.diff("z") + (_W.scale(p.ga) - Z.scale(p.de)) * u
 
 
 WEIGHTED = {
     "dx-dy": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de:
-        _xy_weighted(u, al, be).scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        lambda u, n1, n2, n3, p:
+        _xy_weighted(u, p).scale(2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
         (-1, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((0, +1, 0), (n1 + al) * (n2 + 1)), ((+1, 0, 0), -(n1 + 1) * (n2 + be)))),
+        lambda n1, n2, n3, p: (
+            ((0, +1, 0), (n1 + p.al) * (n2 + 1)), ((+1, 0, 0), -(n1 + 1) * (n2 + p.be)))),
     "dz-dy": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de: (
-            _YZ * (u.diff("z") - u.diff("y")) + (Y.scale(ga) - Z.scale(be)) * u
-        ).scale(2 * n3 + ga + de + 1),
+        lambda u, n1, n2, n3, p: (
+            _YZ * (u.diff("z") - u.diff("y")) + (Y.scale(p.ga) - Z.scale(p.be)) * u
+        ).scale(2 * n3 + p.ga + p.de + 1),
         (0, -1, -1, 0),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((0, 0, +1), -(n2 + be) * (n3 + 1)), ((0, +1, 0), (n2 + 1) * (n3 + ga)))),
+        lambda n1, n2, n3, p: (
+            ((0, 0, +1), -(n2 + p.be) * (n3 + 1)), ((0, +1, 0), (n2 + 1) * (n3 + p.ga)))),
     "dz": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de: _zw_weighted(u, ga, de), (0, 0, -1, -1),
-        lambda n1, n2, n3, al, be, ga, de: (((0, 0, +1), -(n3 + 1)),)),
+        lambda u, n1, n2, n3, p: _zw_weighted(u, p), (0, 0, -1, -1),
+        lambda n1, n2, n3, p: (((0, 0, +1), -(n3 + 1)),)),
     "dz.dx-dy": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de:
-        _zw_weighted(_xy_weighted(u, al, be), ga, de).scale(2 * n2 + 2 * n3 + be + ga + de + 2),
+        lambda u, n1, n2, n3, p:
+        _zw_weighted(_xy_weighted(u, p), p).scale(2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
         (-1, -1, -1, -1),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((0, +1, +1), -(n1 + al) * (n2 + 1) * (n3 + 1)),
-            ((+1, 0, +1), (n1 + 1) * (n2 + be) * (n3 + 1)))),
+        lambda n1, n2, n3, p: (
+            ((0, +1, +1), -(n1 + p.al) * (n2 + 1) * (n3 + 1)),
+            ((+1, 0, +1), (n1 + 1) * (n2 + p.be) * (n3 + 1)))),
 }
 
 
-def _f123(n1, n2, n3, al, be, ga, de):
+def _f123(n1, n2, n3, p):
     """f1*f2*f3, the left-hand scale of the z and w multiplications."""
-    return ((2 * (n1 + n2 + n3) + (al + be + ga + de) + 3)
-            * (2 * n2 + 2 * n3 + be + ga + de + 2) * (ga + de + 2 * n3 + 1))
+    return ((2 * (n1 + n2 + n3) + (p.al + p.be + p.ga + p.de) + 3)
+            * (2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2) * (p.ga + p.de + 2 * n3 + 1))
 
 
-def _gh(n1, n2, n3, al, be, ga, de):
+def _gh(n1, n2, n3, p):
     """The shorthands g1, g2, h1, h2 of the z and w multiplications."""
     n = n1 + n2 + n3
-    return (n + n2 + n3 + be + ga + de + 2, n + n2 + n3 + (al + be + ga + de) + 3,
-            n2 + 2 * n3 + ga + de + 1, n2 + 2 * n3 + be + ga + de + 2)
+    return (n + n2 + n3 + p.be + p.ga + p.de + 2, n + n2 + n3 + (p.al + p.be + p.ga + p.de) + 3,
+            n2 + 2 * n3 + p.ga + p.de + 1, n2 + 2 * n3 + p.be + p.ga + p.de + 2)
 
 
-def _mult_z_terms(n1, n2, n3, al, be, ga, de):
-    g1, g2, h1, h2 = _gh(n1, n2, n3, al, be, ga, de)
+def _mult_z_terms(n1, n2, n3, p):
+    g1, g2, h1, h2 = _gh(n1, n2, n3, p)
     return (
-        ((0, 0, 0), g1 * h1 * (n3 + ga)), ((+1, 0, 0), -(n1 + 1) * h1 * (n3 + ga)),
-        ((0, +1, 0), -g2 * (n2 + 1) * (n3 + ga)),
-        ((-1, +1, 0), (n1 + al) * (n2 + 1) * (n3 + ga)),
-        ((0, 0, +1), g2 * h2 * (n3 + 1)), ((-1, 0, +1), -(n1 + al) * h2 * (n3 + 1)),
-        ((0, -1, +1), -g1 * (n2 + be) * (n3 + 1)),
-        ((+1, -1, +1), (n1 + 1) * (n2 + be) * (n3 + 1)))
+        ((0, 0, 0), g1 * h1 * (n3 + p.ga)), ((+1, 0, 0), -(n1 + 1) * h1 * (n3 + p.ga)),
+        ((0, +1, 0), -g2 * (n2 + 1) * (n3 + p.ga)),
+        ((-1, +1, 0), (n1 + p.al) * (n2 + 1) * (n3 + p.ga)),
+        ((0, 0, +1), g2 * h2 * (n3 + 1)), ((-1, 0, +1), -(n1 + p.al) * h2 * (n3 + 1)),
+        ((0, -1, +1), -g1 * (n2 + p.be) * (n3 + 1)),
+        ((+1, -1, +1), (n1 + 1) * (n2 + p.be) * (n3 + 1)))
 
 
-def _mult_w_terms(n1, n2, n3, al, be, ga, de):
-    g1, g2, h1, h2 = _gh(n1, n2, n3, al, be, ga, de)
+def _mult_w_terms(n1, n2, n3, p):
+    g1, g2, h1, h2 = _gh(n1, n2, n3, p)
     return (
-        ((0, 0, +1), -g2 * h2 * (n3 + 1)), ((-1, 0, +1), (n1 + al) * h2 * (n3 + 1)),
-        ((0, -1, +1), g1 * (n2 + be) * (n3 + 1)),
-        ((+1, -1, +1), -(n1 + 1) * (n2 + be) * (n3 + 1)),
-        ((0, 0, 0), g1 * h1 * (n3 + de)), ((+1, 0, 0), -(n1 + 1) * h1 * (n3 + de)),
-        ((0, +1, 0), -g2 * (n2 + 1) * (n3 + de)),
-        ((-1, +1, 0), (n1 + al) * (n2 + 1) * (n3 + de)))
+        ((0, 0, +1), -g2 * h2 * (n3 + 1)), ((-1, 0, +1), (n1 + p.al) * h2 * (n3 + 1)),
+        ((0, -1, +1), g1 * (n2 + p.be) * (n3 + 1)),
+        ((+1, -1, +1), -(n1 + 1) * (n2 + p.be) * (n3 + 1)),
+        ((0, 0, 0), g1 * h1 * (n3 + p.de)), ((+1, 0, 0), -(n1 + 1) * h1 * (n3 + p.de)),
+        ((0, +1, 0), -g2 * (n2 + 1) * (n3 + p.de)),
+        ((-1, +1, 0), (n1 + p.al) * (n2 + 1) * (n3 + p.de)))
 
 
 MULTIPLICATIONS = {
     "x": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de:
-        (X * u).scale(2 * (n1 + n2 + n3) + (al + be + ga + de) + 3),
+        lambda u, n1, n2, n3, p:
+        (X * u).scale(2 * (n1 + n2 + n3) + (p.al + p.be + p.ga + p.de) + 3),
         (-1, 0, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de: (((0, 0, 0), n1 + al), ((+1, 0, 0), n1 + 1))),
+        lambda n1, n2, n3, p: (((0, 0, 0), n1 + p.al), ((+1, 0, 0), n1 + 1))),
     "y": Corollary(
-        lambda u, n1, n2, n3, al, be, ga, de: (Y * u).scale(
-            (2 * (n1 + n2 + n3) + (al + be + ga + de) + 3) * (2 * n2 + 2 * n3 + be + ga + de + 2)),
+        lambda u, n1, n2, n3, p: (Y * u).scale(
+            (2 * (n1 + n2 + n3) + (p.al + p.be + p.ga + p.de) + 3)
+            * (2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2)),
         (0, -1, 0, 0),
-        lambda n1, n2, n3, al, be, ga, de: (
-            ((0, 0, 0), ((n1 + n2 + n3) + n2 + n3 + be + ga + de + 2) * (n2 + be)),
-            ((0, +1, 0), ((n1 + n2 + n3) + n2 + n3 + (al + be + ga + de) + 3) * (n2 + 1)),
-            ((+1, 0, 0), -(n1 + 1) * (n2 + be)), ((-1, +1, 0), -(n1 + al) * (n2 + 1)))),
-    "z": Corollary(lambda u, *args: (Z * u).scale(_f123(*args)), (0, 0, -1, 0), _mult_z_terms),
-    "w": Corollary(lambda u, *args: (_W * u).scale(_f123(*args)), (0, 0, 0, -1), _mult_w_terms),
+        lambda n1, n2, n3, p: (
+            ((0, 0, 0), ((n1 + n2 + n3) + n2 + n3 + p.be + p.ga + p.de + 2) * (n2 + p.be)),
+            ((0, +1, 0), ((n1 + n2 + n3) + n2 + n3 + (p.al + p.be + p.ga + p.de) + 3) * (n2 + 1)),
+            ((+1, 0, 0), -(n1 + 1) * (n2 + p.be)), ((-1, +1, 0), -(n1 + p.al) * (n2 + 1)))),
+    "z": Corollary(lambda u, n1, n2, n3, p: (Z * u).scale(_f123(n1, n2, n3, p)),
+                   (0, 0, -1, 0), _mult_z_terms),
+    "w": Corollary(lambda u, n1, n2, n3, p: (_W * u).scale(_f123(n1, n2, n3, p)),
+                   (0, 0, 0, -1), _mult_w_terms),
 }
 
 def verify_corollary(kind: str, table: dict, which: str, idx, fourparams) -> VerificationReport:
@@ -885,10 +858,12 @@ def verify_corollary(kind: str, table: dict, which: str, idx, fourparams) -> Ver
     idx = as_tuple(idx, 3, index)
     q = as_tuple(fourparams, 4)
     line = table[which]
-    lhs = line.lhs(FAMILY.member(idx, q.derive(_ab0)), *idx, *q)
+    params = q.derive(_ab0)
+    p = params.derive(FAMILY.view)
+    lhs = line.lhs(FAMILY.member(idx, params), *idx, p)
     params2 = q.shift(line.dparams).derive(_ab0)
     rhs = ZERO
-    for dn, coeff in line.terms(*idx, *q):
+    for dn, coeff in line.terms(*idx, p):
         idx2 = tuple(i + d for i, d in zip(idx, dn))
         if min(idx2) >= 0:
             rhs = rhs + FAMILY.member(idx2, params2).scale(coeff)
@@ -915,6 +890,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("alpha", "beta", "gamma", "delta", "a", "b"),
+    view=Params,
     index=lambda idx: as_tuple(idx, 3, index),
     build=lambda idx, row: collapsed_member(row.derive(axes), idx),
     valid=lambda idx: min(idx) >= 0,

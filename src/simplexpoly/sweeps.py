@@ -37,7 +37,8 @@ MAX_DEGREE = EXPONENT_LIMIT - 8
 
 
 class ConfigError(ValueError):
-    """A config section, list or value of the wrong shape or type."""
+    """A config key missing or not read, or a config section, list or
+    value of the wrong shape or type."""
 
 
 def config_int(value, key: str, low: int = None, high: int = None) -> int:
@@ -71,15 +72,34 @@ def parse_grid(rows, arity: int, key: str = "params") -> List[Row]:
     return [config_row(row, key, arity) for row in rows]
 
 
-def _filter(relations, selection):
-    if not selection or selection == "all":
+def _filter(relations, selection, key: str):
+    if selection == "all":
         return list(relations)
-    if not isinstance(selection, list) or not all(isinstance(r, str) for r in selection):
-        raise ConfigError(f'relations must be "all" or a list of ids, got {selection!r}')
+    if not (isinstance(selection, list) and selection
+            and all(isinstance(r, str) for r in selection)):
+        raise ConfigError(f'{key} must be "all" or a non-empty list of ids, got {selection!r}')
     unknown = set(selection) - set(relations)
     if unknown:
-        raise ValueError(f"unknown relation ids: {sorted(unknown)}")
+        raise ConfigError(f"{key}: unknown relation ids: {sorted(unknown)}")
     return [r for r in relations if r in selection]
+
+
+def _section(value, path: str, required, optional=()) -> dict:
+    """`value`, the config section at the dotted `path`, refused
+    (ConfigError, naming the full path) unless it is a JSON object that
+    holds every key of `required` and no key outside `required` and
+    `optional`: a misspelt key would otherwise be ignored."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {path} must be a JSON object, "
+                          f"got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"config is missing {path}.{key}")
+    unread = sorted(set(value).difference(required, optional))
+    if unread:
+        raise ConfigError(f"config section {path} takes no key {unread[0]!r}; it reads "
+                          + ", ".join(sorted({*required, *optional})))
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,17 +112,16 @@ class SweepSection:
     relations: List[str]
 
     @staticmethod
-    def parse(section: dict, arity: int, path: str, relations=()) -> "SweepSection":
-        """The section at suites.<path>.  `relations` holds the ids it may
-        select with a relations key; a section without ids checks its whole
-        grid and refuses the key rather than ignore it."""
-        if "relations" in section and not relations:
-            raise ConfigError(f"config section suites.{path} checks every relation; "
-                              "it takes no relations key")
+    def parse(section, path: str, arity: int, relations=(), extra=()) -> "SweepSection":
+        """The section at the dotted `path`.  `relations` holds the ids it
+        may select with a relations key; a section without ids checks its
+        whole grid and refuses the key rather than ignore it.  `extra`
+        names the further keys the caller reads from the section."""
+        _section(section, path, ("degree", "params", *extra), ("relations",) if relations else ())
         return SweepSection(
-            degree=config_int(section["degree"], "degree", high=MAX_DEGREE),
-            params=tuple(parse_grid(section["params"], arity)),
-            relations=_filter(relations, section.get("relations", "all")),
+            degree=config_int(section["degree"], path + ".degree", high=MAX_DEGREE),
+            params=tuple(parse_grid(section["params"], arity, path + ".params")),
+            relations=_filter(relations, section.get("relations", "all"), path + ".relations"),
         )
 
 
@@ -230,19 +249,6 @@ def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
 # Suite task builders.
 # ---------------------------------------------------------------------------
 
-def _section(cfg: dict, *path):
-    cur = cfg
-    for depth, key in enumerate(path):
-        if key not in cur:
-            raise KeyError(f"config is missing section {'.'.join(path)!r}")
-        cur = cur[key]
-        if not isinstance(cur, dict):
-            where = ".".join(path[: depth + 1])
-            raise ConfigError(f"config section {where} must be a JSON object, "
-                              f"got {type(cur).__name__}")
-    return cur
-
-
 def _grid(rows, indices, cells) -> List[Task]:
     """The task grid: one task per parameter row, index and cell, nested in
     that order.  A cell is (kind, relation, extra); `cells` is a list of
@@ -261,10 +267,10 @@ def _cells(kind, relations=(None,)):
 
 
 def _nonempty(tasks, path: str) -> List[Task]:
-    """`tasks`, refused when the config grid at suites.<path> yields none:
-    a grid that checks nothing would pass vacuously."""
+    """`tasks`, refused when the config grid at `path` yields none: a grid
+    that checks nothing would pass vacuously."""
     if not tasks:
-        raise ValueError(f"config section suites.{path} yields no tasks")
+        raise ValueError(f"config section {path} yields no tasks")
     return tasks
 
 
@@ -274,55 +280,57 @@ def _relation_grid(sec: SweepSection, module, kind) -> List[Task]:
 
 
 def tasks_ladder1d(section) -> List[Task]:
-    sec = SweepSection.parse(section, 2, "ladder1d", jacobi1d.SPARSE_1D)
+    sec = SweepSection.parse(section, "suites.ladder1d", 2, jacobi1d.SPARSE_1D)
     return _relation_grid(sec, jacobi1d, "ladder1d")
 
 
 def tasks_m2d(section) -> List[Task]:
-    sec = SweepSection.parse(section, 4, "m2d", triangle2d.SPARSE_2D)
+    sec = SweepSection.parse(section, "suites.m2d", 4, triangle2d.SPARSE_2D)
     abc = [as_tuple(p[:3], 3) for p in sec.params]
     reductions = _grid(abc, triangle2d.indices(sec.degree), _cells("d0"))
     return _relation_grid(sec, triangle2d, "m2d") + reductions
 
 
 def tasks_theorem1(section) -> List[Task]:
-    sec = SweepSection.parse(section, 6, "theorem1", simplex3d.THEOREM1)
+    sec = SweepSection.parse(section, "suites.theorem1", 6, simplex3d.THEOREM1)
     q = [as_tuple(p[:4], 4) for p in sec.params]
     reductions = _grid(q, simplex3d.indices(sec.degree), _cells("ab0"))
     return _relation_grid(sec, simplex3d, "theorem1") + reductions
 
 
 def tasks_second_order(section) -> List[Task]:
+    _section(section, "suites.second-order", ("oned", "twod", "threed"))
     tasks = []
     for key, arity, module, kind, relations in (
         ("oned", 2, jacobi1d, "so1d", jacobi1d.SECOND_ORDER_1D),
         ("twod", 4, triangle2d, "so2d", triangle2d.SECOND_ORDER_2D),
         ("threed", 6, simplex3d, "so3d", simplex3d.SECOND_ORDER_3D),
     ):
-        path = "second-order." + key
-        sec = SweepSection.parse(_section(section, key), arity, path, relations)
+        path = "suites.second-order." + key
+        sec = SweepSection.parse(section[key], path, arity, relations)
         tasks += _nonempty(_relation_grid(sec, module, kind), path)
     return tasks
 
 
 def tasks_pde(section) -> List[Task]:
-    two = SweepSection.parse(_section(section, "twod"), 4, "pde.twod")
-    three = SweepSection.parse(_section(section, "threed"), 6, "pde.threed")
-    monic_degree = config_int(section.get("monic_degree", 5), "monic_degree",
+    _section(section, "suites.pde", ("twod", "threed"), ("monic_degree",))
+    two = SweepSection.parse(section["twod"], "suites.pde.twod", 4)
+    three = SweepSection.parse(section["threed"], "suites.pde.threed", 6)
+    monic_degree = config_int(section.get("monic_degree", 5), "suites.pde.monic_degree",
                               high=MAX_DEGREE)
     return (
         _nonempty(_grid(two.params, triangle2d.indices(two.degree),
-                        _cells("pde2d", triangle2d.PDE_2D)), "pde.twod")
+                        _cells("pde2d", triangle2d.PDE_2D)), "suites.pde.twod")
         + _nonempty(_grid(three.params, simplex3d.indices(three.degree),
-                          _cells("pde3d", simplex3d.PDE_3D)), "pde.threed")
+                          _cells("pde3d", simplex3d.PDE_3D)), "suites.pde.threed")
         + _nonempty(_grid(two.params, triangle2d.indices(monic_degree), _cells("monic2d"))
                     + _grid(three.params, simplex3d.indices(monic_degree), _cells("monic3d")),
-                    "pde.monic_degree")
+                    "suites.pde.monic_degree")
     )
 
 
 def tasks_corollaries(section) -> List[Task]:
-    sec = SweepSection.parse(section, 4, "corollaries")
+    sec = SweepSection.parse(section, "suites.corollaries", 4)
     cells = (
         _cells("cor_deriv", simplex3d.DERIVATIVES)
         + _cells("cor_weight", simplex3d.WEIGHTED)
@@ -332,22 +340,24 @@ def tasks_corollaries(section) -> List[Task]:
 
 
 def tasks_connections(section) -> List[Task]:
-    alpha_section, general_section = _section(section, "alpha"), _section(section, "general")
-    alpha = SweepSection.parse(alpha_section, 6, "connections.alpha")
-    xis = list(config_row(alpha_section["xi"], "xi"))
-    general = SweepSection.parse(general_section, 6, "connections.general")
-    targets = parse_grid(general_section["targets"], 4, "targets")
+    _section(section, "suites.connections", ("alpha", "general"))
+    alpha_section, general_section = section["alpha"], section["general"]
+    alpha = SweepSection.parse(alpha_section, "suites.connections.alpha", 6, extra=("xi",))
+    xis = list(config_row(alpha_section["xi"], "suites.connections.alpha.xi"))
+    general = SweepSection.parse(general_section, "suites.connections.general", 6,
+                                 extra=("targets",))
+    targets = parse_grid(general_section["targets"], 4, "suites.connections.general.targets")
     return _nonempty(_grid(
         alpha.params, simplex3d.indices(alpha.degree),
         lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
-    ), "connections.alpha") + _nonempty(_grid(
+    ), "suites.connections.alpha") + _nonempty(_grid(
         general.params, simplex3d.indices(general.degree),
         lambda p: [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]],
-    ), "connections.general")
+    ), "suites.connections.general")
 
 
 def tasks_three_term(section) -> List[Task]:
-    sec = SweepSection.parse(section, 6, "three-term")
+    sec = SweepSection.parse(section, "suites.three-term", 6)
     return _grid(sec.params, simplex3d.indices(sec.degree), _cells("three_term"))
 
 
@@ -368,11 +378,12 @@ SUITES = tuple(_TASK_BUILDERS)
 
 def suite_tasks(name: str, config: dict) -> List[Task]:
     """The tasks of one named suite from a parsed config.  A bad section
-    raises KeyError or ValueError here, before any task runs."""
+    raises ValueError here, before any task runs; an unknown suite name
+    raises KeyError."""
     if name not in _TASK_BUILDERS:
         raise KeyError(f"unknown suite {name!r}; expected one of {SUITES}")
-    section = _section(config, "suites", name)
-    return _nonempty(_TASK_BUILDERS[name](section), name)
+    section = _section(config.get("suites", {}), "suites", (name,), SUITES)[name]
+    return _nonempty(_TASK_BUILDERS[name](section), "suites." + name)
 
 
 def run_suite_tasks(name: str, tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
@@ -399,11 +410,11 @@ def default_config_path() -> str:
 
 
 #: What reading a config and building its tasks may raise: OSError for a
-#: file that cannot be read (a directory included), KeyError for a missing
-#: section, and ValueError for JSON that does not parse or a value that is
-#: refused, ConfigError included: a section, list or row of the wrong shape
-#: or a float or true where a number belongs.
-CONFIG_ERRORS = (OSError, KeyError, ValueError)
+#: file that cannot be read (a directory included), and ValueError for JSON
+#: that does not parse or a value that is refused, ConfigError included: a
+#: missing or unread key, a section, list or row of the wrong shape, or a
+#: float or true where a number belongs.
+CONFIG_ERRORS = (OSError, ValueError)
 
 
 def plan(path: Optional[str], suites: Sequence[str]) -> Tuple[int, List[Tuple[str, List[Task]]]]:

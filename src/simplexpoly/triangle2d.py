@@ -15,6 +15,7 @@ a reduction cross-check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from operator import index
@@ -127,129 +128,128 @@ def verify_d0_reduction(idx, abc) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # The twenty-four M ladder relations.  Each line holds the operator, the
 # steps of (n, k; a, b, c, d) and the scale; the operator and the scale are
-# both built from (n, k, a, b, c, d).  Rational-function coefficients are
-# stored as polynomial numerators over the single common denominator
-# `denom`.
+# both built from the index n, k and the row's view p.  Rational-function
+# coefficients are stored as polynomial numerators over the single common
+# denominator `denom`.
 # ---------------------------------------------------------------------------
 
 _cst = MPoly.const
 
 SPARSE_2D = {
     "M01": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=ZERO, cy=ONE),
-        (-1, -1), (0, +1, +1, 0), lambda n, k, a, b, c, d: k + b + c + 1),
+        lambda n, k, p: DiffOperator(c0=ZERO, cy=ONE),
+        (-1, -1), (0, +1, +1, 0), lambda n, k, p: k + p.b + p.c + 1),
     "M02": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k + b + c + 1), cy=Y),
-        (0, 0), (0, 0, +1, -1), lambda n, k, a, b, c, d: k + b + c + 1),
+        lambda n, k, p: DiffOperator(c0=_cst(k + p.b + p.c + 1), cy=Y),
+        (0, 0), (0, 0, +1, -1), lambda n, k, p: k + p.b + p.c + 1),
     "M03": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k + b + c + 1), cy=-ONE_MINUS_XY),
-        (0, 0), (0, +1, 0, -1), lambda n, k, a, b, c, d: k + b + c + 1),
+        lambda n, k, p: DiffOperator(c0=_cst(k + p.b + p.c + 1), cy=-ONE_MINUS_XY),
+        (0, 0), (0, +1, 0, -1), lambda n, k, p: k + p.b + p.c + 1),
     "M04": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=Y.scale(c) - ONE_MINUS_XY.scale(b + k + 1), cy=-Y_ONE_MINUS_XY),
-        (+1, +1), (0, 0, -1, -1), lambda n, k, a, b, c, d: k + 1),
+        lambda n, k, p: DiffOperator(
+            c0=Y.scale(p.c) - ONE_MINUS_XY.scale(p.b + k + 1), cy=-Y_ONE_MINUS_XY),
+        (+1, +1), (0, 0, -1, -1), lambda n, k, p: k + 1),
     "M05": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=Y.scale(c + k + 1) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY),
-        (+1, +1), (0, -1, 0, -1), lambda n, k, a, b, c, d: k + 1),
+        lambda n, k, p: DiffOperator(
+            c0=Y.scale(p.c + k + 1) - ONE_MINUS_XY.scale(p.b), cy=-Y_ONE_MINUS_XY),
+        (+1, +1), (0, -1, 0, -1), lambda n, k, p: k + 1),
     "M06": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(b), cy=Y),
-        (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: k + b),
+        lambda n, k, p: DiffOperator(c0=_cst(p.b), cy=Y),
+        (0, 0), (0, -1, +1, 0), lambda n, k, p: k + p.b),
     "M01p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=Y.scale(c) - ONE_MINUS_XY.scale(b), cy=-Y_ONE_MINUS_XY),
-        (+1, +1), (0, -1, -1, 0), lambda n, k, a, b, c, d: k + 1),
+        lambda n, k, p: DiffOperator(
+            c0=Y.scale(p.c) - ONE_MINUS_XY.scale(p.b), cy=-Y_ONE_MINUS_XY),
+        (+1, +1), (0, -1, -1, 0), lambda n, k, p: k + 1),
     "M02p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=ONE_MINUS_X.scale(c + k) - Y.scale(k), cy=-Y_ONE_MINUS_XY, denom=ONE_MINUS_X),
-        (0, 0), (0, 0, -1, +1), lambda n, k, a, b, c, d: k + c),
+        lambda n, k, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(p.c + k) - Y.scale(k), cy=-Y_ONE_MINUS_XY, denom=ONE_MINUS_X),
+        (0, 0), (0, 0, -1, +1), lambda n, k, p: k + p.c),
     "M03p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=ONE_MINUS_X.scale(b) + Y.scale(k), cy=Y_ONE_MINUS_XY, denom=ONE_MINUS_X),
-        (0, 0), (0, -1, 0, +1), lambda n, k, a, b, c, d: k + b),
+        lambda n, k, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(p.b) + Y.scale(k), cy=Y_ONE_MINUS_XY, denom=ONE_MINUS_X),
+        (0, 0), (0, -1, 0, +1), lambda n, k, p: k + p.b),
     "M04p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(-k), cy=Y, denom=ONE_MINUS_X),
-        (-1, -1), (0, 0, +1, +1), lambda n, k, a, b, c, d: k + b),
+        lambda n, k, p: DiffOperator(c0=_cst(-k), cy=Y, denom=ONE_MINUS_X),
+        (-1, -1), (0, 0, +1, +1), lambda n, k, p: k + p.b),
     "M05p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k), cy=ONE_MINUS_XY, denom=ONE_MINUS_X),
-        (-1, -1), (0, +1, 0, +1), lambda n, k, a, b, c, d: k + c),
+        lambda n, k, p: DiffOperator(c0=_cst(k), cy=ONE_MINUS_XY, denom=ONE_MINUS_X),
+        (-1, -1), (0, +1, 0, +1), lambda n, k, p: k + p.c),
     "M06p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(c), cy=-ONE_MINUS_XY),
-        (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: k + c),
+        lambda n, k, p: DiffOperator(c0=_cst(p.c), cy=-ONE_MINUS_XY),
+        (0, 0), (0, +1, -1, 0), lambda n, k, p: k + p.c),
     "M10": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=_cst(k), cx=ONE_MINUS_X, cy=-Y, denom=ONE_MINUS_X),
-        (-1, 0), (+1, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+        lambda n, k, p: DiffOperator(c0=_cst(k), cx=ONE_MINUS_X, cy=-Y, denom=ONE_MINUS_X),
+        (-1, 0), (+1, 0, 0, +1), lambda n, k, p: n + k + p.a + p.b + p.c + p.d + 2),
     "M20": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=ONE_MINUS_X.scale(n + k + a + b + c + d + 2) + X.scale(k),
+        lambda n, k, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(n + k + p.a + p.b + p.c + p.d + 2) + X.scale(k),
             cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
-        (0, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+        (0, 0), (0, 0, 0, +1), lambda n, k, p: n + k + p.a + p.b + p.c + p.d + 2),
     "M30": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=_cst(n + a + b + c + d + 2), cx=-ONE_MINUS_X, cy=Y),
-        (0, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + a + b + c + d + 2),
+        lambda n, k, p: DiffOperator(
+            c0=_cst(n + p.a + p.b + p.c + p.d + 2), cx=-ONE_MINUS_X, cy=Y),
+        (0, 0), (+1, 0, 0, 0), lambda n, k, p: n + k + p.a + p.b + p.c + p.d + 2),
     "M40": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=X.scale(n + a + b + c + d + 2) - _cst(a + n - k + 1), cx=-X_ONE_MINUS_X, cy=XY),
-        (+1, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
+        lambda n, k, p: DiffOperator(
+            c0=X.scale(n + p.a + p.b + p.c + p.d + 2) - _cst(p.a + n - k + 1), cx=-X_ONE_MINUS_X, cy=XY),
+        (+1, 0), (0, 0, 0, -1), lambda n, k, p: n - k + 1),
     "M50": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=X.scale(n + a + b + c + d + 2) - _cst(a), cx=-X_ONE_MINUS_X, cy=XY),
-        (+1, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + 1),
+        lambda n, k, p: DiffOperator(
+            c0=X.scale(n + p.a + p.b + p.c + p.d + 2) - _cst(p.a), cx=-X_ONE_MINUS_X, cy=XY),
+        (+1, 0), (-1, 0, 0, 0), lambda n, k, p: n - k + 1),
     "M60": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=ONE_MINUS_X.scale(a) + X.scale(k), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
-        (0, 0), (-1, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
+        lambda n, k, p: DiffOperator(
+            c0=ONE_MINUS_X.scale(p.a) + X.scale(k), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
+        (0, 0), (-1, 0, 0, +1), lambda n, k, p: n - k + p.a),
     "M10p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=X.scale(k + a + b + c + d + 1) - _cst(a), cx=-X_ONE_MINUS_X, cy=XY),
-        (+1, 0), (-1, 0, 0, -1), lambda n, k, a, b, c, d: n - k + 1),
+        lambda n, k, p: DiffOperator(
+            c0=X.scale(k + p.a + p.b + p.c + p.d + 1) - _cst(p.a), cx=-X_ONE_MINUS_X, cy=XY),
+        (+1, 0), (-1, 0, 0, -1), lambda n, k, p: n - k + 1),
     "M20p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
-            c0=_cst(n + k + b + c + d + 1) - X.scale(n), cx=-X_ONE_MINUS_X, cy=XY),
-        (0, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+        lambda n, k, p: DiffOperator(
+            c0=_cst(n + k + p.b + p.c + p.d + 1) - X.scale(n), cx=-X_ONE_MINUS_X, cy=XY),
+        (0, 0), (0, 0, 0, -1), lambda n, k, p: n + k + p.b + p.c + p.d + 1),
     "M30p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(a) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY),
-        (0, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: n - k + a),
+        lambda n, k, p: DiffOperator(c0=_cst(p.a) + X.scale(n), cx=X_ONE_MINUS_X, cy=-XY),
+        (0, 0), (-1, 0, 0, 0), lambda n, k, p: n - k + p.a),
     "M40p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(
+        lambda n, k, p: DiffOperator(
             c0=_cst(k) - ONE_MINUS_X.scale(n), cx=X_ONE_MINUS_X, cy=-XY, denom=ONE_MINUS_X),
-        (-1, 0), (0, 0, 0, +1), lambda n, k, a, b, c, d: n - k + a),
+        (-1, 0), (0, 0, 0, +1), lambda n, k, p: n - k + p.a),
     "M50p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(n), cx=ONE_MINUS_X, cy=-Y),
-        (-1, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+        lambda n, k, p: DiffOperator(c0=_cst(n), cx=ONE_MINUS_X, cy=-Y),
+        (-1, 0), (+1, 0, 0, 0), lambda n, k, p: n + k + p.b + p.c + p.d + 1),
     "M60p": SparseRelation(
-        lambda n, k, a, b, c, d: DiffOperator(c0=_cst(k + b + c + d + 1), cx=-ONE_MINUS_X, cy=Y),
-        (0, 0), (+1, 0, 0, -1), lambda n, k, a, b, c, d: n + k + b + c + d + 1),
+        lambda n, k, p: DiffOperator(c0=_cst(k + p.b + p.c + p.d + 1), cx=-ONE_MINUS_X, cy=Y),
+        (0, 0), (+1, 0, 0, -1), lambda n, k, p: n + k + p.b + p.c + p.d + 1),
 }
 
 
 SECOND_ORDER_2D = {
-    "M01p.M01": SecondOrder("M01p", "M01", (0, 0), (0, -1, -1, 0), lambda n, k, a, b, c, d: k * (k + b + c - 1)),
-    "M01.M01p": SecondOrder("M01", "M01p", (0, 0), (0, 0, 0, 0), lambda n, k, a, b, c, d: (k + 1) * (k + b + c)),
-    "M02p.M02": SecondOrder("M02p", "M02", (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: (k + c) * (k + b + c + 1)),
-    "M02.M02p": SecondOrder("M02", "M02p", (0, 0), (0, +1, 0, 0), lambda n, k, a, b, c, d: (k + c) * (k + b + c + 1)),
-    "M03p.M03": SecondOrder("M03p", "M03", (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: (k + b) * (k + b + c + 1)),
-    "M03.M03p": SecondOrder("M03", "M03p", (0, 0), (0, 0, +1, 0), lambda n, k, a, b, c, d: (k + b) * (k + b + c + 1)),
-    "M04p.M04": SecondOrder("M04p", "M04", (0, -1), (0, +1, 0, 0), lambda n, k, a, b, c, d: k * (k + b + 1)),
-    "M04.M04p": SecondOrder("M04", "M04p", (0, 0), (0, +1, -1, 0), lambda n, k, a, b, c, d: k * (k + b + 1)),
-    "M05p.M05": SecondOrder("M05p", "M05", (0, -1), (0, 0, +1, 0), lambda n, k, a, b, c, d: k * (k + c + 1)),
-    "M05.M05p": SecondOrder("M05", "M05p", (0, 0), (0, -1, +1, 0), lambda n, k, a, b, c, d: k * (k + c + 1)),
-    "M06p.M06": SecondOrder("M06p", "M06", (0, 0), (0, 0, -1, 0), lambda n, k, a, b, c, d: (k + b) * (k + c)),
-    "M06.M06p": SecondOrder("M06", "M06p", (0, 0), (0, -1, 0, 0), lambda n, k, a, b, c, d: (k + b) * (k + c)),
-    "M10p.M10": SecondOrder("M10p", "M10", (0, 0), (-1, 0, 0, -1), lambda n, k, a, b, c, d: (n - k) * (n + k + a + b + c + d)),
-    "M10.M10p": SecondOrder("M10", "M10p", (0, 0), (0, 0, 0, 0), lambda n, k, a, b, c, d: (n - k + 1) * (n + k + a + b + c + d + 1)),
-    "M20p.M20": SecondOrder("M20p", "M20", (0, 0), (+1, 0, 0, -1), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n + k + b + c + d + 1)),
-    "M20.M20p": SecondOrder("M20", "M20p", (0, 0), (+1, -1, 0, +1), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n + k + b + c + d + 1)),
-    "M30p.M30": SecondOrder("M30p", "M30", (0, 0), (-1, +1, 0, 0), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n - k + a)),
-    "M30.M30p": SecondOrder("M30", "M30p", (0, 0), (0, +1, 0, 0), lambda n, k, a, b, c, d: (n + k + a + b + c + d + 2) * (n - k + a)),
-    "M40p.M40": SecondOrder("M40p", "M40", (-1, 0), (+1, 0, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n - k + a + 1)),
-    "M40.M40p": SecondOrder("M40", "M40p", (0, 0), (+1, -1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n - k + a + 1)),
-    "M50p.M50": SecondOrder("M50p", "M50", (-1, 0), (0, +1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n + k + b + c + d + 2)),
-    "M50.M50p": SecondOrder("M50", "M50p", (0, 0), (-1, +1, 0, 0), lambda n, k, a, b, c, d: (n - k) * (n + k + b + c + d + 2)),
-    "M60p.M60": SecondOrder("M60p", "M60", (0, 0), (0, 0, 0, -1), lambda n, k, a, b, c, d: (n - k + a) * (n + k + b + c + d + 1)),
-    "M60.M60p": SecondOrder("M60", "M60p", (0, 0), (-1, 0, 0, 0), lambda n, k, a, b, c, d: (n - k + a) * (n + k + b + c + d + 1)),
+    "M01p.M01": SecondOrder("M01p", "M01", (0, 0), (0, -1, -1, 0), lambda n, k, p: k * (k + p.b + p.c - 1)),
+    "M01.M01p": SecondOrder("M01", "M01p", (0, 0), (0, 0, 0, 0), lambda n, k, p: (k + 1) * (k + p.b + p.c)),
+    "M02p.M02": SecondOrder("M02p", "M02", (0, 0), (0, +1, -1, 0), lambda n, k, p: (k + p.c) * (k + p.b + p.c + 1)),
+    "M02.M02p": SecondOrder("M02", "M02p", (0, 0), (0, +1, 0, 0), lambda n, k, p: (k + p.c) * (k + p.b + p.c + 1)),
+    "M03p.M03": SecondOrder("M03p", "M03", (0, 0), (0, -1, +1, 0), lambda n, k, p: (k + p.b) * (k + p.b + p.c + 1)),
+    "M03.M03p": SecondOrder("M03", "M03p", (0, 0), (0, 0, +1, 0), lambda n, k, p: (k + p.b) * (k + p.b + p.c + 1)),
+    "M04p.M04": SecondOrder("M04p", "M04", (0, -1), (0, +1, 0, 0), lambda n, k, p: k * (k + p.b + 1)),
+    "M04.M04p": SecondOrder("M04", "M04p", (0, 0), (0, +1, -1, 0), lambda n, k, p: k * (k + p.b + 1)),
+    "M05p.M05": SecondOrder("M05p", "M05", (0, -1), (0, 0, +1, 0), lambda n, k, p: k * (k + p.c + 1)),
+    "M05.M05p": SecondOrder("M05", "M05p", (0, 0), (0, -1, +1, 0), lambda n, k, p: k * (k + p.c + 1)),
+    "M06p.M06": SecondOrder("M06p", "M06", (0, 0), (0, 0, -1, 0), lambda n, k, p: (k + p.b) * (k + p.c)),
+    "M06.M06p": SecondOrder("M06", "M06p", (0, 0), (0, -1, 0, 0), lambda n, k, p: (k + p.b) * (k + p.c)),
+    "M10p.M10": SecondOrder("M10p", "M10", (0, 0), (-1, 0, 0, -1), lambda n, k, p: (n - k) * (n + k + p.a + p.b + p.c + p.d)),
+    "M10.M10p": SecondOrder("M10", "M10p", (0, 0), (0, 0, 0, 0), lambda n, k, p: (n - k + 1) * (n + k + p.a + p.b + p.c + p.d + 1)),
+    "M20p.M20": SecondOrder("M20p", "M20", (0, 0), (+1, 0, 0, -1), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n + k + p.b + p.c + p.d + 1)),
+    "M20.M20p": SecondOrder("M20", "M20p", (0, 0), (+1, -1, 0, +1), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n + k + p.b + p.c + p.d + 1)),
+    "M30p.M30": SecondOrder("M30p", "M30", (0, 0), (-1, +1, 0, 0), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n - k + p.a)),
+    "M30.M30p": SecondOrder("M30", "M30p", (0, 0), (0, +1, 0, 0), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n - k + p.a)),
+    "M40p.M40": SecondOrder("M40p", "M40", (-1, 0), (+1, 0, 0, 0), lambda n, k, p: (n - k) * (n - k + p.a + 1)),
+    "M40.M40p": SecondOrder("M40", "M40p", (0, 0), (+1, -1, 0, 0), lambda n, k, p: (n - k) * (n - k + p.a + 1)),
+    "M50p.M50": SecondOrder("M50p", "M50", (-1, 0), (0, +1, 0, 0), lambda n, k, p: (n - k) * (n + k + p.b + p.c + p.d + 2)),
+    "M50.M50p": SecondOrder("M50", "M50p", (0, 0), (-1, +1, 0, 0), lambda n, k, p: (n - k) * (n + k + p.b + p.c + p.d + 2)),
+    "M60p.M60": SecondOrder("M60p", "M60", (0, 0), (0, 0, 0, -1), lambda n, k, p: (n - k + p.a) * (n + k + p.b + p.c + p.d + 1)),
+    "M60.M60p": SecondOrder("M60", "M60p", (0, 0), (-1, 0, 0, 0), lambda n, k, p: (n - k + p.a) * (n + k + p.b + p.c + p.d + 1)),
 }
 
 
@@ -260,12 +260,12 @@ SECOND_ORDER_2D = {
 # member is an exact zero polynomial.
 # ---------------------------------------------------------------------------
 
-def _pde_coeffs_y_direction(n, k, a, b, c, d):
+def _pde_coeffs_y_direction(n, k, p):
     # y(1-x-y) u_yy + ((b+1)(1-x) - (b+c+2) y) u_y + k(k+b+c+1) u, cleared by 1.
     return {
         "yy": Y_ONE_MINUS_XY,
-        "y": ONE_MINUS_X.scale(b + 1) - Y.scale(b + c + 2),
-        "": MPoly.const(k * (k + b + c + 1)),
+        "y": ONE_MINUS_X.scale(p.b + 1) - Y.scale(p.b + p.c + 2),
+        "": MPoly.const(k * (k + p.b + p.c + 1)),
     }
 
 
@@ -282,28 +282,28 @@ _X_DIRECTION_FIXED = {
 }
 
 
-def _pde_coeffs_full(n, k, a, b, c, d):
+def _pde_coeffs_full(n, k, p):
     # The full second-order equation; 1/(1-x) terms cleared by (1-x).
-    s = a + b + c + d + 3
-    lam = n * (n + a + b + c + d + 2)
+    s = p.a + p.b + p.c + p.d + 3
+    lam = n * (n + p.a + p.b + p.c + p.d + 2)
     return {
         **_FULL_FIXED,
-        "x": (MPoly.const(a + 1) - X.scale(s)) * ONE_MINUS_X,
-        "y": (MPoly.const(b + 1) - Y.scale(s)) * ONE_MINUS_X + Y.scale(d),
-        "": ONE_MINUS_X.scale(lam) - MPoly.const(k * d),
+        "x": (MPoly.const(p.a + 1) - X.scale(s)) * ONE_MINUS_X,
+        "y": (MPoly.const(p.b + 1) - Y.scale(s)) * ONE_MINUS_X + Y.scale(p.d),
+        "": ONE_MINUS_X.scale(lam) - MPoly.const(k * p.d),
     }
 
 
-def _pde_coeffs_x_direction(n, k, a, b, c, d):
+def _pde_coeffs_x_direction(n, k, p):
     # The difference of the two equations above; 1/(1-x) cleared by (1-x).
-    s = a + b + c + d + 3
-    lam = n * (n + a + b + c + d + 2)
-    drift = MPoly.const(a + 1) - X.scale(s)
+    s = p.a + p.b + p.c + p.d + 3
+    lam = n * (n + p.a + p.b + p.c + p.d + 2)
+    drift = MPoly.const(p.a + 1) - X.scale(s)
     return {
         **_X_DIRECTION_FIXED,
         "x": drift * ONE_MINUS_X,
         "y": -Y * drift,
-        "": ONE_MINUS_X.scale(lam) - MPoly.const(k * (k + b + c + d + 1)),
+        "": ONE_MINUS_X.scale(lam) - MPoly.const(k * (k + p.b + p.c + p.d + 1)),
     }
 
 
@@ -314,9 +314,9 @@ PDE_2D = {
 }
 
 
-def monic_prefactor(n, k, a, b, c, d) -> Fraction:
+def monic_prefactor(n, k, p) -> Fraction:
     """(n-k)! / (a+b+c+d+n+k+2)_(n-k); PoleHit where the lead of P(n-k) is 0."""
-    return factorial(n - k) * gamma_ratio(a + b + c + d + 2 * n + 2, -(n - k))
+    return factorial(n - k) * gamma_ratio(p.a + p.b + p.c + p.d + 2 * n + 2, -(n - k))
 
 
 def monic_triangle(idx, p) -> MPoly:
@@ -324,7 +324,8 @@ def monic_triangle(idx, p) -> MPoly:
     monic_prefactor * y^k * P(n-k)."""
     n, k = as_tuple(idx, 2, index)
     params = as_tuple(p, 4)
-    return collapsed_monic(params.derive(axes), degrees(n, k), monic_prefactor(n, k, *params))
+    return collapsed_monic(params.derive(axes), degrees(n, k),
+                           monic_prefactor(n, k, params.derive(FAMILY.view)))
 
 
 def indices(max_degree: int):
@@ -334,6 +335,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("a", "b", "c", "d"),
+    view=namedtuple("Params", "a b c d"),
     index=lambda idx: as_tuple(idx, 2, index),
     build=lambda idx, row: collapsed_member(row.derive(axes), degrees(*idx)),
     valid=lambda idx: 0 <= idx[1] <= idx[0],

@@ -2,9 +2,10 @@
 scripts/run_full_verification.py, refuse with exit 65 and one
 `config error:` line, never a traceback.
 
-Each case is (suite, break_config): `break_config(config)` breaks a copy of
-a valid config and returns it, for `verify --suite <suite>`.  None stands
-for a directory given as --config.
+Each case is (suite, break_config, where): `break_config(config)` breaks a
+copy of a valid config and returns it, for `verify --suite <suite>`, and
+`where` is text the error line must hold, the full path of the offending
+entry where there is one.  None stands for a directory given as --config.
 """
 
 import copy
@@ -24,24 +25,65 @@ def _set(path, value):
     return break_config
 
 
+def _drop(path):
+    """A case that deletes the entry at `path`."""
+
+    def break_config(config):
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        del section[path[-1]]
+        return config
+
+    return break_config
+
+
 BAD_CONFIGS = {
-    "params-not-a-list": ("three-term", _set(("suites", "three-term", "params"), 5)),
-    "params-row-not-a-list": ("ladder1d", _set(("suites", "ladder1d", "params", 0), 5)),
-    "section-a-list": ("three-term", _set(("suites", "three-term"), [])),
-    "relations-not-a-list": ("ladder1d", _set(("suites", "ladder1d", "relations"), 5)),
-    "top-level-a-list": ("three-term", lambda config: [config]),
-    "directory": ("three-term", None),
-    "params-entry-true": ("ladder1d", _set(("suites", "ladder1d", "params", 0, 0), True)),
-    "xi-true": ("connections", _set(("suites", "connections", "alpha", "xi", 0), True)),
+    "params-not-a-list": ("three-term", _set(("suites", "three-term", "params"), 5),
+                          "suites.three-term.params"),
+    "params-row-not-a-list": ("ladder1d", _set(("suites", "ladder1d", "params", 0), 5),
+                              "suites.ladder1d.params"),
+    "section-a-list": ("three-term", _set(("suites", "three-term"), []), "suites.three-term"),
+    "subsection-a-list": ("pde", _set(("suites", "pde", "twod"), []), "suites.pde.twod"),
+    "degree-missing": ("ladder1d", _drop(("suites", "ladder1d", "degree")),
+                       "suites.ladder1d.degree"),
+    "xi-missing": ("connections", _drop(("suites", "connections", "alpha", "xi")),
+                   "suites.connections.alpha.xi"),
+    "relations-not-a-list": ("ladder1d", _set(("suites", "ladder1d", "relations"), 5),
+                             "suites.ladder1d.relations"),
+    "top-level-a-list": ("three-term", lambda config: [config], "the config"),
+    "directory": ("three-term", None, None),
+    "params-entry-true": ("ladder1d", _set(("suites", "ladder1d", "params", 0, 0), True),
+                          "suites.ladder1d.params"),
+    "xi-true": ("connections", _set(("suites", "connections", "alpha", "xi", 0), True),
+                "suites.connections.alpha.xi"),
     # Sections that check every relation of their grid refuse a selection
     # rather than ignore it.
-    "relations-in-pde": ("pde", _set(("suites", "pde", "twod", "relations"), ["T1"])),
+    "relations-in-pde": ("pde", _set(("suites", "pde", "twod", "relations"), ["T1"]),
+                         "suites.pde.twod"),
     "relations-in-corollaries": ("corollaries", _set(("suites", "corollaries", "relations"),
-                                                     ["corollary.deriv.x"])),
+                                                     ["corollary.deriv.x"]),
+                                 "suites.corollaries"),
     "relations-in-connections": ("connections", _set(
-        ("suites", "connections", "general", "relations"), "all")),
+        ("suites", "connections", "general", "relations"), "all"),
+        "suites.connections.general"),
     "relations-in-three-term": ("three-term", _set(("suites", "three-term", "relations"),
-                                                   ["three-term.x"])),
+                                                   ["three-term.x"]), "suites.three-term"),
+    # A selection is "all" or a non-empty list of ids: an empty or false
+    # one would otherwise select every relation.
+    **{f"relations-{name}": ("ladder1d", _set(("suites", "ladder1d", "relations"), value),
+                             "suites.ladder1d.relations")
+       for name, value in (("empty-list", []), ("zero", 0), ("false", False),
+                           ("null", None), ("empty-string", ""), ("empty-object", {}))},
+    "relations-unknown-id": ("ladder1d", _set(("suites", "ladder1d", "relations"), ["L7"]),
+                             "suites.ladder1d.relations"),
+    # A key that nothing reads is refused: misspelt, it would be ignored.
+    "relation-misspelt": ("ladder1d", _set(("suites", "ladder1d", "relation"), ["L1"]),
+                          "suites.ladder1d"),
+    "unread-key-in-subsection": ("second-order", _set(
+        ("suites", "second-order", "oned", "monic_degree"), 2), "suites.second-order.oned"),
+    "unread-key-in-section": ("pde", _set(("suites", "pde", "degree"), 2), "suites.pde"),
+    "suite-name-misspelt": ("three-term", _set(("suites", "three_term"), {}), "suites"),
 }
 
 

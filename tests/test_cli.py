@@ -274,19 +274,21 @@ def test_config_count_not_an_admissible_integer(suite, path, value, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: {path[-1]} must be")
+    assert len(err) == 1 and err[0].startswith(f"config error: {'.'.join(path)} must be")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_bad_config_is_a_config_error(case, tmp_path, capsys):
     config = sweeps.load_config(sweeps.default_config_path())
     path = bad_config_path(case, config, tmp_path)
-    code = main(["verify", "--suite", BAD_CONFIGS[case][0], "--config", path])
+    suite, _, where = BAD_CONFIGS[case]
+    code = main(["verify", "--suite", suite, "--config", path])
     assert code == EX_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert where is None or where in err[0]
 
 
 def test_task_builder_type_error_is_not_a_config_error(config_path, monkeypatch):

@@ -143,12 +143,12 @@ def test_orthogonality_by_weighted_moments():
 
 
 def test_operator_descriptors():
-    a, b = F(1, 3), F(5, 2)
-    op = SPARSE_1D["L1"].operator(4, a, b)
+    p = FAMILY.view(F(1, 3), F(5, 2))
+    op = SPARSE_1D["L1"].operator(4, p)
     assert (op.c0, op.cx) == (ZERO, ONE)
-    op = SPARSE_1D["L6"].operator(4, a, b)
-    assert (op.c0, op.cx) == (MPoly.const(b), X)
-    op = SPARSE_1D["L5p"].operator(4, a, b)
+    op = SPARSE_1D["L6"].operator(4, p)
+    assert (op.c0, op.cx) == (MPoly.const(p.b), X)
+    op = SPARSE_1D["L5p"].operator(4, p)
     assert (op.c0, op.cx) == (MPoly.const(4), ONE_MINUS_X)
 
 

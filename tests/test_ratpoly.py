@@ -399,7 +399,7 @@ def test_diff_operator_apply_agrees_with_parts(u, c0, cx, cy, cz, denom, exact):
 def test_table_operators_apply_as_by_parts(module, idx, params):
     u = module.FAMILY.member(idx, params)
     for rel in module.FAMILY.sparse.values():
-        op = rel.operator(*idx, *params)
+        op = rel.operator(*idx, module.FAMILY.view(*params))
         assert op.apply(u) == _apply_by_parts(op, u)
 
 

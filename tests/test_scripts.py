@@ -113,7 +113,7 @@ def test_config_count_not_an_admissible_integer(path, value, tiny_config, tmp_pa
     assert code == EX_CONFIG
     assert list(out.iterdir()) == []
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: {path[-1]} must be")
+    assert len(err) == 1 and err[0].startswith(f"config error: {'.'.join(path)} must be")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -127,7 +127,9 @@ def test_bad_config_is_a_config_error(case, tiny_config, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
+    where = BAD_CONFIGS[case][2]
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert where is None or where in err[0]
 
 
 @pytest.mark.parametrize("where", ["file", "below-a-file"])

@@ -1,6 +1,7 @@
 """Tetrahedron family: construction, relations, equations, recurrences."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,12 @@ from simplexpoly.ratpoly import (
 from simplexpoly.simplex3d import (
     DERIVATIVES,
     MULTIPLICATIONS,
+    PDE_3D,
     SECOND_ORDER_3D,
     THEOREM1,
     WEIGHTED,
     FAMILY,
-    _e,
+    Params,
     classical_simplex_poly_raw,
     monic_simplex,
     pde_residual_3d,
@@ -69,7 +71,7 @@ def test_validation():
     with pytest.raises(ValueError):
         FAMILY.check((F(-2), F(0), F(0), F(0), F(0), F(0)))
     assert not FAMILY.valid((1, -1, 0))
-    assert _e(*PARAMS_GRID[1]) == sum(PARAMS_GRID[1])
+    assert FAMILY.view(*PARAMS_GRID[1]).e == sum(PARAMS_GRID[1])
     assert FAMILY.valid((1, 2, 3))
 
 
@@ -119,15 +121,58 @@ def test_orthogonality_of_distinct_members():
 
 def test_operator_descriptors():
     idx = (2, 1, 3)
-    al, be, ga, de, a, b = PARAMS_GRID[1]
-    op = THEOREM1["O10"].operator(*idx, *PARAMS_GRID[1])
+    p = FAMILY.view(*PARAMS_GRID[1])
+    al, be, ga, de, a, b = p
+    op = THEOREM1["O10"].operator(*idx, p)
     assert op.cz == ONE and op.c0.is_zero
-    op = THEOREM1["N06"].operator(*idx, *PARAMS_GRID[1])
+    op = THEOREM1["N06"].operator(*idx, p)
     assert op.denom == ONE_MINUS_XY
     assert op.c0 == ONE_MINUS_XY.scale(be) + Y.scale(3)
     assert op.cy == Y * ONE_MINUS_XY and op.cz == -(Y * Z)
-    op = THEOREM1["O60p"].operator(*idx, *PARAMS_GRID[1])
+    op = THEOREM1["O60p"].operator(*idx, p)
     assert op.c0 == MPoly.const(de) and op.cz == -ONE_MINUS_XYZ
+
+
+def _shifted_rows(row):
+    """`row` and every row that its shifts, and theirs, have reached."""
+    rows, stack = [], [row]
+    while stack:
+        r = stack.pop()
+        if all(r is not seen for seen in rows):
+            rows.append(r)
+            stack.extend(r.shift(d) for d in r._shifts)
+    return rows
+
+
+def test_row_view_and_e_are_built_once_per_row(monkeypatch):
+    evaluations = []
+    sum_e = Params.__dict__["e"].func  # the function that Params caches as e
+
+    def counting_e(view):
+        evaluations.append(view)
+        return sum_e(view)
+
+    e = cached_property(counting_e)
+    e.__set_name__(Params, "e")
+    monkeypatch.setattr(Params, "e", e)
+    row = FAMILY.params(PARAMS_GRID[1])
+    view, shifted = row.derive(FAMILY.view), row.shift((1,) * 6)
+    assert row.derive(FAMILY.view) is view
+    assert shifted.derive(FAMILY.view) is shifted.derive(FAMILY.view)
+    for idx in indices(2):
+        for op in THEOREM1:
+            verify_theorem1(op, idx, row)
+        for key in SECOND_ORDER_3D:
+            verify_second_order_3d(key, idx, row)
+        for which in PDE_3D:
+            pde_residual_3d(which, idx, row)
+    # Every line that reads p.e ran at each of these indices, yet e was
+    # summed at most once per row: only on the view cached on a row that
+    # the checks reached, never on a view built again.
+    views = [r.derive(FAMILY.view) for r in _shifted_rows(row)]
+    assert 1 < len(evaluations) <= len(views)
+    assert all(any(v is w for w in views) for v in evaluations)
+    assert view.e == sum(PARAMS_GRID[1])
 
 
 def test_theorem1_spot_examples():
@@ -203,7 +248,7 @@ def test_reduced_equation_drift_coefficient():
     from simplexpoly.simplex3d import _t1_coeffs
 
     al, be, ga, de = F(1, 3), F(-1, 2), F(1), F(2)
-    coeffs = _t1_coeffs(2, 1, 0, al, be, ga, de, F(0), F(0))
+    coeffs = _t1_coeffs(2, 1, 0, FAMILY.view(al, be, ga, de, F(0), F(0)))
     expected = (MPoly.const(be + 1) - Y.scale(al + be + ga + de + 4)) * (
         ONE_MINUS_X * ONE_MINUS_XY
     )

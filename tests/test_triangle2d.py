@@ -90,12 +90,12 @@ def test_orthogonality_of_distinct_members():
 
 
 def test_operator_descriptors():
-    a, b, c, d = F(1, 3), F(1), F(-1, 2), F(2)
-    op = SPARSE_2D["M01"].operator(3, 2, a, b, c, d)
+    p = FAMILY.view(F(1, 3), F(1), F(-1, 2), F(2))
+    op = SPARSE_2D["M01"].operator(3, 2, p)
     assert op.cy == ONE and op.c0.is_zero
-    op = SPARSE_2D["M06"].operator(3, 2, a, b, c, d)
-    assert op.c0 == MPoly.const(b) and op.cy == Y
-    op = SPARSE_2D["M40p"].operator(3, 2, a, b, c, d)
+    op = SPARSE_2D["M06"].operator(3, 2, p)
+    assert op.c0 == MPoly.const(p.b) and op.cy == Y
+    op = SPARSE_2D["M40p"].operator(3, 2, p)
     assert op.denom == ONE_MINUS_X
     assert op.c0 == MPoly.const(2) - ONE_MINUS_X.scale(3)
     assert op.cx == X * ONE_MINUS_X and op.cy == -(X * Y)
