@@ -137,12 +137,20 @@ def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
     which is how the inner Jacobi factors of the triangle and tetrahedron
     families become honest polynomials.
     """
+    degree = q.degree("x")
+    if degree > power:
+        raise ValueError(f"degree {degree} above the lift power {power}")
+    num_powers, cof_powers = [ONE], [ONE]
+    for _ in range(degree):
+        num_powers.append(num_powers[-1] * num)
+    for _ in range(power):
+        cof_powers.append(cof_powers[-1] * cof)
     out = ZERO
-    for j in range(q.degree("x") + 1):
+    for j in range(degree + 1):
         qj = q.coeff(j, 0, 0)
         if qj == 0:
             continue
-        out = out + (num**j * cof ** (power - j)).scale(qj)
+        out = out + (num_powers[j] * cof_powers[power - j]).scale(qj)
     return out
 
 

@@ -21,10 +21,11 @@ incremented independently (`Params.e` sums e once per row).
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from operator import index
 from typing import Callable, Tuple
 
@@ -56,7 +57,7 @@ from .ratpoly import (
     ZERO,
     _as_fraction,
 )
-from .special import PoleHit, factorial, gamma_ratio, hyper3f2_unit, pochhammer
+from .special import PoleHit, _hyper3f2_integers, _rising, factorial, gamma_ratio, pochhammer
 from .jacobi1d import (
     collapsed_exponents,
     collapsed_member,
@@ -560,12 +561,16 @@ class ConnectionExpansion:
     terms: Tuple[ConnectionTerm, ...]
 
     def reassemble(self) -> MPoly:
-        total = ZERO
+        """The sum of coeff * member * (1-x)^p (1-x-y)^q over the terms; the
+        members that share a monomial factor are summed before it
+        multiplies them, once."""
+        parts = {}
         for t in self.terms:
-            member = FAMILY.member(t.index, self.target_params)
-            factor = ONE_MINUS_X**t.pow_1x * ONE_MINUS_XY**t.pow_1xy
-            total = total + (member * factor).scale(t.coeff)
-        return total
+            term = FAMILY.member(t.index, self.target_params).scale(t.coeff)
+            key = (t.pow_1x, t.pow_1xy)
+            parts[key] = parts[key] + term if key in parts else term
+        return sum((part * (ONE_MINUS_X**p * ONE_MINUS_XY**q)
+                    for (p, q), part in parts.items()), ZERO)
 
     def verify(self) -> bool:
         return self.reassemble() == FAMILY.member(self.source_index, self.source_params)
@@ -603,22 +608,39 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     return ConnectionExpansion((n1, n2, n3), params, target_params, tuple(terms))
 
 
+# Entries of the 1-D connection coefficient cache.  Each holds one
+# Fraction; the full shipped sweep asks for about 800 distinct ones.
+CONN1D_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=CONN1D_CACHE_SIZE)
 def _conn1d_coeff(n, k, pa, pb, qa, qb) -> Fraction:
     """Coefficient of the degree-k target in the expansion of a degree-n
-    Jacobi factor with parameters (pa, pb) over the family (qa, qb)."""
-    lead = (
-        pochhammer(k + pa + 1, n - k)
-        * pochhammer(n + pa + pb + 1, k)
-        / (factorial(n - k) * pochhammer(k + qa + qb + 1, k))
-    )
-    f32 = hyper3f2_unit(
+    Jacobi factor with parameters (pa, pb) over the family (qa, qb):
+
+        (k+pa+1)_(n-k) (n+pa+pb+1)_k / ((n-k)! (k+qa+qb+1)_k)
+          * 3F2(k-n, n+k+pa+pb+1, k+qa+1; 2k+qa+qb+2, k+pa+1; 1).
+
+    Over the common denominator den of the four parameters every argument
+    is an integer over den, so the value is built on integers and made a
+    Fraction once."""
+    den = math.lcm(pa.denominator, pb.denominator, qa.denominator, qb.denominator)
+    pa, pb, qa, qb = (v.numerator * (den // v.denominator) for v in (pa, pb, qa, qb))
+    upper = _rising(k * den + pa + den, den, n - k) * _rising(n * den + pa + pb + den, den, k)
+    lower = den ** (n - k) * math.factorial(n - k) * _rising(k * den + qa + qb + den, den, k)
+    if lower == 0:
+        # The text the Fraction form of this quotient raised: its division
+        # cancels the upper product against 0 down to its sign.
+        raise ZeroDivisionError(f"Fraction({(upper > 0) - (upper < 0)}, 0)")
+    f32_num, f32_den = _hyper3f2_integers(
         n - k,
-        n + k + pa + pb + 1,
-        k + qa + 1,
-        2 * k + qa + qb + 2,
-        k + pa + 1,
+        (n + k + 1) * den + pa + pb,
+        (k + 1) * den + qa,
+        (2 * k + 2) * den + qa + qb,
+        (k + 1) * den + pa,
+        den,
     )
-    return lead * f32
+    return Fraction(upper * f32_num, lower * f32_den)
 
 
 def connect_general(idx, p, target) -> ConnectionExpansion:

@@ -7,6 +7,11 @@ appear per se; each gamma quotient used by the norm and connection
 formulas has an integer offset between numerator and denominator and is
 reduced to a rising factorial.  Terminating series are accumulated with
 running term ratios, never with precomputed factorial tables.
+
+The scalar kernels run on integers: with lam = N/D, the rising factorial
+(lam)_n is prod(N + i D) / D^n, and the 3F2 sum puts its four rational
+parameters over one denominator L, so each term ratio is a quotient of
+integer products.  Each kernel makes one Fraction, at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .ratpoly import MPoly, _as_fraction
+from .ratpoly import MPoly, _as_fraction, _ratio
 
 Scalar = Union[int, Fraction]
 
@@ -24,15 +29,20 @@ class PoleHit(ArithmeticError):
     """A zero factor appeared in a denominator position."""
 
 
+def _rising(num: int, den: int, n: int) -> int:
+    """den^n (num/den)_n = prod(num + i den), i < n, an integer."""
+    out = 1
+    for i in range(n):
+        out *= num + i * den
+    return out
+
+
 def pochhammer(lam: Scalar, n: int) -> Fraction:
     """Rising factorial lam*(lam+1)*...*(lam+n-1), with (lam)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer order must be >= 0")
-    lam = _as_fraction(lam)
-    out = Fraction(1)
-    for i in range(n):
-        out *= lam + i
-    return out
+    num, den = _ratio(lam)
+    return Fraction(_rising(num, den, n), den**n)
 
 
 def gamma_ratio(base: Scalar, offset: int) -> Fraction:
@@ -42,13 +52,13 @@ def gamma_ratio(base: Scalar, offset: int) -> Fraction:
     1/(base+offset)_(-offset).  Raises PoleHit when a factor in the
     denominator position vanishes.
     """
-    base = _as_fraction(base)
     if offset >= 0:
         return pochhammer(base, offset)
-    denom = pochhammer(base + offset, -offset)
+    num, den = _ratio(base)
+    denom = _rising(num + offset * den, den, -offset)
     if denom == 0:
-        raise PoleHit(f"gamma ratio pole at base={base}, offset={offset}")
-    return 1 / denom
+        raise PoleHit(f"gamma ratio pole at base={Fraction(num, den)}, offset={offset}")
+    return Fraction(den**-offset, denom)
 
 
 def factorial(n: int) -> Fraction:
@@ -81,18 +91,29 @@ def hyper2f1_terminating(n: int, b: Scalar, c: Scalar, x: MPoly) -> MPoly:
     return total
 
 
+def _hyper3f2_integers(n: int, a2: int, a3: int, b1: int, b2: int, den: int):
+    """3F2(-n, a2/den, a3/den; b1/den, b2/den; 1) as an integer pair
+    (numerator, denominator), the denominator not reduced."""
+    # The sum is total/term_den; the term is term/term_den, and each ratio
+    # (m-n)(a2+m)(a3+m) / ((b1+m)(b2+m)(m+1)) has its den^2 cancelled.
+    total = term = term_den = 1
+    for m in range(n):
+        lower = (b1 + m * den) * (b2 + m * den)
+        if lower == 0:
+            raise PoleHit(f"3F2 pole in lower parameter at m={m}")
+        step = lower * (m + 1)
+        term *= (m - n) * (a2 + m * den) * (a3 + m * den)
+        total = total * step + term
+        term_den *= step
+        if term == 0:
+            break
+    return total, term_den
+
+
 def hyper3f2_unit(n: int, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar) -> Fraction:
     """3F2(-n, a2, a3; b1, b2; 1), terminating after n+1 terms."""
     if n < 0:
         raise ValueError("series order must be >= 0")
-    a2, a3, b1, b2 = map(_as_fraction, (a2, a3, b1, b2))
-    total = Fraction(1)
-    term = Fraction(1)
-    for m in range(n):
-        if b1 + m == 0 or b2 + m == 0:
-            raise PoleHit(f"3F2 pole in lower parameter at m={m}")
-        term *= Fraction(-n + m) * (a2 + m) * (a3 + m) / ((b1 + m) * (b2 + m) * (m + 1))
-        total += term
-        if term == 0:
-            break
-    return total
+    ratios = [_ratio(v) for v in (a2, a3, b1, b2)]
+    den = math.lcm(*(d for _, d in ratios))
+    return Fraction(*_hyper3f2_integers(n, *(num * (den // d) for num, d in ratios), den))

@@ -45,7 +45,7 @@ def config_int(value, key: str, low: int = None, high: int = None) -> int:
     """The config value of `key`, refused (ValueError) unless it is a JSON
     integer within [low, high]: 5.5, "5" and true are not read as 5 or 1."""
     if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
     if low is not None and value < low:
         raise ValueError(f"{key} must be at least {low}, got {value}")
     if high is not None and value > high:
@@ -58,7 +58,7 @@ def config_row(values, key: str, count: int = None) -> Row:
     given; ConfigError unless it is a JSON list of integers and 'num/den'
     strings (a float or true is refused)."""
     if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list, got {values!r}")
+        raise ConfigError(f"{key} must be a list, got {json.dumps(values)}")
     try:
         return as_tuple(values, len(values) if count is None else count)
     except TypeError as exc:
@@ -68,7 +68,7 @@ def config_row(values, key: str, count: int = None) -> Row:
 def parse_grid(rows, arity: int, key: str = "params") -> List[Row]:
     """The config rows of `key`, each a Row of `arity` parameters."""
     if not isinstance(rows, list):
-        raise ConfigError(f"{key} must be a list of rows, got {rows!r}")
+        raise ConfigError(f"{key} must be a list of rows, got {json.dumps(rows)}")
     return [config_row(row, key, arity) for row in rows]
 
 
@@ -77,10 +77,11 @@ def _filter(relations, selection, key: str):
         return list(relations)
     if not (isinstance(selection, list) and selection
             and all(isinstance(r, str) for r in selection)):
-        raise ConfigError(f'{key} must be "all" or a non-empty list of ids, got {selection!r}')
+        raise ConfigError(f'{key} must be "all" or a non-empty list of ids, '
+                          f'got {json.dumps(selection)}')
     unknown = set(selection) - set(relations)
     if unknown:
-        raise ConfigError(f"{key}: unknown relation ids: {sorted(unknown)}")
+        raise ConfigError(f"{key}: unknown relation ids: {json.dumps(sorted(unknown))}")
     return [r for r in relations if r in selection]
 
 
@@ -97,7 +98,7 @@ def _section(value, path: str, required, optional=()) -> dict:
             raise ConfigError(f"config is missing {path}.{key}")
     unread = sorted(set(value).difference(required, optional))
     if unread:
-        raise ConfigError(f"config section {path} takes no key {unread[0]!r}; it reads "
+        raise ConfigError(f"config section {path} takes no key {json.dumps(unread[0])}; it reads "
                           + ", ".join(sorted({*required, *optional})))
     return value
 

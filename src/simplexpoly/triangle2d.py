@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from operator import index
 
 from .operators import (
@@ -92,23 +93,42 @@ def classical_triangle_poly_raw(n, k, a, b, c) -> MPoly:
 
 
 def classical_jacobi_shifted(m: int, big_a: Fraction, big_b: Fraction) -> MPoly:
-    """Classical Jacobi polynomial by three-term recurrence, mapped to (0,1)."""
+    """Classical Jacobi polynomial by three-term recurrence, mapped to (0,1).
+
+    With A = NA/L and B = NB/L, every recurrence coefficient times L^3 is
+    an integer, so the members in t = 2x - 1 are integer coefficient lists
+    over one running denominator; t is substituted once, at the end.
+    """
     big_a = Fraction(big_a)
     big_b = Fraction(big_b)
-    t = X.scale(2) - 1
-    prev = ONE
     if m == 0:
-        return prev
-    cur = t.scale(Fraction(big_a + big_b + 2, 2)) + Fraction(big_a - big_b, 2)
+        return ONE
+    den = lcm(big_a.denominator, big_b.denominator)
+    na = big_a.numerator * (den // big_a.denominator)
+    nb = big_b.numerator * (den // big_b.denominator)
+    # prev and cur over the running denominator `scale`, lowest power first.
+    prev, cur, scale = [2 * den], [na - nb, na + nb + 2 * den], 2 * den
     for j in range(1, m):
-        s = 2 * j + big_a + big_b
-        a1 = 2 * (j + 1) * (j + big_a + big_b + 1) * s
-        a2 = (s + 1) * (big_a**2 - big_b**2)
-        a3 = s * (s + 1) * (s + 2)
-        a4 = 2 * (j + big_a) * (j + big_b) * (s + 2)
-        nxt = (t.scale(a3) + a2) * cur - prev.scale(a4)
-        prev, cur = cur, nxt.scale(Fraction(1, a1))
-    return cur
+        s = 2 * j * den + na + nb
+        a1 = 2 * (j + 1) * (j * den + na + nb + den) * s * den
+        a2 = (s + den) * (na**2 - nb**2)
+        a3 = s * (s + den) * (s + 2 * den)
+        a4 = 2 * (j * den + na) * (j * den + nb) * (s + 2 * den)
+        if a1 == 0:
+            # The text the Fraction form of this recurrence raised.
+            raise ZeroDivisionError("Fraction(1, 0)")
+        nxt = [a2 * c for c in cur] + [0]
+        for i, c in enumerate(cur):
+            nxt[i + 1] += a3 * c
+        for i, c in enumerate(prev):
+            nxt[i] -= a4 * c
+        prev, cur, scale = [a1 * c for c in cur], nxt, scale * a1
+    # Horner's rule in t = 2x - 1 on the integer coefficients.
+    coeffs = []
+    for c in reversed(cur):
+        coeffs = [2 * below - at for below, at in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c
+    return MPoly({(i, 0, 0): Fraction(c, scale) for i, c in enumerate(coeffs)})
 
 
 def _d0(a, b, c):

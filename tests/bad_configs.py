@@ -70,16 +70,19 @@ BAD_CONFIGS = {
     "relations-in-three-term": ("three-term", _set(("suites", "three-term", "relations"),
                                                    ["three-term.x"]), "suites.three-term"),
     # A selection is "all" or a non-empty list of ids: an empty or false
-    # one would otherwise select every relation.
+    # one would otherwise select every relation.  The error shows the value
+    # as the config's JSON text: null, not None.
     **{f"relations-{name}": ("ladder1d", _set(("suites", "ladder1d", "relations"), value),
-                             "suites.ladder1d.relations")
-       for name, value in (("empty-list", []), ("zero", 0), ("false", False),
-                           ("null", None), ("empty-string", ""), ("empty-object", {}))},
+                             'suites.ladder1d.relations must be "all" or a non-empty list '
+                             f"of ids, got {text}")
+       for name, value, text in (("empty-list", [], "[]"), ("zero", 0, "0"),
+                                 ("false", False, "false"), ("null", None, "null"),
+                                 ("empty-string", "", '""'), ("empty-object", {}, "{}"))},
     "relations-unknown-id": ("ladder1d", _set(("suites", "ladder1d", "relations"), ["L7"]),
-                             "suites.ladder1d.relations"),
+                             'suites.ladder1d.relations: unknown relation ids: ["L7"]'),
     # A key that nothing reads is refused: misspelt, it would be ignored.
     "relation-misspelt": ("ladder1d", _set(("suites", "ladder1d", "relation"), ["L1"]),
-                          "suites.ladder1d"),
+                          'config section suites.ladder1d takes no key "relation"'),
     "unread-key-in-subsection": ("second-order", _set(
         ("suites", "second-order", "oned", "monic_degree"), 2), "suites.second-order.oned"),
     "unread-key-in-section": ("pde", _set(("suites", "pde", "degree"), 2), "suites.pde"),

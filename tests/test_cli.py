@@ -275,6 +275,8 @@ def test_config_count_not_an_admissible_integer(suite, path, value, tmp_path, ca
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {'.'.join(path)} must be")
+    # The value as the config's JSON text: true and "3", not True and '3'.
+    assert err[0].endswith(f", got {json.dumps(value)}")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -1,14 +1,21 @@
 """Connection expansions between parameter families."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from simplexpoly.simplex3d import (
+    _conn1d_coeff,
     connect_alpha,
     connect_general,
     simplex_poly_raw,
 )
+from simplexpoly.special import PoleHit
+
+from oracles import hyper3f2_series, rising
 
 F = Fraction
 
@@ -102,3 +109,49 @@ def test_expansion_coefficients_are_exact_fractions():
     exp = connect_general((1, 1, 1), PARAMS_GRID[1], TARGETS[1])
     assert all(isinstance(t.coeff, F) for t in exp.terms)
     assert exp.reassemble() == simplex_poly_raw(1, 1, 1, *PARAMS_GRID[1])
+
+
+def _conn1d_by_fractions(n, k, pa, pb, qa, qb):
+    """The 1-D connection coefficient as a Fraction product, with the 3F2
+    summed by the factorial series."""
+    lead = (rising(k + pa + 1, n - k) * rising(n + pa + pb + 1, k)
+            / (math.factorial(n - k) * rising(k + qa + qb + 1, k)))
+    return lead * hyper3f2_series(n - k, n + k + pa + pb + 1, k + qa + 1, 2 * k + qa + qb + 2,
+                                  k + pa + 1)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PoleHit, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+mixed = st.one_of(st.integers(-5, 5).map(F),
+                  st.builds(F, st.integers(-15, 15), st.sampled_from([2, 3, 4, 6])))
+
+
+# The integer coefficient against the Fraction formula, on parameters that
+# mix denominators and reach the zeros of (k+qa+qb+1)_k, which both refuse
+# with the same ZeroDivisionError text.  The 3F2's own poles are left to
+# tests/test_special.py: its running-ratio sum stops at a zero term, and the
+# factorial series does not.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), mixed, mixed, mixed, mixed)
+def test_conn1d_coeff_matches_fraction_formula(n, k, pa, pb, qa, qb):
+    k = min(k, n)
+    if rising(k + qa + qb + 1, k) != 0 and any(
+            2 * k + qa + qb + 2 + m == 0 or k + pa + 1 + m == 0 for m in range(n - k)):
+        return
+    got = _outcome(_conn1d_coeff, n, k, pa, pb, qa, qb)
+    assert got == _outcome(_conn1d_by_fractions, n, k, pa, pb, qa, qb)
+    assert isinstance(got, tuple) or type(got) is F
+
+
+def test_conn1d_coeff_zero_lower_pochhammer_text():
+    # (k + qa + qb + 1)_k = (1/2 - 3/2)(...) = 0 at k = 1.
+    with pytest.raises(ZeroDivisionError) as fractions_hit:
+        _conn1d_by_fractions(2, 1, F(1, 3), F(1, 2), F(-1, 2), F(-3, 2))
+    with pytest.raises(ZeroDivisionError) as integers_hit:
+        _conn1d_coeff(2, 1, F(1, 3), F(1, 2), F(-1, 2), F(-3, 2))
+    assert str(integers_hit.value) == str(fractions_hit.value)

@@ -94,10 +94,13 @@ def test_bad_late_section_is_refused_before_any_suite_runs(tiny_config, tmp_path
 
 @pytest.mark.parametrize("path, value", [
     (("suites", "three-term", "degree"), 5.5),
+    (("suites", "three-term", "degree"), True),
+    (("suites", "three-term", "degree"), "3"),
     (("suites", "pde", "monic_degree"), True),
     (("suites", "ladder1d", "degree"), sweeps.MAX_DEGREE + 1),
     (("jobs",), 1.5),
-], ids=["degree-float", "monic-degree-bool", "degree-past-cap", "jobs-float"])
+], ids=["degree-float", "degree-bool", "degree-string", "monic-degree-bool", "degree-past-cap",
+        "jobs-float"])
 def test_config_count_not_an_admissible_integer(path, value, tiny_config, tmp_path, capsys):
     config = json.loads(Path(tiny_config).read_text())
     section = config
@@ -114,6 +117,8 @@ def test_config_count_not_an_admissible_integer(path, value, tiny_config, tmp_pa
     assert list(out.iterdir()) == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {'.'.join(path)} must be")
+    # The value as the config's JSON text: true and "3", not True and '3'.
+    assert err[0].endswith(f", got {json.dumps(value)}")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -15,7 +15,7 @@ from simplexpoly.special import (
     pochhammer,
 )
 
-from oracles import hyper2f1_series, hyper3f2_series
+from oracles import hyper2f1_series, hyper3f2_series, rising
 
 F = Fraction
 
@@ -118,9 +118,71 @@ def test_3f2_reduces_to_2f1_when_parameters_cancel(n, a2, a3, b1):
     assert lhs == rhs
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 5), rationals, rationals, rationals, rationals)
+
+
+# The integer kernels against the Fraction oracles, on arguments that mix
+# denominators (thirds with halves), negative values and plain ints.
+mixed = st.one_of(
+    st.integers(-6, 6),
+    st.builds(F, st.integers(-20, 20), st.sampled_from([2, 3, 6])),
+    rationals,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed, st.integers(0, 9))
+def test_pochhammer_matches_rising_oracle(lam, n):
+    out = pochhammer(lam, n)
+    assert type(out) is F and out == rising(lam, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed, st.integers(-8, 8))
+def test_gamma_ratio_matches_rising_oracle(base, offset):
+    if offset >= 0:
+        expected = rising(base, offset)
+    else:
+        denom = rising(F(base) + offset, -offset)
+        if denom == 0:
+            with pytest.raises(PoleHit) as hit:
+                gamma_ratio(base, offset)
+            assert str(hit.value) == f"gamma ratio pole at base={F(base)}, offset={offset}"
+            return
+        expected = 1 / denom
+    out = gamma_ratio(base, offset)
+    assert type(out) is F and out == expected
+
+
+def _first_pole(n, a2, a3, b1, b2):
+    """The m at which the running-ratio sum meets a zero lower parameter,
+    or None: the sum stops after the first term whose upper factor
+    a2 + m or a3 + m vanishes."""
+    for m in range(n):
+        if b1 + m == 0 or b2 + m == 0:
+            return m
+        if a2 + m == 0 or a3 + m == 0:
+            return None
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), mixed, mixed, mixed, mixed)
 def test_3f2_matches_series_oracle(n, a2, a3, b1, b2):
-    if any((b1 + m) == 0 or (b2 + m) == 0 for m in range(n)):
+    pole = _first_pole(n, a2, a3, b1, b2)
+    if pole is not None:
+        with pytest.raises(PoleHit) as hit:
+            hyper3f2_unit(n, a2, a3, b1, b2)
+        assert str(hit.value) == f"3F2 pole in lower parameter at m={pole}"
         return
-    assert hyper3f2_unit(n, a2, a3, b1, b2) == hyper3f2_series(n, a2, a3, b1, b2)
+    if any(b1 + m == 0 or b2 + m == 0 for m in range(n)):
+        return  # a pole past a zero term, where the oracle divides by 0
+    out = hyper3f2_unit(n, a2, a3, b1, b2)
+    assert type(out) is F and out == hyper3f2_series(n, a2, a3, b1, b2)
+
+
+def test_3f2_pole_past_a_zero_term_is_not_reached():
+    # a3 + 1 = 0 ends the sum at m = 1, before b1 + 2 = 0 at m = 2.
+    assert hyper3f2_unit(4, F(1, 2), -1, -2, F(1, 3)) == -2
+    with pytest.raises(PoleHit) as hit:
+        hyper3f2_unit(4, F(1, 2), F(-5, 2), -2, F(1, 3))
+    assert str(hit.value) == "3F2 pole in lower parameter at m=2"

@@ -11,6 +11,7 @@ from simplexpoly.triangle2d import (
     FAMILY,
     SECOND_ORDER_2D,
     SPARSE_2D,
+    classical_jacobi_shifted,
     classical_triangle_poly_raw,
     monic_triangle,
     pde_residual,
@@ -22,7 +23,7 @@ from simplexpoly.triangle2d import (
     verify_second_order_m,
 )
 
-from oracles import integrate_triangle, triangle_weighted_mean
+from oracles import integrate_triangle, jacobi_shifted_by_recurrence, triangle_weighted_mean
 
 F = Fraction
 
@@ -183,3 +184,35 @@ def test_monic_satisfies_equation_with_unit_lead(params):
         m = monic_triangle(idx, params)
         assert m.coeff(n - k, k, 0) == 1
         assert pde_residual("B1", idx, params, m).is_zero
+
+
+def _outcome(build, m, big_a, big_b):
+    try:
+        return build(m, big_a, big_b)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+# The integer recurrence against the MPoly one it replaced: equal members,
+# and ZeroDivisionError from both, with the same text (a failing sample's
+# report shows it), where a1 = 2(j+1)(j+A+B+1)(2j+A+B) vanishes for some
+# 1 <= j < m, that is where A + B is an integer from 2 - 2m to -2.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8),
+       st.builds(F, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4])),
+       st.builds(F, st.integers(-20, 20), st.sampled_from([1, 3, 5, 6])))
+def test_classical_jacobi_shifted_matches_mpoly_recurrence(m, big_a, big_b):
+    assert _outcome(classical_jacobi_shifted, m, big_a, big_b) == _outcome(
+        jacobi_shifted_by_recurrence, m, big_a, big_b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.builds(F, st.integers(-20, 20), st.sampled_from([1, 3, 4])),
+       st.integers(2, 14))
+def test_classical_jacobi_shifted_raises_where_a1_vanishes(m, big_a, s):
+    # A + B = -s: 2j + A + B vanishes at j = s/2, j + A + B + 1 at j = s - 1.
+    big_b = -s - big_a
+    vanishes = s - 1 < m or (s % 2 == 0 and s // 2 < m)
+    outcome = _outcome(classical_jacobi_shifted, m, big_a, big_b)
+    assert outcome == _outcome(jacobi_shifted_by_recurrence, m, big_a, big_b)
+    assert isinstance(outcome, tuple) == vanishes
