@@ -20,7 +20,6 @@ L^n n! c_m and divided by L^n n! once, at the end.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from operator import index, mul
@@ -33,6 +32,7 @@ from .operators import (
     as_tuple,
     verify_composition,
     verify_sparse,
+    view_type,
 )
 from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, X_ONE_MINUS_X, Y, Z, ZERO
 from .special import factorial, gamma_ratio, pochhammer
@@ -310,7 +310,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("a", "b"),
-    view=namedtuple("Params", "a b"),
+    view=view_type("Params", "a b"),
     index=lambda n: (index(n),),
     # The row (a, b) is the one axis's base pair.
     build=lambda idx, row: collapsed_member((row,), idx),

@@ -15,13 +15,14 @@ index domain and tables, and `verify_sparse`, `verify_composition` and
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
-from .ratpoly import MPoly, ONE, ZERO, _as_fraction
+from .ratpoly import MPoly, ONE, ZERO, _as_fraction, as_rat
 
 PASS = "pass"
 FAIL = "fail"
@@ -77,6 +78,19 @@ class Row(tuple):
             return out
 
 
+def view_type(typename: str, field_names: str) -> type:
+    """The named view of a family's parameter rows: a namedtuple class
+    whose entries are converted to `Rat` as it is built, view(*row), so
+    every table line computes on the lean rational.  Row.derive builds it
+    once per row; the Row itself keeps its Fractions."""
+    base = namedtuple(typename, field_names)
+
+    def __new__(cls, *row):
+        return tuple.__new__(cls, map(as_rat, row))
+
+    return type(typename, (base,), {"__slots__": (), "__new__": __new__})
+
+
 def as_tuple(values, count: int, convert=_as_fraction) -> tuple:
     """The one conversion into the exact path: a sequence of `count`
     values as a tuple.  Parameters go through `_as_fraction`, which
@@ -104,7 +118,17 @@ class DiffOperator:
     denom: MPoly = ONE
 
     def apply(self, u: MPoly) -> MPoly:
+        return self.divide(self.numerator(u))
+
+    def numerator(self, u: MPoly) -> MPoly:
+        """c0*u + cx*u_x + cy*u_y + cz*u_z, not yet divided.  Raises, as
+        `apply` does, on a denominator that `div_exact` cannot divide by."""
         num = u.apply_derivatives({"": self.c0, "x": self.cx, "y": self.cy, "z": self.cz})
+        self.denom.divisor_degree()
+        return num
+
+    def divide(self, num: MPoly) -> MPoly:
+        """The numerator `num` over the denominator, exactly."""
         if self.denom == ONE:
             return num
         return num.div_exact(self.denom)
@@ -274,6 +298,21 @@ def report_equality(
     )
 
 
+def _report_multiple(relation, index, params, operator: DiffOperator, num: MPoly,
+                     target: MPoly, scale, *, applicable: bool = True,
+                     detail: str = None) -> VerificationReport:
+    """`report_equality` of operator.divide(num) against target.scale(scale).
+    The identity is checked as num == scale * denom * target, by
+    cross-multiplication; only a failing sample divides and scales, to
+    report both sides and their difference."""
+    denom = operator.denom
+    if num.is_multiple(target if denom == ONE else target * denom, scale):
+        status = PASS if applicable else NOT_APPLICABLE
+        return VerificationReport(relation, tuple(index), params, status, detail=detail)
+    return report_equality(relation, index, params, operator.divide(num), target.scale(scale),
+                           applicable=applicable, detail=detail)
+
+
 def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
     """Check one sparse relation as an exact polynomial identity.
 
@@ -285,12 +324,18 @@ def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
     rel = family.sparse[op]
     p = params.derive(family.view)
     u = family.member(idx, params)
-    lhs = rel.operator(*idx, p).apply(u)
+    operator = rel.operator(*idx, p)
+    num = operator.numerator(u)
     idx2, params2 = rel.shifted(idx, params)
     if not family.valid(idx2):
-        return report_equality(op, idx, params, lhs, ZERO, applicable=False)
-    rhs = family.member(idx2, params2).scale(rel.scale(*idx, p))
-    return report_equality(op, idx, params, lhs, rhs)
+        return _report_multiple(op, idx, params, operator, num, ZERO, 1, applicable=False)
+    try:
+        scale, target = rel.scale(*idx, p), family.member(idx2, params2)
+    except Exception:
+        # The division used to come first: an error of its own wins.
+        operator.divide(num)
+        raise
+    return _report_multiple(op, idx, params, operator, num, target, scale)
 
 
 def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationReport:
@@ -313,14 +358,15 @@ def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationRep
     v = inner.operator(*idx0, p0).apply(u)
     idx1, params1 = inner.shifted(idx0, params0)
     p1 = params1.derive(family.view)
-    lhs = outer.operator(*idx1, p1).apply(v)
+    operator = outer.operator(*idx1, p1)
+    num = operator.numerator(v)
     detail = None
     if family.valid(idx1):
         product = inner.scale(*idx0, p0) * outer.scale(*idx1, p1)
         if product != eig:
             detail = f"scale product {product} != tabulated eigenvalue {eig}"
-    return report_equality(
-        entry_id, idx, params, lhs, u.scale(eig), detail=detail,
+    return _report_multiple(
+        entry_id, idx, params, operator, num, u, eig, detail=detail,
         applicable=family.zero_operand_applicable or not u.is_zero,
     )
 

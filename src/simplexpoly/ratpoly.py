@@ -33,10 +33,20 @@ and the differential-equation residuals (`operators.residual`) both call
 it, and it accumulates all the products into one integer map with one
 gcd at the end.
 
+An identity u == c * v between polynomials is decided by
+`u.is_multiple(v, c)` on the integer numerators, by cross-multiplication,
+without forming c * v in canonical form; the ladder checks in `operators`
+compare the undivided operator image with scale * denominator * target
+this way and divide only to print a failing sample.
+
 The interface speaks exponent triples (i, j, k) and Fractions: `terms`,
 `coeff`, `constant` and `evaluate` return Fractions, the constructor and
 `scale` take ints or Fractions, and a float coefficient is refused with
 TypeError, as is a negative exponent or one above 511 with ValueError.
+The table lines compute their scalars on `Rat`, a Fraction whose +, - and
+* with an int or another Rat run on ints alone (Knuth, TAOCP Vol. 2,
+section 4.5.1) and skip Fraction's generic dispatch and constructor; it
+equals, hashes, prints and pickles as the Fraction of the same value.
 `MPoly.eval_float` sums the monomials in floating point; the Gram matrices
 in `quadrature` do not use it, since that sum cancels as the degree grows,
 and evaluate members factor by factor.
@@ -137,8 +147,92 @@ def _ratio(v: Scalar) -> Tuple[int, int]:
     """(numerator, denominator) of a scalar, the denominator positive."""
     if type(v) is int:
         return v, 1
+    if type(v) is Rat:
+        return v._numerator, v._denominator
     v = _as_fraction(v)
     return v.numerator, v.denominator
+
+
+class Rat(Fraction):
+    """A Fraction whose +, -, * and unary - run on ints alone.
+
+    With an int or another Rat as the other operand, the result is a Rat
+    made from the two numerator-denominator pairs as in Knuth, TAOCP
+    Vol. 2, section 4.5.1: a sum divides by the gcd of the denominators
+    first and then reduces by the gcd of that and the new numerator only,
+    and a product cancels across (a/b * c/d divides a and d by their gcd,
+    and c and b by theirs).  Every result is in lowest terms with a
+    positive denominator, so `==`, `hash`, `str`, the comparisons and
+    pickling are Fraction's and agree with it.  With any other operand
+    (a Fraction, a float) the operation is Fraction's, result type
+    included; so is every other operation (/, **, abs, ...).
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _rat(a._numerator + b * a._denominator, a._denominator)
+        if type(b) is Rat:
+            return _rat_sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        return Fraction.__add__(a, b)
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return _rat(a._numerator - b * a._denominator, a._denominator)
+        if type(b) is Rat:
+            return _rat_sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _rat(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        if type(b) is int:
+            g = gcd(b, a._denominator)
+            return _rat(a._numerator * (b // g), a._denominator // g)
+        if type(b) is Rat:
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g1, g2 = gcd(na, db), gcd(nb, da)
+            return _rat((na // g1) * (nb // g2), (da // g2) * (db // g1))
+        return Fraction.__mul__(a, b)
+
+    # b + a and b * a are a + b and a * b, result type included.
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+
+def _rat(n: int, d: int) -> Rat:
+    """The Rat n/d, for n/d already in lowest terms and d > 0."""
+    r = object.__new__(Rat)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _rat_sum(na: int, da: int, nb: int, db: int) -> Rat:
+    """na/da + nb/db in lowest terms (Knuth's order of the gcds)."""
+    g = gcd(da, db)
+    if g == 1:
+        return _rat(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _rat(t, s * db)
+    return _rat(t // g2, s * (db // g2))
+
+
+def as_rat(v: Scalar) -> Rat:
+    """`v`, an int or a Fraction, as a Rat equal to it."""
+    if type(v) is Rat:
+        return v
+    return _rat(*_ratio(v))
 
 
 class MPoly:
@@ -364,6 +458,23 @@ class MPoly:
 
     # -- exact division ----------------------------------------------------
 
+    def divisor_degree(self) -> int:
+        """The x-degree of self as the divisor of `div_exact`, 0 for a
+        nonzero constant.  Raises what `div_exact` raises before it divides:
+        ZeroDivisionError for the zero polynomial, and ValueError for a
+        shape it cannot divide by."""
+        dnum = self._num
+        if not dnum:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if len(dnum) == 1 and 0 in dnum:
+            return 0
+        dxdeg = max(e & _FIELD for e in dnum)
+        lead = [e for e in dnum if e & _FIELD == dxdeg]
+        # The key of the pure power x^dxdeg is dxdeg itself.
+        if dxdeg == 0 or lead != [dxdeg]:
+            raise ValueError(f"unsupported divisor shape: {self}")
+        return dxdeg
+
     def div_exact(self, d: "MPoly") -> "MPoly":
         """Exact quotient self / d, raising NonzeroRemainder on failure.
 
@@ -378,15 +489,9 @@ class MPoly:
         multiplies the dividend by a power of it up front.
         """
         dnum = d._num
-        if not dnum:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if len(dnum) == 1 and 0 in dnum:
+        dxdeg = d.divisor_degree()
+        if not dxdeg:
             return self.scale(Fraction(d._den, dnum[0]))
-        dxdeg = max(e & _FIELD for e in dnum)
-        lead = [e for e in dnum if e & _FIELD == dxdeg]
-        # The key of the pure power x^dxdeg is dxdeg itself.
-        if dxdeg == 0 or lead != [dxdeg]:
-            raise ValueError(f"unsupported divisor shape: {d}")
 
         # d = (content / d._den) * prim, with prim an integer polynomial.
         content = gcd(*dnum.values())
@@ -434,6 +539,29 @@ class MPoly:
 
     def __hash__(self) -> int:
         return hash((self._den, frozenset(self._num.items())))
+
+    def is_multiple(self, other: "MPoly", c: Scalar) -> bool:
+        """Whether self == other.scale(c), decided without forming the
+        product: with self = A/a, other = B/b and c = n/d, it holds iff
+        both have the same monomials and A_e * b * d == B_e * n * a at
+        each, the two factors first divided by their gcd."""
+        n, d = _ratio(c)
+        mine, theirs = self._num, other._num
+        if not n or not theirs:
+            return not mine
+        if len(mine) != len(theirs):
+            return False
+        left, right = other._den * d, n * self._den
+        g = gcd(left, right)
+        if g != 1:
+            left //= g
+            right //= g
+        get = theirs.get
+        for e, v in mine.items():
+            w = get(e)
+            if w is None or v * left != w * right:
+                return False
+        return True
 
     def to_text(self) -> str:
         """Canonical textual form: sorted `coeff * x^i y^j z^k` terms.

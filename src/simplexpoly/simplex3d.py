@@ -22,7 +22,6 @@ incremented independently (`Params.e` sums e once per row).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -41,6 +40,7 @@ from .operators import (
     residual,
     verify_composition,
     verify_sparse,
+    view_type,
 )
 from .ratpoly import (
     MPoly,
@@ -69,7 +69,7 @@ from .jacobi1d import (
 from .triangle2d import classical_jacobi_shifted
 
 
-class Params(namedtuple("Params", "al be ga de a b")):
+class Params(view_type("Params", "al be ga de a b")):
     """The named view of a parameter row that every table line reads."""
 
     @cached_property
@@ -430,7 +430,6 @@ _Z_1XY = Z * ONE_MINUS_XY
 
 def _t1_coeffs(n1, n2, n3, p):
     # Cleared by (1-x)(1-x-y).
-    n = n1 + n2 + n3
     s4 = p.al + p.be + p.ga + p.de + 4
     return {
         **_T1_FIXED,
@@ -439,10 +438,16 @@ def _t1_coeffs(n1, n2, n3, p):
               + XY.scale(p.a + p.b) - Y.scale(p.b)) * ONE_MINUS_XY,
         "z": ((MPoly.const(p.ga + 1) - Z.scale(s4)) * _D12
               + _XZ_1XY.scale(p.a + p.b) + _YZ.scale(p.b)),
-        "": (_D12.scale(n * (n + p.e + 3))
-             - ONE_MINUS_XY.scale(p.a * (n2 + n3))
-             - ONE_MINUS_X.scale(n3 * p.b)),
+        "": _t1_u_coeff(n1, n2, n3, p),
     }
+
+
+def _t1_u_coeff(n1, n2, n3, p):
+    # The coefficient of u, the only one of T1 that depends on the index.
+    n = n1 + n2 + n3
+    return (_D12.scale(n * (n + p.e + 3))
+            - ONE_MINUS_XY.scale(p.a * (n2 + n3))
+            - ONE_MINUS_X.scale(n3 * p.b))
 
 
 def _t2_coeffs(n1, n2, n3, p):
@@ -483,7 +488,6 @@ PDE_3D = {"T1": _t1_coeffs, "T2": _t2_coeffs, "T3": _t3_coeffs, "T4": _t4_coeffs
 
 def classical_t1_coeffs(n1, n2, n3, p):
     """The a = b = 0 form of the first equation, cleared by nothing."""
-    n = n1 + n2 + n3
     s = p.al + p.be + p.ga + p.de
     return {
         "xx": X * ONE_MINUS_X,
@@ -495,8 +499,34 @@ def classical_t1_coeffs(n1, n2, n3, p):
         "x": MPoly.const(p.al + 1) - X.scale(s + 4),
         "y": MPoly.const(p.be + 1) - Y.scale(s + 4),
         "z": MPoly.const(p.ga + 1) - Z.scale(s + 4),
-        "": MPoly.const(n * (n + s + 3)),
+        "": classical_t1_u_coeff(n1, n2, n3, p),
     }
+
+
+def classical_t1_u_coeff(n1, n2, n3, p):
+    """The coefficient of u in the classical form, the only one that
+    depends on the index."""
+    n = n1 + n2 + n3
+    s = p.al + p.be + p.ga + p.de
+    return MPoly.const(n * (n + s + 3))
+
+
+def _t1_mismatch(triples):
+    """The first (key, cleared, classical * (1-x)(1-x-y)) of the (key,
+    cleared, classical) coefficient triples whose two sides differ, or None."""
+    for key, coeff, classical in triples:
+        expected = classical * _D12
+        if coeff != expected:
+            return key, coeff, expected
+    return None
+
+
+def _t1_row_mismatch(*row):
+    """`_t1_mismatch` over every coefficient of T1 but u's, which depend on
+    the a = b = 0 row alone; Row.derive computes it once per row."""
+    p = FAMILY.view(*row)
+    cleared, classical = _t1_coeffs(0, 0, 0, p), classical_t1_coeffs(0, 0, 0, p)
+    return _t1_mismatch((key, cleared[key], classical[key]) for key in cleared if key)
 
 
 def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
@@ -512,17 +542,17 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     if rep.status != "pass":
         return rep
     # Coefficient comparison: T1 at a = b = 0 against the classical display
-    # times the same clearing factor (1-x)(1-x-y).
+    # times the same clearing factor (1-x)(1-x-y), u's coefficient last.
     p = params.derive(FAMILY.view)
-    cleared = _t1_coeffs(*idx, p)
-    classical = classical_t1_coeffs(*idx, p)
-    for key, coeff in cleared.items():
-        if coeff != classical[key] * _D12:
-            return VerificationReport(
-                "reduction.ab0", idx, q, "fail",
-                lhs=coeff.to_text(), rhs=(classical[key] * _D12).to_text(),
-                detail=f"first-equation coefficient mismatch on u_{key or '0'}",
-            )
+    mismatch = params.derive(_t1_row_mismatch) or _t1_mismatch(
+        [("", _t1_u_coeff(*idx, p), classical_t1_u_coeff(*idx, p))])
+    if mismatch:
+        key, coeff, expected = mismatch
+        return VerificationReport(
+            "reduction.ab0", idx, q, "fail",
+            lhs=coeff.to_text(), rhs=expected.to_text(),
+            detail=f"first-equation coefficient mismatch on u_{key or '0'}",
+        )
     return rep
 
 

@@ -14,6 +14,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
@@ -53,23 +54,38 @@ def config_int(value, key: str, low: int = None, high: int = None) -> int:
     return value
 
 
+def config_entry(value, key: str) -> Fraction:
+    """The config value of `key` as a Fraction, refused (ConfigError)
+    unless it is a JSON integer or a string that reads as a rational with
+    a nonzero denominator: 0.5, true, null, "abc" and "1/0" are not."""
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is str:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f'{key} must be an integer or a "num/den" string, '
+                      f"got {json.dumps(value)}")
+
+
 def config_row(values, key: str, count: int = None) -> Row:
     """The config list `values` of `key` as a Row, of `count` entries when
-    given; ConfigError unless it is a JSON list of integers and 'num/den'
-    strings (a float or true is refused)."""
+    given; ConfigError, naming the entry, unless each is read by
+    `config_entry`."""
     if not isinstance(values, list):
         raise ConfigError(f"{key} must be a list, got {json.dumps(values)}")
-    try:
-        return as_tuple(values, len(values) if count is None else count)
-    except TypeError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+    if count is not None and len(values) != count:
+        raise ConfigError(f"{key} must hold {count} entries, got {json.dumps(values)}")
+    return as_tuple([config_entry(v, f"{key}[{i}]") for i, v in enumerate(values)],
+                    len(values))
 
 
 def parse_grid(rows, arity: int, key: str = "params") -> List[Row]:
     """The config rows of `key`, each a Row of `arity` parameters."""
     if not isinstance(rows, list):
         raise ConfigError(f"{key} must be a list of rows, got {json.dumps(rows)}")
-    return [config_row(row, key, arity) for row in rows]
+    return [config_row(row, f"{key}[{i}]", arity) for i, row in enumerate(rows)]
 
 
 def _filter(relations, selection, key: str):

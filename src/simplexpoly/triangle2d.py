@@ -15,7 +15,6 @@ a reduction cross-check.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -32,6 +31,7 @@ from .operators import (
     residual,
     verify_composition,
     verify_sparse,
+    view_type,
 )
 from .ratpoly import (
     MPoly,
@@ -355,7 +355,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("a", "b", "c", "d"),
-    view=namedtuple("Params", "a b c d"),
+    view=view_type("Params", "a b c d"),
     index=lambda idx: as_tuple(idx, 2, index),
     build=lambda idx, row: collapsed_member(row.derive(axes), degrees(*idx)),
     valid=lambda idx: 0 <= idx[1] <= idx[0],

@@ -53,10 +53,27 @@ BAD_CONFIGS = {
                              "suites.ladder1d.relations"),
     "top-level-a-list": ("three-term", lambda config: [config], "the config"),
     "directory": ("three-term", None, None),
-    "params-entry-true": ("ladder1d", _set(("suites", "ladder1d", "params", 0, 0), True),
-                          "suites.ladder1d.params"),
+    # A parameter entry is a JSON integer or a "num/den" string; the error
+    # names the entry's position and shows its JSON text.
+    **{f"params-entry-{name}": ("ladder1d", _set(("suites", "ladder1d", "params", 0, 0), value),
+                                "suites.ladder1d.params[0][0] must be an integer or a "
+                                f'"num/den" string, got {text}')
+       for name, value, text in (("true", True, "true"), ("null", None, "null"),
+                                 ("float", 0.5, "0.5"), ("not-a-number", "abc", '"abc"'),
+                                 ("zero-denominator", "1/0", '"1/0"'))},
+    "params-row-too-short": ("ladder1d", _set(("suites", "ladder1d", "params", 0), ["1"]),
+                             'suites.ladder1d.params[0] must hold 2 entries, got ["1"]'),
     "xi-true": ("connections", _set(("suites", "connections", "alpha", "xi", 0), True),
-                "suites.connections.alpha.xi"),
+                'suites.connections.alpha.xi[0] must be an integer or a "num/den" string, '
+                "got true"),
+    "xi-zero-denominator": ("connections", _set(("suites", "connections", "alpha", "xi", 1),
+                                                "-3/0"),
+                            'suites.connections.alpha.xi[1] must be an integer or a "num/den" '
+                            'string, got "-3/0"'),
+    "targets-zero-denominator": ("connections", _set(
+        ("suites", "connections", "general", "targets", 0, 2), "2/0"),
+        'suites.connections.general.targets[0][2] must be an integer or a "num/den" string, '
+        'got "2/0"'),
     # Sections that check every relation of their grid refuse a selection
     # rather than ignore it.
     "relations-in-pde": ("pde", _set(("suites", "pde", "twod", "relations"), ["T1"]),

@@ -1,6 +1,7 @@
 """Operator application, verification reports, erratum aggregation."""
 
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from simplexpoly.operators import (
     as_tuple,
     report_equality,
     summarize,
+    verify_composition,
+    verify_sparse,
 )
 from simplexpoly.ratpoly import (
     MPoly,
@@ -34,6 +37,7 @@ from simplexpoly.ratpoly import (
     Y,
     ZERO,
 )
+from simplexpoly import triangle2d
 from simplexpoly.triangle2d import verify_d0_reduction
 
 F = Fraction
@@ -194,3 +198,54 @@ def test_row_passes_through_the_conversion():
 def test_row_refuses_a_float_or_a_bool(bad):
     with pytest.raises(TypeError):
         as_tuple((bad, 0), 2)
+
+
+def _typo_family(build=None):
+    """The triangle family with M20's c0 raised by 1, which leaves a
+    remainder over its denominator 1 - x, and the given member builder."""
+    fam = triangle2d.FAMILY
+    rel = fam.sparse["M20"]
+
+    def operator(*args):
+        op = rel.operator(*args)
+        return replace(op, c0=op.c0 + ONE)
+
+    return replace(fam, sparse={**fam.sparse, "M20": replace(rel, operator=operator)},
+                   build=build or fam.build, members={})
+
+
+def test_a_failing_division_raises_before_the_target_is_built():
+    row = as_tuple((F(1, 3), F(-1, 2), F(1), F(0)), 4)
+
+    def build(idx, params):
+        if params != row:
+            raise RuntimeError("the target member was built")
+        return triangle2d.FAMILY.build(idx, params)
+
+    with pytest.raises(NonzeroRemainder):
+        verify_sparse(_typo_family(build), "M20", (2, 1), row)
+    # Unmutated, the same check builds the target and passes.
+    assert verify_sparse(triangle2d.FAMILY, "M20", (2, 1), row).status == "pass"
+
+
+def test_an_unsupported_divisor_raises_on_a_zero_image():
+    # Where the target leaves the index domain, a zero image still meets
+    # the divisor check first, as the exact division did.
+    fam = triangle2d.FAMILY
+    rel = fam.sparse["M10"]
+    typo = replace(fam, sparse={"M10": replace(
+        rel, operator=lambda *args: replace(rel.operator(*args), denom=Y))}, members={})
+    with pytest.raises(ValueError, match="unsupported divisor shape"):
+        verify_sparse(typo, "M10", (0, 0), (F(1, 3), F(-1, 2), F(1), F(0)))
+    assert verify_sparse(fam, "M10", (0, 0), (F(1, 3), F(-1, 2), F(1), F(0))).status \
+        == "not_applicable"
+
+
+def test_a_failing_composition_keeps_its_scale_detail():
+    fam = triangle2d.FAMILY
+    ent = fam.second_order["M20p.M20"]
+    typo = replace(fam, second_order={"M20p.M20": replace(
+        ent, eig=lambda *args: ent.eig(*args) + 1)}, members={})
+    r = verify_composition(typo, "M20p.M20", (2, 1), (F(1, 3), F(-1, 2), F(1), F(0)))
+    assert r.status == "fail" and r.detail.startswith("scale product ")
+    assert " != tabulated eigenvalue " in r.detail and r.difference not in (None, "0")

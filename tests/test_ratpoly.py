@@ -1,11 +1,13 @@
 """Exact polynomial arithmetic: examples, ring axioms, division, and
 agreement of every kernel with a plain Fraction-dict reference."""
 
+import operator
+import pickle
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from simplexpoly import jacobi1d, simplex3d, triangle2d
@@ -18,10 +20,12 @@ from simplexpoly.ratpoly import (
     ONE_MINUS_X,
     ONE_MINUS_XY,
     ONE_MINUS_XYZ,
+    Rat,
     X,
     Y,
     Z,
     ZERO,
+    as_rat,
 )
 
 from oracles import (
@@ -522,3 +526,55 @@ def test_float_coefficient_is_refused():
     ):
         with pytest.raises(TypeError):
             make()
+
+
+# -- the lean rational of the table lines --------------------------------------
+
+# Zero and negative values included: with a zero numerator, a product whose
+# gcds were taken across the operands must still end over 1.
+rationals = st.just(F(0)) | st.integers(-40, 40).map(F) | st.fractions(
+    min_value=-50, max_value=50, max_denominator=36)
+
+
+def _agrees(value, expected, kind):
+    """`value` is a `kind` equal to the Fraction `expected` in every way
+    the package reads it: ==, hash, str, its parts and a pickle round trip."""
+    assert type(value) is kind
+    assert value == expected and expected == value and not value != expected
+    assert hash(value) == hash(expected) and str(value) == str(expected)
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is kind and again == expected and str(again) == str(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals | st.integers(-40, 40),
+       st.sampled_from([operator.add, operator.sub, operator.mul]))
+@example(F(0), F(1, 3), operator.mul)
+@example(F(2, 3), 0, operator.mul)
+@example(F(1, 6), F(-1, 6), operator.add)
+@example(F(-5, 6), F(1, 10), operator.sub)
+def test_rat_agrees_with_fraction(a, b, op):
+    r = as_rat(a)
+    _agrees(r, a, Rat)
+    _agrees(-r, -a, Rat)
+    # An int or a Rat stays on the lean path; a Fraction gets Fraction's.
+    others = [(b, Rat)] if type(b) is int else [(as_rat(b), Rat), (b, Fraction)]
+    for other, kind in others:
+        _agrees(op(r, other), op(a, b), kind)
+        _agrees(op(other, r), op(b, a), kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_maps, term_maps, scalars | rationals.map(as_rat), st.booleans())
+@example({}, {}, 0, False)
+@example({(1, 0, 0): F(1, 2)}, {}, 3, False)
+@example({}, {(1, 0, 0): F(1, 2)}, 0, False)
+@example({(1, 0, 0): F(1, 2)}, {(1, 0, 0): F(1, 2)}, 0, False)
+def test_is_multiple_agrees_with_scale(t1, t2, c, related):
+    p, q = MPoly(t1), MPoly(t2)
+    if related:
+        # Equal up to the scalar (or up to one coefficient), so both answers occur.
+        p = q.scale(c) + (MPoly.monomial(next(iter(t2)), 1) if t2 and t1 else ZERO)
+    assert p.is_multiple(q, c) == (p == q.scale(c))
+    assert q.scale(c).is_multiple(q, c)

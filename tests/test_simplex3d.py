@@ -242,6 +242,30 @@ def test_reduction_examples():
             assert verify_reduction_ab0(idx, params[:4]).status == "pass"
 
 
+@pytest.mark.parametrize("typos, key", [
+    ({"y", "z"}, "y"), ({"x", ""}, "x"), ({""}, "0"),
+])
+def test_reduction_ab0_reports_the_first_coefficient_mismatch(typos, key, monkeypatch):
+    # The index-free coefficients are compared once per row and u's per
+    # index; a failure still names the first mismatch in T1's key order.
+    from simplexpoly import simplex3d
+
+    t1, u_coeff = simplex3d._t1_coeffs, simplex3d._t1_u_coeff
+    q = (F(1, 3), F(-1, 2), F(1), F(2))
+    right = t1(1, 1, 0, FAMILY.view(*q, F(0), F(0)))[key if key != "0" else ""]
+
+    def typo(*args):
+        return {k: c + ONE if k in typos else c for k, c in t1(*args).items()}
+
+    monkeypatch.setattr(simplex3d, "_t1_coeffs", typo)
+    # u's coefficient is built by its own line, which T1's table calls.
+    monkeypatch.setattr(simplex3d, "_t1_u_coeff",
+                        lambda *args: u_coeff(*args) + (ONE if "" in typos else 0))
+    r = verify_reduction_ab0((1, 1, 0), q)
+    assert r.status == "fail" and r.detail == f"first-equation coefficient mismatch on u_{key}"
+    assert r.lhs == (right + ONE).to_text()
+
+
 def test_reduced_equation_drift_coefficient():
     """At a = b = 0 the y-drift of the first equation collapses to
     (beta+1) - (alpha+beta+gamma+delta+4) y times the clearing factor."""
