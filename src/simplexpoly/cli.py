@@ -26,7 +26,6 @@ import numpy as np
 
 from . import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from .operators import as_tuple, summarize
-from .ratpoly import _as_fraction
 from .special import PoleHit
 
 EX_OK = 0
@@ -204,7 +203,7 @@ def cmd_connect(args) -> int:
     if args.mode == "alpha":
         if args.xi is None:
             raise ValueError("--xi is required for mode=alpha")
-        connect, target = simplex3d.connect_alpha, _as_fraction(args.xi)
+        connect, target = simplex3d.connect_alpha, args.xi
     else:
         if args.target is None:
             raise ValueError("--target is required for mode=general")

@@ -12,16 +12,18 @@ One formula builds every member and collapsed factor: P(n; a, b) =
 sum_m c_m (1-x)^m, c_m = (-1)^m C(n, m) (n+a+b+1)_m (a+1+m)_(n-m) / n!, a
 product of linear factors in a and b, for every rational pair, down to the
 -2 that the ladder relations reach outside the orthogonality regime.  With
-a = A/L and b = B/L over their common denominator L, each linear factor
-times L is an integer, so the factors are built on the integer numerators
-L^n n! c_m and divided by L^n n! once, at the end.
+a = A/L and b = B/L over their common denominator L (`ratpoly.over_lcm`),
+each linear factor times L is an integer, so the factors are built on the
+integer numerators L^n n! c_m and divided by L^n n! once, at the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import starmap
 from operator import index, mul
 
 from .operators import (
@@ -32,9 +34,9 @@ from .operators import (
     as_tuple,
     verify_composition,
     verify_sparse,
-    view_type,
 )
-from .ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, X_ONE_MINUS_X, Y, Z, ZERO
+from .ratpoly import (MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, X_ONE_MINUS_X, Y, Z,
+                      ZERO, over_lcm)
 from .special import factorial, gamma_ratio, pochhammer
 
 
@@ -50,14 +52,6 @@ def _coefficients(n: int, big_a: int, big_b: int, den: int):
         out.append((-1) ** m * math.comb(n, m) * rising * tail)
         rising *= top + den * m
     return out
-
-
-def _integer_pair(big_a, big_b, later: int = 0):
-    """(A, B, L) with (A/L, B/L) = (big_a + 2 later, big_b) and L the least
-    common denominator, the form under which `_lifted_factor` caches."""
-    da, db = big_a.denominator, big_b.denominator
-    den = da * db // math.gcd(da, db)
-    return (big_a.numerator * (den // da) + 2 * later * den, big_b.numerator * (den // db), den)
 
 
 def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
@@ -164,13 +158,10 @@ def collapsed_exponents(axes, degrees):
 
 
 def _integer_pairs(axes, degrees):
-    """`_integer_pair` of each axis's Jacobi exponents: the integer form of
-    `collapsed_exponents`, with no Fraction arithmetic."""
-    out, later = [], 0
-    for (big_a, big_b), d in zip(reversed(axes), reversed(degrees)):
-        out.append(_integer_pair(big_a, big_b, later))
-        later += d
-    return out[::-1]
+    """(A, B, L) of each axis's Jacobi exponents (A/L, B/L) from
+    `collapsed_exponents`, L their least common denominator: the form under
+    which `_lifted_factor` caches."""
+    return list(starmap(over_lcm, collapsed_exponents(axes, degrees)))
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +301,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("a", "b"),
-    view=view_type("Params", "a b"),
+    view=namedtuple("Params", "a b"),
     index=lambda n: (index(n),),
     # The row (a, b) is the one axis's base pair.
     build=lambda idx, row: collapsed_member((row,), idx),

@@ -15,14 +15,13 @@ index domain and tables, and `verify_sparse`, `verify_composition` and
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Callable, Optional, Sequence, Tuple
 
-from .ratpoly import MPoly, ONE, ZERO, _as_fraction, as_rat
+from .ratpoly import MPoly, ONE, ZERO, as_rat
 
 PASS = "pass"
 FAIL = "fail"
@@ -30,12 +29,12 @@ NOT_APPLICABLE = "not_applicable"
 
 
 class Row(tuple):
-    """One parameter row: a tuple of Fractions that only `as_tuple` builds,
-    carrying what the checks at this row would otherwise recompute per
-    task.  Every cache lives on the instance and is filled on first use:
-    the hash (the plain tuple's, so a Row and an equal tuple are the same
-    dict key), `shift`, `text` and `derive`.  A pickle carries the values
-    only."""
+    """One parameter row: a tuple of `ratpoly.Rat`s that only `as_tuple`
+    builds, carrying what the checks at this row would otherwise recompute
+    per task.  Every cache lives on the instance and is filled on first
+    use: the hash (the plain tuple's, so a Row and an equal tuple of
+    Fractions are the same dict key), `shift`, `text` and `derive`.  A
+    pickle carries the values only."""
 
     def __hash__(self):
         try:
@@ -78,31 +77,19 @@ class Row(tuple):
             return out
 
 
-def view_type(typename: str, field_names: str) -> type:
-    """The named view of a family's parameter rows: a namedtuple class
-    whose entries are converted to `Rat` as it is built, view(*row), so
-    every table line computes on the lean rational.  Row.derive builds it
-    once per row; the Row itself keeps its Fractions."""
-    base = namedtuple(typename, field_names)
-
-    def __new__(cls, *row):
-        return tuple.__new__(cls, map(as_rat, row))
-
-    return type(typename, (base,), {"__slots__": (), "__new__": __new__})
-
-
-def as_tuple(values, count: int, convert=_as_fraction) -> tuple:
+def as_tuple(values, count: int, convert=as_rat) -> tuple:
     """The one conversion into the exact path: a sequence of `count`
-    values as a tuple.  Parameters go through `_as_fraction`, which
-    refuses a float with TypeError, into a Row; a Row of `count` entries
-    is returned as it is.  Index entries are converted with
+    values as a tuple.  Parameters go through `ratpoly.as_rat` into a Row
+    of Rats; it refuses a float or a bool with TypeError and a string with
+    a zero denominator, such as '1/0', with ValueError.  A Row of `count`
+    entries is returned as it is.  Index entries are converted with
     `operator.index`, which refuses 1.5 instead of truncating it."""
-    if type(values) is Row and len(values) == count and convert is _as_fraction:
+    if type(values) is Row and len(values) == count and convert is as_rat:
         return values
     vals = tuple(values)
     if len(vals) != count:
         raise ValueError(f"expected {count} values, got {len(vals)}")
-    if convert is _as_fraction:
+    if convert is as_rat:
         return Row(map(convert, vals))
     return tuple(map(convert, vals))
 
@@ -179,8 +166,9 @@ class Family:
 
     `names` are the weight's parameter names, in row order.  Every table
     line takes the index entries, then p = row.derive(view), the row's
-    named view, built once per Row.  `index` turns the caller's index into
-    a tuple of ints and `params` the caller's parameters into a Row;
+    named view: a namedtuple of the row's Rats under these names, built
+    once per Row.  `index` turns the caller's index into a tuple of ints
+    and `params` the caller's parameters into a Row of Rats;
     `check` does the same and also refuses a parameter outside the
     weight's domain (> -1).
     `build(idx, row)` constructs a member, and `member(idx, row)` looks it

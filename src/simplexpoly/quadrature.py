@@ -151,8 +151,7 @@ triangle_rule = partial(collapsed_rule, triangle2d)
 
 # ---------------------------------------------------------------------------
 # Monomial-moment oracles.  Relative moments (against the weight mass) are
-# exact rationals for arbitrary rational exponents; absolute values go
-# through log-gamma.
+# exact rationals for arbitrary rational exponents.
 # ---------------------------------------------------------------------------
 
 def _beta_ratio(p: Fraction, q: Fraction, i: int, j: int) -> Fraction:
@@ -175,29 +174,6 @@ def tetra_moment_ratio(i: int, j: int, k: int, params) -> Fraction:
 def triangle_moment_ratio(i: int, j: int, params) -> Fraction:
     a, b, c, d = as_tuple(params, 4)
     return _beta_ratio(a + 1, b + c + d + 2, i, j) * _beta_ratio(b + 1, c + 1, j, 0)
-
-
-def _log_beta(p: float, q: float) -> float:
-    return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-
-
-def tetra_mass(params) -> float:
-    """Float integral of the weight over the tetrahedron."""
-    alpha, beta, gamma, delta, a, b = (float(v) for v in as_tuple(params, 6))
-    return math.exp(
-        _log_beta(alpha + 1, beta + gamma + delta + a + b + 3)
-        + _log_beta(beta + 1, gamma + delta + b + 2)
-        + _log_beta(gamma + 1, delta + 1)
-    )
-
-
-def triangle_mass(params) -> float:
-    a, b, c, d = (float(v) for v in as_tuple(params, 4))
-    return math.exp(_log_beta(a + 1, b + c + d + 2) + _log_beta(b + 1, c + 1))
-
-
-def tetra_moment(i: int, j: int, k: int, params) -> float:
-    return float(tetra_moment_ratio(i, j, k, params)) * tetra_mass(params)
 
 
 # ---------------------------------------------------------------------------

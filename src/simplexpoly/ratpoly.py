@@ -43,10 +43,19 @@ The interface speaks exponent triples (i, j, k) and Fractions: `terms`,
 `coeff`, `constant` and `evaluate` return Fractions, the constructor and
 `scale` take ints or Fractions, and a float coefficient is refused with
 TypeError, as is a negative exponent or one above 511 with ValueError.
-The table lines compute their scalars on `Rat`, a Fraction whose +, - and
-* with an int or another Rat run on ints alone (Knuth, TAOCP Vol. 2,
-section 4.5.1) and skip Fraction's generic dispatch and constructor; it
-equals, hashes, prints and pickles as the Fraction of the same value.
+
+Exact rationals outside the polynomials take one of two forms, both owned
+here.  `Rat` is a Fraction whose +, - and * with an int or another Rat run
+on ints alone (Knuth, TAOCP Vol. 2, section 4.5.1) and skip Fraction's
+generic dispatch and constructor; it equals, hashes, prints and pickles as
+the Fraction of the same value.  Every entry of a parameter row is a Rat
+(`operators.as_tuple` converts with `as_rat`), so the table lines and
+every other row-level computation run on it.  `over_lcm` puts rationals
+over their least common denominator, as integer numerators followed by
+that denominator; the MPoly constructor, the collapsed Jacobi factors, the
+3F2 sum, the connection coefficients and the classical recurrence build on
+that integer form, and no other module takes an lcm of denominators.
+
 `MPoly.eval_float` sums the monomials in floating point; the Gram matrices
 in `quadrature` do not use it, since that sum cancels as the degree grows,
 and evaluate members factor by factor.
@@ -135,12 +144,16 @@ def _check_sums(bound: int, sums: Dict[int, int]) -> None:
 def _as_fraction(v: Scalar) -> Fraction:
     """`v` as a Fraction.  A float or a bool is refused (TypeError), so
     0.1 is not read as a nearby dyadic rational nor true as 1; a string
-    such as '1/3' is parsed."""
+    such as '1/3' is parsed, and one with a zero denominator, such as
+    '1/0', is refused (ValueError, naming the text)."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (float, bool)):
         raise TypeError(f"refusing {type(v).__name__} {v!r}; pass an int or a Fraction")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"{v!r} has a zero denominator") from None
 
 
 def _ratio(v: Scalar) -> Tuple[int, int]:
@@ -229,10 +242,20 @@ def _rat_sum(na: int, da: int, nb: int, db: int) -> Rat:
 
 
 def as_rat(v: Scalar) -> Rat:
-    """`v`, an int or a Fraction, as a Rat equal to it."""
+    """`v`, an int, a Fraction or a string that `_as_fraction` reads, as a
+    Rat equal to it."""
     if type(v) is Rat:
         return v
     return _rat(*_ratio(v))
+
+
+def over_lcm(*values: Scalar) -> Tuple[int, ...]:
+    """The values over their least common denominator L, as the ints
+    (n_1, ..., n_k, L) with n_i / L == values[i]; L is the lcm of the
+    values' denominators, 1 for no values."""
+    ratios = list(map(_ratio, values))
+    den = lcm(*[d for _, d in ratios])
+    return (*[n * (den // d) for n, d in ratios], den)
 
 
 class MPoly:
@@ -246,14 +269,13 @@ class MPoly:
         self._den = 1
         if not terms:
             return
-        ratios = {_pack(e): _ratio(c) for e, c in terms.items()}
+        keys = [_pack(e) for e in terms]
         # Over the lcm of the denominators the numerators are already
         # coprime to it: the factor p^k of the lcm comes from a term whose
         # denominator holds all of p^k, and that term's numerator lacks p.
         # A zero coefficient has denominator 1, so the zero map gets 1.
-        den = lcm(*(d for _, d in ratios.values()))
-        self._num = {e: n * (den // d) for e, (n, d) in ratios.items() if n}
-        self._den = den
+        *nums, self._den = over_lcm(*terms.values())
+        self._num = {e: n for e, n in zip(keys, nums) if n}
 
     # -- constructors ------------------------------------------------------
 

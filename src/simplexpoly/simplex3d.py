@@ -22,6 +22,7 @@ incremented independently (`Params.e` sums e once per row).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -40,7 +41,6 @@ from .operators import (
     residual,
     verify_composition,
     verify_sparse,
-    view_type,
 )
 from .ratpoly import (
     MPoly,
@@ -55,7 +55,8 @@ from .ratpoly import (
     Y_ONE_MINUS_XY,
     Z,
     ZERO,
-    _as_fraction,
+    as_rat,
+    over_lcm,
 )
 from .special import PoleHit, _hyper3f2_integers, _rising, factorial, gamma_ratio, pochhammer
 from .jacobi1d import (
@@ -69,7 +70,7 @@ from .jacobi1d import (
 from .triangle2d import classical_jacobi_shifted
 
 
-class Params(view_type("Params", "al be ga de a b")):
+class Params(namedtuple("Params", "al be ga de a b")):
     """The named view of a parameter row that every table line reads."""
 
     @cached_property
@@ -616,7 +617,7 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     n1, n2, n3 = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
     al, e = params[0], params.derive(FAMILY.view).e
-    xi = _as_fraction(xi)
+    xi = as_rat(xi)
     n = n1 + n2 + n3
     terms = []
     for m in range(n1 + 1):
@@ -654,8 +655,7 @@ def _conn1d_coeff(n, k, pa, pb, qa, qb) -> Fraction:
     Over the common denominator den of the four parameters every argument
     is an integer over den, so the value is built on integers and made a
     Fraction once."""
-    den = math.lcm(pa.denominator, pb.denominator, qa.denominator, qb.denominator)
-    pa, pb, qa, qb = (v.numerator * (den // v.denominator) for v in (pa, pb, qa, qb))
+    pa, pb, qa, qb, den = over_lcm(pa, pb, qa, qb)
     upper = _rising(k * den + pa + den, den, n - k) * _rising(n * den + pa + pb + den, den, k)
     lower = den ** (n - k) * math.factorial(n - k) * _rising(k * den + qa + qb + den, den, k)
     if lower == 0:

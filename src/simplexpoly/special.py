@@ -10,8 +10,9 @@ running term ratios, never with precomputed factorial tables.
 
 The scalar kernels run on integers: with lam = N/D, the rising factorial
 (lam)_n is prod(N + i D) / D^n, and the 3F2 sum puts its four rational
-parameters over one denominator L, so each term ratio is a quotient of
-integer products.  Each kernel makes one Fraction, at the end.
+parameters over one denominator L (`ratpoly.over_lcm`), so each term ratio
+is a quotient of integer products.  Each kernel makes one Fraction, at the
+end.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .ratpoly import MPoly, _as_fraction, _ratio
+from .ratpoly import MPoly, _as_fraction, _ratio, over_lcm
 
 Scalar = Union[int, Fraction]
 
@@ -114,6 +115,4 @@ def hyper3f2_unit(n: int, a2: Scalar, a3: Scalar, b1: Scalar, b2: Scalar) -> Fra
     """3F2(-n, a2, a3; b1, b2; 1), terminating after n+1 terms."""
     if n < 0:
         raise ValueError("series order must be >= 0")
-    ratios = [_ratio(v) for v in (a2, a3, b1, b2)]
-    den = math.lcm(*(d for _, d in ratios))
-    return Fraction(*_hyper3f2_integers(n, *(num * (den // d) for num, d in ratios), den))
+    return Fraction(*_hyper3f2_integers(n, *over_lcm(a2, a3, b1, b2)))

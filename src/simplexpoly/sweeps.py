@@ -14,14 +14,13 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 from . import jacobi1d, simplex3d, triangle2d
 from .operators import FAIL, Row, VerificationReport, as_tuple, report_equality, summarize
-from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder
+from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder, Rat, as_rat
 from .special import PoleHit
 
 # The largest degree a config may ask for.  Every exponent of a packed
@@ -54,16 +53,14 @@ def config_int(value, key: str, low: int = None, high: int = None) -> int:
     return value
 
 
-def config_entry(value, key: str) -> Fraction:
-    """The config value of `key` as a Fraction, refused (ConfigError)
-    unless it is a JSON integer or a string that reads as a rational with
-    a nonzero denominator: 0.5, true, null, "abc" and "1/0" are not."""
-    if type(value) is int:
-        return Fraction(value)
-    if type(value) is str:
+def config_entry(value, key: str) -> Rat:
+    """The config value of `key` as a Rat, refused (ConfigError) unless
+    it is a JSON integer or a string that reads as a rational with a
+    nonzero denominator: 0.5, true, null, "abc" and "1/0" are not."""
+    if type(value) in (int, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return as_rat(value)
+        except ValueError:
             pass
     raise ConfigError(f'{key} must be an integer or a "num/den" string, '
                       f"got {json.dumps(value)}")
@@ -102,19 +99,19 @@ def _filter(relations, selection, key: str):
 
 
 def _section(value, path: str, required, optional=()) -> dict:
-    """`value`, the config section at the dotted `path`, refused
-    (ConfigError, naming the full path) unless it is a JSON object that
-    holds every key of `required` and no key outside `required` and
-    `optional`: a misspelt key would otherwise be ignored."""
+    """`value`, the config section at the dotted `path` ("" for the whole
+    config), refused (ConfigError, naming the full path) unless it is a
+    JSON object that holds every key of `required` and no key outside
+    `required` and `optional`: a misspelt key would otherwise be ignored."""
+    where = f"config section {path}" if path else "the config"
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {path} must be a JSON object, "
-                          f"got {type(value).__name__}")
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
     for key in required:
         if key not in value:
             raise ConfigError(f"config is missing {path}.{key}")
     unread = sorted(set(value).difference(required, optional))
     if unread:
-        raise ConfigError(f"config section {path} takes no key {json.dumps(unread[0])}; it reads "
+        raise ConfigError(f"{where} takes no key {json.dumps(unread[0])}; it reads "
                           + ", ".join(sorted({*required, *optional})))
     return value
 
@@ -439,9 +436,7 @@ def plan(path: Optional[str], suites: Sequence[str]) -> Tuple[int, List[Tuple[st
     of the config at `path`, the shipped one when None.  Every suite's
     tasks are built before any task runs, so a bad section anywhere raises
     one of CONFIG_ERRORS here and costs no work."""
-    config = load_config(path or default_config_path())
-    if not isinstance(config, dict):
-        raise ConfigError(f"the config must be a JSON object, got {type(config).__name__}")
+    config = _section(load_config(path or default_config_path()), "", (), ("jobs", "suites"))
     jobs = config_int(config.get("jobs", 1), "jobs", low=1)
     return jobs, [(suite, suite_tasks(suite, config)) for suite in suites]
 

@@ -15,9 +15,9 @@ a reduction cross-check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from operator import index
 
 from .operators import (
@@ -31,7 +31,6 @@ from .operators import (
     residual,
     verify_composition,
     verify_sparse,
-    view_type,
 )
 from .ratpoly import (
     MPoly,
@@ -44,6 +43,7 @@ from .ratpoly import (
     Y,
     Y_ONE_MINUS_XY,
     ZERO,
+    over_lcm,
 )
 from .special import factorial, gamma_ratio
 from .jacobi1d import (
@@ -99,13 +99,9 @@ def classical_jacobi_shifted(m: int, big_a: Fraction, big_b: Fraction) -> MPoly:
     an integer, so the members in t = 2x - 1 are integer coefficient lists
     over one running denominator; t is substituted once, at the end.
     """
-    big_a = Fraction(big_a)
-    big_b = Fraction(big_b)
     if m == 0:
         return ONE
-    den = lcm(big_a.denominator, big_b.denominator)
-    na = big_a.numerator * (den // big_a.denominator)
-    nb = big_b.numerator * (den // big_b.denominator)
+    na, nb, den = over_lcm(big_a, big_b)
     # prev and cur over the running denominator `scale`, lowest power first.
     prev, cur, scale = [2 * den], [na - nb, na + nb + 2 * den], 2 * den
     for j in range(1, m):
@@ -355,7 +351,7 @@ def indices(max_degree: int):
 
 FAMILY = Family(
     names=("a", "b", "c", "d"),
-    view=view_type("Params", "a b c d"),
+    view=namedtuple("Params", "a b c d"),
     index=lambda idx: as_tuple(idx, 2, index),
     build=lambda idx, row: collapsed_member(row.derive(axes), degrees(*idx)),
     valid=lambda idx: 0 <= idx[1] <= idx[0],

@@ -104,6 +104,8 @@ BAD_CONFIGS = {
         ("suites", "second-order", "oned", "monic_degree"), 2), "suites.second-order.oned"),
     "unread-key-in-section": ("pde", _set(("suites", "pde", "degree"), 2), "suites.pde"),
     "suite-name-misspelt": ("three-term", _set(("suites", "three_term"), {}), "suites"),
+    "top-level-key-misspelt": ("ladder1d", _set(("jbos",), 2),
+                               'the config takes no key "jbos"; it reads jobs, suites'),
 }
 
 

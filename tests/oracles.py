@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from simplexpoly.quadrature import tetra_moment_ratio
 from simplexpoly.ratpoly import MPoly, ONE, X
 
 
@@ -172,6 +173,32 @@ def tetra_weighted_mean(p: MPoly, params) -> Fraction:
         ) * (rising(ga + 1, k) / rising(ga + de + 2, k))
         total += coef * mu
     return total
+
+
+def _log_beta(p: float, q: float) -> float:
+    return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+
+
+def tetra_mass(params) -> float:
+    """Float integral of the weight over the tetrahedron, through
+    log-gamma."""
+    alpha, beta, gamma, delta, a, b = map(float, params)
+    return math.exp(
+        _log_beta(alpha + 1, beta + gamma + delta + a + b + 3)
+        + _log_beta(beta + 1, gamma + delta + b + 2)
+        + _log_beta(gamma + 1, delta + 1)
+    )
+
+
+def triangle_mass(params) -> float:
+    """Float integral of the weight over the triangle, through log-gamma."""
+    a, b, c, d = map(float, params)
+    return math.exp(_log_beta(a + 1, b + c + d + 2) + _log_beta(b + 1, c + 1))
+
+
+def tetra_moment(i: int, j: int, k: int, params) -> float:
+    """Float integral of x^i y^j z^k against the tetrahedron's weight."""
+    return float(tetra_moment_ratio(i, j, k, params)) * tetra_mass(params)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,16 @@ def test_usage_error_exit_code():
     assert err.value.code == EX_USAGE
 
 
+# A rational with a zero denominator in each place the commands read one.
+ZERO_DENOMINATOR_ARGV = [
+    ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params", "1/0,0,0,0,0,0"],
+    ["gram", "--N", "2", "--params", "0,0,0,0,0,1/0"],
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1/0"],
+    ["connect", "--mode", "general", "--index", "1,1,0", "--params", "0,0,0,0,0,0",
+     "--target", "0,0,0,1/0"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params", "0,0"],
     ["print-poly", "--family", "simplex", "--index=-1,0,0", "--params", "0,0,0,0,0,0"],
@@ -136,15 +146,27 @@ def test_usage_error_exit_code():
     ["gram", "--family", "triangle", "--N", "4", "--params", "0,1,1,-3/2"],
     ["gram", "--N=-1", "--params", "0,0,0,0,0,0"],
     ["print-poly", "--family", "jacobi", "--index", "520", "--params", "0,0"],
+    *ZERO_DENOMINATOR_ARGV,
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
         "jacobi-param-at-pole", "jacobi-param-below-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
         "connect-xi-below-pole", "connect-general-target-below-pole",
         "gram-simplex-param-below-pole", "gram-triangle-param-below-pole", "gram-negative-N",
-        "jacobi-index-past-exponent-limit"])
+        "jacobi-index-past-exponent-limit", "print-poly-zero-denominator",
+        "gram-zero-denominator", "connect-xi-zero-denominator",
+        "connect-target-zero-denominator"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE
+
+
+@pytest.mark.parametrize("argv", ZERO_DENOMINATOR_ARGV,
+                         ids=["print-poly", "gram", "connect-xi", "connect-target"])
+def test_a_zero_denominator_is_one_error_line_naming_it(argv, capsys):
+    assert main(argv) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["simplexpoly: error: '1/0' has a zero denominator"]
 
 
 @pytest.mark.parametrize("family, params, cause", [

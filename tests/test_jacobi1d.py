@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from simplexpoly import triangle2d
 from simplexpoly.jacobi1d import (
@@ -14,7 +14,7 @@ from simplexpoly.jacobi1d import (
     SECOND_ORDER_1D,
     SPARSE_1D,
     _coefficients,
-    _integer_pair,
+    _integer_pairs,
     _lifted_factor,
     collapsed_member,
     norm_ratio,
@@ -23,7 +23,7 @@ from simplexpoly.jacobi1d import (
     verify_ladder,
     verify_second_order_1d,
 )
-from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, ZERO
+from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, ZERO, as_rat, over_lcm
 
 from oracles import (
     interval_weighted_mean,
@@ -84,7 +84,7 @@ small_rationals = st.sampled_from([1, 2, 3, 4, 6]).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 7), small_rationals, small_rationals)
 def test_integer_coefficients_match_binomial_sum_oracle(n, a, b):
-    big_a, big_b, den = _integer_pair(a, b)
+    big_a, big_b, den = over_lcm(a, b)
     assert (F(big_a, den), F(big_b, den)) == (a, b)
     assert den == lcm(a.denominator, b.denominator)
     numerators = _coefficients(n, big_a, big_b, den)
@@ -104,7 +104,37 @@ def test_one_factor_from_rows_with_different_denominators_is_one_cache_entry():
     collapsed_member(triangle2d.axes(*second), degrees)
     after = _lifted_factor.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
-    assert _integer_pair(*triangle2d.axes(*second)[0], 1) == (21, 1, 7)
+    assert _integer_pairs(triangle2d.axes(*second), degrees)[0] == (21, 1, 7)
+
+
+def _integer_pair_walk(axes, degrees):
+    """Each axis's (A, B, L), computed on the parts of its base pair: the
+    exponents (big_a + 2 later, big_b) over the lcm L of the two base
+    denominators, `later` the sum of the later axes' degrees."""
+    out, later = [], 0
+    for (big_a, big_b), d in zip(reversed(axes), reversed(degrees)):
+        da, db = big_a.denominator, big_b.denominator
+        den = da * db // gcd(da, db)
+        out.append((big_a.numerator * (den // da) + 2 * later * den,
+                    big_b.numerator * (den // db), den))
+        later += d
+    return out[::-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda count: st.tuples(
+    st.lists(st.tuples(small_rationals, small_rationals), min_size=count, max_size=count),
+    st.lists(st.integers(0, 6), min_size=count, max_size=count))), st.booleans())
+def test_integer_pairs_match_the_per_axis_walk(case, as_rats):
+    # The cache keys of `_lifted_factor` stay the integers of the per-axis
+    # walk, with the later axes' degrees folded into the first exponent,
+    # whether the axes hold Fractions or the Rats of a parameter row.
+    axes, degrees = case
+    if as_rats:
+        axes = [tuple(map(as_rat, pair)) for pair in axes]
+    pairs = _integer_pairs(axes, degrees)
+    assert pairs == _integer_pair_walk(axes, degrees)
+    assert all(type(v) is int for triple in pairs for v in triple)
 
 
 def test_continuation_at_negative_integer_parameter():

@@ -36,8 +36,10 @@ from simplexpoly.ratpoly import (
     X,
     Y,
     ZERO,
+    Rat,
 )
-from simplexpoly import triangle2d
+from simplexpoly import sweeps, triangle2d
+from simplexpoly.simplex3d import FAMILY as FAMILY_3D
 from simplexpoly.triangle2d import verify_d0_reduction
 
 F = Fraction
@@ -164,6 +166,27 @@ def test_row_pickle_keeps_the_values_and_drops_the_caches():
     hash(row), row.text, row.shift((1, 0)), row.derive(lambda a, b: a + b)
     back = pickle.loads(pickle.dumps(row))
     assert type(back) is Row and back == row and vars(back) == {}
+
+
+def _rat_row(row, length):
+    assert type(row) is Row and len(row) == length
+    assert all(type(v) is Rat for v in row)
+    return row
+
+
+@pytest.mark.parametrize("source", ["as_tuple", "config_row", "check"])
+def test_every_row_entry_is_a_rat_and_survives_a_pickle(source):
+    values = ["1/3", -2, "0", "-3/4", 5, "2/6"]
+    row = _rat_row({
+        "as_tuple": lambda: as_tuple([F(v) for v in values], 6),
+        "config_row": lambda: sweeps.config_row(values, "params[0]", 6),
+        "check": lambda: FAMILY_3D.check(values[:1] + values[2:] + [F(-1, 2)]),
+    }[source](), 6)
+    _rat_row(row.shift((1, 0, -1, 0, 0, 0)), 6)
+    # The --jobs pool sends rows to its workers and back as pickles.
+    back = _rat_row(pickle.loads(pickle.dumps(row)), 6)
+    assert back == row and hash(back) == hash(row) and back.text == row.text
+    assert back.text == tuple(str(F(v)) for v in back)
 
 
 def test_row_shift_is_the_same_row_again():

@@ -16,8 +16,6 @@ from simplexpoly.quadrature import (
     gram_matrix_triangle,
     gram_offdiag_max,
     expected_gram_diagonal,
-    tetra_mass,
-    tetra_moment,
     tetra_moment_ratio,
     tetra_rule,
     triangle_moment_ratio,
@@ -25,9 +23,8 @@ from simplexpoly.quadrature import (
 )
 from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
-from simplexpoly.quadrature import triangle_mass
 
-from oracles import exact_member_gram, integrate_tetra
+from oracles import exact_member_gram, integrate_tetra, tetra_mass, tetra_moment, triangle_mass
 from simplexpoly.ratpoly import MPoly
 
 F = Fraction

@@ -4,7 +4,7 @@ agreement of every kernel with a plain Fraction-dict reference."""
 import operator
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +26,7 @@ from simplexpoly.ratpoly import (
     Z,
     ZERO,
     as_rat,
+    over_lcm,
 )
 
 from oracles import (
@@ -578,3 +579,22 @@ def test_is_multiple_agrees_with_scale(t1, t2, c, related):
         p = q.scale(c) + (MPoly.monomial(next(iter(t2)), 1) if t2 and t1 else ZERO)
     assert p.is_multiple(q, c) == (p == q.scale(c))
     assert q.scale(c).is_multiple(q, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals | st.integers(-40, 40) | rationals.map(as_rat), min_size=1,
+                max_size=6))
+@example([0])
+@example([F(-3, 4)])
+@example([as_rat(F(1, 6)), 0, F(-5, 4), -7])
+def test_over_lcm_puts_the_values_over_their_least_common_denominator(values):
+    *nums, den = over_lcm(*values)
+    assert all(type(n) is int for n in nums) and type(den) is int
+    assert [F(n, den) for n in nums] == [F(v) for v in values]
+    assert den == lcm(*(F(v).denominator for v in values))
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "0/0"])
+def test_a_zero_denominator_is_refused_naming_the_text(text):
+    with pytest.raises(ValueError, match=repr(text)):
+        as_rat(text)
