@@ -14,7 +14,10 @@ product of linear factors in a and b, for every rational pair, down to the
 -2 that the ladder relations reach outside the orthogonality regime.  With
 a = A/L and b = B/L over their common denominator L (`ratpoly.over_lcm`),
 each linear factor times L is an integer, so the factors are built on the
-integer numerators L^n n! c_m and divided by L^n n! once, at the end.
+integer numerators L^n n! c_m, as integer term maps, and divided by L^n n!
+once, at the end.  A family puts its row's base pairs over their
+denominators once per row (`integer_axes`), so the exponents of each
+factor, the keys of its cache, cost integer additions.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .operators import (
     verify_composition,
     verify_sparse,
 )
-from .ratpoly import (MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, X_ONE_MINUS_X, Y, Z,
-                      ZERO, over_lcm)
+from .ratpoly import (EXPONENT_LIMIT, MPoly, ONE, ONE_MINUS_X, X, X_ONE_MINUS_X, Y, Z, ZERO,
+                      _canon, _pack, over_lcm)
 from .special import factorial, gamma_ratio, pochhammer
 
 
@@ -120,8 +123,10 @@ def h_absolute(n: int, a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 # W_j = 1, 1-x, 1-x-y, 1-x-y-z: collapsed coordinate j is 1 - W_{j+1}/W_j
-# (x, y/(1-x), z/(1-x-y)), and its cofactor is W_j.
-_W = (ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ)
+# (x, y/(1-x), z/(1-x-y)), and its cofactor is W_j.  W_j is 1 minus the
+# first j variables, held as the packed keys of those variables.
+_UNITS = tuple(map(_pack, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+_W_UNITS = tuple(_UNITS[:j] for j in range(4))
 
 
 def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
@@ -157,39 +162,73 @@ def collapsed_exponents(axes, degrees):
     return out[::-1]
 
 
-def _integer_pairs(axes, degrees):
-    """(A, B, L) of each axis's Jacobi exponents (A/L, B/L) from
-    `collapsed_exponents`, L their least common denominator: the form under
-    which `_lifted_factor` caches."""
-    return list(starmap(over_lcm, collapsed_exponents(axes, degrees)))
+def integer_axes(axes):
+    """For `Row.derive`: the function of a row that gives the base pairs
+    of `axes(*row)` as integer triples (A L, B L, L), each pair over its
+    own least common denominator L."""
+    return lambda *row: tuple(starmap(over_lcm, axes(*row)))
+
+
+def _integer_pairs(int_axes, degrees):
+    """(A + 2 s L, B, L) of each axis's integer base triple (A, B, L): the
+    exponents of `collapsed_exponents` over their least common denominator,
+    the form under which `_lifted_factor` caches."""
+    out, later = [], 0
+    for (big_a, big_b, den), d in zip(reversed(int_axes), reversed(degrees)):
+        out.append((big_a + 2 * later * den, big_b, den))
+        later += d
+    return out[::-1]
+
+
+def _times_w(num: dict, units) -> dict:
+    """num * W on integer term maps, W = 1 minus the variables `units`."""
+    out = dict(num)
+    get = out.get
+    for unit in units:
+        for e, c in num.items():
+            e += unit
+            out[e] = get(e, 0) - c
+    return out
 
 
 @lru_cache(maxsize=None)
 def _lifted_factor(axis: int, d: int, big_a: int, big_b: int, den: int) -> MPoly:
     """W_axis^d P(d; big_a/den, big_b/den) in collapsed coordinate `axis`,
     which is sum_m c_m W_{axis+1}^m W_axis^(d-m): Horner's rule in
-    W_{axis+1} on the integer numerators, then one division by d! den^d."""
-    inner, outer = _W[axis + 1], _W[axis]
-    out, cofactor = ZERO, ONE
+    W_{axis+1} on the integer numerators and integer term maps, then one
+    canonical division by d! den^d."""
+    if d >= EXPONENT_LIMIT:
+        raise OverflowError(f"a factor of degree {d} reaches the exponent limit {EXPONENT_LIMIT}")
+    inner, outer = _W_UNITS[axis + 1], _W_UNITS[axis]
+    out, cofactor = {}, {0: 1}
     for c in reversed(_coefficients(d, big_a, big_b, den)):
-        out = out * inner + cofactor.scale(c)
-        cofactor = cofactor * outer
-    return out.scale(Fraction(1, math.factorial(d) * den**d))
+        out = _times_w(out, inner)
+        get = out.get
+        for e, v in cofactor.items():
+            out[e] = get(e, 0) + c * v
+        cofactor = _times_w(cofactor, outer)
+    return _canon({e: c for e, c in out.items() if c}, math.factorial(d) * den**d)
 
 
-def collapsed_member(axes, degrees) -> MPoly:
-    """The member with the given per-axis degrees, exactly; zero when a
-    degree is negative."""
+def collapsed_member(int_axes, degrees) -> MPoly:
+    """The member with the given per-axis degrees, exactly, from the
+    family's integer base triples (`integer_axes`); zero when a degree is
+    negative.  A total degree at the exponent limit raises OverflowError
+    before any factor is built."""
     if min(degrees) < 0:
         return ZERO
+    total = sum(degrees)
+    if total >= EXPONENT_LIMIT:
+        raise OverflowError(
+            f"a member of total degree {total} reaches the exponent limit {EXPONENT_LIMIT}")
     return reduce(mul, (_lifted_factor(j, d, *triple) for j, (d, triple)
-                        in enumerate(zip(degrees, _integer_pairs(axes, degrees)))))
+                        in enumerate(zip(degrees, _integer_pairs(int_axes, degrees)))))
 
 
-def collapsed_monic(axes, degrees, prefactor) -> MPoly:
+def collapsed_monic(int_axes, degrees, prefactor) -> MPoly:
     """prefactor * P(d_0; A_0 + 2 s_0, B_0)(x) * y^d_1 (* z^d_2), not
     renormalised: a wrong prefactor shows as a leading coefficient other than 1."""
-    first = _lifted_factor(0, degrees[0], *_integer_pairs(axes, degrees)[0])
+    first = _lifted_factor(0, degrees[0], *_integer_pairs(int_axes, degrees)[0])
     return reduce(mul, (v**d for v, d in zip((Y, Z), degrees[1:])), first.scale(prefactor))
 
 
@@ -304,7 +343,7 @@ FAMILY = Family(
     view=namedtuple("Params", "a b"),
     index=lambda n: (index(n),),
     # The row (a, b) is the one axis's base pair.
-    build=lambda idx, row: collapsed_member((row,), idx),
+    build=lambda idx, row: collapsed_member((row.derive(over_lcm),), idx),
     valid=lambda idx: idx[0] >= 0,
     sparse=SPARSE_1D,
     second_order=SECOND_ORDER_1D,

@@ -65,6 +65,7 @@ from .jacobi1d import (
     collapsed_monic,
     collapsed_norm,
     collapsed_norm_ratio,
+    integer_axes,
     lift_univariate,
 )
 from .triangle2d import classical_jacobi_shifted
@@ -84,6 +85,10 @@ def axes(alpha, beta, gamma, delta, a, b):
     z/(1-x-y)."""
     return ((beta + gamma + delta + a + b + 2, alpha), (gamma + delta + b + 1, beta),
             (delta, gamma))
+
+
+# The row's base pairs as integer triples, once per row (`Row.derive`).
+_integer_axes = integer_axes(axes)
 
 
 def degrees(n1, n2, n3):
@@ -567,7 +572,7 @@ def monic_simplex(idx, p) -> MPoly:
     monic_prefactor * y^n2 z^n3 * P(n1)."""
     idx = as_tuple(idx, 3, index)
     params = as_tuple(p, 6)
-    return collapsed_monic(params.derive(axes), idx,
+    return collapsed_monic(params.derive(_integer_axes), idx,
                            monic_prefactor(*idx, params.derive(FAMILY.view)))
 
 
@@ -944,7 +949,7 @@ FAMILY = Family(
     names=("alpha", "beta", "gamma", "delta", "a", "b"),
     view=Params,
     index=lambda idx: as_tuple(idx, 3, index),
-    build=lambda idx, row: collapsed_member(row.derive(axes), idx),
+    build=lambda idx, row: collapsed_member(row.derive(_integer_axes), idx),
     valid=lambda idx: min(idx) >= 0,
     sparse=THEOREM1,
     second_order=SECOND_ORDER_3D,

@@ -50,6 +50,7 @@ from .jacobi1d import (
     collapsed_member,
     collapsed_monic,
     collapsed_norm_ratio,
+    integer_axes,
     lift_univariate,
 )
 
@@ -57,6 +58,10 @@ from .jacobi1d import (
 def axes(a, b, c, d):
     """Collapsed base pairs (A_j, B_j) of the weight, x then y/(1-x)."""
     return ((b + c + d + 1, a), (c, b))
+
+
+# The row's base pairs as integer triples, once per row (`Row.derive`).
+_integer_axes = integer_axes(axes)
 
 
 def degrees(n, k):
@@ -340,7 +345,7 @@ def monic_triangle(idx, p) -> MPoly:
     monic_prefactor * y^k * P(n-k)."""
     n, k = as_tuple(idx, 2, index)
     params = as_tuple(p, 4)
-    return collapsed_monic(params.derive(axes), degrees(n, k),
+    return collapsed_monic(params.derive(_integer_axes), degrees(n, k),
                            monic_prefactor(n, k, params.derive(FAMILY.view)))
 
 
@@ -353,7 +358,7 @@ FAMILY = Family(
     names=("a", "b", "c", "d"),
     view=namedtuple("Params", "a b c d"),
     index=lambda idx: as_tuple(idx, 2, index),
-    build=lambda idx, row: collapsed_member(row.derive(axes), degrees(*idx)),
+    build=lambda idx, row: collapsed_member(row.derive(_integer_axes), degrees(*idx)),
     valid=lambda idx: 0 <= idx[1] <= idx[0],
     sparse=SPARSE_2D,
     second_order=SECOND_ORDER_2D,

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from simplexpoly.jacobi1d import _coefficients
 from simplexpoly.quadrature import tetra_moment_ratio
-from simplexpoly.ratpoly import MPoly, ONE, X
+from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, ZERO
 
 
 def rising(lam: Fraction, n: int) -> Fraction:
@@ -63,6 +64,23 @@ def jacobi_shifted_by_binomial_sum(n: int, a, b) -> MPoly:
         coeff = binomial(n + Fraction(a), n - s) * binomial(n + Fraction(b), s) * (-1) ** s
         out = out + (one_minus_x**s * X ** (n - s)).scale(coeff)
     return out
+
+
+# W_j = 1, 1-x, 1-x-y, 1-x-y-z, the cofactors of the collapsed coordinates.
+_W = (ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ)
+
+
+def lifted_factor_by_mpoly_horner(axis: int, d: int, big_a: int, big_b: int, den: int) -> MPoly:
+    """W_axis^d P(d; big_a/den, big_b/den) in collapsed coordinate `axis`,
+    sum_m c_m W_{axis+1}^m W_axis^(d-m), by Horner's rule in W_{axis+1} on
+    canonical MPoly operations (a gcd per step), then one scale by
+    1/(d! den^d)."""
+    inner, outer = _W[axis + 1], _W[axis]
+    out, cofactor = ZERO, ONE
+    for c in reversed(_coefficients(d, big_a, big_b, den)):
+        out = out * inner + cofactor.scale(c)
+        cofactor = cofactor * outer
+    return out.scale(Fraction(1, math.factorial(d) * den**d))
 
 
 def hyper2f1_series(n: int, b, c, x_val: Fraction) -> Fraction:

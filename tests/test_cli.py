@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import simplex3d, sweeps
+from simplexpoly import jacobi1d, simplex3d, sweeps
 from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, main
 
 
@@ -167,6 +167,20 @@ def test_a_zero_denominator_is_one_error_line_naming_it(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["simplexpoly: error: '1/0' has a zero denominator"]
+
+
+@pytest.mark.parametrize("family, index, total", [("jacobi", "600", 600), ("triangle", "520,3", 520),
+                                                  ("simplex", "0,0,520", 520)])
+def test_a_member_past_the_exponent_limit_exits_usage_before_it_is_built(
+        family, index, total, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError(f"built the factor {args}")
+    monkeypatch.setattr(jacobi1d, "_lifted_factor", refuse)
+    params = ",".join(["0"] * {"jacobi": 2, "triangle": 4, "simplex": 6}[family])
+    assert main(["print-poly", "--family", family, "--index", index, "--params", params]) == EX_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"simplexpoly: error: a member of total degree {total} reaches "
+        "the exponent limit 512"]
 
 
 @pytest.mark.parametrize("family, params, cause", [

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from math import factorial, gcd, lcm
 
-from simplexpoly import triangle2d
+from simplexpoly import jacobi1d, triangle2d
 from simplexpoly.jacobi1d import (
     FAMILY,
     SECOND_ORDER_1D,
@@ -17,6 +17,7 @@ from simplexpoly.jacobi1d import (
     _integer_pairs,
     _lifted_factor,
     collapsed_member,
+    integer_axes,
     norm_ratio,
     shifted_jacobi,
     shifted_jacobi_raw,
@@ -29,6 +30,7 @@ from oracles import (
     interval_weighted_mean,
     jacobi_shifted_by_binomial_sum,
     jacobi_shifted_by_recurrence,
+    lifted_factor_by_mpoly_horner,
 )
 
 F = Fraction
@@ -99,12 +101,13 @@ def test_one_factor_from_rows_with_different_denominators_is_one_cache_entry():
     # denominators are 77 and 91: it is cached once, under (21, 1, 7).
     first, second = (F(1, 7), F(0), F(2, 11), F(-2, 11)), (F(1, 7), F(0), F(3, 13), F(-3, 13))
     degrees = triangle2d.degrees(2, 1)
-    collapsed_member(triangle2d.axes(*first), degrees)
+    first_axes, second_axes = (integer_axes(triangle2d.axes)(*row) for row in (first, second))
+    collapsed_member(first_axes, degrees)
     before = _lifted_factor.cache_info()
-    collapsed_member(triangle2d.axes(*second), degrees)
+    collapsed_member(second_axes, degrees)
     after = _lifted_factor.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
-    assert _integer_pairs(triangle2d.axes(*second), degrees)[0] == (21, 1, 7)
+    assert _integer_pairs(second_axes, degrees)[0] == (21, 1, 7)
 
 
 def _integer_pair_walk(axes, degrees):
@@ -128,13 +131,44 @@ def _integer_pair_walk(axes, degrees):
 def test_integer_pairs_match_the_per_axis_walk(case, as_rats):
     # The cache keys of `_lifted_factor` stay the integers of the per-axis
     # walk, with the later axes' degrees folded into the first exponent,
-    # whether the axes hold Fractions or the Rats of a parameter row.
+    # whether the axes hold Fractions or the Rats of a parameter row.  The
+    # "row" here is the list of base pairs itself.
     axes, degrees = case
     if as_rats:
         axes = [tuple(map(as_rat, pair)) for pair in axes]
-    pairs = _integer_pairs(axes, degrees)
+    pairs = _integer_pairs(integer_axes(lambda *pairs: pairs)(*axes), degrees)
     assert pairs == _integer_pair_walk(axes, degrees)
     assert all(type(v) is int for triple in pairs for v in triple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 8), small_rationals, small_rationals, st.integers(0, 3))
+def test_integer_horner_matches_the_mpoly_horner(axis, d, a, b, later):
+    # The factor at exponents (a + 2 later, b), a and b down to -2, built on
+    # integer term maps, equals the same Horner rule run on canonical MPolys.
+    key = over_lcm(a + 2 * later, b)
+    built = _lifted_factor.__wrapped__(axis, d, *key)
+    assert built == lifted_factor_by_mpoly_horner(axis, d, *key), (axis, d, a, b, later)
+
+
+def test_a_member_past_the_exponent_limit_is_refused_before_it_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built {args}")
+    monkeypatch.setattr(jacobi1d, "_lifted_factor", refuse)
+    ax = ((0, 0, 1),) * 3
+    for degrees in [(0, 0, 512), (200, 200, 112), (0, 520, 0)]:
+        with pytest.raises(OverflowError, match="a member of total degree 5(12|20) reaches"):
+            collapsed_member(ax, degrees)
+    assert collapsed_member(ax, (-1, 0, 600)) == ZERO
+
+
+def test_a_factor_past_the_exponent_limit_is_refused_before_any_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"computed {args}")
+    monkeypatch.setattr(jacobi1d, "_coefficients", refuse)
+    for axis in range(3):
+        with pytest.raises(OverflowError, match="a factor of degree 512 reaches the exponent limit 512"):
+            _lifted_factor.__wrapped__(axis, 512, 0, 0, 1)
 
 
 def test_continuation_at_negative_integer_parameter():
