@@ -8,7 +8,8 @@ The package is organized bottom-up:
     operators   first-order differential operators, verification reports,
                 and the verification skeleton shared by the three families
     jacobi1d    shifted Jacobi polynomials on (0, 1), 12 ladder relations,
-                and the collapsed products that build the simplex families
+                and the `Family` record, whose collapsed products build
+                the members of all three families
     triangle2d  four-parameter triangle family, 24 ladder relations
     simplex3d   six-parameter tetrahedron family, 36 ladder relations,
                 differential equations, connections, recurrences

@@ -100,23 +100,29 @@ def build_parser() -> _Parser:
     return parser
 
 
-# --family -> (module, index length, monic constructor).
-_FAMILIES = {
-    "jacobi": (jacobi1d, 1, None),
-    "triangle": (triangle2d, 2, "monic_triangle"),
-    "simplex": (simplex3d, 3, "monic_simplex"),
-}
+# --family -> its record.
+_FAMILIES = {"jacobi": jacobi1d.FAMILY, "triangle": triangle2d.FAMILY, "simplex": simplex3d.FAMILY}
 
 #: Largest normalized off-diagonal Gram entry the float path may leave.
 GRAM_BOUND = 1e-10
 
+#: The largest --N and --points that `gram` accepts, refused above before
+#: any array is allocated.  At N = 24 the tetrahedron has 2925 members:
+#: `gram` took 10.5 s and 551 MB peak RSS on a 2-core host, and the worst
+#: off-diagonal entry of `scripts/orthogonality_scan.py` read 2.4e-12, 40
+#: times under GRAM_BOUND; 1000 points per axis took 1.5 s more.  The
+#: README lists the measurements at N = 16 to 28.
+GRAM_MAX_DEGREE = 24
+GRAM_MAX_POINTS = 1000
 
-def _index(text: str, family: str):
-    """The --index of `family` as ints, refused outside its index domain."""
-    module, dims, _ = _FAMILIES[family]
-    idx = as_tuple(text.split(","), dims, int)
-    if not module.FAMILY.valid(idx):
-        raise ValueError(f"index {','.join(map(str, idx))} is outside the {family} index domain")
+
+def _index(text: str, name: str):
+    """The --index of the family `name` as ints, as many as its degree-0
+    index has, refused outside its index domain."""
+    family = _FAMILIES[name]
+    idx = as_tuple(text.split(","), len(family.indices(0)[0]), int)
+    if not family.valid(idx):
+        raise ValueError(f"index {','.join(map(str, idx))} is outside the {name} index domain")
     return idx
 
 
@@ -129,15 +135,12 @@ def exit_status(summary) -> int:
 
 
 def cmd_print_poly(args) -> int:
-    module, _, monic = _FAMILIES[args.family]
-    if args.monic and monic is None:
+    family = _FAMILIES[args.family]
+    if args.monic and family.monic is None:
         raise ValueError("--monic applies to triangle and simplex families")
     idx = _index(args.index, args.family)
-    params = module.FAMILY.check(args.params.split(","))
-    if args.monic:
-        poly = getattr(module, monic)(idx, params)
-    else:
-        poly = module.FAMILY.member(idx, params)
+    params = family.check(args.params.split(","))
+    poly = (family.monic_solution if args.monic else family.member)(idx, params)
     print(poly.to_text())
     return EX_OK
 
@@ -179,11 +182,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    if args.max_degree < 0:
-        raise ValueError(f"--N must be at least 0, got {args.max_degree}")
-    module = _FAMILIES[args.family][0]
-    params = module.FAMILY.check(args.params.split(","))
-    idxs, gram = quadrature.collapsed_gram(module, args.max_degree, params, points=args.points)
+    if not 0 <= args.max_degree <= GRAM_MAX_DEGREE:
+        raise ValueError(f"--N must be from 0 to {GRAM_MAX_DEGREE}, got {args.max_degree}")
+    if args.points is not None and args.points > GRAM_MAX_POINTS:
+        raise ValueError(f"--points must be at most {GRAM_MAX_POINTS}, got {args.points}")
+    family = _FAMILIES[args.family]
+    params = family.check(args.params.split(","))
+    idxs, gram = quadrature.collapsed_gram(family, args.max_degree, params, points=args.points)
     labels = [",".join(str(i) for i in idx) for idx in idxs]
     lines = ["index;" + ";".join(labels)]
     for label, row in zip(labels, np.asarray(gram)):
@@ -198,8 +203,9 @@ def cmd_gram(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    family = _FAMILIES["simplex"]
     idx = _index(args.index, "simplex")
-    params = simplex3d.FAMILY.check(args.params.split(","))
+    params = family.check(args.params.split(","))
     if args.mode == "alpha":
         if args.xi is None:
             raise ValueError("--xi is required for mode=alpha")
@@ -213,7 +219,7 @@ def cmd_connect(args) -> int:
     except PoleHit as exc:
         raise ValueError(f"the connection coefficients have a pole: {exc}") from exc
     try:
-        simplex3d.FAMILY.check(expansion.target_params)
+        family.check(expansion.target_params)
     except ValueError as exc:
         raise ValueError(f"target {exc}") from exc
     ok = expansion.verify()

@@ -1,4 +1,5 @@
-"""Shifted Jacobi polynomials on (0, 1) and their ladder relations.
+"""Shifted Jacobi polynomials on (0, 1), their ladder relations, and the
+`Family` record that describes all three families.
 
 P(n; a, b) here denotes the degree-n Jacobi polynomial mapped to (0, 1),
 orthogonal against the weight (1-x)^a * x^b for a, b > -1.  The module
@@ -8,6 +9,12 @@ tetrahedron members and their norms, the twelve first-order ladder
 operators with their sparse recurrence table, and the twenty-four
 second-order composition identities.
 
+Every family is such a product (Koornwinder 1975), the interval with one
+axis, so one `Family` record says what each is: its collapsed base pairs,
+degree map, index grid, monic line and tables.  It builds every member,
+monic solution and exact norm ratio, and the sweeps, the quadrature and
+the CLI read it.
+
 One formula builds every member and collapsed factor: P(n; a, b) =
 sum_m c_m (1-x)^m, c_m = (-1)^m C(n, m) (n+a+b+1)_m (a+1+m)_(n-m) / n!, a
 product of linear factors in a and b, for every rational pair, down to the
@@ -15,23 +22,25 @@ product of linear factors in a and b, for every rational pair, down to the
 a = A/L and b = B/L over their common denominator L (`ratpoly.over_lcm`),
 each linear factor times L is an integer, so the factors are built on the
 integer numerators L^n n! c_m, as integer term maps, and divided by L^n n!
-once, at the end.  A family puts its row's base pairs over their
-denominators once per row (`integer_axes`), so the exponents of each
-factor, the keys of its cache, cost integer additions.
+once, at the end.  The record puts a row's base pairs over their
+denominators once per row (`Family.integer_axes`), so the exponents of
+each factor, the keys of its cache, cost integer additions.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import starmap
 from operator import index, mul
+from typing import Callable, Optional, Tuple
 
 from .operators import (
     DiffOperator,
-    Family,
+    Row,
     SecondOrder,
     SparseRelation,
     as_tuple,
@@ -66,12 +75,6 @@ def shifted_jacobi_raw(n: int, a: Fraction, b: Fraction) -> MPoly:
 def shifted_jacobi(n: int, p) -> MPoly:
     """Public constructor; `p` is the (a, b) pair."""
     return FAMILY.member((index(n),), as_tuple(p, 2))
-
-
-def norm_ratio(n: int, p) -> Fraction:
-    """h_n / h_0 for the weight (1-x)^a x^b."""
-    a, b = as_tuple(p, 2)
-    return h_ratio(n, a, b, a)
 
 
 def h_ratio(n: int, big_a: Fraction, big_b: Fraction, base_a: Fraction) -> Fraction:
@@ -162,13 +165,6 @@ def collapsed_exponents(axes, degrees):
     return out[::-1]
 
 
-def integer_axes(axes):
-    """For `Row.derive`: the function of a row that gives the base pairs
-    of `axes(*row)` as integer triples (A L, B L, L), each pair over its
-    own least common denominator L."""
-    return lambda *row: tuple(starmap(over_lcm, axes(*row)))
-
-
 def _integer_pairs(int_axes, degrees):
     """(A + 2 s L, B, L) of each axis's integer base triple (A, B, L): the
     exponents of `collapsed_exponents` over their least common denominator,
@@ -243,6 +239,91 @@ def collapsed_norm(axes, degrees) -> float:
     """Float squared norm of the member: one h_absolute per axis."""
     return math.prod(h_absolute(d, float(big_a), float(big_b))
                      for d, (big_a, big_b) in zip(degrees, collapsed_exponents(axes, degrees)))
+
+
+@dataclass(frozen=True)
+class Family:
+    """What a family is: all that the shared checks, the sweeps, the
+    quadrature and the CLI read about it.
+
+    `axes(*row)` gives the weight's collapsed base pairs (A_j, B_j), one per
+    axis, `degrees(*idx)` a member's per-axis degrees (by default its
+    index), `indices(D)` the index grid of total degree <= D and
+    `valid(idx)` whether an index lies in the domain.  `build` makes every
+    member from these, through the row's integer base pairs
+    (`integer_axes`, one function per record, so `Row.derive` keys them
+    once per row), and `member(idx, row)` looks it up in the one member
+    cache.  `monic` is the monic line, or None: the `pde` id of the
+    equation that the monic solution solves and its prefactor(*idx, p).
+    `names` are the weight's parameter names, in row order; every table
+    line takes the index entries, then p = row.derive(view), the row's
+    named view.  `index` and `params` turn the caller's index into ints and
+    parameters into a Row; `check` also refuses a parameter outside the
+    weight's domain (> -1).  `sparse`, `second_order` and `pde` map ids to
+    the table lines; a `pde` builder is called as builder(*idx, p).
+    """
+
+    names: Tuple[str, ...]
+    view: Callable
+    index: Callable
+    axes: Callable
+    indices: Callable
+    valid: Callable
+    sparse: dict
+    second_order: dict
+    pde: dict = field(default_factory=dict)
+    degrees: Callable = lambda *idx: idx
+    monic: Optional[Tuple[str, Callable]] = None
+    # Whether a composition whose operand is the zero polynomial still
+    # counts as an applicable sample (the interval family says no).
+    zero_operand_applicable: bool = True
+    members: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def integer_axes(self) -> Callable:
+        """The function of a row that gives `axes(*row)` as integer triples
+        (A L, B L, L), each pair over its own least common denominator L."""
+        return lambda *row: tuple(starmap(over_lcm, self.axes(*row)))
+
+    def params(self, p) -> Row:
+        return as_tuple(p, len(self.names))
+
+    def check(self, p) -> Row:
+        """The parameters as a Row, refused (ValueError) unless every one
+        exceeds -1."""
+        params = self.params(p)
+        for name, value in zip(self.names, params):
+            if value <= -1:
+                raise ValueError(f"parameter {name} = {value} must exceed -1")
+        return params
+
+    def build(self, idx: Tuple[int, ...], row: Row) -> MPoly:
+        """The member at the index tuple `idx` and the Row `row`, built."""
+        return collapsed_member(row.derive(self.integer_axes), self.degrees(*idx))
+
+    def member(self, idx: Tuple[int, ...], row) -> MPoly:
+        """The member at the index tuple `idx` and the parameters `row`
+        (converted by `params` unless it is a Row), built once."""
+        if type(row) is not Row:
+            row = self.params(row)
+        key = idx, row
+        poly = self.members.get(key)
+        if poly is None:
+            poly = self.members[key] = self.build(idx, row)
+        return poly
+
+    def monic_solution(self, idx, p) -> MPoly:
+        """The monic solution at `idx`: the prefactor of `monic` times the
+        first axis's factor, times y^d_1 (z^d_2), d being the member's
+        per-axis degrees."""
+        idx, params = self.index(idx), self.params(p)
+        return collapsed_monic(params.derive(self.integer_axes), self.degrees(*idx),
+                               self.monic[1](*idx, params.derive(self.view)))
+
+    def norm_ratio(self, idx, p) -> Fraction:
+        """Squared-norm ratio of the member at `idx` against the degree-0
+        member, exactly."""
+        return collapsed_norm_ratio(self.axes(*self.params(p)), self.degrees(*self.index(idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +424,16 @@ FAMILY = Family(
     view=namedtuple("Params", "a b"),
     index=lambda n: (index(n),),
     # The row (a, b) is the one axis's base pair.
-    build=lambda idx, row: collapsed_member((row.derive(over_lcm),), idx),
+    axes=lambda a, b: ((a, b),),
+    indices=indices,
     valid=lambda idx: idx[0] >= 0,
     sparse=SPARSE_1D,
     second_order=SECOND_ORDER_1D,
     zero_operand_applicable=False,
 )
 
-# verify_ladder(op, n, p) and verify_second_order_1d(entry_id, n, p).
+# verify_ladder(op, n, p), verify_second_order_1d(entry_id, n, p) and
+# norm_ratio(n, p), h_n / h_0 for the weight (1-x)^a x^b.
 verify_ladder = partial(verify_sparse, FAMILY)
 verify_second_order_1d = partial(verify_composition, FAMILY)
+norm_ratio = FAMILY.norm_ratio

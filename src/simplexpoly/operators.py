@@ -8,14 +8,14 @@ always produces a polynomial, so `apply` divides exactly and a nonzero
 remainder is itself a reportable failure.
 
 The three families check their ladder calculus the same way, so the checks
-live here once: a `Family` record gives each family's member constructor,
-index domain and tables, and `verify_sparse`, `verify_composition` and
-`residual` run over it.
+live here once: `verify_sparse`, `verify_composition` and `residual` run
+over a family's record (`jacobi1d.Family`), which gives its members, index
+domain, named view of a row and tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -160,61 +160,6 @@ class SecondOrder(_Shift):
     eig: "callable"
 
 
-@dataclass(frozen=True)
-class Family:
-    """What the shared checks below need to know about one family.
-
-    `names` are the weight's parameter names, in row order.  Every table
-    line takes the index entries, then p = row.derive(view), the row's
-    named view: a namedtuple of the row's Rats under these names, built
-    once per Row.  `index` turns the caller's index into a tuple of ints
-    and `params` the caller's parameters into a Row of Rats;
-    `check` does the same and also refuses a parameter outside the
-    weight's domain (> -1).
-    `build(idx, row)` constructs a member, and `member(idx, row)` looks it
-    up in the family's one member cache, building it on a miss.
-    `valid(idx)` tells whether an index lies in the domain.  `sparse` maps
-    a ladder id to its SparseRelation and `pde` an equation id to its
-    coefficient builder, called as builder(*idx, p).
-    """
-
-    names: Tuple[str, ...]
-    view: Callable
-    index: Callable
-    build: Callable
-    valid: Callable
-    sparse: dict
-    second_order: dict
-    pde: dict = field(default_factory=dict)
-    # Whether a composition whose operand is the zero polynomial still
-    # counts as an applicable sample (the interval family says no).
-    zero_operand_applicable: bool = True
-    members: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def params(self, p) -> Row:
-        return as_tuple(p, len(self.names))
-
-    def check(self, p) -> Row:
-        """The parameters as a Row, refused (ValueError) unless every one
-        exceeds -1."""
-        params = self.params(p)
-        for name, value in zip(self.names, params):
-            if value <= -1:
-                raise ValueError(f"parameter {name} = {value} must exceed -1")
-        return params
-
-    def member(self, idx: Tuple[int, ...], row) -> MPoly:
-        """The member at the index tuple `idx` and the parameters `row`
-        (converted by `params` unless it is a Row), built once."""
-        if type(row) is not Row:
-            row = self.params(row)
-        key = idx, row
-        poly = self.members.get(key)
-        if poly is None:
-            poly = self.members[key] = self.build(idx, row)
-        return poly
-
-
 @dataclass
 class VerificationReport:
     """Outcome of one identity check, serializable to a JSON dict."""
@@ -301,7 +246,7 @@ def _report_multiple(relation, index, params, operator: DiffOperator, num: MPoly
                            applicable=applicable, detail=detail)
 
 
-def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
+def verify_sparse(family, op: str, idx, p) -> VerificationReport:
     """Check one sparse relation as an exact polynomial identity.
 
     A target outside the index domain is the zero polynomial; the check
@@ -326,7 +271,7 @@ def verify_sparse(family: Family, op: str, idx, p) -> VerificationReport:
     return _report_multiple(op, idx, params, operator, num, target, scale)
 
 
-def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationReport:
+def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
     """Check one second-order composition as an exact eigenvalue identity.
 
     The two steps chain the sparse table: the inner operator is built at
@@ -359,7 +304,7 @@ def verify_composition(family: Family, entry_id: str, idx, p) -> VerificationRep
     )
 
 
-def residual(family: Family, which: str, idx, p, u: MPoly = None) -> MPoly:
+def residual(family, which: str, idx, p, u: MPoly = None) -> MPoly:
     """Cleared residual of one differential equation on `u`, by default the
     member at (idx, p); it is the zero polynomial when u solves it."""
     idx, params = family.index(idx), family.params(p)

@@ -127,8 +127,9 @@ class SimplexRule:
 
 
 def _axes(family, params):
-    """The family's collapsed base pairs at the given parameters, as floats."""
-    return family.axes(*(float(v) for v in family.FAMILY.params(params)))
+    """The collapsed base pairs of the family record at the given
+    parameters, each parameter made a float before the axes sum them."""
+    return family.axes(*(float(v) for v in family.params(params)))
 
 
 def collapsed_rule(family, params, m: int) -> SimplexRule:
@@ -145,8 +146,8 @@ def collapsed_rule(family, params, m: int) -> SimplexRule:
     return SimplexRule(coords=tuple(coords), weights=weights.ravel())
 
 
-tetra_rule = partial(collapsed_rule, simplex3d)
-triangle_rule = partial(collapsed_rule, triangle2d)
+tetra_rule = partial(collapsed_rule, simplex3d.FAMILY)
+triangle_rule = partial(collapsed_rule, triangle2d.FAMILY)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +271,8 @@ def collapsed_values(family, max_degree: int, params, *coords):
     return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
 
 
-gram_matrix = partial(collapsed_gram, simplex3d)
-gram_matrix_triangle = partial(collapsed_gram, triangle2d)
+gram_matrix = partial(collapsed_gram, simplex3d.FAMILY)
+gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 
 
 def expected_gram_diagonal(indices, params) -> np.ndarray:

@@ -32,7 +32,6 @@ from typing import Callable, Tuple
 from .operators import (
     NOT_APPLICABLE,
     DiffOperator,
-    Family,
     SecondOrder,
     SparseRelation,
     VerificationReport,
@@ -59,15 +58,7 @@ from .ratpoly import (
     over_lcm,
 )
 from .special import PoleHit, _hyper3f2_integers, _rising, factorial, gamma_ratio, pochhammer
-from .jacobi1d import (
-    collapsed_exponents,
-    collapsed_member,
-    collapsed_monic,
-    collapsed_norm,
-    collapsed_norm_ratio,
-    integer_axes,
-    lift_univariate,
-)
+from .jacobi1d import Family, collapsed_exponents, collapsed_norm, lift_univariate
 from .triangle2d import classical_jacobi_shifted
 
 
@@ -87,15 +78,6 @@ def axes(alpha, beta, gamma, delta, a, b):
             (delta, gamma))
 
 
-# The row's base pairs as integer triples, once per row (`Row.derive`).
-_integer_axes = integer_axes(axes)
-
-
-def degrees(n1, n2, n3):
-    """Per-axis degrees of the member (n1, n2, n3): its index."""
-    return (n1, n2, n3)
-
-
 def _ab0(al, be, ga, de):
     """The six parameters (al, be, ga, de, 0, 0) of the a = b = 0 subfamily."""
     return as_tuple((al, be, ga, de, 0, 0), 6)
@@ -112,9 +94,8 @@ def simplex_poly(idx, p) -> MPoly:
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
     """(exact ratio against the (0,0,0) member, absolute float norm)."""
-    ax = axes(*as_tuple(p, 6))
-    idx = as_tuple(idx, 3, index)
-    return collapsed_norm_ratio(ax, idx), collapsed_norm(ax, idx)
+    idx = FAMILY.index(idx)
+    return FAMILY.norm_ratio(idx, p), collapsed_norm(axes(*FAMILY.params(p)), idx)
 
 
 def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
@@ -567,15 +548,6 @@ def monic_prefactor(n1, n2, n3, p) -> Fraction:
     return factorial(n1) * gamma_ratio(p.e + 2 * (n1 + n2 + n3) + 3, -n1)
 
 
-def monic_simplex(idx, p) -> MPoly:
-    """Monic solution of the fourth equation at the given index:
-    monic_prefactor * y^n2 z^n3 * P(n1)."""
-    idx = as_tuple(idx, 3, index)
-    params = as_tuple(p, 6)
-    return collapsed_monic(params.derive(_integer_axes), idx,
-                           monic_prefactor(*idx, params.derive(FAMILY.view)))
-
-
 # ---------------------------------------------------------------------------
 # Connection expansions.
 # ---------------------------------------------------------------------------
@@ -949,15 +921,19 @@ FAMILY = Family(
     names=("alpha", "beta", "gamma", "delta", "a", "b"),
     view=Params,
     index=lambda idx: as_tuple(idx, 3, index),
-    build=lambda idx, row: collapsed_member(row.derive(_integer_axes), idx),
+    axes=axes,
+    indices=indices,
     valid=lambda idx: min(idx) >= 0,
     sparse=THEOREM1,
     second_order=SECOND_ORDER_3D,
     pde=PDE_3D,
+    # The monic solution of the fourth equation, prefactor * y^n2 z^n3 P(n1).
+    monic=("T4", monic_prefactor),
 )
 
-# verify_theorem1(op, idx, p), verify_second_order_3d(entry_id, idx, p) and
-# pde_residual_3d(which, idx, p, u=None).
+# verify_theorem1(op, idx, p), verify_second_order_3d(entry_id, idx, p),
+# pde_residual_3d(which, idx, p, u=None) and monic_simplex(idx, p).
 verify_theorem1 = partial(verify_sparse, FAMILY)
 verify_second_order_3d = partial(verify_composition, FAMILY)
 pde_residual_3d = partial(residual, FAMILY)
+monic_simplex = FAMILY.monic_solution

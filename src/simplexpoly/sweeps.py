@@ -148,14 +148,16 @@ def _residual_report(relation, index, params, residual) -> VerificationReport:
     return report_equality(relation, index, params, residual, ZERO)
 
 
-def _run_monic(relation, idx, params, poly, lead, residual) -> VerificationReport:
-    """The monic solution has unit coefficient at `lead` and solves its
-    equation, `residual(poly)` being the cleared residual."""
-    if poly.coeff(*lead) != 1:
+def _run_monic(family, relation, idx, params, poly, residual) -> VerificationReport:
+    """The monic solution `poly` of the family record `family` has unit
+    coefficient at x^d_0 y^d_1 z^d_2, d being the member's per-axis
+    degrees, and solves the record's monic equation, `residual(which, idx,
+    params, poly)` being the cleared residual."""
+    if poly.coeff(*(*family.degrees(*idx), 0, 0)[:3]) != 1:
         return VerificationReport(
             relation, idx, params, FAIL, lhs=poly.to_text(), rhs="unit leading coefficient",
         )
-    return _residual_report(relation, idx, params, residual(poly))
+    return _residual_report(relation, idx, params, residual(family.monic[0], idx, params, poly))
 
 
 def _run_connection(relation, expansion, idx, params, extra, detail) -> VerificationReport:
@@ -185,8 +187,8 @@ _KINDS = {
     "pde2d": ("pde.{}", lambda rid, rel, idx, params, extra: _residual_report(
         rid, idx, params, triangle2d.pde_residual(rel, idx, params))),
     "monic2d": ("monic.triangle", lambda rid, rel, idx, params, extra: _run_monic(
-        rid, idx, params, triangle2d.monic_triangle(idx, params),
-        (idx[0] - idx[1], idx[1], 0), lambda u: triangle2d.pde_residual("B1", idx, params, u))),
+        triangle2d.FAMILY, rid, idx, params, triangle2d.monic_triangle(idx, params),
+        triangle2d.pde_residual)),
     "theorem1": ("{}", _check(simplex3d, "verify_theorem1")),
     "so3d": ("{}", _check(simplex3d, "verify_second_order_3d")),
     "ab0": ("reduction.ab0", lambda rid, rel, idx, params, extra:
@@ -194,8 +196,8 @@ _KINDS = {
     "pde3d": ("pde.{}", lambda rid, rel, idx, params, extra: _residual_report(
         rid, idx, params, simplex3d.pde_residual_3d(rel, idx, params))),
     "monic3d": ("monic.simplex", lambda rid, rel, idx, params, extra: _run_monic(
-        rid, idx, params, simplex3d.monic_simplex(idx, params),
-        idx, lambda u: simplex3d.pde_residual_3d("T4", idx, params, u))),
+        simplex3d.FAMILY, rid, idx, params, simplex3d.monic_simplex(idx, params),
+        simplex3d.pde_residual_3d)),
     "three_term": ("three-term.x", lambda rid, rel, idx, params, extra:
                    simplex3d.verify_three_term(idx, params)),
     "conn_alpha": ("connect.alpha", lambda rid, rel, idx, params, xi: _run_connection(
@@ -288,41 +290,40 @@ def _nonempty(tasks, path: str) -> List[Task]:
     return tasks
 
 
-def _relation_grid(sec: SweepSection, module, kind) -> List[Task]:
-    """One kind over a parsed section's grid, for the relation ids it checks."""
-    return _grid(sec.params, module.indices(sec.degree), _cells(kind, sec.relations))
+def _relation_grid(sec: SweepSection, family, kind) -> List[Task]:
+    """One kind over a parsed section's grid and the family record's index
+    grid, for the relation ids it checks."""
+    return _grid(sec.params, family.indices(sec.degree), _cells(kind, sec.relations))
 
 
 def tasks_ladder1d(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.ladder1d", 2, jacobi1d.SPARSE_1D)
-    return _relation_grid(sec, jacobi1d, "ladder1d")
+    return _relation_grid(sec, jacobi1d.FAMILY, "ladder1d")
 
 
 def tasks_m2d(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.m2d", 4, triangle2d.SPARSE_2D)
     abc = [as_tuple(p[:3], 3) for p in sec.params]
-    reductions = _grid(abc, triangle2d.indices(sec.degree), _cells("d0"))
-    return _relation_grid(sec, triangle2d, "m2d") + reductions
+    reductions = _grid(abc, triangle2d.FAMILY.indices(sec.degree), _cells("d0"))
+    return _relation_grid(sec, triangle2d.FAMILY, "m2d") + reductions
 
 
 def tasks_theorem1(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.theorem1", 6, simplex3d.THEOREM1)
     q = [as_tuple(p[:4], 4) for p in sec.params]
-    reductions = _grid(q, simplex3d.indices(sec.degree), _cells("ab0"))
-    return _relation_grid(sec, simplex3d, "theorem1") + reductions
+    reductions = _grid(q, simplex3d.FAMILY.indices(sec.degree), _cells("ab0"))
+    return _relation_grid(sec, simplex3d.FAMILY, "theorem1") + reductions
 
 
 def tasks_second_order(section) -> List[Task]:
     _section(section, "suites.second-order", ("oned", "twod", "threed"))
     tasks = []
-    for key, arity, module, kind, relations in (
-        ("oned", 2, jacobi1d, "so1d", jacobi1d.SECOND_ORDER_1D),
-        ("twod", 4, triangle2d, "so2d", triangle2d.SECOND_ORDER_2D),
-        ("threed", 6, simplex3d, "so3d", simplex3d.SECOND_ORDER_3D),
-    ):
+    for key, family, kind in (("oned", jacobi1d.FAMILY, "so1d"),
+                              ("twod", triangle2d.FAMILY, "so2d"),
+                              ("threed", simplex3d.FAMILY, "so3d")):
         path = "suites.second-order." + key
-        sec = SweepSection.parse(section[key], path, arity, relations)
-        tasks += _nonempty(_relation_grid(sec, module, kind), path)
+        sec = SweepSection.parse(section[key], path, len(family.names), family.second_order)
+        tasks += _nonempty(_relation_grid(sec, family, kind), path)
     return tasks
 
 
@@ -332,13 +333,14 @@ def tasks_pde(section) -> List[Task]:
     three = SweepSection.parse(section["threed"], "suites.pde.threed", 6)
     monic_degree = config_int(section.get("monic_degree", 5), "suites.pde.monic_degree",
                               high=MAX_DEGREE)
+    triangle, tetrahedron = triangle2d.FAMILY, simplex3d.FAMILY
     return (
-        _nonempty(_grid(two.params, triangle2d.indices(two.degree),
-                        _cells("pde2d", triangle2d.PDE_2D)), "suites.pde.twod")
-        + _nonempty(_grid(three.params, simplex3d.indices(three.degree),
-                          _cells("pde3d", simplex3d.PDE_3D)), "suites.pde.threed")
-        + _nonempty(_grid(two.params, triangle2d.indices(monic_degree), _cells("monic2d"))
-                    + _grid(three.params, simplex3d.indices(monic_degree), _cells("monic3d")),
+        _nonempty(_grid(two.params, triangle.indices(two.degree),
+                        _cells("pde2d", triangle.pde)), "suites.pde.twod")
+        + _nonempty(_grid(three.params, tetrahedron.indices(three.degree),
+                          _cells("pde3d", tetrahedron.pde)), "suites.pde.threed")
+        + _nonempty(_grid(two.params, triangle.indices(monic_degree), _cells("monic2d"))
+                    + _grid(three.params, tetrahedron.indices(monic_degree), _cells("monic3d")),
                     "suites.pde.monic_degree")
     )
 
@@ -350,7 +352,7 @@ def tasks_corollaries(section) -> List[Task]:
         + _cells("cor_weight", simplex3d.WEIGHTED)
         + _cells("cor_mult", simplex3d.MULTIPLICATIONS)
     )
-    return _grid(sec.params, simplex3d.indices(sec.degree), cells)
+    return _grid(sec.params, simplex3d.FAMILY.indices(sec.degree), cells)
 
 
 def tasks_connections(section) -> List[Task]:
@@ -362,17 +364,17 @@ def tasks_connections(section) -> List[Task]:
                                  extra=("targets",))
     targets = parse_grid(general_section["targets"], 4, "suites.connections.general.targets")
     return _nonempty(_grid(
-        alpha.params, simplex3d.indices(alpha.degree),
+        alpha.params, simplex3d.FAMILY.indices(alpha.degree),
         lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
     ), "suites.connections.alpha") + _nonempty(_grid(
-        general.params, simplex3d.indices(general.degree),
+        general.params, simplex3d.FAMILY.indices(general.degree),
         lambda p: [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]],
     ), "suites.connections.general")
 
 
 def tasks_three_term(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.three-term", 6)
-    return _grid(sec.params, simplex3d.indices(sec.degree), _cells("three_term"))
+    return _grid(sec.params, simplex3d.FAMILY.indices(sec.degree), _cells("three_term"))
 
 
 _TASK_BUILDERS = {

@@ -22,7 +22,6 @@ from operator import index
 
 from .operators import (
     DiffOperator,
-    Family,
     SecondOrder,
     SparseRelation,
     VerificationReport,
@@ -46,27 +45,12 @@ from .ratpoly import (
     over_lcm,
 )
 from .special import factorial, gamma_ratio
-from .jacobi1d import (
-    collapsed_member,
-    collapsed_monic,
-    collapsed_norm_ratio,
-    integer_axes,
-    lift_univariate,
-)
+from .jacobi1d import Family, lift_univariate
 
 
 def axes(a, b, c, d):
     """Collapsed base pairs (A_j, B_j) of the weight, x then y/(1-x)."""
     return ((b + c + d + 1, a), (c, b))
-
-
-# The row's base pairs as integer triples, once per row (`Row.derive`).
-_integer_axes = integer_axes(axes)
-
-
-def degrees(n, k):
-    """Per-axis degrees of the member (n, k)."""
-    return (n - k, k)
 
 
 def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
@@ -76,11 +60,6 @@ def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
 
 def triangle_poly(idx, p) -> MPoly:
     return FAMILY.member(as_tuple(idx, 2, index), as_tuple(p, 4))
-
-
-def triangle_norm_ratio(idx, p) -> Fraction:
-    """Squared-norm ratio against the (0, 0) member, exactly."""
-    return collapsed_norm_ratio(axes(*as_tuple(p, 4)), degrees(*as_tuple(idx, 2, index)))
 
 
 def classical_triangle_poly_raw(n, k, a, b, c) -> MPoly:
@@ -340,15 +319,6 @@ def monic_prefactor(n, k, p) -> Fraction:
     return factorial(n - k) * gamma_ratio(p.a + p.b + p.c + p.d + 2 * n + 2, -(n - k))
 
 
-def monic_triangle(idx, p) -> MPoly:
-    """Monic polynomial solution of the x-direction equation at (n, k):
-    monic_prefactor * y^k * P(n-k)."""
-    n, k = as_tuple(idx, 2, index)
-    params = as_tuple(p, 4)
-    return collapsed_monic(params.derive(_integer_axes), degrees(n, k),
-                           monic_prefactor(n, k, params.derive(FAMILY.view)))
-
-
 def indices(max_degree: int):
     """All (n, k) with 0 <= k <= n <= max_degree, by total degree n."""
     return [(n, k) for n in range(max_degree + 1) for k in range(n + 1)]
@@ -358,15 +328,23 @@ FAMILY = Family(
     names=("a", "b", "c", "d"),
     view=namedtuple("Params", "a b c d"),
     index=lambda idx: as_tuple(idx, 2, index),
-    build=lambda idx, row: collapsed_member(row.derive(_integer_axes), degrees(*idx)),
+    axes=axes,
+    indices=indices,
     valid=lambda idx: 0 <= idx[1] <= idx[0],
     sparse=SPARSE_2D,
     second_order=SECOND_ORDER_2D,
     pde=PDE_2D,
+    degrees=lambda n, k: (n - k, k),
+    # The monic solution of the x-direction equation, prefactor * y^k P(n-k).
+    monic=("B1", monic_prefactor),
 )
 
-# verify_m_relation(op, idx, p), verify_second_order_m(entry_id, idx, p) and
-# pde_residual(which, idx, p, u=None).
+# verify_m_relation(op, idx, p), verify_second_order_m(entry_id, idx, p),
+# pde_residual(which, idx, p, u=None), monic_triangle(idx, p) and
+# triangle_norm_ratio(idx, p), the squared-norm ratio against the (0, 0)
+# member.
 verify_m_relation = partial(verify_sparse, FAMILY)
 verify_second_order_m = partial(verify_composition, FAMILY)
 pde_residual = partial(residual, FAMILY)
+monic_triangle = FAMILY.monic_solution
+triangle_norm_ratio = FAMILY.norm_ratio

@@ -3,11 +3,13 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import jacobi1d, simplex3d, sweeps
-from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, main
+from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps
+from simplexpoly.cli import (EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, GRAM_MAX_DEGREE,
+                             GRAM_MAX_POINTS, main)
 
 
 SMALL_CONFIG = {
@@ -200,6 +202,42 @@ def test_gram_refusal_names_degree(capsys):
     assert main(["gram", "--N=-1", "--params", "0,0,0,0,0,0"]) == EX_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--N" in err
+
+
+def _refuse_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"an array was built for {args}")
+    monkeypatch.setattr(quadrature, "collapsed_gram", refuse)
+    monkeypatch.setattr(quadrature, "gauss_jacobi_01", refuse)
+
+
+@pytest.mark.parametrize("family", ["simplex", "triangle"])
+@pytest.mark.parametrize("argv, message", [
+    (["--N", "25"], f"--N must be from 0 to {GRAM_MAX_DEGREE}, got 25"),
+    (["--N", "40"], f"--N must be from 0 to {GRAM_MAX_DEGREE}, got 40"),
+    (["--N", "4", "--points", "1001"], f"--points must be at most {GRAM_MAX_POINTS}, got 1001"),
+    (["--N", "4", "--points", "100000"],
+     f"--points must be at most {GRAM_MAX_POINTS}, got 100000"),
+], ids=["N-25", "N-40", "points-1001", "points-100000"])
+def test_gram_past_its_bounds_exits_usage_before_any_array(family, argv, message, monkeypatch,
+                                                          capsys):
+    _refuse_arrays(monkeypatch)
+    params = "0,0,0,0,0,0" if family == "simplex" else "0,0,0,0"
+    assert main(["gram", "--family", family, *argv, "--params", params]) == EX_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"simplexpoly: error: {message}"]
+
+
+def test_gram_at_its_bounds_is_accepted(monkeypatch, capsys):
+    calls = []
+
+    def gram(family, max_degree, params, points=None):
+        calls.append((max_degree, points))
+        return [(0, 0, 0)], np.ones((1, 1))
+    monkeypatch.setattr(quadrature, "collapsed_gram", gram)
+    argv = ["gram", "--N", str(GRAM_MAX_DEGREE), "--points", str(GRAM_MAX_POINTS),
+            "--params", "0,0,0,0,0,0"]
+    assert main(argv) == EX_OK
+    assert calls == [(GRAM_MAX_DEGREE, GRAM_MAX_POINTS)]
 
 
 def test_missing_config_exit_code(capsys):

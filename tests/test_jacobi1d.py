@@ -17,7 +17,6 @@ from simplexpoly.jacobi1d import (
     _integer_pairs,
     _lifted_factor,
     collapsed_member,
-    integer_axes,
     norm_ratio,
     shifted_jacobi,
     shifted_jacobi_raw,
@@ -100,8 +99,8 @@ def test_one_factor_from_rows_with_different_denominators_is_one_cache_entry():
     # Both rows give the x-axis factor P(1; 3, 1/7), though their common
     # denominators are 77 and 91: it is cached once, under (21, 1, 7).
     first, second = (F(1, 7), F(0), F(2, 11), F(-2, 11)), (F(1, 7), F(0), F(3, 13), F(-3, 13))
-    degrees = triangle2d.degrees(2, 1)
-    first_axes, second_axes = (integer_axes(triangle2d.axes)(*row) for row in (first, second))
+    degrees = triangle2d.FAMILY.degrees(2, 1)
+    first_axes, second_axes = (triangle2d.FAMILY.integer_axes(*row) for row in (first, second))
     collapsed_member(first_axes, degrees)
     before = _lifted_factor.cache_info()
     collapsed_member(second_axes, degrees)
@@ -136,7 +135,7 @@ def test_integer_pairs_match_the_per_axis_walk(case, as_rats):
     axes, degrees = case
     if as_rats:
         axes = [tuple(map(as_rat, pair)) for pair in axes]
-    pairs = _integer_pairs(integer_axes(lambda *pairs: pairs)(*axes), degrees)
+    pairs = _integer_pairs([over_lcm(*pair) for pair in axes], degrees)
     assert pairs == _integer_pair_walk(axes, degrees)
     assert all(type(v) is int for triple in pairs for v in triple)
 

@@ -225,7 +225,8 @@ def test_row_refuses_a_float_or_a_bool(bad):
 
 def _typo_family(build=None):
     """The triangle family with M20's c0 raised by 1, which leaves a
-    remainder over its denominator 1 - x, and the given member builder."""
+    remainder over its denominator 1 - x, and the given member builder,
+    set on the instance in place of the record's `build` method."""
     fam = triangle2d.FAMILY
     rel = fam.sparse["M20"]
 
@@ -233,8 +234,11 @@ def _typo_family(build=None):
         op = rel.operator(*args)
         return replace(op, c0=op.c0 + ONE)
 
-    return replace(fam, sparse={**fam.sparse, "M20": replace(rel, operator=operator)},
-                   build=build or fam.build, members={})
+    typo = replace(fam, sparse={**fam.sparse, "M20": replace(rel, operator=operator)},
+                   members={})
+    if build is not None:
+        object.__setattr__(typo, "build", build)
+    return typo
 
 
 def test_a_failing_division_raises_before_the_target_is_built():

@@ -210,7 +210,7 @@ def _assert_values_match(idxs, values, member, points):
 def test_tetra_values_match_exact_members(params):
     points = _interior_points(3)
     coords = [[float(p[axis]) for p in points] for axis in range(3)]
-    idxs, values = collapsed_values(simplex3d, 6, params, *coords)
+    idxs, values = collapsed_values(simplex3d.FAMILY, 6, params, *coords)
     assert idxs == sorted(simplex3d.indices(6))
     _assert_values_match(idxs, values, lambda idx: simplex_poly_raw(*idx, *params), points)
 
@@ -219,7 +219,7 @@ def test_tetra_values_match_exact_members(params):
 def test_triangle_values_match_exact_members(params):
     points = _interior_points(2)
     coords = [[float(p[axis]) for p in points] for axis in range(2)]
-    idxs, values = collapsed_values(triangle2d, 6, params, *coords)
+    idxs, values = collapsed_values(triangle2d.FAMILY, 6, params, *coords)
     _assert_values_match(idxs, values, lambda idx: triangle_poly_raw(*idx, *params), points)
 
 

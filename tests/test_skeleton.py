@@ -221,9 +221,10 @@ def test_unmutated_monic_slice_is_clean(tmp_path, capsys):
 
 @pytest.mark.parametrize("family", sorted(MONIC_SLICE))
 def test_doubled_monic_prefactor_is_erratum_candidate(family, tmp_path, monkeypatch, capsys):
-    module = MONIC_SLICE[family][0]
-    prefactor = module.monic_prefactor
-    monkeypatch.setattr(module, "monic_prefactor", lambda *args: 2 * prefactor(*args))
+    record = MONIC_SLICE[family][0].FAMILY
+    equation, prefactor = record.monic
+    # The record is frozen, so its monic line is swapped in its __dict__.
+    monkeypatch.setitem(vars(record), "monic", (equation, lambda *args: 2 * prefactor(*args)))
     code, payload = _monic_slice_verify(tmp_path)
     assert code == EX_ERRATUM
     assert payload["summary"]["erratum_candidates"] == [f"monic.{family}"]
