@@ -19,6 +19,7 @@ sorted keys, floats printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -53,17 +54,10 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".12g")
-
-
-def _emit(text: str, path) -> None:
-    """Write `text` to the file at `path`, or to stdout when path is None."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(path):
+    """A context for writing to the file at `path`, or to stdout when path
+    is None."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def build_parser() -> _Parser:
@@ -108,7 +102,7 @@ GRAM_BOUND = 1e-10
 
 #: The largest --N and --points that `gram` accepts, refused above before
 #: any array is allocated.  At N = 24 the tetrahedron has 2925 members:
-#: `gram` took 10.5 s and 551 MB peak RSS on a 2-core host, and the worst
+#: `gram` took 3.9 s and 273 MB peak RSS on a 2-core host, and the worst
 #: off-diagonal entry of `scripts/orthogonality_scan.py` read 2.4e-12, 40
 #: times under GRAM_BOUND; 1000 points per axis took 1.5 s more.  The
 #: README lists the measurements at N = 16 to 28.
@@ -189,11 +183,13 @@ def cmd_gram(args) -> int:
     family = _FAMILIES[args.family]
     params = family.check(args.params.split(","))
     idxs, gram = quadrature.collapsed_gram(family, args.max_degree, params, points=args.points)
-    labels = [",".join(str(i) for i in idx) for idx in idxs]
-    lines = ["index;" + ";".join(labels)]
-    for label, row in zip(labels, np.asarray(gram)):
-        lines.append(label + ";" + ";".join(_fmt(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    labels = [",".join(map(str, idx)) for idx in idxs]
+    # Written a row at a time, each entry as format(v, ".12g") prints it.
+    row_format = ";".join(["%.12g"] * len(labels))
+    with _output(args.out) as fh:
+        fh.write("index;" + ";".join(labels) + "\n")
+        for label, row in zip(labels, np.asarray(gram, dtype=float)):
+            fh.write(label + ";" + row_format % tuple(row.tolist()) + "\n")
     worst = quadrature.gram_offdiag_max(idxs, gram)
     if worst > GRAM_BOUND:
         print(f"simplexpoly: gram: worst normalized off-diagonal entry {worst:.3e} "
@@ -238,7 +234,8 @@ def cmd_connect(args) -> int:
         ],
         "reassembles_exactly": ok,
     }
-    _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return EX_OK if ok else EX_FAIL
 
 

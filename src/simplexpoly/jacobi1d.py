@@ -248,19 +248,21 @@ class Family:
 
     `axes(*row)` gives the weight's collapsed base pairs (A_j, B_j), one per
     axis, `degrees(*idx)` a member's per-axis degrees (by default its
-    index), `indices(D)` the index grid of total degree <= D and
-    `valid(idx)` whether an index lies in the domain.  `build` makes every
-    member from these, through the row's integer base pairs
+    index) and `indices(D)` the index grid of total degree <= D; the
+    domain (`valid`) is where no per-axis degree is negative.  `build`
+    makes every member from these, through the row's integer base pairs
     (`integer_axes`, one function per record, so `Row.derive` keys them
-    once per row), and `member(idx, row)` looks it up in the one member
-    cache.  `monic` is the monic line, or None: the `pde` id of the
-    equation that the monic solution solves and its prefactor(*idx, p).
+    once per row), `member(idx, row)` looks it up in the one member cache
+    and `combination` sums multiples of members.  `monic` is the monic
+    line, or None: the `pde` id of the equation that the monic solution
+    solves and its prefactor(*idx, p).
     `names` are the weight's parameter names, in row order; every table
     line takes the index entries, then p = row.derive(view), the row's
     named view.  `index` and `params` turn the caller's index into ints and
     parameters into a Row; `check` also refuses a parameter outside the
     weight's domain (> -1).  `sparse`, `second_order` and `pde` map ids to
-    the table lines; a `pde` builder is called as builder(*idx, p).
+    the table lines; a composition's id names its two sparse lines, and a
+    `pde` builder is called as builder(*idx, p).
     """
 
     names: Tuple[str, ...]
@@ -268,7 +270,6 @@ class Family:
     index: Callable
     axes: Callable
     indices: Callable
-    valid: Callable
     sparse: dict
     second_order: dict
     pde: dict = field(default_factory=dict)
@@ -277,13 +278,23 @@ class Family:
     # Whether a composition whose operand is the zero polynomial still
     # counts as an applicable sample (the interval family says no).
     zero_operand_applicable: bool = True
-    members: dict = field(default_factory=dict, repr=False, compare=False)
+    members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def integer_axes(self) -> Callable:
         """The function of a row that gives `axes(*row)` as integer triples
         (A L, B L, L), each pair over its own least common denominator L."""
         return lambda *row: tuple(starmap(over_lcm, self.axes(*row)))
+
+    def index_count(self, max_degree: int) -> int:
+        """len(indices(max_degree)), without building the grid: the degree
+        map takes the domain one to one onto the nonnegative degree tuples."""
+        k = len(self.indices(0)[0])
+        return math.comb(max_degree + k, k) if max_degree >= 0 else 0
+
+    def valid(self, idx) -> bool:
+        """Whether `idx` is in the index domain: no per-axis degree is negative."""
+        return min(self.degrees(*idx)) >= 0
 
     def params(self, p) -> Row:
         return as_tuple(p, len(self.names))
@@ -311,6 +322,12 @@ class Family:
         if poly is None:
             poly = self.members[key] = self.build(idx, row)
         return poly
+
+    def combination(self, terms, row) -> MPoly:
+        """The sum of coeff * member(idx, row) over the (idx, coeff) pairs of
+        `terms`; a member outside the index domain is zero and is not built."""
+        return sum((self.member(idx, row).scale(coeff) for idx, coeff in terms
+                    if self.valid(idx)), ZERO)
 
     def monic_solution(self, idx, p) -> MPoly:
         """The monic solution at `idx`: the prefactor of `monic` times the
@@ -379,38 +396,38 @@ SPARSE_1D = {
 # ---------------------------------------------------------------------------
 # Second-order compositions.
 #
-# Each entry states: apply `inner` then `outer` to the member at the
-# shifted operand (n + dn, (a, b) + dparams); the result is eig(n, p)
-# times that member.  The ".rel" entries are the raising/lowering pairings
-# on shifted operands; the ".eig" entries are the same compositions
-# arranged as eigenvalue equations for the unshifted member.
+# Each entry "outer.inner.rel" or "outer.inner.eig" states: apply `inner`
+# then `outer` to the member at the shifted operand (n + dn, (a, b) +
+# dparams); the result is eig(n, p) times that member.  The ".rel" entries
+# are the raising/lowering pairings on shifted operands; the ".eig" entries
+# are the same compositions as eigenvalue equations for the unshifted member.
 # ---------------------------------------------------------------------------
 
 SECOND_ORDER_1D = {
-    "L1p.L1.rel": SecondOrder("L1p", "L1", (0,), (-1, -1), lambda n, p: n * (n + p.a + p.b - 1)),
-    "L1.L1p.rel": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, p: (n + 1) * (p.a + p.b + n)),
-    "L2p.L2.rel": SecondOrder("L2p", "L2", (0,), (-1, +1), lambda n, p: (n + p.a) * (n + p.a + p.b + 1)),
-    "L2.L2p.rel": SecondOrder("L2", "L2p", (0,), (0, +1), lambda n, p: (n + p.a) * (n + p.a + p.b + 1)),
-    "L3p.L3.rel": SecondOrder("L3p", "L3", (0,), (+1, -1), lambda n, p: (n + p.b) * (n + p.a + p.b + 1)),
-    "L3.L3p.rel": SecondOrder("L3", "L3p", (0,), (+1, 0), lambda n, p: (n + p.b) * (n + p.a + p.b + 1)),
-    "L4p.L4.rel": SecondOrder("L4p", "L4", (-1,), (0, +1), lambda n, p: n * (n + p.b + 1)),
-    "L4.L4p.rel": SecondOrder("L4", "L4p", (0,), (-1, +1), lambda n, p: n * (n + p.b + 1)),
-    "L5p.L5.rel": SecondOrder("L5p", "L5", (-1,), (+1, 0), lambda n, p: n * (n + p.a + 1)),
-    "L5.L5p.rel": SecondOrder("L5", "L5p", (0,), (+1, -1), lambda n, p: n * (n + p.a + 1)),
-    "L6p.L6.rel": SecondOrder("L6p", "L6", (0,), (-1, 0), lambda n, p: (n + p.a) * (n + p.b)),
-    "L6.L6p.rel": SecondOrder("L6", "L6p", (0,), (0, -1), lambda n, p: (n + p.a) * (n + p.b)),
-    "L1p.L1.eig": SecondOrder("L1p", "L1", (0,), (0, 0), lambda n, p: n * (n + p.a + p.b + 1)),
-    "L1.L1p.eig": SecondOrder("L1", "L1p", (0,), (0, 0), lambda n, p: (n + 1) * (p.a + p.b + n)),
-    "L2p.L2.eig": SecondOrder("L2p", "L2", (0,), (0, 0), lambda n, p: (n + p.a + 1) * (n + p.a + p.b + 1)),
-    "L2.L2p.eig": SecondOrder("L2", "L2p", (0,), (0, 0), lambda n, p: (n + p.a) * (n + p.a + p.b)),
-    "L3p.L3.eig": SecondOrder("L3p", "L3", (0,), (0, 0), lambda n, p: (n + p.b + 1) * (n + p.a + p.b + 1)),
-    "L3.L3p.eig": SecondOrder("L3", "L3p", (0,), (0, 0), lambda n, p: (n + p.b) * (n + p.a + p.b)),
-    "L4p.L4.eig": SecondOrder("L4p", "L4", (0,), (0, 0), lambda n, p: (n + 1) * (n + p.b + 1)),
-    "L4.L4p.eig": SecondOrder("L4", "L4p", (0,), (0, 0), lambda n, p: n * (n + p.b)),
-    "L5p.L5.eig": SecondOrder("L5p", "L5", (0,), (0, 0), lambda n, p: (n + 1) * (n + p.a + 1)),
-    "L5.L5p.eig": SecondOrder("L5", "L5p", (0,), (0, 0), lambda n, p: n * (n + p.a)),
-    "L6p.L6.eig": SecondOrder("L6p", "L6", (0,), (0, 0), lambda n, p: (n + p.a + 1) * (n + p.b)),
-    "L6.L6p.eig": SecondOrder("L6", "L6p", (0,), (0, 0), lambda n, p: (n + p.a) * (n + p.b + 1)),
+    "L1p.L1.rel": SecondOrder((0,), (-1, -1), lambda n, p: n * (n + p.a + p.b - 1)),
+    "L1.L1p.rel": SecondOrder((0,), (0, 0), lambda n, p: (n + 1) * (p.a + p.b + n)),
+    "L2p.L2.rel": SecondOrder((0,), (-1, +1), lambda n, p: (n + p.a) * (n + p.a + p.b + 1)),
+    "L2.L2p.rel": SecondOrder((0,), (0, +1), lambda n, p: (n + p.a) * (n + p.a + p.b + 1)),
+    "L3p.L3.rel": SecondOrder((0,), (+1, -1), lambda n, p: (n + p.b) * (n + p.a + p.b + 1)),
+    "L3.L3p.rel": SecondOrder((0,), (+1, 0), lambda n, p: (n + p.b) * (n + p.a + p.b + 1)),
+    "L4p.L4.rel": SecondOrder((-1,), (0, +1), lambda n, p: n * (n + p.b + 1)),
+    "L4.L4p.rel": SecondOrder((0,), (-1, +1), lambda n, p: n * (n + p.b + 1)),
+    "L5p.L5.rel": SecondOrder((-1,), (+1, 0), lambda n, p: n * (n + p.a + 1)),
+    "L5.L5p.rel": SecondOrder((0,), (+1, -1), lambda n, p: n * (n + p.a + 1)),
+    "L6p.L6.rel": SecondOrder((0,), (-1, 0), lambda n, p: (n + p.a) * (n + p.b)),
+    "L6.L6p.rel": SecondOrder((0,), (0, -1), lambda n, p: (n + p.a) * (n + p.b)),
+    "L1p.L1.eig": SecondOrder((0,), (0, 0), lambda n, p: n * (n + p.a + p.b + 1)),
+    "L1.L1p.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + 1) * (p.a + p.b + n)),
+    "L2p.L2.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + p.a + 1) * (n + p.a + p.b + 1)),
+    "L2.L2p.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + p.a) * (n + p.a + p.b)),
+    "L3p.L3.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + p.b + 1) * (n + p.a + p.b + 1)),
+    "L3.L3p.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + p.b) * (n + p.a + p.b)),
+    "L4p.L4.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + 1) * (n + p.b + 1)),
+    "L4.L4p.eig": SecondOrder((0,), (0, 0), lambda n, p: n * (n + p.b)),
+    "L5p.L5.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + 1) * (n + p.a + 1)),
+    "L5.L5p.eig": SecondOrder((0,), (0, 0), lambda n, p: n * (n + p.a)),
+    "L6p.L6.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + p.a + 1) * (n + p.b)),
+    "L6.L6p.eig": SecondOrder((0,), (0, 0), lambda n, p: (n + p.a) * (n + p.b + 1)),
 }
 
 
@@ -426,7 +443,6 @@ FAMILY = Family(
     # The row (a, b) is the one axis's base pair.
     axes=lambda a, b: ((a, b),),
     indices=indices,
-    valid=lambda idx: idx[0] >= 0,
     sparse=SPARSE_1D,
     second_order=SECOND_ORDER_1D,
     zero_operand_applicable=False,

@@ -149,12 +149,11 @@ class SparseRelation(_Shift):
 class SecondOrder(_Shift):
     """One line of a second-order composition table.
 
-    Applying `inner` then `outer` to the member at the shifted operand
+    Its id `outer.inner` names two sparse lines (`composition_lines`).
+    Applying inner then outer to the member at the shifted operand
     (idx + dn, params + dparams) gives eig(*idx, p) times that member.
     """
 
-    outer: str
-    inner: str
     dn: Tuple[int, ...]
     dparams: Tuple[int, ...]
     eig: "callable"
@@ -271,6 +270,12 @@ def verify_sparse(family, op: str, idx, p) -> VerificationReport:
     return _report_multiple(op, idx, params, operator, num, target, scale)
 
 
+def composition_lines(entry_id: str) -> Tuple[str, str]:
+    """The ids (outer, inner) of the two sparse lines that the composition
+    `entry_id` names."""
+    return tuple(entry_id.split(".")[:2])
+
+
 def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
     """Check one second-order composition as an exact eigenvalue identity.
 
@@ -286,7 +291,7 @@ def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
         return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
     eig = ent.eig(*idx, params.derive(family.view))
     u = family.member(idx0, params0)
-    inner, outer = family.sparse[ent.inner], family.sparse[ent.outer]
+    outer, inner = map(family.sparse.__getitem__, composition_lines(entry_id))
     p0 = params0.derive(family.view)
     v = inner.operator(*idx0, p0).apply(u)
     idx1, params1 = inner.shifted(idx0, params0)

@@ -26,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from operator import index
+from operator import add, index
 from typing import Callable, Tuple
 
 from .operators import (
@@ -89,7 +89,7 @@ def simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta, a, b) -> MPoly:
 
 
 def simplex_poly(idx, p) -> MPoly:
-    return FAMILY.member(as_tuple(idx, 3, index), as_tuple(p, 6))
+    return FAMILY.member(FAMILY.index(idx), FAMILY.params(p))
 
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
@@ -301,83 +301,83 @@ THEOREM1 = {
 
 SECOND_ORDER_3D = {
     # y-direction pairs
-    "N01p.N01": SecondOrder("N01p", "N01", (0, 0, 0), (0, -1, 0, 0, 0, -1),
+    "N01p.N01": SecondOrder((0, 0, 0), (0, -1, 0, 0, 0, -1),
         lambda n1, n2, n3, p: n2 * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b)),
-    "N01.N01p": SecondOrder("N01", "N01p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
+    "N01.N01p": SecondOrder((0, 0, 0), (0, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, p: (n2 + 1) * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 1)),
-    "N02p.N02": SecondOrder("N02p", "N02", (0, 0, 0), (0, +1, 0, 0, 0, -1),
+    "N02p.N02": SecondOrder((0, 0, 0), (0, +1, 0, 0, 0, -1),
         lambda n1, n2, n3, p:
         (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
-    "N02.N02p": SecondOrder("N02", "N02p", (0, 0, 0), (0, +1, 0, 0, 0, 0),
+    "N02.N02p": SecondOrder((0, 0, 0), (0, +1, 0, 0, 0, 0),
         lambda n1, n2, n3, p:
         (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
-    "N03p.N03": SecondOrder("N03p", "N03", (0, 0, 0), (0, -1, 0, 0, 0, +1),
+    "N03p.N03": SecondOrder((0, 0, 0), (0, -1, 0, 0, 0, +1),
         lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2)),
-    "N03.N03p": SecondOrder("N03", "N03p", (0, 0, 0), (0, 0, 0, 0, 0, +1),
+    "N03.N03p": SecondOrder((0, 0, 0), (0, 0, 0, 0, 0, +1),
         lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.be + p.ga + p.de + p.b + 2)),
-    "N04p.N04": SecondOrder("N04p", "N04", (0, -1, 0), (0, +1, 0, 0, 0, 0),
+    "N04p.N04": SecondOrder((0, -1, 0), (0, +1, 0, 0, 0, 0),
         lambda n1, n2, n3, p: n2 * (n2 + p.be + 1)),
-    "N04.N04p": SecondOrder("N04", "N04p", (0, 0, 0), (0, +1, 0, 0, 0, -1),
+    "N04.N04p": SecondOrder((0, 0, 0), (0, +1, 0, 0, 0, -1),
         lambda n1, n2, n3, p: n2 * (n2 + p.be + 1)),
-    "N05p.N05": SecondOrder("N05p", "N05", (0, -1, 0), (0, 0, 0, 0, 0, +1),
+    "N05p.N05": SecondOrder((0, -1, 0), (0, 0, 0, 0, 0, +1),
         lambda n1, n2, n3, p: n2 * (n2 + 2 * n3 + p.ga + p.de + p.b + 2)),
-    "N05.N05p": SecondOrder("N05", "N05p", (0, 0, 0), (0, -1, 0, 0, 0, +1),
+    "N05.N05p": SecondOrder((0, 0, 0), (0, -1, 0, 0, 0, +1),
         lambda n1, n2, n3, p: n2 * (n2 + 2 * n3 + p.ga + p.de + p.b + 2)),
-    "N06p.N06": SecondOrder("N06p", "N06", (0, 0, 0), (0, 0, 0, 0, 0, -1),
+    "N06p.N06": SecondOrder((0, 0, 0), (0, 0, 0, 0, 0, -1),
         lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
-    "N06.N06p": SecondOrder("N06", "N06p", (0, 0, 0), (0, -1, 0, 0, 0, 0),
+    "N06.N06p": SecondOrder((0, 0, 0), (0, -1, 0, 0, 0, 0),
         lambda n1, n2, n3, p: (n2 + p.be) * (n2 + 2 * n3 + p.ga + p.de + p.b + 1)),
     # x-direction pairs
-    "N10p.N10": SecondOrder("N10p", "N10", (0, 0, 0), (-1, 0, 0, 0, 0, -1),
+    "N10p.N10": SecondOrder((0, 0, 0), (-1, 0, 0, 0, 0, -1),
         lambda n1, n2, n3, p: n1 * ((n1 + n2 + n3) + n2 + n3 + p.e + 1)),
-    "N10.N10p": SecondOrder("N10", "N10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
+    "N10.N10p": SecondOrder((0, 0, 0), (0, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, p: (n1 + 1) * ((n1 + n2 + n3) + n2 + n3 + p.e + 2)),
-    "N20p.N20": SecondOrder("N20p", "N20", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
+    "N20p.N20": SecondOrder((0, 0, 0), (+1, 0, 0, 0, 0, -1),
         lambda n1, n2, n3, p: ((n1 + n2 + n3) + n2 + n3 + p.e + 3)
         * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
-    "N20.N20p": SecondOrder("N20", "N20p", (0, 0, 0), (+1, 0, 0, 0, 0, 0),
+    "N20.N20p": SecondOrder((0, 0, 0), (+1, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, p: ((n1 + n2 + n3) + n2 + n3 + p.e + 3)
         * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
-    "N30p.N30": SecondOrder("N30p", "N30", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
+    "N30p.N30": SecondOrder((0, 0, 0), (-1, 0, 0, 0, +1, 0),
         lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e + 3)),
-    "N30.N30p": SecondOrder("N30", "N30p", (0, 0, 0), (0, 0, 0, 0, +1, 0),
+    "N30.N30p": SecondOrder((0, 0, 0), (0, 0, 0, 0, +1, 0),
         lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e + 3)),
-    "N40p.N40": SecondOrder("N40p", "N40", (-1, 0, 0), (+1, 0, 0, 0, 0, 0),
+    "N40p.N40": SecondOrder((-1, 0, 0), (+1, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, p: n1 * (n1 + p.al + 1)),
-    "N40.N40p": SecondOrder("N40", "N40p", (0, 0, 0), (+1, 0, 0, 0, 0, -1),
+    "N40.N40p": SecondOrder((0, 0, 0), (+1, 0, 0, 0, 0, -1),
         lambda n1, n2, n3, p: n1 * (n1 + p.al + 1)),
-    "N50p.N50": SecondOrder("N50p", "N50", (-1, 0, 0), (0, 0, 0, 0, +1, 0),
+    "N50p.N50": SecondOrder((-1, 0, 0), (0, 0, 0, 0, +1, 0),
         lambda n1, n2, n3, p: n1 * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 3)),
-    "N50.N50p": SecondOrder("N50", "N50p", (0, 0, 0), (-1, 0, 0, 0, +1, 0),
+    "N50.N50p": SecondOrder((0, 0, 0), (-1, 0, 0, 0, +1, 0),
         lambda n1, n2, n3, p: n1 * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 3)),
-    "N60p.N60": SecondOrder("N60p", "N60", (0, 0, 0), (0, 0, 0, 0, 0, -1),
+    "N60p.N60": SecondOrder((0, 0, 0), (0, 0, 0, 0, 0, -1),
         lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
-    "N60.N60p": SecondOrder("N60", "N60p", (0, 0, 0), (-1, 0, 0, 0, 0, 0),
+    "N60.N60p": SecondOrder((0, 0, 0), (-1, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, p: (n1 + p.al) * ((n1 + n2 + n3) + n2 + n3 + p.e - p.al + 2)),
     # z-direction pairs
-    "O10p.O10": SecondOrder("O10p", "O10", (0, 0, 0), (0, 0, -1, -1, 0, 0),
+    "O10p.O10": SecondOrder((0, 0, 0), (0, 0, -1, -1, 0, 0),
         lambda n1, n2, n3, p: n3 * (n3 + p.ga + p.de - 1)),
-    "O10.O10p": SecondOrder("O10", "O10p", (0, 0, 0), (0, 0, 0, 0, 0, 0),
+    "O10.O10p": SecondOrder((0, 0, 0), (0, 0, 0, 0, 0, 0),
         lambda n1, n2, n3, p: (n3 + 1) * (n3 + p.ga + p.de)),
-    "O20p.O20": SecondOrder("O20p", "O20", (0, 0, 0), (0, 0, +1, -1, 0, 0),
+    "O20p.O20": SecondOrder((0, 0, 0), (0, 0, +1, -1, 0, 0),
         lambda n1, n2, n3, p: (n3 + p.de) * (n3 + p.ga + p.de + 1)),
-    "O20.O20p": SecondOrder("O20", "O20p", (0, 0, 0), (0, 0, +1, 0, 0, 0),
+    "O20.O20p": SecondOrder((0, 0, 0), (0, 0, +1, 0, 0, 0),
         lambda n1, n2, n3, p: (n3 + p.de) * (n3 + p.ga + p.de + 1)),
-    "O30p.O30": SecondOrder("O30p", "O30", (0, 0, 0), (0, 0, -1, +1, 0, 0),
+    "O30p.O30": SecondOrder((0, 0, 0), (0, 0, -1, +1, 0, 0),
         lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.ga + p.de + 1)),
-    "O30.O30p": SecondOrder("O30", "O30p", (0, 0, 0), (0, 0, 0, +1, 0, 0),
+    "O30.O30p": SecondOrder((0, 0, 0), (0, 0, 0, +1, 0, 0),
         lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.ga + p.de + 1)),
-    "O40p.O40": SecondOrder("O40p", "O40", (0, 0, -1), (0, 0, +1, 0, 0, 0),
+    "O40p.O40": SecondOrder((0, 0, -1), (0, 0, +1, 0, 0, 0),
         lambda n1, n2, n3, p: n3 * (n3 + p.ga + 1)),
-    "O40.O40p": SecondOrder("O40", "O40p", (0, 0, 0), (0, 0, +1, -1, 0, 0),
+    "O40.O40p": SecondOrder((0, 0, 0), (0, 0, +1, -1, 0, 0),
         lambda n1, n2, n3, p: n3 * (n3 + p.ga + 1)),
-    "O50p.O50": SecondOrder("O50p", "O50", (0, 0, -1), (0, 0, 0, +1, 0, 0),
+    "O50p.O50": SecondOrder((0, 0, -1), (0, 0, 0, +1, 0, 0),
         lambda n1, n2, n3, p: n3 * (n3 + p.de + 1)),
-    "O50.O50p": SecondOrder("O50", "O50p", (0, 0, 0), (0, 0, -1, +1, 0, 0),
+    "O50.O50p": SecondOrder((0, 0, 0), (0, 0, -1, +1, 0, 0),
         lambda n1, n2, n3, p: n3 * (n3 + p.de + 1)),
-    "O60p.O60": SecondOrder("O60p", "O60", (0, 0, 0), (0, 0, 0, -1, 0, 0),
+    "O60p.O60": SecondOrder((0, 0, 0), (0, 0, 0, -1, 0, 0),
         lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.de)),
-    "O60.O60p": SecondOrder("O60", "O60p", (0, 0, 0), (0, 0, -1, 0, 0, 0),
+    "O60.O60p": SecondOrder((0, 0, 0), (0, 0, -1, 0, 0, 0),
         lambda n1, n2, n3, p: (n3 + p.ga) * (n3 + p.de)),
 }
 
@@ -520,8 +520,7 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     """a = b = 0 members equal the independent classical construction, and
     the first equation collapses coefficient-by-coefficient to its
     classical form."""
-    idx = as_tuple(idx, 3, index)
-    q = as_tuple(fourparams, 4)
+    idx, q = FAMILY.index(idx), as_tuple(fourparams, 4)
     params = q.derive(_ab0)
     lhs = FAMILY.member(idx, params)
     rhs = classical_simplex_poly_raw(*idx, *q)
@@ -574,11 +573,10 @@ class ConnectionExpansion:
         multiplies them, once."""
         parts = {}
         for t in self.terms:
-            term = FAMILY.member(t.index, self.target_params).scale(t.coeff)
-            key = (t.pow_1x, t.pow_1xy)
-            parts[key] = parts[key] + term if key in parts else term
-        return sum((part * (ONE_MINUS_X**p * ONE_MINUS_XY**q)
-                    for (p, q), part in parts.items()), ZERO)
+            parts.setdefault((t.pow_1x, t.pow_1xy), []).append((t.index, t.coeff))
+        return sum((FAMILY.combination(terms, self.target_params)
+                    * (ONE_MINUS_X**p * ONE_MINUS_XY**q)
+                    for (p, q), terms in parts.items()), ZERO)
 
     def verify(self) -> bool:
         return self.reassemble() == FAMILY.member(self.source_index, self.source_params)
@@ -591,8 +589,7 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     untouched.  Each coefficient is a product of three integer-offset gamma
     ratios, a Pochhammer in (alpha - xi), and the telescoping linear factor.
     """
-    n1, n2, n3 = as_tuple(idx, 3, index)
-    params = as_tuple(p, 6)
+    (n1, n2, n3), params = FAMILY.index(idx), FAMILY.params(p)
     al, e = params[0], params.derive(FAMILY.view).e
     xi = as_rat(xi)
     n = n1 + n2 + n3
@@ -657,8 +654,7 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     The triple sum runs over componentwise-lower indices, and targets carry
     the compensating (1-x)^(n2-k2) (1-x-y)^(n3-k3) monomial factors.
     """
-    n1, n2, n3 = as_tuple(idx, 3, index)
-    params = as_tuple(p, 6)
+    (n1, n2, n3), params = FAMILY.index(idx), FAMILY.params(p)
     phi, theta, eta, xi = as_tuple(target, 4)
     target_params = as_tuple((phi, theta, eta, xi) + params[4:], 6)
     source = collapsed_exponents(params.derive(axes), (n1, n2, n3))
@@ -694,8 +690,7 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
     PoleHit if a structural denominator e+2n+2..e+2n+4 vanishes (possible
     for parameter sums <= -2 even inside the orthogonality regime).
     """
-    n1, n2, n3 = as_tuple(idx, 3, index)
-    params = as_tuple(p, 6)
+    (n1, n2, n3), params = FAMILY.index(idx), FAMILY.params(p)
     al, e = params[0], params.derive(FAMILY.view).e
     n = n1 + n2 + n3
     for v in (e + 2 * n + 2, e + 2 * n + 3, e + 2 * n + 4):
@@ -712,20 +707,15 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
 
 
 def verify_three_term(idx, p) -> VerificationReport:
-    idx = as_tuple(idx, 3, index)
-    params = as_tuple(p, 6)
+    idx, params = FAMILY.index(idx), FAMILY.params(p)
     n1, n2, n3 = idx
     try:
         ca, cb, cc = three_term_x(idx, params)
     except PoleHit as exc:
         return VerificationReport("three-term.x", idx, params, NOT_APPLICABLE, detail=str(exc))
-    u = FAMILY.member(idx, params)
-    rhs = (
-        FAMILY.member((n1 + 1, n2, n3), params).scale(ca)
-        + u.scale(cb)
-        + FAMILY.member((n1 - 1, n2, n3), params).scale(cc)
-    )
-    return report_equality("three-term.x", idx, params, X * u, rhs)
+    rhs = FAMILY.combination(
+        (((n1 + 1, n2, n3), ca), (idx, cb), ((n1 - 1, n2, n3), cc)), params)
+    return report_equality("three-term.x", idx, params, X * FAMILY.member(idx, params), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -884,18 +874,14 @@ MULTIPLICATIONS = {
 def verify_corollary(kind: str, table: dict, which: str, idx, fourparams) -> VerificationReport:
     """Check one corollary line at the a = b = 0 member (idx, fourparams),
     reported as corollary.<kind>.<which>."""
-    idx = as_tuple(idx, 3, index)
-    q = as_tuple(fourparams, 4)
+    idx, q = FAMILY.index(idx), as_tuple(fourparams, 4)
     line = table[which]
     params = q.derive(_ab0)
     p = params.derive(FAMILY.view)
     lhs = line.lhs(FAMILY.member(idx, params), *idx, p)
-    params2 = q.shift(line.dparams).derive(_ab0)
-    rhs = ZERO
-    for dn, coeff in line.terms(*idx, p):
-        idx2 = tuple(i + d for i, d in zip(idx, dn))
-        if min(idx2) >= 0:
-            rhs = rhs + FAMILY.member(idx2, params2).scale(coeff)
+    rhs = FAMILY.combination(((tuple(map(add, idx, dn)), coeff)
+                              for dn, coeff in line.terms(*idx, p)),
+                             q.shift(line.dparams).derive(_ab0))
     return report_equality(f"corollary.{kind}.{which}", idx, q, lhs, rhs)
 
 
@@ -923,7 +909,6 @@ FAMILY = Family(
     index=lambda idx: as_tuple(idx, 3, index),
     axes=axes,
     indices=indices,
-    valid=lambda idx: min(idx) >= 0,
     sparse=THEOREM1,
     second_order=SECOND_ORDER_3D,
     pde=PDE_3D,

@@ -35,6 +35,12 @@ from .special import PoleHit
 # higher degree, so no accepted degree ends a sweep in an OverflowError.
 MAX_DEGREE = EXPONENT_LIMIT - 8
 
+# The most tasks a suite section may ask for, refused before any is built.
+# A task takes about 1.5 kB through plan, run and write_report (theorem1
+# sections of 62,160, 155,400 and 271,950 tasks peaked at 128, 263 and 434
+# MB), so this is about 1.5 GB, three times ROADMAP item 1's largest grid.
+MAX_TASKS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A config key missing or not read, or a config section, list or
@@ -265,66 +271,72 @@ def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
 # Suite task builders.
 # ---------------------------------------------------------------------------
 
-def _grid(rows, indices, cells) -> List[Task]:
-    """The task grid: one task per parameter row, index and cell, nested in
-    that order.  A cell is (kind, relation, extra); `cells` is a list of
-    them, or a function of the row that returns one, called once per row."""
-    return [
-        (kind, rel, idx, params, extra)
-        for params in rows
-        for row_cells in [cells(params) if callable(cells) else cells]
-        for idx in indices
-        for kind, rel, extra in row_cells
-    ]
+def _grid(rows, family, degree, cells) -> List[Task]:
+    """The tasks of a grid: one per row, index of the record's
+    `indices(degree)` and cell (kind, relation, extra), in that order."""
+    indices = family.indices(degree)
+    return [(kind, rel, idx, params, extra)
+            for params in rows for idx in indices for kind, rel, extra in cells]
+
+
+def _size(grids) -> int:
+    """The number of tasks of the grids, counted without building them."""
+    return sum(len(rows) * family.index_count(degree) * len(cells)
+               for rows, family, degree, cells in grids)
 
 
 def _cells(kind, relations=(None,)):
     return [(kind, rel, None) for rel in relations]
 
 
-def _nonempty(tasks, path: str) -> List[Task]:
-    """`tasks`, refused when the config grid at `path` yields none: a grid
-    that checks nothing would pass vacuously."""
-    if not tasks:
+def _nonempty(grids, path: str) -> list:
+    """`grids`, refused when the config grid at `path` yields no task: a
+    grid that checks nothing would pass vacuously."""
+    if not _size(grids):
         raise ValueError(f"config section {path} yields no tasks")
-    return tasks
+    return grids
 
 
-def _relation_grid(sec: SweepSection, family, kind) -> List[Task]:
-    """One kind over a parsed section's grid and the family record's index
-    grid, for the relation ids it checks."""
-    return _grid(sec.params, family.indices(sec.degree), _cells(kind, sec.relations))
+def _tasks(path: str, grids) -> List[Task]:
+    """The tasks of the section at `path`, its grids in order, refused when
+    they number 0 or more than MAX_TASKS, counted before any is built."""
+    count = _size(_nonempty(grids, path))
+    if count > MAX_TASKS:
+        raise ConfigError(f"config section {path} asks for {count} tasks, "
+                          f"more than the {MAX_TASKS} a section may hold")
+    return [task for grid in grids for task in _grid(*grid)]
 
 
 def tasks_ladder1d(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.ladder1d", 2, jacobi1d.SPARSE_1D)
-    return _relation_grid(sec, jacobi1d.FAMILY, "ladder1d")
+    return _tasks("suites.ladder1d", [
+        (sec.params, jacobi1d.FAMILY, sec.degree, _cells("ladder1d", sec.relations))])
 
 
 def tasks_m2d(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.m2d", 4, triangle2d.SPARSE_2D)
-    abc = [as_tuple(p[:3], 3) for p in sec.params]
-    reductions = _grid(abc, triangle2d.FAMILY.indices(sec.degree), _cells("d0"))
-    return _relation_grid(sec, triangle2d.FAMILY, "m2d") + reductions
+    return _tasks("suites.m2d", [
+        (sec.params, triangle2d.FAMILY, sec.degree, _cells("m2d", sec.relations)),
+        ([as_tuple(p[:3], 3) for p in sec.params], triangle2d.FAMILY, sec.degree, _cells("d0"))])
 
 
 def tasks_theorem1(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.theorem1", 6, simplex3d.THEOREM1)
-    q = [as_tuple(p[:4], 4) for p in sec.params]
-    reductions = _grid(q, simplex3d.FAMILY.indices(sec.degree), _cells("ab0"))
-    return _relation_grid(sec, simplex3d.FAMILY, "theorem1") + reductions
+    return _tasks("suites.theorem1", [
+        (sec.params, simplex3d.FAMILY, sec.degree, _cells("theorem1", sec.relations)),
+        ([as_tuple(p[:4], 4) for p in sec.params], simplex3d.FAMILY, sec.degree, _cells("ab0"))])
 
 
 def tasks_second_order(section) -> List[Task]:
     _section(section, "suites.second-order", ("oned", "twod", "threed"))
-    tasks = []
+    grids = []
     for key, family, kind in (("oned", jacobi1d.FAMILY, "so1d"),
                               ("twod", triangle2d.FAMILY, "so2d"),
                               ("threed", simplex3d.FAMILY, "so3d")):
         path = "suites.second-order." + key
         sec = SweepSection.parse(section[key], path, len(family.names), family.second_order)
-        tasks += _nonempty(_relation_grid(sec, family, kind), path)
-    return tasks
+        grids += _nonempty([(sec.params, family, sec.degree, _cells(kind, sec.relations))], path)
+    return _tasks("suites.second-order", grids)
 
 
 def tasks_pde(section) -> List[Task]:
@@ -334,15 +346,15 @@ def tasks_pde(section) -> List[Task]:
     monic_degree = config_int(section.get("monic_degree", 5), "suites.pde.monic_degree",
                               high=MAX_DEGREE)
     triangle, tetrahedron = triangle2d.FAMILY, simplex3d.FAMILY
-    return (
-        _nonempty(_grid(two.params, triangle.indices(two.degree),
-                        _cells("pde2d", triangle.pde)), "suites.pde.twod")
-        + _nonempty(_grid(three.params, tetrahedron.indices(three.degree),
-                          _cells("pde3d", tetrahedron.pde)), "suites.pde.threed")
-        + _nonempty(_grid(two.params, triangle.indices(monic_degree), _cells("monic2d"))
-                    + _grid(three.params, tetrahedron.indices(monic_degree), _cells("monic3d")),
-                    "suites.pde.monic_degree")
-    )
+    return _tasks("suites.pde", [
+        *_nonempty([(two.params, triangle, two.degree, _cells("pde2d", triangle.pde))],
+                   "suites.pde.twod"),
+        *_nonempty([(three.params, tetrahedron, three.degree, _cells("pde3d", tetrahedron.pde))],
+                   "suites.pde.threed"),
+        *_nonempty([(two.params, triangle, monic_degree, _cells("monic2d")),
+                    (three.params, tetrahedron, monic_degree, _cells("monic3d"))],
+                   "suites.pde.monic_degree"),
+    ])
 
 
 def tasks_corollaries(section) -> List[Task]:
@@ -352,7 +364,7 @@ def tasks_corollaries(section) -> List[Task]:
         + _cells("cor_weight", simplex3d.WEIGHTED)
         + _cells("cor_mult", simplex3d.MULTIPLICATIONS)
     )
-    return _grid(sec.params, simplex3d.FAMILY.indices(sec.degree), cells)
+    return _tasks("suites.corollaries", [(sec.params, simplex3d.FAMILY, sec.degree, cells)])
 
 
 def tasks_connections(section) -> List[Task]:
@@ -363,18 +375,21 @@ def tasks_connections(section) -> List[Task]:
     general = SweepSection.parse(general_section, "suites.connections.general", 6,
                                  extra=("targets",))
     targets = parse_grid(general_section["targets"], 4, "suites.connections.general.targets")
-    return _nonempty(_grid(
-        alpha.params, simplex3d.FAMILY.indices(alpha.degree),
-        lambda p: [("conn_alpha", None, xi) for xi in xis + [p[0]]],
-    ), "suites.connections.alpha") + _nonempty(_grid(
-        general.params, simplex3d.FAMILY.indices(general.degree),
-        lambda p: [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]],
-    ), "suites.connections.general")
+    # Each row also connects to its own leading parameters: a grid per row.
+    return _tasks("suites.connections", [
+        *_nonempty([((p,), simplex3d.FAMILY, alpha.degree,
+                     [("conn_alpha", None, xi) for xi in xis + [p[0]]]) for p in alpha.params],
+                   "suites.connections.alpha"),
+        *_nonempty([((p,), simplex3d.FAMILY, general.degree,
+                     [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]])
+                    for p in general.params], "suites.connections.general"),
+    ])
 
 
 def tasks_three_term(section) -> List[Task]:
     sec = SweepSection.parse(section, "suites.three-term", 6)
-    return _grid(sec.params, simplex3d.FAMILY.indices(sec.degree), _cells("three_term"))
+    return _tasks("suites.three-term",
+                  [(sec.params, simplex3d.FAMILY, sec.degree, _cells("three_term"))])
 
 
 _TASK_BUILDERS = {
@@ -399,7 +414,7 @@ def suite_tasks(name: str, config: dict) -> List[Task]:
     if name not in _TASK_BUILDERS:
         raise KeyError(f"unknown suite {name!r}; expected one of {SUITES}")
     section = _section(config.get("suites", {}), "suites", (name,), SUITES)[name]
-    return _nonempty(_TASK_BUILDERS[name](section), "suites." + name)
+    return _TASK_BUILDERS[name](section)
 
 
 def run_suite_tasks(name: str, tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:

@@ -59,7 +59,7 @@ def triangle_poly_raw(n, k, a, b, c, d) -> MPoly:
 
 
 def triangle_poly(idx, p) -> MPoly:
-    return FAMILY.member(as_tuple(idx, 2, index), as_tuple(p, 4))
+    return FAMILY.member(FAMILY.index(idx), FAMILY.params(p))
 
 
 def classical_triangle_poly_raw(n, k, a, b, c) -> MPoly:
@@ -118,8 +118,7 @@ def _d0(a, b, c):
 
 def verify_d0_reduction(idx, abc) -> VerificationReport:
     """d = 0 member equals the classical construction, exactly."""
-    idx = as_tuple(idx, 2, index)
-    abc = as_tuple(abc, 3)
+    idx, abc = FAMILY.index(idx), as_tuple(abc, 3)
     lhs = FAMILY.member(idx, abc.derive(_d0))
     rhs = classical_triangle_poly_raw(*idx, *abc)
     return report_equality("reduction.d0", idx, abc, lhs, rhs)
@@ -226,30 +225,30 @@ SPARSE_2D = {
 
 
 SECOND_ORDER_2D = {
-    "M01p.M01": SecondOrder("M01p", "M01", (0, 0), (0, -1, -1, 0), lambda n, k, p: k * (k + p.b + p.c - 1)),
-    "M01.M01p": SecondOrder("M01", "M01p", (0, 0), (0, 0, 0, 0), lambda n, k, p: (k + 1) * (k + p.b + p.c)),
-    "M02p.M02": SecondOrder("M02p", "M02", (0, 0), (0, +1, -1, 0), lambda n, k, p: (k + p.c) * (k + p.b + p.c + 1)),
-    "M02.M02p": SecondOrder("M02", "M02p", (0, 0), (0, +1, 0, 0), lambda n, k, p: (k + p.c) * (k + p.b + p.c + 1)),
-    "M03p.M03": SecondOrder("M03p", "M03", (0, 0), (0, -1, +1, 0), lambda n, k, p: (k + p.b) * (k + p.b + p.c + 1)),
-    "M03.M03p": SecondOrder("M03", "M03p", (0, 0), (0, 0, +1, 0), lambda n, k, p: (k + p.b) * (k + p.b + p.c + 1)),
-    "M04p.M04": SecondOrder("M04p", "M04", (0, -1), (0, +1, 0, 0), lambda n, k, p: k * (k + p.b + 1)),
-    "M04.M04p": SecondOrder("M04", "M04p", (0, 0), (0, +1, -1, 0), lambda n, k, p: k * (k + p.b + 1)),
-    "M05p.M05": SecondOrder("M05p", "M05", (0, -1), (0, 0, +1, 0), lambda n, k, p: k * (k + p.c + 1)),
-    "M05.M05p": SecondOrder("M05", "M05p", (0, 0), (0, -1, +1, 0), lambda n, k, p: k * (k + p.c + 1)),
-    "M06p.M06": SecondOrder("M06p", "M06", (0, 0), (0, 0, -1, 0), lambda n, k, p: (k + p.b) * (k + p.c)),
-    "M06.M06p": SecondOrder("M06", "M06p", (0, 0), (0, -1, 0, 0), lambda n, k, p: (k + p.b) * (k + p.c)),
-    "M10p.M10": SecondOrder("M10p", "M10", (0, 0), (-1, 0, 0, -1), lambda n, k, p: (n - k) * (n + k + p.a + p.b + p.c + p.d)),
-    "M10.M10p": SecondOrder("M10", "M10p", (0, 0), (0, 0, 0, 0), lambda n, k, p: (n - k + 1) * (n + k + p.a + p.b + p.c + p.d + 1)),
-    "M20p.M20": SecondOrder("M20p", "M20", (0, 0), (+1, 0, 0, -1), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n + k + p.b + p.c + p.d + 1)),
-    "M20.M20p": SecondOrder("M20", "M20p", (0, 0), (+1, -1, 0, +1), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n + k + p.b + p.c + p.d + 1)),
-    "M30p.M30": SecondOrder("M30p", "M30", (0, 0), (-1, +1, 0, 0), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n - k + p.a)),
-    "M30.M30p": SecondOrder("M30", "M30p", (0, 0), (0, +1, 0, 0), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n - k + p.a)),
-    "M40p.M40": SecondOrder("M40p", "M40", (-1, 0), (+1, 0, 0, 0), lambda n, k, p: (n - k) * (n - k + p.a + 1)),
-    "M40.M40p": SecondOrder("M40", "M40p", (0, 0), (+1, -1, 0, 0), lambda n, k, p: (n - k) * (n - k + p.a + 1)),
-    "M50p.M50": SecondOrder("M50p", "M50", (-1, 0), (0, +1, 0, 0), lambda n, k, p: (n - k) * (n + k + p.b + p.c + p.d + 2)),
-    "M50.M50p": SecondOrder("M50", "M50p", (0, 0), (-1, +1, 0, 0), lambda n, k, p: (n - k) * (n + k + p.b + p.c + p.d + 2)),
-    "M60p.M60": SecondOrder("M60p", "M60", (0, 0), (0, 0, 0, -1), lambda n, k, p: (n - k + p.a) * (n + k + p.b + p.c + p.d + 1)),
-    "M60.M60p": SecondOrder("M60", "M60p", (0, 0), (-1, 0, 0, 0), lambda n, k, p: (n - k + p.a) * (n + k + p.b + p.c + p.d + 1)),
+    "M01p.M01": SecondOrder((0, 0), (0, -1, -1, 0), lambda n, k, p: k * (k + p.b + p.c - 1)),
+    "M01.M01p": SecondOrder((0, 0), (0, 0, 0, 0), lambda n, k, p: (k + 1) * (k + p.b + p.c)),
+    "M02p.M02": SecondOrder((0, 0), (0, +1, -1, 0), lambda n, k, p: (k + p.c) * (k + p.b + p.c + 1)),
+    "M02.M02p": SecondOrder((0, 0), (0, +1, 0, 0), lambda n, k, p: (k + p.c) * (k + p.b + p.c + 1)),
+    "M03p.M03": SecondOrder((0, 0), (0, -1, +1, 0), lambda n, k, p: (k + p.b) * (k + p.b + p.c + 1)),
+    "M03.M03p": SecondOrder((0, 0), (0, 0, +1, 0), lambda n, k, p: (k + p.b) * (k + p.b + p.c + 1)),
+    "M04p.M04": SecondOrder((0, -1), (0, +1, 0, 0), lambda n, k, p: k * (k + p.b + 1)),
+    "M04.M04p": SecondOrder((0, 0), (0, +1, -1, 0), lambda n, k, p: k * (k + p.b + 1)),
+    "M05p.M05": SecondOrder((0, -1), (0, 0, +1, 0), lambda n, k, p: k * (k + p.c + 1)),
+    "M05.M05p": SecondOrder((0, 0), (0, -1, +1, 0), lambda n, k, p: k * (k + p.c + 1)),
+    "M06p.M06": SecondOrder((0, 0), (0, 0, -1, 0), lambda n, k, p: (k + p.b) * (k + p.c)),
+    "M06.M06p": SecondOrder((0, 0), (0, -1, 0, 0), lambda n, k, p: (k + p.b) * (k + p.c)),
+    "M10p.M10": SecondOrder((0, 0), (-1, 0, 0, -1), lambda n, k, p: (n - k) * (n + k + p.a + p.b + p.c + p.d)),
+    "M10.M10p": SecondOrder((0, 0), (0, 0, 0, 0), lambda n, k, p: (n - k + 1) * (n + k + p.a + p.b + p.c + p.d + 1)),
+    "M20p.M20": SecondOrder((0, 0), (+1, 0, 0, -1), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n + k + p.b + p.c + p.d + 1)),
+    "M20.M20p": SecondOrder((0, 0), (+1, -1, 0, +1), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n + k + p.b + p.c + p.d + 1)),
+    "M30p.M30": SecondOrder((0, 0), (-1, +1, 0, 0), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n - k + p.a)),
+    "M30.M30p": SecondOrder((0, 0), (0, +1, 0, 0), lambda n, k, p: (n + k + p.a + p.b + p.c + p.d + 2) * (n - k + p.a)),
+    "M40p.M40": SecondOrder((-1, 0), (+1, 0, 0, 0), lambda n, k, p: (n - k) * (n - k + p.a + 1)),
+    "M40.M40p": SecondOrder((0, 0), (+1, -1, 0, 0), lambda n, k, p: (n - k) * (n - k + p.a + 1)),
+    "M50p.M50": SecondOrder((-1, 0), (0, +1, 0, 0), lambda n, k, p: (n - k) * (n + k + p.b + p.c + p.d + 2)),
+    "M50.M50p": SecondOrder((0, 0), (-1, +1, 0, 0), lambda n, k, p: (n - k) * (n + k + p.b + p.c + p.d + 2)),
+    "M60p.M60": SecondOrder((0, 0), (0, 0, 0, -1), lambda n, k, p: (n - k + p.a) * (n + k + p.b + p.c + p.d + 1)),
+    "M60.M60p": SecondOrder((0, 0), (-1, 0, 0, 0), lambda n, k, p: (n - k + p.a) * (n + k + p.b + p.c + p.d + 1)),
 }
 
 
@@ -330,7 +329,6 @@ FAMILY = Family(
     index=lambda idx: as_tuple(idx, 2, index),
     axes=axes,
     indices=indices,
-    valid=lambda idx: 0 <= idx[1] <= idx[0],
     sparse=SPARSE_2D,
     second_order=SECOND_ORDER_2D,
     pde=PDE_2D,

@@ -106,6 +106,12 @@ BAD_CONFIGS = {
     "suite-name-misspelt": ("three-term", _set(("suites", "three_term"), {}), "suites"),
     "top-level-key-misspelt": ("ladder1d", _set(("jbos",), 2),
                                'the config takes no key "jbos"; it reads jobs, suites'),
+    # More tasks than a section may hold: 176,851 indices of degree 100
+    # times 37 cells on one row, counted before any is built.
+    "too-many-tasks": ("theorem1", _set(("suites", "theorem1"),
+                                        {"degree": 100, "params": [[0, 0, 0, 0, 0, 0]]}),
+                       "config section suites.theorem1 asks for 6543487 tasks, "
+                       "more than the 1000000"),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps
+from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import (EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, GRAM_MAX_DEGREE,
                              GRAM_MAX_POINTS, main)
 
@@ -426,6 +426,22 @@ def test_gram_csv_output(capsys, tmp_path):
     assert code == EX_OK
     rows = path.read_text().splitlines()
     assert len(rows) == 5  # header + four members
+
+
+@pytest.mark.parametrize("family, params", [("simplex", "0,0,0,0,0,0"),
+                                            ("triangle", "1/3,0,-1/2,1")])
+def test_gram_csv_prints_every_entry_with_twelve_digits(family, params, tmp_path):
+    path = tmp_path / "g.csv"
+    code = main(["gram", "--family", family, "--N", "4", "--params=" + params,
+                 "--out", str(path)])
+    assert code == EX_OK
+    record = triangle2d.FAMILY if family == "triangle" else simplex3d.FAMILY
+    idxs, gram = quadrature.collapsed_gram(record, 4, record.check(params.split(",")))
+    labels = [",".join(str(i) for i in idx) for idx in idxs]
+    lines = ["index;" + ";".join(labels)]
+    for label, row in zip(labels, gram):
+        lines.append(label + ";" + ";".join(format(float(v), ".12g") for v in row))
+    assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_gram_reports_missed_bound(capsys, tmp_path):

@@ -234,8 +234,7 @@ def _typo_family(build=None):
         op = rel.operator(*args)
         return replace(op, c0=op.c0 + ONE)
 
-    typo = replace(fam, sparse={**fam.sparse, "M20": replace(rel, operator=operator)},
-                   members={})
+    typo = replace(fam, sparse={**fam.sparse, "M20": replace(rel, operator=operator)})
     if build is not None:
         object.__setattr__(typo, "build", build)
     return typo
@@ -261,7 +260,7 @@ def test_an_unsupported_divisor_raises_on_a_zero_image():
     fam = triangle2d.FAMILY
     rel = fam.sparse["M10"]
     typo = replace(fam, sparse={"M10": replace(
-        rel, operator=lambda *args: replace(rel.operator(*args), denom=Y))}, members={})
+        rel, operator=lambda *args: replace(rel.operator(*args), denom=Y))})
     with pytest.raises(ValueError, match="unsupported divisor shape"):
         verify_sparse(typo, "M10", (0, 0), (F(1, 3), F(-1, 2), F(1), F(0)))
     assert verify_sparse(fam, "M10", (0, 0), (F(1, 3), F(-1, 2), F(1), F(0))).status \
@@ -272,7 +271,7 @@ def test_a_failing_composition_keeps_its_scale_detail():
     fam = triangle2d.FAMILY
     ent = fam.second_order["M20p.M20"]
     typo = replace(fam, second_order={"M20p.M20": replace(
-        ent, eig=lambda *args: ent.eig(*args) + 1)}, members={})
+        ent, eig=lambda *args: ent.eig(*args) + 1)})
     r = verify_composition(typo, "M20p.M20", (2, 1), (F(1, 3), F(-1, 2), F(1), F(0)))
     assert r.status == "fail" and r.detail.startswith("scale product ")
     assert " != tabulated eigenvalue " in r.detail and r.difference not in (None, "0")

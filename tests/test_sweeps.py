@@ -148,6 +148,21 @@ def test_a_selecting_section_keeps_its_selection(path, kind, relation):
     assert {rel for k, rel, *_ in tasks if k == kind} == {relation}
 
 
+def test_a_section_past_the_task_bound_is_refused_before_any_grid_is_built(monkeypatch):
+    def grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(sweeps, "_grid", grid)
+    config = sweeps.load_config(sweeps.default_config_path())
+    # theorem1 at degree 100: 176,851 indices, 36 relations and the
+    # reduction on each of the shipped rows.
+    config["suites"]["theorem1"]["degree"] = 100
+    count = len(config["suites"]["theorem1"]["params"]) * 176_851 * 37
+    assert count > sweeps.MAX_TASKS
+    with pytest.raises(sweeps.ConfigError, match=f"suites.theorem1 asks for {count} tasks"):
+        sweeps.suite_tasks("theorem1", config)
+
+
 # The function each task kind calls to check its task, by module and name.
 VERIFIERS = {
     "ladder1d": (jacobi1d, "verify_ladder"),
