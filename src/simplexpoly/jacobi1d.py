@@ -25,11 +25,17 @@ integer numerators L^n n! c_m, as integer term maps, and divided by L^n n!
 once, at the end.  The record puts a row's base pairs over their
 denominators once per row (`Family.integer_axes`), so the exponents of
 each factor, the keys of its cache, cost integer additions.
+
+The construction caches, each record's `members` and `_lifted_factor`,
+last one parameter row: `enter_row` empties them when a sweep's task moves
+to another row, so a sweep holds the members of one row and of the rows
+its checks shift to, however many rows its grids have.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -241,7 +247,7 @@ def collapsed_norm(axes, degrees) -> float:
                      for d, (big_a, big_b) in zip(degrees, collapsed_exponents(axes, degrees)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """What a family is: all that the shared checks, the sweeps, the
     quadrature and the CLI read about it.
@@ -252,8 +258,9 @@ class Family:
     domain (`valid`) is where no per-axis degree is negative.  `build`
     makes every member from these, through the row's integer base pairs
     (`integer_axes`, one function per record, so `Row.derive` keys them
-    once per row), `member(idx, row)` looks it up in the one member cache
-    and `combination` sums multiples of members.  `monic` is the monic
+    once per row), `member(idx, row)` looks it up in the record's member
+    cache, which `enter_row` empties at each new row of a sweep, and
+    `combination` sums multiples of members.  `monic` is the monic
     line, or None: the `pde` id of the equation that the monic solution
     solves and its prefactor(*idx, p).
     `names` are the weight's parameter names, in row order; every table
@@ -278,7 +285,10 @@ class Family:
     # Whether a composition whose operand is the zero polynomial still
     # counts as an applicable sample (the interval family says no).
     zero_operand_applicable: bool = True
-    members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    members: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        _RECORDS.add(self)
 
     @cached_property
     def integer_axes(self) -> Callable:
@@ -341,6 +351,27 @@ class Family:
         """Squared-norm ratio of the member at `idx` against the degree-0
         member, exactly."""
         return collapsed_norm_ratio(self.axes(*self.params(p)), self.degrees(*self.index(idx)))
+
+
+# Every Family record, whose member cache `enter_row` empties, and the row
+# that the caches hold now.
+_RECORDS = weakref.WeakSet()
+_row = None
+
+
+def enter_row(row) -> None:
+    """Scope the construction caches to `row`, the parameter row of the
+    task about to run.  When it is not the previous task's row (compared
+    by identity, then by value, since a pool worker unpickles each chunk
+    into new rows), every record's member cache and `_lifted_factor` are
+    emptied: the members of the previous row are not asked for again."""
+    global _row
+    if row is _row or row == _row:
+        return
+    _row = row
+    for record in _RECORDS:
+        record.members.clear()
+    _lifted_factor.cache_clear()
 
 
 # ---------------------------------------------------------------------------

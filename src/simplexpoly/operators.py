@@ -159,9 +159,10 @@ class SecondOrder(_Shift):
     eig: "callable"
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
-    """Outcome of one identity check, serializable to a JSON dict."""
+    """Outcome of one identity check, serializable to a JSON dict.  A
+    sweep holds one per task, so the fields are slots."""
 
     relation: str
     index: Tuple[int, ...]

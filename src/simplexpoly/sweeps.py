@@ -6,6 +6,10 @@ across a process pool, and merges the reports deterministically by sorted
 key.  Parallel execution sorts the tasks by parameter row, then index, and
 cuts the list into about four chunks per worker, each edge between two
 (row, index) groups, so the tasks that build one member share a chunk.
+
+Each task first scopes the construction caches to its parameter row
+(`jacobi1d.enter_row`), and `write_report` writes one report at a time, so
+a sweep's memory follows one row and its reports, not the whole grid.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .special import PoleHit
 MAX_DEGREE = EXPONENT_LIMIT - 8
 
 # The most tasks a suite section may ask for, refused before any is built.
-# A task takes about 1.5 kB through plan, run and write_report (theorem1
-# sections of 62,160, 155,400 and 271,950 tasks peaked at 128, 263 and 434
-# MB), so this is about 1.5 GB, three times ROADMAP item 1's largest grid.
+# A task takes about 0.5 kB through plan, run and write_report (theorem1
+# sections of 62,160, 155,400 and 271,950 tasks peaked at 66, 94 and 138
+# MB), so this is about 500 MB, three times ROADMAP item 1's largest grid.
 MAX_TASKS = 1_000_000
 
 
@@ -220,11 +224,13 @@ Task = Tuple[str, Optional[str], tuple, tuple, object]
 
 
 def run_task(task: Task) -> VerificationReport:
-    """Run one task.  An exact division with a remainder or by a divisor
-    it cannot divide by (ValueError, as a mistyped table denominator
-    gives), a pole or a zero denominator fails the sample instead of
-    raising; the cause is in the report's detail."""
+    """Run one task, with the construction caches scoped to its row.  An
+    exact division with a remainder or by a divisor it cannot divide by
+    (ValueError, as a mistyped table denominator gives), a pole or a zero
+    denominator fails the sample instead of raising; the cause is in the
+    report's detail."""
     kind, rel, idx, params, extra = task
+    jacobi1d.enter_row(params)
     relation, execute = _KINDS[kind]
     relation = relation.format(rel)
     try:
@@ -482,13 +488,17 @@ def write_report(path: str, reports, summary) -> None:
     indent=1, sort_keys=True) writes, and a newline.  The summary, a few
     dozen relations at most, is written by `json` itself, one level deeper.
     The reports are laid out from their `to_json()` directly, in about half
-    the time json's pure-Python encoder (the one `indent` selects) takes."""
-    listed = ",\n".join(map(_report_json, reports))
+    the time json's pure-Python encoder (the one `indent` selects) takes,
+    and written one at a time, so the text of the whole list is never held."""
     summary = json.dumps(summary, indent=1, sort_keys=True).replace("\n", "\n ")
-    text = ('{\n "reports": ' + ("[\n" + listed + "\n ]" if listed else "[]")
-            + ',\n "summary": ' + summary + "\n}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write('{\n "reports": ')
+        opening = "[\n"
+        for r in reports:
+            fh.write(opening + _report_json(r))
+            opening = ",\n"
+        fh.write("[]" if opening == "[\n" else "\n ]")
+        fh.write(',\n "summary": ' + summary + "\n}\n")
 
 
 __all__ = [

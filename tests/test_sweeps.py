@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import pickle
+import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +20,7 @@ from hypothesis import strategies as st
 from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import EX_OK, main
 from simplexpoly.operators import (
-    FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, summarize,
+    FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, as_tuple, summarize,
 )
 
 CHECKSUMS = Path(__file__).resolve().parent / "data" / "default_sweep_reports.sha256"
@@ -98,6 +104,81 @@ def test_pool_reports_equal_serial_reports():
     tasks = _m2d_tasks()
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+
+
+def test_a_report_is_slotted_and_pickles_to_an_equal_report():
+    # The --jobs pool sends its reports back to the parent as pickles.
+    report = VerificationReport("N10", (1, 0, 2), (Fraction(1, 2), Fraction(-1, 3)), FAIL,
+                                lhs="x", rhs="y", detail="d", suite="theorem1", difference="x - y")
+    assert not hasattr(report, "__dict__")
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report and type(copy.params) is Row
+    assert copy.to_json() == report.to_json()
+
+
+def _within_integer_steps(row, of):
+    return len(row) == len(of) and all((p - q).denominator == 1 for p, q in zip(row, of))
+
+
+def test_after_a_two_row_sweep_the_members_are_the_last_rows():
+    section = {"degree": 2, "params": [["0"] * 6, ["1/3", "1/2", "0", "1", "-1/2", "2"]]}
+    tasks = [t for t in sweeps.tasks_theorem1(section) if t[0] == "theorem1"]
+    first, last = tasks[0][3], tasks[-1][3]
+    sweeps.run_tasks(tasks)
+    rows = {row for _, row in simplex3d.FAMILY.members}
+    assert rows and all(_within_integer_steps(row, last) for row in rows)
+    assert not any(_within_integer_steps(row, first) for row in rows)
+
+
+def test_an_equal_row_keeps_the_caches_and_another_row_empties_them():
+    row = as_tuple(["1/3"] * 6, 6)
+    record = replace(simplex3d.FAMILY)
+    jacobi1d.enter_row(row)
+    for family in (simplex3d.FAMILY, record):
+        family.member((1, 1, 0), row)
+    triangle2d.FAMILY.member((1, 0), row[:4])
+    # A pool worker unpickles each chunk into new rows equal to the last.
+    jacobi1d.enter_row(as_tuple(["1/3"] * 6, 6))
+    assert ((1, 1, 0), row) in simplex3d.FAMILY.members and record.members
+    jacobi1d.enter_row(as_tuple(["1/2"] * 6, 6))
+    assert not (simplex3d.FAMILY.members or record.members or triangle2d.FAMILY.members)
+    assert jacobi1d._lifted_factor.cache_info().currsize == 0
+
+
+_PEAK_RSS = """
+import resource, sys
+from simplexpoly.cli import main
+code = main(["verify", "--suite", "theorem1", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+# Starts the command of its arguments.  On Linux a process's ru_maxrss
+# keeps the peak of the process that started it across exec, and the test
+# process's peak is above a sweep's, so a small interpreter starts each run.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+def test_peak_memory_stays_flat_when_the_rows_quadruple(tmp_path):
+    # Each run in a fresh interpreter, which prints its own peak RSS.  With
+    # members kept across rows, 12 rows took 1.75 times the peak of 3.
+    pool = ["0", "1", "2", "-1/2", "1/3", "1/2", "1/4", "3/2"]
+    rng = random.Random(24)
+    rows = [[rng.choice(pool) for _ in range(6)] for _ in range(12)]
+    src = str(Path(sweeps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    peaks = []
+    for count in (3, 12):
+        config = tmp_path / f"rows{count}.json"
+        config.write_text(json.dumps({"suites": {"theorem1": {"degree": 4,
+                                                             "params": rows[:count]}}}))
+        run = subprocess.run([sys.executable, "-c", _LAUNCH, sys.executable, "-c", _PEAK_RSS,
+                              str(config), str(tmp_path / f"rows{count}.out.json")],
+                             env=env, capture_output=True, text=True, check=True)
+        code, peak = run.stdout.split()[-2:]
+        assert code == str(EX_OK)
+        peaks.append(int(peak))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def _shipped_checksums():
