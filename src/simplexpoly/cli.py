@@ -60,12 +60,16 @@ def _output(path):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
+# --family -> its record.
+_FAMILIES = {"jacobi": jacobi1d.FAMILY, "triangle": triangle2d.FAMILY, "simplex": simplex3d.FAMILY}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="simplexpoly", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("print-poly", help="print one family member")
-    pp.add_argument("--family", choices=("jacobi", "triangle", "simplex"), required=True)
+    pp.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     pp.add_argument("--index", required=True, help="e.g. 2 / 2,1 / 1,0,2")
     pp.add_argument("--params", required=True, help="comma-separated rationals")
     pp.add_argument("--monic", action="store_true", help="print the monic solution instead")
@@ -94,9 +98,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-# --family -> its record.
-_FAMILIES = {"jacobi": jacobi1d.FAMILY, "triangle": triangle2d.FAMILY, "simplex": simplex3d.FAMILY}
-
 #: Largest normalized off-diagonal Gram entry the float path may leave.
 GRAM_BOUND = 1e-10
 
@@ -109,14 +110,32 @@ GRAM_BOUND = 1e-10
 GRAM_MAX_DEGREE = 24
 GRAM_MAX_POINTS = 1000
 
+#: The largest total index degree that `print-poly` and `connect` accept,
+#: refused above before any member or coefficient is built.  Measured on a
+#: 2-core host with the parameters 1/3,1/2,0,1,-1/2,2: the costliest member
+#: of a total degree D is the tetrahedron's 0,0,D, which took 1.2 s and
+#: 54 MB peak RSS at D = 60, 2.9 s and 89 MB at 80 and 6.4 s and 155 MB at
+#: 100; interval and triangle members of degree 100 took at most 0.3 s.
+#: The general connection reassembles (n1+1)(n2+1)(n3+1) target members:
+#: at total degree 24 it took 1.2 to 2.3 s and 65 MB, at 10,10,10 4.1 s
+#: and 129 MB and at 12,12,12 13 s and 295 MB; the alpha one is cheaper.
+PRINT_MAX_DEGREE = 80
+CONNECT_MAX_DEGREE = 24
 
-def _index(text: str, name: str):
+
+def _index(text: str, name: str, bound: int):
     """The --index of the family `name` as ints, as many as its degree-0
-    index has, refused outside its index domain."""
+    index has, refused outside its index domain, at the exponent limit
+    (OverflowError) and above the total degree `bound`."""
     family = _FAMILIES[name]
     idx = as_tuple(text.split(","), len(family.indices(0)[0]), int)
+    text = ",".join(map(str, idx))
     if not family.valid(idx):
-        raise ValueError(f"index {','.join(map(str, idx))} is outside the {name} index domain")
+        raise ValueError(f"index {text} is outside the {name} index domain")
+    total = jacobi1d.total_degree(family.degrees(*idx))
+    if total > bound:
+        raise ValueError(f"index {text} has total degree {total}, above the {bound} "
+                         "that this command accepts")
     return idx
 
 
@@ -132,7 +151,7 @@ def cmd_print_poly(args) -> int:
     family = _FAMILIES[args.family]
     if args.monic and family.monic is None:
         raise ValueError("--monic applies to triangle and simplex families")
-    idx = _index(args.index, args.family)
+    idx = _index(args.index, args.family, PRINT_MAX_DEGREE)
     params = family.check(args.params.split(","))
     poly = (family.monic_solution if args.monic else family.member)(idx, params)
     print(poly.to_text())
@@ -200,7 +219,7 @@ def cmd_gram(args) -> int:
 
 def cmd_connect(args) -> int:
     family = _FAMILIES["simplex"]
-    idx = _index(args.index, "simplex")
+    idx = _index(args.index, "simplex", CONNECT_MAX_DEGREE)
     params = family.check(args.params.split(","))
     if args.mode == "alpha":
         if args.xi is None:

@@ -26,16 +26,15 @@ once, at the end.  The record puts a row's base pairs over their
 denominators once per row (`Family.integer_axes`), so the exponents of
 each factor, the keys of its cache, cost integer additions.
 
-The construction caches, each record's `members` and `_lifted_factor`,
-last one parameter row: `enter_row` empties them when a sweep's task moves
-to another row, so a sweep holds the members of one row and of the rows
-its checks shift to, however many rows its grids have.
+The construction caches, the one member store of every record and
+`_lifted_factor`, last one parameter row: `enter_row` empties them when a
+sweep's task moves to another row, so a sweep holds the members of one row
+and of the rows its checks shift to, however many rows its grids have.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -212,6 +211,16 @@ def _lifted_factor(axis: int, d: int, big_a: int, big_b: int, den: int) -> MPoly
     return _canon({e: c for e, c in out.items() if c}, math.factorial(d) * den**d)
 
 
+def total_degree(degrees) -> int:
+    """The total degree of the member with the given per-axis degrees,
+    refused (OverflowError) at the exponent limit."""
+    total = sum(degrees)
+    if total >= EXPONENT_LIMIT:
+        raise OverflowError(
+            f"a member of total degree {total} reaches the exponent limit {EXPONENT_LIMIT}")
+    return total
+
+
 def collapsed_member(int_axes, degrees) -> MPoly:
     """The member with the given per-axis degrees, exactly, from the
     family's integer base triples (`integer_axes`); zero when a degree is
@@ -219,10 +228,7 @@ def collapsed_member(int_axes, degrees) -> MPoly:
     before any factor is built."""
     if min(degrees) < 0:
         return ZERO
-    total = sum(degrees)
-    if total >= EXPONENT_LIMIT:
-        raise OverflowError(
-            f"a member of total degree {total} reaches the exponent limit {EXPONENT_LIMIT}")
+    total_degree(degrees)
     return reduce(mul, (_lifted_factor(j, d, *triple) for j, (d, triple)
                         in enumerate(zip(degrees, _integer_pairs(int_axes, degrees)))))
 
@@ -258,8 +264,9 @@ class Family:
     domain (`valid`) is where no per-axis degree is negative.  `build`
     makes every member from these, through the row's integer base pairs
     (`integer_axes`, one function per record, so `Row.derive` keys them
-    once per row), `member(idx, row)` looks it up in the record's member
-    cache, which `enter_row` empties at each new row of a sweep, and
+    once per row), `member(idx, row)` looks it up in the member store
+    under the record itself, which `enter_row` empties at each new row of
+    a sweep, and
     `combination` sums multiples of members.  `monic` is the monic
     line, or None: the `pde` id of the equation that the monic solution
     solves and its prefactor(*idx, p).
@@ -285,10 +292,6 @@ class Family:
     # Whether a composition whose operand is the zero polynomial still
     # counts as an applicable sample (the interval family says no).
     zero_operand_applicable: bool = True
-    members: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        _RECORDS.add(self)
 
     @cached_property
     def integer_axes(self) -> Callable:
@@ -327,10 +330,10 @@ class Family:
         (converted by `params` unless it is a Row), built once."""
         if type(row) is not Row:
             row = self.params(row)
-        key = idx, row
-        poly = self.members.get(key)
+        key = self, idx, row
+        poly = _members.get(key)
         if poly is None:
-            poly = self.members[key] = self.build(idx, row)
+            poly = _members[key] = self.build(idx, row)
         return poly
 
     def combination(self, terms, row) -> MPoly:
@@ -353,9 +356,10 @@ class Family:
         return collapsed_norm_ratio(self.axes(*self.params(p)), self.degrees(*self.index(idx)))
 
 
-# Every Family record, whose member cache `enter_row` empties, and the row
-# that the caches hold now.
-_RECORDS = weakref.WeakSet()
+# The members built at the row that the caches hold now, keyed (record,
+# idx, row), and that row.  A record hashes by identity (eq=False), so one
+# made by `dataclasses.replace` never reads another's members.
+_members = {}
 _row = None
 
 
@@ -363,14 +367,13 @@ def enter_row(row) -> None:
     """Scope the construction caches to `row`, the parameter row of the
     task about to run.  When it is not the previous task's row (compared
     by identity, then by value, since a pool worker unpickles each chunk
-    into new rows), every record's member cache and `_lifted_factor` are
-    emptied: the members of the previous row are not asked for again."""
+    into new rows), the member store and `_lifted_factor` are emptied:
+    the members of the previous row are not asked for again."""
     global _row
     if row is _row or row == _row:
         return
     _row = row
-    for record in _RECORDS:
-        record.members.clear()
+    _members.clear()
     _lifted_factor.cache_clear()
 
 

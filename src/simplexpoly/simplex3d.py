@@ -25,7 +25,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from operator import add, index
 from typing import Callable, Tuple
 
@@ -417,6 +417,7 @@ _Z_1XY = Z * ONE_MINUS_XY
 
 def _t1_coeffs(n1, n2, n3, p):
     # Cleared by (1-x)(1-x-y).
+    n = n1 + n2 + n3
     s4 = p.al + p.be + p.ga + p.de + 4
     return {
         **_T1_FIXED,
@@ -425,16 +426,10 @@ def _t1_coeffs(n1, n2, n3, p):
               + XY.scale(p.a + p.b) - Y.scale(p.b)) * ONE_MINUS_XY,
         "z": ((MPoly.const(p.ga + 1) - Z.scale(s4)) * _D12
               + _XZ_1XY.scale(p.a + p.b) + _YZ.scale(p.b)),
-        "": _t1_u_coeff(n1, n2, n3, p),
+        "": (_D12.scale(n * (n + p.e + 3))
+             - ONE_MINUS_XY.scale(p.a * (n2 + n3))
+             - ONE_MINUS_X.scale(n3 * p.b)),
     }
-
-
-def _t1_u_coeff(n1, n2, n3, p):
-    # The coefficient of u, the only one of T1 that depends on the index.
-    n = n1 + n2 + n3
-    return (_D12.scale(n * (n + p.e + 3))
-            - ONE_MINUS_XY.scale(p.a * (n2 + n3))
-            - ONE_MINUS_X.scale(n3 * p.b))
 
 
 def _t2_coeffs(n1, n2, n3, p):
@@ -475,6 +470,7 @@ PDE_3D = {"T1": _t1_coeffs, "T2": _t2_coeffs, "T3": _t3_coeffs, "T4": _t4_coeffs
 
 def classical_t1_coeffs(n1, n2, n3, p):
     """The a = b = 0 form of the first equation, cleared by nothing."""
+    n = n1 + n2 + n3
     s = p.al + p.be + p.ga + p.de
     return {
         "xx": X * ONE_MINUS_X,
@@ -486,34 +482,8 @@ def classical_t1_coeffs(n1, n2, n3, p):
         "x": MPoly.const(p.al + 1) - X.scale(s + 4),
         "y": MPoly.const(p.be + 1) - Y.scale(s + 4),
         "z": MPoly.const(p.ga + 1) - Z.scale(s + 4),
-        "": classical_t1_u_coeff(n1, n2, n3, p),
+        "": MPoly.const(n * (n + s + 3)),
     }
-
-
-def classical_t1_u_coeff(n1, n2, n3, p):
-    """The coefficient of u in the classical form, the only one that
-    depends on the index."""
-    n = n1 + n2 + n3
-    s = p.al + p.be + p.ga + p.de
-    return MPoly.const(n * (n + s + 3))
-
-
-def _t1_mismatch(triples):
-    """The first (key, cleared, classical * (1-x)(1-x-y)) of the (key,
-    cleared, classical) coefficient triples whose two sides differ, or None."""
-    for key, coeff, classical in triples:
-        expected = classical * _D12
-        if coeff != expected:
-            return key, coeff, expected
-    return None
-
-
-def _t1_row_mismatch(*row):
-    """`_t1_mismatch` over every coefficient of T1 but u's, which depend on
-    the a = b = 0 row alone; Row.derive computes it once per row."""
-    p = FAMILY.view(*row)
-    cleared, classical = _t1_coeffs(0, 0, 0, p), classical_t1_coeffs(0, 0, 0, p)
-    return _t1_mismatch((key, cleared[key], classical[key]) for key in cleared if key)
 
 
 def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
@@ -530,15 +500,15 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     # Coefficient comparison: T1 at a = b = 0 against the classical display
     # times the same clearing factor (1-x)(1-x-y), u's coefficient last.
     p = params.derive(FAMILY.view)
-    mismatch = params.derive(_t1_row_mismatch) or _t1_mismatch(
-        [("", _t1_u_coeff(*idx, p), classical_t1_u_coeff(*idx, p))])
-    if mismatch:
-        key, coeff, expected = mismatch
-        return VerificationReport(
-            "reduction.ab0", idx, q, "fail",
-            lhs=coeff.to_text(), rhs=expected.to_text(),
-            detail=f"first-equation coefficient mismatch on u_{key or '0'}",
-        )
+    classical = classical_t1_coeffs(*idx, p)
+    for key, coeff in _t1_coeffs(*idx, p).items():
+        expected = classical[key] * _D12
+        if coeff != expected:
+            return VerificationReport(
+                "reduction.ab0", idx, q, "fail",
+                lhs=coeff.to_text(), rhs=expected.to_text(),
+                detail=f"first-equation coefficient mismatch on u_{key or '0'}",
+            )
     return rep
 
 
@@ -613,12 +583,6 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
     return ConnectionExpansion((n1, n2, n3), params, target_params, tuple(terms))
 
 
-# Entries of the 1-D connection coefficient cache.  Each holds one
-# Fraction; the full shipped sweep asks for about 800 distinct ones.
-CONN1D_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=CONN1D_CACHE_SIZE)
 def _conn1d_coeff(n, k, pa, pb, qa, qb) -> Fraction:
     """Coefficient of the degree-k target in the expansion of a degree-n
     Jacobi factor with parameters (pa, pb) over the family (qa, qb):
@@ -657,8 +621,8 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     (n1, n2, n3), params = FAMILY.index(idx), FAMILY.params(p)
     phi, theta, eta, xi = as_tuple(target, 4)
     target_params = as_tuple((phi, theta, eta, xi) + params[4:], 6)
-    source = collapsed_exponents(params.derive(axes), (n1, n2, n3))
-    target_axes = target_params.derive(axes)
+    source = collapsed_exponents(axes(*params), (n1, n2, n3))
+    target_axes = axes(*target_params)
     terms = []
     for k3 in range(n3 + 1):
         c3 = _conn1d_coeff(n3, k3, *source[2], *target_axes[2])

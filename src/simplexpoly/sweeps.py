@@ -52,14 +52,14 @@ class ConfigError(ValueError):
 
 
 def config_int(value, key: str, low: int = None, high: int = None) -> int:
-    """The config value of `key`, refused (ValueError) unless it is a JSON
+    """The config value of `key`, refused (ConfigError) unless it is a JSON
     integer within [low, high]: 5.5, "5" and true are not read as 5 or 1."""
     if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
     if low is not None and value < low:
-        raise ValueError(f"{key} must be at least {low}, got {value}")
+        raise ConfigError(f"{key} must be at least {low}, got {value}")
     if high is not None and value > high:
-        raise ValueError(f"{key} must be at most {high}, got {value}")
+        raise ConfigError(f"{key} must be at most {high}, got {value}")
     return value
 
 
@@ -261,11 +261,15 @@ def _chunks(tasks: List[Task], count: int) -> List[List[Task]]:
 
 
 def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
-    """Execute tasks, optionally across processes, and sort the reports."""
-    if jobs > 1 and len(tasks) > 1:
-        split = _chunks(tasks, jobs * 4)
+    """Execute tasks, across at most `jobs` processes, and sort the
+    reports.  No more workers start than the host has CPUs or the tasks
+    have chunks: the pool forks every worker at once."""
+    workers = min(jobs, os.cpu_count() or 1)
+    split = _chunks(tasks, workers * 4) if workers > 1 else []
+    workers = min(workers, len(split))
+    if workers > 1:
         reports: List[VerificationReport] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, split):
                 reports.extend(part)
     else:
@@ -299,7 +303,7 @@ def _nonempty(grids, path: str) -> list:
     """`grids`, refused when the config grid at `path` yields no task: a
     grid that checks nothing would pass vacuously."""
     if not _size(grids):
-        raise ValueError(f"config section {path} yields no tasks")
+        raise ConfigError(f"config section {path} yields no tasks")
     return grids
 
 

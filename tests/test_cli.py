@@ -8,8 +8,8 @@ import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
 from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
-from simplexpoly.cli import (EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, GRAM_MAX_DEGREE,
-                             GRAM_MAX_POINTS, main)
+from simplexpoly.cli import (CONNECT_MAX_DEGREE, EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE,
+                             GRAM_MAX_DEGREE, GRAM_MAX_POINTS, PRINT_MAX_DEGREE, main)
 
 
 SMALL_CONFIG = {
@@ -183,6 +183,37 @@ def test_a_member_past_the_exponent_limit_exits_usage_before_it_is_built(
     assert capsys.readouterr().err.splitlines() == [
         f"simplexpoly: error: a member of total degree {total} reaches "
         "the exponent limit 512"]
+
+
+@pytest.mark.parametrize("argv, total, bound", [
+    (["print-poly", "--family", "simplex", "--index", f"0,0,{PRINT_MAX_DEGREE + 1}",
+      "--params", "0,0,0,0,0,0"], PRINT_MAX_DEGREE + 1, PRINT_MAX_DEGREE),
+    (["print-poly", "--family", "simplex", "--index", f"{PRINT_MAX_DEGREE},1,0",
+      "--params", "0,0,0,0,0,0", "--monic"], PRINT_MAX_DEGREE + 1, PRINT_MAX_DEGREE),
+    (["print-poly", "--family", "triangle", "--index", f"{PRINT_MAX_DEGREE + 1},1",
+      "--params", "0,0,0,0"], PRINT_MAX_DEGREE + 1, PRINT_MAX_DEGREE),
+    (["print-poly", "--family", "jacobi", "--index", "511", "--params", "0,0"],
+     511, PRINT_MAX_DEGREE),
+    (["connect", "--mode", "general", "--index", f"1,1,{CONNECT_MAX_DEGREE - 1}",
+      "--params", "0,0,0,0,0,0", "--target", "0,0,0,0"], CONNECT_MAX_DEGREE + 1,
+     CONNECT_MAX_DEGREE),
+    (["connect", "--mode", "alpha", "--index", "100,0,0", "--params", "0,0,0,0,0,0",
+      "--xi", "1"], 100, CONNECT_MAX_DEGREE),
+], ids=["simplex", "simplex-monic", "triangle", "jacobi", "connect-general", "connect-alpha"])
+def test_an_index_above_the_commands_bound_exits_usage_before_anything_is_built(
+        argv, total, bound, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError(f"built {args}")
+    for module, name in ((jacobi1d, "_lifted_factor"), (simplex3d, "_conn1d_coeff"),
+                         (simplex3d, "connect_alpha"), (simplex3d, "connect_general")):
+        monkeypatch.setattr(module, name, refuse)
+    assert main(argv) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    index = argv[argv.index("--index") + 1]
+    assert captured.err.splitlines() == [
+        f"simplexpoly: error: index {index} has total degree {total}, above the {bound} "
+        "that this command accepts"]
 
 
 @pytest.mark.parametrize("family, params, cause", [

@@ -86,10 +86,12 @@ def test_a_replaced_record_starts_with_its_own_empty_cache():
     family = triangle2d.FAMILY
     family.member((1, 0), (0, 0, 0, 0))
     copy = replace(family, sparse=dict(family.sparse))
-    assert copy.members == {} and copy.members is not family.members
+    assert (family, (1, 0), family.params((0, 0, 0, 0))) in jacobi1d._members
+    assert not any(record is copy for record, _, _ in jacobi1d._members)
     row = ("2/9", "-1/7", "3/5", "0")
     copy.member((2, 1), row)
-    assert ((2, 1), family.params(row)) not in family.members
+    assert (copy, (2, 1), family.params(row)) in jacobi1d._members
+    assert (family, (2, 1), family.params(row)) not in jacobi1d._members
 
 
 def test_no_member_outside_the_domain_is_built(monkeypatch):

@@ -244,13 +244,15 @@ def test_reduction_examples():
 
 @pytest.mark.parametrize("typos, key", [
     ({"y", "z"}, "y"), ({"x", ""}, "x"), ({""}, "0"),
+    # One typo per coefficient of T1, each of which is compared on its own.
+    *(({k}, k or "0") for k in ("xx", "yy", "zz", "xz", "yz", "xy", "x", "y", "z", "")),
 ])
 def test_reduction_ab0_reports_the_first_coefficient_mismatch(typos, key, monkeypatch):
-    # The index-free coefficients are compared once per row and u's per
-    # index; a failure still names the first mismatch in T1's key order.
+    # The coefficients are compared in T1's key order, u's last; a failure
+    # names the first mismatch.
     from simplexpoly import simplex3d
 
-    t1, u_coeff = simplex3d._t1_coeffs, simplex3d._t1_u_coeff
+    t1 = simplex3d._t1_coeffs
     q = (F(1, 3), F(-1, 2), F(1), F(2))
     right = t1(1, 1, 0, FAMILY.view(*q, F(0), F(0)))[key if key != "0" else ""]
 
@@ -258,9 +260,6 @@ def test_reduction_ab0_reports_the_first_coefficient_mismatch(typos, key, monkey
         return {k: c + ONE if k in typos else c for k, c in t1(*args).items()}
 
     monkeypatch.setattr(simplex3d, "_t1_coeffs", typo)
-    # u's coefficient is built by its own line, which T1's table calls.
-    monkeypatch.setattr(simplex3d, "_t1_u_coeff",
-                        lambda *args: u_coeff(*args) + (ONE if "" in typos else 0))
     r = verify_reduction_ab0((1, 1, 0), q)
     assert r.status == "fail" and r.detail == f"first-equation coefficient mismatch on u_{key}"
     assert r.lhs == (right + ONE).to_text()

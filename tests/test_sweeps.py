@@ -100,10 +100,41 @@ def test_chunks_keep_a_rows_tasks_at_one_index_together(count):
             assert where.setdefault((task[3], task[2]), number) == number
 
 
-def test_pool_reports_equal_serial_reports():
+def test_pool_reports_equal_serial_reports(monkeypatch):
+    # Two CPUs, so that the pool runs on a one-CPU host too.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     tasks = _m2d_tasks()
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+
+
+@pytest.mark.parametrize("cpus, jobs, degree, most", [(2, 10**6, 2, 2), (64, 8, 1, 3)])
+def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree, most,
+                                                             monkeypatch):
+    # A stand-in pool that records its worker count and runs the chunks
+    # here: the real one forks every worker at its first submit.
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # One row: degree 1 makes 3 (row, index) groups, degree 2 makes 6.
+    tasks = [t for t in sweeps.tasks_m2d({"degree": degree, "params": [["0", "1/2", "0", "1"]]})
+             if t[0] == "m2d"]
+    serial = [r.to_json() for r in sweeps.run_tasks(tasks)]
+    assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)] == serial
+    assert asked == [most]
 
 
 def test_a_report_is_slotted_and_pickles_to_an_equal_report():
@@ -125,7 +156,7 @@ def test_after_a_two_row_sweep_the_members_are_the_last_rows():
     tasks = [t for t in sweeps.tasks_theorem1(section) if t[0] == "theorem1"]
     first, last = tasks[0][3], tasks[-1][3]
     sweeps.run_tasks(tasks)
-    rows = {row for _, row in simplex3d.FAMILY.members}
+    rows = {row for record, _, row in jacobi1d._members if record is simplex3d.FAMILY}
     assert rows and all(_within_integer_steps(row, last) for row in rows)
     assert not any(_within_integer_steps(row, first) for row in rows)
 
@@ -139,9 +170,10 @@ def test_an_equal_row_keeps_the_caches_and_another_row_empties_them():
     triangle2d.FAMILY.member((1, 0), row[:4])
     # A pool worker unpickles each chunk into new rows equal to the last.
     jacobi1d.enter_row(as_tuple(["1/3"] * 6, 6))
-    assert ((1, 1, 0), row) in simplex3d.FAMILY.members and record.members
+    members = jacobi1d._members
+    assert (simplex3d.FAMILY, (1, 1, 0), row) in members and (record, (1, 1, 0), row) in members
     jacobi1d.enter_row(as_tuple(["1/2"] * 6, 6))
-    assert not (simplex3d.FAMILY.members or record.members or triangle2d.FAMILY.members)
+    assert not members
     assert jacobi1d._lifted_factor.cache_info().currsize == 0
 
 
@@ -242,6 +274,10 @@ def test_a_section_past_the_task_bound_is_refused_before_any_grid_is_built(monke
     assert count > sweeps.MAX_TASKS
     with pytest.raises(sweeps.ConfigError, match=f"suites.theorem1 asks for {count} tasks"):
         sweeps.suite_tasks("theorem1", config)
+    for degree, message in ((5.5, "degree must be an integer"), (-1, "yields no tasks")):
+        config["suites"]["theorem1"]["degree"] = degree
+        with pytest.raises(sweeps.ConfigError, match=message):
+            sweeps.suite_tasks("theorem1", config)
 
 
 # The function each task kind calls to check its task, by module and name.
