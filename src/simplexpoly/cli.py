@@ -229,10 +229,7 @@ def cmd_connect(args) -> int:
         if args.target is None:
             raise ValueError("--target is required for mode=general")
         connect, target = simplex3d.connect_general, as_tuple(args.target.split(","), 4)
-    try:
-        expansion = connect(idx, params, target)
-    except PoleHit as exc:
-        raise ValueError(f"the connection coefficients have a pole: {exc}") from exc
+    expansion = connect(idx, params, target)
     try:
         family.check(expansion.target_params)
     except ValueError as exc:
@@ -269,10 +266,11 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, PoleHit) as exc:
         # OverflowError: an index whose member needs an exponent past the
         # limit of `ratpoly`'s packed keys.  OSError: an --out that cannot
-        # be written.
+        # be written.  PoleHit: a pole in a monic prefactor or a connection
+        # coefficient.
         print(f"simplexpoly: error: {exc}", file=sys.stderr)
         return EX_USAGE
 

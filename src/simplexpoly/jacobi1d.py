@@ -276,7 +276,8 @@ class Family:
     parameters into a Row; `check` also refuses a parameter outside the
     weight's domain (> -1).  `sparse`, `second_order` and `pde` map ids to
     the table lines; a composition's id names its two sparse lines, and a
-    `pde` builder is called as builder(*idx, p).
+    `pde` builder is called as builder(*idx, p).  A record holds no verdict
+    rule: the shared checks judge every family alike.
     """
 
     names: Tuple[str, ...]
@@ -289,9 +290,6 @@ class Family:
     pde: dict = field(default_factory=dict)
     degrees: Callable = lambda *idx: idx
     monic: Optional[Tuple[str, Callable]] = None
-    # Whether a composition whose operand is the zero polynomial still
-    # counts as an applicable sample (the interval family says no).
-    zero_operand_applicable: bool = True
 
     @cached_property
     def integer_axes(self) -> Callable:
@@ -479,7 +477,6 @@ FAMILY = Family(
     indices=indices,
     sparse=SPARSE_1D,
     second_order=SECOND_ORDER_1D,
-    zero_operand_applicable=False,
 )
 
 # verify_ladder(op, n, p), verify_second_order_1d(entry_id, n, p) and

@@ -262,13 +262,8 @@ def verify_sparse(family, op: str, idx, p) -> VerificationReport:
     idx2, params2 = rel.shifted(idx, params)
     if not family.valid(idx2):
         return _report_multiple(op, idx, params, operator, num, ZERO, 1, applicable=False)
-    try:
-        scale, target = rel.scale(*idx, p), family.member(idx2, params2)
-    except Exception:
-        # The division used to come first: an error of its own wins.
-        operator.divide(num)
-        raise
-    return _report_multiple(op, idx, params, operator, num, target, scale)
+    return _report_multiple(op, idx, params, operator, num, family.member(idx2, params2),
+                            rel.scale(*idx, p))
 
 
 def composition_lines(entry_id: str) -> Tuple[str, str]:
@@ -283,7 +278,9 @@ def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
     The two steps chain the sparse table: the inner operator is built at
     the operand, the outer at the inner relation's target.  The product of
     the two sparse scales must reproduce the tabulated eigenvalue, which is
-    asserted alongside the polynomial identity.
+    asserted alongside the polynomial identity.  An operand outside the
+    index domain, or one that is the zero polynomial, where the identity
+    reads 0 = eig*0, makes the sample not_applicable in every family.
     """
     idx, params = family.index(idx), family.params(p)
     ent = family.second_order[entry_id]
@@ -304,10 +301,8 @@ def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
         product = inner.scale(*idx0, p0) * outer.scale(*idx1, p1)
         if product != eig:
             detail = f"scale product {product} != tabulated eigenvalue {eig}"
-    return _report_multiple(
-        entry_id, idx, params, operator, num, u, eig, detail=detail,
-        applicable=family.zero_operand_applicable or not u.is_zero,
-    )
+    return _report_multiple(entry_id, idx, params, operator, num, u, eig, detail=detail,
+                            applicable=not u.is_zero)
 
 
 def residual(family, which: str, idx, p, u: MPoly = None) -> MPoly:

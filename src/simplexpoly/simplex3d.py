@@ -594,12 +594,11 @@ def _conn1d_coeff(n, k, pa, pb, qa, qb) -> Fraction:
     is an integer over den, so the value is built on integers and made a
     Fraction once."""
     pa, pb, qa, qb, den = over_lcm(pa, pb, qa, qb)
-    upper = _rising(k * den + pa + den, den, n - k) * _rising(n * den + pa + pb + den, den, k)
     lower = den ** (n - k) * math.factorial(n - k) * _rising(k * den + qa + qb + den, den, k)
     if lower == 0:
-        # The text the Fraction form of this quotient raised: its division
-        # cancels the upper product against 0 down to its sign.
-        raise ZeroDivisionError(f"Fraction({(upper > 0) - (upper < 0)}, 0)")
+        raise PoleHit(f"connection coefficient pole: (k+qa+qb+1)_k = 0 at k={k}, "
+                      f"qa+qb={Fraction(qa + qb, den)}")
+    upper = _rising(k * den + pa + den, den, n - k) * _rising(n * den + pa + pb + den, den, k)
     f32_num, f32_den = _hyper3f2_integers(
         n - k,
         (n + k + 1) * den + pa + pb,

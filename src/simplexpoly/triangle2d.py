@@ -44,7 +44,7 @@ from .ratpoly import (
     ZERO,
     over_lcm,
 )
-from .special import factorial, gamma_ratio
+from .special import PoleHit, factorial, gamma_ratio
 from .jacobi1d import Family, lift_univariate
 
 
@@ -95,8 +95,8 @@ def classical_jacobi_shifted(m: int, big_a: Fraction, big_b: Fraction) -> MPoly:
         a3 = s * (s + den) * (s + 2 * den)
         a4 = 2 * (j * den + na) * (j * den + nb) * (s + 2 * den)
         if a1 == 0:
-            # The text the Fraction form of this recurrence raised.
-            raise ZeroDivisionError("Fraction(1, 0)")
+            raise PoleHit(f"Jacobi recurrence pole: 2(j+1)(j+A+B+1)(2j+A+B) = 0 at j={j}, "
+                          f"A+B={Fraction(na + nb, den)}")
         nxt = [a2 * c for c in cur] + [0]
         for i, c in enumerate(cur):
             nxt[i + 1] += a3 * c

@@ -149,6 +149,14 @@ ZERO_DENOMINATOR_ARGV = [
     ["gram", "--N=-1", "--params", "0,0,0,0,0,0"],
     ["print-poly", "--family", "jacobi", "--index", "520", "--params", "0,0"],
     *ZERO_DENOMINATOR_ARGV,
+    # Poles inside the weight domain: in a monic prefactor, and where
+    # (k+qa+qb+1)_k of a general connection coefficient vanishes.
+    ["print-poly", "--family", "triangle", "--index", "1,0", "--params=-3/4,-3/4,-3/4,-3/4",
+     "--monic"],
+    ["print-poly", "--family", "simplex", "--index", "1,0,0",
+     "--params=-2/3,-2/3,-2/3,-2/3,-2/3,-2/3", "--monic"],
+    ["connect", "--mode", "general", "--index", "0,0,2", "--params", "0,0,0,0,0,0",
+     "--target=0,0,-2,-1"],
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
         "jacobi-param-at-pole", "jacobi-param-below-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
@@ -156,10 +164,15 @@ ZERO_DENOMINATOR_ARGV = [
         "gram-simplex-param-below-pole", "gram-triangle-param-below-pole", "gram-negative-N",
         "jacobi-index-past-exponent-limit", "print-poly-zero-denominator",
         "gram-zero-denominator", "connect-xi-zero-denominator",
-        "connect-target-zero-denominator"])
+        "connect-target-zero-denominator", "monic-triangle-pole", "monic-simplex-pole",
+        "connect-coefficient-pole"])
 def test_bad_params_exit_usage(argv, capsys):
     code = main(argv)
     assert code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("simplexpoly: error: ")
 
 
 @pytest.mark.parametrize("argv", ZERO_DENOMINATOR_ARGV,

@@ -38,7 +38,7 @@ from simplexpoly.ratpoly import (
     ZERO,
     Rat,
 )
-from simplexpoly import sweeps, triangle2d
+from simplexpoly import jacobi1d, sweeps, triangle2d
 from simplexpoly.simplex3d import FAMILY as FAMILY_3D
 from simplexpoly.triangle2d import verify_d0_reduction
 
@@ -223,35 +223,18 @@ def test_row_refuses_a_float_or_a_bool(bad):
         as_tuple((bad, 0), 2)
 
 
-def _typo_family(build=None):
-    """The triangle family with M20's c0 raised by 1, which leaves a
-    remainder over its denominator 1 - x, and the given member builder,
-    set on the instance in place of the record's `build` method."""
-    fam = triangle2d.FAMILY
-    rel = fam.sparse["M20"]
-
-    def operator(*args):
-        op = rel.operator(*args)
-        return replace(op, c0=op.c0 + ONE)
-
-    typo = replace(fam, sparse={**fam.sparse, "M20": replace(rel, operator=operator)})
-    if build is not None:
-        object.__setattr__(typo, "build", build)
-    return typo
-
-
-def test_a_failing_division_raises_before_the_target_is_built():
-    row = as_tuple((F(1, 3), F(-1, 2), F(1), F(0)), 4)
-
-    def build(idx, params):
-        if params != row:
-            raise RuntimeError("the target member was built")
-        return triangle2d.FAMILY.build(idx, params)
-
-    with pytest.raises(NonzeroRemainder):
-        verify_sparse(_typo_family(build), "M20", (2, 1), row)
-    # Unmutated, the same check builds the target and passes.
-    assert verify_sparse(triangle2d.FAMILY, "M20", (2, 1), row).status == "pass"
+@pytest.mark.parametrize("family, entry_id, idx, width", [
+    (jacobi1d.FAMILY, "L1p.L1.rel", 1, 2),
+    (triangle2d.FAMILY, "M01p.M01", (1, 1), 4),
+    (FAMILY_3D, "O10p.O10", (0, 0, 1), 6),
+], ids=["interval", "triangle", "tetrahedron"])
+def test_a_composition_on_a_zero_operand_is_not_applicable(family, entry_id, idx, width):
+    # The operand's row has a parameter of -1, where its member vanishes and
+    # the identity reads 0 = eig*0.
+    row = (F(0),) * width
+    idx0, params0 = family.second_order[entry_id].shifted(family.index(idx), family.params(row))
+    assert family.member(idx0, params0).is_zero
+    assert verify_composition(family, entry_id, idx, row).status == "not_applicable"
 
 
 def test_an_unsupported_divisor_raises_on_a_zero_image():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, X, Y
+from simplexpoly.special import PoleHit
 from simplexpoly.triangle2d import (
     FAMILY,
     SECOND_ORDER_2D,
@@ -186,24 +187,25 @@ def test_monic_satisfies_equation_with_unit_lead(params):
         assert pde_residual("B1", idx, params, m).is_zero
 
 
-def _outcome(build, m, big_a, big_b):
+def _outcome(build, pole, m, big_a, big_b):
+    """build(m, big_a, big_b), or "pole" where it raises `pole`."""
     try:
         return build(m, big_a, big_b)
-    except ZeroDivisionError as exc:
-        return ZeroDivisionError, str(exc)
+    except pole:
+        return "pole"
 
 
 # The integer recurrence against the MPoly one it replaced: equal members,
-# and ZeroDivisionError from both, with the same text (a failing sample's
-# report shows it), where a1 = 2(j+1)(j+A+B+1)(2j+A+B) vanishes for some
-# 1 <= j < m, that is where A + B is an integer from 2 - 2m to -2.
+# and PoleHit exactly where the MPoly recurrence divides by zero: where
+# a1 = 2(j+1)(j+A+B+1)(2j+A+B) vanishes for some 1 <= j < m, that is where
+# A + B is an integer from 2 - 2m to -2.
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 8),
        st.builds(F, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4])),
        st.builds(F, st.integers(-20, 20), st.sampled_from([1, 3, 5, 6])))
 def test_classical_jacobi_shifted_matches_mpoly_recurrence(m, big_a, big_b):
-    assert _outcome(classical_jacobi_shifted, m, big_a, big_b) == _outcome(
-        jacobi_shifted_by_recurrence, m, big_a, big_b)
+    assert _outcome(classical_jacobi_shifted, PoleHit, m, big_a, big_b) == _outcome(
+        jacobi_shifted_by_recurrence, ZeroDivisionError, m, big_a, big_b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -213,6 +215,13 @@ def test_classical_jacobi_shifted_raises_where_a1_vanishes(m, big_a, s):
     # A + B = -s: 2j + A + B vanishes at j = s/2, j + A + B + 1 at j = s - 1.
     big_b = -s - big_a
     vanishes = s - 1 < m or (s % 2 == 0 and s // 2 < m)
-    outcome = _outcome(classical_jacobi_shifted, m, big_a, big_b)
-    assert outcome == _outcome(jacobi_shifted_by_recurrence, m, big_a, big_b)
-    assert isinstance(outcome, tuple) == vanishes
+    outcome = _outcome(classical_jacobi_shifted, PoleHit, m, big_a, big_b)
+    assert outcome == _outcome(jacobi_shifted_by_recurrence, ZeroDivisionError, m, big_a, big_b)
+    assert (outcome == "pole") == vanishes
+
+
+def test_classical_jacobi_shifted_pole_names_its_factor():
+    # A + B = -2: 2j + A + B vanishes at j = 1.
+    with pytest.raises(PoleHit, match=r"^Jacobi recurrence pole: 2\(j\+1\)\(j\+A\+B\+1\)"
+                                      r"\(2j\+A\+B\) = 0 at j=1, A\+B=-2$"):
+        classical_jacobi_shifted(3, F(-1, 2), F(-3, 2))
