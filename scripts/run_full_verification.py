@@ -18,7 +18,8 @@ import sys
 import time
 
 from simplexpoly import sweeps
-from simplexpoly.cli import EX_CONFIG, EX_OK, EX_USAGE, _jobs, _Parser, exit_status
+from simplexpoly.cli import (EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, _jobs, _Parser,
+                             exit_status)
 from simplexpoly.operators import summarize
 
 
@@ -56,12 +57,10 @@ def main(argv=None) -> int:
         totals = summary["totals"]
         for key in grand:
             grand[key] += totals[key]
-        flag = ""
-        if summary["erratum_candidates"]:
-            flag = "  ERRATUM: " + ", ".join(summary["erratum_candidates"])
-        elif totals["fail"]:
-            flag = "  FAILURES"
-        exit_code = max(exit_code, exit_status(summary))
+        status = exit_status(summary)
+        exit_code = max(exit_code, status)
+        flag = {EX_ERRATUM: "  ERRATUM: " + ", ".join(summary["erratum_candidates"]),
+                EX_FAIL: "  FAILURES"}.get(status, "")
         print(
             f"{suite:<14} {totals['pass']:>6} pass "
             f"{totals['fail']:>4} fail {totals['not_applicable']:>5} n/a "

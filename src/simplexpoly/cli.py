@@ -125,14 +125,14 @@ CONNECT_MAX_DEGREE = 24
 
 def _index(text: str, name: str, bound: int):
     """The --index of the family `name` as ints, as many as its degree-0
-    index has, refused outside its index domain, at the exponent limit
-    (OverflowError) and above the total degree `bound`."""
+    index has, refused outside its index domain and above the total
+    degree `bound`."""
     family = _FAMILIES[name]
     idx = as_tuple(text.split(","), len(family.indices(0)[0]), int)
     text = ",".join(map(str, idx))
     if not family.valid(idx):
         raise ValueError(f"index {text} is outside the {name} index domain")
-    total = jacobi1d.total_degree(family.degrees(*idx))
+    total = sum(family.degrees(*idx))
     if total > bound:
         raise ValueError(f"index {text} has total degree {total}, above the {bound} "
                          "that this command accepts")
@@ -267,9 +267,10 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ValueError, OverflowError, OSError, PoleHit) as exc:
-        # OverflowError: an index whose member needs an exponent past the
-        # limit of `ratpoly`'s packed keys.  OSError: an --out that cannot
-        # be written.  PoleHit: a pole in a monic prefactor or a connection
+        # OverflowError: a parameter too large for a float, which `gram`
+        # meets ("integer division result too large for a float" at
+        # --params 10**400,0,0,0,0,0).  OSError: an --out that cannot be
+        # written.  PoleHit: a pole in a monic prefactor or a connection
         # coefficient.
         print(f"simplexpoly: error: {exc}", file=sys.stderr)
         return EX_USAGE

@@ -54,7 +54,7 @@ from .operators import (
 )
 from .ratpoly import (EXPONENT_LIMIT, MPoly, ONE, ONE_MINUS_X, X, X_ONE_MINUS_X, Y, Z, ZERO,
                       _canon, _pack, over_lcm)
-from .special import factorial, gamma_ratio, pochhammer
+from .special import PoleHit, factorial, gamma_ratio, pochhammer
 
 
 def _coefficients(n: int, big_a: int, big_b: int, den: int):
@@ -211,16 +211,6 @@ def _lifted_factor(axis: int, d: int, big_a: int, big_b: int, den: int) -> MPoly
     return _canon({e: c for e, c in out.items() if c}, math.factorial(d) * den**d)
 
 
-def total_degree(degrees) -> int:
-    """The total degree of the member with the given per-axis degrees,
-    refused (OverflowError) at the exponent limit."""
-    total = sum(degrees)
-    if total >= EXPONENT_LIMIT:
-        raise OverflowError(
-            f"a member of total degree {total} reaches the exponent limit {EXPONENT_LIMIT}")
-    return total
-
-
 def collapsed_member(int_axes, degrees) -> MPoly:
     """The member with the given per-axis degrees, exactly, from the
     family's integer base triples (`integer_axes`); zero when a degree is
@@ -228,7 +218,9 @@ def collapsed_member(int_axes, degrees) -> MPoly:
     before any factor is built."""
     if min(degrees) < 0:
         return ZERO
-    total_degree(degrees)
+    if sum(degrees) >= EXPONENT_LIMIT:
+        raise OverflowError(f"a member of total degree {sum(degrees)} reaches "
+                            f"the exponent limit {EXPONENT_LIMIT}")
     return reduce(mul, (_lifted_factor(j, d, *triple) for j, (d, triple)
                         in enumerate(zip(degrees, _integer_pairs(int_axes, degrees)))))
 
@@ -345,8 +337,11 @@ class Family:
         first axis's factor, times y^d_1 (z^d_2), d being the member's
         per-axis degrees."""
         idx, params = self.index(idx), self.params(p)
-        return collapsed_monic(params.derive(self.integer_axes), self.degrees(*idx),
-                               self.monic[1](*idx, params.derive(self.view)))
+        try:
+            prefactor = self.monic[1](*idx, params.derive(self.view))
+        except PoleHit as exc:
+            raise PoleHit(f"monic prefactor at index {','.join(map(str, idx))}: {exc}") from exc
+        return collapsed_monic(params.derive(self.integer_axes), self.degrees(*idx), prefactor)
 
     def norm_ratio(self, idx, p) -> Fraction:
         """Squared-norm ratio of the member at `idx` against the degree-0

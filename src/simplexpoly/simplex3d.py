@@ -30,7 +30,6 @@ from operator import add, index
 from typing import Callable, Tuple
 
 from .operators import (
-    NOT_APPLICABLE,
     DiffOperator,
     SecondOrder,
     SparseRelation,
@@ -504,11 +503,8 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     for key, coeff in _t1_coeffs(*idx, p).items():
         expected = classical[key] * _D12
         if coeff != expected:
-            return VerificationReport(
-                "reduction.ab0", idx, q, "fail",
-                lhs=coeff.to_text(), rhs=expected.to_text(),
-                detail=f"first-equation coefficient mismatch on u_{key or '0'}",
-            )
+            return report_equality("reduction.ab0", idx, q, coeff, expected,
+                                   detail=f"first-equation coefficient mismatch on u_{key or '0'}")
     return rep
 
 
@@ -568,15 +564,19 @@ def connect_alpha(idx, p, xi) -> ConnectionExpansion:
         poch = pochhammer(al - xi, m)
         if poch == 0 and m > 0:
             continue
-        coeff = (
-            Fraction((-1) ** m)
-            * (2 * n - 2 * m + e - al + xi + 3)
-            * pochhammer(n + n2 + n3 - m + e - al + 3, m)
-            * gamma_ratio(n + n2 + n3 + e + 3, n1 - m)
-            * gamma_ratio(2 * n - m + e - al + xi + 4, -(n1 + 1))
-            * poch
-            / factorial(m)
-        )
+        try:
+            coeff = (
+                Fraction((-1) ** m)
+                * (2 * n - 2 * m + e - al + xi + 3)
+                * pochhammer(n + n2 + n3 - m + e - al + 3, m)
+                * gamma_ratio(n + n2 + n3 + e + 3, n1 - m)
+                * gamma_ratio(2 * n - m + e - al + xi + 4, -(n1 + 1))
+                * poch
+                / factorial(m)
+            )
+        except PoleHit as exc:
+            raise PoleHit(f"alpha connection coefficient of {n1},{n2},{n3} on "
+                          f"{n1 - m},{n2},{n3}: {exc}") from exc
         if coeff != 0:
             terms.append(ConnectionTerm((n1 - m, n2, n3), coeff))
     target_params = as_tuple((xi,) + params[1:], 6)
@@ -672,10 +672,7 @@ def three_term_x(idx, p) -> Tuple[Fraction, Fraction, Fraction]:
 def verify_three_term(idx, p) -> VerificationReport:
     idx, params = FAMILY.index(idx), FAMILY.params(p)
     n1, n2, n3 = idx
-    try:
-        ca, cb, cc = three_term_x(idx, params)
-    except PoleHit as exc:
-        return VerificationReport("three-term.x", idx, params, NOT_APPLICABLE, detail=str(exc))
+    ca, cb, cc = three_term_x(idx, params)
     rhs = FAMILY.combination(
         (((n1 + 1, n2, n3), ca), (idx, cb), ((n1 - 1, n2, n3), cc)), params)
     return report_equality("three-term.x", idx, params, X * FAMILY.member(idx, params), rhs)

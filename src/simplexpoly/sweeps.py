@@ -23,7 +23,9 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 from . import jacobi1d, simplex3d, triangle2d
-from .operators import FAIL, Row, VerificationReport, as_tuple, report_equality, summarize
+from .operators import (
+    FAIL, NOT_APPLICABLE, Row, VerificationReport, as_tuple, report_equality, summarize,
+)
 from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder, Rat, as_rat
 from .special import PoleHit
 
@@ -224,11 +226,12 @@ Task = Tuple[str, Optional[str], tuple, tuple, object]
 
 
 def run_task(task: Task) -> VerificationReport:
-    """Run one task, with the construction caches scoped to its row.  An
-    exact division with a remainder or by a divisor it cannot divide by
-    (ValueError, as a mistyped table denominator gives), a pole or a zero
-    denominator fails the sample instead of raising; the cause is in the
-    report's detail."""
+    """Run one task, with the construction caches scoped to its row.  This
+    is the one place where a raised check becomes a verdict, the cause in
+    the report's detail.  A pole (PoleHit) makes the sample not_applicable:
+    a coefficient of the identity is undefined at that row.  An exact
+    division with a remainder, by a divisor it cannot divide by (ValueError,
+    as a mistyped table denominator gives) or by zero fails the sample."""
     kind, rel, idx, params, extra = task
     jacobi1d.enter_row(params)
     relation, execute = _KINDS[kind]
@@ -236,9 +239,9 @@ def run_task(task: Task) -> VerificationReport:
     try:
         return execute(relation, rel, idx, params, extra)
     except (NonzeroRemainder, PoleHit, ValueError, ZeroDivisionError) as exc:
-        return VerificationReport(
-            relation, idx, params, FAIL, detail=f"{type(exc).__name__}: {exc}"
-        )
+        status = NOT_APPLICABLE if isinstance(exc, PoleHit) else FAIL
+        return VerificationReport(relation, idx, params, status,
+                                  detail=f"{type(exc).__name__}: {exc}")
 
 
 def _run_chunk(tasks: List[Task]) -> List[VerificationReport]:

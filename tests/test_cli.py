@@ -127,6 +127,15 @@ ZERO_DENOMINATOR_ARGV = [
 ]
 
 
+# What the error line names first, for the inputs that meet a pole.
+POLE_NAMES = {
+    "connect-target-pole": "alpha connection coefficient of 1,0,0 on 0,0,0: gamma ratio pole",
+    "monic-triangle-pole": "monic prefactor at index 1,0: gamma ratio pole",
+    "monic-simplex-pole": "monic prefactor at index 1,0,0: gamma ratio pole",
+    "connect-coefficient-pole": "connection coefficient pole: (k+qa+qb+1)_k = 0",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params", "0,0"],
     ["print-poly", "--family", "simplex", "--index=-1,0,0", "--params", "0,0,0,0,0,0"],
@@ -166,13 +175,13 @@ ZERO_DENOMINATOR_ARGV = [
         "gram-zero-denominator", "connect-xi-zero-denominator",
         "connect-target-zero-denominator", "monic-triangle-pole", "monic-simplex-pole",
         "connect-coefficient-pole"])
-def test_bad_params_exit_usage(argv, capsys):
+def test_bad_params_exit_usage(argv, request, capsys):
     code = main(argv)
     assert code == EX_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     [line] = captured.err.splitlines()
-    assert line.startswith("simplexpoly: error: ")
+    assert line.startswith("simplexpoly: error: " + POLE_NAMES.get(request.node.callspec.id, ""))
 
 
 @pytest.mark.parametrize("argv", ZERO_DENOMINATOR_ARGV,
@@ -182,20 +191,6 @@ def test_a_zero_denominator_is_one_error_line_naming_it(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["simplexpoly: error: '1/0' has a zero denominator"]
-
-
-@pytest.mark.parametrize("family, index, total", [("jacobi", "600", 600), ("triangle", "520,3", 520),
-                                                  ("simplex", "0,0,520", 520)])
-def test_a_member_past_the_exponent_limit_exits_usage_before_it_is_built(
-        family, index, total, monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError(f"built the factor {args}")
-    monkeypatch.setattr(jacobi1d, "_lifted_factor", refuse)
-    params = ",".join(["0"] * {"jacobi": 2, "triangle": 4, "simplex": 6}[family])
-    assert main(["print-poly", "--family", family, "--index", index, "--params", params]) == EX_USAGE
-    assert capsys.readouterr().err.splitlines() == [
-        f"simplexpoly: error: a member of total degree {total} reaches "
-        "the exponent limit 512"]
 
 
 @pytest.mark.parametrize("argv, total, bound", [
@@ -212,7 +207,15 @@ def test_a_member_past_the_exponent_limit_exits_usage_before_it_is_built(
      CONNECT_MAX_DEGREE),
     (["connect", "--mode", "alpha", "--index", "100,0,0", "--params", "0,0,0,0,0,0",
       "--xi", "1"], 100, CONNECT_MAX_DEGREE),
-], ids=["simplex", "simplex-monic", "triangle", "jacobi", "connect-general", "connect-alpha"])
+    # One rule at every degree, past the exponent limit (512) too.
+    (["print-poly", "--family", "jacobi", "--index", "600", "--params", "0,0"],
+     600, PRINT_MAX_DEGREE),
+    (["print-poly", "--family", "triangle", "--index", "520,3", "--params", "0,0,0,0"],
+     520, PRINT_MAX_DEGREE),
+    (["print-poly", "--family", "simplex", "--index", "0,0,520", "--params", "0,0,0,0,0,0"],
+     520, PRINT_MAX_DEGREE),
+], ids=["simplex", "simplex-monic", "triangle", "jacobi", "connect-general", "connect-alpha",
+        "limit-jacobi", "limit-triangle", "limit-simplex"])
 def test_an_index_above_the_commands_bound_exits_usage_before_anything_is_built(
         argv, total, bound, monkeypatch, capsys):
     def refuse(*args):
@@ -515,7 +518,10 @@ def test_connect_alpha_json(capsys):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    (["--params=0,0,0,0,0,0", "--xi=-3"], "pole at base=2, offset=-2"),
+    pytest.param(
+        ["--params=0,0,0,0,0,0", "--xi=-3"],
+        "alpha connection coefficient of 1,0,0 on 0,0,0: gamma ratio pole at base=2, offset=-2",
+        id="argv0-pole at base=2, offset=-2"),
     (["--params=-2,0,0,0,0,0", "--xi", "1"], "parameter alpha = -2 must exceed -1"),
     (["--params=0,0,0,0,0,0", "--xi=-3/2"], "target parameter alpha = -3/2 must exceed -1"),
 ])

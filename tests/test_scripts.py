@@ -2,13 +2,14 @@
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import sweeps
-from simplexpoly.cli import EX_CONFIG, EX_OK, EX_USAGE
+from simplexpoly import simplex3d, sweeps
+from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_OK, EX_USAGE
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
 _spec = importlib.util.spec_from_file_location("run_full_verification", SCRIPT)
@@ -48,6 +49,22 @@ def test_tiny_config_writes_one_report_per_suite(tiny_config, tmp_path, capsys):
         summary = json.loads((out / f"{suite}.json").read_text())["summary"]
         assert summary["totals"]["fail"] == 0 and summary["totals"]["pass"] > 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("total")
+
+
+def test_a_mistyped_table_line_is_flagged_erratum_and_exits_2(tiny_config, tmp_path,
+                                                              monkeypatch, capsys):
+    # N20 with its scale raised by 1 fails its one sample on the tiny
+    # config: the relation fails everywhere it applies.
+    rel = simplex3d.THEOREM1["N20"]
+    monkeypatch.setitem(simplex3d.THEOREM1, "N20",
+                        replace(rel, scale=lambda *args: rel.scale(*args) + 1))
+    code = run_full_verification.main(["--config", tiny_config, "--out", str(tmp_path / "r"),
+                                       "--jobs", "1"])
+    assert code == EX_ERRATUM
+    flagged = [line for line in capsys.readouterr().out.splitlines()
+               if "ERRATUM" in line or "FAILURES" in line]
+    assert len(flagged) == 1
+    assert flagged[0].startswith("theorem1 ") and flagged[0].endswith("s  ERRATUM: N20")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2", "abc"])

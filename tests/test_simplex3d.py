@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from simplexpoly import sweeps
+from simplexpoly.operators import as_tuple
 from simplexpoly.ratpoly import (
     MPoly,
     ONE,
@@ -263,6 +264,7 @@ def test_reduction_ab0_reports_the_first_coefficient_mismatch(typos, key, monkey
     r = verify_reduction_ab0((1, 1, 0), q)
     assert r.status == "fail" and r.detail == f"first-equation coefficient mismatch on u_{key}"
     assert r.lhs == (right + ONE).to_text()
+    assert r.difference == "1"
 
 
 def test_reduced_equation_drift_coefficient():
@@ -355,9 +357,14 @@ def test_three_term_evaluation_spot_check():
 
 
 def test_three_term_degenerate_parameter_sum_not_applicable():
-    degenerate = (F(-1, 2),) * 6  # parameter sum -3 makes a denominator vanish
-    report = verify_three_term((0, 0, 0), degenerate)
-    assert report.status == "not_applicable"
+    # Parameter sum -3 makes a denominator vanish: the verifier raises, and
+    # the sweep reports the sample n/a.
+    degenerate = as_tuple((F(-1, 2),) * 6, 6)
+    with pytest.raises(PoleHit, match="three-term denominator vanishes"):
+        verify_three_term((0, 0, 0), degenerate)
+    report = sweeps.run_task(("three_term", None, (0, 0, 0), degenerate, None))
+    assert (report.relation, report.status) == ("three-term.x", "not_applicable")
+    assert report.detail.startswith("PoleHit: three-term denominator vanishes")
 
 
 QUADS = [p[:4] for p in PARAMS_GRID]

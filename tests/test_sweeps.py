@@ -22,6 +22,8 @@ from simplexpoly.cli import EX_OK, main
 from simplexpoly.operators import (
     FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, as_tuple, summarize,
 )
+from simplexpoly.ratpoly import as_rat
+from simplexpoly.special import PoleHit
 
 CHECKSUMS = Path(__file__).resolve().parent / "data" / "default_sweep_reports.sha256"
 
@@ -321,14 +323,60 @@ def test_a_task_that_raises_keeps_its_relation_id(kind, one_task_per_kind, monke
     # A task that finishes is labelled by its verifier, one that raises by
     # sweeps._KINDS; two spellings of one id would split the relation in
     # the summary and flag the half that raised as an erratum candidate.
+    # A division that cannot finish fails the sample; a pole makes it n/a.
     task = one_task_per_kind[kind]
     finished = sweeps.run_task(task)
     assert finished.ok
 
-    def broken(*args, **kwargs):
-        raise ValueError("verifier broken on purpose")
+    for exc, status in ((ValueError("verifier broken on purpose"), FAIL),
+                        (PoleHit("pole on purpose"), NOT_APPLICABLE)):
+        def broken(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(*VERIFIERS[kind], broken)
-    raised = sweeps.run_task(task)
-    assert (raised.status, raised.detail) == (FAIL, "ValueError: verifier broken on purpose")
-    assert raised.relation == finished.relation
+        monkeypatch.setattr(*VERIFIERS[kind], broken)
+        raised = sweeps.run_task(task)
+        assert (raised.status, raised.detail) == (status, f"{type(exc).__name__}: {exc}")
+        assert raised.relation == finished.relation
+
+
+# One row per kind where a coefficient of the identity has a pole, and the
+# start of what the pole says: (kind, index, row, extra, cause).
+POLE_TASKS = [
+    ("monic2d", (1, 0), ("-3/4",) * 4, None, "monic prefactor at index 1,0: "),
+    ("monic3d", (1, 0, 0), ("-2/3",) * 6, None, "monic prefactor at index 1,0,0: "),
+    ("conn_alpha", (1, 0, 0), ("0",) * 6, "-3",
+     "alpha connection coefficient of 1,0,0 on 0,0,0: "),
+    ("conn_alpha", (0, 0, 0), ("0",) + ("-1/2",) * 5, "-1/2",
+     "alpha connection coefficient of 0,0,0 on 0,0,0: "),
+    ("d0", (2, 2), ("0", "-1", "-1"), None, "Jacobi recurrence pole: "),
+    ("ab0", (0, 0, 2), ("0", "0", "-1", "-1"), None, "Jacobi recurrence pole: "),
+]
+
+
+@pytest.mark.parametrize("kind, idx, row, extra, cause", POLE_TASKS,
+                         ids=[f"{t[0]}-{','.join(map(str, t[1]))}" for t in POLE_TASKS])
+def test_a_pole_of_the_identity_makes_the_task_not_applicable(kind, idx, row, extra, cause):
+    extra = None if extra is None else as_rat(extra)
+    report = sweeps.run_task((kind, None, idx, as_tuple(row, len(row)), extra))
+    assert report.status == NOT_APPLICABLE
+    assert report.detail.startswith("PoleHit: " + cause)
+
+
+@pytest.mark.parametrize("suite, line", [
+    ("pde", "monic.triangle: 5 pass, 0 fail, 1 n/a"),
+    ("connections", "connect.alpha: 6 pass, 0 fail, 2 n/a"),
+], ids=["pde", "connections"])
+def test_a_pole_row_inside_the_weight_domain_passes_verify(suite, line, tmp_path, capsys):
+    # Every parameter exceeds -1, yet a monic prefactor and two alpha
+    # connection coefficients have a pole: those samples are n/a, and the
+    # suite exits 0.
+    path = tmp_path / "poles.json"
+    path.write_text(json.dumps({"suites": {
+        "pde": {"twod": {"degree": 1, "params": [["-3/4"] * 4]},
+                "threed": {"degree": 1, "params": [["0"] * 6]}, "monic_degree": 2},
+        "connections": {
+            "alpha": {"degree": 1, "params": [["0"] + ["-1/2"] * 5], "xi": ["-1/2"]},
+            "general": {"degree": 1, "params": [["0"] * 6], "targets": [["0"] * 4]}},
+    }}))
+    assert main(["verify", "--suite", suite, "--config", str(path), "--jobs", "1"]) == EX_OK
+    assert line in capsys.readouterr().out.splitlines()
