@@ -4,13 +4,14 @@
 For each draw, builds the degree-N Gram matrix on the tetrahedron and
 reports the worst normalized off-diagonal entry and the worst relative
 deviation of the diagonal from the interval-norm product formula.  Exits 1
-when either exceeds the bound of `simplexpoly gram` (`cli.GRAM_BOUND`).
+when either exceeds the bound of `simplexpoly gram` (`cli.GRAM_BOUND`), and
+64, before any matrix is built, for an --N outside 0 to
+`cli.GRAM_MAX_DEGREE` or a --draws below 1, as `gram` refuses its --N.
 
 Usage:
     python scripts/orthogonality_scan.py [--N 4] [--draws 20] [--seed 7]
 """
 
-import argparse
 import random
 import sys
 from fractions import Fraction
@@ -26,12 +27,16 @@ def random_params(rng) -> tuple:
     return tuple(rng.choice(pool) for _ in range(6))
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--N", type=int, default=4)
     parser.add_argument("--draws", type=int, default=20)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if not 0 <= args.N <= cli.GRAM_MAX_DEGREE:
+        parser.error(f"--N must be from 0 to {cli.GRAM_MAX_DEGREE}, got {args.N}")
+    if args.draws < 1:
+        parser.error(f"--draws must be at least 1, got {args.draws}")
 
     rng = random.Random(args.seed)
     worst_off = worst_diag = 0.0

@@ -222,12 +222,12 @@ def cmd_connect(args) -> int:
     idx = _index(args.index, "simplex", CONNECT_MAX_DEGREE)
     params = family.check(args.params.split(","))
     if args.mode == "alpha":
-        if args.xi is None:
-            raise ValueError("--xi is required for mode=alpha")
+        if args.xi is None or args.target is not None:
+            raise ValueError("mode=alpha takes --xi and no --target")
         connect, target = simplex3d.connect_alpha, args.xi
     else:
-        if args.target is None:
-            raise ValueError("--target is required for mode=general")
+        if args.target is None or args.xi is not None:
+            raise ValueError("mode=general takes --target and no --xi")
         connect, target = simplex3d.connect_general, as_tuple(args.target.split(","), 4)
     expansion = connect(idx, params, target)
     try:

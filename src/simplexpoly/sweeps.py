@@ -1,11 +1,11 @@
 """Verification sweeps: task generation, execution, and report merging.
 
-A sweep expands a suite section of the JSON config into a flat list of
-picklable tasks (relation id, index, parameter row), runs them serially or
-across a process pool, and merges the reports deterministically by sorted
-key.  Parallel execution sorts the tasks by parameter row, then index, and
-cuts the list into about four chunks per worker, each edge between two
-(row, index) groups, so the tasks that build one member share a chunk.
+A sweep expands a suite section of the JSON config into picklable tasks
+(kind, relation, index, row), each distinct row of a grid once, runs them
+serially or in a process pool, and merges the reports, sorted by their
+key, which is their task's.  In a pool the tasks are sorted by row and index
+and cut into about four chunks per worker, never inside a (row, index)
+group, so the tasks that build one member share a chunk.
 
 Each task first scopes the construction caches to its parameter row
 (`jacobi1d.enter_row`), and `write_report` writes one report at a time, so
@@ -152,8 +152,8 @@ class SweepSection:
 
 
 # ---------------------------------------------------------------------------
-# Task executors.  Every task is (kind, relation-or-None, index, params,
-# extra) with hashable exact contents, so the list pickles cleanly.
+# Task executors.  Every task is (kind, relation-or-None, index, row) with
+# hashable exact contents, so the list pickles cleanly.
 # ---------------------------------------------------------------------------
 
 def _residual_report(relation, index, params, residual) -> VerificationReport:
@@ -172,21 +172,26 @@ def _run_monic(family, relation, idx, params, poly, residual) -> VerificationRep
     return _residual_report(relation, idx, params, residual(family.monic[0], idx, params, poly))
 
 
-def _run_connection(relation, expansion, idx, params, extra, detail) -> VerificationReport:
-    lhs = expansion.reassemble()
-    rhs = simplex3d.FAMILY.member(idx, params)
-    return report_equality(relation, idx, params + extra, lhs, rhs, detail=detail)
+def _source(*row) -> Row:
+    """The six source parameters of a connection row, one Row per row."""
+    return as_tuple(row[:6], 6)
+
+
+def _run_connection(relation, idx, row, expansion) -> VerificationReport:
+    lhs, rhs = expansion.reassemble(), simplex3d.FAMILY.member(idx, row.derive(_source))
+    return report_equality(relation, idx, row, lhs, rhs)
 
 
 def _check(module, name, index=lambda idx: idx):
-    """Executor that runs module.name(relation, index(idx), params)."""
-    return lambda rid, rel, idx, params, extra: getattr(module, name)(rel, index(idx), params)
+    """Executor that runs module.name(relation, index(idx), row)."""
+    return lambda rid, rel, idx, row: getattr(module, name)(rel, index(idx), row)
 
 
 # One line per task kind: the relation id of its reports, where "{}" stands
 # for the task's relation, and its executor, called with that id and the
-# task's fields.  A task that raises is reported under the id, which is
-# the one its verifier writes (tests/test_sweeps.py checks each kind).  Each
+# task's fields.  A task that raises is reported under the id and row its
+# verifier writes (tests/test_sweeps.py checks each kind); a connection row
+# is the source row, then xi or the four target parameters.  Each
 # executor names its verifier on the module at call time, so wrappers
 # installed later (a test's monkeypatch, a profiler) are used.
 _KINDS = {
@@ -194,35 +199,32 @@ _KINDS = {
     "so1d": ("{}", _check(jacobi1d, "verify_second_order_1d", lambda idx: idx[0])),
     "m2d": ("{}", _check(triangle2d, "verify_m_relation")),
     "so2d": ("{}", _check(triangle2d, "verify_second_order_m")),
-    "d0": ("reduction.d0", lambda rid, rel, idx, params, extra:
-           triangle2d.verify_d0_reduction(idx, params)),
-    "pde2d": ("pde.{}", lambda rid, rel, idx, params, extra: _residual_report(
-        rid, idx, params, triangle2d.pde_residual(rel, idx, params))),
-    "monic2d": ("monic.triangle", lambda rid, rel, idx, params, extra: _run_monic(
-        triangle2d.FAMILY, rid, idx, params, triangle2d.monic_triangle(idx, params),
+    "d0": ("reduction.d0", lambda rid, rel, idx, row: triangle2d.verify_d0_reduction(idx, row)),
+    "pde2d": ("pde.{}", lambda rid, rel, idx, row: _residual_report(
+        rid, idx, row, triangle2d.pde_residual(rel, idx, row))),
+    "monic2d": ("monic.triangle", lambda rid, rel, idx, row: _run_monic(
+        triangle2d.FAMILY, rid, idx, row, triangle2d.monic_triangle(idx, row),
         triangle2d.pde_residual)),
     "theorem1": ("{}", _check(simplex3d, "verify_theorem1")),
     "so3d": ("{}", _check(simplex3d, "verify_second_order_3d")),
-    "ab0": ("reduction.ab0", lambda rid, rel, idx, params, extra:
-            simplex3d.verify_reduction_ab0(idx, params)),
-    "pde3d": ("pde.{}", lambda rid, rel, idx, params, extra: _residual_report(
-        rid, idx, params, simplex3d.pde_residual_3d(rel, idx, params))),
-    "monic3d": ("monic.simplex", lambda rid, rel, idx, params, extra: _run_monic(
-        simplex3d.FAMILY, rid, idx, params, simplex3d.monic_simplex(idx, params),
+    "ab0": ("reduction.ab0", lambda rid, rel, idx, row: simplex3d.verify_reduction_ab0(idx, row)),
+    "pde3d": ("pde.{}", lambda rid, rel, idx, row: _residual_report(
+        rid, idx, row, simplex3d.pde_residual_3d(rel, idx, row))),
+    "monic3d": ("monic.simplex", lambda rid, rel, idx, row: _run_monic(
+        simplex3d.FAMILY, rid, idx, row, simplex3d.monic_simplex(idx, row),
         simplex3d.pde_residual_3d)),
-    "three_term": ("three-term.x", lambda rid, rel, idx, params, extra:
-                   simplex3d.verify_three_term(idx, params)),
-    "conn_alpha": ("connect.alpha", lambda rid, rel, idx, params, xi: _run_connection(
-        rid, simplex3d.connect_alpha(idx, params, xi), idx, params, (xi,), f"xi={xi}")),
-    "conn_general": ("connect.general", lambda rid, rel, idx, params, target: _run_connection(
-        rid, simplex3d.connect_general(idx, params, target), idx, params, tuple(target),
-        "target=" + ",".join(target.text))),
+    "three_term": ("three-term.x", lambda rid, rel, idx, row:
+                   simplex3d.verify_three_term(idx, row)),
+    "conn_alpha": ("connect.alpha", lambda rid, rel, idx, row: _run_connection(
+        rid, idx, row, simplex3d.connect_alpha(idx, row.derive(_source), row[6]))),
+    "conn_general": ("connect.general", lambda rid, rel, idx, row: _run_connection(
+        rid, idx, row, simplex3d.connect_general(idx, row.derive(_source), row[6:]))),
     "cor_deriv": ("corollary.deriv.{}", _check(simplex3d, "verify_corollary_derivatives")),
     "cor_weight": ("corollary.weighted.{}", _check(simplex3d, "verify_corollary_weighted")),
     "cor_mult": ("corollary.mult.{}", _check(simplex3d, "verify_corollary_multiplication")),
 }
 
-Task = Tuple[str, Optional[str], tuple, tuple, object]
+Task = Tuple[str, Optional[str], tuple, Row]
 
 
 def run_task(task: Task) -> VerificationReport:
@@ -232,15 +234,15 @@ def run_task(task: Task) -> VerificationReport:
     a coefficient of the identity is undefined at that row.  An exact
     division with a remainder, by a divisor it cannot divide by (ValueError,
     as a mistyped table denominator gives) or by zero fails the sample."""
-    kind, rel, idx, params, extra = task
-    jacobi1d.enter_row(params)
+    kind, rel, idx, row = task
+    jacobi1d.enter_row(row)
     relation, execute = _KINDS[kind]
     relation = relation.format(rel)
     try:
-        return execute(relation, rel, idx, params, extra)
+        return execute(relation, rel, idx, row)
     except (NonzeroRemainder, PoleHit, ValueError, ZeroDivisionError) as exc:
         status = NOT_APPLICABLE if isinstance(exc, PoleHit) else FAIL
-        return VerificationReport(relation, idx, params, status,
+        return VerificationReport(relation, idx, row, status,
                                   detail=f"{type(exc).__name__}: {exc}")
 
 
@@ -285,21 +287,21 @@ def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 def _grid(rows, family, degree, cells) -> List[Task]:
-    """The tasks of a grid: one per row, index of the record's
-    `indices(degree)` and cell (kind, relation, extra), in that order."""
+    """The tasks of a grid: one per distinct row, index of the record's
+    `indices(degree)` and cell (kind, relation), in that order."""
     indices = family.indices(degree)
-    return [(kind, rel, idx, params, extra)
-            for params in rows for idx in indices for kind, rel, extra in cells]
+    return [(kind, rel, idx, params)
+            for params in dict.fromkeys(rows) for idx in indices for kind, rel in cells]
 
 
 def _size(grids) -> int:
     """The number of tasks of the grids, counted without building them."""
-    return sum(len(rows) * family.index_count(degree) * len(cells)
+    return sum(len(set(rows)) * family.index_count(degree) * len(cells)
                for rows, family, degree, cells in grids)
 
 
 def _cells(kind, relations=(None,)):
-    return [(kind, rel, None) for rel in relations]
+    return [(kind, rel) for rel in relations]
 
 
 def _nonempty(grids, path: str) -> list:
@@ -382,20 +384,17 @@ def tasks_corollaries(section) -> List[Task]:
 
 def tasks_connections(section) -> List[Task]:
     _section(section, "suites.connections", ("alpha", "general"))
-    alpha_section, general_section = section["alpha"], section["general"]
-    alpha = SweepSection.parse(alpha_section, "suites.connections.alpha", 6, extra=("xi",))
-    xis = list(config_row(alpha_section["xi"], "suites.connections.alpha.xi"))
-    general = SweepSection.parse(general_section, "suites.connections.general", 6,
-                                 extra=("targets",))
-    targets = parse_grid(general_section["targets"], 4, "suites.connections.general.targets")
-    # Each row also connects to its own leading parameters: a grid per row.
+    path = "suites.connections."
+    alpha = SweepSection.parse(section["alpha"], path + "alpha", 6, extra=("xi",))
+    xis = [(xi,) for xi in config_row(section["alpha"]["xi"], path + "alpha.xi")]
+    general = SweepSection.parse(section["general"], path + "general", 6, extra=("targets",))
+    targets = parse_grid(section["general"]["targets"], 4, path + "general.targets")
+    # Each source row also connects to its own leading parameters.
     return _tasks("suites.connections", [
-        *_nonempty([((p,), simplex3d.FAMILY, alpha.degree,
-                     [("conn_alpha", None, xi) for xi in xis + [p[0]]]) for p in alpha.params],
-                   "suites.connections.alpha"),
-        *_nonempty([((p,), simplex3d.FAMILY, general.degree,
-                     [("conn_general", None, t) for t in targets + [as_tuple(p[:4], 4)]])
-                    for p in general.params], "suites.connections.general"),
+        *_nonempty([([as_tuple(p + t, 7) for p in alpha.params for t in xis + [p[:1]]],
+                     simplex3d.FAMILY, alpha.degree, _cells("conn_alpha"))], path + "alpha"),
+        *_nonempty([([as_tuple(p + t, 10) for p in general.params for t in targets + [p[:4]]],
+                     simplex3d.FAMILY, general.degree, _cells("conn_general"))], path + "general"),
     ])
 
 

@@ -55,7 +55,7 @@ def test_criterion_1_univariate_suite(config):
     tasks = sweeps.tasks_ladder1d(section)
     one = config["suites"]["second-order"]["oned"]
     tasks += [
-        ("so1d", key, (n,), params, None)
+        ("so1d", key, (n,), params)
         for params in sweeps.parse_grid(one["params"], 2)
         for n in range(int(one["degree"]) + 1)
         for key in sweeps.jacobi1d.SECOND_ORDER_1D
@@ -76,14 +76,14 @@ def test_criterion_2_bivariate_suite(config):
     two = config["suites"]["second-order"]["twod"]
     grid2 = sweeps.parse_grid(two["params"], 4)
     tasks += [
-        ("so2d", key, idx, params, None)
+        ("so2d", key, idx, params)
         for params in grid2
         for idx in triangle2d.indices(int(two["degree"]))
         for key in sweeps.triangle2d.SECOND_ORDER_2D
     ]
     pde2 = config["suites"]["pde"]["twod"]
     tasks += [
-        ("pde2d", which, idx, params, None)
+        ("pde2d", which, idx, params)
         for params in sweeps.parse_grid(pde2["params"], 4)
         for idx in triangle2d.indices(int(pde2["degree"]))
         for which in ("L1", "L2", "B1")
@@ -106,14 +106,14 @@ def test_criterion_3_trivariate_suite(config):
     three = config["suites"]["second-order"]["threed"]
     grid3 = sweeps.parse_grid(three["params"], 6)
     tasks += [
-        ("so3d", key, idx, params, None)
+        ("so3d", key, idx, params)
         for params in grid3
         for idx in simplex3d.indices(int(three["degree"]))
         for key in sweeps.simplex3d.SECOND_ORDER_3D
     ]
     pde3 = config["suites"]["pde"]["threed"]
     tasks += [
-        ("pde3d", which, idx, params, None)
+        ("pde3d", which, idx, params)
         for params in sweeps.parse_grid(pde3["params"], 6)
         for idx in simplex3d.indices(int(pde3["degree"]))
         for which in ("T1", "T2", "T3", "T4")
@@ -208,12 +208,12 @@ def test_criterion_7_monic_solutions(config):
     monic_degree = int(pde.get("monic_degree", 5))
     assert monic_degree >= 5
     tasks = [
-        ("monic2d", None, idx, params, None)
+        ("monic2d", None, idx, params)
         for params in sweeps.parse_grid(pde["twod"]["params"], 4)
         for idx in triangle2d.indices(monic_degree)
     ]
     tasks += [
-        ("monic3d", None, idx, params, None)
+        ("monic3d", None, idx, params)
         for params in sweeps.parse_grid(pde["threed"]["params"], 6)
         for idx in simplex3d.indices(monic_degree)
     ]

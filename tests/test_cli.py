@@ -166,6 +166,11 @@ POLE_NAMES = {
      "--params=-2/3,-2/3,-2/3,-2/3,-2/3,-2/3", "--monic"],
     ["connect", "--mode", "general", "--index", "0,0,2", "--params", "0,0,0,0,0,0",
      "--target=0,0,-2,-1"],
+    # A flag that the mode does not read.
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0",
+     "--xi", "1/2", "--target", "0,0,0,0"],
+    ["connect", "--mode", "general", "--index", "1,0,0", "--params", "0,0,0,0,0,0",
+     "--target", "0,0,0,0", "--xi", "1/2"],
 ], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
         "jacobi-param-at-pole", "jacobi-param-below-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
@@ -174,7 +179,7 @@ POLE_NAMES = {
         "jacobi-index-past-exponent-limit", "print-poly-zero-denominator",
         "gram-zero-denominator", "connect-xi-zero-denominator",
         "connect-target-zero-denominator", "monic-triangle-pole", "monic-simplex-pole",
-        "connect-coefficient-pole"])
+        "connect-coefficient-pole", "connect-alpha-with-target", "connect-general-with-xi"])
 def test_bad_params_exit_usage(argv, request, capsys):
     code = main(argv)
     assert code == EX_USAGE
@@ -458,7 +463,7 @@ def test_unwritable_out_is_a_usage_error(argv, where, config_path, tmp_path, cap
 @pytest.mark.parametrize("kind, relation", [("ladder1d", "L4"), ("so1d", "L1.L1p.rel")])
 def test_interval_checks_at_the_degree_cap_fit_the_exponent_limit(kind, relation):
     # Both reach degree + 1, and overflow at degree 511.
-    report = sweeps.run_task((kind, relation, (sweeps.MAX_DEGREE,), (0, 0), None))
+    report = sweeps.run_task((kind, relation, (sweeps.MAX_DEGREE,), (0, 0)))
     assert report.status == "pass"
 
 

@@ -38,7 +38,7 @@ FAMILIES = {
 
 def _reports(module, kinds, rows, sparse, composition):
     idxs = module.indices(2)
-    tasks = [(kind, rel, idx, row, None) for row in rows for idx in idxs
+    tasks = [(kind, rel, idx, row) for row in rows for idx in idxs
              for kind, rel in zip(kinds, (sparse, composition))]
     return [json.dumps(r.to_json(), sort_keys=True) for r in sweeps.run_tasks(tasks)]
 

@@ -1,4 +1,5 @@
-"""scripts/run_full_verification.py: reports and exit codes."""
+"""scripts/run_full_verification.py: reports and exit codes;
+scripts/orthogonality_scan.py: the bounds it refuses."""
 
 import importlib.util
 import json
@@ -8,13 +9,21 @@ from pathlib import Path
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import simplex3d, sweeps
-from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_OK, EX_USAGE
+from simplexpoly import quadrature, simplex3d, sweeps
+from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_OK, EX_USAGE, GRAM_MAX_DEGREE
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
-_spec = importlib.util.spec_from_file_location("run_full_verification", SCRIPT)
-run_full_verification = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(run_full_verification)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run_full_verification = _load("run_full_verification")
+orthogonality_scan = _load("orthogonality_scan")
 
 
 def _cut(section):
@@ -167,3 +176,19 @@ def test_unwritable_out_is_a_usage_error(where, tiny_config, tmp_path, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and "error: " in err[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--N=-1"], "--N"), ([f"--N={GRAM_MAX_DEGREE + 1}"], "--N"), (["--draws=0"], "--draws"),
+], ids=["negative-N", "N-above-gram-bound", "no-draws"])
+def test_scan_refuses_a_bound_before_any_matrix_is_built(argv, flag, monkeypatch, capsys):
+    def gram_matrix(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(quadrature, "gram_matrix", gram_matrix)
+    with pytest.raises(SystemExit) as err:
+        orthogonality_scan.main(argv)
+    assert err.value.code == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} must be " in captured.err.splitlines()[-1]

@@ -334,7 +334,7 @@ def test_three_term_pole_is_not_applicable(row):
     idx, params = row
     with pytest.raises(PoleHit):
         three_term_x(idx, params)
-    report = sweeps.run_task(("three_term", None, idx, params, None))
+    report = sweeps.run_task(("three_term", None, idx, params))
     assert report.relation == "three-term.x"
     assert report.status == "not_applicable"
     assert f"e+2n in {{-2,-3,-4}} at e={sum(params)}, n={sum(idx)}" in report.detail
@@ -362,7 +362,7 @@ def test_three_term_degenerate_parameter_sum_not_applicable():
     degenerate = as_tuple((F(-1, 2),) * 6, 6)
     with pytest.raises(PoleHit, match="three-term denominator vanishes"):
         verify_three_term((0, 0, 0), degenerate)
-    report = sweeps.run_task(("three_term", None, (0, 0, 0), degenerate, None))
+    report = sweeps.run_task(("three_term", None, (0, 0, 0), degenerate))
     assert (report.relation, report.status) == ("three-term.x", "not_applicable")
     assert report.detail.startswith("PoleHit: three-term denominator vanishes")
 

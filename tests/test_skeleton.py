@@ -44,7 +44,7 @@ SLICES = {
 
 def _summary(family, table, rel):
     _, kinds, idxs, rows, _ = SLICES[family]
-    tasks = [(kinds[table], rel, idx, params, None) for params in rows for idx in idxs]
+    tasks = [(kinds[table], rel, idx, params) for params in rows for idx in idxs]
     return summarize(sweeps.run_tasks(tasks))
 
 
@@ -128,7 +128,7 @@ def test_failing_report_carries_its_difference(family, monkeypatch):
     module, kinds, idxs, rows, relations = SLICES[family]
     rel = relations[0]
     _mutate_scale(module.FAMILY, monkeypatch, rel)
-    reports = sweeps.run_tasks([(kinds[0], rel, idx, params, None)
+    reports = sweeps.run_tasks([(kinds[0], rel, idx, params)
                                 for params in rows for idx in idxs])
     failed = [r.to_json() for r in reports if r.status == "fail"]
     assert failed
@@ -156,7 +156,7 @@ COROLLARY_SLICE = (
 def _corollary_summary(kind):
     rel = COROLLARY_TABLES[kind][1]
     idxs, rows = COROLLARY_SLICE
-    return summarize(sweeps.run_tasks([(kind, rel, idx, q, None) for q in rows for idx in idxs]))
+    return summarize(sweeps.run_tasks([(kind, rel, idx, q) for q in rows for idx in idxs]))
 
 
 def _first_coefficient_plus_one(line):

@@ -22,7 +22,6 @@ from simplexpoly.cli import EX_OK, main
 from simplexpoly.operators import (
     FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, as_tuple, summarize,
 )
-from simplexpoly.ratpoly import as_rat
 from simplexpoly.special import PoleHit
 
 CHECKSUMS = Path(__file__).resolve().parent / "data" / "default_sweep_reports.sha256"
@@ -87,7 +86,30 @@ def test_every_task_carries_a_row():
                     "targets": [["1", "0", "0", "0"]]},
     })
     assert {type(t[3]) for t in tasks} == {Row}
-    assert {type(t[4]) for t in tasks if t[0] == "conn_general"} == {Row}
+    # A connection row is the source row, then xi or the four target parameters.
+    assert {len(t[3]) for t in tasks if t[0] == "conn_alpha"} == {7}
+    assert {len(t[3]) for t in tasks if t[0] == "conn_general"} == {10}
+
+
+def test_rows_that_share_the_reduced_parameters_give_each_d0_task_once():
+    tasks = sweeps.tasks_m2d({"degree": 1, "params": [["0", "1/2", "0", "1"],
+                                                      ["0", "1/2", "0", "2"]]})
+    d0 = [t for t in tasks if t[0] == "d0"]
+    assert len(d0) == 3 and len(set(d0)) == 3
+    assert {t[3] for t in d0} == {as_tuple(["0", "1/2", "0"], 3)}
+
+
+@pytest.mark.parametrize("suite", sweeps.SUITES)
+def test_each_shipped_task_is_the_key_of_one_report(suite):
+    # No two tasks of a suite share (kind, relation, index, row), and each
+    # report carries its task's (relation, index, row): no report key repeats.
+    config = sweeps.load_config(sweeps.default_config_path())
+    tasks = sweeps.suite_tasks(suite, config)
+    assert len(set(tasks)) == len(tasks)
+    keys = Counter((r.relation, r.index, r.params) for r in sweeps.run_tasks(tasks))
+    assert set(keys.values()) == {1}
+    assert keys.keys() == {(sweeps._KINDS[kind][0].format(rel), idx, row)
+                           for kind, rel, idx, row in tasks}
 
 
 @pytest.mark.parametrize("count", [1, 3, 8, 1000])
@@ -336,30 +358,33 @@ def test_a_task_that_raises_keeps_its_relation_id(kind, one_task_per_kind, monke
         monkeypatch.setattr(*VERIFIERS[kind], broken)
         raised = sweeps.run_task(task)
         assert (raised.status, raised.detail) == (status, f"{type(exc).__name__}: {exc}")
-        assert raised.relation == finished.relation
+        assert ((raised.relation, raised.index, raised.params)
+                == (finished.relation, finished.index, finished.params))
 
 
 # One row per kind where a coefficient of the identity has a pole, and the
-# start of what the pole says: (kind, index, row, extra, cause).
+# start of what the pole says: (kind, index, row, cause).  An alpha
+# connection row ends in its xi.
 POLE_TASKS = [
-    ("monic2d", (1, 0), ("-3/4",) * 4, None, "monic prefactor at index 1,0: "),
-    ("monic3d", (1, 0, 0), ("-2/3",) * 6, None, "monic prefactor at index 1,0,0: "),
-    ("conn_alpha", (1, 0, 0), ("0",) * 6, "-3",
+    ("monic2d", (1, 0), ("-3/4",) * 4, "monic prefactor at index 1,0: "),
+    ("monic3d", (1, 0, 0), ("-2/3",) * 6, "monic prefactor at index 1,0,0: "),
+    ("conn_alpha", (1, 0, 0), ("0",) * 6 + ("-3",),
      "alpha connection coefficient of 1,0,0 on 0,0,0: "),
-    ("conn_alpha", (0, 0, 0), ("0",) + ("-1/2",) * 5, "-1/2",
+    ("conn_alpha", (0, 0, 0), ("0",) + ("-1/2",) * 5 + ("-1/2",),
      "alpha connection coefficient of 0,0,0 on 0,0,0: "),
-    ("d0", (2, 2), ("0", "-1", "-1"), None, "Jacobi recurrence pole: "),
-    ("ab0", (0, 0, 2), ("0", "0", "-1", "-1"), None, "Jacobi recurrence pole: "),
+    ("d0", (2, 2), ("0", "-1", "-1"), "Jacobi recurrence pole: "),
+    ("ab0", (0, 0, 2), ("0", "0", "-1", "-1"), "Jacobi recurrence pole: "),
 ]
 
 
-@pytest.mark.parametrize("kind, idx, row, extra, cause", POLE_TASKS,
+@pytest.mark.parametrize("kind, idx, row, cause", POLE_TASKS,
                          ids=[f"{t[0]}-{','.join(map(str, t[1]))}" for t in POLE_TASKS])
-def test_a_pole_of_the_identity_makes_the_task_not_applicable(kind, idx, row, extra, cause):
-    extra = None if extra is None else as_rat(extra)
-    report = sweeps.run_task((kind, None, idx, as_tuple(row, len(row)), extra))
+def test_a_pole_of_the_identity_makes_the_task_not_applicable(kind, idx, row, cause):
+    row = as_tuple(row, len(row))
+    report = sweeps.run_task((kind, None, idx, row))
     assert report.status == NOT_APPLICABLE
     assert report.detail.startswith("PoleHit: " + cause)
+    assert report.params == row
 
 
 @pytest.mark.parametrize("suite, line", [
@@ -378,5 +403,12 @@ def test_a_pole_row_inside_the_weight_domain_passes_verify(suite, line, tmp_path
             "alpha": {"degree": 1, "params": [["0"] + ["-1/2"] * 5], "xi": ["-1/2"]},
             "general": {"degree": 1, "params": [["0"] * 6], "targets": [["0"] * 4]}},
     }}))
-    assert main(["verify", "--suite", suite, "--config", str(path), "--jobs", "1"]) == EX_OK
+    out = tmp_path / "out.json"
+    assert main(["verify", "--suite", suite, "--config", str(path), "--jobs", "1",
+                 "--out", str(out)]) == EX_OK
     assert line in capsys.readouterr().out.splitlines()
+    # An n/a connection report carries its xi, as a finished one does.
+    poles = [r["params"] for r in json.loads(out.read_text())["reports"]
+             if r["relation"] == "connect.alpha" and r["status"] == NOT_APPLICABLE]
+    assert len(poles) == (2 if suite == "connections" else 0)
+    assert all(len(params) == 7 and params[6] == "-1/2" for params in poles)
