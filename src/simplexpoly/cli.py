@@ -197,6 +197,8 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     if not 0 <= args.max_degree <= GRAM_MAX_DEGREE:
         raise ValueError(f"--N must be from 0 to {GRAM_MAX_DEGREE}, got {args.max_degree}")
+    if args.points is not None and args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     if args.points is not None and args.points > GRAM_MAX_POINTS:
         raise ValueError(f"--points must be at most {GRAM_MAX_POINTS}, got {args.points}")
     family = _FAMILIES[args.family]

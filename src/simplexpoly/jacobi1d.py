@@ -357,13 +357,13 @@ _row = None
 
 
 def enter_row(row) -> None:
-    """Scope the construction caches to `row`, the parameter row of the
-    task about to run.  When it is not the previous task's row (compared
-    by identity, then by value, since a pool worker unpickles each chunk
-    into new rows), the member store and `_lifted_factor` are emptied:
-    the members of the previous row are not asked for again."""
+    """Scope the construction caches to `row`, the row that the members of
+    the task about to run are built at.  When it is not the previous
+    task's row (compared by value, since a pool worker unpickles each
+    chunk into new rows), the member store and `_lifted_factor` are
+    emptied: the members of the previous row are not asked for again."""
     global _row
-    if row is _row or row == _row:
+    if row == _row:
         return
     _row = row
     _members.clear()

@@ -2,14 +2,12 @@
 
 A sweep expands a suite section of the JSON config into picklable tasks
 (kind, relation, index, row), each distinct row of a grid once, runs them
-serially or in a process pool, and merges the reports, sorted by their
-key, which is their task's.  In a pool the tasks are sorted by row and index
-and cut into about four chunks per worker, never inside a (row, index)
-group, so the tasks that build one member share a chunk.
+in the builders' order, cut into the same chunks at every job count, and
+merges the reports, sorted by their key, which is their task's.
 
-Each task first scopes the construction caches to its parameter row
-(`jacobi1d.enter_row`), and `write_report` writes one report at a time, so
-a sweep's memory follows one row and its reports, not the whole grid.
+Each task first scopes the construction caches to the row its members are
+built at (`jacobi1d.enter_row`), and `write_report` writes one report at a
+time, so a sweep's memory follows one row and its reports, not the grid.
 """
 
 from __future__ import annotations
@@ -228,14 +226,15 @@ Task = Tuple[str, Optional[str], tuple, Row]
 
 
 def run_task(task: Task) -> VerificationReport:
-    """Run one task, with the construction caches scoped to its row.  This
-    is the one place where a raised check becomes a verdict, the cause in
-    the report's detail.  A pole (PoleHit) makes the sample not_applicable:
-    a coefficient of the identity is undefined at that row.  An exact
-    division with a remainder, by a divisor it cannot divide by (ValueError,
-    as a mistyped table denominator gives) or by zero fails the sample."""
+    """Run one task, the construction caches scoped to the row its members are
+    built at: its row's first six entries, a connection's source row.  This is
+    the one place where a raised check becomes a verdict, the cause in the
+    report's detail.  A pole (PoleHit) makes the sample not_applicable: a
+    coefficient of the identity is undefined at that row.  An exact division
+    with a remainder, by a divisor it cannot divide by (ValueError, as a
+    mistyped table denominator gives) or by zero fails the sample."""
     kind, rel, idx, row = task
-    jacobi1d.enter_row(row)
+    jacobi1d.enter_row(row[:6])
     relation, execute = _KINDS[kind]
     relation = relation.format(rel)
     try:
@@ -251,13 +250,12 @@ def _run_chunk(tasks: List[Task]) -> List[VerificationReport]:
 
 
 def _chunks(tasks: List[Task], count: int) -> List[List[Task]]:
-    """The tasks sorted by (row, index, kind, relation) and cut into about
-    `count` chunks of similar size, never inside a (row, index) group, so
-    the member at a row and index is built by one worker."""
-    tasks = sorted(tasks, key=lambda t: (t[3].text, t[2], t[0], t[1] or ""))
+    """The tasks, in the order the suite builders made them, cut into
+    about `count` chunks of similar size, never inside a run of one (row,
+    index), so the tasks of a run share their member in one worker."""
     size = -(-len(tasks) // count)
     chunks, chunk = [], []
-    for _, group in groupby(tasks, key=lambda t: (t[3].text, t[2])):
+    for _, group in groupby(tasks, key=lambda t: (t[3], t[2])):
         if len(chunk) >= size:
             chunks.append(chunk)
             chunk = []
@@ -266,20 +264,18 @@ def _chunks(tasks: List[Task], count: int) -> List[List[Task]]:
 
 
 def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
-    """Execute tasks, across at most `jobs` processes, and sort the
-    reports.  No more workers start than the host has CPUs or the tasks
-    have chunks: the pool forks every worker at once."""
-    workers = min(jobs, os.cpu_count() or 1)
-    split = _chunks(tasks, workers * 4) if workers > 1 else []
-    workers = min(workers, len(split))
+    """Execute tasks in about four `_chunks` per CPU, across at most `jobs`
+    processes, and sort the reports.  No more workers start than the host
+    has CPUs or the tasks have chunks: the pool forks every worker at once."""
+    cpus = os.cpu_count() or 1
+    split = _chunks(tasks, cpus * 4)
+    workers = min(jobs, cpus, len(split))
     if workers > 1:
-        reports: List[VerificationReport] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, split):
-                reports.extend(part)
+            parts = list(pool.map(_run_chunk, split))
     else:
-        reports = [run_task(t) for t in tasks]
-    return sorted(reports, key=lambda r: r.sort_key())
+        parts = map(_run_chunk, split)
+    return sorted((r for part in parts for r in part), key=lambda r: r.sort_key())
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,9 @@ def _refuse_arrays(monkeypatch):
     (["--N", "4", "--points", "1001"], f"--points must be at most {GRAM_MAX_POINTS}, got 1001"),
     (["--N", "4", "--points", "100000"],
      f"--points must be at most {GRAM_MAX_POINTS}, got 100000"),
-], ids=["N-25", "N-40", "points-1001", "points-100000"])
+    (["--N", "2", "--points", "0"], "--points must be at least 1, got 0"),
+    (["--N", "2", "--points=-3"], "--points must be at least 1, got -3"),
+], ids=["N-25", "N-40", "points-1001", "points-100000", "points-0", "points-minus-3"])
 def test_gram_past_its_bounds_exits_usage_before_any_array(family, argv, message, monkeypatch,
                                                           capsys):
     _refuse_arrays(monkeypatch)

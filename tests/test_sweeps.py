@@ -132,11 +132,17 @@ def test_pool_reports_equal_serial_reports(monkeypatch):
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
 
 
-@pytest.mark.parametrize("cpus, jobs, degree, most", [(2, 10**6, 2, 2), (64, 8, 1, 3)])
-def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree, most,
-                                                             monkeypatch):
-    # A stand-in pool that records its worker count and runs the chunks
-    # here: the real one forks every worker at its first submit.
+def test_plain_tuple_rows_give_the_same_reports_in_a_pool(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = [(kind, rel, idx, tuple(row)) for kind, rel, idx, row in _m2d_tasks()]
+    serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
+    assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+
+
+def _stand_in_pool(monkeypatch) -> list:
+    """Replace the pool by one that records its worker count and runs the
+    chunks here: the real one forks every worker at its first submit.
+    Returns the list of worker counts asked for."""
     asked = []
 
     class Recorder:
@@ -152,6 +158,56 @@ def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree,
         map = staticmethod(map)
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
+    return asked
+
+
+def test_every_job_count_runs_the_same_chunks(monkeypatch):
+    asked = _stand_in_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    seen = []  # the chunks of each run_tasks call
+    run_chunk = sweeps._run_chunk
+
+    def recorded(tasks):
+        seen[-1].append(tasks)
+        return run_chunk(tasks)
+    monkeypatch.setattr(sweeps, "_run_chunk", recorded)
+    tasks = _m2d_tasks()
+    reports = []
+    for jobs in (1, 2):
+        seen.append([])
+        reports.append([r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)])
+    assert reports[0] == reports[1] and asked == [2]
+    assert seen[0] == seen[1] == sweeps._chunks(tasks, 8)
+    # The chunks keep the order the suite builder made.
+    assert [t for chunk in seen[0] for t in chunk] == tasks
+
+
+def test_a_connection_builds_each_source_member_once_per_source_row(monkeypatch):
+    source = ["1/5", "2/7", "0", "1", "-1/3", "3"]
+    tasks = [t for t in sweeps.tasks_connections({
+        "alpha": {"degree": 2, "params": [source], "xi": ["1/2", "2"]},
+        "general": {"degree": 0, "params": [source], "targets": []},
+    }) if t[0] == "conn_alpha"]
+    assert len({t[3] for t in tasks}) == 3  # xi = 1/2, 2 and the row's own alpha
+    built = Counter()
+    member = jacobi1d.collapsed_member
+
+    def counted(int_axes, degrees):
+        built[int_axes, degrees] += 1
+        return member(int_axes, degrees)
+    monkeypatch.setattr(jacobi1d, "collapsed_member", counted)
+    reports = sweeps.run_tasks(tasks)
+    assert {r.status for r in reports} == {PASS}
+    axes = as_tuple(source, 6).derive(simplex3d.FAMILY.integer_axes)
+    at_source = {degrees: n for (int_axes, degrees), n in built.items() if int_axes == axes}
+    assert set(at_source) >= set(simplex3d.FAMILY.indices(2))
+    assert set(at_source.values()) == {1}
+
+
+@pytest.mark.parametrize("cpus, jobs, degree, most", [(2, 10**6, 2, 2), (64, 8, 1, 3)])
+def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree, most,
+                                                             monkeypatch):
+    asked = _stand_in_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     # One row: degree 1 makes 3 (row, index) groups, degree 2 makes 6.
     tasks = [t for t in sweeps.tasks_m2d({"degree": degree, "params": [["0", "1/2", "0", "1"]]})
