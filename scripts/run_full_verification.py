@@ -33,7 +33,7 @@ def main(argv=None) -> int:
     # Every suite's section is checked before any suite runs, so a bad
     # late section costs no work and leaves no report behind.  The config's
     # "jobs" is checked as `simplexpoly verify` checks it, though --jobs
-    # sets the worker count here.
+    # sets the process count here.
     try:
         _, plan = sweeps.plan(args.config, sweeps.SUITES)
     except sweeps.CONFIG_ERRORS as exc:

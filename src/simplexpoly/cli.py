@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jobs(text: str) -> int:
-    """A worker count from --jobs: an integer of at least 1."""
+    """A process count from --jobs: an integer of at least 1."""
     try:
         jobs = int(text)
     except ValueError:
@@ -79,7 +79,8 @@ def build_parser() -> _Parser:
     pv.add_argument("--config", default=None, help="sweep config JSON (default: shipped)")
     pv.add_argument("--out", default=None, help="write the JSON report here")
     pv.add_argument("--jobs", type=_jobs, default=None,
-                    help="worker processes, at least 1 (default: the config's \"jobs\", else 1)")
+                    help="processes, this one included, at least 1 "
+                         "(default: the config's \"jobs\", else 1)")
 
     pg = sub.add_parser("gram", help="emit a Gram matrix as CSV")
     pg.add_argument("--family", choices=("triangle", "simplex"), default="simplex")

@@ -1,9 +1,10 @@
 """Verification sweeps: task generation, execution, and report merging.
 
 A sweep expands a suite section of the JSON config into picklable tasks
-(kind, relation, index, row), each distinct row of a grid once, runs them
-in the builders' order, cut into the same chunks at every job count, and
-merges the reports, sorted by their key, which is their task's.
+(kind, relation, index, row), each distinct row of a grid once, cuts them
+in the builders' order into the same chunks at every job count, runs the
+chunks in this process and, for more than one job, in forked workers beside
+it, and merges the reports, sorted by their key, which is their task's.
 
 Each task first scopes the construction caches to the row its members are
 built at (`jacobi1d.enter_row`), and `write_report` writes one report at a
@@ -265,14 +266,23 @@ def _chunks(tasks: List[Task], count: int) -> List[List[Task]]:
 
 def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
     """Execute tasks in about four `_chunks` per CPU, across at most `jobs`
-    processes, and sort the reports.  No more workers start than the host
-    has CPUs or the tasks have chunks: the pool forks every worker at once."""
+    processes, this one included, and sort the reports.  Of N processes,
+    this one runs every Nth chunk from the first, after handing the others
+    to a pool of N - 1 forked workers.  No more processes run than the host
+    has CPUs or the tasks have chunks: the pool forks every worker at once.
+    If this process's share raises, the pool's pending chunks are cancelled
+    and its workers joined before the error propagates."""
     cpus = os.cpu_count() or 1
     split = _chunks(tasks, cpus * 4)
     workers = min(jobs, cpus, len(split))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, split))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            theirs = pool.map(_run_chunk, [c for i, c in enumerate(split) if i % workers])
+            try:
+                parts = [*map(_run_chunk, split[::workers]), *theirs]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         parts = map(_run_chunk, split)
     return sorted((r for part in parts for r in part), key=lambda r: r.sort_key())

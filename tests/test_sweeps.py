@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import pickle
 import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -139,11 +141,50 @@ def test_plain_tuple_rows_give_the_same_reports_in_a_pool(monkeypatch):
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
 
 
-def _stand_in_pool(monkeypatch) -> list:
-    """Replace the pool by one that records its worker count and runs the
-    chunks here: the real one forks every worker at its first submit.
-    Returns the list of worker counts asked for."""
-    asked = []
+def test_two_workers_beside_this_process_give_the_serial_reports(monkeypatch):
+    # Three CPUs and --jobs 3: this process and a pool of two workers.
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    tasks = _m2d_tasks()
+    serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
+    assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=3)] == serial
+    assert not multiprocessing.active_children()
+
+
+def test_a_fault_in_this_processs_share_leaves_no_worker_running(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = sweeps.tasks_m2d({"degree": 3, "params": [["0", "1/2", "0", "1"],
+                                                      ["1/3", "0", "-1/2", "0"]]})
+    split = sweeps._chunks(tasks, 8)
+    # One worker holds at most three chunks at a time: its own and two queued.
+    theirs = range(1, len(split), 2)
+    assert len(theirs) > 3
+    here, ran = os.getpid(), tmp_path / "ran"
+    run_task = sweeps.run_task
+
+    def builder_bug(task):
+        if task == split[0][1]:
+            raise TypeError("a fault in a task builder")
+        if os.getpid() != here:  # the forked worker logs its chunks and starts each slowly
+            first = [n for n in theirs if split[n][0] == task]
+            if first:
+                with open(ran, "a") as fh:
+                    fh.write(f"{first[0]}\n")
+                time.sleep(0.3)
+        return run_task(task)
+    monkeypatch.setattr(sweeps, "run_task", builder_bug)
+    with pytest.raises(TypeError, match="a fault in a task builder"):
+        sweeps.run_tasks(tasks, jobs=2)
+    assert not multiprocessing.active_children()
+    # The worker's pending chunks were cancelled, not run to the end.
+    assert str(theirs[-1]) not in (ran.read_text().split() if ran.exists() else [])
+
+
+def _stand_in_pool(monkeypatch) -> tuple:
+    """Replace the pool by one that records its worker count and the chunks
+    it is handed, and runs them here when its results are read: the real
+    one forks every worker at its first submit.  Returns the list of worker
+    counts asked for and the list of the chunk lists handed over."""
+    asked, handed = [], []
 
     class Recorder:
         def __init__(self, max_workers):
@@ -155,16 +196,18 @@ def _stand_in_pool(monkeypatch) -> list:
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, chunks):
+            handed.append(list(chunks))
+            return map(fn, handed[-1])
 
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
-    return asked
+    return asked, handed
 
 
 def test_every_job_count_runs_the_same_chunks(monkeypatch):
-    asked = _stand_in_pool(monkeypatch)
+    asked, handed = _stand_in_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seen = []  # the chunks of each run_tasks call
+    seen = []  # the chunks of each run_tasks call, in the order they ran
     run_chunk = sweeps._run_chunk
 
     def recorded(tasks):
@@ -176,10 +219,16 @@ def test_every_job_count_runs_the_same_chunks(monkeypatch):
     for jobs in (1, 2):
         seen.append([])
         reports.append([r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)])
-    assert reports[0] == reports[1] and asked == [2]
-    assert seen[0] == seen[1] == sweeps._chunks(tasks, 8)
-    # The chunks keep the order the suite builder made.
-    assert [t for chunk in seen[0] for t in chunk] == tasks
+    split = sweeps._chunks(tasks, 8)
+    # --jobs 1 makes no pool; --jobs 2 is this process and one worker.
+    assert reports[0] == reports[1] and asked == [1]
+    for run in seen:
+        assert Counter(map(tuple, run)) == Counter(map(tuple, split))
+    # The worker is handed every second chunk; this process runs the others.
+    assert handed == [split[1::2]]
+    assert seen[1] == split[::2] + split[1::2]
+    # Alone, this process runs the chunks in the order the suite builder made.
+    assert seen[0] == split and [t for chunk in split for t in chunk] == tasks
 
 
 def test_a_connection_builds_each_source_member_once_per_source_row(monkeypatch):
@@ -204,17 +253,18 @@ def test_a_connection_builds_each_source_member_once_per_source_row(monkeypatch)
     assert set(at_source.values()) == {1}
 
 
-@pytest.mark.parametrize("cpus, jobs, degree, most", [(2, 10**6, 2, 2), (64, 8, 1, 3)])
-def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree, most,
+@pytest.mark.parametrize("cpus, jobs, degree, processes", [(2, 10**6, 2, 2), (64, 8, 1, 3)])
+def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree, processes,
                                                              monkeypatch):
-    asked = _stand_in_pool(monkeypatch)
+    asked, _ = _stand_in_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     # One row: degree 1 makes 3 (row, index) groups, degree 2 makes 6.
     tasks = [t for t in sweeps.tasks_m2d({"degree": degree, "params": [["0", "1/2", "0", "1"]]})
              if t[0] == "m2d"]
     serial = [r.to_json() for r in sweeps.run_tasks(tasks)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)] == serial
-    assert asked == [most]
+    # This process is one of them, so the pool forks the others.
+    assert asked == [processes - 1]
 
 
 def test_a_report_is_slotted_and_pickles_to_an_equal_report():
