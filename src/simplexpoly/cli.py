@@ -105,9 +105,9 @@ GRAM_BOUND = 1e-10
 #: The largest --N and --points that `gram` accepts, refused above before
 #: any array is allocated.  At N = 24 the tetrahedron has 2925 members:
 #: `gram` took 3.9 s and 273 MB peak RSS on a 2-core host, and the worst
-#: off-diagonal entry of `scripts/orthogonality_scan.py` read 2.4e-12, 40
-#: times under GRAM_BOUND; 1000 points per axis took 1.5 s more.  The
-#: README lists the measurements at N = 16 to 28.
+#: entry of `scripts/orthogonality_scan.py`, on both families, read
+#: 5.4e-13, 180 times under GRAM_BOUND; 1000 points per axis took about
+#: 1 s more.  The README lists the measurements at N = 16 to 28.
 GRAM_MAX_DEGREE = 24
 GRAM_MAX_POINTS = 1000
 

@@ -3,9 +3,12 @@ triangle and tetrahedron.
 
 Everything here is floating point; it exists to confirm orthogonality and
 absolute norm constants numerically, complementing the exact algebra in
-the family modules.  Rules are built by the Golub-Welsch eigenvalue method
-from the symmetric tridiagonal recurrence matrix.  On the simplices the
-weight factorizes exactly through the collapsed substitution
+the family modules.  A rule's nodes are the eigenvalues of the symmetric
+tridiagonal recurrence matrix (Golub & Welsch 1969) and its weights are the
+Christoffel numbers 1 / sum_k q_k(x_i)^2 of the same orthonormal recurrence
+(Gautschi 2004, sec. 3.1), which keep their relative accuracy where a
+weight is tiny, as near an end point with a large exponent.  On the
+simplices the weight factorizes exactly through the collapsed substitution
 
     x = u,  y = v (1 - u),  z = t (1 - u) (1 - v),
 
@@ -87,8 +90,10 @@ def jacobi_recurrence(m: int, a: float, b: float):
 def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     """m-point Gauss rule for the weight (1-x)^a x^b on (0, 1).
 
-    Golub-Welsch on `jacobi_recurrence`; the weight scale is the total mass
-    B(b+1, a+1).
+    The nodes are the eigenvalues of the `jacobi_recurrence` matrix, in
+    ascending order; each weight is the Christoffel number
+    1 / sum_{k<m} q_k(x_i)^2 of the orthonormal `jacobi_orthonormal`, whose
+    q_0 carries the weight's mass B(b+1, a+1).
     """
     if m < 1:
         raise ValueError("rule needs at least one point")
@@ -99,14 +104,16 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     diag, off = jacobi_recurrence(m, a, b)
     jacobi_matrix = np.diag(diag) + np.diag(off[1:m], -1)
     try:
-        eigvals, eigvecs = np.linalg.eigh(jacobi_matrix)
+        t = np.linalg.eigvalsh(jacobi_matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
-    order = np.argsort(eigvals)
-    t = eigvals[order]
-    first_row = eigvecs[0, order]
-    weights = h_absolute(0, a, b) * first_row**2
     nodes = (t + 1.0) / 2.0
+    # The q_k overflow only at a node whose weight is below the smallest
+    # double (a large exponent and many points): inf - inf leaves nan
+    # there, and its weight is 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = 1.0 / (jacobi_orthonormal(m - 1, a, b, nodes) ** 2).sum(axis=0)
+    weights[np.isnan(weights)] = 0.0
     return QuadRule1D(nodes=nodes, weights=weights, a=a, b=b)
 
 
@@ -126,10 +133,22 @@ class SimplexRule:
         return float(np.sum(self.weights * f(*self.coords)))
 
 
+#: Collapsed coordinate j, as `gram` names an axis whose weight it refuses.
+_COORDINATES = ("x", "y/(1-x)", "z/(1-x-y)")
+
+
 def _axes(family, params):
     """The collapsed base pairs of the family record at the given
-    parameters, each parameter made a float before the axes sum them."""
-    return family.axes(*(float(v) for v in family.params(params)))
+    parameters, as floats.  Refused (ValueError) where an exponent is at or
+    below -1: each parameter may exceed -1 and the weight still not be
+    integrable along that axis."""
+    axes = family.axes(*family.params(params))
+    for coordinate, pair in zip(_COORDINATES, axes):
+        for exponent in pair:
+            if exponent <= -1:
+                raise ValueError(f"the weight's exponent {exponent} on axis {coordinate} "
+                                 "must exceed -1")
+    return [tuple(map(float, pair)) for pair in axes]
 
 
 def collapsed_rule(family, params, m: int) -> SimplexRule:
@@ -275,11 +294,11 @@ gram_matrix = partial(collapsed_gram, simplex3d.FAMILY)
 gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 
 
-def expected_gram_diagonal(indices, params) -> np.ndarray:
-    """Float norms of the tetrahedron members from the interval-norm
-    product formula."""
-    axes = simplex3d.axes(*as_tuple(params, 6))
-    return np.array([collapsed_norm(axes, idx) for idx in indices])
+def expected_gram_diagonal(family, indices, params) -> np.ndarray:
+    """Float squared norms of the family's members at `indices` from the
+    interval-norm product formula."""
+    axes = family.axes(*family.params(params))
+    return np.array([collapsed_norm(axes, family.degrees(*idx)) for idx in indices])
 
 
 def gram_offdiag_max(indices, gram: np.ndarray) -> float:

@@ -139,7 +139,7 @@ def test_criterion_4_orthogonality():
     for params in tuples:
         idxs, gram = quadrature.gram_matrix(4, params)
         worst_off = max(worst_off, quadrature.gram_offdiag_max(idxs, gram))
-        expected = quadrature.expected_gram_diagonal(idxs, params)
+        expected = quadrature.expected_gram_diagonal(simplex3d.FAMILY, idxs, params)
         worst_diag = max(worst_diag, float(np.abs(np.diag(gram) / expected - 1).max()))
     zeros = (F(0),) * 6
     idxs, gram = quadrature.gram_matrix(1, zeros)

@@ -9,7 +9,7 @@ import pytest
 from bad_configs import BAD_CONFIGS, bad_config_path
 from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import (CONNECT_MAX_DEGREE, EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE,
-                             GRAM_MAX_DEGREE, GRAM_MAX_POINTS, PRINT_MAX_DEGREE, main)
+                             GRAM_BOUND, GRAM_MAX_DEGREE, GRAM_MAX_POINTS, PRINT_MAX_DEGREE, main)
 
 
 SMALL_CONFIG = {
@@ -127,8 +127,10 @@ ZERO_DENOMINATOR_ARGV = [
 ]
 
 
-# What the error line names first, for the inputs that meet a pole.
+# What the error line names first, for the inputs that meet a pole or a
+# weight that is not integrable.
 POLE_NAMES = {
+    "gram-weight-not-integrable": "the weight's exponent -17/10 on axis y/(1-x) must exceed -1",
     "connect-target-pole": "alpha connection coefficient of 1,0,0 on 0,0,0: gamma ratio pole",
     "monic-triangle-pole": "monic prefactor at index 1,0: gamma ratio pole",
     "monic-simplex-pole": "monic prefactor at index 1,0,0: gamma ratio pole",
@@ -156,6 +158,8 @@ POLE_NAMES = {
     ["gram", "--N", "4", "--params", "0,0,0,0,-3/2,0"],
     ["gram", "--family", "triangle", "--N", "4", "--params", "0,1,1,-3/2"],
     ["gram", "--N=-1", "--params", "0,0,0,0,0,0"],
+    # Every parameter exceeds -1, the exponent gamma + delta + b + 1 does not.
+    ["gram", "--N", "2", "--params=0,0,-9/10,-9/10,0,-9/10"],
     ["print-poly", "--family", "jacobi", "--index", "520", "--params", "0,0"],
     *ZERO_DENOMINATOR_ARGV,
     # Poles inside the weight domain: in a monic prefactor, and where
@@ -176,6 +180,7 @@ POLE_NAMES = {
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
         "connect-xi-below-pole", "connect-general-target-below-pole",
         "gram-simplex-param-below-pole", "gram-triangle-param-below-pole", "gram-negative-N",
+        "gram-weight-not-integrable",
         "jacobi-index-past-exponent-limit", "print-poly-zero-denominator",
         "gram-zero-denominator", "connect-xi-zero-denominator",
         "connect-target-zero-denominator", "monic-triangle-pole", "monic-simplex-pole",
@@ -511,6 +516,27 @@ def test_gram_reports_missed_bound(capsys, tmp_path):
     assert code == EX_OK
     assert len(path.read_text().splitlines()) == 456  # header + 455 members
     assert capsys.readouterr().err == ""
+
+
+# Rows whose weights span many orders of magnitude along an axis, with a
+# collapsed exponent near -1 beside one of 18 or more.
+@pytest.mark.parametrize("argv", [
+    ["--N", "12", "--params=-9/10,10,-1/2,7,-3/4,5"],
+    ["--N", "16", "--params=-9/10,10,-1/2,7,-3/4,5"],
+    ["--family", "triangle", "--N", "16", "--params=-19/20,7,5,5"],
+], ids=["simplex-N12", "simplex-N16", "triangle-N16"])
+def test_gram_holds_its_bound_where_weights_are_tiny(argv, tmp_path, capsys):
+    assert main(["gram", *argv, "--out", str(tmp_path / "gram.csv")]) == EX_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_gram_holds_its_bound_at_N_24_with_an_exponent_of_37():
+    family = simplex3d.FAMILY
+    params = family.check("-19/20,7,12,-19/20,12,5".split(","))
+    idxs, gram = quadrature.collapsed_gram(family, 24, params)
+    assert quadrature.gram_offdiag_max(idxs, gram) <= GRAM_BOUND
+    expected = quadrature.expected_gram_diagonal(family, idxs, params)
+    assert np.abs(np.diag(gram) / expected - 1).max() <= GRAM_BOUND
 
 
 def test_connect_alpha_json(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,33 @@ def test_against_library_oracle():
         assert rule.weights == pytest.approx(w * 0.5 ** (a + b + 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("a, b", [(37.05, -0.95), (85.0, 0.0)])
+def test_tiny_weights_keep_their_relative_accuracy(a, b):
+    """A large exponent makes the weights span many orders of magnitude;
+    each still matches the library's to 1e-9 relative."""
+    pytest.importorskip("scipy")
+    from scipy.special import roots_jacobi
+
+    rule = gauss_jacobi_01(25, a, b)
+    t, w = roots_jacobi(25, a, b)
+    assert rule.nodes == pytest.approx((t + 1) / 2, abs=1e-13)
+    # Relative in every weight: pytest.approx would pass the weights below
+    # its absolute tolerance of 1e-12 whatever their digits.
+    assert np.abs(rule.weights / (w * 0.5 ** (a + b + 1)) - 1).max() <= 1e-9
+
+
+def test_weights_below_the_smallest_double_are_zero():
+    """With 1000 points and the exponent 1000 the orthonormal recurrence
+    overflows at the nodes nearest x = 1, whose weights are below the
+    smallest double; the rule still holds the weight's mass."""
+    a = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_jacobi_01(1000, a, 0)
+    assert np.all(rule.weights >= 0) and np.any(rule.weights == 0)
+    assert rule.weights.sum() == pytest.approx(1 / (a + 1), rel=1e-12)
+
+
 def test_rule_exactness_for_moments():
     """Weighted monomial means match the exact rational oracle."""
     order = 5
@@ -140,7 +168,7 @@ def test_gram_diagonal_and_offdiagonal(params):
     idxs, gram = gram_matrix(4, params)
     assert gram_offdiag_max(idxs, gram) <= 1e-10
     diag = np.diag(gram)
-    expected = expected_gram_diagonal(idxs, params)
+    expected = expected_gram_diagonal(simplex3d.FAMILY, idxs, params)
     assert diag == pytest.approx(expected, rel=1e-10)
 
 

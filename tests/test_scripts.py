@@ -4,12 +4,14 @@ scripts/orthogonality_scan.py: the bounds it refuses."""
 import importlib.util
 import json
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import quadrature, simplex3d, sweeps
+from simplexpoly import quadrature, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_OK, EX_USAGE, GRAM_MAX_DEGREE
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -182,13 +184,27 @@ def test_unwritable_out_is_a_usage_error(where, tiny_config, tmp_path, capsys):
     (["--N=-1"], "--N"), ([f"--N={GRAM_MAX_DEGREE + 1}"], "--N"), (["--draws=0"], "--draws"),
 ], ids=["negative-N", "N-above-gram-bound", "no-draws"])
 def test_scan_refuses_a_bound_before_any_matrix_is_built(argv, flag, monkeypatch, capsys):
-    def gram_matrix(*args, **kwargs):
+    def collapsed_gram(*args, **kwargs):
         raise AssertionError("a Gram matrix was built")
 
-    monkeypatch.setattr(quadrature, "gram_matrix", gram_matrix)
+    monkeypatch.setattr(quadrature, "collapsed_gram", collapsed_gram)
     with pytest.raises(SystemExit) as err:
         orthogonality_scan.main(argv)
     assert err.value.code == EX_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {flag} must be " in captured.err.splitlines()[-1]
+
+
+def test_scan_covers_both_families_with_rows_that_gram_accepts(capsys):
+    assert orthogonality_scan.main(["--N", "2", "--draws", "4", "--seed", "3"]) == EX_OK
+    rows = capsys.readouterr().out.splitlines()[:-1]
+    assert [row.split()[0] for row in rows] == ["tetrahedron"] * 4 + ["triangle"] * 4
+
+
+def test_scan_redraws_a_row_whose_weight_is_not_integrable():
+    # b + c + d + 1 = -17/10 on x in the first row, 1 in the second.
+    first, second = ["0", "-9/10", "-9/10", "-9/10"], ["0", "0", "0", "0"]
+    values = iter(Fraction(v) for v in first + second)
+    rng = SimpleNamespace(choice=lambda pool: next(values))
+    assert orthogonality_scan.random_params(rng, triangle2d.FAMILY) == (0, 0, 0, 0)
