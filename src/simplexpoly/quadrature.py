@@ -1,44 +1,42 @@
 """Gauss-Jacobi quadrature on (0, 1) and collapsed tensor rules on the
 triangle and tetrahedron.
 
-Everything here is floating point; it exists to confirm orthogonality and
-absolute norm constants numerically, complementing the exact algebra in
-the family modules.  A rule's nodes are the eigenvalues of the symmetric
-tridiagonal recurrence matrix (Golub & Welsch 1969) and its weights are the
-Christoffel numbers 1 / sum_k q_k(x_i)^2 of the same orthonormal recurrence
-(Gautschi 2004, sec. 3.1), which keep their relative accuracy where a
-weight is tiny, as near an end point with a large exponent.  On the
-simplices the weight factorizes exactly through the collapsed substitution
+Everything here is floating point, to confirm orthogonality and norms
+numerically beside the family modules' exact algebra, and runs on one
+closed-form orthonormal Jacobi recurrence over arrays of exponents.  A
+rule's nodes are the eigenvalues of its matrix (Golub & Welsch 1969), its
+weights the Christoffel numbers 1 / sum_k q_k(x_i)^2 (Gautschi 2004, sec.
+3.1), accurate where a weight is tiny.  On the simplices the weight
+factorizes through the collapsed substitution
 
     x = u,  y = v (1 - u),  z = t (1 - u) (1 - v),
 
-whose Jacobian (1-u)^2 (1-v) is absorbed into the one-dimensional Jacobi
-exponents, so a tensor rule is exact for weighted polynomial integrands up
-to the tensor order.
+whose Jacobian (1-u)^2 (1-v) is absorbed into the Jacobi exponents, so a
+tensor rule is exact for weighted polynomials up to the tensor order.
 
-Gram matrices never expand a member into monomials.  Each member is a
-product of shifted Jacobi factors in the collapsed coordinates, for the
-tetrahedron
+Gram matrices never expand a member into monomials: it is a product of
+shifted Jacobi factors in the collapsed coordinates, on the tetrahedron
 
     p_{n1}(u) (1-u)^{n2+n3} . p_{n2}(v) (1-v)^{n3} . p_{n3}(t)
 
-(Koornwinder 1975, Dubiner 1991), so the factors are evaluated at the
-rule's nodes by the orthonormal three-term recurrence and the weighted
-sum over the tensor rule splits into one small Gram matrix per axis.
+(Koornwinder 1975, Dubiner 1991).  One batched recurrence evaluates each
+factor row, an axis at one sum of the later degrees, at that axis's nodes;
+members gather their factors by index, and the sum over the tensor rule
+splits into one small Gram matrix per axis.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Tuple
 
 import numpy as np
 
 from . import simplex3d, triangle2d
-from .jacobi1d import collapsed_exponents, collapsed_norm, h_absolute
+from .jacobi1d import collapsed_norm, h_absolute
 from .operators import as_tuple
 from .special import pochhammer
 
@@ -49,70 +47,89 @@ class ConvergenceFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadRule1D:
-    """Nodes/weights on (0, 1) for the weight (1-x)^a x^b; exact through
-    polynomial degree 2m-1 for m points."""
+    """Nodes/weights on (0, 1) for the weight (1-x)^a x^b, a row per entry
+    of arrays a and b; exact through polynomial degree 2m-1 for m points."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    a: float
-    b: float
+    a: np.ndarray
+    b: np.ndarray
 
     @property
     def exactness_degree(self) -> int:
-        return 2 * len(self.nodes) - 1
+        return 2 * self.nodes.shape[-1] - 1
 
 
-def jacobi_recurrence(m: int, a: float, b: float):
-    """Orthonormal recurrence coefficients (diag, off) of the weight
-    (1-x)^a x^b on (0, 1), in the variable t = 2x - 1:
+def jacobi_recurrence(m: int, a, b):
+    """Closed-form orthonormal recurrence of the weight (1-x)^a x^b on
+    (0, 1), the classical Jacobi one mapped from (-1, 1), in t = 2x - 1:
 
-        t q_n = off[n+1] q_{n+1} + diag[n] q_n + off[n] q_{n-1},
+        t q_n = off[n+1] q_{n+1} + diag[n] q_n + off[n] q_{n-1}
 
-    for n < m; diag has m entries, off has m + 1 and off[0] = 0.  These are
-    the classical Jacobi coefficients mapped from (-1, 1).
+    for n < m, with q_n = P(n; a, b) / sqrt(h_n) for `jacobi1d`'s P and
+    squared norms h.  Returns (diag, off, h), of m, m + 1 (off[0] = 0) and
+    m + 1 entries on the last axis, one recurrence per entry of exponent
+    arrays a and b.
     """
-    diag = np.zeros(m)
-    off_sq = np.zeros(m + 1)
+    a, b = (np.asarray(v, dtype=float)[..., None] for v in (a, b))
     apb = a + b
-    if m:
-        diag[0] = (b - a) / (apb + 2)
-    for i in range(1, m + 1):
-        s = 2 * i + apb
-        if i < m:
-            diag[i] = (b * b - a * a) / (s * (s + 2))
-        # (i + apb) / (s - 1) is 1 at i = 1 for every a, b; taking it as 1
-        # there avoids 0/0 when a + b = -1.
-        ratio = (i + apb) / (s - 1) if i > 1 else 1.0
-        off_sq[i] = 4 * i * (i + a) * (i + b) * ratio / (s * s * (s + 1))
-    return diag, np.sqrt(off_sq)
+    i = np.arange(1, m + 1)
+    s = 2 * i + apb
+    # (i + apb) / (s - 1) is 1 at i = 1 for every a, b; taking it as 1
+    # there avoids 0/0 when a + b = -1.
+    num, den = i + apb, s - 1
+    num[..., :1] = den[..., :1] = 1.0
+    ratio, ab, s1, inner = num / den, (i + a) * (i + b), s + 1, s[..., :-1]
+    diag = np.concatenate([(b - a) / (apb + 2), (b * b - a * a) / (inner * (inner + 2))], -1)
+    mass = np.frompyfunc(partial(h_absolute, 0), 2, 1)(a, b).astype(float)
+    first = np.zeros(apb.shape)
+    return (diag[..., :m], np.concatenate([first, np.sqrt(4 * i * ab * ratio / (s * s * s1))], -1),
+            mass * np.cumprod(np.concatenate([first + 1, ab / (i * s1 * ratio)], -1), -1))
+
+
+def _orthonormal(recurrence, x: np.ndarray, n: int) -> np.ndarray:
+    """q_0..q_n of a `jacobi_recurrence` (built with m >= n) at x, whose
+    last axis holds the points; shape (..., n + 1, points)."""
+    diag, off, h = (v[..., None] for v in recurrence)
+    t = 2.0 * x - 1.0
+    q = np.zeros(h.shape[:-2] + (n + 1, x.shape[-1]))
+    q[..., 0, :] = 1.0 / np.sqrt(h[..., 0, :])
+    # off[0] = 0 drops q[k - 1] at k = 0, the last row, still 0 there.
+    for k in range(n):
+        q[..., k + 1, :] = ((t - diag[..., k, :]) * q[..., k, :]
+                            - off[..., k, :] * q[..., k - 1, :]) / off[..., k + 1, :]
+    return q
 
 
 def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
-    """m-point Gauss rule for the weight (1-x)^a x^b on (0, 1).
-
-    The nodes are the eigenvalues of the `jacobi_recurrence` matrix, in
-    ascending order; each weight is the Christoffel number
-    1 / sum_{k<m} q_k(x_i)^2 of the orthonormal `jacobi_orthonormal`, whose
-    q_0 carries the weight's mass B(b+1, a+1).
-    """
+    """m-point Gauss rule for the weight (1-x)^a x^b on (0, 1), one per
+    entry of exponent arrays a and b: the nodes are the eigenvalues of the
+    `jacobi_recurrence` matrix, ascending, and each weight the Christoffel
+    number 1 / sum_{k<m} q_k(x_i)^2 of the same recurrence, whose q_0
+    carries the weight's mass B(b+1, a+1)."""
     if m < 1:
         raise ValueError("rule needs at least one point")
-    a = float(a)
-    b = float(b)
-    if a <= -1 or b <= -1:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.any(a <= -1) or np.any(b <= -1):
         raise ValueError("weight exponents must exceed -1")
-    diag, off = jacobi_recurrence(m, a, b)
-    jacobi_matrix = np.diag(diag) + np.diag(off[1:m], -1)
+    recurrence = jacobi_recurrence(m, a, b)
+    diag, off, _ = recurrence
+    jacobi_matrix = np.zeros(diag.shape + (m,))
+    k = np.arange(m)
+    jacobi_matrix[..., k, k] = diag
+    jacobi_matrix[..., k[1:], k[:-1]] = off[..., 1:m]
     try:
         t = np.linalg.eigvalsh(jacobi_matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
+    # The matrices are as large as the q array of the weights: free them first.
+    del jacobi_matrix
     nodes = (t + 1.0) / 2.0
     # The q_k overflow only at a node whose weight is below the smallest
-    # double (a large exponent and many points): inf - inf leaves nan
-    # there, and its weight is 0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = 1.0 / (jacobi_orthonormal(m - 1, a, b, nodes) ** 2).sum(axis=0)
+    # double (a large exponent and many points, or a mass that underflows
+    # to 0): inf - inf leaves nan there, and its weight is 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = 1.0 / (_orthonormal(recurrence, nodes, m - 1) ** 2).sum(axis=-2)
     weights[np.isnan(weights)] = 0.0
     return QuadRule1D(nodes=nodes, weights=weights, a=a, b=b)
 
@@ -139,29 +156,29 @@ _COORDINATES = ("x", "y/(1-x)", "z/(1-x-y)")
 
 def _axes(family, params):
     """The collapsed base pairs of the family record at the given
-    parameters, as floats.  Refused (ValueError) where an exponent is at or
-    below -1: each parameter may exceed -1 and the weight still not be
-    integrable along that axis."""
+    parameters, as floats, one row per axis.  Refused (ValueError) where an
+    exponent is at or below -1: each parameter may exceed -1 and the weight
+    still not be integrable along that axis."""
     axes = family.axes(*family.params(params))
     for coordinate, pair in zip(_COORDINATES, axes):
         for exponent in pair:
             if exponent <= -1:
                 raise ValueError(f"the weight's exponent {exponent} on axis {coordinate} "
                                  "must exceed -1")
-    return [tuple(map(float, pair)) for pair in axes]
+    return np.array(axes, dtype=float)
 
 
 def collapsed_rule(family, params, m: int) -> SimplexRule:
     """Tensor product of m-point Gauss rules, one per collapsed axis, mapped
     to x = u, y = v (1 - u), z = t (1 - u) (1 - v)."""
-    rules = [gauss_jacobi_01(m, *axis) for axis in _axes(family, params)]
-    grid = np.meshgrid(*(r.nodes for r in rules), indexing="ij")
+    rule = gauss_jacobi_01(m, *_axes(family, params).T)
+    grid = np.meshgrid(*rule.nodes, indexing="ij")
     coords = []
     for j, u in enumerate(grid):
         for earlier in grid[:j]:
             u = u * (1 - earlier)
         coords.append(u.ravel())
-    weights = reduce(np.multiply.outer, (r.weights for r in rules))
+    weights = reduce(np.multiply.outer, rule.weights)
     return SimplexRule(coords=tuple(coords), weights=weights.ravel())
 
 
@@ -200,56 +217,36 @@ def triangle_moment_ratio(i: int, j: int, params) -> Fraction:
 # Gram matrices.
 # ---------------------------------------------------------------------------
 
-def jacobi_orthonormal(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Values at x of q_0..q_n, the Jacobi polynomials on (0, 1) of
-    `jacobi1d` scaled to unit norm against (1-x)^a x^b; shape (n+1, len(x)).
-
-    q_k = P(k; a, b) / sqrt(h_absolute(k, a, b)): both have a positive
-    leading coefficient for a, b > -1.
-    """
-    diag, off = jacobi_recurrence(n, a, b)
-    t = 2.0 * x - 1.0
-    q = np.empty((n + 1, len(x)))
-    q[0] = 1.0 / math.sqrt(h_absolute(0, a, b))
-    if n > 0:
-        q[1] = (t - diag[0]) * q[0] / off[1]
-    for k in range(1, n):
-        q[k + 1] = ((t - diag[k]) * q[k] - off[k] * q[k - 1]) / off[k + 1]
-    return q
-
-
-def _collapsed_factors(degrees, axes, points, max_degree: int):
-    """Per-axis factor values of members in collapsed coordinates.
-
-    Returns one array (len(degrees), len(points[j])) per axis holding each
-    member's factor P(d_j; A_j + 2 s_j, B_j)(x_j) (1 - x_j)^{s_j} with unit
-    norm, and the members' squared norms (the products of the h_n).  One
-    recurrence per axis and per s_j serves every member that shares it.
-    """
-    factors = [np.empty((len(degrees), len(x))) for x in points]
-    norms = np.ones(len(degrees))
-    for j, x in enumerate(points):
-        ladder = {}
-        for i, d in enumerate(degrees):
-            s = sum(d[j + 1:])
-            if s not in ladder:
-                big_a, big_b = collapsed_exponents(axes, d)[j]
-                top = max_degree - s
-                ladder[s] = (
-                    jacobi_orthonormal(top, big_a, big_b, x) * (1.0 - x) ** s,
-                    [h_absolute(n, big_a, big_b) for n in range(top + 1)],
-                )
-            values, h = ladder[s]
-            factors[j][i] = values[d[j]]
-            norms[i] *= h[d[j]]
-    return factors, norms
-
-
-def _members(family, max_degree: int):
-    """Sorted indices of the members of total degree <= max_degree, and
-    their per-axis degrees."""
+@lru_cache(maxsize=None)
+def _layout(family, max_degree: int):
+    """The sorted indices of the members of total degree <= max_degree, and
+    lookup[j, i], where member i's factor on axis j sits among the values
+    q_0..q_max_degree of the factor rows (axis, later-degree sum s), laid
+    end to end; neither depends on the parameters."""
     idxs = sorted(family.indices(max_degree))
-    return idxs, [family.degrees(*idx) for idx in idxs]
+    degrees = np.array([family.degrees(*idx) for idx in idxs]).T
+    later = np.cumsum(degrees[::-1], axis=0)[::-1] - degrees
+    row = np.arange(len(degrees))[:, None] * (max_degree + 1) + later
+    return idxs, row * (max_degree + 1) + degrees
+
+
+def _factors(family, max_degree: int, axes, x: np.ndarray):
+    """(indices, factors, norms) of the members of total degree <=
+    max_degree for the `_axes` pairs, at x, one row of points per axis:
+    factors[j, i] is member i's factor P(d_j; A_j + 2 s_j, B_j)(x_j)
+    (1 - x_j)^{s_j} with unit norm and norms[i] its squared norm, the
+    product of the h_n.  Refused (ValueError) where a squared norm is below
+    the smallest double."""
+    idxs, lookup = _layout(family, max_degree)
+    shift = np.arange(max_degree + 1)
+    recurrence = jacobi_recurrence(max_degree, axes[:, :1] + 2 * shift, axes[:, 1:])
+    norms = recurrence[2].ravel()[lookup].prod(axis=0)
+    if norms.min() < sys.float_info.min:
+        raise ValueError(f"the members' squared norms underflow double precision "
+                         f"(the smallest is {norms.min():.3g})")
+    x = x[:, None]
+    q = _orthonormal(recurrence, x, max_degree) * ((1.0 - x) ** shift[:, None])[..., None, :]
+    return list(idxs), q.reshape(-1, x.shape[-1])[lookup], norms
 
 
 def collapsed_gram(family, max_degree: int, params, points: int = None):
@@ -262,14 +259,13 @@ def collapsed_gram(family, max_degree: int, params, points: int = None):
     the parameters; the members' norms are multiplied back in at the end.
     The default rule order integrates products of two members exactly.
     """
-    idxs, degrees = _members(family, max_degree)
-    axes = _axes(family, params)
     m = max_degree + 1 if points is None else points
-    rules = [gauss_jacobi_01(m, *axis) for axis in axes]
-    factors, norms = _collapsed_factors(degrees, axes, [r.nodes for r in rules], max_degree)
-    gram = np.ones((len(degrees), len(degrees)))
-    for f, rule in zip(factors, rules):
-        gram *= (f * rule.weights) @ f.T
+    axes = _axes(family, params)
+    rule = gauss_jacobi_01(m, *axes.T)
+    idxs, factors, norms = _factors(family, max_degree, axes, rule.nodes)
+    gram = np.ones((len(idxs), len(idxs)))
+    for f, weights in zip(factors, rule.weights):
+        gram *= (f * weights) @ f.T
     scale = np.sqrt(norms)
     return idxs, gram * np.outer(scale, scale)
 
@@ -280,13 +276,12 @@ def collapsed_values(family, max_degree: int, params, *coords):
     factor in collapsed coordinates; values has one row per member and one
     column per point.
     """
-    idxs, degrees = _members(family, max_degree)
     points, rest = [], 1.0
     for c in coords:
         c = np.asarray(c, dtype=float)
         points.append(c / rest)
         rest = rest - c
-    factors, norms = _collapsed_factors(degrees, _axes(family, params), points, max_degree)
+    idxs, factors, norms = _factors(family, max_degree, _axes(family, params), np.array(points))
     return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
 
 

@@ -518,6 +518,27 @@ def test_gram_reports_missed_bound(capsys, tmp_path):
     assert capsys.readouterr().err == ""
 
 
+def test_gram_with_a_rule_too_short_for_the_products_misses_its_bound(capsys, tmp_path):
+    path = tmp_path / "g.csv"
+    assert main(["gram", "--N", "4", "--points", "3", "--params", "0,0,0,0,0,0",
+                 "--out", str(path)]) == EX_FAIL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "exceeds the bound 1e-10" in err[0]
+
+
+@pytest.mark.parametrize("params", ["500,500,0,0,0,0", "1000,1000,0,0,0,0"])
+def test_gram_refuses_norms_that_underflow_double_precision(params, capsys):
+    """The weight's mass at 500,500,0,0,0,0 is about 9e-304, and the members'
+    squared norms fall below the smallest double; at 1000,1000 the mass
+    itself does."""
+    assert main(["gram", "--N", "4", f"--params={params}"]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(
+        "simplexpoly: error: the members' squared norms underflow double precision")
+
+
 # Rows whose weights span many orders of magnitude along an axis, with a
 # collapsed exponent near -1 beside one of 18 or more.
 @pytest.mark.parametrize("argv", [

@@ -11,17 +11,20 @@ import scipy.special
 
 from simplexpoly import simplex3d, triangle2d
 from simplexpoly.quadrature import (
+    collapsed_gram,
     collapsed_values,
     gauss_jacobi_01,
     gram_matrix,
     gram_matrix_triangle,
     gram_offdiag_max,
     expected_gram_diagonal,
+    jacobi_recurrence,
     tetra_moment_ratio,
     tetra_rule,
     triangle_moment_ratio,
     triangle_rule,
 )
+from simplexpoly.jacobi1d import h_absolute
 from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
 
@@ -74,7 +77,9 @@ def test_against_library_oracle():
         rule = gauss_jacobi_01(m, a, b)
         t, w = scipy.special.roots_jacobi(m, a, b)
         assert rule.nodes == pytest.approx((t + 1) / 2, abs=1e-13)
-        assert rule.weights == pytest.approx(w * 0.5 ** (a + b + 1), rel=1e-12)
+        # abs=0: the default absolute tolerance of 1e-12 would pass any
+        # weight below it whatever its digits.
+        assert rule.weights == pytest.approx(w * 0.5 ** (a + b + 1), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("a, b", [(37.05, -0.95), (85.0, 0.0)])
@@ -90,6 +95,27 @@ def test_tiny_weights_keep_their_relative_accuracy(a, b):
     # Relative in every weight: pytest.approx would pass the weights below
     # its absolute tolerance of 1e-12 whatever their digits.
     assert np.abs(rule.weights / (w * 0.5 ** (a + b + 1)) - 1).max() <= 1e-9
+
+
+def test_one_call_gives_one_rule_per_exponent_pair():
+    a = np.array([0.0, 1.5, 37.05])
+    b = np.array([-0.5, 0.25, -0.95])
+    rules = gauss_jacobi_01(9, a, b)
+    assert rules.nodes.shape == rules.weights.shape == (3, 9)
+    for row, pair in enumerate(zip(a, b)):
+        rule = gauss_jacobi_01(9, *pair)
+        assert np.abs(rules.nodes[row] - rule.nodes).max() <= 1e-15
+        assert np.abs(rules.weights[row] / rule.weights - 1).max() <= 1e-14
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.5, -0.5), (-0.95, 0.0), (37.05, -0.95),
+                                  (85.0, 12.0)])
+def test_recurrence_norms_match_the_closed_form(a, b):
+    """The squared norms that the recurrence carries, by products of their
+    ratios, against h_absolute; (-1/2, -1/2) is the pair whose sum is -1."""
+    _, _, h = jacobi_recurrence(24, a, b)
+    expected = np.array([h_absolute(n, a, b) for n in range(25)])
+    assert np.abs(h / expected - 1).max() <= 1e-12
 
 
 def test_weights_below_the_smallest_double_are_zero():
@@ -249,6 +275,27 @@ def test_triangle_values_match_exact_members(params):
     coords = [[float(p[axis]) for p in points] for axis in range(2)]
     idxs, values = collapsed_values(triangle2d.FAMILY, 6, params, *coords)
     _assert_values_match(idxs, values, lambda idx: triangle_poly_raw(*idx, *params), points)
+
+
+def test_values_at_large_shifts_match_exact_members():
+    """The x-axis exponent 37.05 plus twice the later degrees, up to 53.05
+    at N = 8."""
+    params = simplex3d.FAMILY.check("-19/20,7,12,-19/20,12,5".split(","))
+    points = _interior_points(3)
+    coords = [[float(p[axis]) for p in points] for axis in range(3)]
+    idxs, values = collapsed_values(simplex3d.FAMILY, 8, params, *coords)
+    _assert_values_match(idxs, values, lambda idx: simplex3d.FAMILY.member(idx, params), points)
+
+
+@pytest.mark.parametrize("family, params", [(simplex3d.FAMILY, PARAMS6),
+                                            (triangle2d.FAMILY, TRIANGLE_ROWS[0])])
+def test_a_longer_rule_gives_the_default_matrix(family, params):
+    """Twelve points per axis integrate the products of the N = 6 members
+    exactly, as the default seven do."""
+    _, gram = collapsed_gram(family, 6, params)
+    _, longer = collapsed_gram(family, 6, params, points=12)
+    d = np.sqrt(np.diag(gram))
+    assert (np.abs(longer - gram) / np.outer(d, d)).max() <= 1e-13
 
 
 def _assert_gram_close(gram, oracle):
