@@ -106,8 +106,9 @@ GRAM_BOUND = 1e-10
 #: any array is allocated.  At N = 24 the tetrahedron has 2925 members:
 #: `gram` took 3.9 s and 273 MB peak RSS on a 2-core host, and the worst
 #: entry of `scripts/orthogonality_scan.py`, on both families, read
-#: 5.4e-13, 180 times under GRAM_BOUND; 1000 points per axis took about
-#: 1 s more.  The README lists the measurements at N = 16 to 28.
+#: 4.9e-13, about 200 times under GRAM_BOUND; 1000 points per axis took
+#: about 1 s more and peaked at 282 MB, which CI holds under 400 MB.  The
+#: README lists the measurements at N = 16 to 28.
 GRAM_MAX_DEGREE = 24
 GRAM_MAX_POINTS = 1000
 

@@ -19,10 +19,10 @@ shifted Jacobi factors in the collapsed coordinates, on the tetrahedron
 
     p_{n1}(u) (1-u)^{n2+n3} . p_{n2}(v) (1-v)^{n3} . p_{n3}(t)
 
-(Koornwinder 1975, Dubiner 1991).  One batched recurrence evaluates each
-factor row, an axis at one sum of the later degrees, at that axis's nodes;
-members gather their factors by index, and the sum over the tensor rule
-splits into one small Gram matrix per axis.
+(Koornwinder 1975, Dubiner 1991).  One recurrence over the factor rows,
+an axis at one sum s of the later degrees, gives each axis's rule (s = 0)
+and, in one pass at its nodes, every factor and the rule's weights; the
+sum over the tensor rule splits into one small Gram matrix per axis.
 """
 
 from __future__ import annotations
@@ -87,18 +87,45 @@ def jacobi_recurrence(m: int, a, b):
             mass * np.cumprod(np.concatenate([first + 1, ab / (i * s1 * ratio)], -1), -1))
 
 
-def _orthonormal(recurrence, x: np.ndarray, n: int) -> np.ndarray:
-    """q_0..q_n of a `jacobi_recurrence` (built with m >= n) at x, whose
-    last axis holds the points; shape (..., n + 1, points)."""
-    diag, off, h = (v[..., None] for v in recurrence)
-    t = 2.0 * x - 1.0
-    q = np.zeros(h.shape[:-2] + (n + 1, x.shape[-1]))
-    q[..., 0, :] = 1.0 / np.sqrt(h[..., 0, :])
-    # off[0] = 0 drops q[k - 1] at k = 0, the last row, still 0 there.
-    for k in range(n):
-        q[..., k + 1, :] = ((t - diag[..., k, :]) * q[..., k, :]
-                            - off[..., k, :] * q[..., k - 1, :]) / off[..., k + 1, :]
-    return q
+def _evaluate(recurrence, n: int, m: int, x=None):
+    """(x, q, weights) for a `jacobi_recurrence` over exponents of shape
+    (..., rows) with at least max(n, m) entries: q_0..q_n of every row at
+    x, shape (..., rows, n + 1, points), and the Christoffel numbers
+    1 / sum_{k<m} q_k(x)^2 of each first row (m >= 1).  x defaults to the
+    first rows' m-point Gauss nodes; past degree n only those rows go on."""
+    diag, off, h = recurrence
+    if x is None:
+        jacobi_matrix = np.zeros(diag.shape[:-2] + (m, m))
+        k = np.arange(m)
+        jacobi_matrix[..., k, k] = diag[..., 0, :m]
+        jacobi_matrix[..., k[1:], k[:-1]] = off[..., 0, 1:m]
+        try:
+            x = (np.linalg.eigvalsh(jacobi_matrix) + 1.0) / 2.0
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise ConvergenceFailure(str(exc)) from exc
+        del jacobi_matrix  # 8 MB a rule at 1000 points: freed before the pass
+    t = 2.0 * x[..., None, :] - 1.0
+    q = np.empty(h.shape[:-1] + (n + 1, x.shape[-1]))
+    # The q_k overflow only at a node whose weight is below the smallest
+    # double (a large exponent and many points, or a mass that underflows
+    # to 0): inf - inf leaves nan there, and its weight is 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q[..., 0, :] = 1.0 / np.sqrt(h[..., :1])
+        prev, cur = np.zeros_like(q[..., 0, :]), q[..., 0, :]
+        sums = cur[..., 0, :] ** 2
+        for k in range(max(n, m - 1)):
+            if k == n:
+                diag, off, prev, cur = (v[..., :1, :] for v in (diag, off, prev, cur))
+            # off[0] = 0 drops prev, still 0, at k = 0.
+            prev, cur = cur, ((t - diag[..., k, None]) * cur
+                              - off[..., k, None] * prev) / off[..., k + 1, None]
+            if k < n:
+                q[..., k + 1, :] = cur
+            if k + 1 < m:
+                sums += cur[..., 0, :] ** 2
+        weights = 1.0 / sums
+    weights[np.isnan(weights)] = 0.0
+    return x, q, weights
 
 
 def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
@@ -112,25 +139,7 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a <= -1) or np.any(b <= -1):
         raise ValueError("weight exponents must exceed -1")
-    recurrence = jacobi_recurrence(m, a, b)
-    diag, off, _ = recurrence
-    jacobi_matrix = np.zeros(diag.shape + (m,))
-    k = np.arange(m)
-    jacobi_matrix[..., k, k] = diag
-    jacobi_matrix[..., k[1:], k[:-1]] = off[..., 1:m]
-    try:
-        t = np.linalg.eigvalsh(jacobi_matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(str(exc)) from exc
-    # The matrices are as large as the q array of the weights: free them first.
-    del jacobi_matrix
-    nodes = (t + 1.0) / 2.0
-    # The q_k overflow only at a node whose weight is below the smallest
-    # double (a large exponent and many points, or a mass that underflows
-    # to 0): inf - inf leaves nan there, and its weight is 0.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        weights = 1.0 / (_orthonormal(recurrence, nodes, m - 1) ** 2).sum(axis=-2)
-    weights[np.isnan(weights)] = 0.0
+    nodes, _, weights = _evaluate(jacobi_recurrence(m, a[..., None], b[..., None]), 0, m)
     return QuadRule1D(nodes=nodes, weights=weights, a=a, b=b)
 
 
@@ -230,23 +239,24 @@ def _layout(family, max_degree: int):
     return idxs, row * (max_degree + 1) + degrees
 
 
-def _factors(family, max_degree: int, axes, x: np.ndarray):
-    """(indices, factors, norms) of the members of total degree <=
-    max_degree for the `_axes` pairs, at x, one row of points per axis:
-    factors[j, i] is member i's factor P(d_j; A_j + 2 s_j, B_j)(x_j)
-    (1 - x_j)^{s_j} with unit norm and norms[i] its squared norm, the
-    product of the h_n.  Refused (ValueError) where a squared norm is below
-    the smallest double."""
+def _factors(family, max_degree: int, params, x=None, points: int = 0):
+    """(indices, factors, norms, weights) of the members of total degree
+    <= max_degree: factors[j, i] is member i's factor P(d_j; A_j + 2 s_j,
+    B_j)(x_j) (1 - x_j)^{s_j} with unit norm, at x (a row of points per
+    axis) or at the nodes of each axis's points-point rule, whose weights
+    are returned; norms[i] is its squared norm, the product of the h_n.
+    Refused (ValueError) where one is below the smallest double."""
     idxs, lookup = _layout(family, max_degree)
+    axes = _axes(family, params)
     shift = np.arange(max_degree + 1)
-    recurrence = jacobi_recurrence(max_degree, axes[:, :1] + 2 * shift, axes[:, 1:])
-    norms = recurrence[2].ravel()[lookup].prod(axis=0)
+    recurrence = jacobi_recurrence(max(max_degree, points), axes[:, :1] + 2 * shift, axes[:, 1:])
+    norms = recurrence[2][..., :max_degree + 1].ravel()[lookup].prod(axis=0)
     if norms.min() < sys.float_info.min:
         raise ValueError(f"the members' squared norms underflow double precision "
                          f"(the smallest is {norms.min():.3g})")
-    x = x[:, None]
-    q = _orthonormal(recurrence, x, max_degree) * ((1.0 - x) ** shift[:, None])[..., None, :]
-    return list(idxs), q.reshape(-1, x.shape[-1])[lookup], norms
+    x, q, weights = _evaluate(recurrence, max_degree, points, x)
+    q *= ((1.0 - x[:, None]) ** shift[:, None])[..., None, :]
+    return list(idxs), q.reshape(-1, x.shape[-1])[lookup], norms, weights
 
 
 def collapsed_gram(family, max_degree: int, params, points: int = None):
@@ -254,20 +264,22 @@ def collapsed_gram(family, max_degree: int, params, points: int = None):
 
     Returns (indices, matrix).  Member values and tensor weights are
     products over the axes, so the weighted sum over the rule's nodes is the
-    entrywise product of one Gram matrix per axis.  With unit-norm factors
-    each of these has a unit diagonal, so no entry grows with the degree or
-    the parameters; the members' norms are multiplied back in at the end.
-    The default rule order integrates products of two members exactly.
+    entrywise product of one Gram matrix per axis, taken in place in two
+    buffers.  With unit-norm factors each of these has a unit diagonal, so
+    no entry grows with the degree or the parameters; the members' norms
+    are multiplied in at the end.  The default rule order integrates
+    products of two members exactly.
     """
     m = max_degree + 1 if points is None else points
-    axes = _axes(family, params)
-    rule = gauss_jacobi_01(m, *axes.T)
-    idxs, factors, norms = _factors(family, max_degree, axes, rule.nodes)
-    gram = np.ones((len(idxs), len(idxs)))
-    for f, weights in zip(factors, rule.weights):
-        gram *= (f * weights) @ f.T
+    idxs, factors, norms, weights = _factors(family, max_degree, params, points=m)
+    (f, w), *rest = zip(factors, weights)
+    gram = (f * w) @ f.T
+    product = np.empty_like(gram)
+    for f, w in rest:
+        gram *= np.matmul(f * w, f.T, out=product)
     scale = np.sqrt(norms)
-    return idxs, gram * np.outer(scale, scale)
+    gram *= np.multiply.outer(scale, scale, out=product)
+    return idxs, gram
 
 
 def collapsed_values(family, max_degree: int, params, *coords):
@@ -281,7 +293,7 @@ def collapsed_values(family, max_degree: int, params, *coords):
         c = np.asarray(c, dtype=float)
         points.append(c / rest)
         rest = rest - c
-    idxs, factors, norms = _factors(family, max_degree, _axes(family, params), np.array(points))
+    idxs, factors, norms, _ = _factors(family, max_degree, params, np.array(points))
     return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
 
 

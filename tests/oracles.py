@@ -106,13 +106,35 @@ def hyper3f2_series(n: int, a2, a3, b1, b2) -> Fraction:
 # Gram matrix from exactly built members.
 # ---------------------------------------------------------------------------
 
-def exact_member_gram(members, coords, weights) -> np.ndarray:
+def exact_member_gram(members, coords, weights, exact: bool = False) -> np.ndarray:
     """Weighted Gram matrix of exact members on a quadrature rule's nodes,
     each member expanded into monomials and summed by `MPoly.eval_float`.
     The monomial sum cancels as the degree grows, so this oracle holds its
-    digits only at low degree (about 3e-13 at degree 6)."""
-    basis = np.stack([m.eval_float(*coords) for m in members])
+    digits only at low degree (about 3e-13 at degree 6, 2e-12 at the nodes
+    of a three-point rule).  With `exact`, each value is summed exactly by
+    `exact_values` instead, at a cost of about 3 ms a node at degree 6."""
+    basis = exact_values(members, coords) if exact else np.stack(
+        [m.eval_float(*coords) for m in members])
     return (basis * weights[None, :]) @ basis.T
+
+
+def exact_values(members, coords) -> np.ndarray:
+    """Members' values at float points, each summed exactly at the points'
+    binary values and rounded once: with every coordinate an integer over
+    2^e, a monomial of degree d is an integer over 2^(e d)."""
+    e = max(Fraction(v).denominator for c in coords for v in c).bit_length() - 1
+    ints = [[int(Fraction(v) * 2 ** e) for v in c] for c in coords]
+    ints += [[0] * len(ints[0])] * (3 - len(ints))
+    rows = []
+    for member in members:
+        terms = list(member.terms())
+        den = math.lcm(*(c.denominator for _, c in terms))
+        deg = max(sum(powers) for powers, _ in terms)
+        num = [(powers, int(c * den)) for powers, c in terms]
+        rows.append([float(Fraction(sum(c * x ** i * y ** j * z ** k << e * (deg - i - j - k)
+                                        for (i, j, k), c in num), den << e * deg))
+                     for x, y, z in zip(*ints)])
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

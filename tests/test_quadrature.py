@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 
 from simplexpoly import simplex3d, triangle2d
+from simplexpoly.cli import GRAM_BOUND
 from simplexpoly.quadrature import (
     collapsed_gram,
     collapsed_values,
@@ -128,6 +129,15 @@ def test_weights_below_the_smallest_double_are_zero():
         rule = gauss_jacobi_01(1000, a, 0)
     assert np.all(rule.weights >= 0) and np.any(rule.weights == 0)
     assert rule.weights.sum() == pytest.approx(1 / (a + 1), rel=1e-12)
+
+
+def test_a_mass_below_the_smallest_double_gives_zero_weights():
+    """B(1001, 1001) underflows to 0, so q_0 = 1 / sqrt(h_0) is inf; the
+    rule gives zero weights, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_jacobi_01(5, 1000.0, 1000.0)
+    assert np.all(rule.weights == 0)
 
 
 def test_rule_exactness_for_moments():
@@ -298,22 +308,53 @@ def test_a_longer_rule_gives_the_default_matrix(family, params):
     assert (np.abs(longer - gram) / np.outer(d, d)).max() <= 1e-13
 
 
-def _assert_gram_close(gram, oracle):
-    d = np.sqrt(np.abs(np.diag(oracle)))
+def _assert_gram_close(family, idxs, params, gram, oracle):
+    """Within 1e-12 of the oracle, relative to the members' norms: a rule
+    too short for the products misses some members, whose own diagonal
+    entries are then about 1e-15 of their norms."""
+    d = np.sqrt(expected_gram_diagonal(family, idxs, params))
     assert (np.abs(gram - oracle) / np.outer(d, d)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("params", TETRA_ROWS)
-def test_gram_matches_exact_member_gram(params):
-    idxs, gram = gram_matrix(6, params)
-    rule = tetra_rule(params, 7)
+def _rule_lengths(rows):
+    """Each row with the default rule, then with 3 points per axis, a rule
+    shorter than the factors, and 12, longer than the products: the two
+    ways the rule's Christoffel sums part from the factors."""
+    return ([pytest.param(params, None, id=f"params{i}") for i, params in enumerate(rows)]
+            + [pytest.param(params, points, id=f"params{i}-points{points}")
+               for points in (3, 12) for i, params in enumerate(rows)])
+
+
+# The monomial sums of exact_member_gram lose 2e-12 at the three-point
+# rule's nodes, so there the members are summed exactly.
+@pytest.mark.parametrize("params, points", _rule_lengths(TETRA_ROWS))
+def test_gram_matches_exact_member_gram(params, points):
+    idxs, gram = gram_matrix(6, params, points=points)
+    rule = tetra_rule(params, points or 7)
     members = [simplex_poly_raw(*idx, *params) for idx in idxs]
-    _assert_gram_close(gram, exact_member_gram(members, (rule.x, rule.y, rule.z), rule.weights))
+    oracle = exact_member_gram(members, (rule.x, rule.y, rule.z), rule.weights, exact=points == 3)
+    _assert_gram_close(simplex3d.FAMILY, idxs, params, gram, oracle)
 
 
-@pytest.mark.parametrize("params", TRIANGLE_ROWS)
-def test_triangle_gram_matches_exact_member_gram(params):
-    idxs, gram = gram_matrix_triangle(6, params)
-    rule = triangle_rule(params, 7)
+@pytest.mark.parametrize("params, points", _rule_lengths(TRIANGLE_ROWS))
+def test_triangle_gram_matches_exact_member_gram(params, points):
+    idxs, gram = gram_matrix_triangle(6, params, points=points)
+    rule = triangle_rule(params, points or 7)
     members = [triangle_poly_raw(*idx, *params) for idx in idxs]
-    _assert_gram_close(gram, exact_member_gram(members, (rule.x, rule.y), rule.weights))
+    oracle = exact_member_gram(members, (rule.x, rule.y), rule.weights, exact=points == 3)
+    _assert_gram_close(triangle2d.FAMILY, idxs, params, gram, oracle)
+
+
+@pytest.mark.parametrize("family, params", [(simplex3d.FAMILY, (0, 0, 0, 0, 998, 0)),
+                                            (triangle2d.FAMILY, (0, 998, 0, 0))])
+def test_gram_with_weights_below_the_smallest_double(family, params):
+    """With 1000 points an axis exponent near 1000 leaves 301 of that
+    axis's weights below the smallest double, at the nodes where the rule's
+    q_k overflow; the matrix still holds the bound, with no warning."""
+    params = family.check([str(p) for p in params])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idxs, gram = collapsed_gram(family, 2, params, points=1000)
+    assert gram_offdiag_max(idxs, gram) <= GRAM_BOUND
+    expected = expected_gram_diagonal(family, idxs, params)
+    assert np.abs(np.diag(gram) / expected - 1).max() <= GRAM_BOUND
