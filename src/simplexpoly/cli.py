@@ -104,10 +104,10 @@ GRAM_BOUND = 1e-10
 
 #: The largest --N and --points that `gram` accepts, refused above before
 #: any array is allocated.  At N = 24 the tetrahedron has 2925 members:
-#: `gram` took 3.9 s and 273 MB peak RSS on a 2-core host, and the worst
+#: `gram` took 4.6 s and 103 MB peak RSS on a 2-core host, and the worst
 #: entry of `scripts/orthogonality_scan.py`, on both families, read
 #: 4.9e-13, about 200 times under GRAM_BOUND; 1000 points per axis took
-#: about 1 s more and peaked at 282 MB, which CI holds under 400 MB.  The
+#: about 1 s more and peaked at 200 MB, which CI holds under 300 MB.  The
 #: README lists the measurements at N = 16 to 28.
 GRAM_MAX_DEGREE = 24
 GRAM_MAX_POINTS = 1000

@@ -2,8 +2,10 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import scipy.special
 from simplexpoly import simplex3d, triangle2d
 from simplexpoly.cli import GRAM_BOUND
 from simplexpoly.quadrature import (
+    _factors,
     collapsed_gram,
     collapsed_values,
     gauss_jacobi_01,
@@ -358,3 +361,86 @@ def test_gram_with_weights_below_the_smallest_double(family, params):
     assert gram_offdiag_max(idxs, gram) <= GRAM_BOUND
     expected = expected_gram_diagonal(family, idxs, params)
     assert np.abs(np.diag(gram) / expected - 1).max() <= GRAM_BOUND
+
+
+def _whole_array_gram(family, max_degree, params, points):
+    """The matrix as one product of whole per-axis Gram matrices, in the
+    blocked assembly's order: first axis, the others in turn, the norms."""
+    _, factors, norms, weights = _factors(family, max_degree, params, points=points)
+    scale = np.sqrt(norms)
+    axes = [(f * w) @ f.T for f, w in zip(factors, weights)]
+    return reduce(np.multiply, axes) * np.multiply.outer(scale, scale)
+
+
+# One block (N = 0 with one member, N = 6, and N = 4 at 1000 points, more
+# points than the 256 KB height gives 35 members) runs the very calls of the
+# whole-array product, so the entries are equal.  Over several blocks,
+# tetrahedron N = 12 (455 members in 72-row blocks) and triangle N = 20
+# (231 in 141-row blocks), BLAS may round the edge rows of a row slice
+# differently on another CPU, so there they agree to 1e-15.
+@pytest.mark.parametrize("family, params, max_degree, points, exact", [
+    (simplex3d.FAMILY, PARAMS6, 0, 1, True),
+    (triangle2d.FAMILY, TRIANGLE_ROWS[0], 0, 1, True),
+    (simplex3d.FAMILY, PARAMS6, 6, 7, True),
+    (triangle2d.FAMILY, TRIANGLE_ROWS[0], 6, 7, True),
+    (simplex3d.FAMILY, PARAMS6, 4, 1000, True),
+    (triangle2d.FAMILY, TRIANGLE_ROWS[0], 4, 1000, True),
+    (simplex3d.FAMILY, PARAMS6, 12, 13, False),
+    (triangle2d.FAMILY, TRIANGLE_ROWS[0], 20, 21, False),
+])
+def test_blocked_gram_matches_the_whole_array_product(family, params, max_degree, points, exact):
+    _, gram = collapsed_gram(family, max_degree, params, points=points)
+    whole = _whole_array_gram(family, max_degree, params, points)
+    if exact:
+        assert np.array_equal(gram, whole)
+    else:
+        d = np.sqrt(np.diag(whole))
+        assert (np.abs(gram - whole) / np.outer(d, d)).max() <= 1e-15
+
+
+def _whole_array_offdiag_max(indices, gram):
+    d = np.sqrt(np.abs(np.diag(gram)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.abs(gram) / np.outer(d, d)
+    np.fill_diagonal(scaled, 0.0)
+    return float(np.nan_to_num(scaled, nan=np.inf).max()) if len(indices) > 1 else 0.0
+
+
+@pytest.mark.parametrize("size", [2, 3, 200, 455])
+def test_offdiag_max_matches_the_whole_array_formula(size):
+    """200 and 455 rows take two and seven blocks."""
+    rng = np.random.default_rng(size)
+    gram = rng.standard_normal((size, size))
+    gram = gram + gram.T
+    gram[np.diag_indices(size)] = rng.uniform(0.5, 2.0, size)
+    assert gram_offdiag_max(range(size), gram) == _whole_array_offdiag_max(range(size), gram)
+    gram[-1] = gram[:, -1] = 0.0  # a member the rule does not see: 0/0
+    assert gram_offdiag_max(range(size), gram) == math.inf
+    gram[-1, 0] = gram[0, -1] = 1e-3  # x/0 reads as the largest double
+    assert gram_offdiag_max(range(size), gram) == _whole_array_offdiag_max(range(size), gram)
+    assert gram_offdiag_max([0], np.array([[2.0]])) == 0.0
+
+
+def _numpy_peak(call):
+    """Peak bytes that tracemalloc, which sees numpy's buffers, counts
+    during call() above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# Tetrahedron N = 16: 969 members, a 7.5 MB matrix.
+def test_gram_assembly_holds_one_matrix():
+    """The assembly holds the matrix and a few blocks, not a second
+    whole-matrix buffer."""
+    _, gram = gram_matrix(16, PARAMS6)
+    assert _numpy_peak(lambda: gram_matrix(16, PARAMS6)) < 1.25 * gram.nbytes
+
+
+def test_offdiag_max_holds_a_few_blocks():
+    idxs, gram = gram_matrix(16, PARAMS6)
+    assert _numpy_peak(lambda: gram_offdiag_max(idxs, gram)) < 0.25 * gram.nbytes
