@@ -13,13 +13,13 @@ The package is organized bottom-up:
     triangle2d  four-parameter triangle family, 24 ladder relations
     simplex3d   six-parameter tetrahedron family, 36 ladder relations,
                 differential equations, connections, recurrences
-    quadrature  Gauss-Jacobi rules, collapsed simplex rules, Gram matrices
+    quadrature  Gauss-Jacobi rules and the float Gram matrices
     sweeps      verification sweep harness (used by the CLI and tests)
     cli         `simplexpoly` command-line front end
 """
 
 from .ratpoly import MPoly, NonzeroRemainder, Point
-from .special import PoleHit, gamma_ratio, hyper2f1_terminating, hyper3f2_unit, pochhammer
+from .special import PoleHit, gamma_ratio, hyper3f2_unit, pochhammer
 from .operators import DiffOperator, SparseRelation, VerificationReport, summarize
 from .jacobi1d import shifted_jacobi, norm_ratio, verify_ladder, verify_second_order_1d
 from .triangle2d import (
@@ -44,6 +44,6 @@ from .simplex3d import (
     three_term_x,
     verify_three_term,
 )
-from .quadrature import ConvergenceFailure, QuadRule1D, SimplexRule, gauss_jacobi_01, tetra_rule, gram_matrix
+from .quadrature import ConvergenceFailure, collapsed_gram
 
 __version__ = "0.1.0"

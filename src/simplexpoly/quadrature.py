@@ -21,16 +21,16 @@ shifted Jacobi factors in the collapsed coordinates, on the tetrahedron
 
 (Koornwinder 1975, Dubiner 1991).  One recurrence over the factor rows,
 an axis at one sum s of the later degrees, gives each axis's rule (s = 0)
-and, in one pass at its nodes, every factor and the rule's weights; the
-sum over the tensor rule splits into one small Gram matrix per axis, whose
-entrywise product fills the one output matrix a block of rows at a time.
+and, in one pass at that rule's own nodes, every factor and the rule's
+weights; the sum over the tensor rule splits into one small Gram matrix
+per axis, whose entrywise product fills the one output matrix a block of
+rows at a time.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from typing import Tuple
 
@@ -38,14 +38,14 @@ import numpy as np
 
 from . import simplex3d, triangle2d
 from .jacobi1d import collapsed_norm, h_absolute
-from .operators import as_tuple
-from .special import pochhammer
 
 
 class ConvergenceFailure(RuntimeError):
     """The symmetric tridiagonal eigensolver did not converge."""
 
 
+# QuadRule1D and gauss_jacobi_01 stay here only because the benchmark's
+# tracer binds them; ROADMAP item 19 moves them out.
 @dataclass(frozen=True)
 class QuadRule1D:
     """Nodes/weights on (0, 1) for the weight (1-x)^a x^b, a row per entry
@@ -53,12 +53,6 @@ class QuadRule1D:
 
     nodes: np.ndarray
     weights: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def exactness_degree(self) -> int:
-        return 2 * self.nodes.shape[-1] - 1
 
 
 def jacobi_recurrence(m: int, a, b):
@@ -88,25 +82,27 @@ def jacobi_recurrence(m: int, a, b):
             mass * np.cumprod(np.concatenate([first + 1, ab / (i * s1 * ratio)], -1), -1))
 
 
-def _evaluate(recurrence, n: int, m: int, x=None):
+def _evaluate(recurrence, n: int, m: int):
     """(x, q, weights) for a `jacobi_recurrence` over exponents of shape
-    (..., rows) with at least max(n, m) entries: q_0..q_n of every row at
-    x, shape (..., rows, n + 1, points), and the Christoffel numbers
-    1 / sum_{k<m} q_k(x)^2 of each first row (m >= 1).  x defaults to the
-    first rows' m-point Gauss nodes; past degree n only those rows go on."""
+    (..., rows) with at least max(n, m) entries: x, the m-point Gauss nodes
+    of each first row; q_0..q_n of every row at those nodes, shape (...,
+    rows, n + 1, m); and the Christoffel numbers 1 / sum_{k<m} q_k(x)^2 of
+    each first row.  Past degree n only the first rows go on.  Refused
+    (ValueError) for m < 1, on every path that builds a rule."""
+    if m < 1:
+        raise ValueError("rule needs at least one point")
     diag, off, h = recurrence
-    if x is None:
-        jacobi_matrix = np.zeros(diag.shape[:-2] + (m, m))
-        k = np.arange(m)
-        jacobi_matrix[..., k, k] = diag[..., 0, :m]
-        jacobi_matrix[..., k[1:], k[:-1]] = off[..., 0, 1:m]
-        try:
-            x = (np.linalg.eigvalsh(jacobi_matrix) + 1.0) / 2.0
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise ConvergenceFailure(str(exc)) from exc
-        del jacobi_matrix  # 8 MB a rule at 1000 points: freed before the pass
+    jacobi_matrix = np.zeros(diag.shape[:-2] + (m, m))
+    k = np.arange(m)
+    jacobi_matrix[..., k, k] = diag[..., 0, :m]
+    jacobi_matrix[..., k[1:], k[:-1]] = off[..., 0, 1:m]
+    try:
+        x = (np.linalg.eigvalsh(jacobi_matrix) + 1.0) / 2.0
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise ConvergenceFailure(str(exc)) from exc
+    del jacobi_matrix  # 8 MB a rule at 1000 points: freed before the pass
     t = 2.0 * x[..., None, :] - 1.0
-    q = np.empty(h.shape[:-1] + (n + 1, x.shape[-1]))
+    q = np.empty(h.shape[:-1] + (n + 1, m))
     # The q_k overflow only at a node whose weight is below the smallest
     # double (a large exponent and many points, or a mass that underflows
     # to 0): inf - inf leaves nan there, and its weight is 0.
@@ -135,15 +131,15 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     `jacobi_recurrence` matrix, ascending, and each weight the Christoffel
     number 1 / sum_{k<m} q_k(x_i)^2 of the same recurrence, whose q_0
     carries the weight's mass B(b+1, a+1)."""
-    if m < 1:
-        raise ValueError("rule needs at least one point")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a <= -1) or np.any(b <= -1):
         raise ValueError("weight exponents must exceed -1")
     nodes, _, weights = _evaluate(jacobi_recurrence(m, a[..., None], b[..., None]), 0, m)
-    return QuadRule1D(nodes=nodes, weights=weights, a=a, b=b)
+    return QuadRule1D(nodes=nodes, weights=weights)
 
 
+# SimplexRule, collapsed_rule, tetra_rule and triangle_rule stay here only
+# because the benchmark's tracer binds them; ROADMAP item 19 moves them out.
 @dataclass(frozen=True)
 class SimplexRule:
     """Collapsed tensor rule on the open unit triangle (coordinates x, y) or
@@ -155,9 +151,6 @@ class SimplexRule:
     x = property(lambda self: self.coords[0])
     y = property(lambda self: self.coords[1])
     z = property(lambda self: self.coords[2])
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(*self.coords)))
 
 
 #: Collapsed coordinate j, as `gram` names an axis whose weight it refuses.
@@ -197,33 +190,6 @@ triangle_rule = partial(collapsed_rule, triangle2d.FAMILY)
 
 
 # ---------------------------------------------------------------------------
-# Monomial-moment oracles.  Relative moments (against the weight mass) are
-# exact rationals for arbitrary rational exponents.
-# ---------------------------------------------------------------------------
-
-def _beta_ratio(p: Fraction, q: Fraction, i: int, j: int) -> Fraction:
-    # B(p+i, q+j) / B(p, q) for integer shifts.
-    return pochhammer(p, i) * pochhammer(q, j) / pochhammer(p + q, i + j)
-
-
-def tetra_moment_ratio(i: int, j: int, k: int, params) -> Fraction:
-    """Exact integral of x^i y^j z^k against the weight, divided by the
-    weight mass."""
-    alpha, beta, gamma, delta, a, b = as_tuple(params, 6)
-    big = beta + gamma + delta + a + b + 3
-    return (
-        _beta_ratio(alpha + 1, big, i, j + k)
-        * _beta_ratio(beta + 1, gamma + delta + b + 2, j, k)
-        * _beta_ratio(gamma + 1, delta + 1, k, 0)
-    )
-
-
-def triangle_moment_ratio(i: int, j: int, params) -> Fraction:
-    a, b, c, d = as_tuple(params, 4)
-    return _beta_ratio(a + 1, b + c + d + 2, i, j) * _beta_ratio(b + 1, c + 1, j, 0)
-
-
-# ---------------------------------------------------------------------------
 # Gram matrices.
 # ---------------------------------------------------------------------------
 
@@ -240,13 +206,13 @@ def _layout(family, max_degree: int):
     return idxs, row * (max_degree + 1) + degrees
 
 
-def _factors(family, max_degree: int, params, x=None, points: int = 0):
+def _factors(family, max_degree: int, params, points: int):
     """(indices, factors, norms, weights) of the members of total degree
     <= max_degree: factors[j, i] is member i's factor P(d_j; A_j + 2 s_j,
-    B_j)(x_j) (1 - x_j)^{s_j} with unit norm, at x (a row of points per
-    axis) or at the nodes of each axis's points-point rule, whose weights
-    are returned; norms[i] is its squared norm, the product of the h_n.
-    Refused (ValueError) where one is below the smallest double."""
+    B_j)(x_j) (1 - x_j)^{s_j} with unit norm at the nodes x_j of axis j's
+    points-point rule, whose weights are returned; norms[i] is its squared
+    norm, the product of the h_n.  Refused (ValueError) where one is below
+    the smallest double."""
     idxs, lookup = _layout(family, max_degree)
     axes = _axes(family, params)
     shift = np.arange(max_degree + 1)
@@ -255,9 +221,9 @@ def _factors(family, max_degree: int, params, x=None, points: int = 0):
     if norms.min() < sys.float_info.min:
         raise ValueError(f"the members' squared norms underflow double precision "
                          f"(the smallest is {norms.min():.3g})")
-    x, q, weights = _evaluate(recurrence, max_degree, points, x)
+    x, q, weights = _evaluate(recurrence, max_degree, points)
     q *= ((1.0 - x[:, None]) ** shift[:, None])[..., None, :]
-    return list(idxs), q.reshape(-1, x.shape[-1])[lookup], norms, weights
+    return list(idxs), q.reshape(-1, points)[lookup], norms, weights
 
 
 def _row_blocks(size: int, least: int = 1):
@@ -282,7 +248,7 @@ def collapsed_gram(family, max_degree: int, params, points: int = None):
     integrates products of two members exactly.
     """
     m = max_degree + 1 if points is None else points
-    idxs, factors, norms, weights = _factors(family, max_degree, params, points=m)
+    idxs, factors, norms, weights = _factors(family, max_degree, params, m)
     scale = np.sqrt(norms)
     gram = np.empty((len(idxs), len(idxs)))
     # Each block reads every factor matrix (members x points) once, so a
@@ -302,21 +268,8 @@ def collapsed_gram(family, max_degree: int, params, points: int = None):
     return idxs, gram
 
 
-def collapsed_values(family, max_degree: int, params, *coords):
-    """(indices, values): every member of total degree <= max_degree at the
-    interior points with Cartesian coordinates `coords`, evaluated factor by
-    factor in collapsed coordinates; values has one row per member and one
-    column per point.
-    """
-    points, rest = [], 1.0
-    for c in coords:
-        c = np.asarray(c, dtype=float)
-        points.append(c / rest)
-        rest = rest - c
-    idxs, factors, norms, _ = _factors(family, max_degree, params, np.array(points))
-    return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None]
-
-
+# gram_matrix and gram_matrix_triangle stay here only because the benchmark's
+# tracer and workloads bind them; ROADMAP item 19 moves them out.
 gram_matrix = partial(collapsed_gram, simplex3d.FAMILY)
 gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 

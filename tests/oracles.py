@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from simplexpoly.jacobi1d import _coefficients
-from simplexpoly.quadrature import tetra_moment_ratio
 from simplexpoly.ratpoly import MPoly, ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_XYZ, X, ZERO
 
 
@@ -238,7 +237,7 @@ def triangle_mass(params) -> float:
 
 def tetra_moment(i: int, j: int, k: int, params) -> float:
     """Float integral of x^i y^j z^k against the tetrahedron's weight."""
-    return float(tetra_moment_ratio(i, j, k, params)) * tetra_mass(params)
+    return float(tetra_weighted_mean(MPoly.monomial((i, j, k)), params)) * tetra_mass(params)
 
 
 # ---------------------------------------------------------------------------

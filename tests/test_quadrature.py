@@ -1,7 +1,6 @@
 """Quadrature rules, moment oracles, Gram matrices."""
 
 import math
-import random
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -16,23 +15,30 @@ from simplexpoly.cli import GRAM_BOUND
 from simplexpoly.quadrature import (
     _factors,
     collapsed_gram,
-    collapsed_values,
     gauss_jacobi_01,
     gram_matrix,
     gram_matrix_triangle,
     gram_offdiag_max,
     expected_gram_diagonal,
     jacobi_recurrence,
-    tetra_moment_ratio,
     tetra_rule,
-    triangle_moment_ratio,
     triangle_rule,
 )
 from simplexpoly.jacobi1d import h_absolute
 from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
 
-from oracles import exact_member_gram, integrate_tetra, tetra_mass, tetra_moment, triangle_mass
+from oracles import (
+    exact_member_gram,
+    exact_values,
+    integrate_tetra,
+    integrate_triangle,
+    tetra_mass,
+    tetra_moment,
+    tetra_weighted_mean,
+    triangle_mass,
+    triangle_weighted_mean,
+)
 from simplexpoly.ratpoly import MPoly
 
 F = Fraction
@@ -45,7 +51,6 @@ def test_one_point_rule_legendre():
     rule = gauss_jacobi_01(1, 0, 0)
     assert rule.nodes == pytest.approx([0.5])
     assert rule.weights == pytest.approx([1.0])
-    assert rule.exactness_degree == 1
 
 
 def test_two_point_rule_legendre():
@@ -53,6 +58,17 @@ def test_two_point_rule_legendre():
     off = 1 / (2 * math.sqrt(3))
     assert rule.nodes == pytest.approx([0.5 - off, 0.5 + off])
     assert rule.weights == pytest.approx([0.5, 0.5])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gauss_jacobi_01(0, 0, 0),
+    lambda: collapsed_gram(simplex3d.FAMILY, 2, ZEROS6, points=0),
+    lambda: collapsed_gram(simplex3d.FAMILY, 2, ZEROS6, points=-3),
+], ids=["rule-0", "gram-points-0", "gram-points-minus-3"])
+def test_a_rule_with_no_points_is_refused(build):
+    """The same refusal on every path, not a numpy shape error."""
+    with pytest.raises(ValueError, match="rule needs at least one point"):
+        build()
 
 
 def test_one_point_rule_rational_exponent():
@@ -152,16 +168,21 @@ def test_rule_exactness_for_moments():
         for j in range(order + 1 - i):
             for k in range(order + 1 - i - j):
                 approx = float(np.sum(rule.weights * rule.x**i * rule.y**j * rule.z**k))
-                exact = float(tetra_moment_ratio(i, j, k, PARAMS6)) * mass
+                mean = tetra_weighted_mean(MPoly.monomial((i, j, k)), PARAMS6)
+                exact = float(mean) * mass
                 assert approx == pytest.approx(exact, rel=1e-12), (i, j, k)
+
+
+def _integrate(rule, f) -> float:
+    return float(np.sum(rule.weights * f(*rule.coords)))
 
 
 def test_tetra_rule_frozen_values():
     rule = tetra_rule(ZEROS6, 3)
     one = lambda x, y, z: np.ones_like(x)
-    assert rule.integrate(one) == pytest.approx(1 / 6, rel=1e-13)
-    assert rule.integrate(lambda x, y, z: x) == pytest.approx(1 / 24, rel=1e-13)
-    assert rule.integrate(lambda x, y, z: (4 * x - 1) ** 2) == pytest.approx(
+    assert _integrate(rule, one) == pytest.approx(1 / 6, rel=1e-13)
+    assert _integrate(rule, lambda x, y, z: x) == pytest.approx(1 / 24, rel=1e-13)
+    assert _integrate(rule, lambda x, y, z: (4 * x - 1) ** 2) == pytest.approx(
         1 / 10, rel=1e-12
     )
     assert np.all(rule.x + rule.y + rule.z < 1)
@@ -174,7 +195,13 @@ def test_moment_oracle_against_factorial_integration():
         assert tetra_moment(i, j, k, ZEROS6) == pytest.approx(
             float(integrate_tetra(mono)), rel=1e-13
         )
+        mono = MPoly.monomial((i, j, 0))
+        mean = triangle_weighted_mean(mono, ZEROS6[:4])
+        assert float(mean) * triangle_mass(ZEROS6[:4]) == pytest.approx(
+            float(integrate_triangle(mono)), rel=1e-13
+        )
     assert tetra_mass(ZEROS6) == pytest.approx(1 / 6, rel=1e-13)
+    assert triangle_mass(ZEROS6[:4]) == pytest.approx(1 / 2, rel=1e-13)
 
 
 def test_gram_degree_zero():
@@ -239,7 +266,7 @@ def test_triangle_moment_ratio_matches_rule():
     for i, j in [(0, 0), (1, 0), (0, 1), (2, 3), (4, 1)]:
         approx = float(np.sum(rule.weights * rule.x**i * rule.y**j))
         assert approx == pytest.approx(
-            float(triangle_moment_ratio(i, j, params)) * mass, rel=1e-12
+            float(triangle_weighted_mean(MPoly.monomial((i, j, 0)), params)) * mass, rel=1e-12
         )
 
 
@@ -253,51 +280,46 @@ TRIANGLE_ROWS = [
 ]
 
 
-def _interior_points(dim, count=6, seed=11):
-    """Exact rational points inside the triangle (dim 2) or tetrahedron
-    (dim 3), drawn in collapsed coordinates."""
-    rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        rest, point = F(1), []
-        for _ in range(dim):
-            point.append(F(rng.randint(1, 99), 100) * rest)
-            rest -= point[-1]
-        points.append(tuple(point) + (F(0),) * (3 - dim))
-    return points
+def _rule_values(family, max_degree, params):
+    """(indices, values, coords): every member of total degree <= max_degree
+    from `_factors` at its default rule's nodes, taking node a of each axis
+    for the a-th point, and those points' Cartesian coordinates, mapped
+    from the nodes of `gauss_jacobi_01` on the family's axes."""
+    points = max_degree + 1
+    idxs, factors, norms, _ = _factors(family, max_degree, params, points)
+    axes = np.array(family.axes(*family.params(params)), dtype=float)
+    coords, rest = [], 1.0
+    for u in gauss_jacobi_01(points, *axes.T).nodes:
+        coords.append(u * rest)
+        rest = rest * (1 - u)
+    return idxs, np.prod(factors, axis=0) * np.sqrt(norms)[:, None], coords
 
 
-def _assert_values_match(idxs, values, member, points):
-    for idx, row in zip(idxs, values):
-        exact = np.array([float(member(idx).evaluate(p)) for p in points])
-        assert np.abs(row - exact).max() <= 1e-12 * np.abs(exact).max(), idx
+def _assert_values_match(idxs, values, member, coords):
+    exact = exact_values([member(idx) for idx in idxs], coords)
+    for idx, row, want in zip(idxs, values, exact):
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), idx
 
 
 @pytest.mark.parametrize("params", TETRA_ROWS)
 def test_tetra_values_match_exact_members(params):
-    points = _interior_points(3)
-    coords = [[float(p[axis]) for p in points] for axis in range(3)]
-    idxs, values = collapsed_values(simplex3d.FAMILY, 6, params, *coords)
+    idxs, values, coords = _rule_values(simplex3d.FAMILY, 6, params)
     assert idxs == sorted(simplex3d.indices(6))
-    _assert_values_match(idxs, values, lambda idx: simplex_poly_raw(*idx, *params), points)
+    _assert_values_match(idxs, values, lambda idx: simplex_poly_raw(*idx, *params), coords)
 
 
 @pytest.mark.parametrize("params", TRIANGLE_ROWS)
 def test_triangle_values_match_exact_members(params):
-    points = _interior_points(2)
-    coords = [[float(p[axis]) for p in points] for axis in range(2)]
-    idxs, values = collapsed_values(triangle2d.FAMILY, 6, params, *coords)
-    _assert_values_match(idxs, values, lambda idx: triangle_poly_raw(*idx, *params), points)
+    idxs, values, coords = _rule_values(triangle2d.FAMILY, 6, params)
+    _assert_values_match(idxs, values, lambda idx: triangle_poly_raw(*idx, *params), coords)
 
 
 def test_values_at_large_shifts_match_exact_members():
     """The x-axis exponent 37.05 plus twice the later degrees, up to 53.05
     at N = 8."""
     params = simplex3d.FAMILY.check("-19/20,7,12,-19/20,12,5".split(","))
-    points = _interior_points(3)
-    coords = [[float(p[axis]) for p in points] for axis in range(3)]
-    idxs, values = collapsed_values(simplex3d.FAMILY, 8, params, *coords)
-    _assert_values_match(idxs, values, lambda idx: simplex3d.FAMILY.member(idx, params), points)
+    idxs, values, coords = _rule_values(simplex3d.FAMILY, 8, params)
+    _assert_values_match(idxs, values, lambda idx: simplex3d.FAMILY.member(idx, params), coords)
 
 
 @pytest.mark.parametrize("family, params", [(simplex3d.FAMILY, PARAMS6),
