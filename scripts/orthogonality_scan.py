@@ -2,14 +2,14 @@
 """Scan Gram-matrix orthogonality quality over random parameter tuples.
 
 For each draw, on the tetrahedron and then on the triangle, builds the
-degree-N Gram matrix and reports the worst normalized off-diagonal entry
-and the worst relative deviation of the diagonal from the interval-norm
-product formula.  The pool reaches the weight's domain edge (-19/20) and
+degree-N Gram matrix and reports the figure that `simplexpoly gram`
+checks, its worst |g_ij / sqrt(h_i h_j) - delta_ij| for the members'
+squared norms h.  The pool reaches the weight's domain edge (-19/20) and
 large exponents (12); a row whose weight is not integrable along some
-collapsed axis, which `gram` refuses, is redrawn.  Exits 1 when either
-figure exceeds the bound of `simplexpoly gram` (`cli.GRAM_BOUND`), and 64,
-before any matrix is built, for an --N outside 0 to `cli.GRAM_MAX_DEGREE`
-or a --draws below 1, as `gram` refuses its --N.
+collapsed axis, which `gram` refuses, is redrawn.  Exits 1 when the worst
+figure exceeds the bound of `gram` (`cli.GRAM_BOUND`), and 64, before any
+matrix is built, for an --N outside 0 to `cli.GRAM_MAX_DEGREE` or a
+--draws below 1, as `gram` refuses its --N.
 
 Usage:
     python scripts/orthogonality_scan.py [--N 4] [--draws 20] [--seed 7]
@@ -20,8 +20,6 @@ Usage:
 import random
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from simplexpoly import cli, quadrature, simplex3d, triangle2d
 
@@ -52,20 +50,17 @@ def main(argv=None) -> int:
         parser.error(f"--draws must be at least 1, got {args.draws}")
 
     rng = random.Random(args.seed)
-    worst_off = worst_diag = 0.0
+    worst = 0.0
     for name, family in FAMILIES:
         for _ in range(args.draws):
             params = random_params(rng, family)
             idxs, gram = quadrature.collapsed_gram(family, args.N, params)
-            off = quadrature.gram_offdiag_max(idxs, gram)
-            expected = quadrature.expected_gram_diagonal(family, idxs, params)
-            diag = float(np.abs(np.diag(gram) / expected - 1).max())
-            worst_off = max(worst_off, off)
-            worst_diag = max(worst_diag, diag)
+            error = quadrature.gram_error(family, idxs, gram, params)[0]
+            worst = max(worst, error)
             label = ",".join(str(v) for v in params)
-            print(f"{name:<11} params=({label:<41}) offdiag={off:.3e} diag_rel={diag:.3e}")
-    print(f"worst offdiag {worst_off:.3e}   worst diag_rel {worst_diag:.3e}")
-    return 0 if max(worst_off, worst_diag) <= cli.GRAM_BOUND else 1
+            print(f"{name:<11} params=({label:<41}) error={error:.3e}")
+    print(f"worst error {worst:.3e}")
+    return 0 if worst <= cli.GRAM_BOUND else 1
 
 
 if __name__ == "__main__":

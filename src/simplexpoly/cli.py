@@ -4,7 +4,7 @@ Subcommands:
 
     print-poly   evaluate and print one family member (or its monic mate)
     verify       run a verification sweep and write a JSON report
-    gram         emit a weighted Gram matrix as CSV
+    gram         emit a weighted Gram matrix as CSV, checked against the norms
     connect      print a connection expansion as JSON
 
 Exit codes: 0 all checks pass; 1 failures or crash; 2 erratum candidates
@@ -22,8 +22,6 @@ import argparse
 import contextlib
 import json
 import sys
-
-import numpy as np
 
 from . import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from .operators import as_tuple, summarize
@@ -60,6 +58,13 @@ def _output(path):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
+def _check_out(path):
+    """Refuse (OSError) an --out that cannot be written, before any work;
+    append mode keeps an existing file until the output replaces it."""
+    if path:
+        open(path, "a", encoding="utf-8").close()
+
+
 # --family -> its record.
 _FAMILIES = {"jacobi": jacobi1d.FAMILY, "triangle": triangle2d.FAMILY, "simplex": simplex3d.FAMILY}
 
@@ -86,7 +91,6 @@ def build_parser() -> _Parser:
     pg.add_argument("--family", choices=("triangle", "simplex"), default="simplex")
     pg.add_argument("--N", dest="max_degree", type=int, required=True)
     pg.add_argument("--params", required=True)
-    pg.add_argument("--points", type=int, default=None, help="quadrature points per axis")
     pg.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
     pc = sub.add_parser("connect", help="print a connection expansion")
@@ -99,18 +103,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-#: Largest normalized off-diagonal Gram entry the float path may leave.
+#: Largest |g_ij / sqrt(h_i h_j) - delta_ij| that `gram` accepts (h: norms).
 GRAM_BOUND = 1e-10
 
-#: The largest --N and --points that `gram` accepts, refused above before
-#: any array is allocated.  At N = 24 the tetrahedron has 2925 members:
-#: `gram` took 4.6 s and 103 MB peak RSS on a 2-core host, and the worst
-#: entry of `scripts/orthogonality_scan.py`, on both families, read
-#: 4.9e-13, about 200 times under GRAM_BOUND; 1000 points per axis took
-#: about 1 s more and peaked at 200 MB, which CI holds under 300 MB.  The
+#: The largest --N that `gram` accepts, refused above before any array is
+#: allocated.  At N = 24 the tetrahedron has 2925 members: `gram` took
+#: 4.6 s and 103 MB peak RSS on a 2-core host, which CI holds under
+#: 200 MB, and the worst figure of `scripts/orthogonality_scan.py`, on
+#: both families, read 4.9e-13, about 200 times under GRAM_BOUND.  The
 #: README lists the measurements at N = 16 to 28.
 GRAM_MAX_DEGREE = 24
-GRAM_MAX_POINTS = 1000
 
 #: The largest total index degree that `print-poly` and `connect` accept,
 #: refused above before any member or coefficient is built.  Measured on a
@@ -168,11 +170,7 @@ def cmd_verify(args) -> int:
     except sweeps.CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    if args.out:
-        # An --out that cannot be written is refused (OSError, exit 64)
-        # before any task runs; append mode keeps an existing report until
-        # the new one replaces it.
-        open(args.out, "a", encoding="utf-8").close()
+    _check_out(args.out)
     reports = sweeps.run_suite_tasks(suite, tasks, jobs=args.jobs or jobs)
     summary = summarize(reports)
     if args.out:
@@ -199,24 +197,21 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     if not 0 <= args.max_degree <= GRAM_MAX_DEGREE:
         raise ValueError(f"--N must be from 0 to {GRAM_MAX_DEGREE}, got {args.max_degree}")
-    if args.points is not None and args.points < 1:
-        raise ValueError(f"--points must be at least 1, got {args.points}")
-    if args.points is not None and args.points > GRAM_MAX_POINTS:
-        raise ValueError(f"--points must be at most {GRAM_MAX_POINTS}, got {args.points}")
     family = _FAMILIES[args.family]
     params = family.check(args.params.split(","))
-    idxs, gram = quadrature.collapsed_gram(family, args.max_degree, params, points=args.points)
+    _check_out(args.out)
+    idxs, gram = quadrature.collapsed_gram(family, args.max_degree, params)
     labels = [",".join(map(str, idx)) for idx in idxs]
     # Written a row at a time, each entry as format(v, ".12g") prints it.
     row_format = ";".join(["%.12g"] * len(labels))
     with _output(args.out) as fh:
         fh.write("index;" + ";".join(labels) + "\n")
-        for label, row in zip(labels, np.asarray(gram, dtype=float)):
+        for label, row in zip(labels, gram):
             fh.write(label + ";" + row_format % tuple(row.tolist()) + "\n")
-    worst = quadrature.gram_offdiag_max(idxs, gram)
+    worst, i, j = quadrature.gram_error(family, idxs, gram, params)
     if worst > GRAM_BOUND:
-        print(f"simplexpoly: gram: worst normalized off-diagonal entry {worst:.3e} "
-              f"exceeds the bound {GRAM_BOUND:.0e}", file=sys.stderr)
+        print(f"simplexpoly: gram: |g / sqrt(h h) - delta| = {worst:.3e} at members "
+              f"{labels[i]} and {labels[j]} exceeds the bound {GRAM_BOUND:.0e}", file=sys.stderr)
         return EX_FAIL
     return EX_OK
 
@@ -233,6 +228,7 @@ def cmd_connect(args) -> int:
         if args.target is None or args.xi is not None:
             raise ValueError("mode=general takes --target and no --xi")
         connect, target = simplex3d.connect_general, as_tuple(args.target.split(","), 4)
+    _check_out(args.out)
     expansion = connect(idx, params, target)
     try:
         family.check(expansion.target_params)

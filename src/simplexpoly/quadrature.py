@@ -20,11 +20,12 @@ shifted Jacobi factors in the collapsed coordinates, on the tetrahedron
     p_{n1}(u) (1-u)^{n2+n3} . p_{n2}(v) (1-v)^{n3} . p_{n3}(t)
 
 (Koornwinder 1975, Dubiner 1991).  One recurrence over the factor rows,
-an axis at one sum s of the later degrees, gives each axis's rule (s = 0)
-and, in one pass at that rule's own nodes, every factor and the rule's
-weights; the sum over the tensor rule splits into one small Gram matrix
-per axis, whose entrywise product fills the one output matrix a block of
-rows at a time.
+an axis at one sum s of the later degrees, gives each axis's (N + 1)-point
+rule (s = 0), exact for products of members of degree <= N, and in one
+pass at its nodes every factor and the rule's weights; the sum over the
+tensor rule splits into one small Gram matrix per axis, whose entrywise
+product fills the one output matrix a block of rows at a time.
+`gram_error` reads that matrix against the members' norms in closed form.
 """
 
 from __future__ import annotations
@@ -82,45 +83,35 @@ def jacobi_recurrence(m: int, a, b):
             mass * np.cumprod(np.concatenate([first + 1, ab / (i * s1 * ratio)], -1), -1))
 
 
-def _evaluate(recurrence, n: int, m: int):
+def _evaluate(recurrence, n: int):
     """(x, q, weights) for a `jacobi_recurrence` over exponents of shape
-    (..., rows) with at least max(n, m) entries: x, the m-point Gauss nodes
+    (..., rows) with more than n entries: x, the (n + 1)-point Gauss nodes
     of each first row; q_0..q_n of every row at those nodes, shape (...,
-    rows, n + 1, m); and the Christoffel numbers 1 / sum_{k<m} q_k(x)^2 of
-    each first row.  Past degree n only the first rows go on.  Refused
-    (ValueError) for m < 1, on every path that builds a rule."""
-    if m < 1:
-        raise ValueError("rule needs at least one point")
+    rows, n + 1, n + 1); and the Christoffel numbers 1 / sum_k q_k(x)^2 of
+    each first row."""
     diag, off, h = recurrence
-    jacobi_matrix = np.zeros(diag.shape[:-2] + (m, m))
-    k = np.arange(m)
-    jacobi_matrix[..., k, k] = diag[..., 0, :m]
-    jacobi_matrix[..., k[1:], k[:-1]] = off[..., 0, 1:m]
+    jacobi_matrix = np.zeros(diag.shape[:-2] + (n + 1, n + 1))
+    k = np.arange(n + 1)
+    jacobi_matrix[..., k, k] = diag[..., 0, :n + 1]
+    jacobi_matrix[..., k[1:], k[:-1]] = off[..., 0, 1:n + 1]
     try:
         x = (np.linalg.eigvalsh(jacobi_matrix) + 1.0) / 2.0
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailure(str(exc)) from exc
-    del jacobi_matrix  # 8 MB a rule at 1000 points: freed before the pass
     t = 2.0 * x[..., None, :] - 1.0
-    q = np.empty(h.shape[:-1] + (n + 1, m))
+    q = np.empty(h.shape[:-1] + (n + 1, n + 1))
     # The q_k overflow only at a node whose weight is below the smallest
     # double (a large exponent and many points, or a mass that underflows
     # to 0): inf - inf leaves nan there, and its weight is 0.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q[..., 0, :] = 1.0 / np.sqrt(h[..., :1])
-        prev, cur = np.zeros_like(q[..., 0, :]), q[..., 0, :]
-        sums = cur[..., 0, :] ** 2
-        for k in range(max(n, m - 1)):
-            if k == n:
-                diag, off, prev, cur = (v[..., :1, :] for v in (diag, off, prev, cur))
+        prev = np.zeros_like(q[..., 0, :])
+        for k in range(n):
             # off[0] = 0 drops prev, still 0, at k = 0.
-            prev, cur = cur, ((t - diag[..., k, None]) * cur
-                              - off[..., k, None] * prev) / off[..., k + 1, None]
-            if k < n:
-                q[..., k + 1, :] = cur
-            if k + 1 < m:
-                sums += cur[..., 0, :] ** 2
-        weights = 1.0 / sums
+            q[..., k + 1, :] = ((t - diag[..., k, None]) * q[..., k, :]
+                                - off[..., k, None] * prev) / off[..., k + 1, None]
+            prev = q[..., k, :]
+        weights = 1.0 / np.square(q[..., 0, :, :]).sum(axis=-2)
     weights[np.isnan(weights)] = 0.0
     return x, q, weights
 
@@ -130,11 +121,13 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     entry of exponent arrays a and b: the nodes are the eigenvalues of the
     `jacobi_recurrence` matrix, ascending, and each weight the Christoffel
     number 1 / sum_{k<m} q_k(x_i)^2 of the same recurrence, whose q_0
-    carries the weight's mass B(b+1, a+1)."""
+    carries the weight's mass B(b+1, a+1).  Refused for m < 1."""
+    if m < 1:
+        raise ValueError("rule needs at least one point")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a <= -1) or np.any(b <= -1):
         raise ValueError("weight exponents must exceed -1")
-    nodes, _, weights = _evaluate(jacobi_recurrence(m, a[..., None], b[..., None]), 0, m)
+    nodes, _, weights = _evaluate(jacobi_recurrence(m, a[..., None], b[..., None]), m - 1)
     return QuadRule1D(nodes=nodes, weights=weights)
 
 
@@ -206,24 +199,24 @@ def _layout(family, max_degree: int):
     return idxs, row * (max_degree + 1) + degrees
 
 
-def _factors(family, max_degree: int, params, points: int):
+def _factors(family, max_degree: int, params):
     """(indices, factors, norms, weights) of the members of total degree
     <= max_degree: factors[j, i] is member i's factor P(d_j; A_j + 2 s_j,
     B_j)(x_j) (1 - x_j)^{s_j} with unit norm at the nodes x_j of axis j's
-    points-point rule, whose weights are returned; norms[i] is its squared
-    norm, the product of the h_n.  Refused (ValueError) where one is below
-    the smallest double."""
+    (max_degree + 1)-point rule, whose weights are returned; norms[i] is
+    its squared norm, the product of the h_n.  Refused (ValueError) where
+    one is below the smallest double."""
     idxs, lookup = _layout(family, max_degree)
     axes = _axes(family, params)
     shift = np.arange(max_degree + 1)
-    recurrence = jacobi_recurrence(max(max_degree, points), axes[:, :1] + 2 * shift, axes[:, 1:])
+    recurrence = jacobi_recurrence(max_degree + 1, axes[:, :1] + 2 * shift, axes[:, 1:])
     norms = recurrence[2][..., :max_degree + 1].ravel()[lookup].prod(axis=0)
     if norms.min() < sys.float_info.min:
         raise ValueError(f"the members' squared norms underflow double precision "
                          f"(the smallest is {norms.min():.3g})")
-    x, q, weights = _evaluate(recurrence, max_degree, points)
+    x, q, weights = _evaluate(recurrence, max_degree)
     q *= ((1.0 - x[:, None]) ** shift[:, None])[..., None, :]
-    return list(idxs), q.reshape(-1, points)[lookup], norms, weights
+    return list(idxs), q.reshape(-1, max_degree + 1)[lookup], norms, weights
 
 
 def _row_blocks(size: int, least: int = 1):
@@ -235,7 +228,7 @@ def _row_blocks(size: int, least: int = 1):
     return [slice(start, start + height) for start in range(0, size, height)]
 
 
-def collapsed_gram(family, max_degree: int, params, points: int = None):
+def collapsed_gram(family, max_degree: int, params):
     """Weighted Gram matrix of all members with total degree <= max_degree.
 
     Returns (indices, matrix).  Member values and tensor weights are
@@ -244,16 +237,14 @@ def collapsed_gram(family, max_degree: int, params, points: int = None):
     each of these has a unit diagonal, so no entry grows with the degree or
     the parameters; the members' norms are multiplied in at the end.  The
     matrix is filled a block of rows at a time, each block's axis products
-    taken in order while it stays in cache.  The default rule order
-    integrates products of two members exactly.
+    taken in order while it stays in cache.
     """
-    m = max_degree + 1 if points is None else points
-    idxs, factors, norms, weights = _factors(family, max_degree, params, m)
+    idxs, factors, norms, weights = _factors(family, max_degree, params)
     scale = np.sqrt(norms)
     gram = np.empty((len(idxs), len(idxs)))
     # Each block reads every factor matrix (members x points) once, so a
     # block of fewer rows than points would spend its time re-reading them.
-    blocks = _row_blocks(len(idxs), m)
+    blocks = _row_blocks(len(idxs), max_degree + 1)
     # One scratch block for the later factors: a fresh one per block would
     # be paged in again (27,000 more page faults at N = 24).
     scratch = np.empty_like(gram[blocks[0]])
@@ -274,28 +265,19 @@ gram_matrix = partial(collapsed_gram, simplex3d.FAMILY)
 gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 
 
-def expected_gram_diagonal(family, indices, params) -> np.ndarray:
-    """Float squared norms of the family's members at `indices` from the
-    interval-norm product formula."""
+def gram_error(family, indices, gram: np.ndarray, params):
+    """(worst, i, j): the largest |g_ij / sqrt(h_i h_j) - delta_ij| over a
+    Gram matrix of the family's members at `indices`, h their squared norms
+    in closed form, and where it first occurs; read a block of rows at a
+    time, a nan entry as inf."""
     axes = family.axes(*family.params(params))
-    return np.array([collapsed_norm(axes, family.degrees(*idx)) for idx in indices])
-
-
-def gram_offdiag_max(indices, gram: np.ndarray) -> float:
-    """Largest off-diagonal entry normalized by sqrt(diag_i diag_j), taken a
-    block of rows at a time.
-
-    A zero diagonal entry (a rule too short to see a member, whose nodes
-    are then that member's roots) leaves 0/0; it reads as inf, so the
-    matrix fails every bound.
-    """
-    if len(indices) < 2:
-        return 0.0
-    d = np.sqrt(np.abs(np.diag(gram)))
-    worst = 0.0
+    d = np.sqrt([collapsed_norm(axes, family.degrees(*idx)) for idx in indices])
+    worst = (-1.0, 0, 0)
     for rows in _row_blocks(len(d)):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled = np.abs(gram[rows]) / np.multiply.outer(d[rows], d)
-        np.fill_diagonal(scaled[:, rows.start:], 0.0)
-        worst = max(worst, np.nan_to_num(scaled, copy=False, nan=np.inf).max())
-    return float(worst)
+        error = gram[rows] / np.multiply.outer(d[rows], d)
+        error[:, rows] -= np.eye(len(error))
+        np.nan_to_num(np.abs(error, out=error), copy=False, nan=np.inf, posinf=np.inf)
+        i, j = divmod(int(error.argmax()), len(d))
+        if error[i, j] > worst[0]:
+            worst = (float(error[i, j]), rows.start + i, j)
+    return worst

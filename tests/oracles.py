@@ -105,15 +105,12 @@ def hyper3f2_series(n: int, a2, a3, b1, b2) -> Fraction:
 # Gram matrix from exactly built members.
 # ---------------------------------------------------------------------------
 
-def exact_member_gram(members, coords, weights, exact: bool = False) -> np.ndarray:
+def exact_member_gram(members, coords, weights) -> np.ndarray:
     """Weighted Gram matrix of exact members on a quadrature rule's nodes,
     each member expanded into monomials and summed by `MPoly.eval_float`.
     The monomial sum cancels as the degree grows, so this oracle holds its
-    digits only at low degree (about 3e-13 at degree 6, 2e-12 at the nodes
-    of a three-point rule).  With `exact`, each value is summed exactly by
-    `exact_values` instead, at a cost of about 3 ms a node at degree 6."""
-    basis = exact_values(members, coords) if exact else np.stack(
-        [m.eval_float(*coords) for m in members])
+    digits only at low degree (about 3e-13 at degree 6)."""
+    basis = np.stack([m.eval_float(*coords) for m in members])
     return (basis * weights[None, :]) @ basis.T
 
 

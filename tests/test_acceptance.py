@@ -9,7 +9,6 @@ asserts exactness / tolerances, and prints one summary line.  Run with
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from simplexpoly import quadrature, simplex3d, sweeps, triangle2d
@@ -125,35 +124,30 @@ def test_criterion_3_trivariate_suite(config):
 
 
 def test_criterion_4_orthogonality():
-    """Gram matrices for N <= 4 at three parameter tuples: off-diagonal
-    below 1e-10 normalized, diagonal within 1e-10 relative of the norm
-    product; desk-scale values 1/6 and 1/10 at zero parameters."""
+    """Gram matrices for N <= 4 at three parameter tuples: each entry
+    g_ij / sqrt(h_i h_j), h the norm products, within 1e-10 of delta_ij;
+    desk-scale values 1/6 and 1/10 at zero parameters."""
     start = time.perf_counter()
     tuples = [
         (F(0),) * 6,
         (F(1, 3), F(-1, 2), F(1), F(0), F(1, 2), F(2)),
         (F(1), F(1), F(1), F(1), F(1), F(1)),
     ]
-    worst_off = 0.0
-    worst_diag = 0.0
+    worst = 0.0
     for params in tuples:
         idxs, gram = quadrature.gram_matrix(4, params)
-        worst_off = max(worst_off, quadrature.gram_offdiag_max(idxs, gram))
-        expected = quadrature.expected_gram_diagonal(simplex3d.FAMILY, idxs, params)
-        worst_diag = max(worst_diag, float(np.abs(np.diag(gram) / expected - 1).max()))
+        worst = max(worst, quadrature.gram_error(simplex3d.FAMILY, idxs, gram, params)[0])
     zeros = (F(0),) * 6
     idxs, gram = quadrature.gram_matrix(1, zeros)
     norm000 = gram[idxs.index((0, 0, 0)), idxs.index((0, 0, 0))]
     norm100 = gram[idxs.index((1, 0, 0)), idxs.index((1, 0, 0))]
     elapsed = time.perf_counter() - start
-    ok = worst_off <= 1e-10 and worst_diag <= 1e-10
+    ok = worst <= 1e-10
     print(
         f"ACCEPTANCE 4 (orthogonality): {'PASS' if ok else 'FAIL'} "
-        f"(offdiag {worst_off:.2e}, diag rel {worst_diag:.2e}, "
-        f"{elapsed:.1f}s / limit 30s)"
+        f"(error {worst:.2e}, {elapsed:.1f}s / limit 30s)"
     )
-    assert worst_off <= 1e-10
-    assert worst_diag <= 1e-10
+    assert worst <= 1e-10
     assert norm000 == pytest.approx(1 / 6, rel=1e-10)
     assert norm100 == pytest.approx(1 / 10, rel=1e-10)
     assert elapsed < 30

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from bad_configs import BAD_CONFIGS, bad_config_path
 from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import (CONNECT_MAX_DEGREE, EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE,
-                             GRAM_BOUND, GRAM_MAX_DEGREE, GRAM_MAX_POINTS, PRINT_MAX_DEGREE, main)
+                             GRAM_BOUND, GRAM_MAX_DEGREE, PRINT_MAX_DEGREE, main)
 
 
 SMALL_CONFIG = {
@@ -143,7 +144,6 @@ POLE_NAMES = {
     ["print-poly", "--family", "simplex", "--index=-1,0,0", "--params", "0,0,0,0,0,0"],
     ["print-poly", "--family", "triangle", "--index", "1,2", "--params", "0,0,0,0"],
     ["connect", "--mode", "alpha", "--index=-1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],
-    ["gram", "--N", "2", "--points", "0", "--params", "0,0,0,0,0,0"],
     ["print-poly", "--family", "jacobi", "--index", "2", "--params=-1,0"],
     ["print-poly", "--family", "jacobi", "--index", "1", "--params=-2,0"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=-2,0,0,0,0,0"],
@@ -175,7 +175,7 @@ POLE_NAMES = {
      "--xi", "1/2", "--target", "0,0,0,0"],
     ["connect", "--mode", "general", "--index", "1,0,0", "--params", "0,0,0,0,0,0",
      "--target", "0,0,0,0", "--xi", "1/2"],
-], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index", "zero-points",
+], ids=["short-params", "negative-index", "k-above-n", "connect-negative-index",
         "jacobi-param-at-pole", "jacobi-param-below-pole", "simplex-param-below-pole", "monic-triangle-param-at-pole",
         "monic-simplex-param-below-pole", "connect-target-pole", "connect-param-below-pole",
         "connect-xi-below-pole", "connect-general-target-below-pole",
@@ -265,38 +265,48 @@ def _refuse_arrays(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError(f"an array was built for {args}")
     monkeypatch.setattr(quadrature, "collapsed_gram", refuse)
-    monkeypatch.setattr(quadrature, "gauss_jacobi_01", refuse)
+    monkeypatch.setattr(quadrature, "_evaluate", refuse)
 
 
+def _exit_status(argv):
+    """main's exit status, also where the parser refuses an option."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# --points is no option: every rule has N + 1 points per axis, which
+# integrate the products of two members exactly.
 @pytest.mark.parametrize("family", ["simplex", "triangle"])
 @pytest.mark.parametrize("argv, message", [
     (["--N", "25"], f"--N must be from 0 to {GRAM_MAX_DEGREE}, got 25"),
     (["--N", "40"], f"--N must be from 0 to {GRAM_MAX_DEGREE}, got 40"),
-    (["--N", "4", "--points", "1001"], f"--points must be at most {GRAM_MAX_POINTS}, got 1001"),
-    (["--N", "4", "--points", "100000"],
-     f"--points must be at most {GRAM_MAX_POINTS}, got 100000"),
-    (["--N", "2", "--points", "0"], "--points must be at least 1, got 0"),
-    (["--N", "2", "--points=-3"], "--points must be at least 1, got -3"),
-], ids=["N-25", "N-40", "points-1001", "points-100000", "points-0", "points-minus-3"])
+    (["--N", "4", "--points", "7"], "unrecognized arguments: --points 7"),
+    (["--N", "4", "--points", "1001"], "unrecognized arguments: --points 1001"),
+    (["--N", "4", "--points", "100000"], "unrecognized arguments: --points 100000"),
+    (["--N", "2", "--points", "0"], "unrecognized arguments: --points 0"),
+    (["--N", "2", "--points=-3"], "unrecognized arguments: --points=-3"),
+], ids=["N-25", "N-40", "points-7", "points-1001", "points-100000", "points-0",
+        "points-minus-3"])
 def test_gram_past_its_bounds_exits_usage_before_any_array(family, argv, message, monkeypatch,
                                                           capsys):
     _refuse_arrays(monkeypatch)
     params = "0,0,0,0,0,0" if family == "simplex" else "0,0,0,0"
-    assert main(["gram", "--family", family, *argv, "--params", params]) == EX_USAGE
-    assert capsys.readouterr().err.splitlines() == [f"simplexpoly: error: {message}"]
+    assert _exit_status(["gram", "--family", family, *argv, "--params", params]) == EX_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.endswith(f"simplexpoly: error: {message}\n")
 
 
 def test_gram_at_its_bounds_is_accepted(monkeypatch, capsys):
     calls = []
 
-    def gram(family, max_degree, params, points=None):
-        calls.append((max_degree, points))
-        return [(0, 0, 0)], np.ones((1, 1))
+    def gram(family, max_degree, params):
+        calls.append(max_degree)
+        return [(0, 0, 0)], np.full((1, 1), 1 / 6)
     monkeypatch.setattr(quadrature, "collapsed_gram", gram)
-    argv = ["gram", "--N", str(GRAM_MAX_DEGREE), "--points", str(GRAM_MAX_POINTS),
-            "--params", "0,0,0,0,0,0"]
-    assert main(argv) == EX_OK
-    assert calls == [(GRAM_MAX_DEGREE, GRAM_MAX_POINTS)]
+    assert main(["gram", "--N", str(GRAM_MAX_DEGREE), "--params", "0,0,0,0,0,0"]) == EX_OK
+    assert calls == [GRAM_MAX_DEGREE]
 
 
 def test_missing_config_exit_code(capsys):
@@ -449,6 +459,29 @@ def test_unwritable_out_is_refused_before_any_task_runs(config_path, tmp_path, m
     assert capsys.readouterr().err.startswith("simplexpoly: error: ")
 
 
+# gram builds its matrix and connect its expansion only after --out is
+# checked; an existing file keeps its text when a run is refused.
+@pytest.mark.parametrize("argv, module, build", [
+    (["gram", "--N", "20", "--params", "0,0,0,0,0,0"], quadrature, "collapsed_gram"),
+    (["connect", "--mode", "general", "--index", "8,8,8", "--params", "0,0,0,0,0,0",
+      "--target", "1,1,1,1"], simplex3d, "connect_general"),
+], ids=["gram", "connect"])
+def test_unwritable_out_is_refused_before_anything_is_built(argv, module, build, tmp_path,
+                                                            monkeypatch, capsys):
+    def refuse(*args):
+        raise ValueError("refused after --out was checked")
+
+    monkeypatch.setattr(module, build, refuse)
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out")]) == EX_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("simplexpoly: error: [Errno")
+    out = tmp_path / "kept"
+    out.write_text("kept\n")
+    assert main(argv + ["--out", str(out)]) == EX_USAGE
+    assert capsys.readouterr().err == "simplexpoly: error: refused after --out was checked\n"
+    assert out.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gram", "--N", "1", "--params", "0,0,0,0,0,0"],
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0", "--xi", "1"],
@@ -503,27 +536,26 @@ def test_gram_csv_prints_every_entry_with_twelve_digits(family, params, tmp_path
     assert path.read_text() == "\n".join(lines) + "\n"
 
 
-def test_gram_reports_missed_bound(capsys, tmp_path):
-    # Two points per axis cannot integrate products of degree-4 members.
+def test_gram_reports_missed_bound(capsys, tmp_path, monkeypatch):
+    """Norms 1e-9 off the paper's leave every normalized diagonal entry
+    1e-9 off, and the matrix misses its bound at an entry (i, i)."""
+    def mutant(axes, degrees):
+        return jacobi1d.collapsed_norm(axes, degrees) * (1 + 1e-9)
+    monkeypatch.setattr(quadrature, "collapsed_norm", mutant)
     path = tmp_path / "g4.csv"
-    code = main(["gram", "--N", "4", "--points", "2", "--params", "0,0,0,0,0,0",
-                 "--out", str(path)])
+    code = main(["gram", "--N", "4", "--params", "0,0,0,0,0,0", "--out", str(path)])
     assert code == EX_FAIL
     assert len(path.read_text().splitlines()) == 36  # header + 35 members
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "exceeds the bound 1e-10" in err[0]
+    [line] = capsys.readouterr().err.splitlines()
+    match = re.fullmatch(r"simplexpoly: gram: \|g / sqrt\(h h\) - delta\| = (\S+) at members "
+                         r"(\S+) and (\S+) exceeds the bound 1e-10", line)
+    assert match and match[2] == match[3]
+    assert float(match[1]) == pytest.approx(1e-9, rel=1e-3)
+    monkeypatch.undo()
     code = main(["gram", "--N", "12", "--params", "0,0,0,0,0,0", "--out", str(path)])
     assert code == EX_OK
     assert len(path.read_text().splitlines()) == 456  # header + 455 members
     assert capsys.readouterr().err == ""
-
-
-def test_gram_with_a_rule_too_short_for_the_products_misses_its_bound(capsys, tmp_path):
-    path = tmp_path / "g.csv"
-    assert main(["gram", "--N", "4", "--points", "3", "--params", "0,0,0,0,0,0",
-                 "--out", str(path)]) == EX_FAIL
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "exceeds the bound 1e-10" in err[0]
 
 
 @pytest.mark.parametrize("params", ["500,500,0,0,0,0", "1000,1000,0,0,0,0"])
@@ -555,9 +587,7 @@ def test_gram_holds_its_bound_at_N_24_with_an_exponent_of_37():
     family = simplex3d.FAMILY
     params = family.check("-19/20,7,12,-19/20,12,5".split(","))
     idxs, gram = quadrature.collapsed_gram(family, 24, params)
-    assert quadrature.gram_offdiag_max(idxs, gram) <= GRAM_BOUND
-    expected = quadrature.expected_gram_diagonal(family, idxs, params)
-    assert np.abs(np.diag(gram) / expected - 1).max() <= GRAM_BOUND
+    assert quadrature.gram_error(family, idxs, gram, params)[0] <= GRAM_BOUND
 
 
 def test_connect_alpha_json(capsys):

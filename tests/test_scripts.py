@@ -11,8 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
-from simplexpoly import quadrature, simplex3d, sweeps, triangle2d
-from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_OK, EX_USAGE, GRAM_MAX_DEGREE
+from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
+from simplexpoly.cli import EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE, GRAM_MAX_DEGREE
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -200,6 +200,17 @@ def test_scan_covers_both_families_with_rows_that_gram_accepts(capsys):
     assert orthogonality_scan.main(["--N", "2", "--draws", "4", "--seed", "3"]) == EX_OK
     rows = capsys.readouterr().out.splitlines()[:-1]
     assert [row.split()[0] for row in rows] == ["tetrahedron"] * 4 + ["triangle"] * 4
+
+
+def test_scan_exits_1_where_the_norms_are_off(monkeypatch, capsys):
+    """Norms 1e-9 off the paper's put every draw's figure above the
+    bound."""
+    def mutant(axes, degrees):
+        return jacobi1d.collapsed_norm(axes, degrees) * (1 + 1e-9)
+    monkeypatch.setattr(quadrature, "collapsed_norm", mutant)
+    assert orthogonality_scan.main(["--N", "2", "--draws", "2"]) == EX_FAIL
+    *rows, last = capsys.readouterr().out.splitlines()
+    assert len(rows) == 4 and last.startswith("worst error 1.0")
 
 
 def test_scan_redraws_a_row_whose_weight_is_not_integrable():
