@@ -21,10 +21,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 from .operators import as_tuple, summarize
+from .ratpoly import as_rat
 from .special import PoleHit
 
 EX_OK = 0
@@ -58,11 +60,21 @@ def _output(path):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _check_out(path):
-    """Refuse (OSError) an --out that cannot be written, before any work;
-    append mode keeps an existing file until the output replaces it."""
+@contextlib.contextmanager
+def _checked_out(path):
+    """Refuse (OSError) an --out that cannot be written, before the work
+    that the context holds; append mode keeps an existing file until the
+    output replaces it, and a file made here is removed again when that
+    work raises, so a refused run leaves no empty --out behind."""
+    made = bool(path) and not os.path.lexists(path)
     if path:
         open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
 
 
 # --family -> its record.
@@ -170,8 +182,8 @@ def cmd_verify(args) -> int:
     except sweeps.CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_CONFIG
-    _check_out(args.out)
-    reports = sweeps.run_suite_tasks(suite, tasks, jobs=args.jobs or jobs)
+    with _checked_out(args.out):
+        reports = sweeps.run_suite_tasks(suite, tasks, jobs=args.jobs or jobs)
     summary = summarize(reports)
     if args.out:
         sweeps.write_report(args.out, reports, summary)
@@ -199,8 +211,8 @@ def cmd_gram(args) -> int:
         raise ValueError(f"--N must be from 0 to {GRAM_MAX_DEGREE}, got {args.max_degree}")
     family = _FAMILIES[args.family]
     params = family.check(args.params.split(","))
-    _check_out(args.out)
-    idxs, gram = quadrature.collapsed_gram(family, args.max_degree, params)
+    with _checked_out(args.out):
+        idxs, gram = quadrature.collapsed_gram(family, args.max_degree, params)
     labels = [",".join(map(str, idx)) for idx in idxs]
     # Written a row at a time, each entry as format(v, ".12g") prints it.
     row_format = ";".join(["%.12g"] * len(labels))
@@ -223,18 +235,20 @@ def cmd_connect(args) -> int:
     if args.mode == "alpha":
         if args.xi is None or args.target is not None:
             raise ValueError("mode=alpha takes --xi and no --target")
-        connect, target = simplex3d.connect_alpha, args.xi
+        target = as_rat(args.xi)
+        connect, row = simplex3d.connect_alpha, (target,) + params[1:]
     else:
         if args.target is None or args.xi is not None:
             raise ValueError("mode=general takes --target and no --xi")
-        connect, target = simplex3d.connect_general, as_tuple(args.target.split(","), 4)
-    _check_out(args.out)
-    expansion = connect(idx, params, target)
+        target = as_tuple(args.target.split(","), 4)
+        connect, row = simplex3d.connect_general, target + params[4:]
     try:
-        family.check(expansion.target_params)
+        family.check(row)
     except ValueError as exc:
         raise ValueError(f"target {exc}") from exc
-    ok = expansion.verify()
+    with _checked_out(args.out):
+        expansion = connect(idx, params, target)
+        ok = expansion.verify()
     payload = {
         "source_index": list(expansion.source_index),
         "source_params": [str(v) for v in expansion.source_params],

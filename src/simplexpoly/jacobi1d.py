@@ -105,21 +105,9 @@ def h_ratio(n: int, big_a: Fraction, big_b: Fraction, base_a: Fraction) -> Fract
     return num / den
 
 
-def h_absolute(n: int, a: float, b: float) -> float:
-    """Float value of the squared norm h_n (used by quadrature checks)."""
-    if n == 0:
-        return math.exp(
-            math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2)
-        )
-    # (a+b+2n+1) Gamma(a+b+n+1) rewritten through Gamma(a+b+n+2): every
-    # lgamma argument is then positive for a, b > -1 and n >= 1.
-    log_h = (
-        math.lgamma(a + n + 1)
-        + math.lgamma(b + n + 1)
-        - math.lgamma(n + 1)
-        - math.lgamma(a + b + n + 2)
-    )
-    return math.exp(log_h) * (a + b + n + 1) / (a + b + 2 * n + 1)
+def mass(a, b) -> float:
+    """The mass B(b+1, a+1) of the weight (1-x)^a x^b, h_0, as a float."""
+    return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +225,6 @@ def collapsed_norm_ratio(axes, degrees) -> Fraction:
     one h_ratio per axis, every gamma pair at an integer offset."""
     return math.prod(h_ratio(d, big_a, big_b, base_a) for d, (big_a, big_b), (base_a, _)
                      in zip(degrees, collapsed_exponents(axes, degrees), axes))
-
-
-def collapsed_norm(axes, degrees) -> float:
-    """Float squared norm of the member: one h_absolute per axis."""
-    return math.prod(h_absolute(d, float(big_a), float(big_b))
-                     for d, (big_a, big_b) in zip(degrees, collapsed_exponents(axes, degrees)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -211,14 +211,12 @@ def report_equality(
     lhs: MPoly,
     rhs: MPoly,
     *,
-    applicable: bool = True,
     detail: str = None,
 ) -> VerificationReport:
     """Compare two exact polynomials and wrap the outcome in a report; a
     failing report also carries the text of lhs - rhs."""
     if lhs == rhs:
-        status = PASS if applicable else NOT_APPLICABLE
-        return VerificationReport(relation, tuple(index), params, status, detail=detail)
+        return VerificationReport(relation, tuple(index), params, PASS, detail=detail)
     return VerificationReport(
         relation,
         tuple(index),
@@ -243,7 +241,7 @@ def _report_multiple(relation, index, params, operator: DiffOperator, num: MPoly
         status = PASS if applicable else NOT_APPLICABLE
         return VerificationReport(relation, tuple(index), params, status, detail=detail)
     return report_equality(relation, index, params, operator.divide(num), target.scale(scale),
-                           applicable=applicable, detail=detail)
+                           detail=detail)
 
 
 def verify_sparse(family, op: str, idx, p) -> VerificationReport:

@@ -25,20 +25,22 @@ rule (s = 0), exact for products of members of degree <= N, and in one
 pass at its nodes every factor and the rule's weights; the sum over the
 tensor rule splits into one small Gram matrix per axis, whose entrywise
 product fills the one output matrix a block of rows at a time.
-`gram_error` reads that matrix against the members' norms in closed form.
+`gram_error` reads that matrix against the members' exact norm ratios.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from itertools import starmap
 from typing import Tuple
 
 import numpy as np
 
 from . import simplex3d, triangle2d
-from .jacobi1d import collapsed_norm, h_absolute
+from .jacobi1d import collapsed_norm_ratio, mass
 
 
 class ConvergenceFailure(RuntimeError):
@@ -77,10 +79,10 @@ def jacobi_recurrence(m: int, a, b):
     num[..., :1] = den[..., :1] = 1.0
     ratio, ab, s1, inner = num / den, (i + a) * (i + b), s + 1, s[..., :-1]
     diag = np.concatenate([(b - a) / (apb + 2), (b * b - a * a) / (inner * (inner + 2))], -1)
-    mass = np.frompyfunc(partial(h_absolute, 0), 2, 1)(a, b).astype(float)
+    h0 = np.frompyfunc(mass, 2, 1)(a, b).astype(float)
     first = np.zeros(apb.shape)
     return (diag[..., :m], np.concatenate([first, np.sqrt(4 * i * ab * ratio / (s * s * s1))], -1),
-            mass * np.cumprod(np.concatenate([first + 1, ab / (i * s1 * ratio)], -1), -1))
+            h0 * np.cumprod(np.concatenate([first + 1, ab / (i * s1 * ratio)], -1), -1))
 
 
 def _evaluate(recurrence, n: int):
@@ -268,10 +270,12 @@ gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 def gram_error(family, indices, gram: np.ndarray, params):
     """(worst, i, j): the largest |g_ij / sqrt(h_i h_j) - delta_ij| over a
     Gram matrix of the family's members at `indices`, h their squared norms
-    in closed form, and where it first occurs; read a block of rows at a
-    time, a nan entry as inf."""
+    (the exact `collapsed_norm_ratio`, rounded once, times the weight's
+    mass), and where it first occurs; read a block of rows at a time, a nan
+    entry as inf."""
     axes = family.axes(*family.params(params))
-    d = np.sqrt([collapsed_norm(axes, family.degrees(*idx)) for idx in indices])
+    h0 = math.prod(starmap(mass, axes))
+    d = np.sqrt([float(collapsed_norm_ratio(axes, family.degrees(*idx))) * h0 for idx in indices])
     worst = (-1.0, 0, 0)
     for rows in _row_blocks(len(d)):
         error = gram[rows] / np.multiply.outer(d[rows], d)

@@ -26,6 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import starmap
 from operator import add, index
 from typing import Callable, Tuple
 
@@ -57,7 +58,7 @@ from .ratpoly import (
     over_lcm,
 )
 from .special import PoleHit, _hyper3f2_integers, _rising, factorial, gamma_ratio, pochhammer
-from .jacobi1d import Family, collapsed_exponents, collapsed_norm, lift_univariate
+from .jacobi1d import Family, collapsed_exponents, lift_univariate, mass
 from .triangle2d import classical_jacobi_shifted
 
 
@@ -92,9 +93,9 @@ def simplex_poly(idx, p) -> MPoly:
 
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
-    """(exact ratio against the (0,0,0) member, absolute float norm)."""
-    idx = FAMILY.index(idx)
-    return FAMILY.norm_ratio(idx, p), collapsed_norm(axes(*FAMILY.params(p)), idx)
+    """(exact ratio against the (0,0,0) member, that ratio times the mass)."""
+    ratio = FAMILY.norm_ratio(idx, p)
+    return ratio, float(ratio) * math.prod(starmap(mass, axes(*FAMILY.params(p))))
 
 
 def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:

@@ -3,6 +3,7 @@
 import json
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,7 +151,9 @@ POLE_NAMES = {
     ["print-poly", "--family", "triangle", "--index", "1,0", "--params=0,0,-1,0", "--monic"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0", "--params=0,0,0,-3/2,0,0",
      "--monic"],
-    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=0,0,0,0,0,0", "--xi=-3"],
+    # A pole of the alpha connection at a target inside the weight domain.
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=0,-1/2,-1/2,-1/2,-1/2,-1/2",
+     "--xi=-1/2"],
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=-2,0,0,0,0,0", "--xi", "1"],
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0", "--xi=-3/2"],
     ["connect", "--mode", "general", "--index", "1,1,0", "--params", "0,0,0,0,0,0",
@@ -168,8 +171,8 @@ POLE_NAMES = {
      "--monic"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0",
      "--params=-2/3,-2/3,-2/3,-2/3,-2/3,-2/3", "--monic"],
-    ["connect", "--mode", "general", "--index", "0,0,2", "--params", "0,0,0,0,0,0",
-     "--target=0,0,-2,-1"],
+    ["connect", "--mode", "general", "--index", "2,0,0", "--params=-5/6,-5/6,-5/6,-5/6,-5/6,-5/6",
+     "--target=-5/6,-5/6,-5/6,-5/6"],
     # A flag that the mode does not read.
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0",
      "--xi", "1/2", "--target", "0,0,0,0"],
@@ -500,6 +503,44 @@ def test_unwritable_out_is_a_usage_error(argv, where, config_path, tmp_path, cap
     assert len(err) == 1 and err[0].startswith("simplexpoly: error: ")
 
 
+# Refused after --out was checked: an --out made for the run is removed,
+# one that existed keeps its bytes.
+@pytest.mark.parametrize("argv, message", [
+    (["gram", "--N", "4", "--params=500,500,0,0,0,0"], "the members' squared norms underflow"),
+    (["gram", "--N", "2", "--params=0,0,-9/10,-9/10,0,-9/10"],
+     "the weight's exponent -17/10 on axis y/(1-x)"),
+    (["connect", "--mode", "alpha", "--index", "0,0,0", "--params=0,-1/2,-1/2,-1/2,-1/2,-1/2",
+      "--xi=-1/2"], "alpha connection coefficient of 0,0,0 on 0,0,0: gamma ratio pole"),
+], ids=["gram-underflow", "gram-not-integrable", "connect-pole"])
+def test_a_refused_run_leaves_no_out(argv, message, tmp_path, capsys):
+    out = tmp_path / "new"
+    assert main(argv + ["--out", str(out)]) == EX_USAGE
+    assert capsys.readouterr().err.startswith("simplexpoly: error: " + message)
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert main(argv + ["--out", str(out)]) == EX_USAGE
+    assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("mode, target, message", [
+    ("alpha", ["--xi=-3"], "target parameter alpha = -3 must exceed -1"),
+    ("general", ["--target=-2,0,0,0"], "target parameter alpha = -2 must exceed -1"),
+    ("general", ["--target=0,0,0,-1"], "target parameter delta = -1 must exceed -1"),
+], ids=["xi", "target-alpha", "target-delta"])
+def test_connect_refuses_its_target_before_anything_is_built(mode, target, message, tmp_path,
+                                                             monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an expansion was built before its target was checked")
+
+    monkeypatch.setattr(simplex3d, "connect_" + mode, refuse)
+    out = tmp_path / "t.json"
+    code = main(["connect", "--mode", mode, "--index", "1,0,0", "--params=0,0,0,0,0,0", *target,
+                 "--out", str(out)])
+    assert code == EX_USAGE
+    assert capsys.readouterr().err == f"simplexpoly: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind, relation", [("ladder1d", "L4"), ("so1d", "L1.L1p.rel")])
 def test_interval_checks_at_the_degree_cap_fit_the_exponent_limit(kind, relation):
     # Both reach degree + 1, and overflow at degree 511.
@@ -537,11 +578,14 @@ def test_gram_csv_prints_every_entry_with_twelve_digits(family, params, tmp_path
 
 
 def test_gram_reports_missed_bound(capsys, tmp_path, monkeypatch):
-    """Norms 1e-9 off the paper's leave every normalized diagonal entry
-    1e-9 off, and the matrix misses its bound at an entry (i, i)."""
+    """Norm ratios 1e-9 off the paper's leave every normalized diagonal
+    entry 1e-9 off, and the matrix misses its bound at an entry (i, i)."""
+    calls = []
+
     def mutant(axes, degrees):
-        return jacobi1d.collapsed_norm(axes, degrees) * (1 + 1e-9)
-    monkeypatch.setattr(quadrature, "collapsed_norm", mutant)
+        calls.append(degrees)
+        return jacobi1d.collapsed_norm_ratio(axes, degrees) * (1 + Fraction(1, 10**9))
+    monkeypatch.setattr(quadrature, "collapsed_norm_ratio", mutant)
     path = tmp_path / "g4.csv"
     code = main(["gram", "--N", "4", "--params", "0,0,0,0,0,0", "--out", str(path)])
     assert code == EX_FAIL
@@ -551,6 +595,7 @@ def test_gram_reports_missed_bound(capsys, tmp_path, monkeypatch):
                          r"(\S+) and (\S+) exceeds the bound 1e-10", line)
     assert match and match[2] == match[3]
     assert float(match[1]) == pytest.approx(1e-9, rel=1e-3)
+    assert calls
     monkeypatch.undo()
     code = main(["gram", "--N", "12", "--params", "0,0,0,0,0,0", "--out", str(path)])
     assert code == EX_OK
@@ -603,7 +648,7 @@ def test_connect_alpha_json(capsys):
 
 @pytest.mark.parametrize("argv, cause", [
     pytest.param(
-        ["--params=0,0,0,0,0,0", "--xi=-3"],
+        ["--params=0,-1/2,-1/2,-1/2,-1/2,-1/2", "--xi=-1/2"],
         "alpha connection coefficient of 1,0,0 on 0,0,0: gamma ratio pole at base=2, offset=-2",
         id="argv0-pole at base=2, offset=-2"),
     (["--params=-2,0,0,0,0,0", "--xi", "1"], "parameter alpha = -2 must exceed -1"),

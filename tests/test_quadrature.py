@@ -22,7 +22,7 @@ from simplexpoly.quadrature import (
     tetra_rule,
     triangle_rule,
 )
-from simplexpoly.jacobi1d import collapsed_norm, h_absolute
+from simplexpoly.jacobi1d import collapsed_norm_ratio, h_ratio, mass
 from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
 
@@ -126,9 +126,12 @@ def test_one_call_gives_one_rule_per_exponent_pair():
                                   (85.0, 12.0)])
 def test_recurrence_norms_match_the_closed_form(a, b):
     """The squared norms that the recurrence carries, by products of their
-    ratios, against h_absolute; (-1/2, -1/2) is the pair whose sum is -1."""
+    ratios, against the exact ratios h_n / h_0 times the mass; (-1/2, -1/2)
+    is the pair whose sum is -1."""
     _, _, h = jacobi_recurrence(24, a, b)
-    expected = np.array([h_absolute(n, a, b) for n in range(25)])
+    exact_a, exact_b = Fraction(a), Fraction(b)
+    expected = np.array([float(h_ratio(n, exact_a, exact_b, exact_a)) * mass(a, b)
+                         for n in range(25)])
     assert np.abs(h / expected - 1).max() <= 1e-12
 
 
@@ -325,9 +328,12 @@ def test_a_longer_rule_gives_the_default_matrix(family, params):
 
 
 def _norm_roots(family, idxs, params):
-    """Square roots of the members' squared norms in closed form."""
+    """Square roots of the members' squared norms: the exact ratios times
+    the weight's mass."""
     axes = family.axes(*family.params(params))
-    return np.sqrt([collapsed_norm(axes, family.degrees(*idx)) for idx in idxs])
+    h0 = math.prod(mass(*pair) for pair in axes)
+    return np.sqrt([float(collapsed_norm_ratio(axes, family.degrees(*idx))) * h0
+                    for idx in idxs])
 
 
 def _assert_gram_close(family, idxs, params, gram, oracle):

@@ -203,12 +203,16 @@ def test_scan_covers_both_families_with_rows_that_gram_accepts(capsys):
 
 
 def test_scan_exits_1_where_the_norms_are_off(monkeypatch, capsys):
-    """Norms 1e-9 off the paper's put every draw's figure above the
+    """Norm ratios 1e-9 off the paper's put every draw's figure above the
     bound."""
+    calls = []
+
     def mutant(axes, degrees):
-        return jacobi1d.collapsed_norm(axes, degrees) * (1 + 1e-9)
-    monkeypatch.setattr(quadrature, "collapsed_norm", mutant)
+        calls.append(degrees)
+        return jacobi1d.collapsed_norm_ratio(axes, degrees) * (1 + Fraction(1, 10**9))
+    monkeypatch.setattr(quadrature, "collapsed_norm_ratio", mutant)
     assert orthogonality_scan.main(["--N", "2", "--draws", "2"]) == EX_FAIL
+    assert calls
     *rows, last = capsys.readouterr().out.splitlines()
     assert len(rows) == 4 and last.startswith("worst error 1.0")
 
