@@ -40,7 +40,7 @@ from typing import Tuple
 import numpy as np
 
 from . import simplex3d, triangle2d
-from .jacobi1d import collapsed_norm_ratio, mass
+from .jacobi1d import h_ratio, mass
 
 
 class ConvergenceFailure(RuntimeError):
@@ -267,15 +267,32 @@ gram_matrix = partial(collapsed_gram, simplex3d.FAMILY)
 gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 
 
+def squared_norms(family, indices, params) -> np.ndarray:
+    """The squared norms of the family's members at `indices`: each
+    member's exact `collapsed_norm_ratio`, rounded once, times the weight's
+    mass.  A member's ratio is the product over the axes of h_ratio(d_j;
+    A_j + 2 s_j, B_j; A_j), s_j the sum of the later degrees, and the
+    members share these factors, so each is computed once per (j, d_j, s_j)."""
+    axes = family.axes(*family.params(params))
+
+    @lru_cache(maxsize=None)
+    def axis_ratio(j: int, d: int, s: int):
+        big_a, big_b = axes[j]
+        return h_ratio(d, big_a + 2 * s, big_b, big_a)
+
+    ratios = []
+    for idx in indices:
+        ds = family.degrees(*idx)
+        ratios.append(float(math.prod(axis_ratio(j, d, sum(ds[j + 1:])) for j, d in enumerate(ds))))
+    return np.array(ratios) * math.prod(starmap(mass, axes))
+
+
 def gram_error(family, indices, gram: np.ndarray, params):
     """(worst, i, j): the largest |g_ij / sqrt(h_i h_j) - delta_ij| over a
-    Gram matrix of the family's members at `indices`, h their squared norms
-    (the exact `collapsed_norm_ratio`, rounded once, times the weight's
-    mass), and where it first occurs; read a block of rows at a time, a nan
-    entry as inf."""
-    axes = family.axes(*family.params(params))
-    h0 = math.prod(starmap(mass, axes))
-    d = np.sqrt([float(collapsed_norm_ratio(axes, family.degrees(*idx))) * h0 for idx in indices])
+    Gram matrix of the family's members at `indices`, h their
+    `squared_norms`, and where it first occurs; read a block of rows at a
+    time, a nan entry as inf."""
+    d = np.sqrt(squared_norms(family, indices, params))
     worst = (-1.0, 0, 0)
     for rows in _row_blocks(len(d)):
         error = gram[rows] / np.multiply.outer(d[rows], d)

@@ -1,9 +1,10 @@
 """Verification sweeps: task generation, execution, and report merging.
 
 A sweep expands a suite section of the JSON config into picklable tasks
-(kind, relation, index, row), each distinct row of a grid once, cuts them
-in the builders' order into the same chunks at every job count, runs the
-chunks in this process and, for more than one job, in forked workers beside
+(kind, relation, index, row), each distinct row of a grid once, runs them
+on one process per `TASKS_PER_PROCESS` tasks, up to the job count, cuts
+them in the builders' order into four chunks per process, runs the chunks
+in this process and, for more than one process, in forked workers beside
 it, and merges the reports, sorted by their key, which is their task's.
 
 Each task first scopes the construction caches to the row its members are
@@ -45,6 +46,14 @@ MAX_DEGREE = EXPONENT_LIMIT - 8
 # sections of 62,160, 155,400 and 271,950 tasks peaked at 66, 94 and 138
 # MB), so this is about 500 MB, three times ROADMAP item 1's largest grid.
 MAX_TASKS = 1_000_000
+
+# The fewest tasks that repay one more process: `run_tasks` starts one
+# process per this many tasks or part of them.  A forked worker starts with
+# cold construction caches, so a short list spends more CPU in it than it
+# saves.  Wall time on one row of the shipped grids, 2-core host, --jobs 2,
+# in one process and with a worker: m2d (700 tasks) 58.6 and 60.9 ms,
+# theorem1 (2,072 tasks) 213 and 131 ms, second-order (2,904) 379 and 193 ms.
+TASKS_PER_PROCESS = 1000
 
 
 class ConfigError(ValueError):
@@ -265,16 +274,18 @@ def _chunks(tasks: List[Task], count: int) -> List[List[Task]]:
 
 
 def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
-    """Execute tasks in about four `_chunks` per CPU, across at most `jobs`
-    processes, this one included, and sort the reports.  Of N processes,
-    this one runs every Nth chunk from the first, after handing the others
-    to a pool of N - 1 forked workers.  No more processes run than the host
-    has CPUs or the tasks have chunks: the pool forks every worker at once.
-    If this process's share raises, the pool's pending chunks are cancelled
-    and its workers joined before the error propagates."""
-    cpus = os.cpu_count() or 1
-    split = _chunks(tasks, cpus * 4)
-    workers = min(jobs, cpus, len(split))
+    """Execute tasks on at most `jobs` processes, this one included, cut
+    into four `_chunks` per process, and sort the reports.  A process runs
+    per TASKS_PER_PROCESS tasks or part of them, and no more than the host
+    has CPUs or the tasks have chunks, so a short list forks nothing.  Of N
+    processes, this one runs every Nth chunk from the first, after handing
+    the others to a pool of N - 1 forked workers: the pool forks every
+    worker at once.  If this process's share raises, the pool's pending
+    chunks are cancelled and its workers joined before the error
+    propagates."""
+    processes = min(jobs, os.cpu_count() or 1, -(-len(tasks) // TASKS_PER_PROCESS) or 1)
+    split = _chunks(tasks, processes * 4)
+    workers = min(processes, len(split))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             theirs = pool.map(_run_chunk, [c for i, c in enumerate(split) if i % workers])

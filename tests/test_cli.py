@@ -578,14 +578,15 @@ def test_gram_csv_prints_every_entry_with_twelve_digits(family, params, tmp_path
 
 
 def test_gram_reports_missed_bound(capsys, tmp_path, monkeypatch):
-    """Norm ratios 1e-9 off the paper's leave every normalized diagonal
-    entry 1e-9 off, and the matrix misses its bound at an entry (i, i)."""
+    """Axis norm ratios 1e-9 off the paper's put each norm ratio of the
+    tetrahedron, a product of three, and so every normalized diagonal entry
+    3e-9 off, and the matrix misses its bound at an entry (i, i)."""
     calls = []
 
-    def mutant(axes, degrees):
-        calls.append(degrees)
-        return jacobi1d.collapsed_norm_ratio(axes, degrees) * (1 + Fraction(1, 10**9))
-    monkeypatch.setattr(quadrature, "collapsed_norm_ratio", mutant)
+    def mutant(*args):
+        calls.append(args)
+        return jacobi1d.h_ratio(*args) * (1 + Fraction(1, 10**9))
+    monkeypatch.setattr(quadrature, "h_ratio", mutant)
     path = tmp_path / "g4.csv"
     code = main(["gram", "--N", "4", "--params", "0,0,0,0,0,0", "--out", str(path)])
     assert code == EX_FAIL
@@ -594,7 +595,7 @@ def test_gram_reports_missed_bound(capsys, tmp_path, monkeypatch):
     match = re.fullmatch(r"simplexpoly: gram: \|g / sqrt\(h h\) - delta\| = (\S+) at members "
                          r"(\S+) and (\S+) exceeds the bound 1e-10", line)
     assert match and match[2] == match[3]
-    assert float(match[1]) == pytest.approx(1e-9, rel=1e-3)
+    assert float(match[1]) == pytest.approx(3e-9, rel=1e-3)
     assert calls
     monkeypatch.undo()
     code = main(["gram", "--N", "12", "--params", "0,0,0,0,0,0", "--out", str(path)])

@@ -19,6 +19,7 @@ from simplexpoly.quadrature import (
     gram_matrix,
     gram_matrix_triangle,
     jacobi_recurrence,
+    squared_norms,
     tetra_rule,
     triangle_rule,
 )
@@ -327,13 +328,18 @@ def test_a_longer_rule_gives_the_default_matrix(family, params):
     assert (np.abs(longer[np.ix_(rows, rows)] - gram) / np.outer(d, d)).max() <= 1e-13
 
 
-def _norm_roots(family, idxs, params):
-    """Square roots of the members' squared norms: the exact ratios times
+def _exact_norms(family, idxs, params):
+    """The members' squared norms: the exact ratios, rounded once, times
     the weight's mass."""
     axes = family.axes(*family.params(params))
     h0 = math.prod(mass(*pair) for pair in axes)
-    return np.sqrt([float(collapsed_norm_ratio(axes, family.degrees(*idx))) * h0
-                    for idx in idxs])
+    return np.array([float(collapsed_norm_ratio(axes, family.degrees(*idx))) * h0
+                     for idx in idxs])
+
+
+def _norm_roots(family, idxs, params):
+    """Square roots of the members' squared norms."""
+    return np.sqrt(_exact_norms(family, idxs, params))
 
 
 def _assert_gram_close(family, idxs, params, gram, oracle):
@@ -423,6 +429,15 @@ def test_offdiag_max_matches_the_whole_array_formula(size):
     blocked = gram_error(family, idxs, gram, params)
     assert blocked[0] == math.inf
     assert blocked == _whole_array_error(family, idxs, gram, params)
+
+
+@pytest.mark.parametrize("family, params", [
+    (simplex3d.FAMILY, PARAMS6), (triangle2d.FAMILY, (F(1, 3), F(-1, 2), F(5), F(7)))])
+def test_squared_norms_are_the_exact_norm_ratios_rounded_once(family, params):
+    """The per-axis factors, shared between members, give each member's
+    `collapsed_norm_ratio` to the last bit, at N = 12."""
+    idxs = sorted(family.indices(12))
+    assert np.array_equal(squared_norms(family, idxs, params), _exact_norms(family, idxs, params))
 
 
 def _numpy_peak(call):

@@ -203,18 +203,18 @@ def test_scan_covers_both_families_with_rows_that_gram_accepts(capsys):
 
 
 def test_scan_exits_1_where_the_norms_are_off(monkeypatch, capsys):
-    """Norm ratios 1e-9 off the paper's put every draw's figure above the
-    bound."""
+    """Axis norm ratios 1e-9 off the paper's put every draw's figure above
+    the bound, the tetrahedron's, over three axes, at 3e-9."""
     calls = []
 
-    def mutant(axes, degrees):
-        calls.append(degrees)
-        return jacobi1d.collapsed_norm_ratio(axes, degrees) * (1 + Fraction(1, 10**9))
-    monkeypatch.setattr(quadrature, "collapsed_norm_ratio", mutant)
+    def mutant(*args):
+        calls.append(args)
+        return jacobi1d.h_ratio(*args) * (1 + Fraction(1, 10**9))
+    monkeypatch.setattr(quadrature, "h_ratio", mutant)
     assert orthogonality_scan.main(["--N", "2", "--draws", "2"]) == EX_FAIL
     assert calls
     *rows, last = capsys.readouterr().out.splitlines()
-    assert len(rows) == 4 and last.startswith("worst error 1.0")
+    assert len(rows) == 4 and last.startswith("worst error 3.0")
 
 
 def test_scan_redraws_a_row_whose_weight_is_not_integrable():

@@ -126,32 +126,52 @@ def test_chunks_keep_a_rows_tasks_at_one_index_together(count):
             assert where.setdefault((task[3], task[2]), number) == number
 
 
+def _real_pool(monkeypatch) -> list:
+    """Let every task repay a process, so that the short lists of these tests
+    run in a real pool, and record the worker count of each pool started."""
+    asked, pool = [], sweeps.ProcessPoolExecutor
+
+    def counted(max_workers):
+        asked.append(max_workers)
+        return pool(max_workers=max_workers)
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", 1)
+    return asked
+
+
 def test_pool_reports_equal_serial_reports(monkeypatch):
     # Two CPUs, so that the pool runs on a one-CPU host too.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asked = _real_pool(monkeypatch)
     tasks = _m2d_tasks()
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+    assert asked == [1]
 
 
 def test_plain_tuple_rows_give_the_same_reports_in_a_pool(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asked = _real_pool(monkeypatch)
     tasks = [(kind, rel, idx, tuple(row)) for kind, rel, idx, row in _m2d_tasks()]
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+    assert asked == [1]
 
 
 def test_two_workers_beside_this_process_give_the_serial_reports(monkeypatch):
     # Three CPUs and --jobs 3: this process and a pool of two workers.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    asked = _real_pool(monkeypatch)
     tasks = _m2d_tasks()
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=3)] == serial
+    assert asked == [2]
     assert not multiprocessing.active_children()
 
 
 def test_a_fault_in_this_processs_share_leaves_no_worker_running(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    asked = _real_pool(monkeypatch)
     tasks = sweeps.tasks_m2d({"degree": 3, "params": [["0", "1/2", "0", "1"],
                                                       ["1/3", "0", "-1/2", "0"]]})
     split = sweeps._chunks(tasks, 8)
@@ -174,7 +194,7 @@ def test_a_fault_in_this_processs_share_leaves_no_worker_running(monkeypatch, tm
     monkeypatch.setattr(sweeps, "run_task", builder_bug)
     with pytest.raises(TypeError, match="a fault in a task builder"):
         sweeps.run_tasks(tasks, jobs=2)
-    assert not multiprocessing.active_children()
+    assert asked == [1] and not multiprocessing.active_children()
     # The worker's pending chunks were cancelled, not run to the end.
     assert str(theirs[-1]) not in (ran.read_text().split() if ran.exists() else [])
 
@@ -204,31 +224,68 @@ def _stand_in_pool(monkeypatch) -> tuple:
     return asked, handed
 
 
-def test_every_job_count_runs_the_same_chunks(monkeypatch):
-    asked, handed = _stand_in_pool(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    seen = []  # the chunks of each run_tasks call, in the order they ran
-    run_chunk = sweeps._run_chunk
+def _recorded_chunks(monkeypatch) -> list:
+    """Record the chunks that `_run_chunk` runs: a new list per entry
+    appended by the caller, the chunks in the order they ran."""
+    seen, run_chunk = [], sweeps._run_chunk
 
     def recorded(tasks):
         seen[-1].append(tasks)
         return run_chunk(tasks)
     monkeypatch.setattr(sweeps, "_run_chunk", recorded)
+    return seen
+
+
+def test_each_job_count_cuts_four_chunks_per_process(monkeypatch):
+    asked, handed = _stand_in_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", 1)
+    seen = _recorded_chunks(monkeypatch)
     tasks = _m2d_tasks()
     reports = []
     for jobs in (1, 2):
         seen.append([])
         reports.append([r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)])
-    split = sweeps._chunks(tasks, 8)
+    alone, split = sweeps._chunks(tasks, 4), sweeps._chunks(tasks, 8)
+    assert len(alone) < len(split)
     # --jobs 1 makes no pool; --jobs 2 is this process and one worker.
     assert reports[0] == reports[1] and asked == [1]
-    for run in seen:
-        assert Counter(map(tuple, run)) == Counter(map(tuple, split))
     # The worker is handed every second chunk; this process runs the others.
     assert handed == [split[1::2]]
     assert seen[1] == split[::2] + split[1::2]
     # Alone, this process runs the chunks in the order the suite builder made.
-    assert seen[0] == split and [t for chunk in split for t in chunk] == tasks
+    assert seen[0] == alone and [t for chunk in alone for t in chunk] == tasks
+
+
+def test_jobs_2_cuts_the_same_chunks_on_a_host_of_2_or_64_cpus(monkeypatch):
+    asked, handed = _stand_in_pool(monkeypatch)
+    monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", 1)
+    seen = _recorded_chunks(monkeypatch)
+    tasks = _m2d_tasks()
+    for cpus in (2, 64):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        seen.append([])
+        sweeps.run_tasks(tasks, jobs=2)
+    split = sweeps._chunks(tasks, 8)
+    assert asked == [1, 1] and handed == [split[1::2]] * 2
+    assert seen == [split[::2] + split[1::2]] * 2
+
+
+def test_a_list_below_the_per_process_minimum_forks_nothing(monkeypatch):
+    asked, _ = _stand_in_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    tasks = _m2d_tasks()
+    assert len(tasks) < sweeps.TASKS_PER_PROCESS
+    serial = [r.to_json() for r in sweeps.run_tasks(tasks)]
+    assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
+    assert asked == []
+    # A list of exactly the minimum runs here too; one task more forks a worker.
+    monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", len(tasks))
+    sweeps.run_tasks(tasks, jobs=2)
+    assert asked == []
+    monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", len(tasks) - 1)
+    sweeps.run_tasks(tasks, jobs=2)
+    assert asked == [1]
 
 
 def test_a_connection_builds_each_source_member_once_per_source_row(monkeypatch):
@@ -258,6 +315,7 @@ def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree,
                                                              monkeypatch):
     asked, _ = _stand_in_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", 1)
     # One row: degree 1 makes 3 (row, index) groups, degree 2 makes 6.
     tasks = [t for t in sweeps.tasks_m2d({"degree": degree, "params": [["0", "1/2", "0", "1"]]})
              if t[0] == "m2d"]
