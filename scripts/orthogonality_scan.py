@@ -30,12 +30,15 @@ FAMILIES = (("tetrahedron", simplex3d.FAMILY), ("triangle", triangle2d.FAMILY))
 
 
 def random_params(rng, family) -> tuple:
-    """A row of the family drawn from POOL, redrawn until every collapsed
-    exponent of its weight exceeds -1."""
+    """A row of the family drawn from POOL, redrawn until its weight is
+    integrable (`Family.integrable_axes`)."""
     while True:
         params = tuple(rng.choice(POOL) for _ in family.names)
-        if min(min(pair) for pair in family.axes(*params)) > -1:
-            return params
+        try:
+            family.integrable_axes(params)
+        except ValueError:
+            continue
+        return params
 
 
 def main(argv=None) -> int:

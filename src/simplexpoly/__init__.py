@@ -18,7 +18,7 @@ The package is organized bottom-up:
     cli         `simplexpoly` command-line front end
 """
 
-from .ratpoly import MPoly, NonzeroRemainder, Point
+from .ratpoly import MPoly, NonzeroRemainder
 from .special import PoleHit, gamma_ratio, hyper3f2_unit, pochhammer
 from .operators import DiffOperator, SparseRelation, VerificationReport, summarize
 from .jacobi1d import shifted_jacobi, norm_ratio, verify_ladder, verify_second_order_1d

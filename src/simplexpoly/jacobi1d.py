@@ -5,15 +5,16 @@ P(n; a, b) here denotes the degree-n Jacobi polynomial mapped to (0, 1),
 orthogonal against the weight (1-x)^a * x^b for a, b > -1.  The module
 provides exact construction, the norm ratio h_n/h_0, the products of
 Jacobi factors in collapsed coordinates that make the triangle and
-tetrahedron members and their norms, the twelve first-order ladder
-operators with their sparse recurrence table, and the twenty-four
-second-order composition identities.
+tetrahedron members, the twelve first-order ladder operators with their
+sparse recurrence table, and the twenty-four second-order composition
+identities.
 
 Every family is such a product (Koornwinder 1975), the interval with one
 axis, so one `Family` record says what each is: its collapsed base pairs,
 degree map, index grid, monic line and tables.  It builds every member,
-monic solution and exact norm ratio, and the sweeps, the quadrature and
-the CLI read it.
+monic solution and exact norm ratio, states where its weight is
+integrable and gives the weight's mass, and the sweeps, the quadrature
+and the CLI read it.
 
 One formula builds every member and collapsed factor: P(n; a, b) =
 sum_m c_m (1-x)^m, c_m = (-1)^m C(n, m) (n+a+b+1)_m (a+1+m)_(n-m) / n!, a
@@ -220,11 +221,8 @@ def collapsed_monic(int_axes, degrees, prefactor) -> MPoly:
     return reduce(mul, (v**d for v, d in zip((Y, Z), degrees[1:])), first.scale(prefactor))
 
 
-def collapsed_norm_ratio(axes, degrees) -> Fraction:
-    """Exact squared-norm ratio of the member against the degree-0 member:
-    one h_ratio per axis, every gamma pair at an integer offset."""
-    return math.prod(h_ratio(d, big_a, big_b, base_a) for d, (big_a, big_b), (base_a, _)
-                     in zip(degrees, collapsed_exponents(axes, degrees), axes))
+#: Collapsed coordinate j, as `Family.integrable_axes` names an axis it refuses.
+_COORDINATES = ("x", "y/(1-x)", "z/(1-x-y)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +323,46 @@ class Family:
             raise PoleHit(f"monic prefactor at index {','.join(map(str, idx))}: {exc}") from exc
         return collapsed_monic(params.derive(self.integer_axes), self.degrees(*idx), prefactor)
 
+    def integrable_axes(self, p):
+        """`axes` at the parameters `p`, refused (ValueError) where an
+        exponent is at or below -1: each parameter may exceed -1 and the
+        weight still not be integrable along that axis."""
+        axes = self.axes(*self.params(p))
+        for coordinate, pair in zip(_COORDINATES, axes):
+            for exponent in pair:
+                if exponent <= -1:
+                    raise ValueError(f"the weight's exponent {exponent} on axis {coordinate} "
+                                     "must exceed -1")
+        return axes
+
+    def mass(self, p) -> float:
+        """The weight's integral at the parameters `p`, the product of each
+        integrable axis's `mass`."""
+        return math.prod(starmap(mass, self.integrable_axes(p)))
+
+    def norm_ratios(self, indices, p) -> list:
+        """The exact squared-norm ratios of the members at `indices` against
+        the degree-0 member.  A member's ratio is the product over the axes
+        of h_ratio(d_j; A_j + 2 s_j, B_j; A_j), s_j the sum of the later
+        degrees, every gamma pair at an integer offset; the members share
+        these factors, so each is computed once per (j, d_j, s_j)."""
+        axes = self.axes(*self.params(p))
+
+        @lru_cache(maxsize=None)
+        def axis_ratio(j: int, d: int, s: int) -> Fraction:
+            big_a, big_b = axes[j]
+            return h_ratio(d, big_a + 2 * s, big_b, big_a)
+
+        ratios = []
+        for idx in indices:
+            ds = self.degrees(*idx)
+            ratios.append(math.prod(axis_ratio(j, d, sum(ds[j + 1:])) for j, d in enumerate(ds)))
+        return ratios
+
     def norm_ratio(self, idx, p) -> Fraction:
         """Squared-norm ratio of the member at `idx` against the degree-0
         member, exactly."""
-        return collapsed_norm_ratio(self.axes(*self.params(p)), self.degrees(*self.index(idx)))
+        return self.norm_ratios([self.index(idx)], p)[0]
 
 
 # The members built at the row that the caches hold now, keyed (record,

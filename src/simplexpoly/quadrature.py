@@ -26,21 +26,22 @@ pass at its nodes every factor and the rule's weights; the sum over the
 tensor rule splits into one small Gram matrix per axis, whose entrywise
 product fills the one output matrix a block of rows at a time.
 `gram_error` reads that matrix against the members' exact norm ratios.
+What the weight is, where it is integrable, its mass and those ratios,
+the family record states (`Family.integrable_axes`, `mass`,
+`norm_ratios`); this module reads them.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import starmap
 from typing import Tuple
 
 import numpy as np
 
 from . import simplex3d, triangle2d
-from .jacobi1d import h_ratio, mass
+from .jacobi1d import mass
 
 
 class ConvergenceFailure(RuntimeError):
@@ -123,12 +124,11 @@ def gauss_jacobi_01(m: int, a, b) -> QuadRule1D:
     entry of exponent arrays a and b: the nodes are the eigenvalues of the
     `jacobi_recurrence` matrix, ascending, and each weight the Christoffel
     number 1 / sum_{k<m} q_k(x_i)^2 of the same recurrence, whose q_0
-    carries the weight's mass B(b+1, a+1).  Refused for m < 1."""
+    carries the weight's mass B(b+1, a+1).  Refused for m < 1; the
+    exponents are the caller's to check (`Family.integrable_axes`)."""
     if m < 1:
         raise ValueError("rule needs at least one point")
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if np.any(a <= -1) or np.any(b <= -1):
-        raise ValueError("weight exponents must exceed -1")
     nodes, _, weights = _evaluate(jacobi_recurrence(m, a[..., None], b[..., None]), m - 1)
     return QuadRule1D(nodes=nodes, weights=weights)
 
@@ -148,22 +148,10 @@ class SimplexRule:
     z = property(lambda self: self.coords[2])
 
 
-#: Collapsed coordinate j, as `gram` names an axis whose weight it refuses.
-_COORDINATES = ("x", "y/(1-x)", "z/(1-x-y)")
-
-
 def _axes(family, params):
-    """The collapsed base pairs of the family record at the given
-    parameters, as floats, one row per axis.  Refused (ValueError) where an
-    exponent is at or below -1: each parameter may exceed -1 and the weight
-    still not be integrable along that axis."""
-    axes = family.axes(*family.params(params))
-    for coordinate, pair in zip(_COORDINATES, axes):
-        for exponent in pair:
-            if exponent <= -1:
-                raise ValueError(f"the weight's exponent {exponent} on axis {coordinate} "
-                                 "must exceed -1")
-    return np.array(axes, dtype=float)
+    """The record's `integrable_axes` at the given parameters, as floats,
+    one row per axis."""
+    return np.array(family.integrable_axes(params), dtype=float)
 
 
 def collapsed_rule(family, params, m: int) -> SimplexRule:
@@ -267,32 +255,14 @@ gram_matrix = partial(collapsed_gram, simplex3d.FAMILY)
 gram_matrix_triangle = partial(collapsed_gram, triangle2d.FAMILY)
 
 
-def squared_norms(family, indices, params) -> np.ndarray:
-    """The squared norms of the family's members at `indices`: each
-    member's exact `collapsed_norm_ratio`, rounded once, times the weight's
-    mass.  A member's ratio is the product over the axes of h_ratio(d_j;
-    A_j + 2 s_j, B_j; A_j), s_j the sum of the later degrees, and the
-    members share these factors, so each is computed once per (j, d_j, s_j)."""
-    axes = family.axes(*family.params(params))
-
-    @lru_cache(maxsize=None)
-    def axis_ratio(j: int, d: int, s: int):
-        big_a, big_b = axes[j]
-        return h_ratio(d, big_a + 2 * s, big_b, big_a)
-
-    ratios = []
-    for idx in indices:
-        ds = family.degrees(*idx)
-        ratios.append(float(math.prod(axis_ratio(j, d, sum(ds[j + 1:])) for j, d in enumerate(ds))))
-    return np.array(ratios) * math.prod(starmap(mass, axes))
-
-
 def gram_error(family, indices, gram: np.ndarray, params):
     """(worst, i, j): the largest |g_ij / sqrt(h_i h_j) - delta_ij| over a
-    Gram matrix of the family's members at `indices`, h their
-    `squared_norms`, and where it first occurs; read a block of rows at a
-    time, a nan entry as inf."""
-    d = np.sqrt(squared_norms(family, indices, params))
+    Gram matrix of the family's members at `indices`, h their squared
+    norms, each exact `norm_ratios` entry rounded once times the weight's
+    `mass`, and where it first occurs; read a block of rows at a time, a
+    nan entry as inf."""
+    ratios = np.array([float(r) for r in family.norm_ratios(indices, params)])
+    d = np.sqrt(ratios * family.mass(params))
     worst = (-1.0, 0, 0)
     for rows in _row_blocks(len(d)):
         error = gram[rows] / np.multiply.outer(d[rows], d)

@@ -39,10 +39,10 @@ without forming c * v in canonical form; the ladder checks in `operators`
 compare the undivided operator image with scale * denominator * target
 this way and divide only to print a failing sample.
 
-The interface speaks exponent triples (i, j, k) and Fractions: `terms`,
-`coeff`, `constant` and `evaluate` return Fractions, the constructor and
-`scale` take ints or Fractions, and a float coefficient is refused with
-TypeError, as is a negative exponent or one above 511 with ValueError.
+The interface speaks exponent triples (i, j, k) and Fractions: `terms`
+and `coeff` return Fractions, the constructor and `scale` take ints or
+Fractions, and a float coefficient is refused with TypeError, as is a
+negative exponent or one above 511 with ValueError.
 
 Exact rationals outside the polynomials take one of two forms, both owned
 here.  `Rat` is a Fraction whose +, - and * with an int or another Rat run
@@ -75,8 +75,6 @@ from typing import Dict, Iterable, Iterator, Tuple, Union
 
 Exponent = Tuple[int, int, int]
 Scalar = Union[int, Fraction]
-#: Evaluation point (exact): one Fraction per variable in (x, y, z) order.
-Point = Tuple[Fraction, Fraction, Fraction]
 
 _VARS = ("x", "y", "z")
 # Bits per exponent field, the guard bit included; every exponent is
@@ -291,14 +289,6 @@ class MPoly:
         return _poly({0: n}, d)
 
     @staticmethod
-    def monomial(exps: Exponent, coeff: Scalar = 1) -> "MPoly":
-        n, d = _ratio(coeff)
-        key = _pack(exps)
-        if n == 0:
-            return _poly({}, 1)
-        return _poly({key: n}, d)
-
-    @staticmethod
     def variable(name: str) -> "MPoly":
         return _poly({1 << _SHIFT[name]: 1}, 1)
 
@@ -321,14 +311,6 @@ class MPoly:
         if not _fits(i, j, k):
             return Fraction(0)
         return Fraction(self._num.get(i | j << _BITS | k << 2 * _BITS, 0), self._den)
-
-    def constant(self) -> Fraction:
-        """The coefficient as a scalar; raises if not a constant polynomial."""
-        if self.is_zero:
-            return Fraction(0)
-        if len(self._num) == 1 and 0 in self._num:
-            return Fraction(self._num[0], self._den)
-        raise ValueError(f"not a constant polynomial: {self}")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -459,15 +441,6 @@ class MPoly:
         return _canon(out, den * self._den)
 
     # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, point: Point) -> Fraction:
-        """Exact value at a rational point (x, y, z)."""
-        px, py, pz = (_as_fraction(v) for v in point)
-        total = Fraction(0)
-        for e, c in self._num.items():
-            i, j, k = _unpack(e)
-            total += c * px**i * py**j * pz**k
-        return total / self._den
 
     def eval_float(self, x, y=0.0, z=0.0):
         """Float evaluation; accepts scalars or numpy arrays."""

@@ -26,7 +26,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import starmap
 from operator import add, index
 from typing import Callable, Tuple
 
@@ -58,7 +57,7 @@ from .ratpoly import (
     over_lcm,
 )
 from .special import PoleHit, _hyper3f2_integers, _rising, factorial, gamma_ratio, pochhammer
-from .jacobi1d import Family, collapsed_exponents, lift_univariate, mass
+from .jacobi1d import Family, collapsed_exponents, lift_univariate
 from .triangle2d import classical_jacobi_shifted
 
 
@@ -93,9 +92,11 @@ def simplex_poly(idx, p) -> MPoly:
 
 
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
-    """(exact ratio against the (0,0,0) member, that ratio times the mass)."""
+    """(exact ratio against the (0,0,0) member, that ratio times the mass),
+    refused (ValueError) where the weight is not integrable."""
+    mass = FAMILY.mass(p)
     ratio = FAMILY.norm_ratio(idx, p)
-    return ratio, float(ratio) * math.prod(starmap(mass, axes(*FAMILY.params(p))))
+    return ratio, float(ratio) * mass
 
 
 def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:

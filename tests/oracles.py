@@ -234,7 +234,7 @@ def triangle_mass(params) -> float:
 
 def tetra_moment(i: int, j: int, k: int, params) -> float:
     """Float integral of x^i y^j z^k against the tetrahedron's weight."""
-    return float(tetra_weighted_mean(MPoly.monomial((i, j, k)), params)) * tetra_mass(params)
+    return float(tetra_weighted_mean(MPoly({(i, j, k): 1}), params)) * tetra_mass(params)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +296,10 @@ def ref_divmod(p: dict, d: dict):
     return quot, rem
 
 
-def ref_evaluate(p: dict, point) -> Fraction:
+def evaluate(p: MPoly, point) -> Fraction:
+    """Exact value of p at a rational point (x, y, z), summed over its terms."""
     x, y, z = (Fraction(v) for v in point)
-    return sum((c * x**i * y**j * z**k for (i, j, k), c in p.items()), Fraction(0))
+    return sum((c * x**i * y**j * z**k for (i, j, k), c in p.terms()), Fraction(0))
 
 
 def ref_to_text(p: dict) -> str:

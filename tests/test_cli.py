@@ -581,12 +581,12 @@ def test_gram_reports_missed_bound(capsys, tmp_path, monkeypatch):
     """Axis norm ratios 1e-9 off the paper's put each norm ratio of the
     tetrahedron, a product of three, and so every normalized diagonal entry
     3e-9 off, and the matrix misses its bound at an entry (i, i)."""
-    calls = []
+    calls, h_ratio = [], jacobi1d.h_ratio
 
     def mutant(*args):
         calls.append(args)
-        return jacobi1d.h_ratio(*args) * (1 + Fraction(1, 10**9))
-    monkeypatch.setattr(quadrature, "h_ratio", mutant)
+        return h_ratio(*args) * (1 + Fraction(1, 10**9))
+    monkeypatch.setattr(jacobi1d, "h_ratio", mutant)
     path = tmp_path / "g4.csv"
     code = main(["gram", "--N", "4", "--params", "0,0,0,0,0,0", "--out", str(path)])
     assert code == EX_FAIL

@@ -8,7 +8,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-import scipy.special
 
 from simplexpoly import simplex3d, triangle2d
 from simplexpoly.quadrature import (
@@ -19,11 +18,10 @@ from simplexpoly.quadrature import (
     gram_matrix,
     gram_matrix_triangle,
     jacobi_recurrence,
-    squared_norms,
     tetra_rule,
     triangle_rule,
 )
-from simplexpoly.jacobi1d import collapsed_norm_ratio, h_ratio, mass
+from simplexpoly.jacobi1d import h_ratio, mass
 from simplexpoly.simplex3d import simplex_poly_raw
 from simplexpoly.triangle2d import triangle_norm_ratio, triangle_poly_raw
 
@@ -87,10 +85,11 @@ def test_weights_sum_to_mass():
 
 def test_against_library_oracle():
     """Nodes/weights match the classical-interval rule mapped to (0, 1)."""
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
     for a, b in [(0.0, 0.0), (1.5, 0.5), (0.25, -0.5)]:
         m = 9
         rule = gauss_jacobi_01(m, a, b)
-        t, w = scipy.special.roots_jacobi(m, a, b)
+        t, w = roots_jacobi(m, a, b)
         assert rule.nodes == pytest.approx((t + 1) / 2, abs=1e-13)
         # abs=0: the default absolute tolerance of 1e-12 would pass any
         # weight below it whatever its digits.
@@ -101,9 +100,7 @@ def test_against_library_oracle():
 def test_tiny_weights_keep_their_relative_accuracy(a, b):
     """A large exponent makes the weights span many orders of magnitude;
     each still matches the library's to 1e-9 relative."""
-    pytest.importorskip("scipy")
-    from scipy.special import roots_jacobi
-
+    roots_jacobi = pytest.importorskip("scipy.special").roots_jacobi
     rule = gauss_jacobi_01(25, a, b)
     t, w = roots_jacobi(25, a, b)
     assert rule.nodes == pytest.approx((t + 1) / 2, abs=1e-13)
@@ -166,7 +163,7 @@ def test_rule_exactness_for_moments():
         for j in range(order + 1 - i):
             for k in range(order + 1 - i - j):
                 approx = float(np.sum(rule.weights * rule.x**i * rule.y**j * rule.z**k))
-                mean = tetra_weighted_mean(MPoly.monomial((i, j, k)), PARAMS6)
+                mean = tetra_weighted_mean(MPoly({(i, j, k): 1}), PARAMS6)
                 exact = float(mean) * mass
                 assert approx == pytest.approx(exact, rel=1e-12), (i, j, k)
 
@@ -189,11 +186,11 @@ def test_tetra_rule_frozen_values():
 
 def test_moment_oracle_against_factorial_integration():
     for i, j, k in [(0, 0, 0), (1, 0, 0), (2, 1, 1), (0, 3, 2)]:
-        mono = MPoly.monomial((i, j, k))
+        mono = MPoly({(i, j, k): 1})
         assert tetra_moment(i, j, k, ZEROS6) == pytest.approx(
             float(integrate_tetra(mono)), rel=1e-13
         )
-        mono = MPoly.monomial((i, j, 0))
+        mono = MPoly({(i, j, 0): 1})
         mean = triangle_weighted_mean(mono, ZEROS6[:4])
         assert float(mean) * triangle_mass(ZEROS6[:4]) == pytest.approx(
             float(integrate_triangle(mono)), rel=1e-13
@@ -261,7 +258,7 @@ def test_triangle_moment_ratio_matches_rule():
     for i, j in [(0, 0), (1, 0), (0, 1), (2, 3), (4, 1)]:
         approx = float(np.sum(rule.weights * rule.x**i * rule.y**j))
         assert approx == pytest.approx(
-            float(triangle_weighted_mean(MPoly.monomial((i, j, 0)), params)) * mass, rel=1e-12
+            float(triangle_weighted_mean(MPoly({(i, j, 0): 1}), params)) * mass, rel=1e-12
         )
 
 
@@ -329,12 +326,10 @@ def test_a_longer_rule_gives_the_default_matrix(family, params):
 
 
 def _exact_norms(family, idxs, params):
-    """The members' squared norms: the exact ratios, rounded once, times
-    the weight's mass."""
-    axes = family.axes(*family.params(params))
-    h0 = math.prod(mass(*pair) for pair in axes)
-    return np.array([float(collapsed_norm_ratio(axes, family.degrees(*idx))) * h0
-                     for idx in idxs])
+    """The members' squared norms: each member's exact ratio on its own,
+    rounded once, times the weight's mass, the product of the axes' masses."""
+    h0 = math.prod(mass(*pair) for pair in family.axes(*family.params(params)))
+    return np.array([float(family.norm_ratio(idx, params)) * h0 for idx in idxs])
 
 
 def _norm_roots(family, idxs, params):
@@ -433,11 +428,23 @@ def test_offdiag_max_matches_the_whole_array_formula(size):
 
 @pytest.mark.parametrize("family, params", [
     (simplex3d.FAMILY, PARAMS6), (triangle2d.FAMILY, (F(1, 3), F(-1, 2), F(5), F(7)))])
-def test_squared_norms_are_the_exact_norm_ratios_rounded_once(family, params):
+def test_norm_ratios_are_each_members_exact_ratio_rounded_once(family, params):
     """The per-axis factors, shared between members, give each member's
-    `collapsed_norm_ratio` to the last bit, at N = 12."""
+    `norm_ratio` exactly, and times the mass its norm to the last bit, at
+    N = 12."""
     idxs = sorted(family.indices(12))
-    assert np.array_equal(squared_norms(family, idxs, params), _exact_norms(family, idxs, params))
+    ratios = family.norm_ratios(idxs, params)
+    assert ratios == [family.norm_ratio(idx, params) for idx in idxs]
+    norms = np.array([float(r) for r in ratios]) * family.mass(params)
+    assert np.array_equal(norms, _exact_norms(family, idxs, params))
+
+
+@pytest.mark.parametrize("family, oracle, params", (
+    [(simplex3d.FAMILY, tetra_mass, params) for params in TETRA_ROWS + [(F(-1, 2),) * 6]]
+    + [(triangle2d.FAMILY, triangle_mass, params)
+       for params in TRIANGLE_ROWS + [(F(-19, 20), F(7), F(5), F(5))]]))
+def test_mass_matches_the_log_gamma_oracle(family, oracle, params):
+    assert family.mass(params) == pytest.approx(oracle(params), rel=1e-14)
 
 
 def _numpy_peak(call):

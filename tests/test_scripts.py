@@ -205,12 +205,12 @@ def test_scan_covers_both_families_with_rows_that_gram_accepts(capsys):
 def test_scan_exits_1_where_the_norms_are_off(monkeypatch, capsys):
     """Axis norm ratios 1e-9 off the paper's put every draw's figure above
     the bound, the tetrahedron's, over three axes, at 3e-9."""
-    calls = []
+    calls, h_ratio = [], jacobi1d.h_ratio
 
     def mutant(*args):
         calls.append(args)
-        return jacobi1d.h_ratio(*args) * (1 + Fraction(1, 10**9))
-    monkeypatch.setattr(quadrature, "h_ratio", mutant)
+        return h_ratio(*args) * (1 + Fraction(1, 10**9))
+    monkeypatch.setattr(jacobi1d, "h_ratio", mutant)
     assert orthogonality_scan.main(["--N", "2", "--draws", "2"]) == EX_FAIL
     assert calls
     *rows, last = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 """Tetrahedron family: construction, relations, equations, recurrences."""
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -45,7 +46,7 @@ from simplexpoly.simplex3d import (
 )
 from simplexpoly.special import PoleHit
 
-from oracles import integrate_tetra, tetra_weighted_mean
+from oracles import evaluate, integrate_tetra, tetra_weighted_mean
 
 F = Fraction
 
@@ -91,6 +92,25 @@ def test_norm_frozen_values():
     assert absolute == pytest.approx(F(1, 6), rel=1e-13)
     ratio, absolute = simplex_norm((1, 0, 0), ZEROS)
     assert absolute == pytest.approx(F(1, 10), rel=1e-13)
+
+
+def test_norm_at_exponents_of_minus_one_half():
+    """At (-1/2,)*6 every collapsed exponent is -1/2, an integrable weight
+    whose mass is B(1/2, 1/2)^3 = pi^3."""
+    ratio, absolute = simplex_norm((0, 0, 0), (F(-1, 2),) * 6)
+    assert ratio == 1
+    assert absolute == pytest.approx(math.pi**3, rel=1e-13)
+
+
+@pytest.mark.parametrize("params, refusal", [
+    # Every parameter exceeds -1, but beta + gamma + delta + a + b + 2 does not.
+    ((F(-9, 10),) * 6, r"exponent -5/2 on axis x must"),
+    # gamma + delta + b + 1 is -1 exactly, the edge where the integral diverges.
+    ((0, 0, F(-2, 3), F(-2, 3), 0, F(-2, 3)), r"exponent -1 on axis y/\(1-x\) must"),
+])
+def test_norm_refuses_a_weight_that_is_not_integrable(params, refusal):
+    with pytest.raises(ValueError, match="the weight's " + refusal + " exceed -1"):
+        simplex_norm((0, 0, 0), params)
 
 
 def test_norm_against_exact_integration():
@@ -347,11 +367,11 @@ def test_three_term_evaluation_spot_check():
     at = (F(1), F(0), F(0))
     for n1 in range(5):
         ca, cb, cc = three_term_x((n1, 0, 0), params)
-        lhs = simplex_poly_raw(n1, 0, 0, *params).evaluate(at)  # times x = 1
+        lhs = evaluate(simplex_poly_raw(n1, 0, 0, *params), at)  # times x = 1
         rhs = (
-            ca * simplex_poly_raw(n1 + 1, 0, 0, *params).evaluate(at)
-            + cb * simplex_poly_raw(n1, 0, 0, *params).evaluate(at)
-            + cc * simplex_poly_raw(n1 - 1, 0, 0, *params).evaluate(at)
+            ca * evaluate(simplex_poly_raw(n1 + 1, 0, 0, *params), at)
+            + cb * evaluate(simplex_poly_raw(n1, 0, 0, *params), at)
+            + cc * evaluate(simplex_poly_raw(n1 - 1, 0, 0, *params), at)
         )
         assert lhs == rhs
 

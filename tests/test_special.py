@@ -15,7 +15,7 @@ from simplexpoly.special import (
     pochhammer,
 )
 
-from oracles import hyper2f1_series, hyper3f2_series, rising
+from oracles import evaluate, hyper2f1_series, hyper3f2_series, rising
 
 F = Fraction
 
@@ -78,7 +78,7 @@ def test_2f1_binomial_collapse():
 
 def test_2f1_at_zero_is_one():
     poly = hyper2f1_terminating(5, F(3, 2), F(7, 3), X)
-    assert poly.evaluate((F(0), F(0), F(0))) == 1
+    assert evaluate(poly, (0, 0, 0)) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,7 +87,7 @@ def test_2f1_matches_series_oracle(n, b, c, xval):
     if any((c + m) == 0 for m in range(n)):
         return
     poly = hyper2f1_terminating(n, b, c, X)
-    assert poly.evaluate((xval, F(0), F(0))) == hyper2f1_series(n, b, c, xval)
+    assert evaluate(poly, (xval, 0, 0)) == hyper2f1_series(n, b, c, xval)
 
 
 def test_3f2_order_zero():
@@ -114,7 +114,7 @@ def test_3f2_reduces_to_2f1_when_parameters_cancel(n, a2, a3, b1):
     if any((b1 + m) == 0 or (a3 + m) == 0 for m in range(n)):
         return
     lhs = hyper3f2_unit(n, a2, a3, b1, a3)
-    rhs = hyper2f1_terminating(n, a2, b1, MPoly.const(1)).constant()
+    rhs = hyper2f1_terminating(n, a2, b1, MPoly.const(1)).coeff(0, 0, 0)
     assert lhs == rhs
 
 
