@@ -13,8 +13,10 @@ Every family is such a product (Koornwinder 1975), the interval with one
 axis, so one `Family` record says what each is: its collapsed base pairs,
 degree map, index grid, monic line and tables.  It builds every member,
 monic solution and exact norm ratio, states where its weight is
-integrable and gives the weight's mass, and the sweeps, the quadrature
-and the CLI read it.
+integrable and gives the weight's mass, refusing a mass or a norm ratio
+where it is not, and the sweeps, the quadrature and the CLI read it.
+A factor's exponents (A_j + 2 s_j, B_j) take s_j, the sum of the later
+axes' degrees, from `later_sums`, the one function that sums them.
 
 One formula builds every member and collapsed factor: P(n; a, b) =
 sum_m c_m (1-x)^m, c_m = (-1)^m C(n, m) (n+a+b+1)_m (a+1+m)_(n-m) / n!, a
@@ -25,7 +27,8 @@ each linear factor times L is an integer, so the factors are built on the
 integer numerators L^n n! c_m, as integer term maps, and divided by L^n n!
 once, at the end.  The record puts a row's base pairs over their
 denominators once per row (`Family.integer_axes`), so the exponents of
-each factor, the keys of its cache, cost integer additions.
+each factor, (A + 2 s L, B, L), the keys of its cache, cost integer
+additions.
 
 The construction caches, the one member store of every record and
 `_lifted_factor`, last one parameter row: `enter_row` empties them when a
@@ -40,7 +43,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import starmap
+from itertools import accumulate, count, starmap
 from operator import index, mul
 from typing import Callable, Optional, Tuple
 
@@ -55,7 +58,7 @@ from .operators import (
 )
 from .ratpoly import (EXPONENT_LIMIT, MPoly, ONE, ONE_MINUS_X, X, X_ONE_MINUS_X, Y, Z, ZERO,
                       _canon, _pack, over_lcm)
-from .special import PoleHit, factorial, gamma_ratio, pochhammer
+from .special import PoleHit, factorial, pochhammer
 
 
 def _coefficients(n: int, big_a: int, big_b: int, den: int):
@@ -83,27 +86,21 @@ def shifted_jacobi(n: int, p) -> MPoly:
     return FAMILY.member((index(n),), as_tuple(p, 2))
 
 
-def h_ratio(n: int, big_a: Fraction, big_b: Fraction, base_a: Fraction) -> Fraction:
-    """h_n^{(A,B)} / h_0^{(A0,B)} where A - A0 is a nonnegative integer.
+def h_ratio(n: int, s: int, a: Fraction, b: Fraction) -> Fraction:
+    """h_n^{(a+2s,b)} / h_0^{(a,b)}: the squared norm of the degree-n factor
+    whose leading exponent the later axes' degrees (sum s) have raised by
+    2s, against the degree-0 factor of the base pair (a, b).
 
-    Equal to (A0+1)_{A-A0+n} (B+1)_n / (n! (A+B+2n+1) (A0+B+2)_{A-A0+n-1}),
-    which stays finite when A0+B+1 = 0.  This is the building block of the
-    collapsed norm ratios, whose leading parameters grow with the later
-    axes' degrees.
+    Equal to (a+1)_{2s+n} (b+1)_n / (n! (a+b+2s+2n+1) (a+b+2)_{2s+n-1}),
+    which stays finite when a+b+1 = 0; where the weight is integrable (a, b
+    > -1) every factor of the denominator is positive.  This is the
+    building block of the collapsed norm ratios.
     """
-    delta = big_a - base_a + n
-    if delta.denominator != 1 or delta < 0:
-        raise ValueError("parameter offset must be a nonnegative integer")
-    delta = int(delta)
-    if delta == 0:
+    offset = 2 * s + n
+    if offset == 0:
         return Fraction(1)
-    num = gamma_ratio(base_a + 1, delta) * pochhammer(big_b + 1, n)
-    den = (
-        factorial(n)
-        * (big_a + big_b + 2 * n + 1)
-        * pochhammer(base_a + big_b + 2, delta - 1)
-    )
-    return num / den
+    num = pochhammer(a + 1, offset) * pochhammer(b + 1, n)
+    return num / (factorial(n) * (a + b + 2 * (s + n) + 1) * pochhammer(a + b + 2, offset - 1))
 
 
 def mass(a, b) -> float:
@@ -124,6 +121,13 @@ def mass(a, b) -> float:
 # first j variables, held as the packed keys of those variables.
 _UNITS = tuple(map(_pack, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 _W_UNITS = tuple(_UNITS[:j] for j in range(4))
+
+
+def later_sums(degrees) -> list:
+    """[s_0, s_1, ...]: s_j is the sum of the degrees after axis j, which
+    raises axis j's leading exponent to A_j + 2 s_j.  No s_j reads
+    degrees[0]."""
+    return list(accumulate(degrees[:0:-1], initial=0))[::-1]
 
 
 def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
@@ -148,26 +152,6 @@ def lift_univariate(q: MPoly, num: MPoly, cof: MPoly, power: int) -> MPoly:
             continue
         out = out + (num_powers[j] * cof_powers[power - j]).scale(qj)
     return out
-
-
-def collapsed_exponents(axes, degrees):
-    """Jacobi exponents (A_j + 2 s_j, B_j) of each axis's factor."""
-    out, later = [], 0
-    for (big_a, big_b), d in zip(reversed(axes), reversed(degrees)):
-        out.append((big_a + 2 * later, big_b))
-        later += d
-    return out[::-1]
-
-
-def _integer_pairs(int_axes, degrees):
-    """(A + 2 s L, B, L) of each axis's integer base triple (A, B, L): the
-    exponents of `collapsed_exponents` over their least common denominator,
-    the form under which `_lifted_factor` caches."""
-    out, later = [], 0
-    for (big_a, big_b, den), d in zip(reversed(int_axes), reversed(degrees)):
-        out.append((big_a + 2 * later * den, big_b, den))
-        later += d
-    return out[::-1]
 
 
 def _times_w(num: dict, units) -> dict:
@@ -210,15 +194,9 @@ def collapsed_member(int_axes, degrees) -> MPoly:
     if sum(degrees) >= EXPONENT_LIMIT:
         raise OverflowError(f"a member of total degree {sum(degrees)} reaches "
                             f"the exponent limit {EXPONENT_LIMIT}")
-    return reduce(mul, (_lifted_factor(j, d, *triple) for j, (d, triple)
-                        in enumerate(zip(degrees, _integer_pairs(int_axes, degrees)))))
-
-
-def collapsed_monic(int_axes, degrees, prefactor) -> MPoly:
-    """prefactor * P(d_0; A_0 + 2 s_0, B_0)(x) * y^d_1 (* z^d_2), not
-    renormalised: a wrong prefactor shows as a leading coefficient other than 1."""
-    first = _lifted_factor(0, degrees[0], *_integer_pairs(int_axes, degrees)[0])
-    return reduce(mul, (v**d for v, d in zip((Y, Z), degrees[1:])), first.scale(prefactor))
+    return reduce(mul, (_lifted_factor(j, d, big_a + 2 * s * den, big_b, den)
+                        for j, (d, s, (big_a, big_b, den))
+                        in enumerate(zip(degrees, later_sums(degrees), int_axes))))
 
 
 #: Collapsed coordinate j, as `Family.integrable_axes` names an axis it refuses.
@@ -246,10 +224,12 @@ class Family:
     line takes the index entries, then p = row.derive(view), the row's
     named view.  `index` and `params` turn the caller's index into ints and
     parameters into a Row; `check` also refuses a parameter outside the
-    weight's domain (> -1).  `sparse`, `second_order` and `pde` map ids to
-    the table lines; a composition's id names its two sparse lines, and a
-    `pde` builder is called as builder(*idx, p).  A record holds no verdict
-    rule: the shared checks judge every family alike.
+    weight's domain (> -1), and `integrable_axes` a row whose weight is not
+    integrable, which `mass` and `norm_ratios` read.  `sparse`,
+    `second_order` and `pde` map ids to the table lines; a composition's id
+    names its two sparse lines, and a `pde` builder is called as
+    builder(*idx, p).  A record holds no verdict rule: the shared checks
+    judge every family alike.
     """
 
     names: Tuple[str, ...]
@@ -315,13 +295,17 @@ class Family:
     def monic_solution(self, idx, p) -> MPoly:
         """The monic solution at `idx`: the prefactor of `monic` times the
         first axis's factor, times y^d_1 (z^d_2), d being the member's
-        per-axis degrees."""
+        per-axis degrees; not renormalised, so a wrong prefactor shows as a
+        leading coefficient other than 1."""
         idx, params = self.index(idx), self.params(p)
         try:
             prefactor = self.monic[1](*idx, params.derive(self.view))
         except PoleHit as exc:
             raise PoleHit(f"monic prefactor at index {','.join(map(str, idx))}: {exc}") from exc
-        return collapsed_monic(params.derive(self.integer_axes), self.degrees(*idx), prefactor)
+        degrees = self.degrees(*idx)
+        big_a, big_b, den = params.derive(self.integer_axes)[0]
+        first = _lifted_factor(0, degrees[0], big_a + 2 * later_sums(degrees)[0] * den, big_b, den)
+        return reduce(mul, (v**d for v, d in zip((Y, Z), degrees[1:])), first.scale(prefactor))
 
     def integrable_axes(self, p):
         """`axes` at the parameters `p`, refused (ValueError) where an
@@ -342,21 +326,16 @@ class Family:
 
     def norm_ratios(self, indices, p) -> list:
         """The exact squared-norm ratios of the members at `indices` against
-        the degree-0 member.  A member's ratio is the product over the axes
-        of h_ratio(d_j; A_j + 2 s_j, B_j; A_j), s_j the sum of the later
-        degrees, every gamma pair at an integer offset; the members share
-        these factors, so each is computed once per (j, d_j, s_j)."""
-        axes = self.axes(*self.params(p))
-
-        @lru_cache(maxsize=None)
-        def axis_ratio(j: int, d: int, s: int) -> Fraction:
-            big_a, big_b = axes[j]
-            return h_ratio(d, big_a + 2 * s, big_b, big_a)
-
+        the degree-0 member, refused (ValueError) where the weight is not
+        integrable.  A member's ratio is the product over the axes of
+        h_ratio(d_j, s_j, A_j, B_j), s_j from `later_sums`; the members
+        share these factors, so each is computed once per (j, d_j, s_j)."""
+        axes = self.integrable_axes(p)
+        axis_ratio = lru_cache(maxsize=None)(lambda j, d, s: h_ratio(d, s, *axes[j]))
         ratios = []
         for idx in indices:
             ds = self.degrees(*idx)
-            ratios.append(math.prod(axis_ratio(j, d, sum(ds[j + 1:])) for j, d in enumerate(ds)))
+            ratios.append(math.prod(map(axis_ratio, count(), ds, later_sums(ds))))
         return ratios
 
     def norm_ratio(self, idx, p) -> Fraction:

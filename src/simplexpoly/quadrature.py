@@ -41,7 +41,7 @@ from typing import Tuple
 import numpy as np
 
 from . import simplex3d, triangle2d
-from .jacobi1d import mass
+from .jacobi1d import later_sums, mass
 
 
 class ConvergenceFailure(RuntimeError):
@@ -183,8 +183,8 @@ def _layout(family, max_degree: int):
     q_0..q_max_degree of the factor rows (axis, later-degree sum s), laid
     end to end; neither depends on the parameters."""
     idxs = sorted(family.indices(max_degree))
-    degrees = np.array([family.degrees(*idx) for idx in idxs]).T
-    later = np.cumsum(degrees[::-1], axis=0)[::-1] - degrees
+    degrees = [family.degrees(*idx) for idx in idxs]
+    degrees, later = np.array(degrees).T, np.array(list(map(later_sums, degrees))).T
     row = np.arange(len(degrees))[:, None] * (max_degree + 1) + later
     return idxs, row * (max_degree + 1) + degrees
 

@@ -57,7 +57,7 @@ from .ratpoly import (
     over_lcm,
 )
 from .special import PoleHit, _hyper3f2_integers, _rising, factorial, gamma_ratio, pochhammer
-from .jacobi1d import Family, collapsed_exponents, lift_univariate
+from .jacobi1d import Family, later_sums, lift_univariate
 from .triangle2d import classical_jacobi_shifted
 
 
@@ -94,9 +94,8 @@ def simplex_poly(idx, p) -> MPoly:
 def simplex_norm(idx, p) -> Tuple[Fraction, float]:
     """(exact ratio against the (0,0,0) member, that ratio times the mass),
     refused (ValueError) where the weight is not integrable."""
-    mass = FAMILY.mass(p)
     ratio = FAMILY.norm_ratio(idx, p)
-    return ratio, float(ratio) * mass
+    return ratio, float(ratio) * FAMILY.mass(p)
 
 
 def classical_simplex_poly_raw(n1, n2, n3, alpha, beta, gamma, delta) -> MPoly:
@@ -622,7 +621,8 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
     (n1, n2, n3), params = FAMILY.index(idx), FAMILY.params(p)
     phi, theta, eta, xi = as_tuple(target, 4)
     target_params = as_tuple((phi, theta, eta, xi) + params[4:], 6)
-    source = collapsed_exponents(axes(*params), (n1, n2, n3))
+    source = [(big_a + 2 * s, big_b) for (big_a, big_b), s
+              in zip(axes(*params), later_sums((n1, n2, n3)))]
     target_axes = axes(*target_params)
     terms = []
     for k3 in range(n3 + 1):
@@ -630,8 +630,8 @@ def connect_general(idx, p, target) -> ConnectionExpansion:
         if c3 == 0:
             continue
         for k2 in range(n2 + 1):
-            # No exponent depends on the first axis's own degree.
-            target = collapsed_exponents(target_axes, (0, k2, k3))
+            target = [(big_a + 2 * s, big_b) for (big_a, big_b), s
+                      in zip(target_axes, later_sums((0, k2, k3)))]
             c2 = _conn1d_coeff(n2, k2, *source[1], *target[1])
             if c2 == 0:
                 continue

@@ -3,10 +3,12 @@
 The record states the index domain as the grid `indices(D)` and as the
 degree map `degrees`, whose nonnegative values are the domain (`valid`),
 and each composition's id names two lines of its sparse table; these tests
-tie each pair together.
+tie each pair together.  The record also states where its weight is
+integrable, and its exact norm ratios are refused outside that.
 """
 
 from dataclasses import replace
+from fractions import Fraction as F
 from itertools import product
 from operator import add
 
@@ -107,3 +109,16 @@ def test_no_member_outside_the_domain_is_built(monkeypatch):
     family = simplex3d.FAMILY
     two = family.member((1, 0, 0), row).scale(2)
     assert family.combination((((-1, 0, 0), 5), ((1, 0, 0), 2), ((0, -1, 2), 3)), row) == two
+
+
+@pytest.mark.parametrize("norm, idx, params", [
+    # b + c + d + 1 = -17/10 on the triangle's x axis.
+    (triangle2d.triangle_norm_ratio, (1, 1), (0, F(-9, 10), F(-9, 10), F(-9, 10))),
+    # beta + gamma + delta + a + b + 2 = -5/2 on the tetrahedron's x axis.
+    (simplex3d.FAMILY.norm_ratio, (1, 0, 0), (F(-9, 10),) * 6),
+    # The interval's exponent a = -3/2 itself.
+    (jacobi1d.norm_ratio, 1, (F(-3, 2), 0)),
+])
+def test_a_norm_ratio_is_refused_where_the_weight_is_not_integrable(norm, idx, params):
+    with pytest.raises(ValueError, match="the weight's exponent .* on axis x must exceed -1"):
+        norm(idx, params)

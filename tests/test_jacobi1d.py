@@ -1,5 +1,6 @@
 """Shifted Jacobi family: construction, norms, ladder relations."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,9 @@ from simplexpoly.jacobi1d import (
     SECOND_ORDER_1D,
     SPARSE_1D,
     _coefficients,
-    _integer_pairs,
     _lifted_factor,
     collapsed_member,
+    h_ratio,
     norm_ratio,
     shifted_jacobi,
     shifted_jacobi_raw,
@@ -95,6 +96,20 @@ def test_integer_coefficients_match_binomial_sum_oracle(n, a, b):
     assert built == jacobi_shifted_by_binomial_sum(n, a, b), (n, a, b)
 
 
+@contextmanager
+def _recorded_factor_keys(factor):
+    """The keys that `collapsed_member` passes to `_lifted_factor`, which
+    `factor` answers while the block runs."""
+    keys = []
+
+    def record(*key):
+        keys.append(key)
+        return factor(*key)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jacobi1d, "_lifted_factor", record)
+        yield keys
+
+
 def test_one_factor_from_rows_with_different_denominators_is_one_cache_entry():
     # Both rows give the x-axis factor P(1; 3, 1/7), though their common
     # denominators are 77 and 91: it is cached once, under (21, 1, 7).
@@ -103,10 +118,11 @@ def test_one_factor_from_rows_with_different_denominators_is_one_cache_entry():
     first_axes, second_axes = (triangle2d.FAMILY.integer_axes(*row) for row in (first, second))
     collapsed_member(first_axes, degrees)
     before = _lifted_factor.cache_info()
-    collapsed_member(second_axes, degrees)
+    with _recorded_factor_keys(_lifted_factor) as keys:
+        collapsed_member(second_axes, degrees)
     after = _lifted_factor.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
-    assert _integer_pairs(second_axes, degrees)[0] == (21, 1, 7)
+    assert keys[0] == (0, degrees[0], 21, 1, 7)
 
 
 def _integer_pair_walk(axes, degrees):
@@ -127,17 +143,19 @@ def _integer_pair_walk(axes, degrees):
 @given(st.integers(1, 3).flatmap(lambda count: st.tuples(
     st.lists(st.tuples(small_rationals, small_rationals), min_size=count, max_size=count),
     st.lists(st.integers(0, 6), min_size=count, max_size=count))), st.booleans())
-def test_integer_pairs_match_the_per_axis_walk(case, as_rats):
+def test_factor_keys_match_the_per_axis_walk(case, as_rats):
     # The cache keys of `_lifted_factor` stay the integers of the per-axis
     # walk, with the later axes' degrees folded into the first exponent,
     # whether the axes hold Fractions or the Rats of a parameter row.  The
-    # "row" here is the list of base pairs itself.
+    # "row" here is the list of base pairs itself; no factor is built.
     axes, degrees = case
     if as_rats:
         axes = [tuple(map(as_rat, pair)) for pair in axes]
-    pairs = _integer_pairs([over_lcm(*pair) for pair in axes], degrees)
-    assert pairs == _integer_pair_walk(axes, degrees)
-    assert all(type(v) is int for triple in pairs for v in triple)
+    with _recorded_factor_keys(lambda *key: ONE) as keys:
+        collapsed_member([over_lcm(*pair) for pair in axes], degrees)
+    assert keys == [(j, d, *triple) for j, (d, triple)
+                    in enumerate(zip(degrees, _integer_pair_walk(axes, degrees)))]
+    assert all(type(v) is int for key in keys for v in key)
 
 
 @settings(max_examples=150, deadline=None)
@@ -193,6 +211,18 @@ def test_norm_ratio_against_weighted_moments():
             for n in range(6):
                 p = shifted_jacobi_raw(n, a, b)
                 assert interval_weighted_mean(p * p, a, b) == norm_ratio(n, (a, b))
+
+
+@pytest.mark.parametrize("b", [F(-1, 4), F(0), F(1)])
+@pytest.mark.parametrize("a", [F(-1, 2), F(0), F(1, 3), F(5, 2)])
+def test_h_ratio_against_weighted_moments(a, b):
+    """h_ratio(n, s, a, b) is the mean, over the weight (1-x)^a x^b, of the
+    square of P(n; a + 2s, b) times (1-x)^(2s)."""
+    for s in range(3):
+        for n in range(4):
+            p = shifted_jacobi_raw(n, a + 2 * s, b)
+            assert interval_weighted_mean(p * p * ONE_MINUS_X**(2 * s), a, b) == h_ratio(
+                n, s, a, b), (n, s, a, b)
 
 
 def test_orthogonality_by_weighted_moments():

@@ -128,7 +128,7 @@ def test_recurrence_norms_match_the_closed_form(a, b):
     is the pair whose sum is -1."""
     _, _, h = jacobi_recurrence(24, a, b)
     exact_a, exact_b = Fraction(a), Fraction(b)
-    expected = np.array([float(h_ratio(n, exact_a, exact_b, exact_a)) * mass(a, b)
+    expected = np.array([float(h_ratio(n, 0, exact_a, exact_b)) * mass(a, b)
                          for n in range(25)])
     assert np.abs(h / expected - 1).max() <= 1e-12
 
