@@ -229,6 +229,14 @@ def cmd_gram(args) -> int:
     return EX_OK
 
 
+def _target(check, row):
+    """check(row) on a connection's target row, its refusal prefixed "target "."""
+    try:
+        check(row)
+    except ValueError as exc:
+        raise ValueError(f"target {exc}") from exc
+
+
 def cmd_connect(args) -> int:
     family = _FAMILIES["simplex"]
     idx = _index(args.index, "simplex", CONNECT_MAX_DEGREE)
@@ -243,12 +251,14 @@ def cmd_connect(args) -> int:
             raise ValueError("mode=general takes --target and no --xi")
         target = as_tuple(args.target.split(","), 4)
         connect, row = simplex3d.connect_general, target + params[4:]
-    try:
-        family.check(row)
-    except ValueError as exc:
-        raise ValueError(f"target {exc}") from exc
+    _target(family.check, row)
     with _checked_out(args.out):
-        expansion = connect(idx, params, target)
+        try:
+            expansion = connect(idx, params, target)
+        except PoleHit:  # where the weight is not integrable, refused as `gram` does
+            family.integrable_axes(params)
+            _target(family.integrable_axes, row)
+            raise
         ok = expansion.verify()
     payload = {
         "source_index": list(expansion.source_index),

@@ -10,7 +10,8 @@ remainder is itself a reportable failure.
 The three families check their ladder calculus the same way, so the checks
 live here once: `verify_sparse`, `verify_composition` and `residual` run
 over a family's record (`jacobi1d.Family`), which gives its members, index
-domain, named view of a row and tables.
+domain, named view of a row and tables.  Every identity of the package
+gets its verdict from one judge, `report_equality`.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class DiffOperator:
     denom: MPoly = ONE
 
     def apply(self, u: MPoly) -> MPoly:
-        return self.divide(self.numerator(u))
+        num = self.numerator(u)
+        return num if self.denom == ONE else num.div_exact(self.denom)
 
     def numerator(self, u: MPoly) -> MPoly:
         """c0*u + cx*u_x + cy*u_y + cz*u_z, not yet divided.  Raises, as
@@ -113,12 +115,6 @@ class DiffOperator:
         num = u.apply_derivatives({"": self.c0, "x": self.cx, "y": self.cy, "z": self.cz})
         self.denom.divisor_degree()
         return num
-
-    def divide(self, num: MPoly) -> MPoly:
-        """The numerator `num` over the denominator, exactly."""
-        if self.denom == ONE:
-            return num
-        return num.div_exact(self.denom)
 
 
 class _Shift:
@@ -211,12 +207,21 @@ def report_equality(
     lhs: MPoly,
     rhs: MPoly,
     *,
+    scale=1,
+    denom: MPoly = ONE,
+    applicable: bool = True,
     detail: str = None,
 ) -> VerificationReport:
-    """Compare two exact polynomials and wrap the outcome in a report; a
-    failing report also carries the text of lhs - rhs."""
-    if lhs == rhs:
-        return VerificationReport(relation, tuple(index), params, PASS, detail=detail)
+    """The one judge of an identity: whether lhs == scale * denom * rhs, by
+    `MPoly.is_multiple`; a pass reads not_applicable unless `applicable`.
+    Only a failing sample divides lhs by denom and scales rhs, to report
+    both sides and their difference."""
+    if lhs.is_multiple(rhs if denom == ONE else rhs * denom, scale):
+        status = PASS if applicable else NOT_APPLICABLE
+        return VerificationReport(relation, tuple(index), params, status, detail=detail)
+    if denom != ONE:
+        lhs = lhs.div_exact(denom)
+    rhs = rhs.scale(scale)
     return VerificationReport(
         relation,
         tuple(index),
@@ -227,21 +232,6 @@ def report_equality(
         detail=detail,
         difference=(lhs - rhs).to_text(),
     )
-
-
-def _report_multiple(relation, index, params, operator: DiffOperator, num: MPoly,
-                     target: MPoly, scale, *, applicable: bool = True,
-                     detail: str = None) -> VerificationReport:
-    """`report_equality` of operator.divide(num) against target.scale(scale).
-    The identity is checked as num == scale * denom * target, by
-    cross-multiplication; only a failing sample divides and scales, to
-    report both sides and their difference."""
-    denom = operator.denom
-    if num.is_multiple(target if denom == ONE else target * denom, scale):
-        status = PASS if applicable else NOT_APPLICABLE
-        return VerificationReport(relation, tuple(index), params, status, detail=detail)
-    return report_equality(relation, index, params, operator.divide(num), target.scale(scale),
-                           detail=detail)
 
 
 def verify_sparse(family, op: str, idx, p) -> VerificationReport:
@@ -259,9 +249,9 @@ def verify_sparse(family, op: str, idx, p) -> VerificationReport:
     num = operator.numerator(u)
     idx2, params2 = rel.shifted(idx, params)
     if not family.valid(idx2):
-        return _report_multiple(op, idx, params, operator, num, ZERO, 1, applicable=False)
-    return _report_multiple(op, idx, params, operator, num, family.member(idx2, params2),
-                            rel.scale(*idx, p))
+        return report_equality(op, idx, params, num, ZERO, denom=operator.denom, applicable=False)
+    return report_equality(op, idx, params, num, family.member(idx2, params2),
+                           scale=rel.scale(*idx, p), denom=operator.denom)
 
 
 def composition_lines(entry_id: str) -> Tuple[str, str]:
@@ -299,8 +289,8 @@ def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
         product = inner.scale(*idx0, p0) * outer.scale(*idx1, p1)
         if product != eig:
             detail = f"scale product {product} != tabulated eigenvalue {eig}"
-    return _report_multiple(entry_id, idx, params, operator, num, u, eig, detail=detail,
-                            applicable=not u.is_zero)
+    return report_equality(entry_id, idx, params, num, u, scale=eig, denom=operator.denom,
+                           applicable=not u.is_zero, detail=detail)
 
 
 def residual(family, which: str, idx, p, u: MPoly = None) -> MPoly:

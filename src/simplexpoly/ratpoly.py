@@ -35,9 +35,9 @@ gcd at the end.
 
 An identity u == c * v between polynomials is decided by
 `u.is_multiple(v, c)` on the integer numerators, by cross-multiplication,
-without forming c * v in canonical form; the ladder checks in `operators`
-compare the undivided operator image with scale * denominator * target
-this way and divide only to print a failing sample.
+without forming c * v in canonical form; `operators.report_equality`, the
+one judge of every identity, decides lhs == scale * denominator * rhs
+this way and divides only to print a failing sample.
 
 The interface speaks exponent triples (i, j, k) and Fractions: `terms`
 and `coeff` return Fractions, the constructor and `scale` take ints or
@@ -540,6 +540,8 @@ class MPoly:
         product: with self = A/a, other = B/b and c = n/d, it holds iff
         both have the same monomials and A_e * b * d == B_e * n * a at
         each, the two factors first divided by their gcd."""
+        if type(c) is int and c == 1:
+            return self == other
         n, d = _ratio(c)
         mine, theirs = self._num, other._num
         if not n or not theirs:

@@ -164,10 +164,6 @@ class SweepSection:
 # hashable exact contents, so the list pickles cleanly.
 # ---------------------------------------------------------------------------
 
-def _residual_report(relation, index, params, residual) -> VerificationReport:
-    return report_equality(relation, index, params, residual, ZERO)
-
-
 def _run_monic(family, relation, idx, params, poly, residual) -> VerificationReport:
     """The monic solution `poly` of the family record `family` has unit
     coefficient at x^d_0 y^d_1 z^d_2, d being the member's per-axis
@@ -177,7 +173,8 @@ def _run_monic(family, relation, idx, params, poly, residual) -> VerificationRep
         return VerificationReport(
             relation, idx, params, FAIL, lhs=poly.to_text(), rhs="unit leading coefficient",
         )
-    return _residual_report(relation, idx, params, residual(family.monic[0], idx, params, poly))
+    return report_equality(relation, idx, params,
+                           residual(family.monic[0], idx, params, poly), ZERO)
 
 
 def _source(*row) -> Row:
@@ -208,16 +205,16 @@ _KINDS = {
     "m2d": ("{}", _check(triangle2d, "verify_m_relation")),
     "so2d": ("{}", _check(triangle2d, "verify_second_order_m")),
     "d0": ("reduction.d0", lambda rid, rel, idx, row: triangle2d.verify_d0_reduction(idx, row)),
-    "pde2d": ("pde.{}", lambda rid, rel, idx, row: _residual_report(
-        rid, idx, row, triangle2d.pde_residual(rel, idx, row))),
+    "pde2d": ("pde.{}", lambda rid, rel, idx, row: report_equality(
+        rid, idx, row, triangle2d.pde_residual(rel, idx, row), ZERO)),
     "monic2d": ("monic.triangle", lambda rid, rel, idx, row: _run_monic(
         triangle2d.FAMILY, rid, idx, row, triangle2d.monic_triangle(idx, row),
         triangle2d.pde_residual)),
     "theorem1": ("{}", _check(simplex3d, "verify_theorem1")),
     "so3d": ("{}", _check(simplex3d, "verify_second_order_3d")),
     "ab0": ("reduction.ab0", lambda rid, rel, idx, row: simplex3d.verify_reduction_ab0(idx, row)),
-    "pde3d": ("pde.{}", lambda rid, rel, idx, row: _residual_report(
-        rid, idx, row, simplex3d.pde_residual_3d(rel, idx, row))),
+    "pde3d": ("pde.{}", lambda rid, rel, idx, row: report_equality(
+        rid, idx, row, simplex3d.pde_residual_3d(rel, idx, row), ZERO)),
     "monic3d": ("monic.simplex", lambda rid, rel, idx, row: _run_monic(
         simplex3d.FAMILY, rid, idx, row, simplex3d.monic_simplex(idx, row),
         simplex3d.pde_residual_3d)),

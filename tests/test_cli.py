@@ -136,7 +136,10 @@ POLE_NAMES = {
     "connect-target-pole": "alpha connection coefficient of 1,0,0 on 0,0,0: gamma ratio pole",
     "monic-triangle-pole": "monic prefactor at index 1,0: gamma ratio pole",
     "monic-simplex-pole": "monic prefactor at index 1,0,0: gamma ratio pole",
-    "connect-coefficient-pole": "connection coefficient pole: (k+qa+qb+1)_k = 0",
+    "connect-coefficient-pole": "the weight's exponent -13/6 on axis x must exceed -1",
+    "connect-alpha-pole-1": "the weight's exponent -13/6 on axis x must exceed -1",
+    "connect-alpha-pole-2": "the weight's exponent -13/6 on axis x must exceed -1",
+    "connect-general-target-pole": "target the weight's exponent -3/2 on axis x must exceed -1",
 }
 
 
@@ -165,13 +168,20 @@ POLE_NAMES = {
     ["gram", "--N", "2", "--params=0,0,-9/10,-9/10,0,-9/10"],
     ["print-poly", "--family", "jacobi", "--index", "520", "--params", "0,0"],
     *ZERO_DENOMINATOR_ARGV,
-    # Poles inside the weight domain: in a monic prefactor, and where
-    # (k+qa+qb+1)_k of a general connection coefficient vanishes.
+    # Poles inside the weight domain: in a monic prefactor, and in general
+    # and alpha connection coefficients at a source or target row whose
+    # weight is not integrable along x, which is the refusal named.
     ["print-poly", "--family", "triangle", "--index", "1,0", "--params=-3/4,-3/4,-3/4,-3/4",
      "--monic"],
     ["print-poly", "--family", "simplex", "--index", "1,0,0",
      "--params=-2/3,-2/3,-2/3,-2/3,-2/3,-2/3", "--monic"],
     ["connect", "--mode", "general", "--index", "2,0,0", "--params=-5/6,-5/6,-5/6,-5/6,-5/6,-5/6",
+     "--target=-5/6,-5/6,-5/6,-5/6"],
+    ["connect", "--mode", "alpha", "--index", "1,0,0", "--params=-5/6,-5/6,-5/6,-5/6,-5/6,-5/6",
+     "--xi=-5/6"],
+    ["connect", "--mode", "alpha", "--index", "2,0,0", "--params=-5/6,-5/6,-5/6,-5/6,-5/6,-5/6",
+     "--xi=-5/6"],
+    ["connect", "--mode", "general", "--index", "0,1,0", "--params=-1/2,-1/2,-1/2,-1/2,-1/2,-1/2",
      "--target=-5/6,-5/6,-5/6,-5/6"],
     # A flag that the mode does not read.
     ["connect", "--mode", "alpha", "--index", "1,0,0", "--params", "0,0,0,0,0,0",
@@ -187,7 +197,8 @@ POLE_NAMES = {
         "jacobi-index-past-exponent-limit", "print-poly-zero-denominator",
         "gram-zero-denominator", "connect-xi-zero-denominator",
         "connect-target-zero-denominator", "monic-triangle-pole", "monic-simplex-pole",
-        "connect-coefficient-pole", "connect-alpha-with-target", "connect-general-with-xi"])
+        "connect-coefficient-pole", "connect-alpha-pole-1", "connect-alpha-pole-2",
+        "connect-general-target-pole", "connect-alpha-with-target", "connect-general-with-xi"])
 def test_bad_params_exit_usage(argv, request, capsys):
     code = main(argv)
     assert code == EX_USAGE
@@ -662,6 +673,15 @@ def test_connect_refusal_names_its_cause(argv, cause, capsys):
     assert captured.out == ""
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and cause in err[0]
+
+
+@pytest.mark.parametrize("xi", ["0", "1/2"])
+def test_a_source_row_that_is_not_integrable_connects_where_no_pole_is_met(xi, capsys):
+    # At --xi=-5/6 the same connection meets a pole and is refused.
+    code = main(["connect", "--mode", "alpha", "--index", "1,0,0",
+                 "--params=-5/6,-5/6,-5/6,-5/6,-5/6,-5/6", "--xi=" + xi])
+    assert code == EX_OK
+    assert json.loads(capsys.readouterr().out)["reassembles_exactly"] is True
 
 
 def test_connect_general_identity(capsys):

@@ -4,7 +4,9 @@ import pickle
 from dataclasses import replace
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from simplexpoly import (
     connect_alpha,
@@ -70,6 +72,31 @@ def test_report_equality_pass_and_fail():
     assert bad.status == "fail" and not bad.ok
     assert bad.lhs == "1 * x^1" and bad.rhs == "1 * y^1"
     assert bad.difference == "1 * x^1 - 1 * y^1" and ok.difference is None
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_targets = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _rationals, max_size=5).map(MPoly)
+_DENOMINATORS = [ONE, ONE_MINUS_X, ONE_MINUS_XY, ONE_MINUS_X * ONE_MINUS_XY]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_targets, st.sampled_from(_DENOMINATORS), _rationals,
+       st.tuples(*[st.integers(0, 3)] * 3), _rationals.filter(bool))
+def test_the_judge_decides_lhs_as_scale_times_denom_times_rhs(t, d, s, where, step):
+    num = (t * d).scale(s)
+    assert report_equality("r", (1,), (F(0),), num, t, scale=s, denom=d).status == "pass"
+    assert report_equality("r", (1,), (F(0),), num, t, scale=s, denom=d,
+                           applicable=False).status == "not_applicable"
+    # One coefficient of num / d moved: num itself moves by step * m * d.
+    moved = MPoly({where: step})
+    bad = report_equality("r", (1,), (F(0),), num + moved * d, t, scale=s, denom=d,
+                          detail="why")
+    assert bad.status == "fail" and bad.detail == "why"
+    assert bad.lhs == (t.scale(s) + moved).to_text()
+    assert bad.rhs == t.scale(s).to_text()
+    assert bad.difference == moved.to_text()
+    assert report_equality("r", (1,), (F(0),), num + moved * d, t, scale=s, denom=d,
+                           applicable=False).status == "fail"
 
 
 def test_report_json_shape():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import EX_OK, main
 from simplexpoly.operators import (
-    FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, as_tuple, summarize,
+    FAIL, NOT_APPLICABLE, PASS, Row, VerificationReport, as_tuple, report_equality, summarize,
 )
 from simplexpoly.special import PoleHit
 
@@ -524,6 +524,25 @@ def test_a_task_that_raises_keeps_its_relation_id(kind, one_task_per_kind, monke
         assert (raised.status, raised.detail) == (status, f"{type(exc).__name__}: {exc}")
         assert ((raised.relation, raised.index, raised.params)
                 == (finished.relation, finished.index, finished.params))
+
+
+@pytest.mark.parametrize("kind", sorted(sweeps._KINDS))
+def test_every_task_kind_gets_its_verdict_from_the_judge(kind, one_task_per_kind, monkeypatch):
+    # The judge is wrapped in every module that binds it, as the benchmark's
+    # tracer wraps it, so a verdict reached by another path shows here.
+    judged = []
+
+    def counted(*args, **kwargs):
+        judged.append(report_equality(*args, **kwargs))
+        return judged[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "simplexpoly" \
+                and getattr(module, "report_equality", None) is report_equality:
+            monkeypatch.setattr(module, "report_equality", counted)
+    report = sweeps.run_task(one_task_per_kind[kind])
+    assert report.detail is None
+    assert any(r is report for r in judged)
 
 
 # One row per kind where a coefficient of the identity has a pole, and the
