@@ -245,12 +245,13 @@ def cmd_connect(args) -> int:
         if args.xi is None or args.target is not None:
             raise ValueError("mode=alpha takes --xi and no --target")
         target = as_rat(args.xi)
-        connect, row = simplex3d.connect_alpha, (target,) + params[1:]
+        connect, given = simplex3d.connect_alpha, (target,)
     else:
         if args.target is None or args.xi is not None:
             raise ValueError("mode=general takes --target and no --xi")
-        target = as_tuple(args.target.split(","), 4)
-        connect, row = simplex3d.connect_general, target + params[4:]
+        target = given = as_tuple(args.target.split(","), 4)
+        connect = simplex3d.connect_general
+    row = given + params[len(given):]
     _target(family.check, row)
     with _checked_out(args.out):
         try:
@@ -259,7 +260,7 @@ def cmd_connect(args) -> int:
             family.integrable_axes(params)
             _target(family.integrable_axes, row)
             raise
-        ok = expansion.verify()
+        report = expansion.report("connect." + args.mode, params + given)
     payload = {
         "source_index": list(expansion.source_index),
         "source_params": [str(v) for v in expansion.source_params],
@@ -273,11 +274,13 @@ def cmd_connect(args) -> int:
             }
             for t in expansion.terms
         ],
-        "reassembles_exactly": ok,
+        "reassembles_exactly": report.ok,
     }
     with _output(args.out) as fh:
         fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return EX_OK if ok else EX_FAIL
+    if not report.ok:
+        print(f"simplexpoly: connect: reassembly - member = {report.difference}", file=sys.stderr)
+    return EX_OK if report.ok else EX_FAIL
 
 
 def main(argv=None) -> int:

@@ -10,9 +10,9 @@ orthogonal on {x, y, z > 0, x+y+z < 1} against
 This module carries the thirty-six ladder operators acting along the
 three collapsed directions, their sparse recurrence and second-order
 composition tables, the four second-order differential equations, the
-monic solution, two connection expansions, the three-term recurrence in
-x, and the derivative / weighted-derivative / multiplication identities
-for the classical (a = b = 0) subfamily.
+monic solution, two connection expansions (each judged by its `report`),
+the three-term recurrence in x, and the derivative / weighted-derivative
+/ multiplication identities for the classical (a = b = 0) subfamily.
 
 Throughout, e abbreviates alpha+beta+gamma+delta+a+b and n = n1+n2+n3;
 both are recomputed from the shifted values on every parameter step, never
@@ -545,8 +545,10 @@ class ConnectionExpansion:
                     * (ONE_MINUS_X**p * ONE_MINUS_XY**q)
                     for (p, q), terms in parts.items()), ZERO)
 
-    def verify(self) -> bool:
-        return self.reassemble() == FAMILY.member(self.source_index, self.source_params)
+    def report(self, relation: str, row) -> VerificationReport:
+        """The judge's report, as `relation` at `row`, on reassembly = source member."""
+        return report_equality(relation, self.source_index, row, self.reassemble(),
+                               FAMILY.member(self.source_index, self.source_params))
 
 
 def connect_alpha(idx, p, xi) -> ConnectionExpansion:

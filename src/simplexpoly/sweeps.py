@@ -182,11 +182,6 @@ def _source(*row) -> Row:
     return as_tuple(row[:6], 6)
 
 
-def _run_connection(relation, idx, row, expansion) -> VerificationReport:
-    lhs, rhs = expansion.reassemble(), simplex3d.FAMILY.member(idx, row.derive(_source))
-    return report_equality(relation, idx, row, lhs, rhs)
-
-
 def _check(module, name, index=lambda idx: idx):
     """Executor that runs module.name(relation, index(idx), row)."""
     return lambda rid, rel, idx, row: getattr(module, name)(rel, index(idx), row)
@@ -195,10 +190,10 @@ def _check(module, name, index=lambda idx: idx):
 # One line per task kind: the relation id of its reports, where "{}" stands
 # for the task's relation, and its executor, called with that id and the
 # task's fields.  A task that raises is reported under the id and row its
-# verifier writes (tests/test_sweeps.py checks each kind); a connection row
-# is the source row, then xi or the four target parameters.  Each
-# executor names its verifier on the module at call time, so wrappers
-# installed later (a test's monkeypatch, a profiler) are used.
+# verifier writes (tests/test_sweeps.py checks each kind).  A connection row
+# (source, then xi or target) is judged by `ConnectionExpansion.report`, as
+# `connect` judges it.  Each executor names its verifier on the module at
+# call time, so wrappers installed later (a monkeypatch, a profiler) are used.
 _KINDS = {
     "ladder1d": ("{}", _check(jacobi1d, "verify_ladder", lambda idx: idx[0])),
     "so1d": ("{}", _check(jacobi1d, "verify_second_order_1d", lambda idx: idx[0])),
@@ -220,10 +215,10 @@ _KINDS = {
         simplex3d.pde_residual_3d)),
     "three_term": ("three-term.x", lambda rid, rel, idx, row:
                    simplex3d.verify_three_term(idx, row)),
-    "conn_alpha": ("connect.alpha", lambda rid, rel, idx, row: _run_connection(
-        rid, idx, row, simplex3d.connect_alpha(idx, row.derive(_source), row[6]))),
-    "conn_general": ("connect.general", lambda rid, rel, idx, row: _run_connection(
-        rid, idx, row, simplex3d.connect_general(idx, row.derive(_source), row[6:]))),
+    "conn_alpha": ("connect.alpha", lambda rid, rel, idx, row: simplex3d.connect_alpha(
+        idx, row.derive(_source), row[6]).report(rid, row)),
+    "conn_general": ("connect.general", lambda rid, rel, idx, row: simplex3d.connect_general(
+        idx, row.derive(_source), row[6:]).report(rid, row)),
     "cor_deriv": ("corollary.deriv.{}", _check(simplex3d, "verify_corollary_derivatives")),
     "cor_weight": ("corollary.weighted.{}", _check(simplex3d, "verify_corollary_weighted")),
     "cor_mult": ("corollary.mult.{}", _check(simplex3d, "verify_corollary_multiplication")),
@@ -236,10 +231,10 @@ def run_task(task: Task) -> VerificationReport:
     """Run one task, the construction caches scoped to the row its members are
     built at: its row's first six entries, a connection's source row.  This is
     the one place where a raised check becomes a verdict, the cause in the
-    report's detail.  A pole (PoleHit) makes the sample not_applicable: a
-    coefficient of the identity is undefined at that row.  An exact division
-    with a remainder, by a divisor it cannot divide by (ValueError, as a
-    mistyped table denominator gives) or by zero fails the sample."""
+    report's detail (`connect` exits 64 at a pole).  A pole (PoleHit) makes the
+    sample not_applicable: a coefficient of the identity is undefined there.  An
+    exact division with a remainder, by a divisor it cannot divide by (ValueError,
+    as a mistyped table denominator gives) or by zero fails the sample."""
     kind, rel, idx, row = task
     jacobi1d.enter_row(row[:6])
     relation, execute = _KINDS[kind]

@@ -10,6 +10,7 @@ import pytest
 
 from bad_configs import BAD_CONFIGS, bad_config_path
 from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
+from simplexpoly.operators import as_tuple
 from simplexpoly.cli import (CONNECT_MAX_DEGREE, EX_CONFIG, EX_ERRATUM, EX_FAIL, EX_OK, EX_USAGE,
                              GRAM_BOUND, GRAM_MAX_DEGREE, PRINT_MAX_DEGREE, main)
 
@@ -693,6 +694,48 @@ def test_connect_general_identity(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reassembles_exactly"] is True
     assert len(payload["terms"]) == 1 and payload["terms"][0]["coeff"] == "1"
+
+
+def _connect_argv(kind, rel, idx, row):
+    """The `connect` command line of a `connections` task: the row is the
+    six source parameters, then xi or the four target parameters."""
+    mode = kind.split("_")[1]
+    return ["connect", "--mode", mode, "--index", ",".join(map(str, idx)),
+            "--params=" + ",".join(row.text[:6]),
+            ("--xi=" if mode == "alpha" else "--target=") + ",".join(row.text[6:])]
+
+
+@pytest.mark.parametrize("kind", ["conn_alpha", "conn_general"])
+@pytest.mark.parametrize("where", [0, 0.5, -1], ids=["first", "middle", "last"])
+def test_connect_reports_what_the_connections_suite_reports(kind, where, monkeypatch, capsys):
+    tasks = [t for t in sweeps.plan(None, ["connections"])[1][0][1] if t[0] == kind]
+    task = tasks[int(where * len(tasks))]
+    made, method = [], simplex3d.ConnectionExpansion.report
+    monkeypatch.setattr(simplex3d.ConnectionExpansion, "report",
+                        lambda self, *args: made.append(method(self, *args)) or made[-1])
+    assert main(_connect_argv(*task)) == EX_OK
+    assert json.loads(capsys.readouterr().out)["reassembles_exactly"] is True
+    [report] = made
+    assert report.status == "pass"
+    assert report.to_json() == sweeps.run_task(task).to_json()
+
+
+def test_a_failing_connect_prints_the_difference_the_suite_reports(monkeypatch, capsys):
+    # Each 1-D coefficient that lowers a degree to 0 doubled.
+    coeff = simplex3d._conn1d_coeff
+    monkeypatch.setattr(simplex3d, "_conn1d_coeff",
+                        lambda n, k, *ab: coeff(n, k, *ab) * (2 if k == 0 < n else 1))
+    row = "0,0,0,0,0,0", "1/2,0,0,0"
+    code = main(["connect", "--mode", "general", "--index", "1,1,0", "--params=" + row[0],
+                 "--target=" + row[1]])
+    captured = capsys.readouterr()
+    assert code == EX_FAIL
+    assert json.loads(captured.out)["reassembles_exactly"] is False
+    difference = "5/13 * x^1 + 15/13 * y^1 - 5/13"
+    assert captured.err.splitlines() == [
+        f"simplexpoly: connect: reassembly - member = {difference}"]
+    task = ("conn_general", None, (1, 1, 0), as_tuple(",".join(row).split(","), 10))
+    assert sweeps.run_task(task).difference == difference
 
 
 def test_exit_code_constants():

@@ -13,6 +13,7 @@ from simplexpoly.simplex3d import (
     connect_general,
     simplex_poly_raw,
 )
+from simplexpoly.operators import PASS
 from simplexpoly.special import PoleHit
 
 from oracles import hyper3f2_series, rising
@@ -56,14 +57,15 @@ def test_alpha_degree_zero_in_first_slot():
 def test_alpha_two_term_expansion():
     exp = connect_alpha((1, 0, 0), ZEROS, F(1, 2))
     assert [t.index for t in exp.terms] == [(1, 0, 0), (0, 0, 0)]
-    assert exp.verify()
+    assert exp.report("connect.alpha", (*ZEROS, F(1, 2))).status == PASS
 
 
 @pytest.mark.parametrize("params", PARAMS_GRID)
 def test_alpha_reassembles_exactly(params):
     for idx in indices(4):
         for xi in XIS:
-            assert connect_alpha(idx, params, xi).verify(), (idx, xi)
+            report = connect_alpha(idx, params, xi).report("connect.alpha", (*params, xi))
+            assert report.status == PASS, (idx, xi)
 
 
 def test_general_identity_target_collapses():
@@ -85,7 +87,7 @@ def test_general_second_slot_expansion():
     exp = connect_general((0, 1, 0), ZEROS, (F(0), F(1, 2), F(0), F(0)))
     ks = sorted(t.index for t in exp.terms)
     assert ks == [(0, 0, 0), (0, 1, 0)]
-    assert exp.verify()
+    assert exp.report("connect.general", (*ZEROS, F(0), F(1, 2), F(0), F(0))).status == PASS
     # the lowered term carries the compensating (1-x) factor
     lowered = [t for t in exp.terms if t.index == (0, 0, 0)][0]
     assert lowered.pow_1x == 1 and lowered.pow_1xy == 0
@@ -102,7 +104,25 @@ TARGETS = [
 def test_general_reassembles_exactly(params):
     for idx in indices(3):
         for target in TARGETS:
-            assert connect_general(idx, params, target).verify(), (idx, target)
+            report = connect_general(idx, params, target).report("connect.general",
+                                                                 (*params, *target))
+            assert report.status == PASS, (idx, target)
+
+
+def _sorted_terms(expansion):
+    return sorted((t.index, t.coeff, t.pow_1x, t.pow_1xy) for t in expansion.terms)
+
+
+# The two theorems are transcribed separately, so where only alpha changes
+# each one checks the other's coefficients: an erratum in either formula
+# makes the two expansions differ.
+@pytest.mark.parametrize("params", PARAMS_GRID)
+def test_the_two_connection_theorems_agree_where_only_alpha_changes(params):
+    for idx in indices(4):
+        for xi in XIS:
+            alpha = connect_alpha(idx, params, xi)
+            general = connect_general(idx, params, (xi, *params[1:4]))
+            assert _sorted_terms(alpha) == _sorted_terms(general), (idx, xi)
 
 
 def test_expansion_coefficients_are_exact_fractions():
