@@ -274,7 +274,7 @@ def verify_composition(family, entry_id: str, idx, p) -> VerificationReport:
     ent = family.second_order[entry_id]
     idx0, params0 = ent.shifted(idx, params)
     if not family.valid(idx0):
-        return VerificationReport(entry_id, idx, params, NOT_APPLICABLE)
+        return report_equality(entry_id, idx, params, ZERO, ZERO, applicable=False)
     eig = ent.eig(*idx, params.derive(family.view))
     u = family.member(idx0, params0)
     outer, inner = map(family.sparse.__getitem__, composition_lines(entry_id))

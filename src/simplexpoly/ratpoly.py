@@ -28,16 +28,17 @@ turning into a monomial in another variable.
 One kernel serves every differential operator in the package:
 `MPoly.apply_derivatives({key: coeff})` returns the sum of coeff times the
 derivative of the polynomial along the letters of key ("" for itself,
-"x", "xy", ...).  The ladder operators (`operators.DiffOperator.apply`)
-and the differential-equation residuals (`operators.residual`) both call
-it, and it accumulates all the products into one integer map with one
-gcd at the end.
+"x", "xy", ...).  The ladder operators, the differential-equation
+residuals and the derivative corollaries of `simplex3d` call it, and no
+module calls `MPoly.diff`; it accumulates all the products into one
+integer map with one gcd at the end.
 
 An identity u == c * v between polynomials is decided by
 `u.is_multiple(v, c)` on the integer numerators, by cross-multiplication,
 without forming c * v in canonical form; `operators.report_equality`, the
-one judge of every identity, decides lhs == scale * denominator * rhs
-this way and divides only to print a failing sample.
+one judge of every identity, a monic lead and an a = b = 0 coefficient
+too, decides lhs == scale * denominator * rhs this way and divides only
+to print a failing sample.
 
 The interface speaks exponent triples (i, j, k) and Fractions: `terms`
 and `coeff` return Fractions, the constructor and `scale` take ints or

@@ -495,17 +495,17 @@ def verify_reduction_ab0(idx, fourparams) -> VerificationReport:
     lhs = FAMILY.member(idx, params)
     rhs = classical_simplex_poly_raw(*idx, *q)
     rep = report_equality("reduction.ab0", idx, q, lhs, rhs)
-    if rep.status != "pass":
+    if not rep.ok:
         return rep
     # Coefficient comparison: T1 at a = b = 0 against the classical display
     # times the same clearing factor (1-x)(1-x-y), u's coefficient last.
     p = params.derive(FAMILY.view)
     classical = classical_t1_coeffs(*idx, p)
     for key, coeff in _t1_coeffs(*idx, p).items():
-        expected = classical[key] * _D12
-        if coeff != expected:
-            return report_equality("reduction.ab0", idx, q, coeff, expected,
-                                   detail=f"first-equation coefficient mismatch on u_{key or '0'}")
+        check = report_equality("reduction.ab0", idx, q, coeff, classical[key] * _D12)
+        if not check.ok:
+            check.detail = f"first-equation coefficient mismatch on u_{key or '0'}"
+            return check
     return rep
 
 
@@ -703,13 +703,10 @@ class Corollary:
     terms: Callable
 
 
-def _dx_dy(u: MPoly) -> MPoly:
-    return u.diff("x") - u.diff("y")
-
-
 DERIVATIVES = {
     "dx-dy": Corollary(
-        lambda u, n1, n2, n3, p: _dx_dy(u).scale(2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
+        lambda u, n1, n2, n3, p: u.apply_derivatives({"x": ONE, "y": -ONE}).scale(
+            2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
         (+1, +1, 0, 0),
         lambda n1, n2, n3, p: (
             ((-1, 0, 0), (n2 + 2 * n3 + p.be + p.ga + p.de + 2)
@@ -717,17 +714,19 @@ DERIVATIVES = {
             ((0, -1, 0), -(n1 + 2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2)
              * (n2 + 2 * n3 + p.ga + p.de + 1)))),
     "dz-dy": Corollary(
-        lambda u, n1, n2, n3, p: (u.diff("z") - u.diff("y")).scale(2 * n3 + p.ga + p.de + 1),
+        lambda u, n1, n2, n3, p: u.apply_derivatives({"z": ONE, "y": -ONE}).scale(
+            2 * n3 + p.ga + p.de + 1),
         (0, +1, +1, 0),
         lambda n1, n2, n3, p: (
             ((0, 0, -1), (n3 + p.de) * (n2 + 2 * n3 + p.ga + p.de + 1)),
             ((0, -1, 0), -(n2 + 2 * n3 + p.be + p.ga + p.de + 2) * (n3 + p.ga + p.de + 1)))),
     "dz": Corollary(
-        lambda u, n1, n2, n3, p: u.diff("z"), (0, 0, +1, +1),
+        lambda u, n1, n2, n3, p: u.apply_derivatives({"z": ONE}), (0, 0, +1, +1),
         lambda n1, n2, n3, p: (((0, 0, -1), n3 + p.ga + p.de + 1),)),
     "dz.dx-dy": Corollary(
         lambda u, n1, n2, n3, p:
-        _dx_dy(u).diff("z").scale(2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
+        u.apply_derivatives({"xz": ONE, "yz": -ONE}).scale(
+            2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2),
         (+1, +1, +1, +1),
         lambda n1, n2, n3, p: (
             ((-1, 0, -1), (n2 + 2 * n3 + p.be + p.ga + p.de + 2)
@@ -744,12 +743,12 @@ DERIVATIVES = {
 
 def _xy_weighted(u: MPoly, p) -> MPoly:
     # x*y*(d/dx - d/dy)(x^al y^be w^de u) / (x^(al-1) y^(be-1) w^de)
-    return XY * _dx_dy(u) + (Y.scale(p.al) - X.scale(p.be)) * u
+    return u.apply_derivatives({"x": XY, "y": -XY, "": Y.scale(p.al) - X.scale(p.be)})
 
 
 def _zw_weighted(u: MPoly, p) -> MPoly:
     # z*w*d/dz(z^ga w^de u) / (z^(ga-1) w^(de-1))
-    return _ZW * u.diff("z") + (_W.scale(p.ga) - Z.scale(p.de)) * u
+    return u.apply_derivatives({"z": _ZW, "": _W.scale(p.ga) - Z.scale(p.de)})
 
 
 WEIGHTED = {
@@ -760,8 +759,8 @@ WEIGHTED = {
         lambda n1, n2, n3, p: (
             ((0, +1, 0), (n1 + p.al) * (n2 + 1)), ((+1, 0, 0), -(n1 + 1) * (n2 + p.be)))),
     "dz-dy": Corollary(
-        lambda u, n1, n2, n3, p: (
-            _YZ * (u.diff("z") - u.diff("y")) + (Y.scale(p.ga) - Z.scale(p.be)) * u
+        lambda u, n1, n2, n3, p: u.apply_derivatives(
+            {"z": _YZ, "y": -_YZ, "": Y.scale(p.ga) - Z.scale(p.be)}
         ).scale(2 * n3 + p.ga + p.de + 1),
         (0, -1, -1, 0),
         lambda n1, n2, n3, p: (

@@ -26,7 +26,7 @@ from . import jacobi1d, simplex3d, triangle2d
 from .operators import (
     FAIL, NOT_APPLICABLE, Row, VerificationReport, as_tuple, report_equality, summarize,
 )
-from .ratpoly import EXPONENT_LIMIT, ZERO, NonzeroRemainder, Rat, as_rat
+from .ratpoly import EXPONENT_LIMIT, ZERO, MPoly, NonzeroRemainder, Rat, as_rat
 from .special import PoleHit
 
 # The largest degree a config may ask for.  Every exponent of a packed
@@ -165,14 +165,14 @@ class SweepSection:
 # ---------------------------------------------------------------------------
 
 def _run_monic(family, relation, idx, params, poly, residual) -> VerificationReport:
-    """The monic solution `poly` of the family record `family` has unit
-    coefficient at x^d_0 y^d_1 z^d_2, d being the member's per-axis
-    degrees, and solves the record's monic equation, `residual(which, idx,
-    params, poly)` being the cleared residual."""
-    if poly.coeff(*(*family.degrees(*idx), 0, 0)[:3]) != 1:
-        return VerificationReport(
-            relation, idx, params, FAIL, lhs=poly.to_text(), rhs="unit leading coefficient",
-        )
+    """The judge's report that the monic solution `poly` of the family
+    record `family` has the leading term x^d_0 y^d_1 z^d_2, d being the
+    member's per-axis degrees, and then that it solves the record's monic
+    equation, `residual(which, idx, params, poly)` being the cleared residual."""
+    d = (*family.degrees(*idx), 0, 0)[:3]
+    lead = report_equality(relation, idx, params, MPoly({d: poly.coeff(*d)}), MPoly({d: 1}))
+    if not lead.ok:
+        return lead
     return report_equality(relation, idx, params,
                            residual(family.monic[0], idx, params, poly), ZERO)
 

@@ -414,3 +414,85 @@ def test_corollary_spot_examples():
     # multiplication identities at the origin member
     for which in MULTIPLICATIONS:
         assert verify_corollary_multiplication(which, (0, 0, 0), quad).status == "pass"
+
+
+# The derivative and weighted-derivative left-hand sides as the paper writes
+# them, with MPoly.diff and products: a transcription of the operators that
+# is independent of the maps the tables hand to MPoly.apply_derivatives.
+def _dx_dy(u):
+    return u.diff("x") - u.diff("y")
+
+
+def _xy_weighted(u, p):
+    # x y (d/dx - d/dy)(x^al y^be w^de u) / (x^(al-1) y^(be-1) w^de)
+    return X * Y * _dx_dy(u) + (Y.scale(p.al) - X.scale(p.be)) * u
+
+
+def _zw_weighted(u, p):
+    # z w d/dz(z^ga w^de u) / (z^(ga-1) w^(de-1)), w = 1-x-y-z
+    w = ONE_MINUS_XYZ
+    return Z * w * u.diff("z") + (w.scale(p.ga) - Z.scale(p.de)) * u
+
+
+def _h2(n1, n2, n3, p):
+    return 2 * n2 + 2 * n3 + p.be + p.ga + p.de + 2
+
+
+def _h3(n1, n2, n3, p):
+    return 2 * n3 + p.ga + p.de + 1
+
+
+COROLLARY_ORACLES = {
+    ("deriv", "dx-dy"): lambda u, idx, p: _dx_dy(u).scale(_h2(*idx, p)),
+    ("deriv", "dz-dy"): lambda u, idx, p: (u.diff("z") - u.diff("y")).scale(_h3(*idx, p)),
+    ("deriv", "dz"): lambda u, idx, p: u.diff("z"),
+    ("deriv", "dz.dx-dy"): lambda u, idx, p: _dx_dy(u).diff("z").scale(_h2(*idx, p)),
+    ("weighted", "dx-dy"): lambda u, idx, p: _xy_weighted(u, p).scale(_h2(*idx, p)),
+    ("weighted", "dz-dy"): lambda u, idx, p: (
+        Y * Z * (u.diff("z") - u.diff("y")) + (Y.scale(p.ga) - Z.scale(p.be)) * u
+    ).scale(_h3(*idx, p)),
+    ("weighted", "dz"): lambda u, idx, p: _zw_weighted(u, p),
+    ("weighted", "dz.dx-dy"): lambda u, idx, p:
+    _zw_weighted(_xy_weighted(u, p), p).scale(_h2(*idx, p)),
+}
+ORACLE_INDICES = [(1, 1, 1), (2, 1, 1), (1, 2, 2), (0, 1, 3), (3, 0, 1)]
+
+
+def _oracle_mismatches():
+    """(kind, line, index, row) of each derivative or weighted-derivative
+    left-hand side that differs from its transcription, on two rows."""
+    tables = {"deriv": DERIVATIVES, "weighted": WEIGHTED}
+    assert set(COROLLARY_ORACLES) == {(kind, which) for kind, table in tables.items()
+                                      for which in table}
+    out = []
+    for quad in QUADS[1:3]:
+        row = as_tuple((*quad, 0, 0), 6)
+        p = row.derive(FAMILY.view)
+        for idx in ORACLE_INDICES:
+            u = FAMILY.member(idx, row)
+            out += [(kind, which, idx, quad) for (kind, which), oracle in COROLLARY_ORACLES.items()
+                    if tables[kind][which].lhs(u, *idx, p) != oracle(u, idx, p)]
+    return out
+
+
+def test_corollary_left_hand_sides_match_their_transcription():
+    assert _oracle_mismatches() == []
+
+
+# Each mutant changes one key of _xy_weighted's map: its sign, its letter,
+# or the drop of the undifferentiated term.
+XY_WEIGHTED_MUTANTS = {
+    "sign": lambda p: {"x": X * Y, "y": X * Y, "": Y.scale(p.al) - X.scale(p.be)},
+    "letter": lambda p: {"x": X * Y, "z": -(X * Y), "": Y.scale(p.al) - X.scale(p.be)},
+    "dropped": lambda p: {"x": X * Y, "y": -(X * Y)},
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(XY_WEIGHTED_MUTANTS))
+def test_a_one_key_mutant_of_the_xy_weighted_map_fails_the_transcription(mutant, monkeypatch):
+    from simplexpoly import simplex3d
+
+    coeffs = XY_WEIGHTED_MUTANTS[mutant]
+    monkeypatch.setattr(simplex3d, "_xy_weighted", lambda u, p: u.apply_derivatives(coeffs(p)))
+    failed = {(kind, which) for kind, which, _, _ in _oracle_mismatches()}
+    assert failed == {("weighted", "dx-dy"), ("weighted", "dz.dx-dy")}

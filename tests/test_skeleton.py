@@ -17,7 +17,7 @@ import pytest
 from simplexpoly import jacobi1d, simplex3d, sweeps, triangle2d
 from simplexpoly.cli import EX_ERRATUM, EX_OK, main
 from simplexpoly.operators import summarize
-from simplexpoly.ratpoly import ONE, Y
+from simplexpoly.ratpoly import ONE, MPoly, Y
 
 F = Fraction
 
@@ -228,9 +228,16 @@ def test_doubled_monic_prefactor_is_erratum_candidate(family, tmp_path, monkeypa
     code, payload = _monic_slice_verify(tmp_path)
     assert code == EX_ERRATUM
     assert payload["summary"]["erratum_candidates"] == [f"monic.{family}"]
-    failed = [r["index"] for r in payload["reports"] if r["status"] == "fail"]
-    first_axis = [idx[0] - idx[1] if family == "triangle" else idx[0] for idx in failed]
+    failed = [r for r in payload["reports"] if r["status"] == "fail"]
+    first_axis = [r["index"][0] - r["index"][1] if family == "triangle" else r["index"][0]
+                  for r in failed]
     assert max(first_axis) == 2
+    # The judge reports the leading term, 2 x^d0 y^d1 z^d2, against the
+    # unit one, and their difference is that term with coefficient 2 - 1.
+    for r in failed:
+        lead = MPoly({(*record.degrees(*r["index"]), 0, 0)[:3]: 1})
+        assert (r["lhs"], r["rhs"], r["difference"]) == (
+            lead.scale(2).to_text(), lead.to_text(), lead.to_text())
 
 
 def test_unsupported_divisor_is_a_failing_sample(tmp_path, monkeypatch, capsys):
