@@ -1,18 +1,19 @@
 """Acceptance criteria, one test per criterion.
 
-Each criterion runs the relevant relations at the grids from the shipped
-default sweep configuration (the single source also used by the CLI),
-asserts exactness / tolerances, and prints one summary line.  Run with
-`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+Each suite criterion judges the relations it covers in the shipped default
+sweep, which the session runs once (`shipped_sweep` in conftest.py): their
+counts, no fail, no erratum candidate, and the seconds its suites took.  Each
+prints one summary line.  Run with `pytest tests/test_acceptance.py -v -s` to
+see the per-criterion lines.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from simplexpoly import quadrature, simplex3d, sweeps, triangle2d
-from simplexpoly.operators import summarize
+from simplexpoly import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
 
 F = Fraction
 
@@ -22,78 +23,58 @@ def config():
     return sweeps.load_config(sweeps.default_config_path())
 
 
-def _run(tasks):
-    start = time.perf_counter()
-    reports = sweeps.run_tasks(tasks)
-    elapsed = time.perf_counter() - start
-    return reports, summarize(reports), elapsed
-
-
-def _announce(label, summary, elapsed, limit):
-    totals = summary["totals"]
-    status = "PASS" if totals["fail"] == 0 and not summary["erratum_candidates"] else "FAIL"
+def _judge(sweep, label, limit, covered):
+    """Announce and judge one criterion on the shipped sweep: the relations
+    that `covered` ({suite: relation ids, or None for all}) selects in the
+    suites' summaries have no fail and no erratum candidate, and those
+    suites took less than `limit` seconds.  Returns the relations selected."""
+    relations, counts, candidates = [], Counter(), set()
+    for suite, ids in covered.items():
+        summary = sweep[suite].summary
+        candidates.update(summary["erratum_candidates"])
+        for relation, tally in summary["per_relation"].items():
+            if ids is None or relation in ids:
+                relations.append(relation)
+                counts.update(tally)
+    errata = [relation for relation in relations if relation in candidates]
+    elapsed = sum(sweep[suite].seconds for suite in covered)
+    status = "PASS" if counts["fail"] == 0 and not errata else "FAIL"
     print(
         f"ACCEPTANCE {label}: {status} "
-        f"({totals['pass']} pass, {totals['fail']} fail, "
-        f"{totals['not_applicable']} n/a, {elapsed:.1f}s / limit {limit:.0f}s)"
+        f"({counts['pass']} pass, {counts['fail']} fail, "
+        f"{counts['not_applicable']} n/a, {elapsed:.1f}s / limit {limit:.0f}s)"
     )
-
-
-def _assert_clean(summary, elapsed, limit):
-    assert summary["totals"]["fail"] == 0
-    assert summary["erratum_candidates"] == []
+    assert counts["fail"] == 0
+    assert errata == []
     assert elapsed < limit
+    return relations
 
 
-def test_criterion_1_univariate_suite(config):
+def test_criterion_1_univariate_suite(config, shipped_sweep):
     """12 sparse ladder relations and 24 second-order identities, exact,
     n <= 8 over the full 36-pair parameter grid."""
     section = config["suites"]["ladder1d"]
     assert len(section["params"]) >= 36
     assert section["degree"] >= 8
-    tasks = sweeps.tasks_ladder1d(section)
-    one = config["suites"]["second-order"]["oned"]
-    tasks += [
-        ("so1d", key, (n,), params)
-        for params in sweeps.parse_grid(one["params"], 2)
-        for n in range(int(one["degree"]) + 1)
-        for key in sweeps.jacobi1d.SECOND_ORDER_1D
-    ]
-    reports, summary, elapsed = _run(tasks)
-    _announce("1 (univariate ladders)", summary, elapsed, 10)
-    assert len(summary["per_relation"]) == 12 + 24
-    _assert_clean(summary, elapsed, 10)
+    relations = _judge(shipped_sweep, "1 (univariate ladders)", 10, {
+        "ladder1d": None, "second-order": jacobi1d.FAMILY.second_order})
+    assert len(relations) == 12 + 24
 
 
-def test_criterion_2_bivariate_suite(config):
+def test_criterion_2_bivariate_suite(config, shipped_sweep):
     """24 sparse M relations, 24 compositions, zero residuals for the
     three equations, and the d = 0 reduction, n <= 6 over >= 12 tuples."""
     section = config["suites"]["m2d"]
     assert len(section["params"]) >= 12
     assert section["degree"] >= 6
-    tasks = sweeps.tasks_m2d(section)
-    two = config["suites"]["second-order"]["twod"]
-    grid2 = sweeps.parse_grid(two["params"], 4)
-    tasks += [
-        ("so2d", key, idx, params)
-        for params in grid2
-        for idx in triangle2d.indices(int(two["degree"]))
-        for key in sweeps.triangle2d.SECOND_ORDER_2D
-    ]
-    pde2 = config["suites"]["pde"]["twod"]
-    tasks += [
-        ("pde2d", which, idx, params)
-        for params in sweeps.parse_grid(pde2["params"], 4)
-        for idx in triangle2d.indices(int(pde2["degree"]))
-        for which in ("L1", "L2", "B1")
-    ]
-    reports, summary, elapsed = _run(tasks)
-    _announce("2 (bivariate suite)", summary, elapsed, 60)
-    assert len(summary["per_relation"]) == 24 + 24 + 3 + 1  # + reduction.d0
-    _assert_clean(summary, elapsed, 60)
+    family = triangle2d.FAMILY
+    relations = _judge(shipped_sweep, "2 (bivariate suite)", 60, {
+        "m2d": None, "second-order": family.second_order,
+        "pde": {"pde." + line for line in family.pde}})
+    assert len(relations) == 24 + 24 + 3 + 1  # + reduction.d0
 
 
-def test_criterion_3_trivariate_suite(config):
+def test_criterion_3_trivariate_suite(config, shipped_sweep):
     """Core contribution: 36 sparse relations and 36 compositions exact for
     n <= 5 over >= 8 tuples; all four equations have zero residual; the
     a = b = 0 members match the classical construction; no erratum
@@ -101,26 +82,11 @@ def test_criterion_3_trivariate_suite(config):
     section = config["suites"]["theorem1"]
     assert len(section["params"]) >= 8
     assert section["degree"] >= 5
-    tasks = sweeps.tasks_theorem1(section)
-    three = config["suites"]["second-order"]["threed"]
-    grid3 = sweeps.parse_grid(three["params"], 6)
-    tasks += [
-        ("so3d", key, idx, params)
-        for params in grid3
-        for idx in simplex3d.indices(int(three["degree"]))
-        for key in sweeps.simplex3d.SECOND_ORDER_3D
-    ]
-    pde3 = config["suites"]["pde"]["threed"]
-    tasks += [
-        ("pde3d", which, idx, params)
-        for params in sweeps.parse_grid(pde3["params"], 6)
-        for idx in simplex3d.indices(int(pde3["degree"]))
-        for which in ("T1", "T2", "T3", "T4")
-    ]
-    reports, summary, elapsed = _run(tasks)
-    _announce("3 (trivariate suite)", summary, elapsed, 300)
-    assert len(summary["per_relation"]) == 36 + 36 + 4 + 1  # + reduction.ab0
-    _assert_clean(summary, elapsed, 300)
+    family = simplex3d.FAMILY
+    relations = _judge(shipped_sweep, "3 (trivariate suite)", 300, {
+        "theorem1": None, "second-order": family.second_order,
+        "pde": {"pde." + line for line in family.pde}})
+    assert len(relations) == 36 + 36 + 4 + 1  # + reduction.ab0
 
 
 def test_criterion_4_orthogonality():
@@ -153,27 +119,23 @@ def test_criterion_4_orthogonality():
     assert elapsed < 30
 
 
-def test_criterion_5_connections(config):
+def test_criterion_5_connections(config, shipped_sweep):
     """Alpha-connection reassembly for n <= 4 across the xi grid and the
     general connection for n <= 3, including identity-target collapse."""
     section = config["suites"]["connections"]
     assert int(section["alpha"]["degree"]) >= 4
     assert int(section["general"]["degree"]) >= 3
-    tasks = sweeps.tasks_connections(section)
-    reports, summary, elapsed = _run(tasks)
     # identity-target collapse is part of the task list (xi = alpha and
     # target = source appended per parameter tuple); spot-check one here.
-    from simplexpoly.simplex3d import connect_alpha
-
     params = sweeps.parse_grid(section["alpha"]["params"], 6)[0]
-    exp = connect_alpha((2, 1, 0), params, params[0])
+    exp = simplex3d.connect_alpha((2, 1, 0), params, params[0])
     collapse_ok = len(exp.terms) == 1 and exp.terms[0].coeff == 1
-    _announce("5 (connections)", summary, elapsed, 120)
+    relations = _judge(shipped_sweep, "5 (connections)", 120, {"connections": None})
     assert collapse_ok
-    _assert_clean(summary, elapsed, 120)
+    assert len(relations) == 2
 
 
-def test_criterion_6_three_term_and_corollaries(config):
+def test_criterion_6_three_term_and_corollaries(config, shipped_sweep):
     """Recurrence exact for n <= 5 (including the hand-checked case at the
     origin) and the twelve classical-subfamily identities for n <= 4."""
     from simplexpoly.ratpoly import ONE, X
@@ -185,32 +147,19 @@ def test_criterion_6_three_term_and_corollaries(config):
         (ca, cb, cc) == (F(1, 4), F(1, 4), F(0))
         and X == simplex_poly_raw(1, 0, 0, *zeros).scale(ca) + ONE.scale(cb)
     )
-    tasks = sweeps.tasks_three_term(config["suites"]["three-term"])
-    tasks += sweeps.tasks_corollaries(config["suites"]["corollaries"])
-    reports, summary, elapsed = _run(tasks)
-    _announce("6 (three-term + corollaries)", summary, elapsed, 60)
+    relations = _judge(shipped_sweep, "6 (three-term + corollaries)", 60,
+                       {"three-term": None, "corollaries": None})
     assert hand_ok
     assert int(config["suites"]["three-term"]["degree"]) >= 5
     assert int(config["suites"]["corollaries"]["degree"]) >= 4
-    _assert_clean(summary, elapsed, 60)
+    assert len(relations) == 1 + 12
 
 
-def test_criterion_7_monic_solutions(config):
+def test_criterion_7_monic_solutions(config, shipped_sweep):
     """Monic solutions solve their equations with exactly zero residual and
     unit leading coefficient for n <= 5."""
-    pde = config["suites"]["pde"]
-    monic_degree = int(pde.get("monic_degree", 5))
+    monic_degree = int(config["suites"]["pde"].get("monic_degree", 5))
     assert monic_degree >= 5
-    tasks = [
-        ("monic2d", None, idx, params)
-        for params in sweeps.parse_grid(pde["twod"]["params"], 4)
-        for idx in triangle2d.indices(monic_degree)
-    ]
-    tasks += [
-        ("monic3d", None, idx, params)
-        for params in sweeps.parse_grid(pde["threed"]["params"], 6)
-        for idx in simplex3d.indices(monic_degree)
-    ]
-    reports, summary, elapsed = _run(tasks)
-    _announce("7 (monic solutions)", summary, elapsed, 20)
-    _assert_clean(summary, elapsed, 20)
+    relations = _judge(shipped_sweep, "7 (monic solutions)", 20,
+                       {"pde": {"monic.triangle", "monic.simplex"}})
+    assert len(relations) == 2

@@ -107,13 +107,6 @@ def test_verify_flags_operator_typo_as_erratum(tmp_path, monkeypatch, capsys):
     assert all(r["detail"].startswith("NonzeroRemainder: ") for r in n10)
 
 
-def test_verify_default_config_is_shipped(capsys):
-    # smallest suite to keep runtime down
-    code = main(["verify", "--suite", "three-term"])
-    assert code == EX_OK
-    assert "0 fail" in capsys.readouterr().out
-
-
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["verify"])  # missing --suite

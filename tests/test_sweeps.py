@@ -1,6 +1,5 @@
 """The sweep harness: report bytes, pool chunks and the shipped reports."""
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -102,15 +101,14 @@ def test_rows_that_share_the_reduced_parameters_give_each_d0_task_once():
 
 
 @pytest.mark.parametrize("suite", sweeps.SUITES)
-def test_each_shipped_task_is_the_key_of_one_report(suite):
+def test_each_shipped_task_is_the_key_of_one_report(suite, shipped_sweep):
     # No two tasks of a suite share (kind, relation, index, row), and each
     # report carries its task's (relation, index, row): no report key repeats.
-    config = sweeps.load_config(sweeps.default_config_path())
-    tasks = sweeps.suite_tasks(suite, config)
+    [(_, tasks)] = sweeps.plan(None, [suite])[1]
     assert len(set(tasks)) == len(tasks)
-    keys = Counter((r.relation, r.index, r.params) for r in sweeps.run_tasks(tasks))
+    keys = Counter(shipped_sweep[suite].keys)
     assert set(keys.values()) == {1}
-    assert keys.keys() == {(sweeps._KINDS[kind][0].format(rel), idx, row)
+    assert keys.keys() == {(sweeps._KINDS[kind][0].format(rel), idx, row.text)
                            for kind, rel, idx, row in tasks}
 
 
@@ -406,12 +404,21 @@ def _shipped_checksums():
     return {name: digest for digest, name in pairs}
 
 
-@pytest.mark.parametrize("suite", ["ladder1d", "three-term"])
-def test_shipped_report_matches_its_checksum(suite, tmp_path, capsys):
-    out = tmp_path / f"{suite}.json"
-    assert main(["verify", "--suite", suite, "--jobs", "1", "--out", str(out)]) == EX_OK
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == _shipped_checksums()[f"reports/{suite}.json"]
+@pytest.mark.parametrize("suite", sweeps.SUITES)
+def test_shipped_report_matches_its_checksum(suite, shipped_sweep):
+    assert shipped_sweep[suite].sha256 == _shipped_checksums()[f"reports/{suite}.json"]
+
+
+# The shipped sweep's totals over its eight suites.
+SHIPPED_TOTALS = {"pass": 68_073, "fail": 0, "not_applicable": 3_877}
+
+
+def test_the_shipped_sweep_reads_its_totals(shipped_sweep):
+    totals = Counter()
+    for run in shipped_sweep.values():
+        totals.update(run.summary["totals"])
+    assert dict(totals) == SHIPPED_TOTALS, "\n".join(
+        f"{suite}: {run.summary['totals']}" for suite, run in shipped_sweep.items())
 
 
 def test_report_prints_its_row_text():
