@@ -13,7 +13,9 @@ The package is organized bottom-up:
     triangle2d  four-parameter triangle family, 24 ladder relations
     simplex3d   six-parameter tetrahedron family, 36 ladder relations,
                 differential equations, connections, recurrences
-    quadrature  Gauss-Jacobi rules and the float Gram matrices
+    quadrature  Gauss-Jacobi rules and the float Gram matrices; the one
+                module that needs numpy, loaded by `gram` and the scan
+                script, not by importing the package
     sweeps      verification sweep harness (used by the CLI and tests)
     cli         `simplexpoly` command-line front end
 """
@@ -44,6 +46,5 @@ from .simplex3d import (
     three_term_x,
     verify_three_term,
 )
-from .quadrature import ConvergenceFailure, collapsed_gram
 
 __version__ = "0.1.0"

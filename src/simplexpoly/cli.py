@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from . import jacobi1d, quadrature, simplex3d, sweeps, triangle2d
+from . import jacobi1d, simplex3d, sweeps, triangle2d
 from .operators import as_tuple, summarize
 from .ratpoly import as_rat
 from .special import PoleHit
@@ -130,12 +130,13 @@ GRAM_MAX_DEGREE = 24
 #: The largest total index degree that `print-poly` and `connect` accept,
 #: refused above before any member or coefficient is built.  Measured on a
 #: 2-core host with the parameters 1/3,1/2,0,1,-1/2,2: the costliest member
-#: of a total degree D is the tetrahedron's 0,0,D, which took 1.2 s and
-#: 54 MB peak RSS at D = 60, 2.9 s and 89 MB at 80 and 6.4 s and 155 MB at
+#: of a total degree D is the tetrahedron's 0,0,D, which took 0.6 s and
+#: 41 MB peak RSS at D = 60, 1.9 s and 76 MB at 80 and 5.4 s and 141 MB at
 #: 100; interval and triangle members of degree 100 took at most 0.3 s.
 #: The general connection reassembles (n1+1)(n2+1)(n3+1) target members:
-#: at total degree 24 it took 1.2 to 2.3 s and 65 MB, at 10,10,10 4.1 s
-#: and 129 MB and at 12,12,12 13 s and 295 MB; the alpha one is cheaper.
+#: to the target row 1,0,1/2,0, at total degree 24 it took at most 1.2 s
+#: and 49 MB (at 4,10,10), at 10,10,10 2.9 s and 114 MB and at 12,12,12
+#: 9.9 s and 275 MB; the alpha one is cheaper.
 PRINT_MAX_DEGREE = 80
 CONNECT_MAX_DEGREE = 24
 
@@ -208,6 +209,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
+    from . import quadrature  # numpy, loaded only by the float path
+
     if not 0 <= args.max_degree <= GRAM_MAX_DEGREE:
         raise ValueError(f"--N must be from 0 to {GRAM_MAX_DEGREE}, got {args.max_degree}")
     family = _FAMILIES[args.family]

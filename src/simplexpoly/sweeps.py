@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
@@ -279,6 +278,8 @@ def run_tasks(tasks: List[Task], jobs: int = 1) -> List[VerificationReport]:
     split = _chunks(tasks, processes * 4)
     workers = min(processes, len(split))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only where it forks
+
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             theirs = pool.map(_run_chunk, [c for i, c in enumerate(split) if i % workers])
             try:

@@ -1,5 +1,6 @@
 """The sweep harness: report bytes, pool chunks and the shipped reports."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -127,12 +128,12 @@ def test_chunks_keep_a_rows_tasks_at_one_index_together(count):
 def _real_pool(monkeypatch) -> list:
     """Let every task repay a process, so that the short lists of these tests
     run in a real pool, and record the worker count of each pool started."""
-    asked, pool = [], sweeps.ProcessPoolExecutor
+    asked, pool = [], concurrent.futures.ProcessPoolExecutor
 
     def counted(max_workers):
         asked.append(max_workers)
         return pool(max_workers=max_workers)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", 1)
     return asked
 
@@ -218,7 +219,7 @@ def _stand_in_pool(monkeypatch) -> tuple:
             handed.append(list(chunks))
             return map(fn, handed[-1])
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     return asked, handed
 
 
