@@ -3,7 +3,8 @@ tetrahedron, with exact verification of their ladder-operator calculus.
 
 The package is organized bottom-up:
 
-    ratpoly     exact sparse polynomials in (x, y, z) over Fractions
+    ratpoly     exact sparse polynomials in (x, y, z), integer numerators
+                over one common denominator; `Rat`, the parameters' rationals
     special     Pochhammer / gamma-ratio / terminating hypergeometric sums
     operators   first-order differential operators, verification reports,
                 and the verification skeleton shared by the three families

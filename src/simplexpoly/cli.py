@@ -96,9 +96,9 @@ def build_parser() -> _Parser:
     pv.add_argument("--config", default=None, help="sweep config JSON (default: shipped)")
     pv.add_argument("--out", default=None, help="write the JSON report here")
     pv.add_argument("--jobs", type=_jobs, default=None,
-                    help="up to this many processes, this one included, at least 1; "
-                         "one runs per 1,000 tasks and per CPU (default: the config's "
-                         "\"jobs\", else 1)")
+                    help="up to this many processes, at least 1: one runs per 1,000 "
+                         "tasks and per CPU, more than one as a pool of workers "
+                         "(default: the config's \"jobs\", else 1)")
 
     pg = sub.add_parser("gram", help="emit a Gram matrix as CSV")
     pg.add_argument("--family", choices=("triangle", "simplex"), default="simplex")

@@ -145,7 +145,7 @@ def test_pool_reports_equal_serial_reports(monkeypatch):
     tasks = _m2d_tasks()
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
-    assert asked == [1]
+    assert asked == [2]
 
 
 def test_plain_tuple_rows_give_the_same_reports_in_a_pool(monkeypatch):
@@ -154,48 +154,47 @@ def test_plain_tuple_rows_give_the_same_reports_in_a_pool(monkeypatch):
     tasks = [(kind, rel, idx, tuple(row)) for kind, rel, idx, row in _m2d_tasks()]
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
-    assert asked == [1]
+    assert asked == [2]
 
 
-def test_two_workers_beside_this_process_give_the_serial_reports(monkeypatch):
-    # Three CPUs and --jobs 3: this process and a pool of two workers.
+def test_a_pool_of_three_workers_gives_the_serial_reports(monkeypatch):
+    # Three CPUs and --jobs 3: a pool of three workers.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     asked = _real_pool(monkeypatch)
     tasks = _m2d_tasks()
     serial = [r.to_json() for r in sweeps.run_tasks(tasks, jobs=1)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=3)] == serial
-    assert asked == [2]
+    assert asked == [3]
     assert not multiprocessing.active_children()
 
 
-def test_a_fault_in_this_processs_share_leaves_no_worker_running(monkeypatch, tmp_path):
+def test_a_fault_in_a_workers_chunk_cancels_the_rest_and_leaves_no_worker_running(
+        monkeypatch, tmp_path):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     asked = _real_pool(monkeypatch)
     tasks = sweeps.tasks_m2d({"degree": 3, "params": [["0", "1/2", "0", "1"],
                                                       ["1/3", "0", "-1/2", "0"]]})
     split = sweeps._chunks(tasks, 8)
-    # One worker holds at most three chunks at a time: its own and two queued.
-    theirs = range(1, len(split), 2)
-    assert len(theirs) > 3
-    here, ran = os.getpid(), tmp_path / "ran"
+    # Two workers hold at most five chunks at a time: one each and three queued.
+    assert len(split) > 6
+    ran = tmp_path / "ran"
     run_task = sweeps.run_task
 
     def builder_bug(task):
         if task == split[0][1]:
             raise TypeError("a fault in a task builder")
-        if os.getpid() != here:  # the forked worker logs its chunks and starts each slowly
-            first = [n for n in theirs if split[n][0] == task]
-            if first:
-                with open(ran, "a") as fh:
-                    fh.write(f"{first[0]}\n")
-                time.sleep(0.3)
+        first = [n for n in range(1, len(split)) if split[n][0] == task]
+        if first:  # the workers log the chunks they start and start each slowly
+            with open(ran, "a") as fh:
+                fh.write(f"{first[0]}\n")
+            time.sleep(0.3)
         return run_task(task)
     monkeypatch.setattr(sweeps, "run_task", builder_bug)
     with pytest.raises(TypeError, match="a fault in a task builder"):
         sweeps.run_tasks(tasks, jobs=2)
-    assert asked == [1] and not multiprocessing.active_children()
-    # The worker's pending chunks were cancelled, not run to the end.
-    assert str(theirs[-1]) not in (ran.read_text().split() if ran.exists() else [])
+    assert asked == [2] and not multiprocessing.active_children()
+    # The chunks not yet started were cancelled, not run to the end.
+    assert str(len(split) - 1) not in (ran.read_text().split() if ran.exists() else [])
 
 
 def _stand_in_pool(monkeypatch) -> tuple:
@@ -247,11 +246,12 @@ def test_each_job_count_cuts_four_chunks_per_process(monkeypatch):
         reports.append([r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)])
     alone, split = sweeps._chunks(tasks, 4), sweeps._chunks(tasks, 8)
     assert len(alone) < len(split)
-    # --jobs 1 makes no pool; --jobs 2 is this process and one worker.
-    assert reports[0] == reports[1] and asked == [1]
-    # The worker is handed every second chunk; this process runs the others.
-    assert handed == [split[1::2]]
-    assert seen[1] == split[::2] + split[1::2]
+    # --jobs 1 makes no pool; --jobs 2 is a pool of two workers.
+    assert reports[0] == reports[1] and asked == [2]
+    # The pool is handed every chunk, in the order the suite builder made them,
+    # and runs each once.
+    assert handed == [split]
+    assert seen[1] == split
     # Alone, this process runs the chunks in the order the suite builder made.
     assert seen[0] == alone and [t for chunk in alone for t in chunk] == tasks
 
@@ -266,8 +266,8 @@ def test_jobs_2_cuts_the_same_chunks_on_a_host_of_2_or_64_cpus(monkeypatch):
         seen.append([])
         sweeps.run_tasks(tasks, jobs=2)
     split = sweeps._chunks(tasks, 8)
-    assert asked == [1, 1] and handed == [split[1::2]] * 2
-    assert seen == [split[::2] + split[1::2]] * 2
+    assert asked == [2, 2] and handed == [split] * 2
+    assert seen == [split] * 2
 
 
 def test_a_list_below_the_per_process_minimum_forks_nothing(monkeypatch):
@@ -278,13 +278,13 @@ def test_a_list_below_the_per_process_minimum_forks_nothing(monkeypatch):
     serial = [r.to_json() for r in sweeps.run_tasks(tasks)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=2)] == serial
     assert asked == []
-    # A list of exactly the minimum runs here too; one task more forks a worker.
+    # A list of exactly the minimum runs here too; one task more forks a pool.
     monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", len(tasks))
     sweeps.run_tasks(tasks, jobs=2)
     assert asked == []
     monkeypatch.setattr(sweeps, "TASKS_PER_PROCESS", len(tasks) - 1)
     sweeps.run_tasks(tasks, jobs=2)
-    assert asked == [1]
+    assert asked == [2]
 
 
 def test_a_connection_builds_each_source_member_once_per_source_row(monkeypatch):
@@ -320,8 +320,8 @@ def test_the_pool_starts_no_more_workers_than_cpus_or_chunks(cpus, jobs, degree,
              if t[0] == "m2d"]
     serial = [r.to_json() for r in sweeps.run_tasks(tasks)]
     assert [r.to_json() for r in sweeps.run_tasks(tasks, jobs=jobs)] == serial
-    # This process is one of them, so the pool forks the others.
-    assert asked == [processes - 1]
+    # The pool forks one worker per process.
+    assert asked == [processes]
 
 
 def test_a_report_is_slotted_and_pickles_to_an_equal_report():
